@@ -8,9 +8,20 @@ physical sign of the leakage is device-dependent.
 
 With known ground truth a candidate is scored by its relative
 correctness (fraction of main-loop bits it gets right); without it,
-candidates are verified by recomputing the public key.  Residual wrong
-bits are brute-forced by flipping suspect positions in increasing
+candidates are verified against the public key.  Residual wrong bits
+are brute-forced by flipping suspect positions in increasing
 Hamming-weight order.
+
+Verification costs one Montgomery ladder per complement pair of bit
+strings, not one per candidate scalar.  For an L-bit candidate c let
+k(c, pb) be its expansion with pre-loop bit pb.  Then
+k(c, 1) = k(c, 0) + 2^L, and the complement c' of c has
+k(c', pb) = C + pb*2^L - k(c, 0) with C = 2^(L+2) + 2^L - 1.  So the
+single point P = k(c, 0)*G settles all four scalars: P equals pub,
+pub - A, C*G - pub or C*G + A - pub (A = 2^L*G) exactly when
+(c, 0), (c, 1), (c', 0) or (c', 1) verifies.  Brute force reaches
+every flipped subset by one affine point addition from its parent
+subset, because flipping bit p adds +-2^(L-1-p) to every expansion.
 
 Welch's two-sample t-test over the '0'-labelled and '1'-labelled slots
 is included as the designer-side leakage assessment.
@@ -20,14 +31,23 @@ from __future__ import annotations
 
 import csv
 import enum
-import itertools
+import functools
+from collections import deque
 from dataclasses import dataclass
 from math import comb, inf
 from typing import Optional
 
 import numpy as np
 
-from .curve import AffinePoint, CurveParams, Scalar, kp_point
+from .curve import (
+    AffinePoint,
+    CurveParams,
+    Scalar,
+    is_on_curve,
+    kp_point,
+    negate,
+    point_add,
+)
 from .traces import SlotMatrix
 
 
@@ -125,6 +145,34 @@ def expand_candidate(candidate_bits, preloop_bit: int) -> Scalar:
     return Scalar.from_bits((1, preloop_bit) + tuple(candidate_bits))
 
 
+@functools.lru_cache(maxsize=256)
+def _multiple(k: int, g: AffinePoint, params: CurveParams) -> AffinePoint:
+    """k*G for the fixed multiples verification needs (2^L, C, 2^j)."""
+    return kp_point(Scalar(k), g, params)
+
+
+def _can_verify(pub: AffinePoint, params: CurveParams) -> bool:
+    """Whether pub is a point of this curve; no scalar reproduces any other.
+
+    Checked before any target is derived from pub: the affine addition
+    is only meaningful on the curve and could turn an off-curve pub into
+    the point at infinity, which kP legitimately equals.
+    """
+    if pub.infinity:
+        return True
+    if pub.x.spec != params.field or pub.y.spec != params.field:
+        return False
+    return is_on_curve(pub, params)
+
+
+def _preloop_target(pb: int, nbits: int, g: AffinePoint, pub: AffinePoint,
+                    params: CurveParams) -> AffinePoint:
+    """The point k(c, 0)*G must equal for (c, pb) to verify: pub or pub - 2^L*G."""
+    if pb & 1 == 0:
+        return pub
+    return point_add(pub, negate(_multiple(1 << nbits, g, params)), params)
+
+
 def verify_candidate(
     candidate: KeyCandidate,
     g: AffinePoint,
@@ -143,22 +191,92 @@ def recover_scalar(
     params: CurveParams,
     preloop_bits=(0, 1),
 ) -> Optional[Scalar]:
-    """The verified full scalar for this candidate, or None."""
+    """The verified full scalar for this candidate, or None.
+
+    Expansions are tried in the order of preloop_bits, all against one
+    ladder: k(c, 0)*G is compared with each pre-loop bit's target.
+    """
+    if not preloop_bits or not _can_verify(pub, params):
+        return None
+    point = kp_point(expand_candidate(candidate.bits, 0), g, params)
     for pb in preloop_bits:
-        k = expand_candidate(candidate.bits, pb)
-        if kp_point(k, g, params) == pub:
-            return k
+        if point == _preloop_target(pb, len(candidate.bits), g, pub, params):
+            return expand_candidate(candidate.bits, pb)
     return None
+
+
+def _pair_targets(nbits: int, g: AffinePoint, pub: AffinePoint,
+                  params: CurveParams) -> tuple[tuple[AffinePoint, ...], ...]:
+    """Targets for P = k(c, 0)*G: c verifies iff P is in the first pair,
+    its complement iff P is in the second (see the module docstring)."""
+    step = _multiple(1 << nbits, g, params)
+    c_g = _multiple((1 << (nbits + 2)) + (1 << nbits) - 1, g, params)
+    c_minus_pub = point_add(c_g, negate(pub), params)
+    return (
+        (pub, _preloop_target(1, nbits, g, pub, params)),
+        (c_minus_pub, point_add(c_minus_pub, step, params)),
+    )
+
+
+def _verify_all(candidates, g: AffinePoint, pub: AffinePoint,
+                params: CurveParams) -> np.ndarray:
+    """Per candidate: does either pre-loop expansion reproduce pub?
+
+    One ladder per distinct complement pair of bit strings.
+    """
+    verified = np.zeros(len(candidates), dtype=bool)
+    if not _can_verify(pub, params):
+        return verified
+    pairs: dict[tuple[int, ...], list[tuple[int, bool]]] = {}
+    for i, c in enumerate(candidates):
+        rep = min(c.bits, c.complement().bits)
+        pairs.setdefault(rep, []).append((i, c.bits != rep))
+    targets = {}
+    for rep, members in pairs.items():
+        if len(rep) not in targets:
+            targets[len(rep)] = _pair_targets(len(rep), g, pub, params)
+        direct, complement = targets[len(rep)]
+        point = kp_point(expand_candidate(rep, 0), g, params)
+        for i, is_complement in members:
+            verified[i] = point in (complement if is_complement else direct)
+    return verified
 
 
 @dataclass(frozen=True)
 class BruteForceResult:
     key: Optional[Scalar]
-    checks: int  # point multiplications actually performed
+    checks: int  # candidate scalars tested, in enumeration order
     budget_exhausted: bool
 
 
 MAX_SUSPECTS = 24
+
+
+def _flipped_points(bits, positions, g: AffinePoint, params: CurveParams):
+    """Yield (subset, k(bits with the subset flipped, 0)*G) in brute-force order.
+
+    A subset is a tuple of indices into positions.
+    Order: increasing number of flips, then lexicographic, as
+    itertools.combinations lists each weight.  Each subset's point is its
+    parent's (the subset without its last position) plus the flip delta
+    of that position, computed when the subset is reached; pending
+    subsets never span more than about one weight level.
+    """
+    nbits = len(bits)
+    deltas = []
+    for p in positions:
+        d = _multiple(1 << (nbits - 1 - p), g, params)
+        deltas.append(negate(d) if bits[p] & 1 else d)
+    base = kp_point(expand_candidate(bits, 0), g, params)
+    # (suspect indices, parent's point); the empty subset carries its own
+    pending = deque([((), base)])
+    while pending:
+        subset, point = pending.popleft()
+        if subset:
+            point = point_add(point, deltas[subset[-1]], params)
+        yield subset, point
+        start = subset[-1] + 1 if subset else 0
+        pending.extend((subset + (i,), point) for i in range(start, len(positions)))
 
 
 def brute_force_complete(
@@ -174,9 +292,12 @@ def brute_force_complete(
 
     Subsets are enumerated in increasing Hamming weight (few errors are
     the most plausible), deterministically, so "first found" is well
-    defined.  Every point multiplication counts against the budget;
-    flipping all of s suspects with a pinned pre-loop bit costs at most
-    2^s multiplications.
+    defined; within a subset the pre-loop bits are tried in the given
+    order.  Each (subset, pre-loop bit) scalar tested is one check
+    against the budget, however it is computed: one ladder for the
+    unflipped candidate, then one point addition per subset.  Flipping
+    all of s suspects with a pinned pre-loop bit costs at most 2^s
+    checks.
     """
     suspects = sorted(set(int(p) for p in suspect_positions))
     nbits = len(candidate.bits)
@@ -186,25 +307,30 @@ def brute_force_complete(
         raise ValueError(
             f"{len(suspects)} suspects exceed the configured limit {MAX_SUSPECTS}"
         )
+    preloop_bits = tuple(preloop_bits)
+    if not preloop_bits or not _can_verify(pub, params):
+        # nothing can match before the search ends or the budget runs out
+        total = worst_case_checks(len(suspects), len(preloop_bits))
+        if total == 0 or budget >= total:
+            return BruteForceResult(None, total, False)
+        return BruteForceResult(None, max(budget, 0), True)
+    targets = [_preloop_target(pb, nbits, g, pub, params) for pb in preloop_bits]
     checks = 0
-    base = list(candidate.bits)
-    for weight in range(len(suspects) + 1):
-        for combo in itertools.combinations(suspects, weight):
-            bits = base.copy()
-            for p in combo:
-                bits[p] ^= 1
-            for pb in preloop_bits:
-                if checks >= budget:
-                    return BruteForceResult(None, checks, True)
-                checks += 1
-                k = expand_candidate(bits, pb)
-                if kp_point(k, g, params) == pub:
-                    return BruteForceResult(k, checks, False)
+    for subset, point in _flipped_points(candidate.bits, suspects, g, params):
+        for pb, target in zip(preloop_bits, targets):
+            if checks >= budget:
+                return BruteForceResult(None, checks, True)
+            checks += 1
+            if point == target:
+                bits = list(candidate.bits)
+                for i in subset:
+                    bits[suspects[i]] ^= 1
+                return BruteForceResult(expand_candidate(bits, pb), checks, False)
     return BruteForceResult(None, checks, False)
 
 
 def worst_case_checks(num_suspects: int, num_preloop: int = 1) -> int:
-    """Upper bound on point multiplications for a full enumeration."""
+    """Checks (candidate scalars tested) in a full enumeration."""
     return num_preloop * sum(comb(num_suspects, w) for w in range(num_suspects + 1))
 
 
@@ -275,9 +401,7 @@ def evaluate(
     if pub is not None:
         if g is None or params is None:
             raise ValueError("verification needs g and params alongside pub")
-        verified = np.zeros(len(candidates), dtype=bool)
-        for i, c in enumerate(candidates):
-            verified[i] = verify_candidate(c, g, pub, params)
+        verified = _verify_all(candidates, g, pub, params)
         report.verified = verified
         if report.best_index is None and verified.any():
             report.best_index = int(np.argmax(verified))

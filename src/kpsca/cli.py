@@ -213,7 +213,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pub", help="public key xhex:yhex (default: recomputed from ground truth)")
     p.add_argument("--suspects", required=True,
                    help="comma-separated slot indices suspected wrong")
-    p.add_argument("--budget", type=int, default=None, help="max point multiplications")
+    p.add_argument("--budget", type=int, default=None,
+                   help="max candidate scalars tested (checks)")
     p.add_argument("--sample-index", type=int, dest="sample_index",
                    help="candidate to complete (default: best by ground truth)")
     p.add_argument("--polarity", choices=[pol.value for pol in attack_mod.Polarity])

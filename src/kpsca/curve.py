@@ -3,8 +3,11 @@
 Curves have the short Weierstrass form for characteristic 2,
 y^2 + xy = x^3 + a*x^2 + b, with b != 0.  The production route is the
 x-coordinate-only Montgomery ladder in Lopez-Dahab projective
-coordinates; an independent affine double-and-add oracle (textbook
-formulas, disjoint code) exists purely to cross-check it.
+coordinates.  The affine group law (`point_add`, textbook formulas,
+code disjoint from the ladder) serves two purposes: an independent
+double-and-add oracle built on it cross-checks the ladder, and the
+attack uses it to verify key candidates by point additions instead of
+one ladder per candidate scalar.
 
 The ladder follows the modelled accelerator's bit convention: the
 register initialisation already encodes the most significant scalar
@@ -337,9 +340,14 @@ def kp_point(k: Scalar, p: AffinePoint, params: CurveParams) -> AffinePoint:
     return ladder_finalize(state, p)
 
 
-# --- independent double-and-add oracle (textbook affine formulas) ---
+# --- affine group law (textbook formulas) ---
 
-def _oracle_add(p: AffinePoint, q: AffinePoint, params: CurveParams) -> AffinePoint:
+def point_add(p: AffinePoint, q: AffinePoint, params: CurveParams) -> AffinePoint:
+    """p + q for points on the curve, in affine coordinates.
+
+    Off-curve inputs give meaningless results (the equal-x branch may
+    even return the point at infinity); callers check the curve first.
+    """
     if p.infinity:
         return q
     if q.infinity:
@@ -348,7 +356,7 @@ def _oracle_add(p: AffinePoint, q: AffinePoint, params: CurveParams) -> AffinePo
         if gf2m.add(p.y, q.y) == p.x or (p.y != q.y):
             # q = -p  (covers the doubling-of-2-torsion case x = 0 too)
             return AffinePoint.at_infinity()
-        return _oracle_double(p, params)
+        return _point_double(p, params)
     lam = gf2m.mul_classical(
         gf2m.add(p.y, q.y), gf2m.invert(gf2m.add(p.x, q.x))
     )
@@ -361,7 +369,7 @@ def _oracle_add(p: AffinePoint, q: AffinePoint, params: CurveParams) -> AffinePo
     return AffinePoint(x3, y3)
 
 
-def _oracle_double(p: AffinePoint, params: CurveParams) -> AffinePoint:
+def _point_double(p: AffinePoint, params: CurveParams) -> AffinePoint:
     if p.infinity:
         return p
     if p.x.value == 0:
@@ -376,6 +384,8 @@ def _oracle_double(p: AffinePoint, params: CurveParams) -> AffinePoint:
     return AffinePoint(x3, y3)
 
 
+# --- independent double-and-add oracle ---
+
 def oracle_double_and_add(k: Scalar, p: AffinePoint, params: CurveParams) -> AffinePoint:
     """Verification oracle: plain MSB-first double-and-add in affine coordinates."""
     if p.infinity:
@@ -384,9 +394,9 @@ def oracle_double_and_add(k: Scalar, p: AffinePoint, params: CurveParams) -> Aff
         raise CurveError("input point is not on the curve")
     acc = p
     for bit in k.bits[1:]:
-        acc = _oracle_double(acc, params)
+        acc = _point_double(acc, params)
         if bit:
-            acc = _oracle_add(acc, p, params)
+            acc = point_add(acc, p, params)
     return acc
 
 

@@ -32,7 +32,7 @@ from typing import Optional
 
 import numpy as np
 
-from .curve import Scalar
+from .curve import CurveError, Scalar
 
 
 class TraceFormatError(ValueError):
@@ -49,6 +49,10 @@ class FormatVersionError(TraceFormatError):
 
 class TruncatedTraceError(TraceFormatError):
     pass
+
+
+class BadMetadataError(TraceFormatError):
+    """A header or metadata value is unusable: zero samples per cycle, a bad key."""
 
 
 class SegmentationError(ValueError):
@@ -182,6 +186,20 @@ def write_trace(trace: Trace, path, include_ground_truth: bool = True) -> None:
     path.write_bytes(bytes(blob))
 
 
+def _check_samples_per_cycle(spc: int, where) -> None:
+    if spc < 1:
+        raise BadMetadataError(f"{where}: samples_per_cycle is {spc}, must be >= 1")
+
+
+def _parse_ground_truth(text: str, where) -> Scalar:
+    try:
+        return Scalar.from_hex(text)
+    except (CurveError, ValueError):
+        raise BadMetadataError(
+            f"{where}: ground truth {text!r} is not a positive hex scalar"
+        ) from None
+
+
 def read_trace(path) -> Trace:
     path = Path(path)
     if path.suffix.lower() == ".csv":
@@ -194,6 +212,7 @@ def read_trace(path) -> Trace:
         raise BadMagicError(f"{path}: bad magic {magic!r}")
     if version != _VERSION:
         raise FormatVersionError(f"{path}: format version {version}, expected {_VERSION}")
+    _check_samples_per_cycle(spc, path)
     need = _HEADER.size + 8 * count
     if len(raw) < need:
         raise TruncatedTraceError(
@@ -208,7 +227,8 @@ def read_trace(path) -> Trace:
         (hexlen,) = struct.unpack_from("<I", rest)
         if len(rest) < 4 + hexlen:
             raise TruncatedTraceError(f"{path}: ground-truth block cut short")
-        ground_truth = Scalar.from_hex(rest[4 : 4 + hexlen].decode("ascii"))
+        hexkey = rest[4 : 4 + hexlen].decode("ascii", errors="replace")
+        ground_truth = _parse_ground_truth(hexkey, path)
     return Trace(samples, spc, cycle0, clock_hz, ground_truth)
 
 
@@ -250,10 +270,18 @@ def _read_csv(path: Path) -> Trace:
         clock_hz = float(meta["clock_hz"])
     except KeyError as exc:
         raise TraceFormatError(f"{meta_file}: missing key {exc}") from None
-    samples = np.loadtxt(path, dtype=np.float64, ndmin=1)
+    except ValueError as exc:
+        raise BadMetadataError(f"{meta_file}: {exc}") from None
+    _check_samples_per_cycle(spc, meta_file)
+    try:
+        samples = np.loadtxt(path, dtype=np.float64, ndmin=1)
+    except ValueError as exc:
+        raise TraceFormatError(f"{path}: {exc}") from None
     if "sample_count" in meta and int(meta["sample_count"]) != samples.shape[0]:
         raise TruncatedTraceError(
             f"{path}: {samples.shape[0]} samples, metadata promises {meta['sample_count']}"
         )
-    truth = Scalar.from_hex(meta["ground_truth"]) if "ground_truth" in meta else None
+    truth = None
+    if "ground_truth" in meta:
+        truth = _parse_ground_truth(meta["ground_truth"], meta_file)
     return Trace(samples, spc, cycle0, clock_hz, truth)

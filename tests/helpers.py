@@ -2,8 +2,13 @@
 
 from __future__ import annotations
 
+import itertools
+
+import numpy as np
+
 from kpsca import gf2m
-from kpsca.curve import AffinePoint, CurveParams
+from kpsca.attack import BruteForceResult, expand_candidate
+from kpsca.curve import AffinePoint, CurveParams, kp_point
 from kpsca.gf2m import FieldSpec
 
 
@@ -69,3 +74,43 @@ def flip_bits(bits, positions):
     for p in positions:
         out[p] ^= 1
     return tuple(out)
+
+
+# --- reference verification: one full ladder per candidate scalar ---
+
+def reference_recover_scalar(candidate, g, pub, params, preloop_bits=(0, 1)):
+    """recover_scalar by brute recomputation: kP for every expansion, in order."""
+    for pb in preloop_bits:
+        k = expand_candidate(candidate.bits, pb)
+        if kp_point(k, g, params) == pub:
+            return k
+    return None
+
+
+def reference_verified(candidates, g, pub, params) -> np.ndarray:
+    """evaluate()'s verified flags, one reference_recover_scalar per candidate."""
+    return np.array(
+        [reference_recover_scalar(c, g, pub, params) is not None for c in candidates],
+        dtype=bool,
+    )
+
+
+def reference_brute_force(candidate, suspect_positions, g, pub, params,
+                          budget=1 << 17, preloop_bits=(0, 1)) -> BruteForceResult:
+    """brute_force_complete by brute recomputation: one kP per tested scalar."""
+    suspects = sorted(set(int(p) for p in suspect_positions))
+    checks = 0
+    base = list(candidate.bits)
+    for weight in range(len(suspects) + 1):
+        for combo in itertools.combinations(suspects, weight):
+            bits = base.copy()
+            for p in combo:
+                bits[p] ^= 1
+            for pb in preloop_bits:
+                if checks >= budget:
+                    return BruteForceResult(None, checks, True)
+                checks += 1
+                k = expand_candidate(bits, pb)
+                if kp_point(k, g, params) == pub:
+                    return BruteForceResult(k, checks, False)
+    return BruteForceResult(None, checks, False)

@@ -1,0 +1,188 @@
+"""Candidate verification by point algebra agrees with one ladder per scalar.
+
+evaluate(), recover_scalar() and brute_force_complete() derive every
+expansion's point from a few ladders plus affine additions.  These
+properties compare them with the reference loops in helpers, which run
+one full kP per tested scalar, on the small test curves, including
+scalars whose kP is the point at infinity and off-curve public keys.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from kpsca import attack
+from kpsca.attack import (
+    KeyCandidate,
+    Polarity,
+    brute_force_complete,
+    evaluate,
+    expand_candidate,
+    extract_candidates,
+    recover_scalar,
+    verify_candidate,
+)
+from kpsca.curve import (
+    AffinePoint,
+    Scalar,
+    get_curve,
+    is_on_curve,
+    kp_point,
+    negate,
+    point_add,
+)
+from kpsca.traces import SlotMatrix
+
+from helpers import (
+    make_test16_curve,
+    reference_brute_force,
+    reference_recover_scalar,
+    reference_verified,
+)
+
+TEST8 = get_curve("test8")
+TEST16 = make_test16_curve()
+CURVES = {"test8": TEST8, "test16": TEST16}
+PRELOOP_TUPLES = [(0, 1), (0,), (1,), (1, 0), ()]
+
+
+def off_curve_twin(point, params):
+    """A point off the curve sharing point's x: the equal-x addition branch."""
+    d = 1 if point.x.value != 1 else 2
+    twin = AffinePoint(point.x, params.field.element(point.y.value ^ d))
+    assert not is_on_curve(twin, params)
+    return twin
+
+
+def matrix_for(bits, extra_columns=()):
+    """Slot matrix whose first SMALLER_IS_ONE candidate reads `bits` (unless constant)."""
+    cols = [[1.0 - b for b in bits]] + [list(c) for c in extra_columns]
+    return SlotMatrix(np.array(cols, dtype=float).T.copy(), len(cols), 0)
+
+
+@st.composite
+def key_bits(draw, curve_name):
+    """Main-loop bits: random, or on test8 those of a multiple of the order."""
+    params = CURVES[curve_name]
+    if curve_name == "test8" and draw(st.booleans()):
+        k = params.order_hint * draw(st.integers(1, 14))
+        return Scalar(k).main_loop_bits
+    n = draw(st.integers(2, 9))
+    return tuple(draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)))
+
+
+@st.composite
+def public_key(draw, params, bits):
+    """A planted key (for bits), a random multiple, infinity, or off-curve."""
+    kind = draw(st.sampled_from(["planted", "multiple", "infinity", "off_curve"]))
+    if kind == "planted":
+        return kp_point(expand_candidate(bits, draw(st.integers(0, 1))), params.g, params)
+    if kind == "multiple":
+        return kp_point(Scalar(draw(st.integers(1, 4 * params.order_hint))), params.g, params)
+    if kind == "infinity":
+        return AffinePoint.at_infinity()
+    near = draw(st.sampled_from(["step", "base"]))
+    anchor = kp_point(Scalar(1 << len(bits)), params.g, params) if near == "step" else params.g
+    return off_curve_twin(anchor, params)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data(), st.sampled_from(sorted(CURVES)))
+def test_evaluate_matches_reference(data, curve_name):
+    params = CURVES[curve_name]
+    bits = data.draw(key_bits(curve_name))
+    extra = data.draw(st.lists(
+        st.lists(st.integers(0, 2), min_size=len(bits), max_size=len(bits)),
+        max_size=2,
+    ))
+    matrix = matrix_for(bits, extra)
+    pub = data.draw(public_key(params, bits))
+    report = evaluate(matrix, g=params.g, pub=pub, params=params)
+    want = reference_verified(extract_candidates(matrix), params.g, pub, params)
+    assert np.array_equal(report.verified, want)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data(), st.sampled_from(sorted(CURVES)), st.sampled_from(PRELOOP_TUPLES))
+def test_recover_scalar_matches_reference(data, curve_name, preloop):
+    params = CURVES[curve_name]
+    bits = data.draw(key_bits(curve_name))
+    pub = data.draw(public_key(params, bits))
+    cand = KeyCandidate(bits, 0, Polarity.SMALLER_IS_ONE)
+    want = reference_recover_scalar(cand, params.g, pub, params, preloop)
+    assert recover_scalar(cand, params.g, pub, params, preloop) == want
+    assert verify_candidate(cand, params.g, pub, params, preloop) == (want is not None)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data(), st.sampled_from(sorted(CURVES)), st.sampled_from(PRELOOP_TUPLES))
+def test_brute_force_matches_reference(data, curve_name, preloop):
+    params = CURVES[curve_name]
+    truth = data.draw(key_bits(curve_name))
+    positions = range(len(truth))
+    suspects = data.draw(st.lists(st.sampled_from(positions), max_size=6, unique=True))
+    errors = data.draw(st.lists(st.sampled_from(positions), max_size=3, unique=True))
+    cand_bits = tuple(b ^ (i in errors) for i, b in enumerate(truth))
+    cand = KeyCandidate(cand_bits, 0, Polarity.SMALLER_IS_ONE)
+    pub = data.draw(public_key(params, truth))
+    budget = data.draw(st.one_of(st.integers(0, 70).map(lambda v: 2 * v + 1),
+                                 st.just(1 << 17)))
+    got = brute_force_complete(cand, suspects, params.g, pub, params,
+                               budget=budget, preloop_bits=preloop)
+    want = reference_brute_force(cand, suspects, params.g, pub, params,
+                                 budget=budget, preloop_bits=preloop)
+    assert got == want
+
+
+class TestOffCurvePublicKey:
+    """An off-curve pub verifies nothing, even where the equal-x branch of
+    point_add would turn a derived target into the point at infinity."""
+
+    def setup_method(self):
+        # k(c, 0) = 137 = ord(G) on test8, so k(c, 0)*G is the point at infinity
+        self.bits = Scalar(TEST8.order_hint).main_loop_bits
+        self.step = kp_point(Scalar(1 << len(self.bits)), TEST8.g, TEST8)
+        self.pub = off_curve_twin(self.step, TEST8)
+        self.cand = KeyCandidate(self.bits, 0, Polarity.SMALLER_IS_ONE)
+
+    def test_unguarded_target_would_match(self):
+        assert kp_point(expand_candidate(self.bits, 0), TEST8.g, TEST8).infinity
+        assert point_add(self.pub, negate(self.step), TEST8).infinity
+
+    def test_recover_scalar(self):
+        assert recover_scalar(self.cand, TEST8.g, self.pub, TEST8) is None
+        assert reference_recover_scalar(self.cand, TEST8.g, self.pub, TEST8) is None
+
+    def test_evaluate(self):
+        report = evaluate(matrix_for(self.bits), g=TEST8.g, pub=self.pub, params=TEST8)
+        assert report.candidates[0].bits == self.bits
+        assert not report.verified.any()
+
+    @pytest.mark.parametrize("budget, checks, exhausted",
+                             [(1 << 17, 16, False), (16, 16, False), (5, 5, True)])
+    def test_brute_force_counts_full_checks(self, budget, checks, exhausted):
+        res = brute_force_complete(self.cand, [0, 2, 4], TEST8.g, self.pub, TEST8,
+                                   budget=budget)
+        assert res == attack.BruteForceResult(None, checks, exhausted)
+
+
+def test_one_ladder_per_complement_pair(monkeypatch):
+    """evaluate() runs kP once per distinct complement pair plus 2^L*G and C*G."""
+    calls = []
+
+    def counting_kp_point(k, p, params):
+        calls.append(k.value)
+        return kp_point(k, p, params)
+
+    bits = (1, 0, 1, 1, 0, 0, 1, 0)
+    matrix = matrix_for(bits, [[0] * 8, [1 - b for b in bits], [2, 0, 1, 1, 2, 0, 1, 0]])
+    pairs = {min(c.bits, tuple(1 - b for b in c.bits)) for c in extract_candidates(matrix)}
+    pub = kp_point(expand_candidate(bits, 1), TEST16.g, TEST16)
+    attack._multiple.cache_clear()
+    monkeypatch.setattr(attack, "kp_point", counting_kp_point)
+    report = evaluate(matrix, g=TEST16.g, pub=pub, params=TEST16)
+    assert len(calls) == len(pairs) + 2
+    # bits itself: directly at column 0 and through a complement at column 2
+    assert report.verified.sum() == 2
+    want = reference_verified(report.candidates, TEST16.g, pub, TEST16)
+    assert np.array_equal(report.verified, want)
