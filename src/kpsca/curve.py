@@ -19,6 +19,7 @@ expands into a clock-cycle schedule.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass, field as dc_field
 from typing import Optional
 
@@ -191,12 +192,11 @@ class LadderTranscript:
 
 def ladder_init(p: AffinePoint, params: CurveParams) -> LadderState:
     """Register initialisation: (X1, Z1, X2, Z2) <- (x, 1, x^4 + b, x^2)."""
-    if p.infinity:
-        raise CurveError("cannot run the ladder on the point at infinity")
-    if not is_on_curve(p, params):
-        raise CurveError("input point is not on the curve")
-    if p.x.value == 0:
-        raise CurveError("x = 0 is degenerate: Z2 would be zero from the start")
+    _check_ladder_input(p, params)
+    return _init_state(p, params)
+
+
+def _init_state(p: AffinePoint, params: CurveParams) -> LadderState:
     spec = params.field
     x = p.x
     x2 = gf2m.square(x)
@@ -204,10 +204,14 @@ def ladder_init(p: AffinePoint, params: CurveParams) -> LadderState:
     return LadderState(x, spec.one(), gf2m.add(x4, params.b), x2, spec.zero())
 
 
+# every intermediate of one ladder step, named as in leaksim's slot layout
+StepValues = namedtuple("StepValues", "M1 M2 M3 M4 M5 M6 S1 S2 S3 S4 S5 A1 A2 A3")
+
+
 def _step_roles(
     Xa: FieldElement, Za: FieldElement, Xb: FieldElement, Zb: FieldElement,
     x: FieldElement, b: FieldElement,
-) -> tuple[FieldElement, FieldElement, FieldElement, FieldElement, FieldElement]:
+) -> StepValues:
     """One ladder step with (Xa, Za) as the add-updated pair and (Xb, Zb) doubled.
 
     6 multiplications, 5 squarings, 3 additions -- the schedule the
@@ -215,27 +219,41 @@ def _step_roles(
     """
     m1 = gf2m.mul_classical(Xa, Zb)
     m2 = gf2m.mul_classical(Xb, Za)          # Za, routed through T in hardware
-    s1 = gf2m.square(gf2m.add(m1, m2))       # new Za
+    a1 = gf2m.add(m1, m2)
+    s1 = gf2m.square(a1)                     # new Za
     m3 = gf2m.mul_classical(m1, m2)
     m4 = gf2m.mul_classical(x, s1)
-    xa_new = gf2m.add(m4, m3)                # new Xa
+    a2 = gf2m.add(m4, m3)                    # new Xa
     s2 = gf2m.square(Xb)
+    s3 = gf2m.square(s2)
     s4 = gf2m.square(Zb)
-    m5 = gf2m.mul_classical(b, gf2m.square(s4))
-    xb_new = gf2m.add(gf2m.square(s2), m5)   # new Xb = Xb^4 + b*Zb^4
-    zb_new = gf2m.mul_classical(s2, s4)      # new Zb = Xb^2 * Zb^2
-    return xa_new, s1, xb_new, zb_new, Xb    # T register ends holding old Xb
+    s5 = gf2m.square(s4)
+    m5 = gf2m.mul_classical(b, s5)
+    a3 = gf2m.add(s3, m5)                    # new Xb = Xb^4 + b*Zb^4
+    m6 = gf2m.mul_classical(s2, s4)          # new Zb = Xb^2 * Zb^2
+    return StepValues(m1, m2, m3, m4, m5, m6, s1, s2, s3, s4, s5, a1, a2, a3)
+
+
+def ladder_step_values(
+    state: LadderState, k_i: int, x: FieldElement, b: FieldElement
+) -> tuple[LadderState, StepValues]:
+    """One key-bit iteration: the next state and every intermediate.
+
+    The two branches are exact register-role mirrors; the T register
+    ends holding the old Xb.
+    """
+    if k_i:
+        v = _step_roles(state.X1, state.Z1, state.X2, state.Z2, x, b)
+        return LadderState(v.A2, v.S1, v.A3, v.M6, state.X2), v
+    v = _step_roles(state.X2, state.Z2, state.X1, state.Z1, x, b)
+    return LadderState(v.A3, v.M6, v.A2, v.S1, state.X1), v
 
 
 def ladder_step(state: LadderState, k_i: int, x: FieldElement, b: FieldElement) -> LadderState:
-    """One key-bit iteration.  The two branches are exact register-role mirrors."""
+    """One key-bit iteration; a state with both Z registers zero is rejected."""
     if state.Z1.value == 0 and state.Z2.value == 0:
         raise CurveError("both Z registers are zero; ladder state is degenerate")
-    if k_i:
-        xa, za, xb, zb, t = _step_roles(state.X1, state.Z1, state.X2, state.Z2, x, b)
-        return LadderState(xa, za, xb, zb, t)
-    xa, za, xb, zb, t = _step_roles(state.X2, state.Z2, state.X1, state.Z1, x, b)
-    return LadderState(xb, zb, xa, za, t)
+    return ladder_step_values(state, k_i, x, b)[0]
 
 
 def ladder_finalize(state: LadderState, p: AffinePoint) -> AffinePoint:
@@ -275,8 +293,8 @@ def _check_ladder_input(p: AffinePoint, params: CurveParams) -> None:
 
 
 def _states_python(bits, p: AffinePoint, params: CurveParams) -> list[LadderState]:
-    """Pure-Python ladder: state before each step, plus the final state."""
-    state = ladder_init(p, params)
+    """Pure-Python ladder on checked input: state before each step, plus the final state."""
+    state = _init_state(p, params)
     states = [state]
     for k_i in bits[1:]:
         state = ladder_step(state, k_i, p.x, params.b)

@@ -20,9 +20,11 @@ Leakage model: per-cycle power =
              + data_weight * sum(Hamming weights of moved/produced data)
 
 optionally with per-sample Gaussian noise.  The per-cycle mean of the
-synthesized samples equals the modelled cycle power.
+synthesized samples equals the modelled cycle power.  A schedule holds
+both sums per cycle; the data sum is derived only when a model with a
+nonzero data weight renders it.
 
-Slot layout (cycle: events; register roles written for k_i = 1, the
+Slot layout (cycle: operations; register roles written for k_i = 1, the
 k_i = 0 slot swaps X1<->X2 and Z1<->Z2):
 
     cycle  multiplier              add/square unit   register file
@@ -66,15 +68,16 @@ with M1 = X1*Z2, M2 = X2*T (T holding the old Z1), M3 = M1*M2,
 M4 = x*Z1', M5 = b*Z2^4, M6 = T^2*Z2^2 (T holding the old X2).  The
 first multiplication's operands are physically latched during the last
 two cycles of the previous slot; they are attributed to cycles 0-1 of
-the consuming slot so every slot's event stream is a pure function of
+the consuming slot so every slot's operations are a pure function of
 its own key bit.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
-from typing import Optional
+from collections import Counter
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -85,17 +88,18 @@ from .curve import (
     PHASE_INIT,
     PHASE_PRELOOP,
     Scalar,
+    StepValues,
+    TranscriptEntry,
+    ladder_step_values,
 )
 
 
 class OpKind(enum.Enum):
     MUL_LOAD = "MUL_LOAD"
-    MUL_PARTIAL = "MUL_PARTIAL"
     SQUARE = "SQUARE"
     ADD = "ADD"
     REG_READ = "REG_READ"
     REG_WRITE = "REG_WRITE"
-    IDLE = "IDLE"
 
 
 class Reg(enum.Enum):
@@ -117,7 +121,6 @@ REGISTER_ADDR_WEIGHT = {
     Reg.Z2: 1.0,
     Reg.T: 1.0,
     Reg.BUS: 0.0,
-    None: 0.0,
 }
 
 SLOT_CYCLES = 54
@@ -135,15 +138,6 @@ def epilogue_cycles(m: int) -> int:
 
 class ScheduleError(ValueError):
     """Malformed transcript or internally inconsistent slot algebra."""
-
-
-@dataclass(frozen=True)
-class ScheduleEvent:
-    cycle_index: int
-    op_kind: OpKind
-    register_id: Optional[Reg] = None
-    bit_context: Optional[int] = None  # ground-truth bookkeeping only
-    data_hw: int = 0  # Hamming weight of the value moved/produced this cycle
 
 
 # (cycle, kind, role, value key); roles Xa/Za = pair updated by the
@@ -182,67 +176,72 @@ _SLOT_TABLE = (
     (53, OpKind.REG_WRITE, "Xb", "A3"),
 )
 
-# multiplication occupying each 9-cycle partial-product window, in order
+# multiplication occupying each 9-cycle partial-product window, in order;
+# its operands are the values of its two MUL_LOAD rows
 _MUL_WINDOWS = ("M1", "M2", "M3", "M6", "M4", "M5")
+_LOADS = [key for _c, kind, _role, key in _SLOT_TABLE if kind is OpKind.MUL_LOAD]
+_MUL_OPERANDS = dict(zip(_MUL_WINDOWS, zip(_LOADS[::2], _LOADS[1::2])))
+
+_KINDS = Counter(kind for _c, kind, _role, _key in _SLOT_TABLE)
+_SLOT_OP_COUNTS = {
+    "MUL": len(_MUL_WINDOWS),
+    "SQUARE": _KINDS[OpKind.SQUARE],
+    "ADD": _KINDS[OpKind.ADD],
+    "REG": _KINDS[OpKind.REG_READ] + _KINDS[OpKind.REG_WRITE],
+    "PARTIAL": 9 * len(_MUL_WINDOWS),
+}
 
 _ROLE_BY_BIT = {
     1: {"Xa": Reg.X1, "Za": Reg.Z1, "Xb": Reg.X2, "Zb": Reg.Z2, "T": Reg.T, "BUS": Reg.BUS},
     0: {"Xa": Reg.X2, "Za": Reg.Z2, "Xb": Reg.X1, "Zb": Reg.Z1, "T": Reg.T, "BUS": Reg.BUS},
 }
 
-
-def _slot_values(state, bit: int, x, b):
-    """All intermediate values of one slot plus the 9 partials per mul."""
-    if bit:
-        xa, za, xb, zb = state.X1, state.Z1, state.X2, state.Z2
-    else:
-        xa, za, xb, zb = state.X2, state.Z2, state.X1, state.Z1
-    m1, p_m1 = gf2m.karatsuba4_partials(xa, zb)
-    m2, p_m2 = gf2m.karatsuba4_partials(xb, za)
-    a1 = gf2m.add(m1, m2)
-    s1 = gf2m.square(a1)
-    m3, p_m3 = gf2m.karatsuba4_partials(m1, m2)
-    m4, p_m4 = gf2m.karatsuba4_partials(x, s1)
-    a2 = gf2m.add(m4, m3)
-    s2 = gf2m.square(xb)
-    s3 = gf2m.square(s2)
-    s4 = gf2m.square(zb)
-    s5 = gf2m.square(s4)
-    m5, p_m5 = gf2m.karatsuba4_partials(b, s5)
-    a3 = gf2m.add(s3, m5)
-    m6, p_m6 = gf2m.karatsuba4_partials(s2, s4)
-    values = {
-        "Xa": xa, "Za": za, "Xb": xb, "Zb": zb, "x": x, "b": b,
-        "M1": m1, "M2": m2, "M3": m3, "M4": m4, "M5": m5, "M6": m6,
-        "A1": a1, "A2": a2, "A3": a3,
-        "S1": s1, "S2": s2, "S3": s3, "S4": s4, "S5": s5,
-    }
-    partials = {"M1": p_m1, "M2": p_m2, "M3": p_m3, "M4": p_m4, "M5": p_m5, "M6": p_m6}
-    return values, partials
+# operations outside the slots: (phase, cycle, register, value key).
+# Init writes x and 1, squares x twice (cycles 2 and 4), adds b (5) and
+# writes x^2 and x^4 + b; cycle 7 idles.  The epilogue reads the four
+# registers, inverts (idle here) and emits the result's x and y in its
+# last two cycles; negative cycles count from its end.
+_FRAME_TABLE = (
+    (PHASE_INIT, 0, Reg.X1, "x"),
+    (PHASE_INIT, 1, Reg.Z1, "one"),
+    (PHASE_INIT, 2, Reg.BUS, "x2"),
+    (PHASE_INIT, 3, Reg.Z2, "x2"),
+    (PHASE_INIT, 4, Reg.BUS, "x4"),
+    (PHASE_INIT, 5, Reg.BUS, "x4b"),
+    (PHASE_INIT, 6, Reg.X2, "x4b"),
+    (PHASE_FINALIZE, 0, Reg.X1, "X1"),
+    (PHASE_FINALIZE, 1, Reg.Z1, "Z1"),
+    (PHASE_FINALIZE, 2, Reg.X2, "X2"),
+    (PHASE_FINALIZE, 3, Reg.Z2, "Z2"),
+    (PHASE_FINALIZE, -2, Reg.BUS, "rx"),
+    (PHASE_FINALIZE, -1, Reg.BUS, "ry"),
+)
 
 
-def _hw(v) -> int:
-    return v.value.bit_count() if hasattr(v, "value") else int(v).bit_count()
+def _table_values(entry: TranscriptEntry, step: StepValues, x, b) -> dict:
+    """Every value a slot's table rows name, keyed as in the table."""
+    regs = _ROLE_BY_BIT[entry.bit]
+    values = step._asdict()
+    for role in ("Xa", "Za", "Xb", "Zb"):
+        values[role] = getattr(entry.state, regs[role].value)
+    values.update(x=x, b=b)
+    return values
 
 
-def _slot_events(base: int, bit: int, values, partials) -> list[ScheduleEvent]:
-    regmap = _ROLE_BY_BIT[bit]
-    events = []
-    for c in range(SLOT_CYCLES):
-        p = partials[_MUL_WINDOWS[c // 9]][c % 9]
-        events.append(ScheduleEvent(base + c, OpKind.MUL_PARTIAL, None, bit, _hw(p)))
-    for c, kind, role, key in _SLOT_TABLE:
-        events.append(
-            ScheduleEvent(base + c, kind, regmap[role], bit, _hw(values[key]))
-        )
-    return events
+def _frame_rows(total: int, epi: int):
+    """(absolute cycle, register, value key) of every init/epilogue row."""
+    for phase, c, reg, key in _FRAME_TABLE:
+        yield (c if phase == PHASE_INIT else total - epi + c % epi), reg, key
 
 
-@dataclass
+@dataclass(eq=False)
 class Schedule:
-    """Cycle-accurate event list plus the geometry the attack needs."""
+    """Per-cycle leakage sums of one execution plus the geometry the attack needs.
 
-    events: list[ScheduleEvent]
+    `addr` sums, per cycle, the address weights of the registers touched;
+    `data_hw` sums the Hamming weights of the data moved or produced.
+    """
+
     m: int
     scalar: Scalar
     init_cycles: int
@@ -250,6 +249,10 @@ class Schedule:
     num_slots: int
     slot_len: int
     epilogue_len: int
+    bits: tuple[int, ...]  # processed bit per slot, pre-loop slot first
+    addr: np.ndarray
+    transcript: LadderTranscript = field(repr=False)
+    steps: tuple[StepValues, ...] = field(repr=False)  # per slot, as checked
     layout_version: int = SLOT_LAYOUT_VERSION
 
     @property
@@ -265,91 +268,79 @@ class Schedule:
     def main_cycles(self) -> int:
         return self.num_slots * self.slot_len
 
-    def __len__(self) -> int:
-        return len(self.events)
-
-    def __iter__(self):
-        return iter(self.events)
-
-    def __getitem__(self, i):
-        return self.events[i]
+    @cached_property
+    def data_hw(self) -> np.ndarray:
+        tr = self.transcript
+        x, b = tr.point.x, tr.params.b
+        init, final, result = tr.entries[0].state, tr.entries[-1].state, tr.result
+        zero = tr.params.field.zero()
+        frame = {
+            "x": x, "one": tr.params.field.one(), "x2": init.Z2,
+            "x4": gf2m.add(init.X2, b), "x4b": init.X2,
+            "X1": final.X1, "Z1": final.Z1, "X2": final.X2, "Z2": final.Z2,
+            "rx": zero if result.infinity else result.x,
+            "ry": zero if result.infinity else result.y,
+        }
+        hw = np.zeros(self.total_cycles, dtype=np.int64)
+        for cycle, _reg, key in _frame_rows(self.total_cycles, self.epilogue_len):
+            hw[cycle] += frame[key].value.bit_count()
+        base = self.init_cycles
+        for entry, step in zip(tr.slot_entries, self.steps):
+            values = _table_values(entry, step, x, b)
+            # one partial product per cycle, window by window
+            slot = [
+                p.bit_count()
+                for u, v in _MUL_OPERANDS.values()
+                for p in gf2m.karatsuba4_partials(values[u], values[v])[1]
+            ]
+            for c, _kind, _role, key in _SLOT_TABLE:
+                slot[c] += values[key].value.bit_count()
+            hw[base : base + SLOT_CYCLES] = slot
+            base += SLOT_CYCLES
+        return hw
 
 
 def build_schedule(transcript: LadderTranscript) -> Schedule:
-    """Expand a ladder transcript into the clock-cycle event schedule."""
+    """Check a ladder transcript step by step and lay it out in clock cycles."""
     if transcript.result is None or not transcript.entries:
         raise ScheduleError("transcript is incomplete")
     entries = transcript.entries
     if entries[0].phase != PHASE_INIT or entries[-1].phase != PHASE_FINALIZE:
         raise ScheduleError("transcript must start with init and end with finalize")
 
-    params = transcript.params
-    x, b = transcript.point.x, params.b
-    spec = params.field
-    events: list[ScheduleEvent] = []
-
-    # initialisation block: load x and 1, derive x^2 and x^4 + b
-    init_state = entries[0].state
-    x2 = init_state.Z2
-    x4b = init_state.X2
-    x4 = gf2m.add(x4b, b)
-    one = spec.one()
-    events.extend([
-        ScheduleEvent(0, OpKind.REG_WRITE, Reg.X1, None, _hw(x)),
-        ScheduleEvent(1, OpKind.REG_WRITE, Reg.Z1, None, _hw(one)),
-        ScheduleEvent(2, OpKind.SQUARE, Reg.BUS, None, _hw(x2)),
-        ScheduleEvent(3, OpKind.REG_WRITE, Reg.Z2, None, _hw(x2)),
-        ScheduleEvent(4, OpKind.SQUARE, Reg.BUS, None, _hw(x4)),
-        ScheduleEvent(5, OpKind.ADD, Reg.BUS, None, _hw(x4b)),
-        ScheduleEvent(6, OpKind.REG_WRITE, Reg.X2, None, _hw(x4b)),
-        ScheduleEvent(7, OpKind.IDLE, None, None, 0),
-    ])
-
-    # pre-loop and main-loop slots
+    x, b = transcript.point.x, transcript.params.b
     slots = transcript.slot_entries
-    base = INIT_CYCLES
+    steps = []
     for i, entry in enumerate(slots):
-        values, partials = _slot_values(entry.state, entry.bit, x, b)
-        after = entries[i + 2].state  # next slot's state, or the finalize state
-        regmap = _ROLE_BY_BIT[entry.bit]
-        post = {
-            regmap["Za"]: values["S1"], regmap["Xa"]: values["A2"],
-            regmap["Xb"]: values["A3"], regmap["Zb"]: values["M6"],
-        }
-        if (
-            post[Reg.X1] != after.X1 or post[Reg.Z1] != after.Z1
-            or post[Reg.X2] != after.X2 or post[Reg.Z2] != after.Z2
-        ):
+        after, values = ladder_step_values(entry.state, entry.bit, x, b)
+        want = entries[i + 2].state  # next slot's state, or the finalize state
+        if (after.X1, after.Z1, after.X2, after.Z2) != (want.X1, want.Z1, want.X2, want.Z2):
             raise ScheduleError(f"slot {i} algebra does not reproduce the transcript state")
-        events.extend(_slot_events(base, entry.bit, values, partials))
-        base += SLOT_CYCLES
+        steps.append(values)
 
-    # epilogue: fetch the four registers, run the inversion, emit the result
-    final = entries[-1].state
-    epi = epilogue_cycles(spec.m)
-    result = transcript.result
-    rx = 0 if result.infinity else result.x.value
-    ry = 0 if result.infinity else result.y.value
-    events.append(ScheduleEvent(base + 0, OpKind.REG_READ, Reg.X1, None, _hw(final.X1)))
-    events.append(ScheduleEvent(base + 1, OpKind.REG_READ, Reg.Z1, None, _hw(final.Z1)))
-    events.append(ScheduleEvent(base + 2, OpKind.REG_READ, Reg.X2, None, _hw(final.X2)))
-    events.append(ScheduleEvent(base + 3, OpKind.REG_READ, Reg.Z2, None, _hw(final.Z2)))
-    for c in range(4, epi - 2):
-        events.append(ScheduleEvent(base + c, OpKind.IDLE, None, None, 0))
-    events.append(ScheduleEvent(base + epi - 2, OpKind.REG_WRITE, Reg.BUS, None, rx.bit_count()))
-    events.append(ScheduleEvent(base + epi - 1, OpKind.REG_WRITE, Reg.BUS, None, ry.bit_count()))
+    m = transcript.params.field.m
+    epi = epilogue_cycles(m)
+    bits = tuple(e.bit for e in slots)
+    total = INIT_CYCLES + len(slots) * SLOT_CYCLES + epi
+    addr = np.zeros(total)
+    for cycle, reg, _key in _frame_rows(total, epi):
+        addr[cycle] += REGISTER_ADDR_WEIGHT[reg]
+    profiles = np.stack([slot_addr_profile(0), slot_addr_profile(1)])
+    addr[INIT_CYCLES : total - epi] = profiles[np.asarray(bits, dtype=np.intp)].ravel()
 
     has_preloop = bool(slots) and slots[0].phase == PHASE_PRELOOP
-    num_main = len(slots) - (1 if has_preloop else 0)
     return Schedule(
-        events=events,
-        m=spec.m,
+        m=m,
         scalar=transcript.scalar,
         init_cycles=INIT_CYCLES,
         has_preloop=has_preloop,
-        num_slots=num_main,
+        num_slots=len(slots) - (1 if has_preloop else 0),
         slot_len=SLOT_CYCLES,
         epilogue_len=epi,
+        bits=bits,
+        addr=addr,
+        transcript=transcript,
+        steps=tuple(steps),
     )
 
 
@@ -388,15 +379,9 @@ class LeakModel:
 
 def cycle_power(schedule: Schedule, model: LeakModel) -> np.ndarray:
     """Noiseless per-cycle power values for the whole execution."""
-    power = np.full(schedule.total_cycles, model.baseline, dtype=np.float64)
-    addr_w = model.addr_weight
-    data_w = model.data_weight
-    for ev in schedule.events:
-        contrib = addr_w * REGISTER_ADDR_WEIGHT[ev.register_id]
-        if data_w:
-            contrib += data_w * ev.data_hw
-        if contrib:
-            power[ev.cycle_index] += contrib
+    power = model.baseline + model.addr_weight * schedule.addr
+    if model.data_weight:
+        power = power + model.data_weight * schedule.data_hw
     return power
 
 
@@ -438,34 +423,7 @@ class ScheduleStats:
 
 def schedule_stats(schedule: Schedule, clock_hz: float = 100e6) -> ScheduleStats:
     """Summarise the schedule: cycle counts, per-slot op counts, implied time."""
-    counts_by_slot = []
-    c0 = schedule.init_cycles
-    n_slots_total = (1 if schedule.has_preloop else 0) + schedule.num_slots
-    for s in range(n_slots_total):
-        lo = c0 + s * schedule.slot_len
-        hi = lo + schedule.slot_len
-        kinds = {"MUL": 0, "SQUARE": 0, "ADD": 0, "REG": 0, "PARTIAL": 0}
-        for ev in schedule.events:
-            if lo <= ev.cycle_index < hi:
-                if ev.op_kind == OpKind.MUL_LOAD:
-                    kinds["MUL"] += 1
-                elif ev.op_kind == OpKind.MUL_PARTIAL:
-                    kinds["PARTIAL"] += 1
-                elif ev.op_kind == OpKind.SQUARE:
-                    kinds["SQUARE"] += 1
-                elif ev.op_kind == OpKind.ADD:
-                    kinds["ADD"] += 1
-                elif ev.op_kind in (OpKind.REG_READ, OpKind.REG_WRITE):
-                    kinds["REG"] += 1
-        kinds["MUL"] //= 2  # two loads per multiplication
-        counts_by_slot.append(kinds)
-    if counts_by_slot:
-        first = counts_by_slot[0]
-        if any(c != first for c in counts_by_slot):
-            raise ScheduleError("slot op counts are not uniform")
-        per_slot = dict(first)
-    else:
-        per_slot = {}
+    per_slot = dict(_SLOT_OP_COUNTS) if schedule.bits else {}
     total = schedule.total_cycles
     return ScheduleStats(
         total_cycles=total,

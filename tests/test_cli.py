@@ -219,6 +219,15 @@ class TestStats:
         assert "total cycles: 13000" in stdout
         assert "0.1300 ms" in stdout
         assert "231 slots x 54" in stdout
+        assert ("per-slot ops: {'MUL': 6, 'SQUARE': 5, 'ADD': 3, 'REG': 11, 'PARTIAL': 54}"
+                in stdout.splitlines())
+        # a 1-bit scalar runs no slot at all
+        code, stdout, _ = run(
+            ["stats", "--curve", "b233", "--scalar-bits", "1"], capsys
+        )
+        assert code == 0
+        assert "per-slot ops: {}" in stdout.splitlines()
+        assert "total cycles: 472" in stdout.splitlines()
 
     def test_seed_env_fallback(self, capsys, monkeypatch, tmp_path):
         monkeypatch.setenv(cli.SEED_ENV, "123")

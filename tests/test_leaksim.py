@@ -1,14 +1,15 @@
+import dataclasses
 import random
 from collections import Counter
 
 import numpy as np
 import pytest
 
-from kpsca.curve import LadderTranscript, Scalar, kp_multiply
+from kpsca import gf2m
+from kpsca.curve import LadderTranscript, PHASE_MAIN, Scalar, kp_multiply
 from kpsca.leaksim import (
     INIT_CYCLES,
     LeakModel,
-    OpKind,
     Reg,
     REGISTER_ADDR_WEIGHT,
     SLOT_CYCLES,
@@ -21,17 +22,7 @@ from kpsca.leaksim import (
     slot_addr_profile,
     synthesize_trace,
 )
-
-
-def slot_events(schedule, slot_index):
-    """Events of one pre-loop/main-loop slot, offset to slot-relative cycles."""
-    lo = schedule.init_cycles + slot_index * schedule.slot_len
-    hi = lo + schedule.slot_len
-    evs = [e for e in schedule.events if lo <= e.cycle_index < hi]
-    return sorted(
-        ((e.cycle_index - lo, e.op_kind, e.register_id) for e in evs),
-        key=lambda t: (t[0], t[1].value, t[2].value if t[2] else ""),
-    )
+from kpsca.leaksim import _MUL_OPERANDS, _MUL_WINDOWS, _ROLE_BY_BIT, _SLOT_TABLE, _table_values
 
 
 class TestScheduleStructure:
@@ -42,16 +33,11 @@ class TestScheduleStructure:
             "MUL": 6, "SQUARE": 5, "ADD": 3, "REG": 11, "PARTIAL": 54,
         }
 
-    def test_every_slot_cycle_has_a_partial(self, b233_run):
-        _, _, _, _, schedule = b233_run
-        covered = Counter()
-        for e in schedule.events:
-            if e.op_kind == OpKind.MUL_PARTIAL:
-                covered[e.cycle_index] += 1
-        first = schedule.init_cycles
-        last = schedule.init_cycles + (schedule.num_slots + 1) * SLOT_CYCLES
-        for c in range(first, last):
-            assert covered[c] >= 1
+    def test_every_slot_cycle_has_a_partial(self):
+        # six multiplication windows of 9 Karatsuba partials, one per cycle
+        assert sorted(_MUL_WINDOWS) == ["M1", "M2", "M3", "M4", "M5", "M6"]
+        covered = Counter(9 * w + j for w in range(len(_MUL_WINDOWS)) for j in range(9))
+        assert covered == Counter(range(SLOT_CYCLES))
 
     def test_main_loop_geometry_232(self, b233_run):
         _, k, _, _, schedule = b233_run
@@ -70,37 +56,30 @@ class TestScheduleStructure:
         assert stats.execution_time_s == pytest.approx(0.13e-3)
 
     def test_equal_bits_give_identical_slots(self, b233_run):
-        _, k, _, _, schedule = b233_run
-        bits = (k.bits[1],) + k.main_loop_bits  # pre-loop slot + main slots
-        by_bit = {0: None, 1: None}
-        for i, bit in enumerate(bits):
-            sig = slot_events(schedule, i)
-            if by_bit[bit] is None:
-                by_bit[bit] = sig
-            else:
-                assert sig == by_bit[bit]
+        _, _, _, _, schedule = b233_run
+        assert set(schedule.bits) == {0, 1}
+        lo = schedule.init_cycles
+        for i, bit in enumerate(schedule.bits):
+            span = schedule.addr[lo + i * SLOT_CYCLES : lo + (i + 1) * SLOT_CYCLES]
+            assert np.array_equal(span, slot_addr_profile(bit))
 
-    def test_differing_bits_swap_register_roles(self, b233_run):
-        _, k, _, _, schedule = b233_run
-        bits = (k.bits[1],) + k.main_loop_bits
-        i1 = bits.index(1)
-        i0 = bits.index(0)
+    def test_differing_bits_swap_register_roles(self):
         swap = {Reg.X1: Reg.X2, Reg.X2: Reg.X1, Reg.Z1: Reg.Z2, Reg.Z2: Reg.Z1,
-                Reg.T: Reg.T, Reg.BUS: Reg.BUS, None: None}
-        one = slot_events(schedule, i1)
-        zero = slot_events(schedule, i0)
-        assert [(c, k_) for c, k_, _ in one] == [(c, k_) for c, k_, _ in zero]
-        mirrored = sorted(
-            ((c, k_, swap[r]) for c, k_, r in one),
-            key=lambda t: (t[0], t[1].value, t[2].value if t[2] else ""),
-        )
-        assert mirrored == zero
+                Reg.T: Reg.T, Reg.BUS: Reg.BUS}
+        for _c, _kind, role, _key in _SLOT_TABLE:
+            assert _ROLE_BY_BIT[0][role] == swap[_ROLE_BY_BIT[1][role]]
 
     def test_bit_context_bookkeeping(self, b233_run):
         _, k, _, _, schedule = b233_run
-        lo = schedule.cycle0
-        first_main = [e for e in schedule.events if lo <= e.cycle_index < lo + 54]
-        assert {e.bit_context for e in first_main} == {k.main_loop_bits[0]}
+        assert schedule.bits == (k.bits[1],) + k.main_loop_bits
+
+    def test_mul_operands_match_step_algebra(self, b233_run):
+        params, _, _, transcript, schedule = b233_run
+        assert list(_MUL_OPERANDS) == list(_MUL_WINDOWS)
+        for entry, step in list(zip(transcript.slot_entries, schedule.steps))[:4]:
+            values = _table_values(entry, step, transcript.point.x, params.b)
+            for name, (a, b) in _MUL_OPERANDS.items():
+                assert gf2m.karatsuba4_partials(values[a], values[b])[0] == values[name]
 
     def test_epilogue_length_formula(self):
         assert epilogue_cycles(233) == 464
@@ -110,6 +89,16 @@ class TestScheduleStructure:
         bad = LadderTranscript(params=b233, scalar=Scalar(3), point=b233.g)
         with pytest.raises(ScheduleError):
             build_schedule(bad)
+
+    def test_rejects_inconsistent_transcript(self, test8):
+        _, transcript = kp_multiply(Scalar(0b1011011), test8.g, test8)
+        entries = list(transcript.entries)
+        i = next(j for j, e in enumerate(entries) if e.phase == PHASE_MAIN)
+        state = entries[i].state
+        bad = dataclasses.replace(state, X1=gf2m.add(state.X1, test8.field.one()))
+        entries[i] = dataclasses.replace(entries[i], state=bad)
+        with pytest.raises(ScheduleError):
+            build_schedule(dataclasses.replace(transcript, entries=entries))
 
     def test_stats_slot_count(self, b233_run):
         _, _, _, _, schedule = b233_run
@@ -209,6 +198,12 @@ class TestSmallCurveSchedule:
         assert stats.num_slots == k.bit_length - 2
         assert stats.per_slot_ops["MUL"] == 6
         assert stats.epilogue_cycles == epilogue_cycles(8)
+
+    def test_preloop_slot_alone_has_op_counts(self, test8):
+        _, transcript = kp_multiply(Scalar(0b11), test8.g, test8)
+        schedule = build_schedule(transcript)
+        assert schedule.has_preloop and schedule.num_slots == 0
+        assert schedule_stats(schedule).per_slot_ops["PARTIAL"] == 54
 
     def test_k_one_has_no_slots(self, test8):
         _, transcript = kp_multiply(Scalar(1), test8.g, test8)
