@@ -1,296 +1,13 @@
-"""JIT-compiled Montgomery ladder kernels.
+"""Backend names kept for the benchmark's run record.
 
-The hot inner loops of kP (carry-less multiplication, reduction,
-squaring, the ladder step) are implemented here over little-endian
-uint64 word arrays and compiled with numba.  The pure-Python
-FieldElement path in ``curve`` is the fallback; both produce identical
-states and the test suite enforces it.
-
-Backend selection: the environment variable ``KPSCA_BACKEND`` forces
-``numba`` or ``python``.  Unset, numba is used when importable.
+kpsca has one Montgomery ladder, the pure-Python one in ``curve``.  No
+kpsca module imports this file and nothing reads ``KPSCA_BACKEND``; the
+three names below exist only because ``perfbench/run.py`` records them.
 """
 
-from __future__ import annotations
-
-import os
-
-import numpy as np
-
-try:
-    from numba import njit
-
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - exercised only without numba
-    HAVE_NUMBA = False
-
-    def njit(*args, **kwargs):
-        def wrap(fn):
-            return fn
-        return wrap
-
-
+HAVE_NUMBA = False
 BACKEND_ENV = "KPSCA_BACKEND"
 
 
 def active_backend() -> str:
-    """Resolve the backend for this call: "numba" or "python"."""
-    choice = os.environ.get(BACKEND_ENV, "").strip().lower()
-    if choice in ("python", "numpy"):
-        return "python"
-    if choice == "numba":
-        if not HAVE_NUMBA:
-            raise RuntimeError("KPSCA_BACKEND=numba but numba is not importable")
-        return "numba"
-    if choice:
-        raise RuntimeError(f"unknown {BACKEND_ENV} value {choice!r}")
-    return "numba" if HAVE_NUMBA else "python"
-
-
-_U1 = np.uint64(1)
-_U0 = np.uint64(0)
-
-
-def _spread16(byte: int) -> int:
-    out = 0
-    for i in range(8):
-        if (byte >> i) & 1:
-            out |= 1 << (2 * i)
-    return out
-
-
-# byte -> bit-interleaved 16-bit value; global arrays are compile-time
-# constants inside numba kernels
-_SQ_SPREAD = np.array([_spread16(v) for v in range(256)], dtype=np.uint64)
-
-
-@njit(cache=True)
-def _clmul_words(a, b, out):
-    """out ^= carry-less a*b; out must be zeroed by the caller."""
-    na = a.shape[0]
-    nb = b.shape[0]
-    for i in range(na):
-        aw = a[i]
-        if aw == _U0:
-            continue
-        for s in range(64):
-            if (aw >> np.uint64(s)) & _U1:
-                if s == 0:
-                    for j in range(nb):
-                        out[i + j] ^= b[j]
-                else:
-                    sh = np.uint64(s)
-                    inv = np.uint64(64 - s)
-                    for j in range(nb):
-                        v = b[j]
-                        out[i + j] ^= v << sh
-                        out[i + j + 1] ^= v >> inv
-
-
-@njit(cache=True)
-def _fold_reduce(prod, m, tails, hbuf):
-    """Reduce prod in place modulo x^m + sum(x^tails) by high-part folding."""
-    nwords = prod.shape[0]
-    mw = m >> 6
-    mb = m & 63
-    ntails = tails.shape[0]
-    while True:
-        # extract hbuf = prod >> m and clear those bits
-        hlen = 0
-        if mb == 0:
-            for j in range(nwords - mw):
-                v = prod[mw + j]
-                hbuf[j] = v
-                prod[mw + j] = _U0
-                if v != _U0:
-                    hlen = j + 1
-        else:
-            sh = np.uint64(mb)
-            inv = np.uint64(64 - mb)
-            for j in range(nwords - mw):
-                v = prod[mw + j] >> sh
-                if mw + j + 1 < nwords:
-                    v |= prod[mw + j + 1] << inv
-                hbuf[j] = v
-                if v != _U0:
-                    hlen = j + 1
-            prod[mw] &= (_U1 << sh) - _U1
-            for j in range(mw + 1, nwords):
-                prod[j] = _U0
-        if hlen == 0:
-            return
-        for ti in range(ntails):
-            t = tails[ti]
-            w = t >> 6
-            s = t & 63
-            if s == 0:
-                for j in range(hlen):
-                    prod[w + j] ^= hbuf[j]
-            else:
-                sh = np.uint64(s)
-                inv = np.uint64(64 - s)
-                for j in range(hlen):
-                    v = hbuf[j]
-                    prod[w + j] ^= v << sh
-                    prod[w + j + 1] ^= v >> inv
-
-
-@njit(cache=True)
-def _mulmod(a, b, m, w, tails, tmp, hbuf, out):
-    for j in range(tmp.shape[0]):
-        tmp[j] = _U0
-    _clmul_words(a, b, tmp)
-    _fold_reduce(tmp, m, tails, hbuf)
-    for j in range(w):
-        out[j] = tmp[j]
-
-
-@njit(cache=True)
-def _sqrmod(a, m, w, tails, tmp, hbuf, out):
-    for j in range(tmp.shape[0]):
-        tmp[j] = _U0
-    for wi in range(w):
-        v = a[wi]
-        if v == _U0:
-            continue
-        for bi in range(8):
-            byte = (v >> np.uint64(8 * bi)) & np.uint64(0xFF)
-            if byte != _U0:
-                # output offset 2*(64*wi + 8*bi): never crosses a word
-                tmp[2 * wi + (bi >> 2)] ^= _SQ_SPREAD[byte] << np.uint64((16 * bi) & 63)
-    _fold_reduce(tmp, m, tails, hbuf)
-    for j in range(w):
-        out[j] = tmp[j]
-
-
-@njit(cache=True)
-def _is_zero(a, w):
-    for j in range(w):
-        if a[j] != _U0:
-            return False
-    return True
-
-
-@njit(cache=True)
-def _step_words(Xa, Za, Xb, Zb, T, xw, bw, m, w, tails,
-                m1, m2, m3, s2, s4, acc, tmp, hbuf):
-    """In-place ladder step: (Xa, Za) add-updated, (Xb, Zb) doubled."""
-    _mulmod(Xa, Zb, m, w, tails, tmp, hbuf, m1)
-    _mulmod(Xb, Za, m, w, tails, tmp, hbuf, m2)
-    for j in range(w):
-        acc[j] = m1[j] ^ m2[j]
-    _sqrmod(acc, m, w, tails, tmp, hbuf, Za)        # Za <- (Xa*Zb + Xb*Za)^2
-    _mulmod(m1, m2, m, w, tails, tmp, hbuf, m3)
-    _mulmod(xw, Za, m, w, tails, tmp, hbuf, acc)
-    for j in range(w):
-        Xa[j] = acc[j] ^ m3[j]                      # Xa <- x*Za + m1*m2
-    for j in range(w):
-        T[j] = Xb[j]                                # T register: old Xb
-    _sqrmod(Xb, m, w, tails, tmp, hbuf, s2)         # Xb^2
-    _sqrmod(Zb, m, w, tails, tmp, hbuf, s4)         # Zb^2
-    _sqrmod(s4, m, w, tails, tmp, hbuf, acc)        # Zb^4
-    _mulmod(bw, acc, m, w, tails, tmp, hbuf, acc)   # b*Zb^4
-    _sqrmod(s2, m, w, tails, tmp, hbuf, m1)         # Xb^4
-    for j in range(w):
-        Xb[j] = m1[j] ^ acc[j]                      # Xb <- Xb^4 + b*Zb^4
-    _mulmod(s2, s4, m, w, tails, tmp, hbuf, Zb)     # Zb <- Xb^2 * Zb^2
-
-
-@njit(cache=True)
-def _ladder_run(bits, xw, bw, m, w, tails, record, dump, final):
-    """Run the full ladder; dump the state before each step when recording.
-
-    dump rows are the register file (X1, Z1, X2, Z2, T) before step j,
-    the last row being the final state.  Returns 0 on success, 1 if both
-    Z registers vanish (degenerate input).
-    """
-    X1 = np.zeros(w, np.uint64)
-    Z1 = np.zeros(w, np.uint64)
-    X2 = np.zeros(w, np.uint64)
-    Z2 = np.zeros(w, np.uint64)
-    T = np.zeros(w, np.uint64)
-    m1 = np.zeros(w, np.uint64)
-    m2 = np.zeros(w, np.uint64)
-    m3 = np.zeros(w, np.uint64)
-    s2 = np.zeros(w, np.uint64)
-    s4 = np.zeros(w, np.uint64)
-    acc = np.zeros(w, np.uint64)
-    tmp = np.zeros(2 * w + 1, np.uint64)
-    hbuf = np.zeros(2 * w + 1, np.uint64)
-
-    # register initialisation: (x, 1, x^4 + b, x^2)
-    for j in range(w):
-        X1[j] = xw[j]
-    Z1[0] = _U1
-    _sqrmod(xw, m, w, tails, tmp, hbuf, Z2)
-    _sqrmod(Z2, m, w, tails, tmp, hbuf, X2)
-    for j in range(w):
-        X2[j] ^= bw[j]
-
-    steps = bits.shape[0] - 1
-    for step in range(steps):
-        if record:
-            for j in range(w):
-                dump[step, 0, j] = X1[j]
-                dump[step, 1, j] = Z1[j]
-                dump[step, 2, j] = X2[j]
-                dump[step, 3, j] = Z2[j]
-                dump[step, 4, j] = T[j]
-        if _is_zero(Z1, w) and _is_zero(Z2, w):
-            return 1
-        if bits[step + 1]:
-            _step_words(X1, Z1, X2, Z2, T, xw, bw, m, w, tails,
-                        m1, m2, m3, s2, s4, acc, tmp, hbuf)
-        else:
-            _step_words(X2, Z2, X1, Z1, T, xw, bw, m, w, tails,
-                        m1, m2, m3, s2, s4, acc, tmp, hbuf)
-
-    if record:
-        for j in range(w):
-            dump[steps, 0, j] = X1[j]
-            dump[steps, 1, j] = Z1[j]
-            dump[steps, 2, j] = X2[j]
-            dump[steps, 3, j] = Z2[j]
-            dump[steps, 4, j] = T[j]
-    for j in range(w):
-        final[0, j] = X1[j]
-        final[1, j] = Z1[j]
-        final[2, j] = X2[j]
-        final[3, j] = Z2[j]
-        final[4, j] = T[j]
-    return 0
-
-
-def _to_words(v: int, nwords: int) -> np.ndarray:
-    return np.frombuffer(v.to_bytes(nwords * 8, "little"), dtype="<u8").copy()
-
-
-def _to_int(words: np.ndarray) -> int:
-    return int.from_bytes(words.tobytes(), "little")
-
-
-def _run(bits, x: int, b: int, poly: int, m: int, record: bool):
-    w = (m + 63) // 64
-    bits_arr = np.asarray(bits, dtype=np.uint8)
-    xw = _to_words(x, w)
-    bw = _to_words(b, w)
-    tail = poly ^ (1 << m)
-    tails = np.array([i for i in range(m) if (tail >> i) & 1], dtype=np.int64)
-    steps = len(bits) - 1
-    dump = np.zeros((steps + 1 if record else 1, 5, w), np.uint64)
-    final = np.zeros((5, w), np.uint64)
-    rc = _ladder_run(bits_arr, xw, bw, m, w, tails, record, dump, final)
-    if rc != 0:
-        raise ValueError("ladder degenerated: both Z registers are zero")
-    return dump, final
-
-
-def ladder_states(bits, x: int, b: int, poly: int, m: int) -> list[tuple[int, ...]]:
-    """State (X1, Z1, X2, Z2, T) before each step, plus the final state."""
-    dump, _ = _run(bits, x, b, poly, m, record=True)
-    return [tuple(_to_int(dump[i, r]) for r in range(5)) for i in range(dump.shape[0])]
-
-
-def ladder_final(bits, x: int, b: int, poly: int, m: int) -> tuple[int, ...]:
-    """Final state only (no per-step recording)."""
-    _, final = _run(bits, x, b, poly, m, record=False)
-    return tuple(_to_int(final[r]) for r in range(5))
+    return "python"

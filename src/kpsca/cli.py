@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import random
 import sys
@@ -128,6 +129,8 @@ def _build_run_config(args, command: str) -> RunConfig:
     cfg.out = _resolve(args, "out", str, cfg.out)
     if cfg.compression not in _COMPRESSION:
         raise CurveError(f"unknown compression {cfg.compression!r}")
+    if not (math.isfinite(cfg.clock_hz) and cfg.clock_hz > 0):
+        raise CurveError(f"clock_hz must be a positive finite number, got {cfg.clock_hz}")
     return cfg
 
 
@@ -352,6 +355,10 @@ def _bruteforce(args) -> int:
 
     sample_index = _resolve(args, "sample_index", int, None)
     if sample_index is not None:
+        if not 0 <= sample_index < matrix.slot_len:
+            raise CurveError(
+                f"--sample-index must be in 0..{matrix.slot_len - 1}, got {sample_index}"
+            )
         pol = attack_mod.Polarity(args.polarity or "smaller_is_one")
         candidate = next(
             c for c in report.candidates

@@ -25,7 +25,6 @@ from typing import Optional
 
 from . import gf2m
 from .gf2m import FieldElement, FieldSpec
-from . import _fastladder
 
 
 class CurveError(ValueError):
@@ -292,23 +291,14 @@ def _check_ladder_input(p: AffinePoint, params: CurveParams) -> None:
         raise CurveError("x = 0 is degenerate: Z2 would be zero from the start")
 
 
-def _states_python(bits, p: AffinePoint, params: CurveParams) -> list[LadderState]:
-    """Pure-Python ladder on checked input: state before each step, plus the final state."""
+def _ladder_states(bits, p: AffinePoint, params: CurveParams) -> list[LadderState]:
+    """Ladder on checked input: state before each step, plus the final state."""
     state = _init_state(p, params)
     states = [state]
     for k_i in bits[1:]:
         state = ladder_step(state, k_i, p.x, params.b)
         states.append(state)
     return states
-
-
-def _states_numba(bits, p: AffinePoint, params: CurveParams) -> list[LadderState]:
-    spec = params.field
-    raw = _fastladder.ladder_states(bits, p.x.value, params.b.value, spec.reduction_poly, spec.m)
-    return [
-        LadderState(*(FieldElement(spec, v) for v in row))
-        for row in raw
-    ]
 
 
 def kp_multiply(k: Scalar, p: AffinePoint, params: CurveParams) -> tuple[AffinePoint, LadderTranscript]:
@@ -324,10 +314,7 @@ def kp_multiply(k: Scalar, p: AffinePoint, params: CurveParams) -> tuple[AffineP
     """
     _check_ladder_input(p, params)
     bits = k.bits
-    if _fastladder.active_backend() == "numba":
-        states = _states_numba(bits, p, params)
-    else:
-        states = _states_python(bits, p, params)
+    states = _ladder_states(bits, p, params)
 
     transcript = LadderTranscript(params=params, scalar=k, point=p)
     transcript.entries.append(TranscriptEntry(PHASE_INIT, None, states[0]))
@@ -346,16 +333,7 @@ def kp_multiply(k: Scalar, p: AffinePoint, params: CurveParams) -> tuple[AffineP
 def kp_point(k: Scalar, p: AffinePoint, params: CurveParams) -> AffinePoint:
     """kP without transcript recording (hot path for verification loops)."""
     _check_ladder_input(p, params)
-    bits = k.bits
-    if _fastladder.active_backend() == "numba":
-        spec = params.field
-        final = _fastladder.ladder_final(
-            bits, p.x.value, params.b.value, spec.reduction_poly, spec.m
-        )
-        state = LadderState(*(FieldElement(spec, v) for v in final))
-    else:
-        state = _states_python(bits, p, params)[-1]
-    return ladder_finalize(state, p)
+    return ladder_finalize(_ladder_states(k.bits, p, params)[-1], p)
 
 
 # --- affine group law (textbook formulas) ---

@@ -219,9 +219,8 @@ def mul_karatsuba4(a: FieldElement, b: FieldElement) -> tuple[FieldElement, int]
     partial products computed -- always 9, exposed so the schedule
     model can account one multiplier cycle per partial.
     """
-    _require_same_spec(a, b)
-    prod, partials = _karatsuba4_raw(a.value, b.value, segment_width(a.spec))
-    return FieldElement(a.spec, a.spec.reduce(prod)), len(partials)
+    product, partials = karatsuba4_partials(a, b)
+    return product, len(partials)
 
 
 def karatsuba4_partials(a: FieldElement, b: FieldElement) -> tuple[FieldElement, tuple[int, ...]]:
@@ -294,17 +293,11 @@ def rabin_irreducible(spec: FieldSpec) -> bool:
     f = spec.reduction_poly
 
     def hpow_mod(e: int, k: int) -> int:
-        # e^(2^k) mod f via k squarings of the raw polynomial
+        # e^(2^k) mod f via k squarings
+        el = FieldElement(spec, e)
         for _ in range(k):
-            sq = 0
-            shift = 0
-            v = e
-            while v:
-                sq |= _SQUARE_BYTE[v & 0xFF] << shift
-                v >>= 8
-                shift += 16
-            e = spec.reduce(sq)
-        return e
+            el = square(el)
+        return el.value
 
     def poly_gcd(u: int, v: int) -> int:
         while v:

@@ -257,8 +257,12 @@ def _read_csv(path: Path) -> Trace:
     meta_file = _meta_path(path)
     if not meta_file.exists():
         raise TraceFormatError(f"{path}: sidecar metadata file {meta_file} is missing")
+    try:
+        meta_text = meta_file.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise BadMetadataError(f"{meta_file}: {exc}") from None
     meta = {}
-    for line in meta_file.read_text().splitlines():
+    for line in meta_text.splitlines():
         line = line.strip()
         if not line or line.startswith("#"):
             continue
@@ -268,6 +272,7 @@ def _read_csv(path: Path) -> Trace:
         spc = int(meta["samples_per_cycle"])
         cycle0 = int(meta["cycle0_offset"])
         clock_hz = float(meta["clock_hz"])
+        count = int(meta["sample_count"]) if "sample_count" in meta else None
     except KeyError as exc:
         raise TraceFormatError(f"{meta_file}: missing key {exc}") from None
     except ValueError as exc:
@@ -277,9 +282,9 @@ def _read_csv(path: Path) -> Trace:
         samples = np.loadtxt(path, dtype=np.float64, ndmin=1)
     except ValueError as exc:
         raise TraceFormatError(f"{path}: {exc}") from None
-    if "sample_count" in meta and int(meta["sample_count"]) != samples.shape[0]:
+    if count is not None and count != samples.shape[0]:
         raise TruncatedTraceError(
-            f"{path}: {samples.shape[0]} samples, metadata promises {meta['sample_count']}"
+            f"{path}: {samples.shape[0]} samples, metadata promises {count}"
         )
     truth = None
     if "ground_truth" in meta:

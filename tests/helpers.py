@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import struct
 
 import numpy as np
 
@@ -10,6 +11,7 @@ from kpsca import gf2m
 from kpsca.attack import BruteForceResult, expand_candidate
 from kpsca.curve import AffinePoint, CurveParams, kp_point
 from kpsca.gf2m import FieldSpec
+from kpsca.traces import Trace, write_trace
 
 
 def mul_shift_xor(a: int, b: int, poly: int, m: int) -> int:
@@ -114,3 +116,28 @@ def reference_brute_force(candidate, suspect_positions, g, pub, params,
                 if kp_point(k, g, params) == pub:
                     return BruteForceResult(k, checks, False)
     return BruteForceResult(None, checks, False)
+
+
+def write_bad_trace(tmp_path, suffix, problem):
+    """A small trace file with one unusable value: metadata, key or sample."""
+    path = tmp_path / f"trace{suffix}"
+    spc = 0 if problem == "zero_spc" else 10
+    write_trace(Trace(np.zeros(540), spc, 0), path, include_ground_truth=False)
+    if problem == "zero_key":
+        if suffix == ".csv":
+            meta = path.with_suffix(".meta")
+            meta.write_text(meta.read_text() + "ground_truth=0000\n")
+        else:
+            path.write_bytes(path.read_bytes() + struct.pack("<I", 4) + b"0000")
+    if problem == "unparsable_spc":
+        meta = path.with_suffix(".meta")
+        meta.write_text(meta.read_text().replace("samples_per_cycle=10", "samples_per_cycle=ten"))
+    if problem == "unparsable_count":
+        meta = path.with_suffix(".meta")
+        meta.write_text(meta.read_text().replace("sample_count=540", "sample_count=many"))
+    if problem == "undecodable_meta":
+        meta = path.with_suffix(".meta")
+        meta.write_bytes(meta.read_bytes() + b"# \xff\xfe\n")
+    if problem == "unparsable_sample":
+        path.write_text(path.read_text().replace("0\n", "zero\n", 1))
+    return path

@@ -1,9 +1,18 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import pytest
+
+import kpsca
 from kpsca import cli
 from kpsca.curve import get_curve, kp_point
 from kpsca.traces import read_trace
+
+from helpers import write_bad_trace
 
 
 def run(argv, capsys):
@@ -239,3 +248,55 @@ class TestStats:
         out2 = tmp_path / "flag"
         run(["simulate", "--curve", "b233", "--seed", "123", "--out", str(out2)], capsys)
         assert trace_env == (out2 / "trace.kptr").read_bytes()
+
+
+# the exit-code contract: (case, documented exit code)
+EXIT_CODE_CASES = [
+    ("bad_config_line", cli.EXIT_CONFIG),
+    ("missing_trace", cli.EXIT_IO),
+    ("oversized_num_slots", cli.EXIT_SEGMENTATION),
+    ("sample_index=999", cli.EXIT_CONFIG),
+    ("sample_index=-1", cli.EXIT_CONFIG),
+    ("clock_hz=0", cli.EXIT_CONFIG),
+    ("clock_hz=-1e6", cli.EXIT_CONFIG),
+    ("clock_hz=nan", cli.EXIT_CONFIG),
+    ("clock_hz=inf", cli.EXIT_CONFIG),
+    ("unparsable_count", cli.EXIT_IO),
+    ("undecodable_meta", cli.EXIT_IO),
+]
+
+
+def contract_argv(case, tmp_path, capsys):
+    """Command line for one malformed input of the exit-code contract."""
+    name, _, value = case.partition("=")
+    if name == "clock_hz":
+        return ["stats", "--curve", "test8", f"--clock-hz={value}"]
+    if name in ("unparsable_count", "undecodable_meta"):
+        path = write_bad_trace(tmp_path, ".csv", name)
+        return ["attack", str(path), "--num-slots", "5", "--out", str(tmp_path)]
+    if name == "missing_trace":
+        return ["attack", str(tmp_path / "nope.kptr")]
+    if name == "bad_config_line":
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("curve=test8\nnot a key value line\n")
+        return ["attack", str(tmp_path / "nope.kptr"), "--config", str(cfg)]
+    out = tmp_path / "sim"
+    code, _, _ = run(["simulate", "--curve", "test8", "--seed", "5", "--out", str(out)], capsys)
+    assert code == 0
+    trace = str(out / "trace.kptr")
+    if name == "oversized_num_slots":
+        return ["attack", trace, "--curve", "test8", "--num-slots", "5000", "--out", str(out)]
+    return ["bruteforce", trace, "--curve", "test8", "--suspects", "1",
+            f"--sample-index={value}"]
+
+
+@pytest.mark.parametrize("case, expected", EXIT_CODE_CASES)
+def test_exit_code_contract(tmp_path, capsys, case, expected):
+    argv = contract_argv(case, tmp_path, capsys)
+    src = str(Path(kpsca.__file__).resolve().parents[1])
+    pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=pythonpath)
+    proc = subprocess.run([sys.executable, "-m", "kpsca.cli", *argv],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == expected, proc.stderr
+    assert "Traceback" not in proc.stderr

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from kpsca import _fastladder, gf2m
+from kpsca import gf2m
 from kpsca.curve import (
     AffinePoint,
     CurveError,
@@ -227,27 +227,6 @@ class TestKpMultiply:
         result, transcript = kp_multiply(k, b233.g, b233)
         assert transcript.result == result
         assert transcript.scalar == k
-
-
-class TestBackends:
-    @pytest.mark.skipif(not _fastladder.HAVE_NUMBA, reason="numba unavailable")
-    def test_backends_agree(self, b233, monkeypatch):
-        rng = random.Random(5)
-        k = Scalar.random(rng, 120)
-        monkeypatch.setenv(_fastladder.BACKEND_ENV, "python")
-        _, tp = kp_multiply(k, b233.g, b233)
-        monkeypatch.setenv(_fastladder.BACKEND_ENV, "numba")
-        _, tn = kp_multiply(k, b233.g, b233)
-        assert len(tp.entries) == len(tn.entries)
-        for a, b in zip(tp.entries, tn.entries):
-            assert (a.phase, a.bit, a.state) == (b.phase, b.bit, b.state)
-
-    def test_env_selection(self, monkeypatch):
-        monkeypatch.setenv(_fastladder.BACKEND_ENV, "python")
-        assert _fastladder.active_backend() == "python"
-        monkeypatch.setenv(_fastladder.BACKEND_ENV, "bogus")
-        with pytest.raises(RuntimeError):
-            _fastladder.active_backend()
 
 
 class TestOracle:
