@@ -92,6 +92,16 @@ def _read_config_file(path: str) -> dict:
     return values
 
 
+_BOOLS = {"true": True, "yes": True, "1": True, "false": False, "no": False, "0": False}
+
+
+def _parse_bool(text: str) -> bool:
+    try:
+        return _BOOLS[text.lower()]
+    except KeyError:
+        raise ValueError(f"expected true/false/yes/no/1/0, got {text!r}") from None
+
+
 def _resolve(args, name: str, cast, fallback):
     """flag > config file > fallback."""
     v = getattr(args, name, None)
@@ -237,6 +247,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _simulate(args) -> int:
     cfg = _build_run_config(args, "simulate")
+    excerpt = _resolve(args, "excerpt_cycles", int, None)
+    if excerpt is not None and excerpt < 0:
+        raise CurveError(f"--excerpt-cycles must be >= 0, got {excerpt}")
     params = get_curve(cfg.curve)
     rng = random.Random(cfg.seed)
     key_hex = _resolve(args, "key", str, None)
@@ -256,7 +269,7 @@ def _simulate(args) -> int:
 
     out = _out_dir(cfg)
     trace_path = out / "trace.kptr"
-    include_truth = not bool(_resolve(args, "no_ground_truth", bool, False))
+    include_truth = not _resolve(args, "no_ground_truth", _parse_bool, False)
     write_trace(trace, trace_path, include_ground_truth=include_truth)
     sidecar = {
         "run_config": asdict(cfg),
@@ -273,7 +286,6 @@ def _simulate(args) -> int:
     print(f"trace written to {trace_path}")
     print(f"main-loop slots: {schedule.num_slots} x {schedule.slot_len} cycles, "
           f"total {schedule.total_cycles} cycles")
-    excerpt = _resolve(args, "excerpt_cycles", int, None)
     if excerpt:
         ct = compress(trace, _COMPRESSION[cfg.compression])
         n = min(excerpt, ct.values.shape[0])
@@ -347,6 +359,9 @@ def _welch(args) -> int:
 
 def _bruteforce(args) -> int:
     cfg = _build_run_config(args, "bruteforce")
+    budget = args.budget if args.budget is not None else 1 << 17
+    if budget < 0:
+        raise CurveError(f"--budget must be >= 0, got {budget}")
     trace = read_trace(args.trace)
     params = get_curve(cfg.curve)
     _, matrix = _segment_from_cfg(cfg, trace)
@@ -378,7 +393,6 @@ def _bruteforce(args) -> int:
         raise CurveError("--pub is required when the trace has no ground truth")
 
     suspects = [int(s) for s in args.suspects.split(",") if s.strip() != ""]
-    budget = args.budget if args.budget is not None else 1 << 17
     result = attack_mod.brute_force_complete(
         candidate, suspects, params.g, pub, params, budget=budget
     )

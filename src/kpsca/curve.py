@@ -12,15 +12,16 @@ one ladder per candidate scalar.
 The ladder follows the modelled accelerator's bit convention: the
 register initialisation already encodes the most significant scalar
 bit, the second-most-significant bit is processed in a dedicated
-pre-loop step, and the remaining l-2 bits run in the main loop.  Each
-executed step is recorded in a transcript that the leakage simulator
-expands into a clock-cycle schedule.
+pre-loop step, and the remaining l-2 bits run in the main loop.  The
+register state before each step, plus the final state, forms the
+transcript that the leakage simulator expands into a clock-cycle
+schedule.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from typing import Optional
 
 from . import gf2m
@@ -141,52 +142,30 @@ def negate(p: AffinePoint) -> AffinePoint:
 
 @dataclass(frozen=True)
 class LadderState:
-    """Projective ladder registers, including the scratch register T.
-
-    T is modelled explicitly because register addressing (which of
-    X1/Z1/X2/Z2/T an operation touches) is the leakage channel the
-    attack exploits.
-    """
+    """Projective ladder registers: X1/Z1 hold [m]P, X2/Z2 hold [m+1]P."""
 
     X1: FieldElement
     Z1: FieldElement
     X2: FieldElement
     Z2: FieldElement
-    T: FieldElement
 
     def swapped(self) -> "LadderState":
-        return LadderState(self.X2, self.Z2, self.X1, self.Z1, self.T)
-
-
-PHASE_INIT = "init"
-PHASE_PRELOOP = "preloop"
-PHASE_MAIN = "main"
-PHASE_FINALIZE = "finalize"
+        return LadderState(self.X2, self.Z2, self.X1, self.Z1)
 
 
 @dataclass(frozen=True)
-class TranscriptEntry:
-    phase: str
-    bit: Optional[int]
-    state: LadderState  # register contents when this phase begins (after init, for "init")
-
-
-@dataclass
 class LadderTranscript:
+    """One kP execution and the ladder states it passed through.
+
+    states[i] is the register state before the step for scalar.bits[i + 1]
+    (step 0 is the pre-loop step); states[-1] is the final state.
+    """
+
     params: CurveParams
     scalar: Scalar
     point: AffinePoint
-    entries: list[TranscriptEntry] = dc_field(default_factory=list)
-    result: Optional[AffinePoint] = None
-
-    @property
-    def main_entries(self) -> list[TranscriptEntry]:
-        return [e for e in self.entries if e.phase == PHASE_MAIN]
-
-    @property
-    def slot_entries(self) -> list[TranscriptEntry]:
-        """Pre-loop plus main-loop entries, i.e. everything scheduled as a slot."""
-        return [e for e in self.entries if e.phase in (PHASE_PRELOOP, PHASE_MAIN)]
+    states: tuple[LadderState, ...]
+    result: Optional[AffinePoint]
 
 
 def ladder_init(p: AffinePoint, params: CurveParams) -> LadderState:
@@ -200,7 +179,7 @@ def _init_state(p: AffinePoint, params: CurveParams) -> LadderState:
     x = p.x
     x2 = gf2m.square(x)
     x4 = gf2m.square(x2)
-    return LadderState(x, spec.one(), gf2m.add(x4, params.b), x2, spec.zero())
+    return LadderState(x, spec.one(), gf2m.add(x4, params.b), x2)
 
 
 # every intermediate of one ladder step, named as in leaksim's slot layout
@@ -238,14 +217,13 @@ def ladder_step_values(
 ) -> tuple[LadderState, StepValues]:
     """One key-bit iteration: the next state and every intermediate.
 
-    The two branches are exact register-role mirrors; the T register
-    ends holding the old Xb.
+    The two branches are exact register-role mirrors.
     """
     if k_i:
         v = _step_roles(state.X1, state.Z1, state.X2, state.Z2, x, b)
-        return LadderState(v.A2, v.S1, v.A3, v.M6, state.X2), v
+        return LadderState(v.A2, v.S1, v.A3, v.M6), v
     v = _step_roles(state.X2, state.Z2, state.X1, state.Z1, x, b)
-    return LadderState(v.A3, v.M6, v.A2, v.S1, state.X1), v
+    return LadderState(v.A3, v.M6, v.A2, v.S1), v
 
 
 def ladder_step(state: LadderState, k_i: int, x: FieldElement, b: FieldElement) -> LadderState:
@@ -304,30 +282,16 @@ def _ladder_states(bits, p: AffinePoint, params: CurveParams) -> list[LadderStat
 def kp_multiply(k: Scalar, p: AffinePoint, params: CurveParams) -> tuple[AffinePoint, LadderTranscript]:
     """Full kP with an execution transcript for the leakage simulator.
 
-    The transcript records, in order: the initialisation, the pre-loop
-    bit k_{l-2} (when l >= 2), one entry per main-loop bit, and the
-    finalisation, each with the register state at that point.
-
     k is processed as-is: it is never reduced modulo the group order,
     which is the caller's responsibility if a canonical representative
     is wanted.  [k]P is still correct for oversized k.
     """
     _check_ladder_input(p, params)
-    bits = k.bits
-    states = _ladder_states(bits, p, params)
-
-    transcript = LadderTranscript(params=params, scalar=k, point=p)
-    transcript.entries.append(TranscriptEntry(PHASE_INIT, None, states[0]))
-    for j, k_i in enumerate(bits[1:]):
-        phase = PHASE_PRELOOP if j == 0 else PHASE_MAIN
-        transcript.entries.append(TranscriptEntry(phase, k_i, states[j]))
-    transcript.entries.append(TranscriptEntry(PHASE_FINALIZE, None, states[-1]))
-
+    states = tuple(_ladder_states(k.bits, p, params))
     result = ladder_finalize(states[-1], p)
     if not is_on_curve(result, params):
         raise CurveError("ladder produced an off-curve point")
-    transcript.result = result
-    return result, transcript
+    return result, LadderTranscript(params, k, p, states, result)
 
 
 def kp_point(k: Scalar, p: AffinePoint, params: CurveParams) -> AffinePoint:

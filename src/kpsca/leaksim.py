@@ -75,6 +75,7 @@ its own key bit.
 from __future__ import annotations
 
 import enum
+import math
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -82,16 +83,7 @@ from functools import cached_property
 import numpy as np
 
 from . import gf2m
-from .curve import (
-    LadderTranscript,
-    PHASE_FINALIZE,
-    PHASE_INIT,
-    PHASE_PRELOOP,
-    Scalar,
-    StepValues,
-    TranscriptEntry,
-    ladder_step_values,
-)
+from .curve import LadderState, LadderTranscript, Scalar, StepValues, ladder_step_values
 
 
 class OpKind(enum.Enum):
@@ -196,42 +188,42 @@ _ROLE_BY_BIT = {
     0: {"Xa": Reg.X2, "Za": Reg.Z2, "Xb": Reg.X1, "Zb": Reg.Z1, "T": Reg.T, "BUS": Reg.BUS},
 }
 
-# operations outside the slots: (phase, cycle, register, value key).
+# operations outside the slots: (in epilogue?, cycle, register, value key).
 # Init writes x and 1, squares x twice (cycles 2 and 4), adds b (5) and
 # writes x^2 and x^4 + b; cycle 7 idles.  The epilogue reads the four
 # registers, inverts (idle here) and emits the result's x and y in its
 # last two cycles; negative cycles count from its end.
 _FRAME_TABLE = (
-    (PHASE_INIT, 0, Reg.X1, "x"),
-    (PHASE_INIT, 1, Reg.Z1, "one"),
-    (PHASE_INIT, 2, Reg.BUS, "x2"),
-    (PHASE_INIT, 3, Reg.Z2, "x2"),
-    (PHASE_INIT, 4, Reg.BUS, "x4"),
-    (PHASE_INIT, 5, Reg.BUS, "x4b"),
-    (PHASE_INIT, 6, Reg.X2, "x4b"),
-    (PHASE_FINALIZE, 0, Reg.X1, "X1"),
-    (PHASE_FINALIZE, 1, Reg.Z1, "Z1"),
-    (PHASE_FINALIZE, 2, Reg.X2, "X2"),
-    (PHASE_FINALIZE, 3, Reg.Z2, "Z2"),
-    (PHASE_FINALIZE, -2, Reg.BUS, "rx"),
-    (PHASE_FINALIZE, -1, Reg.BUS, "ry"),
+    (False, 0, Reg.X1, "x"),
+    (False, 1, Reg.Z1, "one"),
+    (False, 2, Reg.BUS, "x2"),
+    (False, 3, Reg.Z2, "x2"),
+    (False, 4, Reg.BUS, "x4"),
+    (False, 5, Reg.BUS, "x4b"),
+    (False, 6, Reg.X2, "x4b"),
+    (True, 0, Reg.X1, "X1"),
+    (True, 1, Reg.Z1, "Z1"),
+    (True, 2, Reg.X2, "X2"),
+    (True, 3, Reg.Z2, "Z2"),
+    (True, -2, Reg.BUS, "rx"),
+    (True, -1, Reg.BUS, "ry"),
 )
 
 
-def _table_values(entry: TranscriptEntry, step: StepValues, x, b) -> dict:
-    """Every value a slot's table rows name, keyed as in the table."""
-    regs = _ROLE_BY_BIT[entry.bit]
+def _table_values(state: LadderState, bit: int, step: StepValues, x, b) -> dict:
+    """Every value the table rows of a slot processing `bit` from `state` name."""
+    regs = _ROLE_BY_BIT[bit]
     values = step._asdict()
     for role in ("Xa", "Za", "Xb", "Zb"):
-        values[role] = getattr(entry.state, regs[role].value)
+        values[role] = getattr(state, regs[role].value)
     values.update(x=x, b=b)
     return values
 
 
 def _frame_rows(total: int, epi: int):
     """(absolute cycle, register, value key) of every init/epilogue row."""
-    for phase, c, reg, key in _FRAME_TABLE:
-        yield (c if phase == PHASE_INIT else total - epi + c % epi), reg, key
+    for in_epilogue, c, reg, key in _FRAME_TABLE:
+        yield (total - epi + c % epi if in_epilogue else c), reg, key
 
 
 @dataclass(eq=False)
@@ -272,7 +264,7 @@ class Schedule:
     def data_hw(self) -> np.ndarray:
         tr = self.transcript
         x, b = tr.point.x, tr.params.b
-        init, final, result = tr.entries[0].state, tr.entries[-1].state, tr.result
+        init, final, result = tr.states[0], tr.states[-1], tr.result
         zero = tr.params.field.zero()
         frame = {
             "x": x, "one": tr.params.field.one(), "x2": init.Z2,
@@ -285,8 +277,8 @@ class Schedule:
         for cycle, _reg, key in _frame_rows(self.total_cycles, self.epilogue_len):
             hw[cycle] += frame[key].value.bit_count()
         base = self.init_cycles
-        for entry, step in zip(tr.slot_entries, self.steps):
-            values = _table_values(entry, step, x, b)
+        for state, bit, step in zip(tr.states, self.bits, self.steps):
+            values = _table_values(state, bit, step, x, b)
             # one partial product per cycle, window by window
             slot = [
                 p.bit_count()
@@ -302,39 +294,34 @@ class Schedule:
 
 def build_schedule(transcript: LadderTranscript) -> Schedule:
     """Check a ladder transcript step by step and lay it out in clock cycles."""
-    if transcript.result is None or not transcript.entries:
+    bits = transcript.scalar.bits[1:]  # one slot per bit, pre-loop slot first
+    states = transcript.states
+    if transcript.result is None or len(states) != len(bits) + 1:
         raise ScheduleError("transcript is incomplete")
-    entries = transcript.entries
-    if entries[0].phase != PHASE_INIT or entries[-1].phase != PHASE_FINALIZE:
-        raise ScheduleError("transcript must start with init and end with finalize")
 
     x, b = transcript.point.x, transcript.params.b
-    slots = transcript.slot_entries
     steps = []
-    for i, entry in enumerate(slots):
-        after, values = ladder_step_values(entry.state, entry.bit, x, b)
-        want = entries[i + 2].state  # next slot's state, or the finalize state
-        if (after.X1, after.Z1, after.X2, after.Z2) != (want.X1, want.Z1, want.X2, want.Z2):
+    for i, bit in enumerate(bits):
+        after, values = ladder_step_values(states[i], bit, x, b)
+        if after != states[i + 1]:
             raise ScheduleError(f"slot {i} algebra does not reproduce the transcript state")
         steps.append(values)
 
     m = transcript.params.field.m
     epi = epilogue_cycles(m)
-    bits = tuple(e.bit for e in slots)
-    total = INIT_CYCLES + len(slots) * SLOT_CYCLES + epi
+    total = INIT_CYCLES + len(bits) * SLOT_CYCLES + epi
     addr = np.zeros(total)
     for cycle, reg, _key in _frame_rows(total, epi):
         addr[cycle] += REGISTER_ADDR_WEIGHT[reg]
     profiles = np.stack([slot_addr_profile(0), slot_addr_profile(1)])
     addr[INIT_CYCLES : total - epi] = profiles[np.asarray(bits, dtype=np.intp)].ravel()
 
-    has_preloop = bool(slots) and slots[0].phase == PHASE_PRELOOP
     return Schedule(
         m=m,
         scalar=transcript.scalar,
         init_cycles=INIT_CYCLES,
-        has_preloop=has_preloop,
-        num_slots=len(slots) - (1 if has_preloop else 0),
+        has_preloop=bool(bits),
+        num_slots=max(len(bits) - 1, 0),
         slot_len=SLOT_CYCLES,
         epilogue_len=epi,
         bits=bits,
@@ -371,6 +358,9 @@ class LeakModel:
     rng_seed: int = 0
 
     def __post_init__(self):
+        for name in ("addr_weight", "data_weight", "baseline", "noise_sigma"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.noise_sigma < 0:
             raise ValueError("noise_sigma must be >= 0")
         if self.samples_per_cycle < 1:

@@ -63,6 +63,33 @@ class TestSimulate:
         out, _ = simulate(tmp_path, capsys, "--no-ground-truth")
         assert read_trace(out / "trace.kptr").ground_truth is None
 
+    @pytest.mark.parametrize("value, keeps_truth", [
+        ("false", True), ("0", True), ("No", True),
+        ("TRUE", False), ("yes", False), ("1", False),
+    ])
+    def test_config_no_ground_truth(self, tmp_path, capsys, value, keeps_truth):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"no_ground_truth={value}\n")
+        out = tmp_path / "sim"
+        code, _, _ = run(["simulate", "--curve", "test8", "--config", str(cfg),
+                          "--out", str(out)], capsys)
+        assert code == 0
+        assert (read_trace(out / "trace.kptr").ground_truth is not None) == keeps_truth
+
+    @pytest.mark.parametrize("n", [0, 5])
+    def test_excerpt_cycles(self, tmp_path, capsys, n):
+        # 0 means no excerpt; negative counts are config errors (exit-code contract)
+        out = tmp_path / "sim"
+        code, stdout, _ = run(["simulate", "--curve", "test8", "--excerpt-cycles", str(n),
+                               "--out", str(out)], capsys)
+        assert code == 0
+        excerpt = out / "excerpt.csv"
+        if n == 0:
+            assert not excerpt.exists() and "compressed excerpt" not in stdout
+        else:
+            assert f"compressed excerpt ({n} cycles)" in stdout
+            assert excerpt.read_text().splitlines()[-1].startswith(f"{n - 1},")
+
 
 class TestAttack:
     def test_perfect_delta_on_leaky_fixture(self, tmp_path, capsys):
@@ -263,7 +290,17 @@ EXIT_CODE_CASES = [
     ("clock_hz=inf", cli.EXIT_CONFIG),
     ("unparsable_count", cli.EXIT_IO),
     ("undecodable_meta", cli.EXIT_IO),
+    ("no_ground_truth=maybe", cli.EXIT_CONFIG),
+    ("excerpt_cycles=-3", cli.EXIT_CONFIG),
+    ("budget=-1", cli.EXIT_CONFIG),
+    ("noise_sigma=nan", cli.EXIT_CONFIG),
+    ("noise_sigma=inf", cli.EXIT_CONFIG),
+    ("addr_weight=nan", cli.EXIT_CONFIG),
+    ("data_weight=inf", cli.EXIT_CONFIG),
+    ("baseline=-inf", cli.EXIT_CONFIG),
 ]
+
+SIMULATE_FLAGS = ("excerpt_cycles", "noise_sigma", "addr_weight", "data_weight", "baseline")
 
 
 def contract_argv(case, tmp_path, capsys):
@@ -271,6 +308,9 @@ def contract_argv(case, tmp_path, capsys):
     name, _, value = case.partition("=")
     if name == "clock_hz":
         return ["stats", "--curve", "test8", f"--clock-hz={value}"]
+    if name in SIMULATE_FLAGS:
+        flag = "--" + name.replace("_", "-")
+        return ["simulate", "--curve", "test8", f"{flag}={value}", "--out", str(tmp_path)]
     if name in ("unparsable_count", "undecodable_meta"):
         path = write_bad_trace(tmp_path, ".csv", name)
         return ["attack", str(path), "--num-slots", "5", "--out", str(tmp_path)]
@@ -280,14 +320,18 @@ def contract_argv(case, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("curve=test8\nnot a key value line\n")
         return ["attack", str(tmp_path / "nope.kptr"), "--config", str(cfg)]
+    if name == "no_ground_truth":
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"no_ground_truth={value}\n")
+        return ["simulate", "--curve", "test8", "--config", str(cfg), "--out", str(tmp_path)]
     out = tmp_path / "sim"
     code, _, _ = run(["simulate", "--curve", "test8", "--seed", "5", "--out", str(out)], capsys)
     assert code == 0
     trace = str(out / "trace.kptr")
     if name == "oversized_num_slots":
         return ["attack", trace, "--curve", "test8", "--num-slots", "5000", "--out", str(out)]
-    return ["bruteforce", trace, "--curve", "test8", "--suspects", "1",
-            f"--sample-index={value}"]
+    flag = "--budget" if name == "budget" else "--sample-index"
+    return ["bruteforce", trace, "--curve", "test8", "--suspects", "1", f"{flag}={value}"]
 
 
 @pytest.mark.parametrize("case, expected", EXIT_CODE_CASES)

@@ -81,7 +81,6 @@ class TestLadderInit:
         assert state.Z2 == gf2m.square(x)
         # X2 = x^4 + b recomputed by the field oracle
         assert state.X2 == gf2m.add(gf2m.square(gf2m.square(x)), b163.b)
-        assert state.T.value == 0
 
     def test_x_equals_one(self):
         # curve crafted so (1, 0) is on it: y^2 + y = 1 + a + b = 0
@@ -121,7 +120,7 @@ class TestLadderStep:
         rng = random.Random(1)
         spec = b233.field
         for _ in range(20):
-            state = LadderState(*(spec.random_element(rng) for _ in range(5)))
+            state = LadderState(*(spec.random_element(rng) for _ in range(4)))
             x, b = spec.random_element(rng), b233.b
             direct = ladder_step(state, 0, x, b)
             mirrored = ladder_step(state.swapped(), 1, x, b).swapped()
@@ -129,7 +128,7 @@ class TestLadderStep:
 
     def test_double_degenerate_flagged(self, b233):
         spec = b233.field
-        state = LadderState(spec.one(), spec.zero(), spec.one(), spec.zero(), spec.zero())
+        state = LadderState(spec.one(), spec.zero(), spec.one(), spec.zero())
         with pytest.raises(CurveError):
             ladder_step(state, 1, spec.one(), b233.b)
 
@@ -189,28 +188,29 @@ class TestKpMultiply:
                 assert got == oracle_double_and_add(k, params.g, params)
 
     def test_transcript_geometry_232(self, b233_run):
-        _, k, _, transcript, _ = b233_run
+        _, k, result, transcript, _ = b233_run
         assert k.bit_length == 232
-        assert len(transcript.main_entries) == 230
-        phases = [e.phase for e in transcript.entries]
-        assert phases[0] == "init"
-        assert phases[1] == "preloop"
-        assert phases[-1] == "finalize"
-        assert all(p == "main" for p in phases[2:-1])
+        # states before the pre-loop step and the 230 main-loop steps, then the final state
+        states = transcript.states
+        assert len(states) == 1 + 230 + 1
+        assert states[0] == ladder_init(transcript.point, transcript.params)
+        assert ladder_finalize(states[-1], transcript.point) == result
 
     def test_transcript_bits_match_scalar(self, b233_run):
+        # states[i] -> states[i + 1] is the step for bits[i + 1], and only that bit
         _, k, _, transcript, _ = b233_run
-        assert transcript.entries[1].bit == k.bits[1]
-        assert tuple(e.bit for e in transcript.main_entries) == k.main_loop_bits
+        x, b, states = transcript.point.x, transcript.params.b, transcript.states
+        for i, bit in enumerate(k.bits[1:]):
+            assert ladder_step(states[i], bit, x, b) == states[i + 1]
+            assert ladder_step(states[i], 1 - bit, x, b) != states[i + 1]
 
     def test_projective_consistency(self, test8):
         # before each step with running prefix m: X1/Z1 = x([m]P), X2/Z2 = x([m+1]P)
         k = Scalar(0b110101101)
         _, transcript = kp_multiply(k, test8.g, test8)
-        bits = k.bits
-        prefix = 1
-        for j, entry in enumerate(transcript.entries[1:-1]):
-            state = entry.state
+        l = k.bit_length
+        for j, state in enumerate(transcript.states):
+            prefix = k.value >> (l - 1 - j)  # bits processed so far; all of k at the end
             for reg_x, reg_z, mult in ((state.X1, state.Z1, prefix),
                                        (state.X2, state.Z2, prefix + 1)):
                 expect = oracle_double_and_add(Scalar(mult), test8.g, test8)
@@ -219,7 +219,6 @@ class TestKpMultiply:
                 else:
                     got = gf2m.mul_classical(reg_x, gf2m.invert(reg_z))
                     assert got == expect.x, (j, mult)
-            prefix = 2 * prefix + bits[j + 1]
 
     def test_result_transcript_agree(self, b233):
         rng = random.Random(4)

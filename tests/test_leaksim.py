@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from kpsca import gf2m
-from kpsca.curve import LadderTranscript, PHASE_MAIN, Scalar, kp_multiply
+from kpsca.curve import LadderTranscript, Scalar, kp_multiply
 from kpsca.leaksim import (
     INIT_CYCLES,
     LeakModel,
@@ -76,8 +76,8 @@ class TestScheduleStructure:
     def test_mul_operands_match_step_algebra(self, b233_run):
         params, _, _, transcript, schedule = b233_run
         assert list(_MUL_OPERANDS) == list(_MUL_WINDOWS)
-        for entry, step in list(zip(transcript.slot_entries, schedule.steps))[:4]:
-            values = _table_values(entry, step, transcript.point.x, params.b)
+        for state, bit, step in list(zip(transcript.states, schedule.bits, schedule.steps))[:4]:
+            values = _table_values(state, bit, step, transcript.point.x, params.b)
             for name, (a, b) in _MUL_OPERANDS.items():
                 assert gf2m.karatsuba4_partials(values[a], values[b])[0] == values[name]
 
@@ -85,20 +85,21 @@ class TestScheduleStructure:
         assert epilogue_cycles(233) == 464
         assert epilogue_cycles(163) == 324
 
-    def test_rejects_incomplete_transcript(self, b233):
-        bad = LadderTranscript(params=b233, scalar=Scalar(3), point=b233.g)
-        with pytest.raises(ScheduleError):
-            build_schedule(bad)
+    def test_rejects_incomplete_transcript(self, b233, test8):
+        empty = LadderTranscript(params=b233, scalar=Scalar(3), point=b233.g, states=(), result=None)
+        _, full = kp_multiply(Scalar(0b1011011), test8.g, test8)
+        for bad in (empty, dataclasses.replace(full, states=full.states[:-1]),
+                    dataclasses.replace(full, states=full.states + full.states[-1:])):
+            with pytest.raises(ScheduleError, match="incomplete"):
+                build_schedule(bad)
 
     def test_rejects_inconsistent_transcript(self, test8):
         _, transcript = kp_multiply(Scalar(0b1011011), test8.g, test8)
-        entries = list(transcript.entries)
-        i = next(j for j, e in enumerate(entries) if e.phase == PHASE_MAIN)
-        state = entries[i].state
-        bad = dataclasses.replace(state, X1=gf2m.add(state.X1, test8.field.one()))
-        entries[i] = dataclasses.replace(entries[i], state=bad)
+        states = list(transcript.states)
+        i = 1  # the state before the first main-loop step
+        states[i] = dataclasses.replace(states[i], X1=gf2m.add(states[i].X1, test8.field.one()))
         with pytest.raises(ScheduleError):
-            build_schedule(dataclasses.replace(transcript, entries=entries))
+            build_schedule(dataclasses.replace(transcript, states=tuple(states)))
 
     def test_stats_slot_count(self, b233_run):
         _, _, _, _, schedule = b233_run

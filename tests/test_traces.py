@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from kpsca.curve import Scalar
 from kpsca.traces import (
@@ -8,6 +9,7 @@ from kpsca.traces import (
     FormatVersionError,
     SegmentationError,
     Trace,
+    TraceFormatError,
     TruncatedTraceError,
     compress,
     read_trace,
@@ -167,3 +169,51 @@ class TestCsvRoundTrip:
         t = make_trace([1.5, 2.5])
         write_trace(t, tmp_path / "x.csv")
         assert (tmp_path / "x.meta").exists()
+
+
+@st.composite
+def corrupted(draw, data: bytes) -> bytes:
+    """`data` truncated, with one byte changed, or with bytes appended."""
+    kind = draw(st.sampled_from(["truncate", "flip", "append"]))
+    if kind == "truncate":
+        return data[: draw(st.integers(0, len(data) - 1))]
+    if kind == "flip":
+        i = draw(st.integers(0, len(data) - 1))
+        return data[:i] + bytes([data[i] ^ draw(st.integers(1, 255))]) + data[i + 1 :]
+    return data + draw(st.binary(min_size=1, max_size=64))
+
+
+class TestReaderFuzz:
+    """Damaged files fail with TraceFormatError and nothing else."""
+
+    TRACE = Trace(np.linspace(-2.0, 3.0, 24), 4, 8, 100e6, Scalar(0x1D3))
+
+    @pytest.fixture(scope="class")
+    def files(self, tmp_path_factory):
+        d = tmp_path_factory.mktemp("fuzz")
+        for name in ("valid.kptr", "valid.csv"):
+            write_trace(self.TRACE, d / name)
+        originals = {f.name: f.read_bytes() for f in d.iterdir()}
+        return d, originals
+
+    def _read_damaged(self, files, damaged_name, data):
+        d, originals = files
+        for name, raw in originals.items():  # undo the previous example's damage
+            (d / name).write_bytes(raw)
+        (d / damaged_name).write_bytes(data.draw(corrupted(originals[damaged_name])))
+        path = d / ("valid.kptr" if damaged_name.endswith(".kptr") else "valid.csv")
+        try:
+            read_trace(path)
+        except TraceFormatError:
+            pass
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_kptr(self, files, data):
+        self._read_damaged(files, "valid.kptr", data)
+
+    @pytest.mark.filterwarnings("ignore:loadtxt. input contained no data")
+    @settings(max_examples=300, deadline=None)
+    @given(damaged=st.sampled_from(["valid.csv", "valid.meta"]), data=st.data())
+    def test_csv_and_meta(self, files, damaged, data):
+        self._read_damaged(files, damaged, data)
