@@ -173,17 +173,6 @@ def _preloop_target(pb: int, nbits: int, g: AffinePoint, pub: AffinePoint,
     return point_add(pub, negate(_multiple(1 << nbits, g, params)), params)
 
 
-def verify_candidate(
-    candidate: KeyCandidate,
-    g: AffinePoint,
-    pub: AffinePoint,
-    params: CurveParams,
-    preloop_bits=(0, 1),
-) -> bool:
-    """True iff some expansion of the candidate reproduces the public key."""
-    return recover_scalar(candidate, g, pub, params, preloop_bits) is not None
-
-
 def recover_scalar(
     candidate: KeyCandidate,
     g: AffinePoint,

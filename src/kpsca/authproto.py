@@ -8,14 +8,12 @@ computation, which is exactly what this package demonstrates: the
 responder here emits a leakage trace of its kP execution.
 
 Certificate handling is out of scope; identities are pre-trusted
-fixtures persisted as key=value text files (only on explicit request,
-since they hold the demo's secrets).
+in-memory fixtures.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Optional
 
 from .curve import (
@@ -90,38 +88,3 @@ def respond(
 def verify(q_expected: AffinePoint, q_b: AffinePoint) -> bool:
     """Authentication passes iff the points match exactly."""
     return q_expected == q_b
-
-
-def save_identity(identity: Identity, path, allow_secret_write: bool = False) -> None:
-    """Persist an identity.  Refuses unless explicitly allowed: it is a secret."""
-    if not allow_secret_write:
-        raise PermissionError(
-            "identity files contain the private scalar; pass allow_secret_write=True"
-        )
-    lines = [
-        f"curve={identity.curve_id}",
-        f"k={identity.k.to_hex()}",
-        f"pub={identity.pub.to_hex()}",
-    ]
-    Path(path).write_text("\n".join(lines) + "\n")
-
-
-def load_identity(path) -> Identity:
-    fields = {}
-    for line in Path(path).read_text().splitlines():
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        key, _, value = line.partition("=")
-        fields[key.strip()] = value.strip()
-    try:
-        curve_id = fields["curve"]
-        params = get_curve(curve_id)
-        k = Scalar.from_hex(fields["k"])
-        pub = AffinePoint.from_hex(params.field, fields["pub"])
-    except KeyError as exc:
-        raise ValueError(f"{path}: missing identity field {exc}") from None
-    identity = Identity(curve_id, params, k, pub)
-    if kp_point(k, params.g, params) != pub:
-        raise ValueError(f"{path}: stored public key does not match the scalar")
-    return identity

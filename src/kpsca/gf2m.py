@@ -5,18 +5,13 @@ Field elements are polynomials over GF(2) stored as Python integers
 modulo the field's irreducible polynomial.  Addition is coefficient-wise
 XOR; there is no carry propagation anywhere.
 
-Multiplication comes in two independently implemented flavours:
-
-* ``mul_classical`` -- schoolbook carry-less multiplication followed by
-  modular reduction.
-* ``mul_karatsuba4`` -- the 4-segment Karatsuba decomposition used by the
-  modelled multiplier hardware.  It computes 9 segment-level partial
-  products instead of the 16 a classical 4-segment multiplier would need
-  (a saving of (16-9)/16 = 43.75%), and reports that count so the cycle
-  scheduler can account for it.
-
-Both return identical values; the test suite enforces this exhaustively
-on small fields and statistically on the big ones.
+``mul_classical`` is the arithmetic the ladder runs: a windowed-comb
+carry-less product followed by fold reduction.  ``karatsuba4_partials``
+is the modelled multiplier hardware: a 4-segment Karatsuba product that
+computes 9 segment-level partial products instead of the 16 of a
+classical 4-segment multiplier, and returns them so the leakage
+simulator can accumulate one per clock cycle.  The test suite checks
+that both give the same product.
 """
 
 from __future__ import annotations
@@ -114,12 +109,6 @@ class FieldElement:
     spec: FieldSpec
     value: int
 
-    def __add__(self, other: "FieldElement") -> "FieldElement":
-        return add(self, other)
-
-    def __mul__(self, other: "FieldElement") -> "FieldElement":
-        return mul_classical(self, other)
-
     def __bool__(self) -> bool:
         return self.value != 0
 
@@ -212,19 +201,9 @@ def segment_width(spec: FieldSpec) -> int:
     return (spec.m + 3) // 4
 
 
-def mul_karatsuba4(a: FieldElement, b: FieldElement) -> tuple[FieldElement, int]:
-    """4-segment Karatsuba multiplication.
-
-    Returns the (reduced) product and the number of segment-level
-    partial products computed -- always 9, exposed so the schedule
-    model can account one multiplier cycle per partial.
-    """
-    product, partials = karatsuba4_partials(a, b)
-    return product, len(partials)
-
-
 def karatsuba4_partials(a: FieldElement, b: FieldElement) -> tuple[FieldElement, tuple[int, ...]]:
-    """Like mul_karatsuba4 but returns the 9 raw partial products.
+    """4-segment Karatsuba multiplication: the reduced product and the
+    9 segment-level partial products.
 
     The partials feed the leakage simulator's data model: one partial is
     accumulated per multiplier clock cycle.
@@ -247,85 +226,27 @@ def square(a: FieldElement) -> FieldElement:
 
 
 def invert(a: FieldElement) -> FieldElement:
-    """Multiplicative inverse via the extended Euclidean algorithm in GF(2)[x]."""
+    """Multiplicative inverse by the binary-polynomial extended Euclidean
+    algorithm (Hankerson, Menezes, Vanstone, Guide to Elliptic Curve
+    Cryptography, Alg. 2.48).
+
+    Invariant: u = g1*a and v = g2*a (mod f).  Each step cancels the
+    leading term of u with v shifted into place; g1 never reaches degree
+    m, so the result needs no reduction.
+    """
     if a.value == 0:
         raise ZeroInversionError(f"zero has no inverse in GF(2^{a.spec.m})")
-    # invariant: r0 = s0*a (mod f), r1 = s1*a (mod f)
-    r0, r1 = a.spec.reduction_poly, a.value
-    s0, s1 = 0, 1
-    while r1:
-        d1 = r1.bit_length()
-        q, r = 0, r0
-        while r.bit_length() >= d1:
-            sh = r.bit_length() - d1
-            q ^= 1 << sh
-            r ^= r1 << sh
-        r0, r1 = r1, r
-        s0, s1 = s1, s0 ^ _clmul(q, s1)
-    if r0 != 1:
+    u, v = a.value, a.spec.reduction_poly
+    g1, g2 = 1, 0
+    while u > 1:
+        j = u.bit_length() - v.bit_length()
+        if j < 0:
+            u, v, g1, g2, j = v, u, g2, g1, -j
+        u ^= v << j
+        g1 ^= g2 << j
+    if u == 0:
         raise ZeroInversionError("element not invertible; polynomial is reducible")
-    return FieldElement(a.spec, a.spec.reduce(s0))
-
-
-def trace_mask(spec: FieldSpec) -> int:
-    """Bitmask of basis monomials x^i with absolute trace 1.
-
-    Tr(e) is then the parity of popcount(e.value & mask).  Used by
-    point-counting oracles on small fields.
-    """
-    mask = 0
-    for i in range(spec.m):
-        e = spec.element(1 << i)
-        acc, s = e, e
-        for _ in range(spec.m - 1):
-            s = square(s)
-            acc = add(acc, s)
-        if acc.value == 1:
-            mask |= 1 << i
-        elif acc.value != 0:
-            raise ArithmeticError("trace of a basis element must be 0 or 1")
-    return mask
-
-
-def rabin_irreducible(spec: FieldSpec) -> bool:
-    """Rabin's irreducibility test for the spec's reduction polynomial."""
-    m = spec.m
-    f = spec.reduction_poly
-
-    def hpow_mod(e: int, k: int) -> int:
-        # e^(2^k) mod f via k squarings
-        el = FieldElement(spec, e)
-        for _ in range(k):
-            el = square(el)
-        return el.value
-
-    def poly_gcd(u: int, v: int) -> int:
-        while v:
-            du, dv = u.bit_length(), v.bit_length()
-            if du < dv:
-                u, v = v, u
-                continue
-            u ^= v << (du - dv)
-        return u
-
-    # x^(2^m) == x (mod f) is necessary
-    if hpow_mod(2, m) != 2:
-        return False
-    # for every prime divisor q of m: gcd(x^(2^(m/q)) - x, f) == 1
-    n, q, divisors = m, 2, []
-    while q * q <= n:
-        if n % q == 0:
-            divisors.append(q)
-            while n % q == 0:
-                n //= q
-        q += 1
-    if n > 1:
-        divisors.append(n)
-    for q in divisors:
-        h = hpow_mod(2, m // q) ^ 2
-        if h == 0 or poly_gcd(f, h) != 1:
-            return False
-    return True
+    return FieldElement(a.spec, g1)
 
 
 # Built-in specs (FIPS 186-4 binary fields)

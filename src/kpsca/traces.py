@@ -16,6 +16,7 @@ Binary trace format ("KPTR", little-endian throughout):
     sample_count     u64
     samples          f64 * sample_count
     [optional] ground-truth scalar: u32 hex-string length + ASCII hex
+    (nothing may follow)
 
 The CSV alternative stores one sample per line (17 significant
 digits) with the metadata in a sibling ".meta" key=value file.
@@ -24,6 +25,7 @@ digits) with the metadata in a sibling ".meta" key=value file.
 from __future__ import annotations
 
 import enum
+import math
 import struct
 import warnings
 from dataclasses import dataclass
@@ -52,7 +54,8 @@ class TruncatedTraceError(TraceFormatError):
 
 
 class BadMetadataError(TraceFormatError):
-    """A header or metadata value is unusable: zero samples per cycle, a bad key."""
+    """A header or metadata value is unusable: zero samples per cycle, a
+    negative first-slot offset, a non-finite clock, a bad key."""
 
 
 class SegmentationError(ValueError):
@@ -186,9 +189,16 @@ def write_trace(trace: Trace, path, include_ground_truth: bool = True) -> None:
     path.write_bytes(bytes(blob))
 
 
-def _check_samples_per_cycle(spc: int, where) -> None:
+def _check_header(where, spc: int, cycle0: int, clock_hz: float, count: int) -> None:
+    """The values both readers take from a file before building a Trace."""
     if spc < 1:
         raise BadMetadataError(f"{where}: samples_per_cycle is {spc}, must be >= 1")
+    if cycle0 < 0:
+        raise BadMetadataError(f"{where}: cycle0_offset is {cycle0}, must be >= 0")
+    if not (math.isfinite(clock_hz) and clock_hz > 0):
+        raise BadMetadataError(f"{where}: clock_hz is {clock_hz}, must be finite and positive")
+    if count == 0:
+        raise TraceFormatError(f"{where}: the trace holds no samples")
 
 
 def _parse_ground_truth(text: str, where) -> Scalar:
@@ -212,7 +222,7 @@ def read_trace(path) -> Trace:
         raise BadMagicError(f"{path}: bad magic {magic!r}")
     if version != _VERSION:
         raise FormatVersionError(f"{path}: format version {version}, expected {_VERSION}")
-    _check_samples_per_cycle(spc, path)
+    _check_header(path, spc, cycle0, clock_hz, count)
     need = _HEADER.size + 8 * count
     if len(raw) < need:
         raise TruncatedTraceError(
@@ -227,6 +237,10 @@ def read_trace(path) -> Trace:
         (hexlen,) = struct.unpack_from("<I", rest)
         if len(rest) < 4 + hexlen:
             raise TruncatedTraceError(f"{path}: ground-truth block cut short")
+        if len(rest) > 4 + hexlen:
+            raise TraceFormatError(
+                f"{path}: {len(rest) - 4 - hexlen} bytes after the ground-truth block"
+            )
         hexkey = rest[4 : 4 + hexlen].decode("ascii", errors="replace")
         ground_truth = _parse_ground_truth(hexkey, path)
     return Trace(samples, spc, cycle0, clock_hz, ground_truth)
@@ -277,11 +291,14 @@ def _read_csv(path: Path) -> Trace:
         raise TraceFormatError(f"{meta_file}: missing key {exc}") from None
     except ValueError as exc:
         raise BadMetadataError(f"{meta_file}: {exc}") from None
-    _check_samples_per_cycle(spc, meta_file)
     try:
-        samples = np.loadtxt(path, dtype=np.float64, ndmin=1)
+        with warnings.catch_warnings():
+            # an empty file is reported below as a format error
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+            samples = np.loadtxt(path, dtype=np.float64, ndmin=1)
     except ValueError as exc:
         raise TraceFormatError(f"{path}: {exc}") from None
+    _check_header(meta_file, spc, cycle0, clock_hz, samples.shape[0])
     if count is not None and count != samples.shape[0]:
         raise TruncatedTraceError(
             f"{path}: {samples.shape[0]} samples, metadata promises {count}"

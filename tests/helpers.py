@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import math
 import struct
 
 import numpy as np
@@ -31,6 +32,66 @@ def mul_shift_xor(a: int, b: int, poly: int, m: int) -> int:
     return p
 
 
+def trace_mask(spec: FieldSpec) -> int:
+    """Bitmask of basis monomials x^i with absolute trace 1.
+
+    Tr(e) is then the parity of popcount(e.value & mask).
+    """
+    mask = 0
+    for i in range(spec.m):
+        e = spec.element(1 << i)
+        acc, s = e, e
+        for _ in range(spec.m - 1):
+            s = gf2m.square(s)
+            acc = gf2m.add(acc, s)
+        if acc.value == 1:
+            mask |= 1 << i
+        elif acc.value != 0:
+            raise ArithmeticError("trace of a basis element must be 0 or 1")
+    return mask
+
+
+def rabin_irreducible(spec: FieldSpec) -> bool:
+    """Rabin's irreducibility test for the spec's reduction polynomial."""
+    m = spec.m
+    f = spec.reduction_poly
+
+    def hpow_mod(e: int, k: int) -> int:
+        # e^(2^k) mod f via k squarings
+        el = spec.element(e)
+        for _ in range(k):
+            el = gf2m.square(el)
+        return el.value
+
+    def poly_gcd(u: int, v: int) -> int:
+        while v:
+            du, dv = u.bit_length(), v.bit_length()
+            if du < dv:
+                u, v = v, u
+                continue
+            u ^= v << (du - dv)
+        return u
+
+    # x^(2^m) == x (mod f) is necessary
+    if hpow_mod(2, m) != 2:
+        return False
+    # for every prime divisor q of m: gcd(x^(2^(m/q)) - x, f) == 1
+    n, q, divisors = m, 2, []
+    while q * q <= n:
+        if n % q == 0:
+            divisors.append(q)
+            while n % q == 0:
+                n //= q
+        q += 1
+    if n > 1:
+        divisors.append(n)
+    for q in divisors:
+        h = hpow_mod(2, m // q) ^ 2
+        if h == 0 or poly_gcd(f, h) != 1:
+            return False
+    return True
+
+
 def count_curve_points(params: CurveParams) -> int:
     """Point-counting oracle for small curves.
 
@@ -40,7 +101,7 @@ def count_curve_points(params: CurveParams) -> int:
     Exhaustive over the field, so only sensible for small m.
     """
     spec = params.field
-    tmask = gf2m.trace_mask(spec)
+    tmask = trace_mask(spec)
     count = 2  # infinity and the single x = 0 point
     for xv in range(1, 1 << spec.m):
         x = spec.element(xv)
@@ -121,14 +182,21 @@ def reference_brute_force(candidate, suspect_positions, g, pub, params,
 def write_bad_trace(tmp_path, suffix, problem):
     """A small trace file with one unusable value: metadata, key or sample."""
     path = tmp_path / f"trace{suffix}"
-    spc = 0 if problem == "zero_spc" else 10
-    write_trace(Trace(np.zeros(540), spc, 0), path, include_ground_truth=False)
+    trace = Trace(
+        np.zeros(0 if problem == "empty" else 540),
+        samples_per_cycle=0 if problem == "zero_spc" else 10,
+        cycle0_offset=-540 if problem == "negative_offset" else 0,
+        clock_hz={"nan_clock": math.nan, "negative_clock": -5.0}.get(problem, 100e6),
+    )
+    write_trace(trace, path, include_ground_truth=False)
     if problem == "zero_key":
         if suffix == ".csv":
             meta = path.with_suffix(".meta")
             meta.write_text(meta.read_text() + "ground_truth=0000\n")
         else:
             path.write_bytes(path.read_bytes() + struct.pack("<I", 4) + b"0000")
+    if problem == "trailing_bytes":
+        path.write_bytes(path.read_bytes() + struct.pack("<I", 2) + b"1f" + bytes(7))
     if problem == "unparsable_spc":
         meta = path.with_suffix(".meta")
         meta.write_text(meta.read_text().replace("samples_per_cycle=10", "samples_per_cycle=ten"))

@@ -17,7 +17,7 @@ from kpsca.attack import (
     brute_force_complete,
     correctness,
     extract_candidates,
-    verify_candidate,
+    recover_scalar,
     welch_t,
     worst_case_checks,
 )
@@ -30,7 +30,7 @@ from kpsca.curve import (
     kp_point,
     oracle_double_and_add,
 )
-from kpsca.gf2m import FieldSpec, mul_classical, mul_karatsuba4, square
+from kpsca.gf2m import FieldSpec, karatsuba4_partials, mul_classical, square
 from kpsca.leaksim import (
     LeakModel,
     build_schedule,
@@ -95,8 +95,8 @@ def test_criterion_2_karatsuba_equivalence():
         for av in range(1 << m):
             for bv in range(1 << m):
                 a, b = spec.element(av), spec.element(bv)
-                got, count = mul_karatsuba4(a, b)
-                assert count == 9
+                got, partials = karatsuba4_partials(a, b)
+                assert len(partials) == 9
                 assert got == mul_classical(a, b)
     import kpsca.gf2m as gf2m
 
@@ -104,8 +104,8 @@ def test_criterion_2_karatsuba_equivalence():
     spec = gf2m.B233
     for _ in range(10_000):
         a, b = spec.random_element(rng), spec.random_element(rng)
-        got, count = mul_karatsuba4(a, b)
-        assert count == 9
+        got, partials = karatsuba4_partials(a, b)
+        assert len(partials) == 9
         assert got == mul_classical(a, b)
 
 
@@ -144,7 +144,7 @@ def test_criterion_4_attack_existence():
     report = attack.evaluate(matrix, truth_bits=k.main_loop_bits)
     assert report.best_delta == 1.0
     pub = kp_point(k, params.g, params)
-    assert verify_candidate(report.best_candidate, params.g, pub, params)
+    assert recover_scalar(report.best_candidate, params.g, pub, params) is not None
     elapsed = time.perf_counter() - start
     assert elapsed < 30.0, f"took {elapsed:.1f}s"
 

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from kpsca.authproto import Identity, challenge, load_identity, respond, save_identity, verify
+from kpsca.authproto import Identity, challenge, respond, verify
 from kpsca.curve import AffinePoint, CurveError, Scalar, gf2m, kp_point
 from kpsca.leaksim import LeakModel
 
@@ -75,26 +75,3 @@ class TestChallengeResponse:
         bad = AffinePoint(bob.params.g.x, gf2m.add(bob.params.g.y, bob.params.field.one()))
         with pytest.raises(CurveError):
             challenge(bad, bob.params, random.Random(0), 232)
-
-
-class TestPersistence:
-    def test_write_requires_flag(self, tmp_path, bob):
-        with pytest.raises(PermissionError):
-            save_identity(bob, tmp_path / "id.txt")
-        assert not (tmp_path / "id.txt").exists()
-
-    def test_round_trip(self, tmp_path, bob):
-        path = tmp_path / "id.txt"
-        save_identity(bob, path, allow_secret_write=True)
-        back = load_identity(path)
-        assert back.k == bob.k
-        assert back.pub == bob.pub
-        assert back.curve_id == bob.curve_id
-
-    def test_tampered_file_rejected(self, tmp_path, bob):
-        path = tmp_path / "id.txt"
-        save_identity(bob, path, allow_secret_write=True)
-        text = path.read_text().replace(f"k={bob.k.to_hex()}", "k=5")
-        path.write_text(text)
-        with pytest.raises(ValueError):
-            load_identity(path)

@@ -4,6 +4,7 @@ The harness is read, never edited, here: a renamed or deleted public
 function would otherwise fail only the traced benchmark run.
 """
 
+import ast
 import importlib
 import importlib.util
 import re
@@ -34,6 +35,19 @@ WORKLOAD_REFS = _module_refs(
 RUN_RECORD_REFS = _module_refs("run.py", r"(_fastladder)\.([A-Za-z_]\w*)")
 
 
+def _from_imports():
+    """(module, name) pairs a perfbench file imports as `from kpsca... import name`."""
+    refs = set()
+    for path in PERFBENCH.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "kpsca":
+                refs.update((node.module, alias.name) for alias in node.names)
+    return sorted(refs)
+
+
+FROM_IMPORTS = _from_imports()
+
+
 @pytest.mark.parametrize("target", _load_tracing().TARGETS)
 def test_traced_targets_resolve(target):
     module, func = target.split(":")
@@ -45,7 +59,16 @@ def test_harness_names_resolve(module, name):
     assert hasattr(importlib.import_module(f"kpsca.{module}"), name)
 
 
+@pytest.mark.parametrize("module, name", FROM_IMPORTS)
+def test_harness_from_imports_resolve(module, name):
+    # as the import statement does: an attribute, else a submodule of a package
+    mod = importlib.import_module(module)
+    is_submodule = hasattr(mod, "__path__") and importlib.util.find_spec(f"{module}.{name}")
+    assert hasattr(mod, name) or is_submodule
+
+
 def test_harness_refs_found():
     # an empty parametrisation would pass vacuously
     assert len(WORKLOAD_REFS) >= 10
     assert {name for _m, name in RUN_RECORD_REFS} == {"active_backend", "HAVE_NUMBA", "BACKEND_ENV"}
+    assert {("kpsca.curve", "Scalar"), ("kpsca.gf2m", "FieldSpec")} <= set(FROM_IMPORTS)

@@ -290,6 +290,8 @@ EXIT_CODE_CASES = [
     ("clock_hz=inf", cli.EXIT_CONFIG),
     ("unparsable_count", cli.EXIT_IO),
     ("undecodable_meta", cli.EXIT_IO),
+    ("empty=.kptr", cli.EXIT_IO),
+    ("empty=.csv", cli.EXIT_IO),
     ("no_ground_truth=maybe", cli.EXIT_CONFIG),
     ("excerpt_cycles=-3", cli.EXIT_CONFIG),
     ("budget=-1", cli.EXIT_CONFIG),
@@ -311,8 +313,8 @@ def contract_argv(case, tmp_path, capsys):
     if name in SIMULATE_FLAGS:
         flag = "--" + name.replace("_", "-")
         return ["simulate", "--curve", "test8", f"{flag}={value}", "--out", str(tmp_path)]
-    if name in ("unparsable_count", "undecodable_meta"):
-        path = write_bad_trace(tmp_path, ".csv", name)
+    if name in ("unparsable_count", "undecodable_meta", "empty"):
+        path = write_bad_trace(tmp_path, value or ".csv", name)
         return ["attack", str(path), "--num-slots", "5", "--out", str(tmp_path)]
     if name == "missing_trace":
         return ["attack", str(tmp_path / "nope.kptr")]
@@ -344,3 +346,4 @@ def test_exit_code_contract(tmp_path, capsys, case, expected):
                           capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == expected, proc.stderr
     assert "Traceback" not in proc.stderr
+    assert "Warning" not in proc.stderr

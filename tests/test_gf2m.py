@@ -14,15 +14,15 @@ from kpsca.gf2m import (
     invert,
     karatsuba4_partials,
     mul_classical,
-    mul_karatsuba4,
-    rabin_irreducible,
     segment_width,
     square,
 )
 
-from helpers import mul_shift_xor
+from helpers import make_test16_curve, mul_shift_xor, rabin_irreducible
 
 GF8 = FieldSpec(3, 0b1011)  # x^3 + x + 1
+AES = FieldSpec(8, 0x11B)  # x^8 + x^4 + x^3 + x + 1
+TEST16 = make_test16_curve().field
 
 
 class TestFieldSpec:
@@ -119,8 +119,8 @@ class TestKaratsuba4:
     def test_partial_count_always_nine(self):
         rng = random.Random(6)
         for spec in (GF8, B163, B233):
-            _, count = mul_karatsuba4(spec.random_element(rng), spec.random_element(rng))
-            assert count == 9
+            _, partials = karatsuba4_partials(spec.random_element(rng), spec.random_element(rng))
+            assert len(partials) == 9
 
     def test_saving_vs_classical_four_segment(self):
         # a classical 4-segment multiplier needs 16 segment products
@@ -134,8 +134,8 @@ class TestKaratsuba4:
             a = spec.element(av)
             for bv in range(1 << m):
                 b = spec.element(bv)
-                got, count = mul_karatsuba4(a, b)
-                assert count == 9
+                got, partials = karatsuba4_partials(a, b)
+                assert len(partials) == 9
                 assert got == mul_classical(a, b)
 
     def test_random_big_fields(self):
@@ -143,7 +143,7 @@ class TestKaratsuba4:
         for spec in (B163, B233):
             for _ in range(300):
                 a, b = spec.random_element(rng), spec.random_element(rng)
-                assert mul_karatsuba4(a, b)[0] == mul_classical(a, b)
+                assert karatsuba4_partials(a, b)[0] == mul_classical(a, b)
 
     def test_segment_widths(self):
         assert segment_width(B233) == 59
@@ -190,13 +190,12 @@ class TestInvert:
         assert invert(GF8.element(0b010)).value == 0b101
 
     def test_inverse_contract(self):
-        rng = random.Random(11)
-        for spec in (GF8, B163, B233):
-            for _ in range(30):
-                a = spec.random_element(rng)
-                if a.value == 0:
-                    continue
-                assert mul_classical(a, invert(a)).value == 1
+        # exhaustive: the inverse is the unique reduced b with a*b = 1,
+        # found here by search with the shift-XOR multiplication oracle
+        for av in range(1, 1 << AES.m):
+            (want,) = [b for b in range(1 << AES.m)
+                       if mul_shift_xor(av, b, AES.reduction_poly, AES.m) == 1]
+            assert invert(AES.element(av)).value == want
 
     def test_involution(self):
         rng = random.Random(12)
@@ -209,6 +208,13 @@ class TestInvert:
         with pytest.raises(ZeroInversionError):
             invert(B233.zero())
 
+    def test_reducible_polynomial(self):
+        # x^4 + 1 = (x + 1)^4: x + 1 shares a factor with it, x does not
+        spec = FieldSpec(4, 0b10001)
+        with pytest.raises(ZeroInversionError):
+            invert(spec.element(0b11))
+        assert invert(spec.element(0b10)).value == 0b1000
+
 
 class TestReduction:
     def test_all_outputs_reduced(self):
@@ -216,10 +222,11 @@ class TestReduction:
         for spec in (GF8, B163, B233):
             for _ in range(100):
                 a, b = spec.random_element(rng), spec.random_element(rng)
-                for r in (
-                    add(a, b), mul_classical(a, b),
-                    mul_karatsuba4(a, b)[0], square(a),
-                ):
+                results = [add(a, b), mul_classical(a, b),
+                           karatsuba4_partials(a, b)[0], square(a)]
+                if a.value:
+                    results.append(invert(a))
+                for r in results:
                     assert r.value.bit_length() <= spec.m
 
 
@@ -239,7 +246,7 @@ class TestHexSerialization:
 @given(a=st.integers(0, (1 << 233) - 1), b=st.integers(0, (1 << 233) - 1))
 def test_property_karatsuba_equals_classical(a, b):
     ea, eb = B233.element(a), B233.element(b)
-    assert mul_karatsuba4(ea, eb)[0] == mul_classical(ea, eb)
+    assert karatsuba4_partials(ea, eb)[0] == mul_classical(ea, eb)
 
 
 @settings(max_examples=60, deadline=None)
@@ -249,8 +256,9 @@ def test_property_frobenius(a, b):
     assert square(add(ea, eb)) == add(square(ea), square(eb))
 
 
+@pytest.mark.parametrize("spec", [TEST16, B163, B233], ids=["test16", "b163", "b233"])
 @settings(max_examples=60, deadline=None)
-@given(a=st.integers(1, (1 << 163) - 1))
-def test_property_inverse(a):
-    ea = B163.element(a)
+@given(data=st.data())
+def test_property_inverse(spec, data):
+    ea = spec.element(data.draw(st.integers(1, (1 << spec.m) - 1)))
     assert mul_classical(ea, invert(ea)).value == 1

@@ -9,15 +9,20 @@ from helpers import write_bad_trace
 
 
 CASES = [(suffix, problem) for suffix in (".kptr", ".csv")
-         for problem in ("zero_spc", "zero_key")] + [(".csv", "unparsable_spc"),
-                                                      (".csv", "unparsable_sample"),
-                                                      (".csv", "unparsable_count"),
-                                                      (".csv", "undecodable_meta")]
+         for problem in ("zero_spc", "zero_key", "nan_clock", "negative_clock")] + [
+    (".csv", "unparsable_spc"),
+    (".csv", "unparsable_sample"),
+    (".csv", "unparsable_count"),
+    (".csv", "undecodable_meta"),
+    (".csv", "negative_offset"),  # KPTR stores the offset unsigned
+    (".kptr", "trailing_bytes"),
+]
 
 
 @pytest.mark.parametrize("suffix, problem", CASES)
 def test_reader_raises_trace_format_error(tmp_path, suffix, problem):
-    expected = TraceFormatError if problem == "unparsable_sample" else BadMetadataError
+    plain_format_error = ("unparsable_sample", "trailing_bytes")
+    expected = TraceFormatError if problem in plain_format_error else BadMetadataError
     with pytest.raises(expected):
         read_trace(write_bad_trace(tmp_path, suffix, problem))
 

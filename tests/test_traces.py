@@ -212,7 +212,6 @@ class TestReaderFuzz:
     def test_kptr(self, files, data):
         self._read_damaged(files, "valid.kptr", data)
 
-    @pytest.mark.filterwarnings("ignore:loadtxt. input contained no data")
     @settings(max_examples=300, deadline=None)
     @given(damaged=st.sampled_from(["valid.csv", "valid.meta"]), data=st.data())
     def test_csv_and_meta(self, files, damaged, data):

@@ -20,7 +20,6 @@ from kpsca.attack import (
     expand_candidate,
     extract_candidates,
     recover_scalar,
-    verify_candidate,
 )
 from kpsca.curve import (
     AffinePoint,
@@ -111,7 +110,6 @@ def test_recover_scalar_matches_reference(data, curve_name, preloop):
     cand = KeyCandidate(bits, 0, Polarity.SMALLER_IS_ONE)
     want = reference_recover_scalar(cand, params.g, pub, params, preloop)
     assert recover_scalar(cand, params.g, pub, params, preloop) == want
-    assert verify_candidate(cand, params.g, pub, params, preloop) == (want is not None)
 
 
 @settings(max_examples=60, deadline=None)
