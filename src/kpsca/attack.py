@@ -22,6 +22,10 @@ pub - A, C*G - pub or C*G + A - pub (A = 2^L*G) exactly when
 (c, 0), (c, 1), (c', 0) or (c', 1) verifies.  Brute force reaches
 every flipped subset by one affine point addition from its parent
 subset, because flipping bit p adds +-2^(L-1-p) to every expansion.
+A pub that is not a point of the curve (or of its field) verifies no
+candidate, and is rejected before any target is derived from it: the
+affine addition is meaningful only on the curve and could turn an
+off-curve pub into the point at infinity, which kP legitimately equals.
 
 Welch's two-sample t-test over the '0'-labelled and '1'-labelled slots
 is included as the designer-side leakage assessment.
@@ -151,20 +155,6 @@ def _multiple(k: int, g: AffinePoint, params: CurveParams) -> AffinePoint:
     return kp_point(Scalar(k), g, params)
 
 
-def _can_verify(pub: AffinePoint, params: CurveParams) -> bool:
-    """Whether pub is a point of this curve; no scalar reproduces any other.
-
-    Checked before any target is derived from pub: the affine addition
-    is only meaningful on the curve and could turn an off-curve pub into
-    the point at infinity, which kP legitimately equals.
-    """
-    if pub.infinity:
-        return True
-    if pub.x.spec != params.field or pub.y.spec != params.field:
-        return False
-    return is_on_curve(pub, params)
-
-
 def _preloop_target(pb: int, nbits: int, g: AffinePoint, pub: AffinePoint,
                     params: CurveParams) -> AffinePoint:
     """The point k(c, 0)*G must equal for (c, pb) to verify: pub or pub - 2^L*G."""
@@ -185,7 +175,7 @@ def recover_scalar(
     Expansions are tried in the order of preloop_bits, all against one
     ladder: k(c, 0)*G is compared with each pre-loop bit's target.
     """
-    if not preloop_bits or not _can_verify(pub, params):
+    if not preloop_bits or not is_on_curve(pub, params):
         return None
     point = kp_point(expand_candidate(candidate.bits, 0), g, params)
     for pb in preloop_bits:
@@ -214,7 +204,7 @@ def _verify_all(candidates, g: AffinePoint, pub: AffinePoint,
     One ladder per distinct complement pair of bit strings.
     """
     verified = np.zeros(len(candidates), dtype=bool)
-    if not _can_verify(pub, params):
+    if not is_on_curve(pub, params):
         return verified
     pairs: dict[tuple[int, ...], list[tuple[int, bool]]] = {}
     for i, c in enumerate(candidates):
@@ -297,7 +287,7 @@ def brute_force_complete(
             f"{len(suspects)} suspects exceed the configured limit {MAX_SUSPECTS}"
         )
     preloop_bits = tuple(preloop_bits)
-    if not preloop_bits or not _can_verify(pub, params):
+    if not preloop_bits or not is_on_curve(pub, params):
         # nothing can match before the search ends or the budget runs out
         total = worst_case_checks(len(suspects), len(preloop_bits))
         if total == 0 or budget >= total:

@@ -35,7 +35,6 @@ from .curve import (
     kp_multiply,
     kp_point,
 )
-from .gf2m import FieldMismatchError
 from .leaksim import LeakModel, build_schedule, schedule_stats, synthesize_trace
 from .traces import (
     CompressionMethod,
@@ -486,7 +485,7 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"io error: {exc}", file=sys.stderr)
         return EXIT_IO
-    except (CurveError, FieldMismatchError, ValueError) as exc:
+    except (CurveError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

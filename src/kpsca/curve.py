@@ -114,6 +114,8 @@ class CurveParams:
     order_hint: Optional[int] = None  # order of g; consumed by tests only
 
     def __post_init__(self):
+        if self.a.spec != self.field or self.b.spec != self.field:
+            raise CurveError("curve coefficients must belong to the curve's field")
         if self.b.value == 0:
             raise CurveError("curve coefficient b must be nonzero")
         if not is_on_curve(self.g, self):
@@ -121,15 +123,18 @@ class CurveParams:
 
 
 def is_on_curve(p: AffinePoint, params: CurveParams) -> bool:
+    """Whether p is a point of this curve.  The arithmetic runs on ints in
+    params.field, so this is the boundary check that keeps out the points
+    of other fields."""
     if p.infinity:
         return True
-    x, y = p.x, p.y
-    lhs = gf2m.add(gf2m.square(y), gf2m.mul_classical(x, y))
-    x2 = gf2m.square(x)
-    rhs = gf2m.add(
-        gf2m.add(gf2m.mul_classical(x2, x), gf2m.mul_classical(params.a, x2)),
-        params.b,
-    )
+    f = params.field
+    if p.x.spec != f or p.y.spec != f:
+        return False
+    x, y, a = p.x.value, p.y.value, params.a.value
+    lhs = gf2m.square(f, y) ^ gf2m.mul_classical(f, x, y)
+    x2 = gf2m.square(f, x)
+    rhs = gf2m.mul_classical(f, x2, x) ^ gf2m.mul_classical(f, a, x2) ^ params.b.value
     return lhs == rhs
 
 
@@ -137,20 +142,17 @@ def negate(p: AffinePoint) -> AffinePoint:
     """-(x, y) = (x, x + y) on binary curves."""
     if p.infinity:
         return p
-    return AffinePoint(p.x, gf2m.add(p.x, p.y))
+    return AffinePoint(p.x, FieldElement(p.x.spec, p.x.value ^ p.y.value))
 
 
 @dataclass(frozen=True)
 class LadderState:
     """Projective ladder registers: X1/Z1 hold [m]P, X2/Z2 hold [m+1]P."""
 
-    X1: FieldElement
-    Z1: FieldElement
-    X2: FieldElement
-    Z2: FieldElement
-
-    def swapped(self) -> "LadderState":
-        return LadderState(self.X2, self.Z2, self.X1, self.Z1)
+    X1: int
+    Z1: int
+    X2: int
+    Z2: int
 
 
 @dataclass(frozen=True)
@@ -168,69 +170,60 @@ class LadderTranscript:
     result: Optional[AffinePoint]
 
 
-def ladder_init(p: AffinePoint, params: CurveParams) -> LadderState:
-    """Register initialisation: (X1, Z1, X2, Z2) <- (x, 1, x^4 + b, x^2)."""
-    _check_ladder_input(p, params)
-    return _init_state(p, params)
-
-
 def _init_state(p: AffinePoint, params: CurveParams) -> LadderState:
-    spec = params.field
-    x = p.x
-    x2 = gf2m.square(x)
-    x4 = gf2m.square(x2)
-    return LadderState(x, spec.one(), gf2m.add(x4, params.b), x2)
+    """Register initialisation: (X1, Z1, X2, Z2) <- (x, 1, x^4 + b, x^2)."""
+    f = params.field
+    x = p.x.value
+    x2 = gf2m.square(f, x)
+    return LadderState(x, 1, gf2m.square(f, x2) ^ params.b.value, x2)
 
 
 # every intermediate of one ladder step, named as in leaksim's slot layout
 StepValues = namedtuple("StepValues", "M1 M2 M3 M4 M5 M6 S1 S2 S3 S4 S5 A1 A2 A3")
 
 
-def _step_roles(
-    Xa: FieldElement, Za: FieldElement, Xb: FieldElement, Zb: FieldElement,
-    x: FieldElement, b: FieldElement,
-) -> StepValues:
+def _step_roles(f: FieldSpec, Xa: int, Za: int, Xb: int, Zb: int, x: int, b: int) -> StepValues:
     """One ladder step with (Xa, Za) as the add-updated pair and (Xb, Zb) doubled.
 
     6 multiplications, 5 squarings, 3 additions -- the schedule the
     hardware model realises in 54 clock cycles.
     """
-    m1 = gf2m.mul_classical(Xa, Zb)
-    m2 = gf2m.mul_classical(Xb, Za)          # Za, routed through T in hardware
-    a1 = gf2m.add(m1, m2)
-    s1 = gf2m.square(a1)                     # new Za
-    m3 = gf2m.mul_classical(m1, m2)
-    m4 = gf2m.mul_classical(x, s1)
-    a2 = gf2m.add(m4, m3)                    # new Xa
-    s2 = gf2m.square(Xb)
-    s3 = gf2m.square(s2)
-    s4 = gf2m.square(Zb)
-    s5 = gf2m.square(s4)
-    m5 = gf2m.mul_classical(b, s5)
-    a3 = gf2m.add(s3, m5)                    # new Xb = Xb^4 + b*Zb^4
-    m6 = gf2m.mul_classical(s2, s4)          # new Zb = Xb^2 * Zb^2
+    m1 = gf2m.mul_classical(f, Xa, Zb)
+    m2 = gf2m.mul_classical(f, Xb, Za)       # Za, routed through T in hardware
+    a1 = m1 ^ m2
+    s1 = gf2m.square(f, a1)                  # new Za
+    m3 = gf2m.mul_classical(f, m1, m2)
+    m4 = gf2m.mul_classical(f, x, s1)
+    a2 = m4 ^ m3                             # new Xa
+    s2 = gf2m.square(f, Xb)
+    s3 = gf2m.square(f, s2)
+    s4 = gf2m.square(f, Zb)
+    s5 = gf2m.square(f, s4)
+    m5 = gf2m.mul_classical(f, b, s5)
+    a3 = s3 ^ m5                             # new Xb = Xb^4 + b*Zb^4
+    m6 = gf2m.mul_classical(f, s2, s4)       # new Zb = Xb^2 * Zb^2
     return StepValues(m1, m2, m3, m4, m5, m6, s1, s2, s3, s4, s5, a1, a2, a3)
 
 
 def ladder_step_values(
-    state: LadderState, k_i: int, x: FieldElement, b: FieldElement
+    f: FieldSpec, state: LadderState, k_i: int, x: int, b: int
 ) -> tuple[LadderState, StepValues]:
     """One key-bit iteration: the next state and every intermediate.
 
     The two branches are exact register-role mirrors.
     """
     if k_i:
-        v = _step_roles(state.X1, state.Z1, state.X2, state.Z2, x, b)
+        v = _step_roles(f, state.X1, state.Z1, state.X2, state.Z2, x, b)
         return LadderState(v.A2, v.S1, v.A3, v.M6), v
-    v = _step_roles(state.X2, state.Z2, state.X1, state.Z1, x, b)
+    v = _step_roles(f, state.X2, state.Z2, state.X1, state.Z1, x, b)
     return LadderState(v.A3, v.M6, v.A2, v.S1), v
 
 
-def ladder_step(state: LadderState, k_i: int, x: FieldElement, b: FieldElement) -> LadderState:
+def ladder_step(f: FieldSpec, state: LadderState, k_i: int, x: int, b: int) -> LadderState:
     """One key-bit iteration; a state with both Z registers zero is rejected."""
-    if state.Z1.value == 0 and state.Z2.value == 0:
+    if state.Z1 == 0 and state.Z2 == 0:
         raise CurveError("both Z registers are zero; ladder state is degenerate")
-    return ladder_step_values(state, k_i, x, b)[0]
+    return ladder_step_values(f, state, k_i, x, b)[0]
 
 
 def ladder_finalize(state: LadderState, p: AffinePoint) -> AffinePoint:
@@ -239,25 +232,22 @@ def ladder_finalize(state: LadderState, p: AffinePoint) -> AffinePoint:
     Z1 = 0 means the result is the point at infinity; Z2 = 0 means the
     neighbour point [k+1]P is at infinity, so kP = -P.
     """
-    x, y = p.x, p.y
-    if state.Z1.value == 0:
+    X1, Z1, X2, Z2 = state.X1, state.Z1, state.X2, state.Z2
+    if Z1 == 0:
         return AffinePoint.at_infinity()
-    if state.Z2.value == 0:
-        return AffinePoint(x, gf2m.add(x, y))
+    if Z2 == 0:
+        return negate(p)
+    f = p.x.spec
+    x, y = p.x.value, p.y.value
     # single inversion of x*Z1*Z2 serves both coordinates
-    xz1 = gf2m.mul_classical(x, state.Z1)
-    xz2 = gf2m.mul_classical(x, state.Z2)
-    denom = gf2m.mul_classical(xz1, state.Z2)
-    inv = gf2m.invert(denom)
-    xl = gf2m.mul_classical(gf2m.mul_classical(state.X1, xz2), inv)
-    u = gf2m.mul_classical(gf2m.add(state.X1, xz1), gf2m.add(state.X2, xz2))
-    v = gf2m.mul_classical(
-        gf2m.add(gf2m.square(x), y), gf2m.mul_classical(state.Z1, state.Z2)
-    )
-    yl = gf2m.add(
-        y, gf2m.mul_classical(gf2m.add(x, xl), gf2m.mul_classical(gf2m.add(u, v), inv))
-    )
-    return AffinePoint(xl, yl)
+    xz1 = gf2m.mul_classical(f, x, Z1)
+    xz2 = gf2m.mul_classical(f, x, Z2)
+    inv = gf2m.invert(f, gf2m.mul_classical(f, xz1, Z2))
+    xl = gf2m.mul_classical(f, gf2m.mul_classical(f, X1, xz2), inv)
+    u = gf2m.mul_classical(f, X1 ^ xz1, X2 ^ xz2)
+    v = gf2m.mul_classical(f, gf2m.square(f, x) ^ y, gf2m.mul_classical(f, Z1, Z2))
+    yl = y ^ gf2m.mul_classical(f, x ^ xl, gf2m.mul_classical(f, u ^ v, inv))
+    return AffinePoint(FieldElement(f, xl), FieldElement(f, yl))
 
 
 def _check_ladder_input(p: AffinePoint, params: CurveParams) -> None:
@@ -271,10 +261,11 @@ def _check_ladder_input(p: AffinePoint, params: CurveParams) -> None:
 
 def _ladder_states(bits, p: AffinePoint, params: CurveParams) -> list[LadderState]:
     """Ladder on checked input: state before each step, plus the final state."""
+    f, x, b = params.field, p.x.value, params.b.value
     state = _init_state(p, params)
     states = [state]
     for k_i in bits[1:]:
-        state = ladder_step(state, k_i, p.x, params.b)
+        state = ladder_step(f, state, k_i, x, b)
         states.append(state)
     return states
 
@@ -312,36 +303,31 @@ def point_add(p: AffinePoint, q: AffinePoint, params: CurveParams) -> AffinePoin
         return q
     if q.infinity:
         return p
-    if p.x == q.x:
-        if gf2m.add(p.y, q.y) == p.x or (p.y != q.y):
+    x1, y1, x2, y2 = p.x.value, p.y.value, q.x.value, q.y.value
+    if x1 == x2:
+        if y1 ^ y2 == x1 or y1 != y2:
             # q = -p  (covers the doubling-of-2-torsion case x = 0 too)
             return AffinePoint.at_infinity()
         return _point_double(p, params)
-    lam = gf2m.mul_classical(
-        gf2m.add(p.y, q.y), gf2m.invert(gf2m.add(p.x, q.x))
-    )
-    x3 = gf2m.add(
-        gf2m.add(gf2m.add(gf2m.square(lam), lam), gf2m.add(p.x, q.x)), params.a
-    )
-    y3 = gf2m.add(
-        gf2m.add(gf2m.mul_classical(lam, gf2m.add(p.x, x3)), x3), p.y
-    )
-    return AffinePoint(x3, y3)
+    f = params.field
+    lam = gf2m.mul_classical(f, y1 ^ y2, gf2m.invert(f, x1 ^ x2))
+    x3 = gf2m.square(f, lam) ^ lam ^ x1 ^ x2 ^ params.a.value
+    y3 = gf2m.mul_classical(f, lam, x1 ^ x3) ^ x3 ^ y1
+    return AffinePoint(FieldElement(f, x3), FieldElement(f, y3))
 
 
 def _point_double(p: AffinePoint, params: CurveParams) -> AffinePoint:
     if p.infinity:
         return p
-    if p.x.value == 0:
+    x, y = p.x.value, p.y.value
+    if x == 0:
         # 2-torsion point (0, sqrt(b))
         return AffinePoint.at_infinity()
-    lam = gf2m.add(p.x, gf2m.mul_classical(p.y, gf2m.invert(p.x)))
-    x3 = gf2m.add(gf2m.add(gf2m.square(lam), lam), params.a)
-    y3 = gf2m.add(
-        gf2m.square(p.x),
-        gf2m.mul_classical(gf2m.add(lam, params.field.one()), x3),
-    )
-    return AffinePoint(x3, y3)
+    f = params.field
+    lam = x ^ gf2m.mul_classical(f, y, gf2m.invert(f, x))
+    x3 = gf2m.square(f, lam) ^ lam ^ params.a.value
+    y3 = gf2m.square(f, x) ^ gf2m.mul_classical(f, lam ^ 1, x3)
+    return AffinePoint(FieldElement(f, x3), FieldElement(f, y3))
 
 
 # --- independent double-and-add oracle ---
@@ -366,7 +352,7 @@ def _b163() -> CurveParams:
     spec = gf2m.B163
     return CurveParams(
         field=spec,
-        a=spec.one(),
+        a=spec.element(1),
         b=spec.element(0x20A601907B8C953CA1481EB10512F78744A3205FD),
         g=AffinePoint(
             spec.element(0x3F0EBA16286A2D57EA0991168D4994637E8343E36),
@@ -380,7 +366,7 @@ def _b233() -> CurveParams:
     spec = gf2m.B233
     return CurveParams(
         field=spec,
-        a=spec.one(),
+        a=spec.element(1),
         b=spec.element(0x066647EDE6C332C7F8C0923BB58213B333B20E9CE4281FE115F7D8F90AD),
         g=AffinePoint(
             spec.element(0x0FAC9DFCBAC8313BB2139F1BB755FEF65BC391F8B36F8F8EB7371FD558B),

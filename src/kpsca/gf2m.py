@@ -3,7 +3,12 @@
 Field elements are polynomials over GF(2) stored as Python integers
 (bit i holds the coefficient of x^i) and are always kept fully reduced
 modulo the field's irreducible polynomial.  Addition is coefficient-wise
-XOR; there is no carry propagation anywhere.
+XOR, written `^`; there is no carry propagation anywhere.
+
+The operations take the field's `FieldSpec` and plain ints and return
+ints: `mul_classical(f, a, b)`, `square(f, a)`, `invert(f, a)` and
+`karatsuba4_partials(f, a, b)`.  `FieldElement` is the boundary type:
+point coordinates and curve coefficients, with their hex I/O and repr.
 
 ``mul_classical`` is the arithmetic the ladder runs: a windowed-comb
 carry-less product followed by fold reduction.  ``karatsuba4_partials``
@@ -17,10 +22,6 @@ that both give the same product.
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-
-class FieldMismatchError(ValueError):
-    """Operands belong to different field specs."""
 
 
 class ZeroInversionError(ZeroDivisionError):
@@ -92,15 +93,6 @@ class FieldSpec:
             raise ValueError(f"value has degree >= {self.m}, not a reduced element")
         return FieldElement(self, value)
 
-    def zero(self) -> "FieldElement":
-        return FieldElement(self, 0)
-
-    def one(self) -> "FieldElement":
-        return FieldElement(self, 1)
-
-    def random_element(self, rng) -> "FieldElement":
-        return FieldElement(self, rng.getrandbits(self.m) & self._mask)
-
 
 @dataclass(frozen=True)
 class FieldElement:
@@ -108,9 +100,6 @@ class FieldElement:
 
     spec: FieldSpec
     value: int
-
-    def __bool__(self) -> bool:
-        return self.value != 0
 
     def to_hex(self) -> str:
         """Lowercase hex, most-significant bit first, zero-padded to ceil(m/4) digits."""
@@ -122,19 +111,6 @@ class FieldElement:
 
     def __repr__(self) -> str:
         return f"<GF(2^{self.spec.m}): {self.to_hex()}>"
-
-
-def _require_same_spec(a: FieldElement, b: FieldElement) -> None:
-    if a.spec != b.spec:
-        raise FieldMismatchError(
-            f"elements from different fields: GF(2^{a.spec.m}) vs GF(2^{b.spec.m})"
-        )
-
-
-def add(a: FieldElement, b: FieldElement) -> FieldElement:
-    """Field addition: coefficient-wise XOR."""
-    _require_same_spec(a, b)
-    return FieldElement(a.spec, a.value ^ b.value)
 
 
 def _clmul(a: int, b: int) -> int:
@@ -152,18 +128,29 @@ def _clmul(a: int, b: int) -> int:
     return r
 
 
-def mul_classical(a: FieldElement, b: FieldElement) -> FieldElement:
+def mul_classical(f: FieldSpec, a: int, b: int) -> int:
     """Schoolbook carry-less multiplication, then modular reduction."""
-    _require_same_spec(a, b)
-    return FieldElement(a.spec, a.spec.reduce(_clmul(a.value, b.value)))
+    return f.reduce(_clmul(a, b))
 
 
-def _karatsuba4_raw(a: int, b: int, w: int) -> tuple[int, tuple[int, ...]]:
-    """4-segment Karatsuba carry-less product with segment width w.
+def segment_width(spec: FieldSpec) -> int:
+    """Operand width of the segment-level partial multiplier: ceil(m/4).
 
-    Returns the unreduced product and the 9 segment-level partial
-    products in the order the modelled multiplier accumulates them.
+    The top segment is zero-padded when m is not a multiple of 4
+    (59 bits for m=233, 41 bits for m=163).
     """
+    return (spec.m + 3) // 4
+
+
+def karatsuba4_partials(f: FieldSpec, a: int, b: int) -> tuple[int, tuple[int, ...]]:
+    """4-segment Karatsuba multiplication: the reduced product and the
+    9 segment-level partial products, in the order the modelled
+    multiplier accumulates them.
+
+    The partials feed the leakage simulator's data model: one partial is
+    accumulated per multiplier clock cycle.
+    """
+    w = segment_width(f)
     mask = (1 << w) - 1
     a0, a1, a2, a3 = a & mask, (a >> w) & mask, (a >> 2 * w) & mask, a >> 3 * w
     b0, b1, b2, b3 = b & mask, (b >> w) & mask, (b >> 2 * w) & mask, b >> 3 * w
@@ -189,43 +176,21 @@ def _karatsuba4_raw(a: int, b: int, w: int) -> tuple[int, tuple[int, ...]]:
     mid = p7 ^ ((p7 ^ p8 ^ p9) << w) ^ (p8 << 2 * w)
 
     prod = lo ^ ((mid ^ lo ^ hi) << 2 * w) ^ (hi << 4 * w)
-    return prod, (p1, p2, p3, p4, p5, p6, p7, p8, p9)
+    return f.reduce(prod), (p1, p2, p3, p4, p5, p6, p7, p8, p9)
 
 
-def segment_width(spec: FieldSpec) -> int:
-    """Operand width of the segment-level partial multiplier: ceil(m/4).
-
-    The top segment is zero-padded when m is not a multiple of 4
-    (59 bits for m=233, 41 bits for m=163).
-    """
-    return (spec.m + 3) // 4
-
-
-def karatsuba4_partials(a: FieldElement, b: FieldElement) -> tuple[FieldElement, tuple[int, ...]]:
-    """4-segment Karatsuba multiplication: the reduced product and the
-    9 segment-level partial products.
-
-    The partials feed the leakage simulator's data model: one partial is
-    accumulated per multiplier clock cycle.
-    """
-    _require_same_spec(a, b)
-    prod, partials = _karatsuba4_raw(a.value, b.value, segment_width(a.spec))
-    return FieldElement(a.spec, a.spec.reduce(prod)), partials
-
-
-def square(a: FieldElement) -> FieldElement:
+def square(f: FieldSpec, a: int) -> int:
     """Squaring: interleave a zero bit after every coefficient, then reduce."""
-    v = a.value
     out = 0
     shift = 0
-    while v:
-        out |= _SQUARE_BYTE[v & 0xFF] << shift
-        v >>= 8
+    while a:
+        out |= _SQUARE_BYTE[a & 0xFF] << shift
+        a >>= 8
         shift += 16
-    return FieldElement(a.spec, a.spec.reduce(out))
+    return f.reduce(out)
 
 
-def invert(a: FieldElement) -> FieldElement:
+def invert(f: FieldSpec, a: int) -> int:
     """Multiplicative inverse by the binary-polynomial extended Euclidean
     algorithm (Hankerson, Menezes, Vanstone, Guide to Elliptic Curve
     Cryptography, Alg. 2.48).
@@ -234,9 +199,9 @@ def invert(a: FieldElement) -> FieldElement:
     leading term of u with v shifted into place; g1 never reaches degree
     m, so the result needs no reduction.
     """
-    if a.value == 0:
-        raise ZeroInversionError(f"zero has no inverse in GF(2^{a.spec.m})")
-    u, v = a.value, a.spec.reduction_poly
+    if a == 0:
+        raise ZeroInversionError(f"zero has no inverse in GF(2^{f.m})")
+    u, v = a, f.reduction_poly
     g1, g2 = 1, 0
     while u > 1:
         j = u.bit_length() - v.bit_length()
@@ -246,7 +211,7 @@ def invert(a: FieldElement) -> FieldElement:
         g1 ^= g2 << j
     if u == 0:
         raise ZeroInversionError("element not invertible; polynomial is reducible")
-    return FieldElement(a.spec, g1)
+    return g1
 
 
 # Built-in specs (FIPS 186-4 binary fields)

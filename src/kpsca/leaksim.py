@@ -263,19 +263,17 @@ class Schedule:
     @cached_property
     def data_hw(self) -> np.ndarray:
         tr = self.transcript
-        x, b = tr.point.x, tr.params.b
+        f, x, b = tr.params.field, tr.point.x.value, tr.params.b.value
         init, final, result = tr.states[0], tr.states[-1], tr.result
-        zero = tr.params.field.zero()
         frame = {
-            "x": x, "one": tr.params.field.one(), "x2": init.Z2,
-            "x4": gf2m.add(init.X2, b), "x4b": init.X2,
+            "x": x, "one": 1, "x2": init.Z2, "x4": init.X2 ^ b, "x4b": init.X2,
             "X1": final.X1, "Z1": final.Z1, "X2": final.X2, "Z2": final.Z2,
-            "rx": zero if result.infinity else result.x,
-            "ry": zero if result.infinity else result.y,
+            "rx": 0 if result.infinity else result.x.value,
+            "ry": 0 if result.infinity else result.y.value,
         }
         hw = np.zeros(self.total_cycles, dtype=np.int64)
         for cycle, _reg, key in _frame_rows(self.total_cycles, self.epilogue_len):
-            hw[cycle] += frame[key].value.bit_count()
+            hw[cycle] += frame[key].bit_count()
         base = self.init_cycles
         for state, bit, step in zip(tr.states, self.bits, self.steps):
             values = _table_values(state, bit, step, x, b)
@@ -283,10 +281,10 @@ class Schedule:
             slot = [
                 p.bit_count()
                 for u, v in _MUL_OPERANDS.values()
-                for p in gf2m.karatsuba4_partials(values[u], values[v])[1]
+                for p in gf2m.karatsuba4_partials(f, values[u], values[v])[1]
             ]
             for c, _kind, _role, key in _SLOT_TABLE:
-                slot[c] += values[key].value.bit_count()
+                slot[c] += values[key].bit_count()
             hw[base : base + SLOT_CYCLES] = slot
             base += SLOT_CYCLES
         return hw
@@ -299,15 +297,15 @@ def build_schedule(transcript: LadderTranscript) -> Schedule:
     if transcript.result is None or len(states) != len(bits) + 1:
         raise ScheduleError("transcript is incomplete")
 
-    x, b = transcript.point.x, transcript.params.b
+    f, x, b = transcript.params.field, transcript.point.x.value, transcript.params.b.value
     steps = []
     for i, bit in enumerate(bits):
-        after, values = ladder_step_values(states[i], bit, x, b)
+        after, values = ladder_step_values(f, states[i], bit, x, b)
         if after != states[i + 1]:
             raise ScheduleError(f"slot {i} algebra does not reproduce the transcript state")
         steps.append(values)
 
-    m = transcript.params.field.m
+    m = f.m
     epi = epilogue_cycles(m)
     total = INIT_CYCLES + len(bits) * SLOT_CYCLES + epi
     addr = np.zeros(total)

@@ -172,8 +172,13 @@ _VERSION = 1
 
 
 def write_trace(trace: Trace, path, include_ground_truth: bool = True) -> None:
-    """Persist a trace; dispatches on extension (.csv -> text, else binary)."""
+    """Persist a trace; dispatches on extension (.csv -> text, else binary).
+
+    A trace the readers would reject is refused before anything is written.
+    """
     path = Path(path)
+    _check_header(path, trace.samples_per_cycle, trace.cycle0_offset,
+                  trace.clock_hz, trace.samples.shape[0])
     if path.suffix.lower() == ".csv":
         _write_csv(trace, path, include_ground_truth)
         return
@@ -190,7 +195,7 @@ def write_trace(trace: Trace, path, include_ground_truth: bool = True) -> None:
 
 
 def _check_header(where, spc: int, cycle0: int, clock_hz: float, count: int) -> None:
-    """The values both readers take from a file before building a Trace."""
+    """The header values both readers check, and write_trace before writing."""
     if spc < 1:
         raise BadMetadataError(f"{where}: samples_per_cycle is {spc}, must be >= 1")
     if cycle0 < 0:

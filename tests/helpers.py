@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import re
 import struct
 
 import numpy as np
@@ -35,18 +36,17 @@ def mul_shift_xor(a: int, b: int, poly: int, m: int) -> int:
 def trace_mask(spec: FieldSpec) -> int:
     """Bitmask of basis monomials x^i with absolute trace 1.
 
-    Tr(e) is then the parity of popcount(e.value & mask).
+    Tr(e) is then the parity of popcount(e & mask).
     """
     mask = 0
     for i in range(spec.m):
-        e = spec.element(1 << i)
-        acc, s = e, e
+        acc = s = 1 << i
         for _ in range(spec.m - 1):
-            s = gf2m.square(s)
-            acc = gf2m.add(acc, s)
-        if acc.value == 1:
+            s = gf2m.square(spec, s)
+            acc ^= s
+        if acc == 1:
             mask |= 1 << i
-        elif acc.value != 0:
+        elif acc != 0:
             raise ArithmeticError("trace of a basis element must be 0 or 1")
     return mask
 
@@ -58,10 +58,9 @@ def rabin_irreducible(spec: FieldSpec) -> bool:
 
     def hpow_mod(e: int, k: int) -> int:
         # e^(2^k) mod f via k squarings
-        el = spec.element(e)
         for _ in range(k):
-            el = gf2m.square(el)
-        return el.value
+            e = gf2m.square(spec, e)
+        return e
 
     def poly_gcd(u: int, v: int) -> int:
         while v:
@@ -103,13 +102,10 @@ def count_curve_points(params: CurveParams) -> int:
     spec = params.field
     tmask = trace_mask(spec)
     count = 2  # infinity and the single x = 0 point
-    for xv in range(1, 1 << spec.m):
-        x = spec.element(xv)
-        c = gf2m.add(
-            gf2m.add(x, params.a),
-            gf2m.mul_classical(params.b, gf2m.invert(gf2m.square(x))),
-        )
-        if (c.value & tmask).bit_count() % 2 == 0:
+    a, b = params.a.value, params.b.value
+    for x in range(1, 1 << spec.m):
+        c = x ^ a ^ gf2m.mul_classical(spec, b, gf2m.invert(spec, gf2m.square(spec, x)))
+        if (c & tmask).bit_count() % 2 == 0:
             count += 2
     return count
 
@@ -179,32 +175,47 @@ def reference_brute_force(candidate, suspect_positions, g, pub, params,
     return BruteForceResult(None, checks, False)
 
 
+# KPTR fixed header, as the traces module docstring lays it out
+KPTR_HEADER = struct.Struct("<4sHIQdQ")
+
+# unusable header values: (KPTR header field, .meta key, value)
+_BAD_HEADER = {
+    "zero_spc": (2, "samples_per_cycle", 0),
+    "negative_offset": (None, "cycle0_offset", -540),  # KPTR stores the offset unsigned
+    "nan_clock": (4, "clock_hz", math.nan),
+    "negative_clock": (4, "clock_hz", -5.0),
+    "empty": (5, "sample_count", 0),
+    "unparsable_spc": (None, "samples_per_cycle", "ten"),
+    "unparsable_count": (None, "sample_count", "many"),
+}
+
+
 def write_bad_trace(tmp_path, suffix, problem):
-    """A small trace file with one unusable value: metadata, key or sample."""
-    path = tmp_path / f"trace{suffix}"
-    trace = Trace(
-        np.zeros(0 if problem == "empty" else 540),
-        samples_per_cycle=0 if problem == "zero_spc" else 10,
-        cycle0_offset=-540 if problem == "negative_offset" else 0,
-        clock_hz={"nan_clock": math.nan, "negative_clock": -5.0}.get(problem, 100e6),
-    )
-    write_trace(trace, path, include_ground_truth=False)
+    """A small trace file with one unusable value: metadata, key or sample.
+
+    A good trace is written and then patched: write_trace refuses bad headers.
+    """
+    path, meta = tmp_path / f"trace{suffix}", tmp_path / "trace.meta"
+    write_trace(Trace(np.zeros(540), samples_per_cycle=10, cycle0_offset=0), path)
+    field, key, value = _BAD_HEADER.get(problem, (None, None, None))
+    if suffix == ".csv" and key:
+        meta.write_text(re.sub(rf"(?m)^{key}=.*$", f"{key}={value}", meta.read_text()))
+        if problem == "empty":
+            path.write_text("")
+    elif field is not None:
+        raw = path.read_bytes()
+        header = list(KPTR_HEADER.unpack_from(raw))
+        header[field] = value
+        body = b"" if problem == "empty" else raw[KPTR_HEADER.size:]
+        path.write_bytes(KPTR_HEADER.pack(*header) + body)
     if problem == "zero_key":
         if suffix == ".csv":
-            meta = path.with_suffix(".meta")
             meta.write_text(meta.read_text() + "ground_truth=0000\n")
         else:
             path.write_bytes(path.read_bytes() + struct.pack("<I", 4) + b"0000")
     if problem == "trailing_bytes":
         path.write_bytes(path.read_bytes() + struct.pack("<I", 2) + b"1f" + bytes(7))
-    if problem == "unparsable_spc":
-        meta = path.with_suffix(".meta")
-        meta.write_text(meta.read_text().replace("samples_per_cycle=10", "samples_per_cycle=ten"))
-    if problem == "unparsable_count":
-        meta = path.with_suffix(".meta")
-        meta.write_text(meta.read_text().replace("sample_count=540", "sample_count=many"))
     if problem == "undecodable_meta":
-        meta = path.with_suffix(".meta")
         meta.write_bytes(meta.read_bytes() + b"# \xff\xfe\n")
     if problem == "unparsable_sample":
         path.write_text(path.read_text().replace("0\n", "zero\n", 1))

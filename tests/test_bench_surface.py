@@ -12,6 +12,9 @@ from pathlib import Path
 
 import pytest
 
+from kpsca import curve, leaksim
+from kpsca.curve import Scalar
+
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
@@ -46,9 +49,10 @@ def _from_imports():
 
 
 FROM_IMPORTS = _from_imports()
+TRACING = _load_tracing()
 
 
-@pytest.mark.parametrize("target", _load_tracing().TARGETS)
+@pytest.mark.parametrize("target", TRACING.TARGETS)
 def test_traced_targets_resolve(target):
     module, func = target.split(":")
     assert callable(getattr(importlib.import_module(module), func))
@@ -72,3 +76,21 @@ def test_harness_refs_found():
     assert len(WORKLOAD_REFS) >= 10
     assert {name for _m, name in RUN_RECORD_REFS} == {"active_backend", "HAVE_NUMBA", "BACKEND_ENV"}
     assert {("kpsca.curve", "Scalar"), ("kpsca.gf2m", "FieldSpec")} <= set(FROM_IMPORTS)
+
+
+def test_tracer_counts_field_and_curve_calls():
+    # a refactor that routes around a traced name would read 0 for its metric
+    targets = [t for t in TRACING.TARGETS if t.startswith(("kpsca.gf2m:", "kpsca.curve:"))]
+    assert len(targets) == 7
+    tracer = TRACING.Tracer(paper_cycles=None)  # only the timed ops' observers use it
+    params = curve.get_curve("test8")
+    tracer.install()
+    try:
+        curve.kp_point(Scalar(91), params.g, params)
+        schedule = leaksim.build_schedule(curve.kp_multiply(Scalar(91), params.g, params)[1])
+        leaksim.cycle_power(schedule, leaksim.LeakModel(data_weight=0.25))
+    finally:
+        tracer.uninstall()
+    totals = tracer.layer_totals([TRACING.SETUP_OP])
+    for target in targets:
+        assert totals[TRACING.span_name(target)]["calls"] > 0, target

@@ -1,9 +1,12 @@
 """Unusable trace metadata or samples are trace-format errors (CLI exit 3)."""
 
+import math
+
+import numpy as np
 import pytest
 
 from kpsca import cli
-from kpsca.traces import BadMetadataError, TraceFormatError, read_trace
+from kpsca.traces import BadMetadataError, Trace, TraceFormatError, read_trace, write_trace
 
 from helpers import write_bad_trace
 
@@ -34,3 +37,18 @@ def test_attack_exits_with_trace_format_code(tmp_path, capsys, suffix, problem):
     err = capsys.readouterr().err
     assert code == cli.EXIT_IO
     assert "trace format error" in err
+
+
+@pytest.mark.parametrize("suffix", [".kptr", ".csv"])
+@pytest.mark.parametrize("change, expected", [
+    ({"clock_hz": math.nan}, BadMetadataError),
+    ({"clock_hz": -5.0}, BadMetadataError),
+    ({"cycle0_offset": -540}, BadMetadataError),
+    ({"samples": np.zeros(0)}, TraceFormatError),
+], ids=["nan_clock", "negative_clock", "negative_offset", "empty"])
+def test_write_trace_refuses_what_read_trace_rejects(tmp_path, suffix, change, expected):
+    fields = {"samples": np.ones(20), "samples_per_cycle": 10, "cycle0_offset": 0,
+              "clock_hz": 100e6, **change}
+    with pytest.raises(expected):
+        write_trace(Trace(**fields), tmp_path / f"x{suffix}")
+    assert list(tmp_path.iterdir()) == []

@@ -23,6 +23,7 @@ from kpsca.attack import (
 )
 from kpsca.curve import (
     AffinePoint,
+    CurveError,
     Scalar,
     get_curve,
     is_on_curve,
@@ -30,6 +31,7 @@ from kpsca.curve import (
     negate,
     point_add,
 )
+from kpsca.gf2m import FieldSpec
 from kpsca.traces import SlotMatrix
 
 from helpers import (
@@ -162,6 +164,32 @@ class TestOffCurvePublicKey:
         res = brute_force_complete(self.cand, [0, 2, 4], TEST8.g, self.pub, TEST8,
                                    budget=budget)
         assert res == attack.BruteForceResult(None, checks, exhausted)
+
+
+def in_field(point, spec):
+    return AffinePoint(spec.element(point.x.value), spec.element(point.y.value))
+
+
+B233 = get_curve("b233")
+PLANTED = Scalar(0b110100111011)
+OTHER_233 = FieldSpec(233, (1 << 233) | 0b11)  # B-233's degree, another polynomial
+
+
+@pytest.mark.parametrize("pub", [TEST8.g, in_field(kp_point(PLANTED, B233.g, B233), OTHER_233)],
+                         ids=["test8_g", "b233_pub_in_other_field"])
+def test_foreign_field_point(pub):
+    """A point of another field is off the curve at every boundary check.
+
+    The arithmetic runs on ints in the curve's field, so the second point,
+    whose ints are the planted key's B-233 public key, would verify without it.
+    """
+    assert not is_on_curve(pub, B233)
+    with pytest.raises(CurveError):
+        kp_point(Scalar(3), pub, B233)
+    matrix = matrix_for(PLANTED.main_loop_bits)
+    assert not evaluate(matrix, g=B233.g, pub=pub, params=B233).verified.any()
+    same_ints = evaluate(matrix, g=B233.g, pub=in_field(pub, B233.field), params=B233)
+    assert same_ints.verified.any() == (pub.x.spec == OTHER_233)
 
 
 def test_one_ladder_per_complement_pair(monkeypatch):
