@@ -12,14 +12,17 @@ candidates are verified against the public key.  Residual wrong bits
 are brute-forced by flipping suspect positions in increasing
 Hamming-weight order.
 
-Verification costs one Montgomery ladder per complement pair of bit
-strings, not one per candidate scalar.  For an L-bit candidate c let
+Verification computes one point per complement pair of bit strings,
+not one per candidate scalar.  For an L-bit candidate c let
 k(c, pb) be its expansion with pre-loop bit pb.  Then
 k(c, 1) = k(c, 0) + 2^L, and the complement c' of c has
 k(c', pb) = C + pb*2^L - k(c, 0) with C = 2^(L+2) + 2^L - 1.  So the
 single point P = k(c, 0)*G settles all four scalars: P equals pub,
 pub - A, C*G - pub or C*G + A - pub (A = 2^L*G) exactly when
-(c, 0), (c, 1), (c', 0) or (c', 1) verifies.  Brute force reaches
+(c, 0), (c, 1), (c', 0) or (c', 1) verifies.  Every multiple of G
+here comes from `curve.fixed_base_multiples`, which computes the points
+of all complement pairs together from a fixed-base window table, with
+one field inversion per table row they use.  Brute force reaches
 every flipped subset by one affine point addition from its parent
 subset, because flipping bit p adds +-2^(L-1-p) to every expansion.
 A pub that is not a point of the curve (or of its field) verifies no
@@ -35,7 +38,6 @@ from __future__ import annotations
 
 import csv
 import enum
-import functools
 from collections import deque
 from dataclasses import dataclass
 from math import comb, inf
@@ -47,8 +49,8 @@ from .curve import (
     AffinePoint,
     CurveParams,
     Scalar,
+    fixed_base_multiples,
     is_on_curve,
-    kp_point,
     negate,
     point_add,
 )
@@ -149,18 +151,13 @@ def expand_candidate(candidate_bits, preloop_bit: int) -> Scalar:
     return Scalar.from_bits((1, preloop_bit) + tuple(candidate_bits))
 
 
-@functools.lru_cache(maxsize=256)
-def _multiple(k: int, g: AffinePoint, params: CurveParams) -> AffinePoint:
-    """k*G for the fixed multiples verification needs (2^L, C, 2^j)."""
-    return kp_point(Scalar(k), g, params)
-
-
 def _preloop_target(pb: int, nbits: int, g: AffinePoint, pub: AffinePoint,
                     params: CurveParams) -> AffinePoint:
     """The point k(c, 0)*G must equal for (c, pb) to verify: pub or pub - 2^L*G."""
     if pb & 1 == 0:
         return pub
-    return point_add(pub, negate(_multiple(1 << nbits, g, params)), params)
+    step, = fixed_base_multiples([1 << nbits], g, params)
+    return point_add(pub, negate(step), params)
 
 
 def recover_scalar(
@@ -173,11 +170,11 @@ def recover_scalar(
     """The verified full scalar for this candidate, or None.
 
     Expansions are tried in the order of preloop_bits, all against one
-    ladder: k(c, 0)*G is compared with each pre-loop bit's target.
+    point: k(c, 0)*G is compared with each pre-loop bit's target.
     """
     if not preloop_bits or not is_on_curve(pub, params):
         return None
-    point = kp_point(expand_candidate(candidate.bits, 0), g, params)
+    point, = fixed_base_multiples([expand_candidate(candidate.bits, 0).value], g, params)
     for pb in preloop_bits:
         if point == _preloop_target(pb, len(candidate.bits), g, pub, params):
             return expand_candidate(candidate.bits, pb)
@@ -188,11 +185,11 @@ def _pair_targets(nbits: int, g: AffinePoint, pub: AffinePoint,
                   params: CurveParams) -> tuple[tuple[AffinePoint, ...], ...]:
     """Targets for P = k(c, 0)*G: c verifies iff P is in the first pair,
     its complement iff P is in the second (see the module docstring)."""
-    step = _multiple(1 << nbits, g, params)
-    c_g = _multiple((1 << (nbits + 2)) + (1 << nbits) - 1, g, params)
+    step, c_g = fixed_base_multiples(
+        [1 << nbits, (1 << (nbits + 2)) + (1 << nbits) - 1], g, params)
     c_minus_pub = point_add(c_g, negate(pub), params)
     return (
-        (pub, _preloop_target(1, nbits, g, pub, params)),
+        (pub, point_add(pub, negate(step), params)),
         (c_minus_pub, point_add(c_minus_pub, step, params)),
     )
 
@@ -201,7 +198,8 @@ def _verify_all(candidates, g: AffinePoint, pub: AffinePoint,
                 params: CurveParams) -> np.ndarray:
     """Per candidate: does either pre-loop expansion reproduce pub?
 
-    One ladder per distinct complement pair of bit strings.
+    One point per distinct complement pair of bit strings, all of them
+    computed in one `fixed_base_multiples` call.
     """
     verified = np.zeros(len(candidates), dtype=bool)
     if not is_on_curve(pub, params):
@@ -211,11 +209,11 @@ def _verify_all(candidates, g: AffinePoint, pub: AffinePoint,
         rep = min(c.bits, c.complement().bits)
         pairs.setdefault(rep, []).append((i, c.bits != rep))
     targets = {}
-    for rep, members in pairs.items():
+    points = fixed_base_multiples([expand_candidate(rep, 0).value for rep in pairs], g, params)
+    for (rep, members), point in zip(pairs.items(), points):
         if len(rep) not in targets:
             targets[len(rep)] = _pair_targets(len(rep), g, pub, params)
         direct, complement = targets[len(rep)]
-        point = kp_point(expand_candidate(rep, 0), g, params)
         for i, is_complement in members:
             verified[i] = point in (complement if is_complement else direct)
     return verified
@@ -242,11 +240,10 @@ def _flipped_points(bits, positions, g: AffinePoint, params: CurveParams):
     subsets never span more than about one weight level.
     """
     nbits = len(bits)
-    deltas = []
-    for p in positions:
-        d = _multiple(1 << (nbits - 1 - p), g, params)
-        deltas.append(negate(d) if bits[p] & 1 else d)
-    base = kp_point(expand_candidate(bits, 0), g, params)
+    base, *steps = fixed_base_multiples(
+        [expand_candidate(bits, 0).value] + [1 << (nbits - 1 - p) for p in positions],
+        g, params)
+    deltas = [negate(d) if bits[p] & 1 else d for p, d in zip(positions, steps)]
     # (suspect indices, parent's point); the empty subset carries its own
     pending = deque([((), base)])
     while pending:
@@ -273,10 +270,10 @@ def brute_force_complete(
     the most plausible), deterministically, so "first found" is well
     defined; within a subset the pre-loop bits are tried in the given
     order.  Each (subset, pre-loop bit) scalar tested is one check
-    against the budget, however it is computed: one ladder for the
-    unflipped candidate, then one point addition per subset.  Flipping
-    all of s suspects with a pinned pre-loop bit costs at most 2^s
-    checks.
+    against the budget, however it is computed: one fixed-base multiple
+    for the unflipped candidate, then one point addition per subset.
+    Flipping all of s suspects with a pinned pre-loop bit costs at most
+    2^s checks.
     """
     suspects = sorted(set(int(p) for p in suspect_positions))
     nbits = len(candidate.bits)

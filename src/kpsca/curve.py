@@ -4,10 +4,14 @@ Curves have the short Weierstrass form for characteristic 2,
 y^2 + xy = x^3 + a*x^2 + b, with b != 0.  The production route is the
 x-coordinate-only Montgomery ladder in Lopez-Dahab projective
 coordinates.  The affine group law (`point_add`, textbook formulas,
-code disjoint from the ladder) serves two purposes: an independent
-double-and-add oracle built on it cross-checks the ladder, and the
-attack uses it to verify key candidates by point additions instead of
-one ladder per candidate scalar.
+code disjoint from the ladder) serves three purposes: an independent
+double-and-add oracle built on it cross-checks the ladder; the attack
+uses it to verify key candidates by point additions instead of one
+ladder per candidate scalar; and `fixed_base_multiples` builds on it
+every multiple of the base point that verification needs, from a
+signed base-16 window table (Hankerson, Menezes, Vanstone, Guide to
+Elliptic Curve Cryptography, ch. 3) in lockstep rounds that share one
+inversion each.
 
 The ladder follows the modelled accelerator's bit convention: the
 register initialisation already encodes the most significant scalar
@@ -20,6 +24,7 @@ schedule.
 
 from __future__ import annotations
 
+import functools
 from collections import namedtuple
 from dataclasses import dataclass
 from typing import Optional
@@ -286,7 +291,7 @@ def kp_multiply(k: Scalar, p: AffinePoint, params: CurveParams) -> tuple[AffineP
 
 
 def kp_point(k: Scalar, p: AffinePoint, params: CurveParams) -> AffinePoint:
-    """kP without transcript recording (hot path for verification loops)."""
+    """kP without transcript recording: the CLI's and the protocol's kP."""
     _check_ladder_input(p, params)
     return ladder_finalize(_ladder_states(k.bits, p, params)[-1], p)
 
@@ -309,11 +314,50 @@ def point_add(p: AffinePoint, q: AffinePoint, params: CurveParams) -> AffinePoin
             # q = -p  (covers the doubling-of-2-torsion case x = 0 too)
             return AffinePoint.at_infinity()
         return _point_double(p, params)
+    return _chord_add(p, q, gf2m.invert(params.field, x1 ^ x2), params)
+
+
+def _chord_add(p: AffinePoint, q: AffinePoint, inv: int, params: CurveParams) -> AffinePoint:
+    """p + q for finite points with distinct x, given inv = 1/(x_p + x_q)."""
     f = params.field
-    lam = gf2m.mul_classical(f, y1 ^ y2, gf2m.invert(f, x1 ^ x2))
+    x1, y1, x2 = p.x.value, p.y.value, q.x.value
+    lam = gf2m.mul_classical(f, y1 ^ q.y.value, inv)
     x3 = gf2m.square(f, lam) ^ lam ^ x1 ^ x2 ^ params.a.value
     y3 = gf2m.mul_classical(f, lam, x1 ^ x3) ^ x3 ^ y1
     return AffinePoint(FieldElement(f, x3), FieldElement(f, y3))
+
+
+def _add_many(ps, qs, params: CurveParams) -> list[AffinePoint]:
+    """[p + q for p, q in zip(ps, qs)], with one inversion for all pairs.
+
+    The pairs of finite points with distinct x share one `gf2m.invert`
+    by Montgomery's simultaneous inversion (P. L. Montgomery, Math. Comp.
+    48, 1987): invert the product of their denominators x_p + x_q, then
+    peel each inverse off with two multiplications.  A pair with a point
+    at infinity or equal x takes `point_add`, so no zero denominator
+    enters the product.
+    """
+    f = params.field
+    out = [None] * len(ps)
+    batch, dens = [], []
+    for j, (p, q) in enumerate(zip(ps, qs)):
+        if p.infinity or q.infinity or p.x.value == q.x.value:
+            out[j] = point_add(p, q, params)
+        else:
+            batch.append(j)
+            dens.append(p.x.value ^ q.x.value)
+    if not batch:
+        return out
+    prefix = [dens[0]]  # prefix[n] = dens[0] * ... * dens[n]
+    for d in dens[1:]:
+        prefix.append(gf2m.mul_classical(f, prefix[-1], d))
+    inv = gf2m.invert(f, prefix[-1])  # 1 / prefix[n] as n walks down
+    for n in range(len(batch) - 1, 0, -1):
+        j = batch[n]
+        out[j] = _chord_add(ps[j], qs[j], gf2m.mul_classical(f, inv, prefix[n - 1]), params)
+        inv = gf2m.mul_classical(f, inv, dens[n])
+    out[batch[0]] = _chord_add(ps[batch[0]], qs[batch[0]], inv, params)
+    return out
 
 
 def _point_double(p: AffinePoint, params: CurveParams) -> AffinePoint:
@@ -328,6 +372,87 @@ def _point_double(p: AffinePoint, params: CurveParams) -> AffinePoint:
     x3 = gf2m.square(f, lam) ^ lam ^ params.a.value
     y3 = gf2m.square(f, x) ^ gf2m.mul_classical(f, lam ^ 1, x3)
     return AffinePoint(FieldElement(f, x3), FieldElement(f, y3))
+
+
+# --- fixed-base multiples k*G: signed base-16 window table, lockstep rounds ---
+
+def _signed_digits(k: int) -> list[int]:
+    """k = sum(d_i * 16^i), least significant digit first, each d_i in -7..8."""
+    digits = []
+    while k:
+        d = k & 15
+        if d > 8:
+            d -= 16
+        digits.append(d)
+        k = (k - d) >> 4
+    return digits
+
+
+@functools.lru_cache(maxsize=16)
+def _window_table(g: AffinePoint, params: CurveParams) -> list[tuple[AffinePoint, ...]]:
+    """The window table of base point g, cached by value and grown in place
+    by `_extend_table`: row i holds d*16^i*G for d = 1..8."""
+    _check_ladder_input(g, params)
+    return []
+
+
+def _extend_table(table: list, rows: int, g: AffinePoint, params: CurveParams) -> None:
+    """Append rows until the table has `rows` of them.
+
+    The doubling chain 16^i*G, 2*16^i*G, 4*16^i*G, 8*16^i*G, 16^(i+1)*G
+    gives columns 1, 2, 4 and 8 of each row; columns 3 = 1 + 2, 5 = 4 + 1,
+    6 = 4 + 2 and 7 = 8 - 1 then take one batched addition across all
+    new rows.
+    """
+    if rows <= len(table):
+        return
+    point = _point_double(table[-1][7], params) if table else g
+    chains = []
+    for _ in range(rows - len(table)):
+        d1 = point
+        d2 = _point_double(d1, params)
+        d4 = _point_double(d2, params)
+        d8 = _point_double(d4, params)
+        chains.append((d1, d2, d4, d8))
+        point = _point_double(d8, params)
+    ps, qs = [], []
+    for d1, d2, d4, d8 in chains:
+        ps += [d1, d4, d4, d8]
+        qs += [d2, d1, d2, negate(d1)]
+    sums = _add_many(ps, qs, params)
+    for n, (d1, d2, d4, d8) in enumerate(chains):
+        d3, d5, d6, d7 = sums[4 * n:4 * n + 4]
+        table.append((d1, d2, d3, d4, d5, d6, d7, d8))
+
+
+def fixed_base_multiples(ks, g: AffinePoint, params: CurveParams) -> list[AffinePoint]:
+    """The points k*G for a list of scalars k >= 1, computed together.
+
+    Each k is written in signed base-16 digits and is never reduced
+    modulo the group order.  Round i adds row i of g's window table to
+    every lane whose digit i is nonzero (the entry for |d|, negated for
+    a negative digit), and all of a round's additions share one
+    inversion.  g is checked as a ladder input is; its table is built on
+    first use and extended to the longest scalar seen.
+    """
+    digits = []
+    for k in ks:
+        if k < 1:
+            raise CurveError("scalar must be >= 1")
+        digits.append(_signed_digits(k))
+    table = _window_table(g, params)
+    rows = max(map(len, digits), default=0)
+    _extend_table(table, rows, g, params)
+    acc = [AffinePoint.at_infinity()] * len(digits)
+    for i, row in enumerate(table[:rows]):
+        lanes = [j for j, ds in enumerate(digits) if i < len(ds) and ds[i]]
+        qs = []
+        for j in lanes:
+            d = digits[j][i]
+            qs.append(row[d - 1] if d > 0 else negate(row[-d - 1]))
+        for j, point in zip(lanes, _add_many([acc[j] for j in lanes], qs, params)):
+            acc[j] = point
+    return acc
 
 
 # --- independent double-and-add oracle ---

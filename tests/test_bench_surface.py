@@ -12,8 +12,11 @@ from pathlib import Path
 
 import pytest
 
-from kpsca import curve, leaksim
+import numpy as np
+
+from kpsca import attack, curve, leaksim
 from kpsca.curve import Scalar
+from kpsca.traces import SlotMatrix
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -94,3 +97,28 @@ def test_tracer_counts_field_and_curve_calls():
     totals = tracer.layer_totals([TRACING.SETUP_OP])
     for target in targets:
         assert totals[TRACING.span_name(target)]["calls"] > 0, target
+
+
+def test_tracer_counts_verification_arithmetic():
+    # the batched k*G of verification must call the field functions by
+    # their module names, or the per-layer metrics would miss its work
+    params = curve.get_curve("test8")
+    bits = Scalar(91).main_loop_bits
+    matrix = SlotMatrix(np.array([[1.0 - b for b in bits]]).T.copy(), 1, 0)
+    pub = curve.kp_point(Scalar(91), params.g, params)
+    ks = [0x123, 0x456]  # digits (3, 2, 1) and (6, 5, 4): rounds 1 and 2 are batched
+    curve.fixed_base_multiples(ks, params.g, params)  # the table, built untraced
+    tracer = TRACING.Tracer(paper_cycles=None)
+    tracer.install()
+    try:
+        report = attack.evaluate(matrix, g=params.g, pub=pub, params=params)
+        during_evaluate = tracer.layer_totals([TRACING.SETUP_OP])
+        curve.fixed_base_multiples(ks, params.g, params)
+    finally:
+        tracer.uninstall()
+    assert report.verified.any()
+    for name in ("gf2m.invert", "gf2m.mul_classical"):
+        assert during_evaluate[name]["calls"] > 0, name
+    totals = tracer.layer_totals([TRACING.SETUP_OP])
+    # one inversion per batched round, shared by both lanes
+    assert totals["gf2m.invert"]["calls"] - during_evaluate["gf2m.invert"]["calls"] == 2

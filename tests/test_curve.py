@@ -2,14 +2,16 @@ import dataclasses
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from kpsca import gf2m
+from kpsca import curve, gf2m
 from kpsca.curve import (
     AffinePoint,
     CurveError,
     CurveParams,
     LadderState,
     Scalar,
+    fixed_base_multiples,
     get_curve,
     is_on_curve,
     kp_multiply,
@@ -18,9 +20,10 @@ from kpsca.curve import (
     ladder_step,
     negate,
     oracle_double_and_add,
+    point_add,
 )
 
-from helpers import count_curve_points
+from helpers import count_curve_points, make_test16_curve
 
 
 class TestScalar:
@@ -255,3 +258,74 @@ class TestOracle:
     def test_rejects_bad_input(self, b233):
         with pytest.raises(CurveError):
             oracle_double_and_add(Scalar(3), AffinePoint.at_infinity(), b233)
+
+
+FIXED_BASE_CURVES = {"test8": get_curve("test8"), "test16": make_test16_curve(),
+                     "b233": get_curve("b233")}
+
+
+@st.composite
+def fixed_base_scalar(draw, params):
+    """A scalar of random length up to past the order, a multiple of the
+    order, one past it, or a single-digit power of two."""
+    n = params.order_hint
+    kind = draw(st.sampled_from(["random", "order", "past_order", "power"]))
+    if kind == "order":
+        return n * draw(st.integers(1, 3))
+    if kind == "past_order":
+        return n + draw(st.integers(1, n))
+    if kind == "power":
+        return 1 << draw(st.integers(0, n.bit_length() + 4))
+    return draw(st.integers(1, (1 << draw(st.integers(1, n.bit_length() + 4))) - 1))
+
+
+class TestFixedBaseMultiples:
+    def test_exhaustive_test8(self):
+        params = get_curve("test8")
+        ks = range(1, 4096)
+        got = fixed_base_multiples(ks, params.g, params)
+        assert len(got) == len(ks)
+        for k, point in zip(ks, got):
+            assert point == kp_point(Scalar(k), params.g, params)
+            assert point.infinity == (k % params.order_hint == 0)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.data(), st.sampled_from(sorted(FIXED_BASE_CURVES)))
+    def test_matches_ladder(self, data, name):
+        # lanes of independent lengths share the rounds of one call
+        params = FIXED_BASE_CURVES[name]
+        ks = data.draw(st.lists(fixed_base_scalar(params), min_size=1, max_size=4))
+        want = [kp_point(Scalar(k), params.g, params) for k in ks]
+        assert fixed_base_multiples(ks, params.g, params) == want
+
+    def test_equal_x_fallback(self, test8, monkeypatch):
+        # 375 = 0x177: after round 1 the accumulator holds (7 + 7*16)*G =
+        # 119*G = 256*G, the round-2 table point, so the lane doubles;
+        # 137 = 256 - 7*16 - 7 meets -(256*G) there and reaches infinity
+        equal_x = []
+
+        def spy(p, q, params):
+            if not p.infinity and not q.infinity and p.x == q.x:
+                equal_x.append("double" if p == q else "opposite")
+            return point_add(p, q, params)
+
+        monkeypatch.setattr(curve, "point_add", spy)
+        ks = [375, 137, 91]
+        got = fixed_base_multiples(ks, test8.g, test8)
+        assert sorted(equal_x) == ["double", "opposite"]
+        assert got == [kp_point(Scalar(k), test8.g, test8) for k in ks]
+        assert got[1].infinity
+
+    def test_table_shared_by_value_and_grown(self, test8):
+        table = curve._window_table(test8.g, test8)
+        assert curve._window_table(get_curve("test8").g, get_curve("test8")) is table
+        fixed_base_multiples([1 << 62], test8.g, test8)
+        assert len(table) >= 16
+        for i, row in enumerate(table[:16]):
+            assert row == tuple(kp_point(Scalar(d << 4 * i), test8.g, test8)
+                                for d in range(1, 9))
+
+    def test_scalar_checks(self, test8):
+        assert fixed_base_multiples([], test8.g, test8) == []
+        with pytest.raises(CurveError):
+            fixed_base_multiples([5, 0], test8.g, test8)

@@ -1,7 +1,7 @@
 """Candidate verification by point algebra agrees with one ladder per scalar.
 
 evaluate(), recover_scalar() and brute_force_complete() derive every
-expansion's point from a few ladders plus affine additions.  These
+expansion's point from fixed-base multiples plus affine additions.  These
 properties compare them with the reference loops in helpers, which run
 one full kP per tested scalar, on the small test curves, including
 scalars whose kP is the point at infinity and off-curve public keys.
@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from kpsca import attack
+from kpsca import attack, curve, gf2m
 from kpsca.attack import (
     KeyCandidate,
     Polarity,
@@ -25,6 +25,7 @@ from kpsca.curve import (
     AffinePoint,
     CurveError,
     Scalar,
+    fixed_base_multiples,
     get_curve,
     is_on_curve,
     kp_point,
@@ -192,23 +193,57 @@ def test_foreign_field_point(pub):
     assert same_ints.verified.any() == (pub.x.spec == OTHER_233)
 
 
-def test_one_ladder_per_complement_pair(monkeypatch):
-    """evaluate() runs kP once per distinct complement pair plus 2^L*G and C*G."""
-    calls = []
+def test_one_lane_per_complement_pair(monkeypatch):
+    """evaluate() makes no ladder and computes one point per distinct
+    complement pair, all in one batched call; its other calls derive the
+    targets from 2^L*G and C*G."""
+    ladders, calls = [], []
 
     def counting_kp_point(k, p, params):
-        calls.append(k.value)
+        ladders.append(k.value)
         return kp_point(k, p, params)
+
+    def counting_multiples(ks, g, params):
+        calls.append(list(ks))
+        return fixed_base_multiples(ks, g, params)
 
     bits = (1, 0, 1, 1, 0, 0, 1, 0)
     matrix = matrix_for(bits, [[0] * 8, [1 - b for b in bits], [2, 0, 1, 1, 2, 0, 1, 0]])
     pairs = {min(c.bits, tuple(1 - b for b in c.bits)) for c in extract_candidates(matrix)}
     pub = kp_point(expand_candidate(bits, 1), TEST16.g, TEST16)
-    attack._multiple.cache_clear()
-    monkeypatch.setattr(attack, "kp_point", counting_kp_point)
+    monkeypatch.setattr(curve, "kp_point", counting_kp_point)
+    monkeypatch.setattr(attack, "fixed_base_multiples", counting_multiples)
     report = evaluate(matrix, g=TEST16.g, pub=pub, params=TEST16)
-    assert len(calls) == len(pairs) + 2
+    assert ladders == []
+    target_scalars = {1 << len(bits), (1 << (len(bits) + 2)) + (1 << len(bits)) - 1}
+    lane_calls = [ks for ks in calls if not set(ks) <= target_scalars]
+    assert len(lane_calls) == 1
+    assert sorted(lane_calls[0]) == sorted(expand_candidate(rep, 0).value for rep in pairs)
     # bits itself: directly at column 0 and through a complement at column 2
     assert report.verified.sum() == 2
     want = reference_verified(report.candidates, TEST16.g, pub, TEST16)
     assert np.array_equal(report.verified, want)
+
+
+def two_torsion_point(params):
+    """(0, sqrt(b)): on the curve, but x = 0 is rejected as a base point."""
+    y = params.b.value
+    for _ in range(params.field.m - 1):
+        y = gf2m.square(params.field, y)
+    point = AffinePoint(params.field.element(0), params.field.element(y))
+    assert is_on_curve(point, params)
+    return point
+
+
+@pytest.mark.parametrize("g", [AffinePoint.at_infinity(), off_curve_twin(TEST8.g, TEST8),
+                               two_torsion_point(TEST8)],
+                         ids=["infinity", "off_curve", "x_zero"])
+def test_bad_base_point_raises(g):
+    """A base point the ladder would reject is rejected by verification too."""
+    bits = Scalar(91).main_loop_bits
+    pub = kp_point(Scalar(91), TEST8.g, TEST8)
+    cand = KeyCandidate(bits, 0, Polarity.SMALLER_IS_ONE)
+    with pytest.raises(CurveError):
+        evaluate(matrix_for(bits), g=g, pub=pub, params=TEST8)
+    with pytest.raises(CurveError):
+        brute_force_complete(cand, [0, 1], g, pub, TEST8)
