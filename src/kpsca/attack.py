@@ -94,12 +94,10 @@ def extract_candidates(matrix: SlotMatrix) -> list[KeyCandidate]:
     mean = mean_slot(matrix)
     smaller = matrix.slots < mean[np.newaxis, :]
     out = []
-    for j in range(matrix.slot_len):
-        bits_one = tuple(int(v) for v in smaller[:, j])
-        out.append(KeyCandidate(bits_one, j, Polarity.SMALLER_IS_ONE))
-    for j in range(matrix.slot_len):
-        bits_zero = tuple(int(not v) for v in smaller[:, j])
-        out.append(KeyCandidate(bits_zero, j, Polarity.SMALLER_IS_ZERO))
+    for polarity, columns in ((Polarity.SMALLER_IS_ONE, smaller.T),
+                              (Polarity.SMALLER_IS_ZERO, (~smaller).T)):
+        for j, bits in enumerate(columns.astype(np.int64).tolist()):
+            out.append(KeyCandidate(tuple(bits), j, polarity))
     return out
 
 

@@ -7,6 +7,11 @@ attacker who recovered k_B from the side channel of Bob's response
 computation, which is exactly what this package demonstrates: the
 responder here emits a leakage trace of its kP execution.
 
+Only that response runs the modelled accelerator (`kp_multiply` plus
+its schedule).  Multiples of the base point G -- Pub_B and R -- come
+from `curve.fixed_base_multiples`, and [r]Pub_B, whose base varies,
+from `kp_point`; neither of those leaks in the model.
+
 Certificate handling is out of scope; identities are pre-trusted
 in-memory fixtures.
 """
@@ -22,6 +27,7 @@ from .curve import (
     CurveError,
     NOMINAL_SCALAR_BITS,
     Scalar,
+    fixed_base_multiples,
     get_curve,
     is_on_curve,
     kp_multiply,
@@ -46,7 +52,8 @@ class Identity:
         if nbits is None:
             nbits = NOMINAL_SCALAR_BITS[curve_id]
         k = Scalar.random(rng, nbits)
-        return cls(curve_id, params, k, kp_point(k, params.g, params))
+        pub, = fixed_base_multiples([k.value], params.g, params)
+        return cls(curve_id, params, k, pub)
 
 
 @dataclass(frozen=True)
@@ -65,7 +72,8 @@ def challenge(
     if not is_on_curve(pub_b, params) or pub_b.infinity:
         raise CurveError("public key is not a valid curve point")
     r = Scalar.random(rng, nbits)
-    return Challenge(r, kp_point(r, params.g, params), kp_point(r, pub_b, params))
+    R, = fixed_base_multiples([r.value], params.g, params)
+    return Challenge(r, R, kp_point(r, pub_b, params))
 
 
 def respond(

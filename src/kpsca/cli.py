@@ -31,6 +31,7 @@ from .curve import (
     CURVE_IDS,
     NOMINAL_SCALAR_BITS,
     Scalar,
+    fixed_base_multiples,
     get_curve,
     kp_multiply,
     kp_point,
@@ -257,7 +258,8 @@ def _simulate(args) -> int:
     if point_hex:
         p = _parse_point(params, point_hex)
     else:
-        # random multiple of the base point, guaranteed on-curve
+        # random multiple of the base point, guaranteed on-curve; one ladder,
+        # because nothing else in this command builds the window table
         p = kp_point(Scalar.random(rng, cfg.scalar_bits), params.g, params)
     model = _leak_model(cfg)
     _, transcript = kp_multiply(k, p, params)
@@ -387,7 +389,7 @@ def _bruteforce(args) -> int:
     if pub_hex:
         pub = _parse_point(params, pub_hex)
     elif trace.ground_truth is not None:
-        pub = kp_point(trace.ground_truth, params.g, params)
+        pub, = fixed_base_multiples([trace.ground_truth.value], params.g, params)
     else:
         raise CurveError("--pub is required when the trace has no ground truth")
 
@@ -431,8 +433,8 @@ def _auth_demo(args) -> int:
     if recovered is None:
         return EXIT_OK
     print(f"recovered scalar: {recovered.to_hex()}")
-    stolen = authproto.Identity(cfg.curve, identity.params, recovered, identity.pub)
-    q_fake, _ = authproto.respond(stolen, ch.R, model, cfg.clock_hz)
+    # the replay leaks nothing the demo measures, so it needs no schedule
+    q_fake = kp_point(recovered, ch.R, identity.params)
     print(f"replayed response verifies: {'yes' if authproto.verify(ch.q_expected, q_fake) else 'no'}")
     print(f"identity stolen: attacker answers challenges as Bob")
     return EXIT_OK

@@ -1,17 +1,19 @@
 """Binary elliptic curves and Montgomery kP multiplication.
 
 Curves have the short Weierstrass form for characteristic 2,
-y^2 + xy = x^3 + a*x^2 + b, with b != 0.  The production route is the
-x-coordinate-only Montgomery ladder in Lopez-Dahab projective
-coordinates.  The affine group law (`point_add`, textbook formulas,
-code disjoint from the ladder) serves three purposes: an independent
+y^2 + xy = x^3 + a*x^2 + b, with b != 0.  The modelled accelerator runs
+the x-coordinate-only Montgomery ladder in Lopez-Dahab projective
+coordinates: `kp_multiply` records its transcript for the leakage
+simulator, and `kp_point` runs it untraced for kP of a variable base
+point P.  The affine group law (`point_add`, textbook formulas, code
+disjoint from the ladder) serves three purposes: an independent
 double-and-add oracle built on it cross-checks the ladder; the attack
 uses it to verify key candidates by point additions instead of one
 ladder per candidate scalar; and `fixed_base_multiples` builds on it
-every multiple of the base point that verification needs, from a
-signed base-16 window table (Hankerson, Menezes, Vanstone, Guide to
-Elliptic Curve Cryptography, ch. 3) in lockstep rounds that share one
-inversion each.
+the multiples of the base point G that verification and the protocol
+need, from a signed base-16 window table (Hankerson,
+Menezes, Vanstone, Guide to Elliptic Curve Cryptography, ch. 3) in
+lockstep rounds that share one inversion each.
 
 The ladder follows the modelled accelerator's bit convention: the
 register initialisation already encodes the most significant scalar
@@ -291,7 +293,11 @@ def kp_multiply(k: Scalar, p: AffinePoint, params: CurveParams) -> tuple[AffineP
 
 
 def kp_point(k: Scalar, p: AffinePoint, params: CurveParams) -> AffinePoint:
-    """kP without transcript recording: the CLI's and the protocol's kP."""
+    """kP without transcript recording, for a variable base point P.
+
+    Where a window table is built anyway, multiples of the curve's base
+    point come from `fixed_base_multiples` instead.
+    """
     _check_ladder_input(p, params)
     return ladder_finalize(_ladder_states(k.bits, p, params)[-1], p)
 

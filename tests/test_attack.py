@@ -333,3 +333,30 @@ def test_property_scale_invariance(seed):
     scaled = SlotMatrix(m.slots * 3.0 + 7.0, m.slot_len, m.start_cycle)
     assert [c.bits for c in extract_candidates(m)] == \
         [c.bits for c in extract_candidates(scaled)]
+
+
+def _extract_candidates_per_column(matrix):
+    """Reference: the comparison to the mean, one Python loop per column."""
+    smaller = matrix.slots < attack.mean_slot(matrix)[np.newaxis, :]
+    out = []
+    for j in range(matrix.slot_len):
+        out.append(KeyCandidate(tuple(int(v) for v in smaller[:, j]), j, Polarity.SMALLER_IS_ONE))
+    for j in range(matrix.slot_len):
+        out.append(KeyCandidate(tuple(int(not v) for v in smaller[:, j]), j, Polarity.SMALLER_IS_ZERO))
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 30), st.integers(1, 8), st.data())
+def test_property_extraction_matches_per_column_loop(num_slots, slot_len, data):
+    # small integer values make ties with the column mean common; constant
+    # columns tie in every slot
+    values = data.draw(st.lists(st.integers(-3, 3), min_size=num_slots * slot_len,
+                                max_size=num_slots * slot_len))
+    slots = np.array(values, dtype=float).reshape(num_slots, slot_len)
+    for j in data.draw(st.sets(st.integers(0, slot_len - 1))):
+        slots[:, j] = data.draw(st.integers(-100, 100))  # the mean is exact
+    m = matrix_of(slots)
+    got = extract_candidates(m)
+    assert got == _extract_candidates_per_column(m)
+    assert all(type(b) is int for c in got for b in c.bits)

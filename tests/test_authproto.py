@@ -3,7 +3,7 @@ import random
 import pytest
 
 from kpsca.authproto import Identity, challenge, respond, verify
-from kpsca.curve import AffinePoint, CurveError, Scalar, kp_point
+from kpsca.curve import AffinePoint, CurveError, Scalar, get_curve, kp_point
 from kpsca.leaksim import LeakModel
 
 MODEL = LeakModel(addr_weight=1.0, noise_sigma=0.0, samples_per_cycle=2, rng_seed=0)
@@ -46,6 +46,20 @@ class TestChallengeResponse:
         assert R == bob.params.g
         q = kp_point(r, bob.pub, bob.params)
         assert q == bob.pub
+
+    # test8's 10-bit r covers every residue class mod 137, infinity included
+    @pytest.mark.parametrize("curve, seeds, nbits, some_infinite",
+                             [("b233", range(105, 107), 232, False),
+                              ("test8", range(1000), 10, True)])
+    def test_challenge_R_matches_ladder(self, curve, seeds, nbits, some_infinite):
+        params = get_curve(curve)
+        pub = kp_point(Scalar(91), params.g, params)
+        infinite = 0
+        for seed in seeds:
+            ch = challenge(pub, params, random.Random(seed), nbits)
+            assert ch.R == kp_point(ch.r, params.g, params)
+            infinite += ch.R.infinity
+        assert (infinite > 0) == some_infinite
 
     def test_challenge_q_matches_oracle(self, bob):
         from kpsca.curve import oracle_double_and_add

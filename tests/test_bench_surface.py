@@ -14,7 +14,7 @@ import pytest
 
 import numpy as np
 
-from kpsca import attack, curve, leaksim
+from kpsca import attack, cli, curve, leaksim
 from kpsca.curve import Scalar
 from kpsca.traces import SlotMatrix
 
@@ -122,3 +122,22 @@ def test_tracer_counts_verification_arithmetic():
     totals = tracer.layer_totals([TRACING.SETUP_OP])
     # one inversion per batched round, shared by both lanes
     assert totals["gf2m.invert"]["calls"] - during_evaluate["gf2m.invert"]["calls"] == 2
+
+
+def test_tracer_counts_auth_demo_ladders(capsys):
+    # auth-demo runs the leaky ladder once (Bob's response); r*Pub and the
+    # replay k*R are variable-base kPs, and every multiple of G is a table
+    # lookup, which the traced field layer must still see
+    tracer = TRACING.Tracer(paper_cycles=None)
+    tracer.install()
+    try:
+        code = cli.main(["auth-demo", "--curve", "test8", "--seed", "3"])
+    finally:
+        tracer.uninstall()
+    assert code == 0
+    assert "replayed response verifies: yes" in capsys.readouterr().out
+    totals = tracer.layer_totals([TRACING.SETUP_OP])
+    want = {"curve.kp_multiply": 1, "leaksim.build_schedule": 1, "authproto.respond": 1,
+            "curve.kp_point": 2}
+    assert {name: totals[name]["calls"] for name in want} == want
+    assert totals["gf2m.invert"]["calls"] > 0

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -9,7 +10,7 @@ import pytest
 
 import kpsca
 from kpsca import cli
-from kpsca.curve import get_curve, kp_point
+from kpsca.curve import Scalar, get_curve, kp_point
 from kpsca.traces import read_trace
 
 from helpers import write_bad_trace
@@ -230,15 +231,58 @@ class TestBruteforce:
         assert code == cli.EXIT_CONFIG
 
 
+AUTH_DEMO_RECOVERED = (
+    "honest authentication: ok\n"
+    "key recovered: yes\n"
+    "recovered scalar: {}\n"
+    "replayed response verifies: yes\n"
+    "identity stolen: attacker answers challenges as Bob\n"
+)
+
+# auth-demo (curve, seed, noise sigma) -> exit code, stdout, stderr, recorded
+# before the demo took Pub and R from the fixed-base table and replayed the
+# stolen key without a leakage trace
+AUTH_DEMO_PINS = {
+    ("b233", 9, "0"): (0, AUTH_DEMO_RECOVERED.format(
+        "d6ddd6ff552fa73207237751aa4462ebfc5f915ef09cfbac6e7687a66e"), ""),
+    ("b233", 1, "0.5"): (0, AUTH_DEMO_RECOVERED.format(
+        "8f414c343c1027c4d1c386bbc4cd613e30d8f16adf91b7584a2265b1f5"), ""),
+    ("test8", 3, "0"): (0, AUTH_DEMO_RECOVERED.format("279"), ""),
+    # the 10-bit key 548 = 4 * 137 is a multiple of the order: pub is infinity
+    ("test8", 66, "0"): (2, "", "error: public key is not a valid curve point\n"),
+}
+
+
+def auth_demo(capsys, curve, seed, sigma="0"):
+    return run(["auth-demo", "--curve", curve, "--seed", str(seed), "--noise-sigma", sigma],
+               capsys)
+
+
 class TestAuthDemo:
-    def test_recovers_key(self, tmp_path, capsys):
-        code, stdout, _ = run(
-            ["auth-demo", "--curve", "b233", "--seed", "9"], capsys
-        )
-        assert code == 0
-        assert "honest authentication: ok" in stdout
-        assert "key recovered: yes" in stdout
-        assert "replayed response verifies: yes" in stdout
+    def test_recovers_key(self, capsys):
+        assert auth_demo(capsys, "b233", 9) == AUTH_DEMO_PINS[("b233", 9, "0")]
+
+    @pytest.mark.parametrize("curve, seed, sigma",
+                             [case for case in sorted(AUTH_DEMO_PINS) if case != ("b233", 9, "0")])
+    def test_output_pins(self, capsys, curve, seed, sigma):
+        assert auth_demo(capsys, curve, seed, sigma) == AUTH_DEMO_PINS[(curve, seed, sigma)]
+
+    def test_pub_at_infinity_seed(self):
+        assert Scalar.random(random.Random(66), 10).value % get_curve("test8").order_hint == 0
+
+    def test_challenge_at_infinity(self, capsys):
+        # auth-demo draws the key, then r, from random.Random(seed)
+        order = get_curve("test8").order_hint
+        seed = None
+        for s in range(1000):
+            rng = random.Random(s)
+            k, r = Scalar.random(rng, 10), Scalar.random(rng, 10)
+            if k.value % order and r.value % order == 0:
+                seed = s
+                break
+        assert seed is not None
+        assert auth_demo(capsys, "test8", seed) == (
+            2, "", "error: challenge point rejected: not on the curve\n")
 
     def test_deterministic(self, tmp_path, capsys):
         _, out1, _ = run(["auth-demo", "--curve", "b233", "--seed", "9"], capsys)
