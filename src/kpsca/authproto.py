@@ -53,6 +53,9 @@ class Identity:
             nbits = NOMINAL_SCALAR_BITS[curve_id]
         k = Scalar.random(rng, nbits)
         pub, = fixed_base_multiples([k.value], params.g, params)
+        if pub.infinity:
+            raise CurveError(
+                "private key is a multiple of the base point's order (public key at infinity)")
         return cls(curve_id, params, k, pub)
 
 
@@ -68,11 +71,17 @@ class Challenge:
 def challenge(
     pub_b: AffinePoint, params: CurveParams, rng, nbits: int
 ) -> Challenge:
-    """Draw r, compute R = [r]G and the expected response [r]Pub_B."""
+    """Draw r, compute R = [r]G and the expected response [r]Pub_B.
+
+    An r that is a multiple of G's order, so that R is the point at
+    infinity, is rejected here rather than by the responder.
+    """
     if not is_on_curve(pub_b, params) or pub_b.infinity:
         raise CurveError("public key is not a valid curve point")
     r = Scalar.random(rng, nbits)
     R, = fixed_base_multiples([r.value], params.g, params)
+    if R.infinity:
+        raise CurveError("challenge scalar r is a multiple of the base point's order (R at infinity)")
     return Challenge(r, R, kp_point(r, pub_b, params))
 
 

@@ -10,13 +10,17 @@ ints: `mul_classical(f, a, b)`, `square(f, a)`, `invert(f, a)` and
 `karatsuba4_partials(f, a, b)`.  `FieldElement` is the boundary type:
 point coordinates and curve coefficients, with their hex I/O and repr.
 
-``mul_classical`` is the arithmetic the ladder runs: a windowed-comb
-carry-less product followed by fold reduction.  ``karatsuba4_partials``
+``mul_classical`` (a 4-bit windowed comb, then fold reduction) and
+``square`` (bit spreading, then the same reduction) are the arithmetic
+the ladder runs (Hankerson, Menezes, Vanstone, *Guide to Elliptic Curve
+Cryptography*, Alg. 2.36 and Sec. 2.3.4).  Both read the operand's 4-bit
+windows as one hex-digit stream, `format(a, "x").encode().translate(...)`,
+so no Python loop shifts and masks the operand.  ``karatsuba4_partials``
 is the modelled multiplier hardware: a 4-segment Karatsuba product that
 computes 9 segment-level partial products instead of the 16 of a
 classical 4-segment multiplier, and returns them so the leakage
 simulator can accumulate one per clock cycle.  The test suite checks
-that both give the same product.
+that it and ``mul_classical`` give the same product.
 """
 
 from __future__ import annotations
@@ -28,16 +32,11 @@ class ZeroInversionError(ZeroDivisionError):
     """Attempted to invert the zero element."""
 
 
-def _spread_byte(b: int) -> int:
-    out = 0
-    for i in range(8):
-        if (b >> i) & 1:
-            out |= 1 << (2 * i)
-    return out
-
-
-# bit i of a byte -> bit 2i; used by square()
-_SQUARE_BYTE = tuple(_spread_byte(b) for b in range(256))
+# ASCII hex digit -> its value (for _clmul), or its bits i moved to 2i (for square)
+_HEX_NIBBLE = bytes.maketrans(b"0123456789abcdef", bytes(range(16)))
+_SQUARE_DIGIT = bytes.maketrans(
+    b"0123456789abcdef", bytes(sum((d >> i & 1) << 2 * i for i in range(4)) for d in range(16))
+)
 
 
 class FieldSpec:
@@ -114,17 +113,16 @@ class FieldElement:
 
 
 def _clmul(a: int, b: int) -> int:
-    """Carry-less product of two nonnegative ints (4-bit windowed comb)."""
-    if a == 0 or b == 0:
-        return 0
-    tbl = [0, b, b << 1, (b << 1) ^ b,
-           b << 2, (b << 2) ^ b, (b << 2) ^ (b << 1), (b << 2) ^ (b << 1) ^ b,
-           b << 3, 0, 0, 0, 0, 0, 0, 0]
-    for n in range(9, 16):
-        tbl[n] = tbl[8] ^ tbl[n - 8]
+    """Carry-less product of two nonnegative ints (4-bit windowed comb):
+    tbl[d] is b times the 4-bit polynomial d, for each hex digit d of a."""
+    b2, b4, b8 = b << 1, b << 2, b << 3
+    b3, b6 = b2 ^ b, b4 ^ b2
+    b7 = b6 ^ b
+    tbl = (0, b, b2, b3, b4, b4 ^ b, b6, b7,
+           b8, b8 ^ b, b8 ^ b2, b8 ^ b3, b8 ^ b4, b8 ^ b4 ^ b, b8 ^ b6, b8 ^ b7)
     r = 0
-    for shift in range((a.bit_length() - 1) // 4 * 4, -1, -4):
-        r = (r << 4) ^ tbl[(a >> shift) & 15]
+    for d in format(a, "x").encode().translate(_HEX_NIBBLE):
+        r = (r << 4) ^ tbl[d]
     return r
 
 
@@ -180,14 +178,12 @@ def karatsuba4_partials(f: FieldSpec, a: int, b: int) -> tuple[int, tuple[int, .
 
 
 def square(f: FieldSpec, a: int) -> int:
-    """Squaring: interleave a zero bit after every coefficient, then reduce."""
-    out = 0
-    shift = 0
-    while a:
-        out |= _SQUARE_BYTE[a & 0xFF] << shift
-        a >>= 8
-        shift += 16
-    return f.reduce(out)
+    """Squaring: interleave a zero bit after every coefficient, then reduce.
+
+    Each hex digit of a becomes one byte with its bits at the even
+    positions; read big-endian, those bytes are a^2 before reduction.
+    """
+    return f.reduce(int.from_bytes(format(a, "x").encode().translate(_SQUARE_DIGIT), "big"))
 
 
 def invert(f: FieldSpec, a: int) -> int:

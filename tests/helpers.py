@@ -19,8 +19,10 @@ from kpsca.traces import Trace, write_trace
 def mul_shift_xor(a: int, b: int, poly: int, m: int) -> int:
     """Independent field-multiplication oracle.
 
-    MSB-first shift-and-XOR with interleaved reduction: a different
-    route than the package's windowed comb + fold reduction.
+    MSB-first shift-and-XOR with interleaved reduction, one bit of a per
+    step: a different route than the package's kernels, which read a's
+    hex digits through `bytes.translate` into a 4-bit windowed comb (or,
+    to square, a digit-to-byte bit spread) and fold-reduce afterwards.
     """
     msb = 1 << m
     p = 0

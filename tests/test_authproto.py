@@ -21,6 +21,11 @@ class TestIdentity:
     def test_nominal_scalar_bits(self, bob):
         assert bob.k.bit_length == 232
 
+    def test_key_multiple_of_order_rejected(self):
+        # the 10-bit key drawn from seed 66 is 548 = 4 * 137
+        with pytest.raises(CurveError, match="private key is a multiple of the base point's order"):
+            Identity.generate("test8", random.Random(66), 10)
+
 
 class TestChallengeResponse:
     def test_honest_round_trip(self, bob):
@@ -47,19 +52,26 @@ class TestChallengeResponse:
         q = kp_point(r, bob.pub, bob.params)
         assert q == bob.pub
 
-    # test8's 10-bit r covers every residue class mod 137, infinity included
-    @pytest.mark.parametrize("curve, seeds, nbits, some_infinite",
+    # test8's 10-bit r covers every residue class mod 137, 0 included,
+    # and challenge rejects the r whose R would be at infinity
+    @pytest.mark.parametrize("curve, seeds, nbits, some_rejected",
                              [("b233", range(105, 107), 232, False),
                               ("test8", range(1000), 10, True)])
-    def test_challenge_R_matches_ladder(self, curve, seeds, nbits, some_infinite):
+    def test_challenge_R_matches_ladder(self, curve, seeds, nbits, some_rejected):
         params = get_curve(curve)
         pub = kp_point(Scalar(91), params.g, params)
-        infinite = 0
+        rejected = 0
         for seed in seeds:
+            r = Scalar.random(random.Random(seed), nbits)
+            if r.value % params.order_hint == 0:
+                with pytest.raises(CurveError, match="multiple of the base point's order"):
+                    challenge(pub, params, random.Random(seed), nbits)
+                rejected += 1
+                continue
             ch = challenge(pub, params, random.Random(seed), nbits)
+            assert ch.r == r
             assert ch.R == kp_point(ch.r, params.g, params)
-            infinite += ch.R.infinity
-        assert (infinite > 0) == some_infinite
+        assert (rejected > 0) == some_rejected
 
     def test_challenge_q_matches_oracle(self, bob):
         from kpsca.curve import oracle_double_and_add

@@ -249,7 +249,8 @@ AUTH_DEMO_PINS = {
         "8f414c343c1027c4d1c386bbc4cd613e30d8f16adf91b7584a2265b1f5"), ""),
     ("test8", 3, "0"): (0, AUTH_DEMO_RECOVERED.format("279"), ""),
     # the 10-bit key 548 = 4 * 137 is a multiple of the order: pub is infinity
-    ("test8", 66, "0"): (2, "", "error: public key is not a valid curve point\n"),
+    ("test8", 66, "0"): (2, "", "error: private key is a multiple of the base point's order "
+                                "(public key at infinity)\n"),
 }
 
 
@@ -282,7 +283,8 @@ class TestAuthDemo:
                 break
         assert seed is not None
         assert auth_demo(capsys, "test8", seed) == (
-            2, "", "error: challenge point rejected: not on the curve\n")
+            2, "", "error: challenge scalar r is a multiple of the base point's order "
+                   "(R at infinity)\n")
 
     def test_deterministic(self, tmp_path, capsys):
         _, out1, _ = run(["auth-demo", "--curve", "b233", "--seed", "9"], capsys)

@@ -21,6 +21,7 @@ from helpers import make_test16_curve, mul_shift_xor, rabin_irreducible
 GF8 = FieldSpec(3, 0b1011)  # x^3 + x + 1
 AES = FieldSpec(8, 0x11B)  # x^8 + x^4 + x^3 + x + 1
 TEST16 = make_test16_curve().field
+B571 = FieldSpec(571, (1 << 571) | (1 << 10) | (1 << 5) | (1 << 2) | 1)  # FIPS 186-4
 
 
 class TestFieldSpec:
@@ -152,6 +153,35 @@ class TestSquare:
         for _ in range(50):
             a, b = rng.getrandbits(233), rng.getrandbits(233)
             assert square(B233, a ^ b) == square(B233, a) ^ square(B233, b)
+
+
+class TestKernelsAgainstOracle:
+    """`mul_classical` and `square` against the shift-XOR oracle, which
+    shares no code with the package's windowed comb or bit spreading."""
+
+    def test_every_product_and_square_gf256(self):
+        for a in range(1 << AES.m):
+            assert square(AES, a) == mul_shift_xor(a, a, AES.reduction_poly, AES.m)
+            for b in range(1 << AES.m):
+                assert mul_classical(AES, a, b) == mul_shift_xor(a, b, AES.reduction_poly, AES.m)
+
+    @pytest.mark.parametrize("spec", [TEST16, B163, B233, B571],
+                             ids=["test16", "b163", "b233", "b571"])
+    def test_every_operand_bit_length(self, spec):
+        # bit length n covers a = 1 (n = 1) and a lone top hex digit '1'
+        # (n = 4k + 1); the power of two has one nonzero digit, the other
+        # operand has random low digits
+        rng = random.Random(spec.m)
+        poly, m = spec.reduction_poly, spec.m
+        for n in range(m + 1):
+            top = (1 << n) >> 1
+            for a in {top, top | rng.getrandbits(max(n - 1, 0))}:
+                b = rng.getrandbits(m)
+                want = mul_shift_xor(a, b, poly, m)
+                assert mul_classical(spec, a, b) == want, (n, a, b)
+                assert mul_classical(spec, b, a) == want, (n, a, b)
+                assert karatsuba4_partials(spec, a, b)[0] == want, (n, a, b)
+                assert square(spec, a) == mul_shift_xor(a, a, poly, m), (n, a)
 
 
 class TestInvert:
