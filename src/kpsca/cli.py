@@ -337,13 +337,15 @@ def _attack(args) -> int:
 
 def _welch(args) -> int:
     cfg = _build_run_config(args, "welch")
+    threshold = _resolve(args, "threshold", float, attack_mod.DEFAULT_WELCH_THRESHOLD)
+    if not (math.isfinite(threshold) and threshold >= 0):
+        raise CurveError(f"--threshold must be a finite number >= 0, got {threshold}")
     trace = read_trace(args.trace)
     if trace.ground_truth is None:
         raise CurveError("welch needs slot labels: the trace carries no ground truth")
     _, matrix = _segment_from_cfg(cfg, trace)
     labels = trace.ground_truth.main_loop_bits
     t = attack_mod.welch_t(matrix, labels)
-    threshold = args.threshold if args.threshold is not None else attack_mod.DEFAULT_WELCH_THRESHOLD
     out = _out_dir(cfg)
     path = out / "welch.csv"
     with path.open("w") as fh:
@@ -360,22 +362,25 @@ def _welch(args) -> int:
 
 def _bruteforce(args) -> int:
     cfg = _build_run_config(args, "bruteforce")
-    budget = args.budget if args.budget is not None else 1 << 17
+    budget = _resolve(args, "budget", int, 1 << 17)
     if budget < 0:
         raise CurveError(f"--budget must be >= 0, got {budget}")
+    sample_index = _resolve(args, "sample_index", int, None)
+    polarity = _resolve(args, "polarity", attack_mod.Polarity, None)
+    if polarity is not None and sample_index is None:
+        raise CurveError("--polarity selects a candidate only together with --sample-index")
     trace = read_trace(args.trace)
     params = get_curve(cfg.curve)
     _, matrix = _segment_from_cfg(cfg, trace)
     truth = trace.ground_truth.main_loop_bits if trace.ground_truth else None
     report = attack_mod.evaluate(matrix, truth_bits=truth)
 
-    sample_index = _resolve(args, "sample_index", int, None)
     if sample_index is not None:
         if not 0 <= sample_index < matrix.slot_len:
             raise CurveError(
                 f"--sample-index must be in 0..{matrix.slot_len - 1}, got {sample_index}"
             )
-        pol = attack_mod.Polarity(args.polarity or "smaller_is_one")
+        pol = attack_mod.Polarity(polarity or "smaller_is_one")
         candidate = next(
             c for c in report.candidates
             if c.sample_index == sample_index and c.polarity == pol

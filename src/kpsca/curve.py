@@ -6,22 +6,21 @@ the x-coordinate-only Montgomery ladder in Lopez-Dahab projective
 coordinates: `kp_multiply` records its transcript for the leakage
 simulator, and `kp_point` runs it untraced for kP of a variable base
 point P.  The affine group law (`point_add`, textbook formulas, code
-disjoint from the ladder) serves three purposes: an independent
-double-and-add oracle built on it cross-checks the ladder; the attack
-uses it to verify key candidates by point additions instead of one
-ladder per candidate scalar; and `fixed_base_multiples` builds on it
-the multiples of the base point G that verification and the protocol
-need, from a signed base-16 window table (Hankerson,
-Menezes, Vanstone, Guide to Elliptic Curve Cryptography, ch. 3) in
-lockstep rounds that share one inversion each.
+disjoint from the ladder) serves two purposes: the attack uses it to
+verify key candidates by point additions instead of one ladder per
+candidate scalar, and `fixed_base_multiples` builds on it the multiples
+of the base point G that verification and the protocol need, from a
+signed base-16 window table (Hankerson, Menezes, Vanstone, Guide to
+Elliptic Curve Cryptography, ch. 3) in lockstep rounds that share one
+inversion each.
 
 The ladder follows the modelled accelerator's bit convention: the
 register initialisation already encodes the most significant scalar
 bit, the second-most-significant bit is processed in a dedicated
 pre-loop step, and the remaining l-2 bits run in the main loop.  The
-register state before each step, plus the final state, forms the
-transcript that the leakage simulator expands into a clock-cycle
-schedule.
+register state before each step, plus the final state, and every
+intermediate value of each step form the transcript that the leakage
+simulator checks and expands into a clock-cycle schedule.
 """
 
 from __future__ import annotations
@@ -164,16 +163,18 @@ class LadderState:
 
 @dataclass(frozen=True)
 class LadderTranscript:
-    """One kP execution and the ladder states it passed through.
+    """One kP execution: the ladder states it passed through and each step's values.
 
     states[i] is the register state before the step for scalar.bits[i + 1]
-    (step 0 is the pre-loop step); states[-1] is the final state.
+    (step 0 is the pre-loop step) and steps[i] every intermediate of that
+    step; states[-1] is the final state.
     """
 
     params: CurveParams
     scalar: Scalar
     point: AffinePoint
     states: tuple[LadderState, ...]
+    steps: tuple[StepValues, ...]
     result: Optional[AffinePoint]
 
 
@@ -212,25 +213,32 @@ def _step_roles(f: FieldSpec, Xa: int, Za: int, Xb: int, Zb: int, x: int, b: int
     return StepValues(m1, m2, m3, m4, m5, m6, s1, s2, s3, s4, s5, a1, a2, a3)
 
 
-def ladder_step_values(
+def step_relations_hold(f: FieldSpec, state: LadderState, k_i: int, v: StepValues) -> bool:
+    """Whether the step values v for k_i from `state` keep its 3 sums and 5 squares."""
+    Xb, Zb = (state.X2, state.Z2) if k_i else (state.X1, state.Z1)
+    squares = [gf2m.square(f, a) for a in (v.A1, Xb, v.S2, Zb, v.S4)]
+    return (v.A1 == v.M1 ^ v.M2 and v.A2 == v.M4 ^ v.M3 and v.A3 == v.S3 ^ v.M5
+            and squares == [v.S1, v.S2, v.S3, v.S4, v.S5])
+
+
+def next_state(k_i: int, v: StepValues) -> LadderState:
+    """The registers after the step for k_i; the two bits' roles are exact mirrors."""
+    if k_i:
+        return LadderState(v.A2, v.S1, v.A3, v.M6)
+    return LadderState(v.A3, v.M6, v.A2, v.S1)
+
+
+def ladder_step(
     f: FieldSpec, state: LadderState, k_i: int, x: int, b: int
 ) -> tuple[LadderState, StepValues]:
-    """One key-bit iteration: the next state and every intermediate.
-
-    The two branches are exact register-role mirrors.
-    """
-    if k_i:
-        v = _step_roles(f, state.X1, state.Z1, state.X2, state.Z2, x, b)
-        return LadderState(v.A2, v.S1, v.A3, v.M6), v
-    v = _step_roles(f, state.X2, state.Z2, state.X1, state.Z1, x, b)
-    return LadderState(v.A3, v.M6, v.A2, v.S1), v
-
-
-def ladder_step(f: FieldSpec, state: LadderState, k_i: int, x: int, b: int) -> LadderState:
-    """One key-bit iteration; a state with both Z registers zero is rejected."""
+    """One key-bit iteration: the next state and every intermediate; rejects both Z zero."""
     if state.Z1 == 0 and state.Z2 == 0:
         raise CurveError("both Z registers are zero; ladder state is degenerate")
-    return ladder_step_values(f, state, k_i, x, b)[0]
+    if k_i:
+        v = _step_roles(f, state.X1, state.Z1, state.X2, state.Z2, x, b)
+    else:
+        v = _step_roles(f, state.X2, state.Z2, state.X1, state.Z1, x, b)
+    return next_state(k_i, v), v
 
 
 def ladder_finalize(state: LadderState, p: AffinePoint) -> AffinePoint:
@@ -266,15 +274,16 @@ def _check_ladder_input(p: AffinePoint, params: CurveParams) -> None:
         raise CurveError("x = 0 is degenerate: Z2 would be zero from the start")
 
 
-def _ladder_states(bits, p: AffinePoint, params: CurveParams) -> list[LadderState]:
-    """Ladder on checked input: state before each step, plus the final state."""
+def _ladder(bits, p: AffinePoint, params: CurveParams) -> tuple[list[LadderState], list[StepValues]]:
+    """Ladder on checked input: the states (before each step, then the final
+    one) and each step's values."""
     f, x, b = params.field, p.x.value, params.b.value
-    state = _init_state(p, params)
-    states = [state]
+    states, steps = [_init_state(p, params)], []
     for k_i in bits[1:]:
-        state = ladder_step(f, state, k_i, x, b)
+        state, values = ladder_step(f, states[-1], k_i, x, b)
         states.append(state)
-    return states
+        steps.append(values)
+    return states, steps
 
 
 def kp_multiply(k: Scalar, p: AffinePoint, params: CurveParams) -> tuple[AffinePoint, LadderTranscript]:
@@ -285,11 +294,11 @@ def kp_multiply(k: Scalar, p: AffinePoint, params: CurveParams) -> tuple[AffineP
     is wanted.  [k]P is still correct for oversized k.
     """
     _check_ladder_input(p, params)
-    states = tuple(_ladder_states(k.bits, p, params))
+    states, steps = _ladder(k.bits, p, params)
     result = ladder_finalize(states[-1], p)
     if not is_on_curve(result, params):
         raise CurveError("ladder produced an off-curve point")
-    return result, LadderTranscript(params, k, p, states, result)
+    return result, LadderTranscript(params, k, p, tuple(states), tuple(steps), result)
 
 
 def kp_point(k: Scalar, p: AffinePoint, params: CurveParams) -> AffinePoint:
@@ -299,7 +308,7 @@ def kp_point(k: Scalar, p: AffinePoint, params: CurveParams) -> AffinePoint:
     point come from `fixed_base_multiples` instead.
     """
     _check_ladder_input(p, params)
-    return ladder_finalize(_ladder_states(k.bits, p, params)[-1], p)
+    return ladder_finalize(_ladder(k.bits, p, params)[0][-1], p)
 
 
 # --- affine group law (textbook formulas) ---
@@ -458,22 +467,6 @@ def fixed_base_multiples(ks, g: AffinePoint, params: CurveParams) -> list[Affine
             qs.append(row[d - 1] if d > 0 else negate(row[-d - 1]))
         for j, point in zip(lanes, _add_many([acc[j] for j in lanes], qs, params)):
             acc[j] = point
-    return acc
-
-
-# --- independent double-and-add oracle ---
-
-def oracle_double_and_add(k: Scalar, p: AffinePoint, params: CurveParams) -> AffinePoint:
-    """Verification oracle: plain MSB-first double-and-add in affine coordinates."""
-    if p.infinity:
-        raise CurveError("cannot multiply the point at infinity")
-    if not is_on_curve(p, params):
-        raise CurveError("input point is not on the curve")
-    acc = p
-    for bit in k.bits[1:]:
-        acc = _point_double(acc, params)
-        if bit:
-            acc = point_add(acc, p, params)
     return acc
 
 

@@ -21,8 +21,10 @@ Leakage model: per-cycle power =
 
 optionally with per-sample Gaussian noise.  The per-cycle mean of the
 synthesized samples equals the modelled cycle power.  A schedule holds
-both sums per cycle; the data sum is derived only when a model with a
-nonzero data weight renders it.
+both sums per cycle.  It is laid out from a ladder transcript, whose
+recorded step values `build_schedule` checks without re-running the
+ladder; the data sum reads them only when a model with a nonzero data
+weight renders it.
 
 Slot layout (cycle: operations; register roles written for k_i = 1, the
 k_i = 0 slot swaps X1<->X2 and Z1<->Z2):
@@ -83,7 +85,8 @@ from functools import cached_property
 import numpy as np
 
 from . import gf2m
-from .curve import LadderState, LadderTranscript, Scalar, StepValues, ladder_step_values
+from .curve import LadderState, LadderTranscript, Scalar, StepValues
+from .curve import _init_state, next_state, step_relations_hold
 
 
 class OpKind(enum.Enum):
@@ -244,7 +247,6 @@ class Schedule:
     bits: tuple[int, ...]  # processed bit per slot, pre-loop slot first
     addr: np.ndarray
     transcript: LadderTranscript = field(repr=False)
-    steps: tuple[StepValues, ...] = field(repr=False)  # per slot, as checked
     layout_version: int = SLOT_LAYOUT_VERSION
 
     @property
@@ -275,7 +277,7 @@ class Schedule:
         for cycle, _reg, key in _frame_rows(self.total_cycles, self.epilogue_len):
             hw[cycle] += frame[key].bit_count()
         base = self.init_cycles
-        for state, bit, step in zip(tr.states, self.bits, self.steps):
+        for state, bit, step in zip(tr.states, self.bits, tr.steps):
             values = _table_values(state, bit, step, x, b)
             # one partial product per cycle, window by window
             slot = [
@@ -291,19 +293,19 @@ class Schedule:
 
 
 def build_schedule(transcript: LadderTranscript) -> Schedule:
-    """Check a ladder transcript step by step and lay it out in clock cycles."""
+    """Check a ladder transcript step by step, multiplying nothing, and lay
+    it out in clock cycles."""
     bits = transcript.scalar.bits[1:]  # one slot per bit, pre-loop slot first
-    states = transcript.states
-    if transcript.result is None or len(states) != len(bits) + 1:
+    states, steps = transcript.states, transcript.steps
+    if transcript.result is None or len(states) != len(bits) + 1 or len(steps) != len(bits):
         raise ScheduleError("transcript is incomplete")
 
-    f, x, b = transcript.params.field, transcript.point.x.value, transcript.params.b.value
-    steps = []
-    for i, bit in enumerate(bits):
-        after, values = ladder_step_values(f, states[i], bit, x, b)
-        if after != states[i + 1]:
-            raise ScheduleError(f"slot {i} algebra does not reproduce the transcript state")
-        steps.append(values)
+    params, f = transcript.params, transcript.params.field
+    if states[0] != _init_state(transcript.point, params):
+        raise ScheduleError("transcript does not start from the point's initial state")
+    for i, (bit, step) in enumerate(zip(bits, steps)):
+        if next_state(bit, step) != states[i + 1] or not step_relations_hold(f, states[i], bit, step):
+            raise ScheduleError(f"slot {i} values do not reproduce the transcript state")
 
     m = f.m
     epi = epilogue_cycles(m)
@@ -325,7 +327,6 @@ def build_schedule(transcript: LadderTranscript) -> Schedule:
         bits=bits,
         addr=addr,
         transcript=transcript,
-        steps=tuple(steps),
     )
 
 

@@ -11,7 +11,16 @@ import numpy as np
 
 from kpsca import gf2m
 from kpsca.attack import BruteForceResult, expand_candidate
-from kpsca.curve import AffinePoint, CurveParams, kp_point
+from kpsca.curve import (
+    AffinePoint,
+    CurveError,
+    CurveParams,
+    Scalar,
+    _point_double,
+    is_on_curve,
+    kp_point,
+    point_add,
+)
 from kpsca.gf2m import FieldSpec
 from kpsca.traces import Trace, write_trace
 
@@ -128,6 +137,22 @@ def make_test16_curve() -> CurveParams:
         g=AffinePoint(spec.element(0xC01B), spec.element(0x1F2D)),
         order_hint=32993,
     )
+
+
+# --- independent double-and-add oracle ---
+
+def oracle_double_and_add(k: Scalar, p: AffinePoint, params: CurveParams) -> AffinePoint:
+    """Verification oracle: plain MSB-first double-and-add in affine coordinates."""
+    if p.infinity:
+        raise CurveError("cannot multiply the point at infinity")
+    if not is_on_curve(p, params):
+        raise CurveError("input point is not on the curve")
+    acc = p
+    for bit in k.bits[1:]:
+        acc = _point_double(acc, params)
+        if bit:
+            acc = point_add(acc, p, params)
+    return acc
 
 
 def flip_bits(bits, positions):

@@ -28,7 +28,6 @@ from kpsca.curve import (
     is_on_curve,
     kp_multiply,
     kp_point,
-    oracle_double_and_add,
 )
 from kpsca.gf2m import FieldSpec, karatsuba4_partials, mul_classical, square
 from kpsca.leaksim import (
@@ -40,7 +39,7 @@ from kpsca.leaksim import (
 )
 from kpsca.traces import CompressionMethod, SlotMatrix, compress, segment
 
-from helpers import flip_bits, make_test16_curve
+from helpers import flip_bits, make_test16_curve, oracle_double_and_add
 
 
 def criterion(n, label):

@@ -6,6 +6,8 @@ from kpsca.authproto import Identity, challenge, respond, verify
 from kpsca.curve import AffinePoint, CurveError, Scalar, get_curve, kp_point
 from kpsca.leaksim import LeakModel
 
+from helpers import oracle_double_and_add
+
 MODEL = LeakModel(addr_weight=1.0, noise_sigma=0.0, samples_per_cycle=2, rng_seed=0)
 
 
@@ -74,8 +76,6 @@ class TestChallengeResponse:
         assert (rejected > 0) == some_rejected
 
     def test_challenge_q_matches_oracle(self, bob):
-        from kpsca.curve import oracle_double_and_add
-
         rng = random.Random(103)
         ch = challenge(bob.pub, bob.params, rng, 24)
         assert ch.q_expected == oracle_double_and_add(ch.r, bob.pub, bob.params)

@@ -138,8 +138,10 @@ def test_tracer_counts_auth_demo_ladders(capsys):
     assert code == 0
     assert "replayed response verifies: yes" in capsys.readouterr().out
     totals = tracer.layer_totals([TRACING.SETUP_OP])
-    # exact field call counts: a change inside the field kernels moves none
+    # exact field call counts: a change inside the field kernels moves none.
+    # build_schedule multiplies nothing: it squares x twice to check the
+    # initial state and each recorded step's five squares
     want = {"curve.kp_multiply": 1, "leaksim.build_schedule": 1, "authproto.respond": 1,
-            "curve.kp_point": 2, "gf2m.mul_classical": 366, "gf2m.square": 249,
+            "curve.kp_point": 2, "gf2m.mul_classical": 312, "gf2m.square": 251,
             "gf2m.invert": 22}
     assert {name: totals[name]["calls"] for name in want} == want

@@ -231,6 +231,41 @@ class TestBruteforce:
         assert code == cli.EXIT_CONFIG
 
 
+# options that only welch or bruteforce read: (command, config line, stdout
+# with the config value, overriding flag, stdout with the flag), on the
+# noisy test8 trace of key 279
+CONFIG_ONLY_OPTIONS = {
+    "budget": (["bruteforce", "--suspects", "1,2"], "budget=0",
+               "not found within budget (0 point multiplications)\n",
+               ["--budget", "4"], "key found: 279 after 1 point multiplications\n"),
+    "threshold": (["welch"], "threshold=1000", "cycles with |t| > 1000.0: []\n",
+                  ["--threshold", "4.5"], "cycles with |t| > 4.5: [0, 7, 11, 46, 53]\n"),
+    "polarity": (["bruteforce", "--suspects", "1,2", "--sample-index", "0"],
+                 "polarity=smaller_is_zero",
+                 "enumeration exhausted without a match (8 point multiplications)\n",
+                 ["--polarity", "smaller_is_one"], "key found: 279 after 1 point multiplications\n"),
+}
+
+
+@pytest.mark.parametrize("option", sorted(CONFIG_ONLY_OPTIONS))
+def test_config_value_applies_and_flag_overrides(tmp_path, capsys, option):
+    command, line, from_config, flag, from_flag = CONFIG_ONLY_OPTIONS[option]
+    out = tmp_path / "sim"
+    code, _, _ = run(["simulate", "--curve", "test8", "--seed", "3", "--noise-sigma", "0.5",
+                      "--out", str(out)], capsys)
+    assert code == 0
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(line + "\n")
+    argv = [command[0], str(out / "trace.kptr"), "--curve", "test8", "--out", str(out),
+            "--config", str(cfg), *command[1:]]
+    code, stdout, _ = run(argv, capsys)
+    assert code == 0
+    assert stdout.splitlines(keepends=True)[0] == from_config
+    code, stdout, _ = run(argv + flag, capsys)
+    assert code == 0
+    assert stdout.splitlines(keepends=True)[0] == from_flag
+
+
 AUTH_DEMO_RECOVERED = (
     "honest authentication: ok\n"
     "key recovered: yes\n"
@@ -341,6 +376,9 @@ EXIT_CODE_CASES = [
     ("no_ground_truth=maybe", cli.EXIT_CONFIG),
     ("excerpt_cycles=-3", cli.EXIT_CONFIG),
     ("budget=-1", cli.EXIT_CONFIG),
+    ("threshold=nan", cli.EXIT_CONFIG),
+    ("threshold=-1", cli.EXIT_CONFIG),
+    ("polarity_without_index", cli.EXIT_CONFIG),
     ("noise_sigma=nan", cli.EXIT_CONFIG),
     ("noise_sigma=inf", cli.EXIT_CONFIG),
     ("addr_weight=nan", cli.EXIT_CONFIG),
@@ -378,6 +416,11 @@ def contract_argv(case, tmp_path, capsys):
     trace = str(out / "trace.kptr")
     if name == "oversized_num_slots":
         return ["attack", trace, "--curve", "test8", "--num-slots", "5000", "--out", str(out)]
+    if name == "threshold":
+        return ["welch", trace, "--curve", "test8", f"--threshold={value}", "--out", str(out)]
+    if name == "polarity_without_index":
+        return ["bruteforce", trace, "--curve", "test8", "--suspects", "1",
+                "--polarity", "smaller_is_zero"]
     flag = "--budget" if name == "budget" else "--sample-index"
     return ["bruteforce", trace, "--curve", "test8", "--suspects", "1", f"{flag}={value}"]
 

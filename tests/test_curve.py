@@ -19,11 +19,12 @@ from kpsca.curve import (
     ladder_finalize,
     ladder_step,
     negate,
-    oracle_double_and_add,
+    next_state,
     point_add,
+    step_relations_hold,
 )
 
-from helpers import count_curve_points, make_test16_curve
+from helpers import count_curve_points, make_test16_curve, oracle_double_and_add
 
 
 class TestScalar:
@@ -129,9 +130,21 @@ class TestLadderStep:
         for _ in range(20):
             regs = [rng.getrandbits(spec.m) for _ in range(4)]
             x, b = rng.getrandbits(spec.m), b233.b.value
-            direct = ladder_step(spec, LadderState(*regs), 0, x, b)
-            m = ladder_step(spec, LadderState(*regs[2:], *regs[:2]), 1, x, b)
+            direct, v0 = ladder_step(spec, LadderState(*regs), 0, x, b)
+            m, v1 = ladder_step(spec, LadderState(*regs[2:], *regs[:2]), 1, x, b)
             assert direct == LadderState(m.X2, m.Z2, m.X1, m.Z1)
+            assert v0 == v1
+
+    def test_step_values_satisfy_relations(self, b233):
+        rng = random.Random(7)
+        spec, b = b233.field, b233.b.value
+        for bit in (0, 1):
+            state = LadderState(*(rng.getrandbits(spec.m) for _ in range(4)))
+            after, v = ladder_step(spec, state, bit, rng.getrandbits(spec.m), b)
+            assert after == next_state(bit, v)
+            assert step_relations_hold(spec, state, bit, v)
+            # the other bit doubles the other register pair
+            assert not step_relations_hold(spec, state, 1 - bit, v)
 
     def test_double_degenerate_flagged(self, b233):
         state = LadderState(1, 0, 1, 0)
@@ -141,14 +154,14 @@ class TestLadderStep:
     def test_one_step_doubles(self, b163):
         # k = (1,0): one step with bit 0 lands on 2G
         state = kp_multiply(Scalar(1), b163.g, b163)[1].states[0]
-        state = ladder_step(b163.field, state, 0, b163.g.x.value, b163.b.value)
+        state, _ = ladder_step(b163.field, state, 0, b163.g.x.value, b163.b.value)
         r = ladder_finalize(state, b163.g)
         expect = oracle_double_and_add(Scalar(2), b163.g, b163)
         assert r.x == expect.x
 
     def test_one_step_triples(self, b163):
         state = kp_multiply(Scalar(1), b163.g, b163)[1].states[0]
-        state = ladder_step(b163.field, state, 1, b163.g.x.value, b163.b.value)
+        state, _ = ladder_step(b163.field, state, 1, b163.g.x.value, b163.b.value)
         r = ladder_finalize(state, b163.g)
         expect = oracle_double_and_add(Scalar(3), b163.g, b163)
         assert r.x == expect.x
@@ -204,13 +217,15 @@ class TestKpMultiply:
         assert ladder_finalize(states[-1], transcript.point) == result
 
     def test_transcript_bits_match_scalar(self, b233_run):
-        # states[i] -> states[i + 1] is the step for bits[i + 1], and only that bit
+        # states[i] -> states[i + 1] is the step for bits[i + 1], and only that
+        # bit; steps[i] holds that step's values
         _, k, _, transcript, _ = b233_run
         f, states = transcript.params.field, transcript.states
         x, b = transcript.point.x.value, transcript.params.b.value
+        assert len(transcript.steps) == len(states) - 1
         for i, bit in enumerate(k.bits[1:]):
-            assert ladder_step(f, states[i], bit, x, b) == states[i + 1]
-            assert ladder_step(f, states[i], 1 - bit, x, b) != states[i + 1]
+            assert ladder_step(f, states[i], bit, x, b) == (states[i + 1], transcript.steps[i])
+            assert ladder_step(f, states[i], 1 - bit, x, b)[0] != states[i + 1]
 
     def test_projective_consistency(self, test8):
         # before each step with running prefix m: X1/Z1 = x([m]P), X2/Z2 = x([m+1]P)

@@ -5,7 +5,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from kpsca import gf2m
+from kpsca import curve, gf2m
 from kpsca.curve import LadderTranscript, Scalar, kp_multiply
 from kpsca.leaksim import (
     INIT_CYCLES,
@@ -76,7 +76,7 @@ class TestScheduleStructure:
     def test_mul_operands_match_step_algebra(self, b233_run):
         params, _, _, transcript, schedule = b233_run
         assert list(_MUL_OPERANDS) == list(_MUL_WINDOWS)
-        for state, bit, step in list(zip(transcript.states, schedule.bits, schedule.steps))[:4]:
+        for state, bit, step in list(zip(transcript.states, schedule.bits, transcript.steps))[:4]:
             values = _table_values(state, bit, step, transcript.point.x.value, params.b.value)
             for name, (a, b) in _MUL_OPERANDS.items():
                 product, _ = gf2m.karatsuba4_partials(params.field, values[a], values[b])
@@ -87,20 +87,53 @@ class TestScheduleStructure:
         assert epilogue_cycles(163) == 324
 
     def test_rejects_incomplete_transcript(self, b233, test8):
-        empty = LadderTranscript(params=b233, scalar=Scalar(3), point=b233.g, states=(), result=None)
+        empty = LadderTranscript(params=b233, scalar=Scalar(3), point=b233.g, states=(),
+                                 steps=(), result=None)
         _, full = kp_multiply(Scalar(0b1011011), test8.g, test8)
         for bad in (empty, dataclasses.replace(full, states=full.states[:-1]),
-                    dataclasses.replace(full, states=full.states + full.states[-1:])):
+                    dataclasses.replace(full, states=full.states + full.states[-1:]),
+                    dataclasses.replace(full, steps=full.steps[:-1]),
+                    dataclasses.replace(full, steps=full.steps + full.steps[-1:])):
             with pytest.raises(ScheduleError, match="incomplete"):
                 build_schedule(bad)
 
-    def test_rejects_inconsistent_transcript(self, test8):
+    # one flipped bit in a recorded value: (transcript field, index, value
+    # name); index 1 is the first main-loop step and the state before it.
+    # The pre-loop step (bit 0) squares X1 and Z1 but not X2, so only the
+    # initial-state check sees the state0 flip; only the sum A1 = M1 + M2
+    # sees the M1 flip
+    TAMPERS = {
+        "state0": ("states", 0, "X2"),
+        "state1": ("states", 1, "X1"),
+        "step1_A1": ("steps", 1, "A1"),
+        "step1_M1": ("steps", 1, "M1"),
+        "step1_S2": ("steps", 1, "S2"),
+        "step1_M6": ("steps", 1, "M6"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(TAMPERS))
+    def test_rejects_inconsistent_transcript(self, test8, case):
+        target, i, name = self.TAMPERS[case]
         _, transcript = kp_multiply(Scalar(0b1011011), test8.g, test8)
-        states = list(transcript.states)
-        i = 1  # the state before the first main-loop step
-        states[i] = dataclasses.replace(states[i], X1=states[i].X1 ^ 1)
+        records = list(getattr(transcript, target))
+        flip = {name: getattr(records[i], name) ^ 1}
+        if target == "steps":
+            records[i] = records[i]._replace(**flip)
+        else:
+            records[i] = dataclasses.replace(records[i], **flip)
         with pytest.raises(ScheduleError):
-            build_schedule(dataclasses.replace(transcript, states=tuple(states)))
+            build_schedule(dataclasses.replace(transcript, **{target: tuple(records)}))
+
+    def test_checks_steps_without_rerunning_them(self, test8, monkeypatch):
+        _, transcript = kp_multiply(Scalar(0b1011011), test8.g, test8)
+        calls = []
+        step_roles = curve._step_roles
+        monkeypatch.setattr(curve, "_step_roles", lambda *a: calls.append(a) or step_roles(*a))
+        build_schedule(transcript)
+        assert calls == []
+        # the spy sees every step of a ladder
+        kp_multiply(Scalar(0b1011011), test8.g, test8)
+        assert len(calls) == len(transcript.steps)
 
     def test_stats_slot_count(self, b233_run):
         _, _, _, _, schedule = b233_run
