@@ -20,15 +20,26 @@ k(c', pb) = C + pb*2^L - k(c, 0) with C = 2^(L+2) + 2^L - 1.  So the
 single point P = k(c, 0)*G settles all four scalars: P equals pub,
 pub - A, C*G - pub or C*G + A - pub (A = 2^L*G) exactly when
 (c, 0), (c, 1), (c', 0) or (c', 1) verifies.  Every multiple of G
-here comes from `curve.fixed_base_multiples`, which computes the points
-of all complement pairs together from a fixed-base window table, with
-one field inversion per table row they use.  Brute force reaches
+here comes from `curve.fixed_base_multiples`, which computes many
+points together from a fixed-base window table, with one field
+inversion per table row they use.  Brute force reaches
 every flipped subset by one affine point addition from its parent
 subset, because flipping bit p adds +-2^(L-1-p) to every expansion.
 A pub that is not a point of the curve (or of its field) verifies no
 candidate, and is rejected before any target is derived from it: the
 affine addition is meaningful only on the curve and could turn an
 off-curve pub into the point at infinity, which kP legitimately equals.
+
+The pairs are computed in order of `separation_scores`, a label-free
+score of how well each sample index splits the slots into two classes,
+so the cycles that process the key bits come first.  Every expansion
+of an L-bit candidate lies in [2^(L+1), 2^(L+2)); when 2^(L+2) <= n,
+the order of G (`CurveParams.order_hint`), distinct scalars there give
+distinct points and at most one scalar k* verifies.  Verification then
+stops at the first batch of pairs that verifies, and the other
+candidates are decided by comparing their bits with k*'s main-loop
+bits.  Where 2^(L+2) > n (the test8 curve, 233-bit scalars on B-233)
+every pair is computed.
 
 Welch's two-sample t-test over the '0'-labelled and '1'-labelled slots
 is included as the designer-side leakage assessment.
@@ -83,15 +94,18 @@ def mean_slot(matrix: SlotMatrix) -> np.ndarray:
     return matrix.slots.mean(axis=0)
 
 
-def extract_candidates(matrix: SlotMatrix) -> list[KeyCandidate]:
+def extract_candidates(matrix: SlotMatrix,
+                       mean: Optional[np.ndarray] = None) -> list[KeyCandidate]:
     """One candidate per (sample index, polarity): 2 * slot_len in total.
 
     Bit i of the candidate at index j classifies slot i by comparing
-    slots[i, j] with mean[j].  Under SMALLER_IS_ONE a strictly smaller
-    value reads as '1' and ties fall into the "not smaller" branch,
-    i.e. '0'; SMALLER_IS_ZERO mirrors both rules.
+    slots[i, j] with mean[j] (the mean slot, computed here if not given).
+    Under SMALLER_IS_ONE a strictly smaller value reads as '1' and ties
+    fall into the "not smaller" branch, i.e. '0'; SMALLER_IS_ZERO
+    mirrors both rules.
     """
-    mean = mean_slot(matrix)
+    if mean is None:
+        mean = mean_slot(matrix)
     smaller = matrix.slots < mean[np.newaxis, :]
     out = []
     for polarity, columns in ((Polarity.SMALLER_IS_ONE, smaller.T),
@@ -99,6 +113,34 @@ def extract_candidates(matrix: SlotMatrix) -> list[KeyCandidate]:
         for j, bits in enumerate(columns.astype(np.int64).tolist()):
             out.append(KeyCandidate(tuple(bits), j, polarity))
     return out
+
+
+def separation_scores(matrix: SlotMatrix,
+                      mean: Optional[np.ndarray] = None) -> np.ndarray:
+    """Per sample index, how well it splits the slots into two classes; >= 0.
+
+    The classes are those extraction reads: the slots below the column
+    mean (the mean slot, computed here if not given) and the rest.  The
+    score is the gap between the two class means divided by their pooled
+    standard deviation; `welch_t` is the labelled analogue.  It needs no
+    key knowledge.  A column whose classes differ with no spread scores
+    inf.  A constant column, a class of fewer than two slots (a lone
+    outlier) or a NaN scores 0, below any column that separates.
+    """
+    if mean is None:
+        mean = mean_slot(matrix)
+    slots = matrix.slots
+    below = slots < mean[np.newaxis, :]
+    n_below = below.sum(axis=0)
+    n_rest = slots.shape[0] - n_below
+    with np.errstate(divide="ignore", invalid="ignore"):
+        m_below = np.where(below, slots, 0.0).sum(axis=0) / n_below
+        m_rest = np.where(below, 0.0, slots).sum(axis=0) / n_rest
+        dev = slots - np.where(below, m_below, m_rest)
+        spread = np.sqrt((dev * dev).sum(axis=0) / max(slots.shape[0] - 2, 1))
+        score = (m_rest - m_below) / spread
+    ok = (n_below >= 2) & (n_rest >= 2) & ~np.isnan(score)
+    return np.where(ok, score, 0.0)
 
 
 def correctness(candidate: KeyCandidate, truth_bits) -> tuple[float, list[int]]:
@@ -179,12 +221,11 @@ def recover_scalar(
     return None
 
 
-def _pair_targets(nbits: int, g: AffinePoint, pub: AffinePoint,
+def _pair_targets(step: AffinePoint, c_g: AffinePoint, pub: AffinePoint,
                   params: CurveParams) -> tuple[tuple[AffinePoint, ...], ...]:
-    """Targets for P = k(c, 0)*G: c verifies iff P is in the first pair,
-    its complement iff P is in the second (see the module docstring)."""
-    step, c_g = fixed_base_multiples(
-        [1 << nbits, (1 << (nbits + 2)) + (1 << nbits) - 1], g, params)
+    """Targets for P = k(c, 0)*G, from A = step and C*G: (c, pb) verifies
+    iff P is the first tuple's entry pb, (c', pb) iff P is the second's
+    (see the module docstring)."""
     c_minus_pub = point_add(c_g, negate(pub), params)
     return (
         (pub, point_add(pub, negate(step), params)),
@@ -192,29 +233,76 @@ def _pair_targets(nbits: int, g: AffinePoint, pub: AffinePoint,
     )
 
 
-def _verify_all(candidates, g: AffinePoint, pub: AffinePoint,
-                params: CurveParams) -> np.ndarray:
-    """Per candidate: does either pre-loop expansion reproduce pub?
+_FLIP_BIT = bytes.maketrans(b"\0\1", b"\1\0")
 
-    One point per distinct complement pair of bit strings, all of them
-    computed in one `fixed_base_multiples` call.
+# complement pairs per `fixed_base_multiples` call, best score first;
+# a last call takes all the remaining pairs
+_PAIR_BATCHES = (1, 3)
+
+
+def _verify_all(candidates, scores, g: AffinePoint, pub: AffinePoint,
+                params: CurveParams) -> tuple[np.ndarray, Optional[Scalar]]:
+    """Per candidate: does either pre-loop expansion reproduce pub?  Also
+    the verifying scalar k*, or None.
+
+    One point per distinct complement pair of bit strings.  The pairs
+    are ranked by their best member's score (ties keep list order) and
+    computed in batches of _PAIR_BATCHES, then the rest; the first call
+    also computes A = 2^L*G and C*G.  When 2^(L+2) <= n, at most one
+    scalar verifies: the batch holding the first verifying pair is the
+    last, and candidate i is verified iff its bits are k*'s main-loop
+    bits.  Otherwise every pair is computed, and k* is the expansion of
+    the first verified candidate in list order, pre-loop bit 0 first.
     """
     verified = np.zeros(len(candidates), dtype=bool)
-    if not is_on_curve(pub, params):
-        return verified
-    pairs: dict[tuple[int, ...], list[tuple[int, bool]]] = {}
+    if not candidates or not is_on_curve(pub, params):
+        return verified, None
+    # a pair is keyed by the bytes of its member that starts with 0
+    pairs: dict[bytes, list[tuple[int, bool]]] = {}
     for i, c in enumerate(candidates):
-        rep = min(c.bits, c.complement().bits)
-        pairs.setdefault(rep, []).append((i, c.bits != rep))
+        rep = bytes(c.bits)
+        is_complement = rep[:1] == b"\1"
+        if is_complement:
+            rep = rep.translate(_FLIP_BIT)
+        pairs.setdefault(rep, []).append((i, is_complement))
+    best = {rep: max(scores[i] for i, _ in members) for rep, members in pairs.items()}
+    ranked = sorted(pairs, key=lambda rep: -best[rep])
+    lengths = sorted({len(rep) for rep in ranked})
+    unique = params.order_hint is not None and (1 << (lengths[-1] + 2)) <= params.order_hint
+    target_lanes = [k for n in lengths for k in (1 << n, (1 << (n + 2)) + (1 << n) - 1)]
     targets = {}
-    points = fixed_base_multiples([expand_candidate(rep, 0).value for rep in pairs], g, params)
-    for (rep, members), point in zip(pairs.items(), points):
-        if len(rep) not in targets:
-            targets[len(rep)] = _pair_targets(len(rep), g, pub, params)
-        direct, complement = targets[len(rep)]
-        for i, is_complement in members:
-            verified[i] = point in (complement if is_complement else direct)
-    return verified
+    matched = {}  # candidate index -> pre-loop bit of its verifying expansion
+    start = 0
+    for size in _PAIR_BATCHES + (len(ranked),):
+        batch = ranked[start:start + size]
+        start += size
+        if not batch:
+            break
+        points = fixed_base_multiples(
+            target_lanes + [expand_candidate(rep, 0).value for rep in batch], g, params)
+        if target_lanes:
+            targets = {n: _pair_targets(points[2 * j], points[2 * j + 1], pub, params)
+                       for j, n in enumerate(lengths)}
+            points = points[len(target_lanes):]
+            target_lanes = []
+        for rep, point in zip(batch, points):
+            direct, complement = targets[len(rep)]
+            for i, is_complement in pairs[rep]:
+                wanted = complement if is_complement else direct
+                if point in wanted:
+                    matched[i] = wanted.index(point)
+        if unique and matched:
+            break
+    if not matched:
+        return verified, None
+    first = min(matched)
+    key = expand_candidate(candidates[first].bits, matched[first])
+    if unique:
+        bits = key.main_loop_bits
+        verified[:] = [c.bits == bits for c in candidates]
+    else:
+        verified[list(matched)] = True
+    return verified, key
 
 
 @dataclass(frozen=True)
@@ -318,6 +406,7 @@ class AttackReport:
     wrong_positions: Optional[list[int]] = None   # of the best candidate
     best_index: Optional[int] = None
     verified: Optional[np.ndarray] = None         # per candidate, pub supplied
+    key: Optional[Scalar] = None                  # the verifying scalar, if any
 
     @property
     def best_candidate(self) -> Optional[KeyCandidate]:
@@ -362,8 +451,9 @@ def evaluate(
     params: Optional[CurveParams] = None,
 ) -> AttackReport:
     """Run extraction and score candidates by truth and/or verification."""
-    candidates = extract_candidates(matrix)
-    report = AttackReport(mean_slot=mean_slot(matrix), candidates=candidates)
+    mean = mean_slot(matrix)
+    candidates = extract_candidates(matrix, mean)
+    report = AttackReport(mean_slot=mean, candidates=candidates)
     if truth_bits is not None:
         truth = tuple(truth_bits)
         deltas = np.empty(len(candidates))
@@ -375,7 +465,9 @@ def evaluate(
     if pub is not None:
         if g is None or params is None:
             raise ValueError("verification needs g and params alongside pub")
-        verified = _verify_all(candidates, g, pub, params)
+        scores = separation_scores(matrix, mean)
+        verified, report.key = _verify_all(
+            candidates, [scores[c.sample_index] for c in candidates], g, pub, params)
         report.verified = verified
         if report.best_index is None and verified.any():
             report.best_index = int(np.argmax(verified))

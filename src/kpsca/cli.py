@@ -249,7 +249,7 @@ def _simulate(args) -> int:
     cfg = _build_run_config(args, "simulate")
     excerpt = _resolve(args, "excerpt_cycles", int, None)
     if excerpt is not None and excerpt < 0:
-        raise CurveError(f"--excerpt-cycles must be >= 0, got {excerpt}")
+        raise CurveError(f"excerpt cycle count must be >= 0, got {excerpt}")
     params = get_curve(cfg.curve)
     rng = random.Random(cfg.seed)
     key_hex = _resolve(args, "key", str, None)
@@ -339,7 +339,7 @@ def _welch(args) -> int:
     cfg = _build_run_config(args, "welch")
     threshold = _resolve(args, "threshold", float, attack_mod.DEFAULT_WELCH_THRESHOLD)
     if not (math.isfinite(threshold) and threshold >= 0):
-        raise CurveError(f"--threshold must be a finite number >= 0, got {threshold}")
+        raise CurveError(f"threshold must be a finite number >= 0, got {threshold}")
     trace = read_trace(args.trace)
     if trace.ground_truth is None:
         raise CurveError("welch needs slot labels: the trace carries no ground truth")
@@ -364,7 +364,7 @@ def _bruteforce(args) -> int:
     cfg = _build_run_config(args, "bruteforce")
     budget = _resolve(args, "budget", int, 1 << 17)
     if budget < 0:
-        raise CurveError(f"--budget must be >= 0, got {budget}")
+        raise CurveError(f"budget must be >= 0, got {budget}")
     sample_index = _resolve(args, "sample_index", int, None)
     polarity = _resolve(args, "polarity", attack_mod.Polarity, None)
     if polarity is not None and sample_index is None:
@@ -378,7 +378,7 @@ def _bruteforce(args) -> int:
     if sample_index is not None:
         if not 0 <= sample_index < matrix.slot_len:
             raise CurveError(
-                f"--sample-index must be in 0..{matrix.slot_len - 1}, got {sample_index}"
+                f"sample index must be in 0..{matrix.slot_len - 1}, got {sample_index}"
             )
         pol = attack_mod.Polarity(polarity or "smaller_is_one")
         candidate = next(
@@ -426,14 +426,9 @@ def _auth_demo(args) -> int:
         compress(trace.without_ground_truth(), _COMPRESSION[cfg.compression]),
         trace.cycle0_cycle, cfg.slot_len, identity.k.bit_length - 2,
     )
-    report = attack_mod.evaluate(matrix)
-    recovered = None
-    for cand in report.candidates:
-        recovered = attack_mod.recover_scalar(
-            cand, identity.params.g, identity.pub, identity.params
-        )
-        if recovered is not None:
-            break
+    recovered = attack_mod.evaluate(
+        matrix, g=identity.params.g, pub=identity.pub, params=identity.params
+    ).key
     print(f"key recovered: {'yes' if recovered is not None else 'no'}")
     if recovered is None:
         return EXIT_OK

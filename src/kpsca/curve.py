@@ -117,7 +117,9 @@ class CurveParams:
     a: FieldElement
     b: FieldElement
     g: AffinePoint
-    order_hint: Optional[int] = None  # order of g; consumed by tests only
+    # order n of g; attack verification decides candidates by comparing
+    # scalars once one verifies, where 2^(L+2) <= n makes it unique
+    order_hint: Optional[int] = None
 
     def __post_init__(self):
         if self.a.spec != self.field or self.b.spec != self.field:

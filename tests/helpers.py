@@ -102,6 +102,38 @@ def rabin_irreducible(spec: FieldSpec) -> bool:
     return True
 
 
+# the first 13 primes: as Miller-Rabin bases they decide primality exactly
+# for n < 3.3e24 (J. Sorenson and J. Webster, Math. Comp. 86, 2017)
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+
+def is_probable_prime(n: int, bases=_MR_BASES) -> bool:
+    """Miller-Rabin to fixed bases: deterministic and reproducible.
+
+    Exact below 3.3e24; above it, n is a strong probable prime to every
+    base, which a composite that is not built for these bases fails.
+    """
+    if n < 2:
+        return False
+    for p in bases:
+        if n % p == 0:
+            return n == p
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in bases:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
 def count_curve_points(params: CurveParams) -> int:
     """Point-counting oracle for small curves.
 

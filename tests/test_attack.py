@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 
@@ -15,11 +16,12 @@ from kpsca.attack import (
     extract_candidates,
     mean_slot,
     recover_scalar,
+    separation_scores,
     welch_t,
     worst_case_checks,
 )
-from kpsca.curve import Scalar, kp_point
-from kpsca.leaksim import differing_cycles
+from kpsca.curve import Scalar, fixed_base_multiples, kp_point
+from kpsca.leaksim import LeakModel, differing_cycles, synthesize_trace
 from kpsca.traces import CompressionMethod, SlotMatrix, compress, segment
 
 from helpers import flip_bits
@@ -100,6 +102,54 @@ class TestExtractCandidates:
         zero = by[(0, Polarity.SMALLER_IS_ZERO)].bits
         # ties (all of column 0) resolve to 0 and 1 respectively: equal, not complementary
         assert one == (0, 0, 0) and zero == (1, 1, 1)
+
+
+class TestSeparationScores:
+    def test_degenerate_columns_score_zero(self):
+        # constant; a NaN; a lone outlier; two slots on each side
+        m = matrix_of([[1, math.nan, 0, 0], [1, 0, 0, 0], [1, 0, 0, 3], [1, 0, 5, 3]])
+        assert list(separation_scores(m)[:3]) == [0, 0, 0]
+        assert separation_scores(m)[3] == math.inf  # classes {0, 0} and {3, 3}
+
+    def test_gap_over_pooled_spread(self):
+        # below the mean 2.75: {0, 1}; the rest: {4, 6}; pooled variance (0.5 + 2) / 2
+        m = matrix_of([[0], [1], [4], [6]])
+        assert separation_scores(m)[0] == pytest.approx(4.5 / math.sqrt(1.25))
+
+    def test_leaking_cycles_rank_first(self, b233_run):
+        """At sigma 0.5 the five cycles that leak the key bit score highest."""
+        _, k, _, _, schedule = b233_run
+        trace = synthesize_trace(schedule, LeakModel(noise_sigma=0.5, rng_seed=1))
+        scores = separation_scores(segment_trace(trace, k.bit_length - 2))
+        assert set(np.argsort(-scores)[:5]) == set(differing_cycles())
+
+
+def _separation_per_column(matrix):
+    """Reference: the score by its definition, one Python loop per column."""
+    out = []
+    for col in matrix.slots.T:
+        mean = sum(col) / len(col)
+        below = [v for v in col if v < mean]
+        rest = [v for v in col if not v < mean]
+        if len(below) < 2 or len(rest) < 2:
+            out.append(0.0)
+            continue
+        mb, mr = sum(below) / len(below), sum(rest) / len(rest)
+        ss = sum((v - mb) ** 2 for v in below) + sum((v - mr) ** 2 for v in rest)
+        spread = math.sqrt(ss / max(len(col) - 2, 1))
+        out.append((mr - mb) / spread if spread else math.inf)
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 30), st.integers(1, 6), st.data())
+def test_property_separation_matches_per_column_loop(num_slots, slot_len, data):
+    values = data.draw(st.lists(st.integers(-3, 3), min_size=num_slots * slot_len,
+                                max_size=num_slots * slot_len))
+    m = matrix_of(np.array(values, dtype=float).reshape(num_slots, slot_len))
+    got = separation_scores(m)
+    assert all(v >= 0 for v in got)
+    assert list(got) == pytest.approx(_separation_per_column(m), rel=1e-9)
 
 
 class TestCorrectness:
@@ -360,3 +410,55 @@ def test_property_extraction_matches_per_column_loop(num_slots, slot_len, data):
     got = extract_candidates(m)
     assert got == _extract_candidates_per_column(m)
     assert all(type(b) is int for c in got for b in c.bits)
+
+
+class TestRankedVerificationB233:
+    """Ranked verification on B-233 traces: the flags equal full per-pair
+    verification's, and at sigma 0.5 only a few pairs are computed.  With
+    noise seed 9 the key's pair ranks 47th of the pairs in extraction
+    order at sigma 0.5, and 3rd by score."""
+
+    @pytest.mark.parametrize("sigma", [0.0, 0.5, 1.0])
+    def test_flags_and_work(self, monkeypatch, b233_run, sigma):
+        params, k, _, _, schedule = b233_run
+        trace = synthesize_trace(schedule, LeakModel(noise_sigma=sigma, rng_seed=9))
+        matrix = segment_trace(trace, k.bit_length - 2)
+        pub, = fixed_base_multiples([k.value], params.g, params)
+        lanes = []
+
+        def counting_multiples(ks, g, params):
+            lanes.extend(ks)
+            return fixed_base_multiples(ks, g, params)
+
+        monkeypatch.setattr(attack, "fixed_base_multiples", counting_multiples)
+        report = attack.evaluate(matrix, g=params.g, pub=pub, params=params)
+        ranked_lanes = len(lanes) - 2  # 2^L and C
+        lanes.clear()
+        # without the order, every complement pair is computed
+        full = attack.evaluate(matrix, g=params.g, pub=pub,
+                               params=dataclasses.replace(params, order_hint=None))
+        monkeypatch.undo()
+        assert np.array_equal(report.verified, full.verified)
+        assert list(report.verified) == [c.bits == k.main_loop_bits for c in report.candidates]
+        assert report.key == (k if sigma < 1 else None)
+        assert report.key == full.key
+        if sigma == 0.5:
+            assert report.verified.any()
+            assert ranked_lanes <= 4
+        pairs = {min(c.bits, c.complement().bits) for c in report.candidates}
+        assert len(lanes) - 2 == len(pairs)
+
+    def test_mean_slot_computed_once(self, monkeypatch, b233_run, b233_leaky_trace):
+        params, k, _, _, _ = b233_run
+        matrix = segment_trace(b233_leaky_trace, k.bit_length - 2)
+        calls = []
+
+        def counting_mean(m):
+            calls.append(m)
+            return mean_slot(m)
+
+        monkeypatch.setattr(attack, "mean_slot", counting_mean)
+        pub, = fixed_base_multiples([k.value], params.g, params)
+        report = attack.evaluate(matrix, k.main_loop_bits, g=params.g, pub=pub, params=params)
+        assert len(calls) == 1
+        assert report.key == k

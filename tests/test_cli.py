@@ -282,6 +282,10 @@ AUTH_DEMO_PINS = {
         "d6ddd6ff552fa73207237751aa4462ebfc5f915ef09cfbac6e7687a66e"), ""),
     ("b233", 1, "0.5"): (0, AUTH_DEMO_RECOVERED.format(
         "8f414c343c1027c4d1c386bbc4cd613e30d8f16adf91b7584a2265b1f5"), ""),
+    # a late first hit: in extraction order only the last of the 108
+    # candidates carries the key (rank 108 by perfbench's auth_first_hit)
+    ("b233", 11, "0.5"): (0, AUTH_DEMO_RECOVERED.format(
+        "b97734d7c1c7fde805ec99108ddb5b5fab8f4d3e27dda1494c73cf256d"), ""),
     ("test8", 3, "0"): (0, AUTH_DEMO_RECOVERED.format("279"), ""),
     # the 10-bit key 548 = 4 * 137 is a multiple of the order: pub is infinity
     ("test8", 66, "0"): (2, "", "error: private key is a multiple of the base point's order "
@@ -423,6 +427,31 @@ def contract_argv(case, tmp_path, capsys):
                 "--polarity", "smaller_is_zero"]
     flag = "--budget" if name == "budget" else "--sample-index"
     return ["bruteforce", trace, "--curve", "test8", "--suspects", "1", f"{flag}={value}"]
+
+
+# a bad value read from --config: exit 2, and the message names no flag
+CONFIG_VALUE_ERRORS = {
+    "budget=-1": "error: budget must be >= 0, got -1\n",
+    "threshold=-1": "error: threshold must be a finite number >= 0, got -1.0\n",
+    "sample_index=999": "error: sample index must be in 0..53, got 999\n",
+    "excerpt_cycles=-3": "error: excerpt cycle count must be >= 0, got -3\n",
+}
+
+
+@pytest.mark.parametrize("line", sorted(CONFIG_VALUE_ERRORS))
+def test_config_value_error_names_no_flag(tmp_path, capsys, line):
+    out = tmp_path / "sim"
+    code, _, _ = run(["simulate", "--curve", "test8", "--seed", "5", "--out", str(out)], capsys)
+    assert code == 0
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(line + "\n")
+    command = {"budget": ["bruteforce", str(out / "trace.kptr"), "--suspects", "1"],
+               "threshold": ["welch", str(out / "trace.kptr")],
+               "sample_index": ["bruteforce", str(out / "trace.kptr"), "--suspects", "1"],
+               "excerpt_cycles": ["simulate"]}[line.partition("=")[0]]
+    code, stdout, stderr = run(command + ["--curve", "test8", "--config", str(cfg),
+                                          "--out", str(tmp_path / "o")], capsys)
+    assert (code, stdout, stderr) == (cli.EXIT_CONFIG, "", CONFIG_VALUE_ERRORS[line])
 
 
 @pytest.mark.parametrize("case, expected", EXIT_CODE_CASES)

@@ -24,7 +24,12 @@ from kpsca.curve import (
     step_relations_hold,
 )
 
-from helpers import count_curve_points, make_test16_curve, oracle_double_and_add
+from helpers import (
+    count_curve_points,
+    is_probable_prime,
+    make_test16_curve,
+    oracle_double_and_add,
+)
 
 
 class TestScalar:
@@ -61,6 +66,20 @@ class TestRegistry:
     def test_order_hint(self, name):
         params = get_curve(name)
         assert kp_point(Scalar(params.order_hint), params.g, params).infinity
+
+    @pytest.mark.parametrize("name", ["b163", "b233", "test8"])
+    def test_order_hint_is_prime(self, name):
+        # with n*G = infinity and G != infinity this pins ord(G) = n, on
+        # which verification's rule "at most one scalar below n verifies"
+        # rests
+        assert is_probable_prime(get_curve(name).order_hint)
+
+    def test_primality_helper(self):
+        small = [n for n in range(200) if is_probable_prime(n)]
+        assert small == [n for n in range(2, 200) if all(n % d for d in range(2, n))]
+        # strong pseudoprimes to base 2, and a Carmichael number
+        assert not any(map(is_probable_prime, (2047, 3215031751, 561)))
+        assert is_probable_prime(2**127 - 1) and not is_probable_prime(2**128 + 1)
 
     def test_unknown_curve(self):
         with pytest.raises(CurveError):

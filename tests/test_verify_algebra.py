@@ -100,8 +100,13 @@ def test_evaluate_matches_reference(data, curve_name):
     matrix = matrix_for(bits, extra)
     pub = data.draw(public_key(params, bits))
     report = evaluate(matrix, g=params.g, pub=pub, params=params)
-    want = reference_verified(extract_candidates(matrix), params.g, pub, params)
+    cands = extract_candidates(matrix)
+    want = reference_verified(cands, params.g, pub, params)
     assert np.array_equal(report.verified, want)
+    # the key is the first verified candidate's, pre-loop bit 0 first
+    want_key = (reference_recover_scalar(cands[int(np.argmax(want))], params.g, pub, params)
+                if want.any() else None)
+    assert report.key == want_key
 
 
 @settings(max_examples=80, deadline=None)
@@ -193,36 +198,78 @@ def test_foreign_field_point(pub):
     assert same_ints.verified.any() == (pub.x.spec == OTHER_233)
 
 
-def test_one_lane_per_complement_pair(monkeypatch):
-    """evaluate() makes no ladder and computes one point per distinct
-    complement pair, all in one batched call; its other calls derive the
-    targets from 2^L*G and C*G."""
-    ladders, calls = [], []
+# The key (1, 0, 1, 1, 0, 0, 1, 0) is read at column 1, with some spread;
+# column 0 separates two levels perfectly (score inf) but reads wrong bits,
+# so the key's pair ranks second.  Score order: columns 0, 1, 3, 6, 4, 5, 2.
+RANKED_KEY = (1, 0, 1, 1, 0, 0, 1, 0)
+RANKED_COLUMNS = [
+    [0, 0, 1, 1, 0, 1, 1, 0],
+    [1 - b + 0.1 * (i % 3) for i, b in enumerate(RANKED_KEY)],
+    [3, 1, 4, 1, 5, 9, 2, 6],
+    [2, 7, 1, 8, 2, 8, 1, 8],
+    [1, 4, 1, 4, 2, 1, 3, 5],
+    [1, 7, 3, 2, 0, 5, 0, 8],
+    [5, 7, 7, 2, 1, 5, 6, 6],
+]
+RANKED_ORDER = [0, 1, 3, 6, 4, 5, 2]
 
-    def counting_kp_point(k, p, params):
-        ladders.append(k.value)
-        return kp_point(k, p, params)
+
+def ranked_evaluate(monkeypatch, params):
+    """evaluate() on the ranked matrix: the report, the scalars of each
+    fixed_base_multiples call, and the pair scalars in score order."""
+    calls = []
+
+    def no_ladder(k, p, params):
+        raise AssertionError("verification ran a ladder")
 
     def counting_multiples(ks, g, params):
         calls.append(list(ks))
         return fixed_base_multiples(ks, g, params)
 
-    bits = (1, 0, 1, 1, 0, 0, 1, 0)
-    matrix = matrix_for(bits, [[0] * 8, [1 - b for b in bits], [2, 0, 1, 1, 2, 0, 1, 0]])
-    pairs = {min(c.bits, tuple(1 - b for b in c.bits)) for c in extract_candidates(matrix)}
-    pub = kp_point(expand_candidate(bits, 1), TEST16.g, TEST16)
-    monkeypatch.setattr(curve, "kp_point", counting_kp_point)
+    matrix = SlotMatrix(np.array(RANKED_COLUMNS, dtype=float).T.copy(), len(RANKED_COLUMNS), 0)
+    scores = attack.separation_scores(matrix)
+    assert list(np.argsort(-scores, kind="stable")) == RANKED_ORDER
+    cands = extract_candidates(matrix)
+    assert cands[1].bits == RANKED_KEY
+    # a pair's lane is k(c, 0) of its member that starts with 0
+    reps = [min(cands[j].bits, cands[j].complement().bits) for j in RANKED_ORDER]
+    lanes = [expand_candidate(rep, 0).value for rep in reps]
+    assert len(set(lanes)) == len(RANKED_ORDER)
+    pub = kp_point(expand_candidate(RANKED_KEY, 1), params.g, params)
+    monkeypatch.setattr(curve, "kp_point", no_ladder)
     monkeypatch.setattr(attack, "fixed_base_multiples", counting_multiples)
-    report = evaluate(matrix, g=TEST16.g, pub=pub, params=TEST16)
-    assert ladders == []
-    target_scalars = {1 << len(bits), (1 << (len(bits) + 2)) + (1 << len(bits)) - 1}
-    lane_calls = [ks for ks in calls if not set(ks) <= target_scalars]
-    assert len(lane_calls) == 1
-    assert sorted(lane_calls[0]) == sorted(expand_candidate(rep, 0).value for rep in pairs)
-    # bits itself: directly at column 0 and through a complement at column 2
-    assert report.verified.sum() == 2
+    report = evaluate(matrix, g=params.g, pub=pub, params=params)
+    monkeypatch.undo()
+    return report, calls, lanes, pub
+
+
+def test_ranked_batches_stop_at_first_verifying_pair(monkeypatch):
+    """On test16, where 2^(L+2) <= n, evaluate() computes the best-scored
+    pair, then the next three, and stops there: that batch holds the
+    key's pair.  The first call also carries 2^L and C."""
+    report, calls, lanes, pub = ranked_evaluate(monkeypatch, TEST16)
+    n = len(RANKED_KEY)
+    assert (1 << (n + 2)) <= TEST16.order_hint
+    assert calls == [[1 << n, (1 << (n + 2)) + (1 << n) - 1, lanes[0]], lanes[1:4]]
+    assert report.key == expand_candidate(RANKED_KEY, 1)
+    # the key directly at column 1; no other column reads it or its complement
+    assert list(np.flatnonzero(report.verified)) == [1]
     want = reference_verified(report.candidates, TEST16.g, pub, TEST16)
     assert np.array_equal(report.verified, want)
+
+
+def test_rule_skipped_when_order_is_small(monkeypatch):
+    """On test8, 2^(L+2) > n = 137, so several scalars may verify: every
+    pair is computed, once, in batches of 1, 3 and the rest, and the key is
+    the first verified candidate's, as trying candidates in order finds it."""
+    report, calls, lanes, pub = ranked_evaluate(monkeypatch, TEST8)
+    n = len(RANKED_KEY)
+    assert (1 << (n + 2)) > TEST8.order_hint
+    assert calls == [[1 << n, (1 << (n + 2)) + (1 << n) - 1, lanes[0]], lanes[1:4], lanes[4:]]
+    want = reference_verified(report.candidates, TEST8.g, pub, TEST8)
+    assert np.array_equal(report.verified, want)
+    first = int(np.argmax(want))
+    assert report.key == reference_recover_scalar(report.candidates[first], TEST8.g, pub, TEST8)
 
 
 def two_torsion_point(params):
