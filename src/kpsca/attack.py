@@ -30,16 +30,17 @@ candidate, and is rejected before any target is derived from it: the
 affine addition is meaningful only on the curve and could turn an
 off-curve pub into the point at infinity, which kP legitimately equals.
 
-The pairs are computed in order of `separation_scores`, a label-free
-score of how well each sample index splits the slots into two classes,
-so the cycles that process the key bits come first.  Every expansion
-of an L-bit candidate lies in [2^(L+1), 2^(L+2)); when 2^(L+2) <= n,
-the order of G (`CurveParams.order_hint`), distinct scalars there give
-distinct points and at most one scalar k* verifies.  Verification then
-stops at the first batch of pairs that verifies, and the other
-candidates are decided by comparing their bits with k*'s main-loop
-bits.  Where 2^(L+2) > n (the test8 curve, 233-bit scalars on B-233)
-every pair is computed.
+Every expansion of an L-bit candidate lies in [2^(L+1), 2^(L+2)); when
+2^(L+2) <= n, the order of G (`CurveParams.order_hint`), at most one
+scalar k* verifies.  It is sought first with `combined_candidate`, which
+sums the sign-aligned, standardized columns of the cycles that the
+label-free `separation_scores` ranks highest (the non-profiled
+clustering of Heyszl et al., CARDIS 2013), then by flipping its
+least-margin bits, one affine addition each, and only then by computing
+the candidates' pairs in score order up to the first batch that
+verifies.  Candidates are then decided by comparing their bits with
+k*'s.  Where 2^(L+2) > n (test8, 233-bit scalars on B-233) every pair
+is computed.
 
 Welch's two-sample t-test over the '0'-labelled and '1'-labelled slots
 is included as the designer-side leakage assessment.
@@ -143,6 +144,24 @@ def separation_scores(matrix: SlotMatrix,
     return np.where(ok, score, 0.0)
 
 
+COMBINED_CYCLES = 5    # best-scored sample indices a combined candidate sums
+COMBINED_SUSPECTS = 8  # its least-margin slots that verification flips
+
+
+def combined_candidate(matrix: SlotMatrix, mean: np.ndarray,
+                       scores: np.ndarray) -> tuple[tuple[int, ...], np.ndarray]:
+    """Bits and margins from the COMBINED_CYCLES best-scored sample indices:
+    their columns, standardized against the mean slot (a zero spread divides
+    by 1, a NaN counts 0) and sign-aligned with the top one's by correlation,
+    summed per slot; '1' where the sum is < 0 (as SMALLER_IS_ONE reads), margin |sum|."""
+    top = np.argsort(-scores, kind="stable")[:COMBINED_CYCLES]
+    cols = np.nan_to_num(matrix.slots[:, top] - mean[top])
+    spread = cols.std(axis=0)
+    cols /= np.where(spread > 0, spread, 1.0)
+    total = cols @ np.where(cols.T @ cols[:, 0] < 0, -1.0, 1.0)
+    return tuple((total < 0).astype(int).tolist()), np.abs(total)
+
+
 def correctness(candidate: KeyCandidate, truth_bits) -> tuple[float, list[int]]:
     """Relative correctness: matching-bit fraction plus the mismatch positions."""
     truth = tuple(truth_bits)
@@ -233,6 +252,19 @@ def _pair_targets(step: AffinePoint, c_g: AffinePoint, pub: AffinePoint,
     )
 
 
+def _combined_key(bits, suspects, points, targets, params: CurveParams) -> Optional[Scalar]:
+    """The scalar that the combined candidate's pair, or the first subset
+    of its suspects flipped, verifies against `_pair_targets`, or None;
+    points are `_flip_lanes(bits, suspects)` times G."""
+    for subset, p in _flipped_points(bits, suspects, points, params):
+        for complement, wanted in enumerate(targets):
+            if p in wanted:
+                flip = {suspects[i] for i in subset}
+                return expand_candidate([b ^ complement ^ (j in flip) for j, b in enumerate(bits)],
+                                        wanted.index(p))
+    return None
+
+
 _FLIP_BIT = bytes.maketrans(b"\0\1", b"\1\0")
 
 # complement pairs per `fixed_base_multiples` call, best score first;
@@ -241,7 +273,7 @@ _PAIR_BATCHES = (1, 3)
 
 
 def _verify_all(candidates, scores, g: AffinePoint, pub: AffinePoint,
-                params: CurveParams) -> tuple[np.ndarray, Optional[Scalar]]:
+                params: CurveParams, combined) -> tuple[np.ndarray, Optional[Scalar]]:
     """Per candidate: does either pre-loop expansion reproduce pub?  Also
     the verifying scalar k*, or None.
 
@@ -249,10 +281,13 @@ def _verify_all(candidates, scores, g: AffinePoint, pub: AffinePoint,
     are ranked by their best member's score (ties keep list order) and
     computed in batches of _PAIR_BATCHES, then the rest; the first call
     also computes A = 2^L*G and C*G.  When 2^(L+2) <= n, at most one
-    scalar verifies: the batch holding the first verifying pair is the
-    last, and candidate i is verified iff its bits are k*'s main-loop
-    bits.  Otherwise every pair is computed, and k* is the expansion of
-    the first verified candidate in list order, pre-loop bit 0 first.
+    scalar verifies: `_combined_key` tries the combined (bits, margins)
+    first, the first call computing its pair and the flip deltas of its
+    COMBINED_SUSPECTS least-margin slots; then the batch holding the
+    first verifying pair is the last.  Candidate i is verified iff its
+    bits are k*'s main-loop bits.  Otherwise every pair is computed, and k* is
+    the expansion of the first verified candidate in list order,
+    pre-loop bit 0 first.
     """
     verified = np.zeros(len(candidates), dtype=bool)
     if not candidates or not is_on_curve(pub, params):
@@ -267,11 +302,19 @@ def _verify_all(candidates, scores, g: AffinePoint, pub: AffinePoint,
         pairs.setdefault(rep, []).append((i, is_complement))
     best = {rep: max(scores[i] for i, _ in members) for rep, members in pairs.items()}
     ranked = sorted(pairs, key=lambda rep: -best[rep])
-    lengths = sorted({len(rep) for rep in ranked})
-    unique = params.order_hint is not None and (1 << (lengths[-1] + 2)) <= params.order_hint
-    target_lanes = [k for n in lengths for k in (1 << n, (1 << (n + 2)) + (1 << n) - 1)]
-    targets = {}
+    n = len(candidates[0].bits)  # one slot matrix: every candidate has L bits
+    unique = params.order_hint is not None and (1 << (n + 2)) <= params.order_hint
+    head = [1 << n, (1 << (n + 2)) + (1 << n) - 1]  # A and C*G, in the first call
     matched = {}  # candidate index -> pre-loop bit of its verifying expansion
+    key = None
+    if unique:
+        bits, margins = combined
+        suspects = sorted(np.argsort(margins, kind="stable")[:COMBINED_SUSPECTS].tolist())
+        step, c_g, *points = fixed_base_multiples(head + _flip_lanes(bits, suspects), g, params)
+        targets, head = _pair_targets(step, c_g, pub, params), []
+        key = _combined_key(bits, suspects, points, targets, params)
+        skip = {bytes(bits), bytes(bits).translate(_FLIP_BIT)}
+        ranked = [] if key is not None else [r for r in ranked if r not in skip]
     start = 0
     for size in _PAIR_BATCHES + (len(ranked),):
         batch = ranked[start:start + size]
@@ -279,24 +322,23 @@ def _verify_all(candidates, scores, g: AffinePoint, pub: AffinePoint,
         if not batch:
             break
         points = fixed_base_multiples(
-            target_lanes + [expand_candidate(rep, 0).value for rep in batch], g, params)
-        if target_lanes:
-            targets = {n: _pair_targets(points[2 * j], points[2 * j + 1], pub, params)
-                       for j, n in enumerate(lengths)}
-            points = points[len(target_lanes):]
-            target_lanes = []
+            head + [expand_candidate(rep, 0).value for rep in batch], g, params)
+        if head:
+            targets = _pair_targets(points[0], points[1], pub, params)
+            points = points[2:]
+            head = []
         for rep, point in zip(batch, points):
-            direct, complement = targets[len(rep)]
             for i, is_complement in pairs[rep]:
-                wanted = complement if is_complement else direct
+                wanted = targets[is_complement]
                 if point in wanted:
                     matched[i] = wanted.index(point)
         if unique and matched:
             break
-    if not matched:
+    if key is None and matched:
+        first = min(matched)
+        key = expand_candidate(candidates[first].bits, matched[first])
+    if key is None:
         return verified, None
-    first = min(matched)
-    key = expand_candidate(candidates[first].bits, matched[first])
     if unique:
         bits = key.main_loop_bits
         verified[:] = [c.bits == bits for c in candidates]
@@ -315,20 +357,23 @@ class BruteForceResult:
 MAX_SUSPECTS = 24
 
 
-def _flipped_points(bits, positions, g: AffinePoint, params: CurveParams):
+def _flip_lanes(bits, positions) -> list[int]:
+    """k(bits, 0), then the flip delta's scalar of each position."""
+    return [expand_candidate(bits, 0).value] + [1 << (len(bits) - 1 - p) for p in positions]
+
+
+def _flipped_points(bits, positions, points, params: CurveParams):
     """Yield (subset, k(bits with the subset flipped, 0)*G) in brute-force order.
 
-    A subset is a tuple of indices into positions.
+    A subset is a tuple of indices into positions; points are the
+    `_flip_lanes(bits, positions)` times G.
     Order: increasing number of flips, then lexicographic, as
     itertools.combinations lists each weight.  Each subset's point is its
     parent's (the subset without its last position) plus the flip delta
     of that position, computed when the subset is reached; pending
     subsets never span more than about one weight level.
     """
-    nbits = len(bits)
-    base, *steps = fixed_base_multiples(
-        [expand_candidate(bits, 0).value] + [1 << (nbits - 1 - p) for p in positions],
-        g, params)
+    base, *steps = points
     deltas = [negate(d) if bits[p] & 1 else d for p, d in zip(positions, steps)]
     # (suspect indices, parent's point); the empty subset carries its own
     pending = deque([((), base)])
@@ -378,7 +423,8 @@ def brute_force_complete(
         return BruteForceResult(None, max(budget, 0), True)
     targets = [_preloop_target(pb, nbits, g, pub, params) for pb in preloop_bits]
     checks = 0
-    for subset, point in _flipped_points(candidate.bits, suspects, g, params):
+    points = fixed_base_multiples(_flip_lanes(candidate.bits, suspects), g, params)
+    for subset, point in _flipped_points(candidate.bits, suspects, points, params):
         for pb, target in zip(preloop_bits, targets):
             if checks >= budget:
                 return BruteForceResult(None, checks, True)
@@ -467,7 +513,8 @@ def evaluate(
             raise ValueError("verification needs g and params alongside pub")
         scores = separation_scores(matrix, mean)
         verified, report.key = _verify_all(
-            candidates, [scores[c.sample_index] for c in candidates], g, pub, params)
+            candidates, [scores[c.sample_index] for c in candidates], g, pub, params,
+            combined_candidate(matrix, mean, scores))
         report.verified = verified
         if report.best_index is None and verified.any():
             report.best_index = int(np.argmax(verified))

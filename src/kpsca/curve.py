@@ -276,16 +276,15 @@ def _check_ladder_input(p: AffinePoint, params: CurveParams) -> None:
         raise CurveError("x = 0 is degenerate: Z2 would be zero from the start")
 
 
-def _ladder(bits, p: AffinePoint, params: CurveParams) -> tuple[list[LadderState], list[StepValues]]:
-    """Ladder on checked input: the states (before each step, then the final
-    one) and each step's values."""
+def _ladder(bits, p: AffinePoint, params: CurveParams):
+    """Ladder on checked input: yield each state with the values of the step
+    that produced it, the initial state first (with None)."""
     f, x, b = params.field, p.x.value, params.b.value
-    states, steps = [_init_state(p, params)], []
+    state = _init_state(p, params)
+    yield state, None
     for k_i in bits[1:]:
-        state, values = ladder_step(f, states[-1], k_i, x, b)
-        states.append(state)
-        steps.append(values)
-    return states, steps
+        state, values = ladder_step(f, state, k_i, x, b)
+        yield state, values
 
 
 def kp_multiply(k: Scalar, p: AffinePoint, params: CurveParams) -> tuple[AffinePoint, LadderTranscript]:
@@ -296,11 +295,11 @@ def kp_multiply(k: Scalar, p: AffinePoint, params: CurveParams) -> tuple[AffineP
     is wanted.  [k]P is still correct for oversized k.
     """
     _check_ladder_input(p, params)
-    states, steps = _ladder(k.bits, p, params)
+    states, steps = zip(*_ladder(k.bits, p, params))
     result = ladder_finalize(states[-1], p)
     if not is_on_curve(result, params):
         raise CurveError("ladder produced an off-curve point")
-    return result, LadderTranscript(params, k, p, tuple(states), tuple(steps), result)
+    return result, LadderTranscript(params, k, p, states, steps[1:], result)
 
 
 def kp_point(k: Scalar, p: AffinePoint, params: CurveParams) -> AffinePoint:
@@ -310,7 +309,9 @@ def kp_point(k: Scalar, p: AffinePoint, params: CurveParams) -> AffinePoint:
     point come from `fixed_base_multiples` instead.
     """
     _check_ladder_input(p, params)
-    return ladder_finalize(_ladder(k.bits, p, params)[0][-1], p)
+    for state, _ in _ladder(k.bits, p, params):  # keeps only the current state
+        pass
+    return ladder_finalize(state, p)
 
 
 # --- affine group law (textbook formulas) ---

@@ -414,9 +414,10 @@ def test_property_extraction_matches_per_column_loop(num_slots, slot_len, data):
 
 class TestRankedVerificationB233:
     """Ranked verification on B-233 traces: the flags equal full per-pair
-    verification's, and at sigma 0.5 only a few pairs are computed.  With
-    noise seed 9 the key's pair ranks 47th of the pairs in extraction
-    order at sigma 0.5, and 3rd by score."""
+    verification's, and one call, of the combined candidate's lane and
+    its COMBINED_SUSPECTS flip deltas besides 2^L and C, finds the key.  With noise seed 9 the key's pair ranks 47th of the pairs in
+    extraction order at sigma 0.5, and 3rd by score; at sigma 1.0 no
+    single candidate verifies."""
 
     @pytest.mark.parametrize("sigma", [0.0, 0.5, 1.0])
     def test_flags_and_work(self, monkeypatch, b233_run, sigma):
@@ -424,29 +425,36 @@ class TestRankedVerificationB233:
         trace = synthesize_trace(schedule, LeakModel(noise_sigma=sigma, rng_seed=9))
         matrix = segment_trace(trace, k.bit_length - 2)
         pub, = fixed_base_multiples([k.value], params.g, params)
-        lanes = []
+        calls = []
 
         def counting_multiples(ks, g, params):
-            lanes.extend(ks)
+            calls.append(list(ks))
             return fixed_base_multiples(ks, g, params)
 
         monkeypatch.setattr(attack, "fixed_base_multiples", counting_multiples)
         report = attack.evaluate(matrix, g=params.g, pub=pub, params=params)
-        ranked_lanes = len(lanes) - 2  # 2^L and C
-        lanes.clear()
+        combined_calls = calls[:]
+        calls.clear()
         # without the order, every complement pair is computed
         full = attack.evaluate(matrix, g=params.g, pub=pub,
                                params=dataclasses.replace(params, order_hint=None))
         monkeypatch.undo()
         assert np.array_equal(report.verified, full.verified)
         assert list(report.verified) == [c.bits == k.main_loop_bits for c in report.candidates]
-        assert report.key == (k if sigma < 1 else None)
-        assert report.key == full.key
-        if sigma == 0.5:
-            assert report.verified.any()
-            assert ranked_lanes <= 4
+        assert report.verified.any() == (sigma < 1)
+        # the order-less walk has only the single candidates
+        assert report.key == k
+        assert full.key == (k if sigma < 1 else None)
+        n = len(k.main_loop_bits)
+        mean = mean_slot(matrix)
+        bits, _ = attack.combined_candidate(matrix, mean, separation_scores(matrix, mean))
+        first, = combined_calls
+        assert first[:3] == [1 << n, (1 << (n + 2)) + (1 << n) - 1,
+                             expand_candidate(bits, 0).value]
+        assert len(first) == 3 + attack.COMBINED_SUSPECTS
+        assert all(lane in {1 << p for p in range(n)} for lane in first[3:])
         pairs = {min(c.bits, c.complement().bits) for c in report.candidates}
-        assert len(lanes) - 2 == len(pairs)
+        assert sum(map(len, calls)) - 2 == len(pairs)
 
     def test_mean_slot_computed_once(self, monkeypatch, b233_run, b233_leaky_trace):
         params, k, _, _, _ = b233_run

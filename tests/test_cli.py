@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import kpsca
-from kpsca import cli
+from kpsca import authproto, cli
 from kpsca.curve import Scalar, get_curve, kp_point
 from kpsca.traces import read_trace
 
@@ -286,6 +286,9 @@ AUTH_DEMO_PINS = {
     # candidates carries the key (rank 108 by perfbench's auth_first_hit)
     ("b233", 11, "0.5"): (0, AUTH_DEMO_RECOVERED.format(
         "b97734d7c1c7fde805ec99108ddb5b5fab8f4d3e27dda1494c73cf256d"), ""),
+    # no single candidate verifies at sigma 1.0; the combined candidate does
+    ("b233", 2, "1.0"): (0, AUTH_DEMO_RECOVERED.format(
+        "ae15ba2bdd177219d30e7a269fd95bafc8f2a4d27bdcf4bb99f4bea973"), ""),
     ("test8", 3, "0"): (0, AUTH_DEMO_RECOVERED.format("279"), ""),
     # the 10-bit key 548 = 4 * 137 is a multiple of the order: pub is infinity
     ("test8", 66, "0"): (2, "", "error: private key is a multiple of the base point's order "
@@ -306,6 +309,20 @@ class TestAuthDemo:
                              [case for case in sorted(AUTH_DEMO_PINS) if case != ("b233", 9, "0")])
     def test_output_pins(self, capsys, curve, seed, sigma):
         assert auth_demo(capsys, curve, seed, sigma) == AUTH_DEMO_PINS[(curve, seed, sigma)]
+
+    def test_noisy_pin_is_the_planted_key(self):
+        stdout = AUTH_DEMO_PINS[("b233", 2, "1.0")][1]
+        planted = authproto.Identity.generate("b233", random.Random(2)).k
+        assert f"recovered scalar: {planted.to_hex()}\n" in stdout
+
+    def test_recovers_most_keys_at_sigma_1(self, capsys):
+        recovered = [
+            auth_demo(capsys, "b233", seed, "1.0")
+            == (0, AUTH_DEMO_RECOVERED.format(
+                authproto.Identity.generate("b233", random.Random(seed)).k.to_hex()), "")
+            for seed in range(1, 9)
+        ]
+        assert sum(recovered) >= 7
 
     def test_pub_at_infinity_seed(self):
         assert Scalar.random(random.Random(66), 10).value % get_curve("test8").order_hint == 0

@@ -7,6 +7,8 @@ one full kP per tested scalar, on the small test curves, including
 scalars whose kP is the point at infinity and off-curve public keys.
 """
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -103,10 +105,16 @@ def test_evaluate_matches_reference(data, curve_name):
     cands = extract_candidates(matrix)
     want = reference_verified(cands, params.g, pub, params)
     assert np.array_equal(report.verified, want)
-    # the key is the first verified candidate's, pre-loop bit 0 first
-    want_key = (reference_recover_scalar(cands[int(np.argmax(want))], params.g, pub, params)
-                if want.any() else None)
-    assert report.key == want_key
+    # the key is the first verified candidate's, pre-loop bit 0 first; where
+    # 2^(L+2) <= n, the combined candidate's flip search may also find a
+    # verifying scalar that no candidate reads
+    if want.any():
+        first = cands[int(np.argmax(want))]
+        assert report.key == reference_recover_scalar(first, params.g, pub, params)
+    elif report.key is not None:
+        assert (1 << (len(bits) + 2)) <= params.order_hint
+        assert report.key.bit_length == len(bits) + 2
+        assert kp_point(report.key, params.g, params) == pub
 
 
 @settings(max_examples=80, deadline=None)
@@ -214,9 +222,9 @@ RANKED_COLUMNS = [
 RANKED_ORDER = [0, 1, 3, 6, 4, 5, 2]
 
 
-def ranked_evaluate(monkeypatch, params):
-    """evaluate() on the ranked matrix: the report, the scalars of each
-    fixed_base_multiples call, and the pair scalars in score order."""
+def counted_evaluate(monkeypatch, matrix, pub, params):
+    """evaluate() on matrix, with no ladder allowed: the report and the
+    scalars of each fixed_base_multiples call."""
     calls = []
 
     def no_ladder(k, p, params):
@@ -226,7 +234,40 @@ def ranked_evaluate(monkeypatch, params):
         calls.append(list(ks))
         return fixed_base_multiples(ks, g, params)
 
-    matrix = SlotMatrix(np.array(RANKED_COLUMNS, dtype=float).T.copy(), len(RANKED_COLUMNS), 0)
+    monkeypatch.setattr(curve, "kp_point", no_ladder)
+    monkeypatch.setattr(attack, "fixed_base_multiples", counting_multiples)
+    report = evaluate(matrix, g=params.g, pub=pub, params=params)
+    monkeypatch.undo()
+    return report, calls
+
+
+def target_lanes(n):
+    """The first call's lanes before any pair: 2^L and C."""
+    return [1 << n, (1 << (n + 2)) + (1 << n) - 1]
+
+
+def combined_of(matrix):
+    """The combined candidate's bits, margins and sorted flip-search suspects."""
+    mean = attack.mean_slot(matrix)
+    bits, margins = attack.combined_candidate(matrix, mean,
+                                              attack.separation_scores(matrix, mean))
+    suspects = sorted(np.argsort(margins, kind="stable")[:attack.COMBINED_SUSPECTS].tolist())
+    return bits, margins, suspects
+
+
+def flip_lanes(bits, suspects):
+    """The combined lanes of the first call: k(bits, 0), then each suspect's delta."""
+    return [expand_candidate(bits, 0).value] + [1 << (len(bits) - 1 - p) for p in suspects]
+
+
+def ranked_matrix():
+    return SlotMatrix(np.array(RANKED_COLUMNS, dtype=float).T.copy(), len(RANKED_COLUMNS), 0)
+
+
+def ranked_evaluate(monkeypatch, params):
+    """evaluate() on the ranked matrix: the report, the scalars of each
+    fixed_base_multiples call, and the pair scalars in score order."""
+    matrix = ranked_matrix()
     scores = attack.separation_scores(matrix)
     assert list(np.argsort(-scores, kind="stable")) == RANKED_ORDER
     cands = extract_candidates(matrix)
@@ -236,21 +277,22 @@ def ranked_evaluate(monkeypatch, params):
     lanes = [expand_candidate(rep, 0).value for rep in reps]
     assert len(set(lanes)) == len(RANKED_ORDER)
     pub = kp_point(expand_candidate(RANKED_KEY, 1), params.g, params)
-    monkeypatch.setattr(curve, "kp_point", no_ladder)
-    monkeypatch.setattr(attack, "fixed_base_multiples", counting_multiples)
-    report = evaluate(matrix, g=params.g, pub=pub, params=params)
-    monkeypatch.undo()
+    report, calls = counted_evaluate(monkeypatch, matrix, pub, params)
     return report, calls, lanes, pub
 
 
 def test_ranked_batches_stop_at_first_verifying_pair(monkeypatch):
-    """On test16, where 2^(L+2) <= n, evaluate() computes the best-scored
-    pair, then the next three, and stops there: that batch holds the
-    key's pair.  The first call also carries 2^L and C."""
+    """On test16, where 2^(L+2) <= n, evaluate() first computes the combined
+    candidate's pair, with 2^L, C and the flip deltas of its 8 least-margin
+    slots.  Its complement is one bit from the key, so the flip search
+    finds the key.  With 8 slots that search covers every bit string, so
+    no ranked batch runs (test_combined_miss_falls_back_to_ranked_walk has one)."""
     report, calls, lanes, pub = ranked_evaluate(monkeypatch, TEST16)
     n = len(RANKED_KEY)
     assert (1 << (n + 2)) <= TEST16.order_hint
-    assert calls == [[1 << n, (1 << (n + 2)) + (1 << n) - 1, lanes[0]], lanes[1:4]]
+    bits, _, suspects = combined_of(ranked_matrix())
+    assert sum(a != (1 - b) for a, b in zip(bits, RANKED_KEY)) == 1
+    assert calls == [target_lanes(n) + flip_lanes(bits, suspects)]
     assert report.key == expand_candidate(RANKED_KEY, 1)
     # the key directly at column 1; no other column reads it or its complement
     assert list(np.flatnonzero(report.verified)) == [1]
@@ -260,16 +302,102 @@ def test_ranked_batches_stop_at_first_verifying_pair(monkeypatch):
 
 def test_rule_skipped_when_order_is_small(monkeypatch):
     """On test8, 2^(L+2) > n = 137, so several scalars may verify: every
-    pair is computed, once, in batches of 1, 3 and the rest, and the key is
-    the first verified candidate's, as trying candidates in order finds it."""
+    pair is computed, once, in batches of 1, 3 and the rest, with no
+    combined lane, and the key is the first verified candidate's, as
+    trying candidates in order finds it."""
     report, calls, lanes, pub = ranked_evaluate(monkeypatch, TEST8)
     n = len(RANKED_KEY)
     assert (1 << (n + 2)) > TEST8.order_hint
-    assert calls == [[1 << n, (1 << (n + 2)) + (1 << n) - 1, lanes[0]], lanes[1:4], lanes[4:]]
+    assert calls == [target_lanes(n) + lanes[:1], lanes[1:4], lanes[4:]]
     want = reference_verified(report.candidates, TEST8.g, pub, TEST8)
     assert np.array_equal(report.verified, want)
     first = int(np.argmax(want))
     assert report.key == reference_recover_scalar(report.candidates[first], TEST8.g, pub, TEST8)
+
+
+# 12-bit keys on test16: 2^14 <= n, and the flip search covers 8 of 12 slots
+KEY12 = (1, 0, 1, 1, 0, 0, 1, 0, 1, 1, 1, 0)
+NOISE12 = [[3, 1, 4, 1, 5, 9, 2, 6, 5, 3, 5, 8],
+           [2, 7, 1, 8, 2, 8, 1, 8, 2, 8, 4, 5],
+           [1, 4, 1, 4, 2, 1, 3, 5, 6, 2, 3, 7]]
+
+
+def two_level(bits, amplitude):
+    """A column that separates perfectly and whose SMALLER_IS_ONE candidate reads bits."""
+    return [amplitude * (1 - b) for b in bits]
+
+
+def flipped(bits, positions):
+    return tuple(b ^ (i in positions) for i, b in enumerate(bits))
+
+
+def pair_lane(bits):
+    """The lane of bits' complement pair: k(c, 0) of its member that starts with 0."""
+    return expand_candidate(min(bits, flipped(bits, range(len(bits)))), 0).value
+
+
+def test_combined_flip_finds_one_wrong_bit(monkeypatch):
+    """Four of the five best columns misread slot 5, so the combined
+    candidate does too, with its least margin there: the first flip finds
+    the key and no ranked batch runs."""
+    misread = flipped(KEY12, {5})
+    matrix = matrix_for(misread, [two_level(misread, a) for a in (2, 3, 4)]
+                        + [two_level(KEY12, 5)] + NOISE12)
+    bits, margins, suspects = combined_of(matrix)
+    assert bits == misread and int(np.argmin(margins)) == 5
+    pub = kp_point(expand_candidate(KEY12, 1), TEST16.g, TEST16)
+    report, calls = counted_evaluate(monkeypatch, matrix, pub, TEST16)
+    assert calls == [target_lanes(12) + flip_lanes(misread, suspects)]
+    assert report.key == expand_candidate(KEY12, 1)
+    want = reference_verified(report.candidates, TEST16.g, pub, TEST16)
+    assert want.any() and np.array_equal(report.verified, want)
+
+
+def test_combined_miss_falls_back_to_ranked_walk(monkeypatch):
+    """The four best columns read a wrong string w, so the combined
+    candidate is w, and neither w nor its complement reaches the key by
+    flipping the 8 suspects.  The ranked walk then skips w's pair, computes
+    the next best pair (the fifth column's), then the next three, which
+    hold the key's pair, and stops."""
+    w = flipped(KEY12, {0, 3, 4, 7, 9, 10})
+    w2 = flipped(w, {1, 6, 11})
+    key_column = [1 - b + 0.1 * (i % 3) for i, b in enumerate(KEY12)]
+    matrix = matrix_for(w, [two_level(w, a) for a in (2, 3, 4)] + [two_level(w2, 1), key_column]
+                        + NOISE12)
+    bits, _, suspects = combined_of(matrix)
+    assert bits == w
+    for start in (w, flipped(w, range(12))):
+        assert {i for i in range(12) if start[i] != KEY12[i]} - set(suspects)
+    pub = kp_point(expand_candidate(KEY12, 0), TEST16.g, TEST16)
+    report, calls = counted_evaluate(monkeypatch, matrix, pub, TEST16)
+    assert calls[:2] == [target_lanes(12) + flip_lanes(w, suspects), [pair_lane(w2)]]
+    assert len(calls) == 3 and len(calls[2]) == 3 and calls[2][0] == pair_lane(KEY12)
+    assert report.key == expand_candidate(KEY12, 0)
+    want = reference_verified(report.candidates, TEST16.g, pub, TEST16)
+    assert want.any() and np.array_equal(report.verified, want)
+
+
+@pytest.mark.parametrize("case", ["constant_columns", "nan_sample", "narrow_slot"])
+def test_degenerate_matrices(case):
+    """The combined candidate raises and warns nothing on constant
+    columns, a NaN sample or fewer than COMBINED_CYCLES sample indices,
+    and the flags stay those of per-candidate verification."""
+    if case == "constant_columns":
+        matrix = SlotMatrix(np.full((12, 6), 4.0), 6, 0)
+    elif case == "nan_sample":
+        matrix = matrix_for(KEY12, [two_level(KEY12, 2)] + NOISE12)
+        matrix.slots[3, 0] = np.nan
+    else:
+        matrix = matrix_for(KEY12, NOISE12[:1])
+    assert (matrix.slot_len < attack.COMBINED_CYCLES) == (case == "narrow_slot")
+    pub = kp_point(expand_candidate(KEY12, 1), TEST16.g, TEST16)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = evaluate(matrix, g=TEST16.g, pub=pub, params=TEST16)
+    want = reference_verified(report.candidates, TEST16.g, pub, TEST16)
+    assert np.array_equal(report.verified, want)
+    assert report.key in (None, expand_candidate(KEY12, 1))
+    assert want.any() == (case != "constant_columns")
 
 
 def two_torsion_point(params):
