@@ -21,8 +21,7 @@ single point P = k(c, 0)*G settles all four scalars: P equals pub,
 pub - A, C*G - pub or C*G + A - pub (A = 2^L*G) exactly when
 (c, 0), (c, 1), (c', 0) or (c', 1) verifies.  Every multiple of G
 here comes from `curve.fixed_base_multiples`, which computes many
-points together from a fixed-base window table, with one field
-inversion per table row they use.  Brute force reaches
+points together from a fixed-base window table.  Brute force reaches
 every flipped subset by one affine point addition from its parent
 subset, because flipping bit p adds +-2^(L-1-p) to every expansion.
 A pub that is not a point of the curve (or of its field) verifies no

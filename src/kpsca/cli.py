@@ -161,8 +161,11 @@ def _out_dir(cfg: RunConfig) -> Path:
     return out
 
 
-def _parse_point(params, text: str) -> AffinePoint:
-    return AffinePoint.from_hex(params.field, text)
+def _parse_point(params, text: str, what: str) -> AffinePoint:
+    try:
+        return AffinePoint.from_hex(params.field, text)
+    except ValueError:
+        raise CurveError(f"{what} must be xhex:yhex or 'infinity', got {text!r}") from None
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
@@ -256,7 +259,7 @@ def _simulate(args) -> int:
     k = Scalar.from_hex(key_hex) if key_hex else Scalar.random(rng, cfg.scalar_bits)
     point_hex = _resolve(args, "point", str, None)
     if point_hex:
-        p = _parse_point(params, point_hex)
+        p = _parse_point(params, point_hex, "point")
     else:
         # random multiple of the base point, guaranteed on-curve; one ladder,
         # because nothing else in this command builds the window table
@@ -319,7 +322,7 @@ def _attack(args) -> int:
     truth = trace.ground_truth.main_loop_bits if trace.ground_truth else None
     pub_hex = _resolve(args, "pub", str, None)
     params = get_curve(cfg.curve)
-    pub = _parse_point(params, pub_hex) if pub_hex else None
+    pub = _parse_point(params, pub_hex, "public key") if pub_hex else None
     report = attack_mod.evaluate(
         matrix, truth_bits=truth,
         g=params.g if pub else None, pub=pub, params=params if pub else None,
@@ -392,7 +395,7 @@ def _bruteforce(args) -> int:
 
     pub_hex = _resolve(args, "pub", str, None)
     if pub_hex:
-        pub = _parse_point(params, pub_hex)
+        pub = _parse_point(params, pub_hex, "public key")
     elif trace.ground_truth is not None:
         pub, = fixed_base_multiples([trace.ground_truth.value], params.g, params)
     else:
@@ -413,6 +416,8 @@ def _bruteforce(args) -> int:
 
 def _auth_demo(args) -> int:
     cfg = _build_run_config(args, "auth-demo")
+    if cfg.scalar_bits < 4:  # the attack needs 2 main-loop slots
+        raise CurveError(f"auth-demo needs scalars of at least 4 bits, got {cfg.scalar_bits}")
     rng = random.Random(cfg.seed)
     identity = authproto.Identity.generate(cfg.curve, rng, cfg.scalar_bits)
     ch = authproto.challenge(identity.pub, identity.params, rng, cfg.scalar_bits)

@@ -11,8 +11,8 @@ verify key candidates by point additions instead of one ladder per
 candidate scalar, and `fixed_base_multiples` builds on it the multiples
 of the base point G that verification and the protocol need, from a
 signed base-16 window table (Hankerson, Menezes, Vanstone, Guide to
-Elliptic Curve Cryptography, ch. 3) in lockstep rounds that share one
-inversion each.
+Elliptic Curve Cryptography, ch. 3), summed as a tree whose levels
+share one inversion each.
 
 The ladder follows the modelled accelerator's bit convention: the
 register initialisation already encodes the most significant scalar
@@ -192,24 +192,27 @@ def _init_state(p: AffinePoint, params: CurveParams) -> LadderState:
 StepValues = namedtuple("StepValues", "M1 M2 M3 M4 M5 M6 S1 S2 S3 S4 S5 A1 A2 A3")
 
 
-def _step_roles(f: FieldSpec, Xa: int, Za: int, Xb: int, Zb: int, x: int, b: int) -> StepValues:
+def _step_roles(
+    f: FieldSpec, Xa: int, Za: int, Xb: int, Zb: int, x_tbl: list[int], b_tbl: list[int]
+) -> StepValues:
     """One ladder step with (Xa, Za) as the add-updated pair and (Xb, Zb) doubled.
 
     6 multiplications, 5 squarings, 3 additions -- the schedule the
-    hardware model realises in 54 clock cycles.
+    hardware model realises in 54 clock cycles.  M4 = x*S1 and M5 = b*S5,
+    whose x and b every step shares, read the ladder's product tables.
     """
     m1 = gf2m.mul_classical(f, Xa, Zb)
     m2 = gf2m.mul_classical(f, Xb, Za)       # Za, routed through T in hardware
     a1 = m1 ^ m2
     s1 = gf2m.square(f, a1)                  # new Za
     m3 = gf2m.mul_classical(f, m1, m2)
-    m4 = gf2m.mul_classical(f, x, s1)
+    m4 = gf2m.mul_by_table(f, x_tbl, s1)
     a2 = m4 ^ m3                             # new Xa
     s2 = gf2m.square(f, Xb)
     s3 = gf2m.square(f, s2)
     s4 = gf2m.square(f, Zb)
     s5 = gf2m.square(f, s4)
-    m5 = gf2m.mul_classical(f, b, s5)
+    m5 = gf2m.mul_by_table(f, b_tbl, s5)
     a3 = s3 ^ m5                             # new Xb = Xb^4 + b*Zb^4
     m6 = gf2m.mul_classical(f, s2, s4)       # new Zb = Xb^2 * Zb^2
     return StepValues(m1, m2, m3, m4, m5, m6, s1, s2, s3, s4, s5, a1, a2, a3)
@@ -231,15 +234,16 @@ def next_state(k_i: int, v: StepValues) -> LadderState:
 
 
 def ladder_step(
-    f: FieldSpec, state: LadderState, k_i: int, x: int, b: int
+    f: FieldSpec, state: LadderState, k_i: int, x_tbl: list[int], b_tbl: list[int]
 ) -> tuple[LadderState, StepValues]:
-    """One key-bit iteration: the next state and every intermediate; rejects both Z zero."""
+    """One key-bit iteration: the next state and every intermediate; rejects both Z zero.
+    x_tbl and b_tbl are the `gf2m.product_table`s of x and b."""
     if state.Z1 == 0 and state.Z2 == 0:
         raise CurveError("both Z registers are zero; ladder state is degenerate")
     if k_i:
-        v = _step_roles(f, state.X1, state.Z1, state.X2, state.Z2, x, b)
+        v = _step_roles(f, state.X1, state.Z1, state.X2, state.Z2, x_tbl, b_tbl)
     else:
-        v = _step_roles(f, state.X2, state.Z2, state.X1, state.Z1, x, b)
+        v = _step_roles(f, state.X2, state.Z2, state.X1, state.Z1, x_tbl, b_tbl)
     return next_state(k_i, v), v
 
 
@@ -280,10 +284,11 @@ def _ladder(bits, p: AffinePoint, params: CurveParams):
     """Ladder on checked input: yield each state with the values of the step
     that produced it, the initial state first (with None)."""
     f, x, b = params.field, p.x.value, params.b.value
+    x_tbl, b_tbl = gf2m.product_table(x), gf2m.product_table(b)
     state = _init_state(p, params)
     yield state, None
     for k_i in bits[1:]:
-        state, values = ladder_step(f, state, k_i, x, b)
+        state, values = ladder_step(f, state, k_i, x_tbl, b_tbl)
         yield state, values
 
 
@@ -392,7 +397,7 @@ def _point_double(p: AffinePoint, params: CurveParams) -> AffinePoint:
     return AffinePoint(FieldElement(f, x3), FieldElement(f, y3))
 
 
-# --- fixed-base multiples k*G: signed base-16 window table, lockstep rounds ---
+# --- fixed-base multiples k*G: signed base-16 window table, tree sums ---
 
 def _signed_digits(k: int) -> list[int]:
     """k = sum(d_i * 16^i), least significant digit first, each d_i in -7..8."""
@@ -447,11 +452,13 @@ def fixed_base_multiples(ks, g: AffinePoint, params: CurveParams) -> list[Affine
     """The points k*G for a list of scalars k >= 1, computed together.
 
     Each k is written in signed base-16 digits and is never reduced
-    modulo the group order.  Round i adds row i of g's window table to
-    every lane whose digit i is nonzero (the entry for |d|, negated for
-    a negative digit), and all of a round's additions share one
-    inversion.  g is checked as a ladder input is; its table is built on
-    first use and extended to the longest scalar seen.
+    modulo the group order.  A lane starts as the terms d_i*16^i*G of
+    its nonzero digits (row i of g's window table at |d_i|, negated for
+    a negative digit).  Each tree level adds adjacent terms in every
+    lane in one `_add_many`, so one inversion, and an odd last term
+    waits a level: n terms take ceil(log2 n) levels.  g is checked as a
+    ladder input is; its table is built on first use and extended to
+    the longest scalar seen.
     """
     digits = []
     for k in ks:
@@ -461,16 +468,15 @@ def fixed_base_multiples(ks, g: AffinePoint, params: CurveParams) -> list[Affine
     table = _window_table(g, params)
     rows = max(map(len, digits), default=0)
     _extend_table(table, rows, g, params)
-    acc = [AffinePoint.at_infinity()] * len(digits)
-    for i, row in enumerate(table[:rows]):
-        lanes = [j for j, ds in enumerate(digits) if i < len(ds) and ds[i]]
-        qs = []
-        for j in lanes:
-            d = digits[j][i]
-            qs.append(row[d - 1] if d > 0 else negate(row[-d - 1]))
-        for j, point in zip(lanes, _add_many([acc[j] for j in lanes], qs, params)):
-            acc[j] = point
-    return acc
+    lanes = [[row[d - 1] if d > 0 else negate(row[-d - 1]) for row, d in zip(table, ds) if d]
+             for ds in digits]
+    while any(len(terms) > 1 for terms in lanes):
+        ps = [p for terms in lanes for p in terms[:-1:2]]
+        qs = [q for terms in lanes for q in terms[1::2]]
+        sums = iter(_add_many(ps, qs, params))
+        lanes = [[next(sums) for _ in terms[1::2]] + (terms[-1:] if len(terms) % 2 else [])
+                 for terms in lanes]
+    return [terms[0] for terms in lanes]
 
 
 # --- curve registry ---

@@ -6,20 +6,24 @@ modulo the field's irreducible polynomial.  Addition is coefficient-wise
 XOR, written `^`; there is no carry propagation anywhere.
 
 The operations take the field's `FieldSpec` and plain ints and return
-ints: `mul_classical(f, a, b)`, `square(f, a)`, `invert(f, a)` and
-`karatsuba4_partials(f, a, b)`.  `FieldElement` is the boundary type:
-point coordinates and curve coefficients, with their hex I/O and repr.
+ints: `mul_classical(f, a, b)`, `mul_by_table(f, product_table(c), a)`,
+`square(f, a)`, `invert(f, a)` and `karatsuba4_partials(f, a, b)`.
+`FieldElement` is the boundary type: point coordinates and curve
+coefficients, with their hex I/O and repr.
 
 ``mul_classical`` (a 4-bit windowed comb, then fold reduction) and
 ``square`` (bit spreading, then the same reduction) are the arithmetic
 the ladder runs (Hankerson, Menezes, Vanstone, *Guide to Elliptic Curve
 Cryptography*, Alg. 2.36 and Sec. 2.3.4).  Both read the operand's 4-bit
 windows as one hex-digit stream, `format(a, "x").encode().translate(...)`,
-so no Python loop shifts and masks the operand.  ``karatsuba4_partials``
-is the modelled multiplier hardware: a 4-segment Karatsuba product that
-computes 9 segment-level partial products instead of the 16 of a
-classical 4-segment multiplier, and returns them so the leakage
-simulator can accumulate one per clock cycle.  The test suite checks
+so no Python loop shifts and masks the operand.  A product by an
+operand c that recurs, as x and b do at every ladder step, walks the
+other operand's bytes against ``product_table(c)``, built once
+(``mul_by_table``; the fixed-operand comb, ibid. Sec. 2.3.3).
+``karatsuba4_partials`` is the modelled multiplier hardware: a 4-segment
+Karatsuba product that computes 9 segment-level partial products instead
+of the 16 of a classical 4-segment multiplier, and returns them so the
+leakage simulator can accumulate one per clock cycle.  The test suite checks
 that it and ``mul_classical`` give the same product.
 """
 
@@ -129,6 +133,24 @@ def _clmul(a: int, b: int) -> int:
 def mul_classical(f: FieldSpec, a: int, b: int) -> int:
     """Schoolbook carry-less multiplication, then modular reduction."""
     return f.reduce(_clmul(a, b))
+
+
+def product_table(c: int) -> list[int]:
+    """c times every 8-bit polynomial d, indexed by d (unreduced), for
+    `mul_by_table`: a fixed operand pays for its table once."""
+    tbl = [0]
+    for ci in (c << i for i in range(8)):  # the entries d + 2^i after those d < 2^i
+        tbl += [t ^ ci for t in tbl]
+    return tbl
+
+
+def mul_by_table(f: FieldSpec, tbl: list[int], a: int) -> int:
+    """c*a for the c that `product_table` made tbl from: one table entry
+    per byte of a, then modular reduction."""
+    r = 0
+    for d in a.to_bytes((a.bit_length() + 7) >> 3, "big"):
+        r = (r << 8) ^ tbl[d]
+    return f.reduce(r)
 
 
 def segment_width(spec: FieldSpec) -> int:

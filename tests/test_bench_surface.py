@@ -106,7 +106,7 @@ def test_tracer_counts_verification_arithmetic():
     bits = Scalar(91).main_loop_bits
     matrix = SlotMatrix(np.array([[1.0 - b for b in bits]]).T.copy(), 1, 0)
     pub = curve.kp_point(Scalar(91), params.g, params)
-    ks = [0x123, 0x456]  # digits (3, 2, 1) and (6, 5, 4): rounds 1 and 2 are batched
+    ks = [0x123, 0x456]  # digits (3, 2, 1) and (6, 5, 4): two tree levels in both lanes
     curve.fixed_base_multiples(ks, params.g, params)  # the table, built untraced
     tracer = TRACING.Tracer(paper_cycles=None)
     tracer.install()
@@ -120,7 +120,7 @@ def test_tracer_counts_verification_arithmetic():
     for name in ("gf2m.invert", "gf2m.mul_classical"):
         assert during_evaluate[name]["calls"] > 0, name
     totals = tracer.layer_totals([TRACING.SETUP_OP])
-    # one inversion per batched round, shared by both lanes
+    # one inversion per tree level, shared by both lanes
     assert totals["gf2m.invert"]["calls"] - during_evaluate["gf2m.invert"]["calls"] == 2
 
 
@@ -139,12 +139,14 @@ def test_tracer_counts_auth_demo_ladders(capsys):
     assert "replayed response verifies: yes" in capsys.readouterr().out
     totals = tracer.layer_totals([TRACING.SETUP_OP])
     # exact field call counts: a change inside the field kernels moves none.
+    # Two products per ladder step, by x and by b, take gf2m.mul_by_table,
+    # which the tracer does not wrap, so mul_classical counts four per step.
     # build_schedule multiplies nothing: it squares x twice to check the
     # initial state and each recorded step's five squares.  On test8,
     # 2^(L+2) > n, so the attack computes every complement pair (in three
     # table calls, the first with 2^L and C) instead of stopping at the
     # first verifying candidate
     want = {"curve.kp_multiply": 1, "leaksim.build_schedule": 1, "authproto.respond": 1,
-            "curve.kp_point": 2, "gf2m.mul_classical": 323, "gf2m.square": 255,
+            "curve.kp_point": 2, "gf2m.mul_classical": 269, "gf2m.square": 255,
             "gf2m.invert": 25}
     assert {name: totals[name]["calls"] for name in want} == want

@@ -116,6 +116,18 @@ class TestAttack:
         assert code == 0
         assert "verified: yes" in stdout
 
+    @pytest.mark.parametrize("command", ["attack", "bruteforce"])
+    @pytest.mark.parametrize("pub", ["zz", "1:2:3", "g:1"])
+    def test_malformed_pub(self, tmp_path, capsys, command, pub):
+        out = tmp_path / "sim"
+        code, _, _ = run(["simulate", "--curve", "test8", "--seed", "5", "--out", str(out)], capsys)
+        assert code == 0
+        extra = ["--suspects", "1"] if command == "bruteforce" else []
+        code, stdout, stderr = run([command, str(out / "trace.kptr"), "--curve", "test8",
+                                    "--out", str(out), "--pub", pub, *extra], capsys)
+        assert (code, stdout, stderr) == (
+            cli.EXIT_CONFIG, "", f"error: public key must be xhex:yhex or 'infinity', got '{pub}'\n")
+
     def test_misconfigured_offset_drops_delta(self, tmp_path, capsys):
         def deltas(out_dir):
             rows = {}
@@ -341,6 +353,17 @@ class TestAuthDemo:
         assert auth_demo(capsys, "test8", seed) == (
             2, "", "error: challenge scalar r is a multiple of the base point's order "
                    "(R at infinity)\n")
+
+    @pytest.mark.parametrize("nbits", [2, 3])
+    def test_rejects_short_scalars(self, capsys, nbits):
+        # the attack needs 2 main-loop slots; nothing runs, so nothing prints
+        code, stdout, stderr = run(["auth-demo", "--curve", "b233", "--scalar-bits", str(nbits)],
+                                   capsys)
+        assert (code, stdout, stderr) == (
+            cli.EXIT_CONFIG, "",
+            f"error: auth-demo needs scalars of at least 4 bits, got {nbits}\n")
+        code, stdout, _ = run(["auth-demo", "--curve", "b233", "--scalar-bits", "4"], capsys)
+        assert code == 0 and "key recovered: yes" in stdout
 
     def test_deterministic(self, tmp_path, capsys):
         _, out1, _ = run(["auth-demo", "--curve", "b233", "--seed", "9"], capsys)

@@ -142,13 +142,18 @@ class TestLadderInit:
             kp_point(Scalar(3), bad, b233)
 
 
+def ladder_tables(p, params):
+    """The product tables of x_P and b that `ladder_step` takes."""
+    return gf2m.product_table(p.x.value), gf2m.product_table(params.b.value)
+
+
 class TestLadderStep:
     def test_mirror_property(self, b233):
         rng = random.Random(1)
         spec = b233.field
         for _ in range(20):
             regs = [rng.getrandbits(spec.m) for _ in range(4)]
-            x, b = rng.getrandbits(spec.m), b233.b.value
+            x, b = gf2m.product_table(rng.getrandbits(spec.m)), gf2m.product_table(b233.b.value)
             direct, v0 = ladder_step(spec, LadderState(*regs), 0, x, b)
             m, v1 = ladder_step(spec, LadderState(*regs[2:], *regs[:2]), 1, x, b)
             assert direct == LadderState(m.X2, m.Z2, m.X1, m.Z1)
@@ -156,10 +161,10 @@ class TestLadderStep:
 
     def test_step_values_satisfy_relations(self, b233):
         rng = random.Random(7)
-        spec, b = b233.field, b233.b.value
+        spec, b = b233.field, gf2m.product_table(b233.b.value)
         for bit in (0, 1):
             state = LadderState(*(rng.getrandbits(spec.m) for _ in range(4)))
-            after, v = ladder_step(spec, state, bit, rng.getrandbits(spec.m), b)
+            after, v = ladder_step(spec, state, bit, gf2m.product_table(rng.getrandbits(spec.m)), b)
             assert after == next_state(bit, v)
             assert step_relations_hold(spec, state, bit, v)
             # the other bit doubles the other register pair
@@ -168,19 +173,19 @@ class TestLadderStep:
     def test_double_degenerate_flagged(self, b233):
         state = LadderState(1, 0, 1, 0)
         with pytest.raises(CurveError):
-            ladder_step(b233.field, state, 1, 1, b233.b.value)
+            ladder_step(b233.field, state, 1, gf2m.product_table(1), gf2m.product_table(b233.b.value))
 
     def test_one_step_doubles(self, b163):
         # k = (1,0): one step with bit 0 lands on 2G
         state = kp_multiply(Scalar(1), b163.g, b163)[1].states[0]
-        state, _ = ladder_step(b163.field, state, 0, b163.g.x.value, b163.b.value)
+        state, _ = ladder_step(b163.field, state, 0, *ladder_tables(b163.g, b163))
         r = ladder_finalize(state, b163.g)
         expect = oracle_double_and_add(Scalar(2), b163.g, b163)
         assert r.x == expect.x
 
     def test_one_step_triples(self, b163):
         state = kp_multiply(Scalar(1), b163.g, b163)[1].states[0]
-        state, _ = ladder_step(b163.field, state, 1, b163.g.x.value, b163.b.value)
+        state, _ = ladder_step(b163.field, state, 1, *ladder_tables(b163.g, b163))
         r = ladder_finalize(state, b163.g)
         expect = oracle_double_and_add(Scalar(3), b163.g, b163)
         assert r.x == expect.x
@@ -240,7 +245,7 @@ class TestKpMultiply:
         # bit; steps[i] holds that step's values
         _, k, _, transcript, _ = b233_run
         f, states = transcript.params.field, transcript.states
-        x, b = transcript.point.x.value, transcript.params.b.value
+        x, b = ladder_tables(transcript.point, transcript.params)
         assert len(transcript.steps) == len(states) - 1
         for i, bit in enumerate(k.bits[1:]):
             assert ladder_step(f, states[i], bit, x, b) == (states[i + 1], transcript.steps[i])
@@ -333,9 +338,10 @@ class TestFixedBaseMultiples:
         assert fixed_base_multiples(ks, params.g, params) == want
 
     def test_equal_x_fallback(self, test8, monkeypatch):
-        # 375 = 0x177: after round 1 the accumulator holds (7 + 7*16)*G =
-        # 119*G = 256*G, the round-2 table point, so the lane doubles;
-        # 137 = 256 - 7*16 - 7 meets -(256*G) there and reaches infinity
+        # 375 = 0x177 has the digits (7, 7, 1): the tree's first level sums
+        # 7*G + 7*16*G = 119*G, which the second meets with the carried
+        # term 256*G = 119*G (mod 137), so the lane doubles; 137 has the
+        # digits (-7, -7, 1) and meets -(119*G) + 256*G, which is infinity
         equal_x = []
 
         def spy(p, q, params):
@@ -349,6 +355,32 @@ class TestFixedBaseMultiples:
         assert sorted(equal_x) == ["double", "opposite"]
         assert got == [kp_point(Scalar(k), test8.g, test8) for k in ks]
         assert got[1].infinity
+
+    def test_one_inversion_per_tree_level(self, b233, monkeypatch):
+        # a lane of n nonzero digits sums in ceil(log2 n) levels
+        k = Scalar.random(random.Random(11), 232).value
+        n = sum(map(bool, curve._signed_digits(k)))
+        want = kp_point(Scalar(k), b233.g, b233)
+        fixed_base_multiples([k], b233.g, b233)  # builds the table
+        inverted = []
+        invert = gf2m.invert
+        monkeypatch.setattr(gf2m, "invert", lambda f, a: inverted.append(a) or invert(f, a))
+        assert fixed_base_multiples([k], b233.g, b233) == [want]
+        assert (n - 1).bit_length() == 6
+        assert len(inverted) <= 6
+
+    def test_lanes_of_unequal_depth(self, b233):
+        # a 1-digit lane is done before the tree starts, a 59-digit lane
+        # (every signed digit nonzero) takes all 6 levels; the digits in
+        # -7..8 are unique, so they are the ones the call writes
+        rng = random.Random(12)
+        digits = [rng.choice([d for d in range(-7, 9) if d]) for _ in range(58)]
+        digits.append(rng.randint(1, 8))
+        deep = sum(d << 4 * i for i, d in enumerate(digits))
+        assert curve._signed_digits(deep) == digits
+        ks = [5, deep, 1]
+        assert fixed_base_multiples(ks, b233.g, b233) == [kp_point(Scalar(k), b233.g, b233)
+                                                         for k in ks]
 
     def test_table_shared_by_value_and_grown(self, test8):
         table = curve._window_table(test8.g, test8)
