@@ -60,6 +60,7 @@ from .curve import (
     AffinePoint,
     CurveParams,
     Scalar,
+    _add_many,
     fixed_base_multiples,
     is_on_curve,
     negate,
@@ -243,10 +244,11 @@ def _pair_targets(step: AffinePoint, c_g: AffinePoint, pub: AffinePoint,
                   params: CurveParams) -> tuple[tuple[AffinePoint, ...], ...]:
     """Targets for P = k(c, 0)*G, from A = step and C*G: (c, pb) verifies
     iff P is the first tuple's entry pb, (c', pb) iff P is the second's
-    (see the module docstring)."""
-    c_minus_pub = point_add(c_g, negate(pub), params)
+    (see the module docstring).  pub - A and C*G - pub share one
+    inversion; C*G - pub + A takes a second."""
+    pub_minus_step, c_minus_pub = _add_many([pub, c_g], [negate(step), negate(pub)], params)
     return (
-        (pub, point_add(pub, negate(step), params)),
+        (pub, pub_minus_step),
         (c_minus_pub, point_add(c_minus_pub, step, params)),
     )
 
@@ -276,21 +278,37 @@ def _verify_all(candidates, scores, g: AffinePoint, pub: AffinePoint,
     """Per candidate: does either pre-loop expansion reproduce pub?  Also
     the verifying scalar k*, or None.
 
-    One point per distinct complement pair of bit strings.  The pairs
-    are ranked by their best member's score (ties keep list order) and
-    computed in batches of _PAIR_BATCHES, then the rest; the first call
-    also computes A = 2^L*G and C*G.  When 2^(L+2) <= n, at most one
-    scalar verifies: `_combined_key` tries the combined (bits, margins)
-    first, the first call computing its pair and the flip deltas of its
-    COMBINED_SUSPECTS least-margin slots; then the batch holding the
-    first verifying pair is the last.  Candidate i is verified iff its
-    bits are k*'s main-loop bits.  Otherwise every pair is computed, and k* is
-    the expansion of the first verified candidate in list order,
-    pre-loop bit 0 first.
+    When 2^(L+2) <= n, at most one scalar verifies, and `_combined_key`
+    tries the combined (bits, margins) first, in one call with A = 2^L*G,
+    C*G and the flip deltas of its COMBINED_SUSPECTS least-margin slots.
+    A hit decides every candidate with no pair bookkeeping: candidate i
+    is verified iff its bits are k*'s main-loop bits.  Otherwise each
+    distinct complement pair of bit strings, the combined one left out,
+    gets one point.  The pairs are ranked by their best member's score
+    (ties keep list order) and computed in batches of _PAIR_BATCHES, then
+    the rest, the first call with A and C*G if still needed.  When unique,
+    the batch holding the first verifying pair is the last; otherwise
+    every pair is computed.  k* is the expansion of the first verified
+    candidate in list order, pre-loop bit 0 first.
     """
     verified = np.zeros(len(candidates), dtype=bool)
     if not candidates or not is_on_curve(pub, params):
         return verified, None
+    n = len(candidates[0].bits)  # one slot matrix: every candidate has L bits
+    unique = params.order_hint is not None and (1 << (n + 2)) <= params.order_hint
+    head = [1 << n, (1 << (n + 2)) + (1 << n) - 1]  # A and C*G, in the first call
+    skip = set()
+    if unique:
+        bits, margins = combined
+        suspects = sorted(np.argsort(margins, kind="stable")[:COMBINED_SUSPECTS].tolist())
+        step, c_g, *points = fixed_base_multiples(head + _flip_lanes(bits, suspects), g, params)
+        targets, head = _pair_targets(step, c_g, pub, params), []
+        key = _combined_key(bits, suspects, points, targets, params)
+        if key is not None:
+            bits = key.main_loop_bits  # a property that rebuilds the tuple: read it once
+            verified[:] = [c.bits == bits for c in candidates]
+            return verified, key
+        skip = {bytes(bits), bytes(bits).translate(_FLIP_BIT)}
     # a pair is keyed by the bytes of its member that starts with 0
     pairs: dict[bytes, list[tuple[int, bool]]] = {}
     for i, c in enumerate(candidates):
@@ -298,22 +316,11 @@ def _verify_all(candidates, scores, g: AffinePoint, pub: AffinePoint,
         is_complement = rep[:1] == b"\1"
         if is_complement:
             rep = rep.translate(_FLIP_BIT)
-        pairs.setdefault(rep, []).append((i, is_complement))
+        if rep not in skip:
+            pairs.setdefault(rep, []).append((i, is_complement))
     best = {rep: max(scores[i] for i, _ in members) for rep, members in pairs.items()}
     ranked = sorted(pairs, key=lambda rep: -best[rep])
-    n = len(candidates[0].bits)  # one slot matrix: every candidate has L bits
-    unique = params.order_hint is not None and (1 << (n + 2)) <= params.order_hint
-    head = [1 << n, (1 << (n + 2)) + (1 << n) - 1]  # A and C*G, in the first call
     matched = {}  # candidate index -> pre-loop bit of its verifying expansion
-    key = None
-    if unique:
-        bits, margins = combined
-        suspects = sorted(np.argsort(margins, kind="stable")[:COMBINED_SUSPECTS].tolist())
-        step, c_g, *points = fixed_base_multiples(head + _flip_lanes(bits, suspects), g, params)
-        targets, head = _pair_targets(step, c_g, pub, params), []
-        key = _combined_key(bits, suspects, points, targets, params)
-        skip = {bytes(bits), bytes(bits).translate(_FLIP_BIT)}
-        ranked = [] if key is not None else [r for r in ranked if r not in skip]
     start = 0
     for size in _PAIR_BATCHES + (len(ranked),):
         batch = ranked[start:start + size]
@@ -333,17 +340,12 @@ def _verify_all(candidates, scores, g: AffinePoint, pub: AffinePoint,
                     matched[i] = wanted.index(point)
         if unique and matched:
             break
-    if key is None and matched:
-        first = min(matched)
-        key = expand_candidate(candidates[first].bits, matched[first])
-    if key is None:
+    if not matched:
         return verified, None
-    if unique:
-        bits = key.main_loop_bits
-        verified[:] = [c.bits == bits for c in candidates]
-    else:
-        verified[list(matched)] = True
-    return verified, key
+    # when unique, these are all the candidates with k*'s bits: one pair holds them
+    verified[list(matched)] = True
+    first = min(matched)
+    return verified, expand_candidate(candidates[first].bits, matched[first])
 
 
 @dataclass(frozen=True)

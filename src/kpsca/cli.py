@@ -14,6 +14,7 @@ not an error), 2 usage/config errors, 3 I/O and trace-format errors,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -31,6 +32,7 @@ from .curve import (
     CURVE_IDS,
     NOMINAL_SCALAR_BITS,
     Scalar,
+    curve_id,
     fixed_base_multiples,
     get_curve,
     kp_multiply,
@@ -123,7 +125,7 @@ def _resolve_seed(args) -> int:
 
 def _build_run_config(args, command: str) -> RunConfig:
     cfg = RunConfig(command=command)
-    cfg.curve = _resolve(args, "curve", str, cfg.curve)
+    cfg.curve = _resolve(args, "curve", curve_id, cfg.curve)  # argparse checks the flag
     cfg.seed = _resolve_seed(args)
     cfg.scalar_bits = _resolve(args, "scalar_bits", int, NOMINAL_SCALAR_BITS.get(cfg.curve))
     cfg.slot_len = _resolve(args, "slot_len", int, cfg.slot_len)
@@ -168,6 +170,14 @@ def _parse_point(params, text: str, what: str) -> AffinePoint:
         raise CurveError(f"{what} must be xhex:yhex or 'infinity', got {text!r}") from None
 
 
+def _parse_key(text: str) -> Scalar:
+    try:
+        value = int(text, 16)
+    except ValueError:
+        raise CurveError(f"key must be a hex scalar, got {text!r}") from None
+    return Scalar(value)
+
+
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", help="key=value config file; flags override it")
     p.add_argument("--curve", choices=CURVE_IDS)
@@ -191,7 +201,9 @@ def _add_segmentation_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--compression", choices=sorted(_COMPRESSION))
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser; built once per process, as it depends only on constants."""
     parser = argparse.ArgumentParser(
         prog="kpsca",
         description="simulate a kP accelerator's leakage and attack it",
@@ -256,7 +268,7 @@ def _simulate(args) -> int:
     params = get_curve(cfg.curve)
     rng = random.Random(cfg.seed)
     key_hex = _resolve(args, "key", str, None)
-    k = Scalar.from_hex(key_hex) if key_hex else Scalar.random(rng, cfg.scalar_bits)
+    k = _parse_key(key_hex) if key_hex else Scalar.random(rng, cfg.scalar_bits)
     point_hex = _resolve(args, "point", str, None)
     if point_hex:
         p = _parse_point(params, point_hex, "point")

@@ -533,8 +533,12 @@ NOMINAL_SCALAR_BITS = {"b163": 162, "b233": 232, "test8": 10}
 CURVE_IDS = tuple(sorted(_REGISTRY))
 
 
+def curve_id(name: str) -> str:
+    """name, if it names a registered curve."""
+    if name not in _REGISTRY:
+        raise CurveError(f"unknown curve {name!r}; choose from {CURVE_IDS}")
+    return name
+
+
 def get_curve(name: str) -> CurveParams:
-    try:
-        return _REGISTRY[name]()
-    except KeyError:
-        raise CurveError(f"unknown curve {name!r}; choose from {CURVE_IDS}") from None
+    return _REGISTRY[curve_id(name)]()

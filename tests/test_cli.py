@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import json
 import os
@@ -90,6 +91,13 @@ class TestSimulate:
         else:
             assert f"compressed excerpt ({n} cycles)" in stdout
             assert excerpt.read_text().splitlines()[-1].startswith(f"{n - 1},")
+
+
+    def test_malformed_key(self, tmp_path, capsys):
+        code, stdout, stderr = run(["simulate", "--curve", "test8", "--key", "zz",
+                                    "--out", str(tmp_path)], capsys)
+        assert (code, stdout, stderr) == (
+            cli.EXIT_CONFIG, "", "error: key must be a hex scalar, got 'zz'\n")
 
 
 class TestAttack:
@@ -354,6 +362,15 @@ class TestAuthDemo:
             2, "", "error: challenge scalar r is a multiple of the base point's order "
                    "(R at infinity)\n")
 
+    def test_unknown_curve_in_config(self, tmp_path, capsys):
+        # argparse checks --curve; a config file's value is checked with the same message
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("curve=foo\n")
+        code, stdout, stderr = run(["auth-demo", "--config", str(cfg)], capsys)
+        assert (code, stdout, stderr) == (
+            cli.EXIT_CONFIG, "",
+            "error: unknown curve 'foo'; choose from ('b163', 'b233', 'test8')\n")
+
     @pytest.mark.parametrize("nbits", [2, 3])
     def test_rejects_short_scalars(self, capsys, nbits):
         # the attack needs 2 main-loop slots; nothing runs, so nothing prints
@@ -403,6 +420,60 @@ class TestStats:
 
 
 # the exit-code contract: (case, documented exit code)
+class TestParserReuse:
+    """main() builds its parser once per process and reuses it."""
+
+    def test_built_once(self):
+        assert cli.build_parser() is cli.build_parser()
+
+    def test_help_matches_a_fresh_parser(self, capsys):
+        run(["stats", "--curve", "test8"], capsys)  # the cached parser has parsed
+
+        def helps(parser):
+            sub, = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+            return [parser.format_help()] + [p.format_help() for p in sub.choices.values()]
+
+        cached, fresh = helps(cli.build_parser()), helps(cli.build_parser.__wrapped__())
+        assert len(cached) == 7
+        assert cached == fresh
+
+    def test_usage_error_leaves_no_state(self, tmp_path, capsys):
+        key = Scalar.random(random.Random(15), 232)
+        out, _ = simulate(tmp_path, capsys, "--no-ground-truth", "--key", key.to_hex())
+        params = get_curve("b233")
+        argv = ["attack", str(out / "trace.kptr"), "--out", str(out / "a"),
+                "--num-slots", "230", "--pub", kp_point(key, params.g, params).to_hex()]
+
+        def attack():
+            code, stdout, _ = run(argv, capsys)
+            assert code == 0
+            return stdout, (out / "a" / "report.csv").read_bytes()
+
+        cli.build_parser.cache_clear()
+        first = attack()
+        assert "verified: yes" in first[0]
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["attack"])
+        assert exc.value.code == 2
+        capsys.readouterr()
+        assert attack() == first
+
+    def test_second_call_builds_no_parser(self, capsys, monkeypatch):
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+        cli.build_parser.cache_clear()
+        for expected in (7, 0):
+            built.clear()
+            code, _, _ = run(["stats", "--curve", "test8"], capsys)
+            assert (code, len(built)) == (0, expected)
+
+
 EXIT_CODE_CASES = [
     ("bad_config_line", cli.EXIT_CONFIG),
     ("missing_trace", cli.EXIT_IO),
@@ -428,6 +499,7 @@ EXIT_CODE_CASES = [
     ("addr_weight=nan", cli.EXIT_CONFIG),
     ("data_weight=inf", cli.EXIT_CONFIG),
     ("baseline=-inf", cli.EXIT_CONFIG),
+    ("curve=foo", cli.EXIT_CONFIG),
 ]
 
 SIMULATE_FLAGS = ("excerpt_cycles", "noise_sigma", "addr_weight", "data_weight", "baseline")
@@ -450,6 +522,10 @@ def contract_argv(case, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("curve=test8\nnot a key value line\n")
         return ["attack", str(tmp_path / "nope.kptr"), "--config", str(cfg)]
+    if name == "curve":
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"curve={value}\n")
+        return ["auth-demo", "--config", str(cfg)]
     if name == "no_ground_truth":
         cfg = tmp_path / "run.cfg"
         cfg.write_text(f"no_ground_truth={value}\n")

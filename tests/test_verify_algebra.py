@@ -315,6 +315,35 @@ def test_rule_skipped_when_order_is_small(monkeypatch):
     assert report.key == reference_recover_scalar(report.candidates[first], TEST8.g, pub, TEST8)
 
 
+def three_add_targets(step, c_g, pub, params):
+    """`attack._pair_targets` as three `point_add`s, one inversion each."""
+    c_minus_pub = point_add(c_g, negate(pub), params)
+    return ((pub, point_add(pub, negate(step), params)),
+            (c_minus_pub, point_add(c_minus_pub, step, params)))
+
+
+@pytest.mark.parametrize("nbits", [2, 5, 8])
+def test_pair_targets_match_three_additions(monkeypatch, nbits):
+    """The targets, pub - A and C*G - pub sharing one inversion, equal three
+    separate additions for every pub in <G> on test8, infinity included,
+    and so through `_add_many`'s infinity and equal-x fallbacks."""
+    step, c_g = fixed_base_multiples([1 << nbits, (1 << (nbits + 2)) + (1 << nbits) - 1],
+                                     TEST8.g, TEST8)
+    pubs = fixed_base_multiples(range(1, TEST8.order_hint), TEST8.g, TEST8)
+    # pub - A at infinity or a doubling, C*G - pub at infinity or a
+    # doubling, C*G - pub + A at infinity
+    special = [step, negate(step), c_g, negate(c_g), point_add(c_g, step, TEST8)]
+    assert all(p in pubs for p in special)
+    for pub in pubs + [AffinePoint.at_infinity()]:
+        assert attack._pair_targets(step, c_g, pub, TEST8) == three_add_targets(step, c_g, pub,
+                                                                                TEST8)
+    inversions = []
+    invert = gf2m.invert
+    monkeypatch.setattr(gf2m, "invert", lambda f, a: inversions.append(a) or invert(f, a))
+    attack._pair_targets(step, c_g, pubs[0], TEST8)  # G: no fallback at these lengths
+    assert len(inversions) == 2
+
+
 # 12-bit keys on test16: 2^14 <= n, and the flip search covers 8 of 12 slots
 KEY12 = (1, 0, 1, 1, 0, 0, 1, 0, 1, 1, 1, 0)
 NOISE12 = [[3, 1, 4, 1, 5, 9, 2, 6, 5, 3, 5, 8],
