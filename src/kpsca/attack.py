@@ -21,9 +21,11 @@ single point P = k(c, 0)*G settles all four scalars: P equals pub,
 pub - A, C*G - pub or C*G + A - pub (A = 2^L*G) exactly when
 (c, 0), (c, 1), (c', 0) or (c', 1) verifies.  Every multiple of G
 here comes from `curve.fixed_base_multiples`, which computes many
-points together from a fixed-base window table.  Brute force reaches
-every flipped subset by one affine point addition from its parent
-subset, because flipping bit p adds +-2^(L-1-p) to every expansion.
+points together from a fixed-base window table.  Flipping bit p adds
++-2^(L-1-p) to every expansion, so brute force gets a flipped subset's
+point by one affine addition from its parent's; from the first weight
+with more subsets than targets times suspects, a lookup of the parent's
+point among the targets minus each flip delta decides the subset.
 A pub that is not a point of the curve (or of its field) verifies no
 candidate, and is rejected before any target is derived from it: the
 affine addition is meaningful only on the curve and could turn an
@@ -35,7 +37,7 @@ scalar k* verifies.  It is sought first with `combined_candidate`, which
 sums the sign-aligned, standardized columns of the cycles that the
 label-free `separation_scores` ranks highest (the non-profiled
 clustering of Heyszl et al., CARDIS 2013), then by flipping its
-least-margin bits, one affine addition each, and only then by computing
+least-margin bits as brute force does, and only then by computing
 the candidates' pairs in score order up to the first batch that
 verifies.  Candidates are then decided by comparing their bits with
 k*'s.  Where 2^(L+2) > n (test8, 233-bit scalars on B-233) every pair
@@ -49,7 +51,6 @@ from __future__ import annotations
 
 import csv
 import enum
-from collections import deque
 from dataclasses import dataclass
 from math import comb, inf
 from typing import Optional
@@ -210,13 +211,10 @@ def expand_candidate(candidate_bits, preloop_bit: int) -> Scalar:
     return Scalar.from_bits((1, preloop_bit) + tuple(candidate_bits))
 
 
-def _preloop_target(pb: int, nbits: int, g: AffinePoint, pub: AffinePoint,
+def _preloop_target(pb: int, step: AffinePoint, pub: AffinePoint,
                     params: CurveParams) -> AffinePoint:
-    """The point k(c, 0)*G must equal for (c, pb) to verify: pub or pub - 2^L*G."""
-    if pb & 1 == 0:
-        return pub
-    step, = fixed_base_multiples([1 << nbits], g, params)
-    return point_add(pub, negate(step), params)
+    """What k(c, 0)*G must equal for (c, pb) to verify: pub, or pub - step (A = 2^L*G)."""
+    return point_add(pub, negate(step), params) if pb & 1 else pub
 
 
 def recover_scalar(
@@ -233,9 +231,10 @@ def recover_scalar(
     """
     if not preloop_bits or not is_on_curve(pub, params):
         return None
-    point, = fixed_base_multiples([expand_candidate(candidate.bits, 0).value], g, params)
+    step, point = fixed_base_multiples(
+        [1 << len(candidate.bits), expand_candidate(candidate.bits, 0).value], g, params)
     for pb in preloop_bits:
-        if point == _preloop_target(pb, len(candidate.bits), g, pub, params):
+        if point == _preloop_target(pb, step, pub, params):
             return expand_candidate(candidate.bits, pb)
     return None
 
@@ -257,13 +256,12 @@ def _combined_key(bits, suspects, points, targets, params: CurveParams) -> Optio
     """The scalar that the combined candidate's pair, or the first subset
     of its suspects flipped, verifies against `_pair_targets`, or None;
     points are `_flip_lanes(bits, suspects)` times G."""
-    for subset, p in _flipped_points(bits, suspects, points, params):
-        for complement, wanted in enumerate(targets):
-            if p in wanted:
-                flip = {suspects[i] for i in subset}
-                return expand_candidate([b ^ complement ^ (j in flip) for j, b in enumerate(bits)],
-                                        wanted.index(p))
-    return None
+    found = _flip_search(bits, suspects, points, [t for pair in targets for t in pair], params)
+    if found is None:
+        return None
+    flipped, j, _ = found
+    complement, pb = divmod(j, 2)
+    return expand_candidate([b ^ complement for b in flipped], pb)
 
 
 _FLIP_BIT = bytes.maketrans(b"\0\1", b"\1\0")
@@ -305,8 +303,7 @@ def _verify_all(candidates, scores, g: AffinePoint, pub: AffinePoint,
         targets, head = _pair_targets(step, c_g, pub, params), []
         key = _combined_key(bits, suspects, points, targets, params)
         if key is not None:
-            bits = key.main_loop_bits  # a property that rebuilds the tuple: read it once
-            verified[:] = [c.bits == bits for c in candidates]
+            verified[:] = [c.bits == key.main_loop_bits for c in candidates]
             return verified, key
         skip = {bytes(bits), bytes(bits).translate(_FLIP_BIT)}
     # a pair is keyed by the bytes of its member that starts with 0
@@ -363,28 +360,62 @@ def _flip_lanes(bits, positions) -> list[int]:
     return [expand_candidate(bits, 0).value] + [1 << (len(bits) - 1 - p) for p in positions]
 
 
-def _flipped_points(bits, positions, points, params: CurveParams):
-    """Yield (subset, k(bits with the subset flipped, 0)*G) in brute-force order.
+def _flip_search(bits, positions, points, targets, params: CurveParams, budget=inf):
+    """The first hit in brute-force order as (flipped bits, j, checks), or
+    None if there is none before a subset all of whose checks exceed
+    budget; points: `_flip_lanes` times G.
 
-    A subset is a tuple of indices into positions; points are the
-    `_flip_lanes(bits, positions)` times G.
-    Order: increasing number of flips, then lexicographic, as
-    itertools.combinations lists each weight.  Each subset's point is its
-    parent's (the subset without its last position) plus the flip delta
-    of that position, computed when the subset is reached; pending
-    subsets never span more than about one weight level.
+    Subsets of the positions come by size, then lexicographic, each tried
+    against the m targets in order: subset r hits target j, check m*r + j + 1,
+    if k(flipped, 0)*G equals it.  A subset's point is its parent's (without
+    its last index i) plus delta_i, and a parent's children are contiguous.
+    So from the first size w with comb(s, w) > m*s on, a table of the m*s
+    points T_j - delta_i (one `_add_many`) decides each child by a lookup of
+    its parent's point; a size's points are computed only once it missed,
+    for the subsets with children, as the next size reaches them.
     """
     base, *steps = points
+    s, m = len(positions), len(targets)
     deltas = [negate(d) if bits[p] & 1 else d for p, d in zip(positions, steps)]
-    # (suspect indices, parent's point); the empty subset carries its own
-    pending = deque([((), base)])
-    while pending:
-        subset, point = pending.popleft()
-        if subset:
-            point = point_add(point, deltas[subset[-1]], params)
-        yield subset, point
-        start = subset[-1] + 1 if subset else 0
-        pending.extend((subset + (i,), point) for i in range(start, len(positions)))
+
+    def children(level, stop):
+        return ((sub + (i,), point_add(p, deltas[i], params))
+                for sub, p in level for i in range(sub[-1] + 1 if sub else 0, stop))
+
+    def key(p):
+        return None if p.infinity else (p.x.value, p.y.value)
+
+    def hit(subset, j, rank):
+        flip = {positions[i] for i in subset}
+        return [b ^ (p in flip) for p, b in enumerate(bits)], j, m * rank + j + 1
+
+    level, rank, table = [((), base)], 0, None
+    for w in range(s + 1):
+        if w and table is None:
+            if comb(s, w) <= m * s:
+                level = children(level, s)
+            else:  # w >= 2: every parent is nonempty
+                diffs = _add_many(targets * s, [negate(d) for d in deltas for _ in targets], params)
+                table = {}
+                for n, p in enumerate(diffs):  # n = i*m + j, so each list is in (i, j) order
+                    table.setdefault(key(p), []).append(divmod(n, m))
+        seen = []  # the size-w subsets, or with a table their size-(w-1) parents
+        for subset, point in level:
+            if m * rank >= budget:
+                return None
+            seen.append((subset, point))
+            if table is None:
+                for j, target in enumerate(targets):
+                    if point == target:
+                        return hit(subset, j, rank)
+                rank += 1
+            else:
+                for i, j in table.get(key(point), ()):
+                    if i > subset[-1]:
+                        return hit(subset + (i,), j, rank + i - subset[-1] - 1)
+                rank += s - 1 - subset[-1]
+        level = seen if table is None else children(seen, s - 1)
+    return None
 
 
 def brute_force_complete(
@@ -402,8 +433,8 @@ def brute_force_complete(
     the most plausible), deterministically, so "first found" is well
     defined; within a subset the pre-loop bits are tried in the given
     order.  Each (subset, pre-loop bit) scalar tested is one check
-    against the budget, however it is computed: one fixed-base multiple
-    for the unflipped candidate, then one point addition per subset.
+    against the budget, however it is decided: one fixed-base call for
+    A, the unflipped candidate and the flip deltas, then `_flip_search`.
     Flipping all of s suspects with a pinned pre-loop bit costs at most
     2^s checks.
     """
@@ -416,26 +447,20 @@ def brute_force_complete(
             f"{len(suspects)} suspects exceed the configured limit {MAX_SUSPECTS}"
         )
     preloop_bits = tuple(preloop_bits)
-    if not preloop_bits or not is_on_curve(pub, params):
-        # nothing can match before the search ends or the budget runs out
-        total = worst_case_checks(len(suspects), len(preloop_bits))
-        if total == 0 or budget >= total:
-            return BruteForceResult(None, total, False)
-        return BruteForceResult(None, max(budget, 0), True)
-    targets = [_preloop_target(pb, nbits, g, pub, params) for pb in preloop_bits]
-    checks = 0
-    points = fixed_base_multiples(_flip_lanes(candidate.bits, suspects), g, params)
-    for subset, point in _flipped_points(candidate.bits, suspects, points, params):
-        for pb, target in zip(preloop_bits, targets):
-            if checks >= budget:
-                return BruteForceResult(None, checks, True)
-            checks += 1
-            if point == target:
-                bits = list(candidate.bits)
-                for i in subset:
-                    bits[suspects[i]] ^= 1
-                return BruteForceResult(expand_candidate(bits, pb), checks, False)
-    return BruteForceResult(None, checks, False)
+    found = None
+    if preloop_bits and is_on_curve(pub, params):
+        step, *points = fixed_base_multiples(
+            [1 << nbits] + _flip_lanes(candidate.bits, suspects), g, params)
+        targets = [_preloop_target(pb, step, pub, params) for pb in preloop_bits]
+        found = _flip_search(candidate.bits, suspects, points, targets, params, budget)
+    if found is not None and found[2] <= budget:
+        bits, j, checks = found
+        return BruteForceResult(expand_candidate(bits, preloop_bits[j]), checks, False)
+    # nothing matched before the search ended or the budget ran out
+    total = worst_case_checks(len(suspects), len(preloop_bits))
+    if total == 0 or budget >= total:
+        return BruteForceResult(None, total, False)
+    return BruteForceResult(None, max(budget, 0), True)
 
 
 def worst_case_checks(num_suspects: int, num_preloop: int = 1) -> int:

@@ -384,6 +384,11 @@ def _bruteforce(args) -> int:
     polarity = _resolve(args, "polarity", attack_mod.Polarity, None)
     if polarity is not None and sample_index is None:
         raise CurveError("--polarity selects a candidate only together with --sample-index")
+    try:
+        suspects = [int(s) for s in args.suspects.split(",") if s.strip() != ""]
+    except ValueError:
+        raise CurveError(
+            f"suspects must be comma-separated slot indices, got {args.suspects!r}") from None
     trace = read_trace(args.trace)
     params = get_curve(cfg.curve)
     _, matrix = _segment_from_cfg(cfg, trace)
@@ -413,7 +418,6 @@ def _bruteforce(args) -> int:
     else:
         raise CurveError("--pub is required when the trace has no ground truth")
 
-    suspects = [int(s) for s in args.suspects.split(",") if s.strip() != ""]
     result = attack_mod.brute_force_complete(
         candidate, suspects, params.g, pub, params, budget=budget
     )

@@ -52,13 +52,14 @@ class Scalar:
     def bit_length(self) -> int:
         return self.value.bit_length()
 
-    @property
+    # cached in the instance's __dict__, which a frozen dataclass still has
+    @functools.cached_property
     def bits(self) -> tuple[int, ...]:
         """MSB-first bit vector (leading bit is always 1)."""
         l = self.value.bit_length()
         return tuple((self.value >> (l - 1 - i)) & 1 for i in range(l))
 
-    @property
+    @functools.cached_property
     def main_loop_bits(self) -> tuple[int, ...]:
         """The l-2 bits processed in the ladder main loop (attack's target)."""
         return self.bits[2:]

@@ -6,6 +6,7 @@ import itertools
 import math
 import re
 import struct
+from collections import deque
 
 import numpy as np
 
@@ -19,6 +20,7 @@ from kpsca.curve import (
     _point_double,
     is_on_curve,
     kp_point,
+    negate,
     point_add,
 )
 from kpsca.gf2m import FieldSpec
@@ -232,6 +234,28 @@ def reference_brute_force(candidate, suspect_positions, g, pub, params,
                 if kp_point(k, g, params) == pub:
                     return BruteForceResult(k, checks, False)
     return BruteForceResult(None, checks, False)
+
+
+def reference_flip_search(bits, suspects, points, targets, params):
+    """attack._combined_key by the per-subset walk: every subset reached,
+    in brute-force order, gets its point by one point_add from its parent's
+    and is compared with each target; points are k(bits, 0)*G and the
+    suspects' flip deltas, targets the nested pairs of _pair_targets."""
+    base, *steps = points
+    deltas = [negate(d) if bits[p] & 1 else d for p, d in zip(suspects, steps)]
+    pending = deque([((), base)])  # (suspect indices, parent's point)
+    while pending:
+        subset, point = pending.popleft()
+        if subset:
+            point = point_add(point, deltas[subset[-1]], params)
+        for complement, wanted in enumerate(targets):
+            if point in wanted:
+                flip = {suspects[i] for i in subset}
+                return expand_candidate([b ^ complement ^ (j in flip) for j, b in enumerate(bits)],
+                                        wanted.index(point))
+        start = subset[-1] + 1 if subset else 0
+        pending.extend((subset + (i,), point) for i in range(start, len(suspects)))
+    return None
 
 
 # KPTR fixed header, as the traces module docstring lays it out

@@ -250,6 +250,17 @@ class TestBruteforce:
         )
         assert code == cli.EXIT_CONFIG
 
+    @pytest.mark.parametrize("suspects", ["x", "1.5"])
+    def test_malformed_suspects(self, tmp_path, capsys, suspects):
+        out = tmp_path / "sim"
+        code, _, _ = run(["simulate", "--curve", "test8", "--seed", "5", "--out", str(out)], capsys)
+        assert code == 0
+        code, stdout, stderr = run(["bruteforce", str(out / "trace.kptr"), "--curve", "test8",
+                                    "--suspects", suspects], capsys)
+        assert (code, stdout, stderr) == (
+            cli.EXIT_CONFIG, "",
+            f"error: suspects must be comma-separated slot indices, got '{suspects}'\n")
+
 
 # options that only welch or bruteforce read: (command, config line, stdout
 # with the config value, overriding flag, stdout with the flag), on the
@@ -494,6 +505,8 @@ EXIT_CODE_CASES = [
     ("threshold=nan", cli.EXIT_CONFIG),
     ("threshold=-1", cli.EXIT_CONFIG),
     ("polarity_without_index", cli.EXIT_CONFIG),
+    ("suspects=x", cli.EXIT_CONFIG),
+    ("suspects=1.5", cli.EXIT_CONFIG),
     ("noise_sigma=nan", cli.EXIT_CONFIG),
     ("noise_sigma=inf", cli.EXIT_CONFIG),
     ("addr_weight=nan", cli.EXIT_CONFIG),
@@ -541,6 +554,8 @@ def contract_argv(case, tmp_path, capsys):
     if name == "polarity_without_index":
         return ["bruteforce", trace, "--curve", "test8", "--suspects", "1",
                 "--polarity", "smaller_is_zero"]
+    if name == "suspects":
+        return ["bruteforce", trace, "--curve", "test8", f"--suspects={value}"]
     flag = "--budget" if name == "budget" else "--sample-index"
     return ["bruteforce", trace, "--curve", "test8", "--suspects", "1", f"{flag}={value}"]
 

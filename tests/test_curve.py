@@ -55,6 +55,13 @@ class TestScalar:
         k = Scalar(0xDEADBEEF)
         assert Scalar.from_hex(k.to_hex()) == k
 
+    def test_bit_tuples_cached_on_frozen_scalar(self):
+        k = Scalar(0b1011001)
+        assert k.main_loop_bits is k.main_loop_bits and k.bits is k.bits
+        assert k == Scalar(0b1011001) and hash(k) == hash(Scalar(0b1011001))
+        with pytest.raises(AttributeError):
+            k.value = 3
+
 
 class TestRegistry:
     @pytest.mark.parametrize("name", ["b163", "b233", "test8"])

@@ -7,6 +7,7 @@ one full kP per tested scalar, on the small test curves, including
 scalars whose kP is the point at infinity and off-curve public keys.
 """
 
+import itertools
 import warnings
 
 import numpy as np
@@ -37,9 +38,11 @@ from kpsca.curve import (
 from kpsca.gf2m import FieldSpec
 from kpsca.traces import SlotMatrix
 
+import helpers
 from helpers import (
     make_test16_curve,
     reference_brute_force,
+    reference_flip_search,
     reference_recover_scalar,
     reference_verified,
 )
@@ -146,6 +149,123 @@ def test_brute_force_matches_reference(data, curve_name, preloop):
     want = reference_brute_force(cand, suspects, params.g, pub, params,
                                  budget=budget, preloop_bits=preloop)
     assert got == want
+
+
+# a 14-bit test16 key and planted flips of weights 0-4 among its 12 main-loop bits
+KEY14 = Scalar(0b10110100111011)
+PLANTED_FLIPS = [(), (7,), (3, 10), (2, 5, 11), (0, 4, 8, 9)]
+BRUTE_ORDER = [c for w in range(13) for c in itertools.combinations(range(12), w)]
+
+
+def brute_force_args(flips):
+    cand = KeyCandidate(flipped(KEY14.main_loop_bits, flips), 0, Polarity.SMALLER_IS_ONE)
+    return cand, range(12), TEST16.g, kp_point(KEY14, TEST16.g, TEST16), TEST16
+
+
+@pytest.mark.parametrize("preloop", [(0, 1), (1, 0)])
+@pytest.mark.parametrize("flips", PLANTED_FLIPS, ids=lambda f: f"weight{len(f)}")
+def test_brute_force_budgets_around_the_hit(flips, preloop):
+    """With 12 suspects and 2 targets, weights 2-4 are decided by table
+    lookups of their parents' points; the result equals the reference's
+    with the budget one short of the hit, exactly at it and at 2^17."""
+    args = brute_force_args(flips)
+    hit = reference_brute_force(*args, preloop_bits=preloop)
+    assert hit.key == KEY14
+    assert hit.checks == 2 * BRUTE_ORDER.index(flips) + 1 + (preloop[0] != KEY14.bits[1])
+    for budget in (hit.checks - 1, hit.checks, 1 << 17):
+        assert (brute_force_complete(*args, budget=budget, preloop_bits=preloop)
+                == reference_brute_force(*args, budget=budget, preloop_bits=preloop))
+
+
+def test_parent_plus_its_own_delta_is_no_child():
+    """pub is the point of slot 3 flipped, plus slot 3's delta once more:
+    the weight-2 lookup of parent {3} matches T_0 - delta_3, which names
+    no subset.  The first real hit is {0, 1, 2} with pre-loop bit 1."""
+    bits = (1, 1, 1, 0, 1, 0, 0, 1, 1, 0, 1, 0)
+    pub = kp_point(Scalar(expand_candidate(bits, 0).value + (1 << 9)), TEST16.g, TEST16)
+    cand = KeyCandidate(bits, 0, Polarity.SMALLER_IS_ONE)
+    want = reference_brute_force(cand, range(12), TEST16.g, pub, TEST16)
+    assert want.key == expand_candidate(flipped(bits, {0, 1, 2}), 1)
+    assert brute_force_complete(cand, range(12), TEST16.g, pub, TEST16) == want
+
+
+def count_calls(monkeypatch, module, name, size=lambda *args: 1):
+    """Record size(*args) of every call of module.name, until monkeypatch.undo()."""
+    real, sizes = getattr(module, name), []
+
+    def counted(*args):
+        sizes.append(size(*args))
+        return real(*args)
+
+    monkeypatch.setattr(module, name, counted)
+    return sizes
+
+
+@pytest.mark.parametrize("flips", [(0, 1, 2), (3, 7, 11), (9, 10, 11)])
+def test_weight3_hit_computes_no_weight3_point(monkeypatch, flips):
+    """12 suspects, 2 targets: weight 1 (12 <= 2*12 subsets) is checked
+    point by point; weight 2 (66 > 24) builds one 24-point table, and from
+    then on a subset is decided by its parent's point.  A weight-3 hit
+    computes the 12 weight-1 points and the weight-2 points that have
+    children up to its parent's (55 at most), no weight-3 point; pub - A
+    takes one more addition."""
+    args = brute_force_args(flips)
+    adds = count_calls(monkeypatch, attack, "point_add")
+    batches = count_calls(monkeypatch, attack, "_add_many", lambda ps, qs, params: len(ps))
+    res = brute_force_complete(*args)
+    monkeypatch.undo()
+    assert res.key == KEY14 and res.checks == 2 * BRUTE_ORDER.index(flips) + 1 + KEY14.bits[1]
+    parents = [c for c in itertools.combinations(range(12), 2) if c[-1] < 11]
+    assert batches == [24]
+    assert len(adds) == 1 + 12 + parents.index(flips[:2]) + 1 <= 1 + 67
+
+
+def combined_inputs(params, bits, suspects, pub):
+    """`_combined_key`'s points and its 4 targets, as `_verify_all` computes them."""
+    step, c_g, *points = fixed_base_multiples(
+        target_lanes(len(bits)) + flip_lanes(bits, suspects), params.g, params)
+    return points, attack._pair_targets(step, c_g, pub, params)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data(), st.sampled_from(sorted(CURVES)))
+def test_combined_key_matches_reference_flip_search(data, curve_name):
+    """With 4 targets, 7 or 8 suspects build the table at weight 3; the
+    search finds what one addition and four comparisons per subset find."""
+    params = CURVES[curve_name]
+    n = data.draw(st.integers(2, 12 if curve_name == "test16" else 9))
+    truth = tuple(data.draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)))
+    order = data.draw(st.permutations(range(n)))
+    size = data.draw(st.one_of(st.integers(0, min(n, 8)), st.just(min(n, 8))))
+    suspects = sorted(order[:size])
+    # errors among the suspects, perhaps one outside them, perhaps complemented
+    flips = set(order[:data.draw(st.integers(0, size))] + order[size:size + data.draw(st.integers(0, 1))])
+    if data.draw(st.booleans()):
+        flips ^= set(range(n))
+    bits = flipped(truth, flips)
+    pub = data.draw(public_key(params, truth).filter(lambda p: is_on_curve(p, params)))
+    points, targets = combined_inputs(params, bits, suspects, pub)
+    assert (attack._combined_key(bits, suspects, points, targets, params)
+            == reference_flip_search(bits, suspects, points, targets, params))
+
+
+@pytest.mark.parametrize("flips", [(), (5,), (1, 9), (9, 11)])
+def test_combined_hit_at_weight2_costs_as_before(monkeypatch, flips):
+    """With 8 suspects and 4 targets, weights 1 and 2 (8 and 28 <= 4*8
+    subsets) are checked point by point, as the per-subset walk does: a hit
+    there makes the same additions and builds no table."""
+    suspects = [0, 1, 3, 5, 6, 8, 9, 11]
+    bits = flipped(KEY12, flips)
+    pub = kp_point(expand_candidate(KEY12, 1), TEST16.g, TEST16)
+    points, targets = combined_inputs(TEST16, bits, suspects, pub)
+    adds = count_calls(monkeypatch, attack, "point_add")
+    batches = count_calls(monkeypatch, attack, "_add_many")
+    reference_adds = count_calls(monkeypatch, helpers, "point_add")
+    key = attack._combined_key(bits, suspects, points, targets, TEST16)
+    assert key == reference_flip_search(bits, suspects, points, targets, TEST16)
+    monkeypatch.undo()
+    assert key == expand_candidate(KEY12, 1)
+    assert batches == [] and len(adds) == len(reference_adds)
 
 
 class TestOffCurvePublicKey:
