@@ -37,11 +37,9 @@ scalar k* verifies.  It is sought first with `combined_candidate`, which
 sums the sign-aligned, standardized columns of the cycles that the
 label-free `separation_scores` ranks highest (the non-profiled
 clustering of Heyszl et al., CARDIS 2013), then by flipping its
-least-margin bits as brute force does, and only then by computing
-the candidates' pairs in score order up to the first batch that
-verifies.  Candidates are then decided by comparing their bits with
-k*'s.  Where 2^(L+2) > n (test8, 233-bit scalars on B-233) every pair
-is computed.
+least-margin bits as brute force does.  A hit decides the candidates
+by comparing their bits with k*'s; a miss, or 2^(L+2) > n (test8,
+233-bit scalars on B-233), computes every other pair in one call.
 
 Welch's two-sample t-test over the '0'-labelled and '1'-labelled slots
 is included as the designer-side leakage assessment.
@@ -266,12 +264,8 @@ def _combined_key(bits, suspects, points, targets, params: CurveParams) -> Optio
 
 _FLIP_BIT = bytes.maketrans(b"\0\1", b"\1\0")
 
-# complement pairs per `fixed_base_multiples` call, best score first;
-# a last call takes all the remaining pairs
-_PAIR_BATCHES = (1, 3)
 
-
-def _verify_all(candidates, scores, g: AffinePoint, pub: AffinePoint,
+def _verify_all(candidates, g: AffinePoint, pub: AffinePoint,
                 params: CurveParams, combined) -> tuple[np.ndarray, Optional[Scalar]]:
     """Per candidate: does either pre-loop expansion reproduce pub?  Also
     the verifying scalar k*, or None.
@@ -280,23 +274,19 @@ def _verify_all(candidates, scores, g: AffinePoint, pub: AffinePoint,
     tries the combined (bits, margins) first, in one call with A = 2^L*G,
     C*G and the flip deltas of its COMBINED_SUSPECTS least-margin slots.
     A hit decides every candidate with no pair bookkeeping: candidate i
-    is verified iff its bits are k*'s main-loop bits.  Otherwise each
+    is verified iff its bits are k*'s main-loop bits.  Otherwise every
     distinct complement pair of bit strings, the combined one left out,
-    gets one point.  The pairs are ranked by their best member's score
-    (ties keep list order) and computed in batches of _PAIR_BATCHES, then
-    the rest, the first call with A and C*G if still needed.  When unique,
-    the batch holding the first verifying pair is the last; otherwise
-    every pair is computed.  k* is the expansion of the first verified
-    candidate in list order, pre-loop bit 0 first.
+    gets one point, in extraction order, from one more call (which also
+    computes A and C*G where 2^(L+2) > n).  k* is the expansion of the
+    first verified candidate in list order, pre-loop bit 0 first.
     """
     verified = np.zeros(len(candidates), dtype=bool)
     if not candidates or not is_on_curve(pub, params):
         return verified, None
     n = len(candidates[0].bits)  # one slot matrix: every candidate has L bits
-    unique = params.order_hint is not None and (1 << (n + 2)) <= params.order_hint
-    head = [1 << n, (1 << (n + 2)) + (1 << n) - 1]  # A and C*G, in the first call
+    head = [1 << n, (1 << (n + 2)) + (1 << n) - 1]  # A and C*G
     skip = set()
-    if unique:
+    if params.order_hint is not None and (1 << (n + 2)) <= params.order_hint:
         bits, margins = combined
         suspects = sorted(np.argsort(margins, kind="stable")[:COMBINED_SUSPECTS].tolist())
         step, c_g, *points = fixed_base_multiples(head + _flip_lanes(bits, suspects), g, params)
@@ -315,31 +305,20 @@ def _verify_all(candidates, scores, g: AffinePoint, pub: AffinePoint,
             rep = rep.translate(_FLIP_BIT)
         if rep not in skip:
             pairs.setdefault(rep, []).append((i, is_complement))
-    best = {rep: max(scores[i] for i, _ in members) for rep, members in pairs.items()}
-    ranked = sorted(pairs, key=lambda rep: -best[rep])
+    points = fixed_base_multiples(head + [expand_candidate(rep, 0).value for rep in pairs],
+                                  g, params)
+    if head:
+        targets = _pair_targets(points[0], points[1], pub, params)
+        points = points[2:]
     matched = {}  # candidate index -> pre-loop bit of its verifying expansion
-    start = 0
-    for size in _PAIR_BATCHES + (len(ranked),):
-        batch = ranked[start:start + size]
-        start += size
-        if not batch:
-            break
-        points = fixed_base_multiples(
-            head + [expand_candidate(rep, 0).value for rep in batch], g, params)
-        if head:
-            targets = _pair_targets(points[0], points[1], pub, params)
-            points = points[2:]
-            head = []
-        for rep, point in zip(batch, points):
-            for i, is_complement in pairs[rep]:
-                wanted = targets[is_complement]
-                if point in wanted:
-                    matched[i] = wanted.index(point)
-        if unique and matched:
-            break
+    for members, point in zip(pairs.values(), points):
+        for i, is_complement in members:
+            wanted = targets[is_complement]
+            if point in wanted:
+                matched[i] = wanted.index(point)
     if not matched:
         return verified, None
-    # when unique, these are all the candidates with k*'s bits: one pair holds them
+    # where 2^(L+2) <= n, these are all the candidates with k*'s bits: one pair holds them
     verified[list(matched)] = True
     first = min(matched)
     return verified, expand_candidate(candidates[first].bits, matched[first])
@@ -537,10 +516,8 @@ def evaluate(
     if pub is not None:
         if g is None or params is None:
             raise ValueError("verification needs g and params alongside pub")
-        scores = separation_scores(matrix, mean)
-        verified, report.key = _verify_all(
-            candidates, [scores[c.sample_index] for c in candidates], g, pub, params,
-            combined_candidate(matrix, mean, scores))
+        verified, report.key = _verify_all(candidates, g, pub, params, combined_candidate(
+            matrix, mean, separation_scores(matrix, mean)))
         report.verified = verified
         if report.best_index is None and verified.any():
             report.best_index = int(np.argmax(verified))

@@ -412,14 +412,15 @@ def test_property_extraction_matches_per_column_loop(num_slots, slot_len, data):
     assert all(type(b) is int for c in got for b in c.bits)
 
 
-class TestRankedVerificationB233:
-    """Ranked verification on B-233 traces: the flags equal full per-pair
-    verification's, and one call, of the combined candidate's lane and
-    its COMBINED_SUSPECTS flip deltas besides 2^L and C, finds the key.  With noise seed 9 the key's pair ranks 47th of the pairs in
-    extraction order at sigma 0.5, and 3rd by score; at sigma 1.0 no
-    single candidate verifies."""
+class TestVerificationB233:
+    """Verification on B-233 traces: the flags equal full per-pair
+    verification's.  With noise seed 9, one call, of the combined
+    candidate's lane and its COMBINED_SUSPECTS flip deltas besides 2^L
+    and C, finds the key up to sigma 1.0, where no single candidate
+    verifies.  At sigma 1.5 it misses, and a second call computes every
+    other pair once, which finds nothing."""
 
-    @pytest.mark.parametrize("sigma", [0.0, 0.5, 1.0])
+    @pytest.mark.parametrize("sigma", [0.0, 0.5, 1.0, 1.5])
     def test_flags_and_work(self, monkeypatch, b233_run, sigma):
         params, k, _, _, schedule = b233_run
         trace = synthesize_trace(schedule, LeakModel(noise_sigma=sigma, rng_seed=9))
@@ -442,19 +443,26 @@ class TestRankedVerificationB233:
         assert np.array_equal(report.verified, full.verified)
         assert list(report.verified) == [c.bits == k.main_loop_bits for c in report.candidates]
         assert report.verified.any() == (sigma < 1)
-        # the order-less walk has only the single candidates
-        assert report.key == k
+        # at sigma 1.5 the combined search misses: a second call, and no key
+        hit = sigma < 1.5
+        assert report.key == (k if hit else None)
+        # the order-less path has only the single candidates
         assert full.key == (k if sigma < 1 else None)
         n = len(k.main_loop_bits)
+        head = [1 << n, (1 << (n + 2)) + (1 << n) - 1]
         mean = mean_slot(matrix)
         bits, _ = attack.combined_candidate(matrix, mean, separation_scores(matrix, mean))
-        first, = combined_calls
-        assert first[:3] == [1 << n, (1 << (n + 2)) + (1 << n) - 1,
-                             expand_candidate(bits, 0).value]
+        first, *rest = combined_calls
+        assert first[:3] == head + [expand_candidate(bits, 0).value]
         assert len(first) == 3 + attack.COMBINED_SUSPECTS
         assert all(lane in {1 << p for p in range(n)} for lane in first[3:])
-        pairs = {min(c.bits, c.complement().bits) for c in report.candidates}
-        assert sum(map(len, calls)) - 2 == len(pairs)
+        # one lane per distinct pair, in extraction order
+        lanes = {rep: expand_candidate(rep, 0).value
+                 for rep in (min(c.bits, c.complement().bits) for c in report.candidates)}
+        assert calls == [head + list(lanes.values())]
+        combined_pair = min(bits, tuple(1 - b for b in bits))
+        assert rest == ([] if hit else
+                        [[lane for rep, lane in lanes.items() if rep != combined_pair]])
 
     def test_mean_slot_computed_once(self, monkeypatch, b233_run, b233_leaky_trace):
         params, k, _, _, _ = b233_run

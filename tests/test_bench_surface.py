@@ -143,9 +143,9 @@ def test_tracer_counts_auth_demo_ladders(capsys):
     # which the tracer does not wrap, so mul_classical counts four per step.
     # build_schedule multiplies nothing: it squares x twice to check the
     # initial state and each recorded step's five squares.  On test8,
-    # 2^(L+2) > n, so the attack computes every complement pair (in three
-    # table calls, the first with 2^L and C) instead of stopping at the
-    # first verifying candidate.  Its targets pub - 2^L*G and C*G - pub
+    # 2^(L+2) > n, so the attack computes every complement pair (in one
+    # table call, with 2^L and C) instead of stopping at the first
+    # verifying candidate.  Its targets pub - 2^L*G and C*G - pub
     # share one inversion (three more products), C*G - pub + 2^L*G takes one
     want = {"curve.kp_multiply": 1, "leaksim.build_schedule": 1, "authproto.respond": 1,
             "curve.kp_point": 2, "gf2m.mul_classical": 272, "gf2m.square": 255,

@@ -104,10 +104,18 @@ def test_evaluate_matches_reference(data, curve_name):
     ))
     matrix = matrix_for(bits, extra)
     pub = data.draw(public_key(params, bits))
-    report = evaluate(matrix, g=params.g, pub=pub, params=params)
+    with pytest.MonkeyPatch.context() as mp:
+        calls = count_calls(mp, attack, "fixed_base_multiples")
+        report = evaluate(matrix, g=params.g, pub=pub, params=params)
     cands = extract_candidates(matrix)
     want = reference_verified(cands, params.g, pub, params)
     assert np.array_equal(report.verified, want)
+    # at most two table calls: the combined candidate's, then every other
+    # pair's; one with every pair where 2^(L+2) > n (none for an off-curve pub)
+    if (1 << (len(bits) + 2)) <= params.order_hint:
+        assert len(calls) <= 2
+    else:
+        assert len(calls) == is_on_curve(pub, params)
     # the key is the first verified candidate's, pre-loop bit 0 first; where
     # 2^(L+2) <= n, the combined candidate's flip search may also find a
     # verifying scalar that no candidate reads
@@ -328,18 +336,18 @@ def test_foreign_field_point(pub):
 
 # The key (1, 0, 1, 1, 0, 0, 1, 0) is read at column 1, with some spread;
 # column 0 separates two levels perfectly (score inf) but reads wrong bits,
-# so the key's pair ranks second.  Score order: columns 0, 1, 3, 6, 4, 5, 2.
-RANKED_KEY = (1, 0, 1, 1, 0, 0, 1, 0)
-RANKED_COLUMNS = [
+# so the key's column scores second.  Score order: columns 0, 1, 3, 6, 4, 5, 2.
+SCORED_KEY = (1, 0, 1, 1, 0, 0, 1, 0)
+SCORED_COLUMNS = [
     [0, 0, 1, 1, 0, 1, 1, 0],
-    [1 - b + 0.1 * (i % 3) for i, b in enumerate(RANKED_KEY)],
+    [1 - b + 0.1 * (i % 3) for i, b in enumerate(SCORED_KEY)],
     [3, 1, 4, 1, 5, 9, 2, 6],
     [2, 7, 1, 8, 2, 8, 1, 8],
     [1, 4, 1, 4, 2, 1, 3, 5],
     [1, 7, 3, 2, 0, 5, 0, 8],
     [5, 7, 7, 2, 1, 5, 6, 6],
 ]
-RANKED_ORDER = [0, 1, 3, 6, 4, 5, 2]
+SCORE_ORDER = [0, 1, 3, 6, 4, 5, 2]
 
 
 def counted_evaluate(monkeypatch, matrix, pub, params):
@@ -380,40 +388,39 @@ def flip_lanes(bits, suspects):
     return [expand_candidate(bits, 0).value] + [1 << (len(bits) - 1 - p) for p in suspects]
 
 
-def ranked_matrix():
-    return SlotMatrix(np.array(RANKED_COLUMNS, dtype=float).T.copy(), len(RANKED_COLUMNS), 0)
+def scored_matrix():
+    return SlotMatrix(np.array(SCORED_COLUMNS, dtype=float).T.copy(), len(SCORED_COLUMNS), 0)
 
 
-def ranked_evaluate(monkeypatch, params):
-    """evaluate() on the ranked matrix: the report, the scalars of each
-    fixed_base_multiples call, and the pair scalars in score order."""
-    matrix = ranked_matrix()
+def scored_evaluate(monkeypatch, params):
+    """evaluate() on the scored matrix: the report, the scalars of each
+    fixed_base_multiples call, and the pair scalars in extraction order."""
+    matrix = scored_matrix()
     scores = attack.separation_scores(matrix)
-    assert list(np.argsort(-scores, kind="stable")) == RANKED_ORDER
+    assert list(np.argsort(-scores, kind="stable")) == SCORE_ORDER
     cands = extract_candidates(matrix)
-    assert cands[1].bits == RANKED_KEY
-    # a pair's lane is k(c, 0) of its member that starts with 0
-    reps = [min(cands[j].bits, cands[j].complement().bits) for j in RANKED_ORDER]
-    lanes = [expand_candidate(rep, 0).value for rep in reps]
-    assert len(set(lanes)) == len(RANKED_ORDER)
-    pub = kp_point(expand_candidate(RANKED_KEY, 1), params.g, params)
+    assert cands[1].bits == SCORED_KEY
+    # one distinct pair per column; its lane is k(c, 0) of its member that starts with 0
+    lanes = [pair_lane(c.bits) for c in cands[:len(SCORED_COLUMNS)]]
+    assert len(set(lanes)) == len(SCORED_COLUMNS)
+    pub = kp_point(expand_candidate(SCORED_KEY, 1), params.g, params)
     report, calls = counted_evaluate(monkeypatch, matrix, pub, params)
     return report, calls, lanes, pub
 
 
-def test_ranked_batches_stop_at_first_verifying_pair(monkeypatch):
+def test_combined_flip_search_finds_key_in_one_call(monkeypatch):
     """On test16, where 2^(L+2) <= n, evaluate() first computes the combined
     candidate's pair, with 2^L, C and the flip deltas of its 8 least-margin
     slots.  Its complement is one bit from the key, so the flip search
     finds the key.  With 8 slots that search covers every bit string, so
-    no ranked batch runs (test_combined_miss_falls_back_to_ranked_walk has one)."""
-    report, calls, lanes, pub = ranked_evaluate(monkeypatch, TEST16)
-    n = len(RANKED_KEY)
+    no second call runs (test_combined_miss_falls_back_to_ranked_walk has one)."""
+    report, calls, lanes, pub = scored_evaluate(monkeypatch, TEST16)
+    n = len(SCORED_KEY)
     assert (1 << (n + 2)) <= TEST16.order_hint
-    bits, _, suspects = combined_of(ranked_matrix())
-    assert sum(a != (1 - b) for a, b in zip(bits, RANKED_KEY)) == 1
+    bits, _, suspects = combined_of(scored_matrix())
+    assert sum(a != (1 - b) for a, b in zip(bits, SCORED_KEY)) == 1
     assert calls == [target_lanes(n) + flip_lanes(bits, suspects)]
-    assert report.key == expand_candidate(RANKED_KEY, 1)
+    assert report.key == expand_candidate(SCORED_KEY, 1)
     # the key directly at column 1; no other column reads it or its complement
     assert list(np.flatnonzero(report.verified)) == [1]
     want = reference_verified(report.candidates, TEST16.g, pub, TEST16)
@@ -422,13 +429,13 @@ def test_ranked_batches_stop_at_first_verifying_pair(monkeypatch):
 
 def test_rule_skipped_when_order_is_small(monkeypatch):
     """On test8, 2^(L+2) > n = 137, so several scalars may verify: every
-    pair is computed, once, in batches of 1, 3 and the rest, with no
-    combined lane, and the key is the first verified candidate's, as
-    trying candidates in order finds it."""
-    report, calls, lanes, pub = ranked_evaluate(monkeypatch, TEST8)
-    n = len(RANKED_KEY)
+    pair is computed, once, in extraction order, in one call with 2^L and
+    C and no combined lane, and the key is the first verified candidate's,
+    as trying candidates in order finds it."""
+    report, calls, lanes, pub = scored_evaluate(monkeypatch, TEST8)
+    n = len(SCORED_KEY)
     assert (1 << (n + 2)) > TEST8.order_hint
-    assert calls == [target_lanes(n) + lanes[:1], lanes[1:4], lanes[4:]]
+    assert calls == [target_lanes(n) + lanes]
     want = reference_verified(report.candidates, TEST8.g, pub, TEST8)
     assert np.array_equal(report.verified, want)
     first = int(np.argmax(want))
@@ -488,7 +495,7 @@ def pair_lane(bits):
 def test_combined_flip_finds_one_wrong_bit(monkeypatch):
     """Four of the five best columns misread slot 5, so the combined
     candidate does too, with its least margin there: the first flip finds
-    the key and no ranked batch runs."""
+    the key and no second call runs."""
     misread = flipped(KEY12, {5})
     matrix = matrix_for(misread, [two_level(misread, a) for a in (2, 3, 4)]
                         + [two_level(KEY12, 5)] + NOISE12)
@@ -505,9 +512,8 @@ def test_combined_flip_finds_one_wrong_bit(monkeypatch):
 def test_combined_miss_falls_back_to_ranked_walk(monkeypatch):
     """The four best columns read a wrong string w, so the combined
     candidate is w, and neither w nor its complement reaches the key by
-    flipping the 8 suspects.  The ranked walk then skips w's pair, computes
-    the next best pair (the fifth column's), then the next three, which
-    hold the key's pair, and stops."""
+    flipping the 8 suspects.  A second call then computes every other
+    pair once, in extraction order, the key's pair among them."""
     w = flipped(KEY12, {0, 3, 4, 7, 9, 10})
     w2 = flipped(w, {1, 6, 11})
     key_column = [1 - b + 0.1 * (i % 3) for i, b in enumerate(KEY12)]
@@ -519,8 +525,10 @@ def test_combined_miss_falls_back_to_ranked_walk(monkeypatch):
         assert {i for i in range(12) if start[i] != KEY12[i]} - set(suspects)
     pub = kp_point(expand_candidate(KEY12, 0), TEST16.g, TEST16)
     report, calls = counted_evaluate(monkeypatch, matrix, pub, TEST16)
-    assert calls[:2] == [target_lanes(12) + flip_lanes(w, suspects), [pair_lane(w2)]]
-    assert len(calls) == 3 and len(calls[2]) == 3 and calls[2][0] == pair_lane(KEY12)
+    lanes = dict.fromkeys(pair_lane(c.bits) for c in report.candidates)
+    others = [lane for lane in lanes if lane != pair_lane(w)]
+    assert calls == [target_lanes(12) + flip_lanes(w, suspects), others]
+    assert pair_lane(KEY12) in others and pair_lane(w2) in others
     assert report.key == expand_candidate(KEY12, 0)
     want = reference_verified(report.candidates, TEST16.g, pub, TEST16)
     assert want.any() and np.array_equal(report.verified, want)
