@@ -10,7 +10,7 @@ disjoint from the ladder) serves two purposes: the attack uses it to
 verify key candidates by point additions instead of one ladder per
 candidate scalar, and `fixed_base_multiples` builds on it the multiples
 of the base point G that verification and the protocol need, from a
-signed base-16 window table (Hankerson, Menezes, Vanstone, Guide to
+signed base-64 window table (Hankerson, Menezes, Vanstone, Guide to
 Elliptic Curve Cryptography, ch. 3), summed as a tree whose levels
 share one inversion each.
 
@@ -89,7 +89,7 @@ class Scalar:
         return cls(int(text, 16))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AffinePoint:
     x: Optional[FieldElement] = None
     y: Optional[FieldElement] = None
@@ -398,24 +398,24 @@ def _point_double(p: AffinePoint, params: CurveParams) -> AffinePoint:
     return AffinePoint(FieldElement(f, x3), FieldElement(f, y3))
 
 
-# --- fixed-base multiples k*G: signed base-16 window table, tree sums ---
+# --- fixed-base multiples k*G: signed base-64 window table, tree sums ---
 
 def _signed_digits(k: int) -> list[int]:
-    """k = sum(d_i * 16^i), least significant digit first, each d_i in -7..8."""
+    """k = sum(d_i * 64^i), least significant digit first, each d_i in -31..32."""
     digits = []
     while k:
-        d = k & 15
-        if d > 8:
-            d -= 16
+        d = k & 63
+        if d > 32:
+            d -= 64
         digits.append(d)
-        k = (k - d) >> 4
+        k = (k - d) >> 6
     return digits
 
 
 @functools.lru_cache(maxsize=16)
 def _window_table(g: AffinePoint, params: CurveParams) -> list[tuple[AffinePoint, ...]]:
     """The window table of base point g, cached by value and grown in place
-    by `_extend_table`: row i holds d*16^i*G for d = 1..8."""
+    by `_extend_table`: row i holds d*64^i*G for d = 1..32."""
     _check_ladder_input(g, params)
     return []
 
@@ -423,43 +423,36 @@ def _window_table(g: AffinePoint, params: CurveParams) -> list[tuple[AffinePoint
 def _extend_table(table: list, rows: int, g: AffinePoint, params: CurveParams) -> None:
     """Append rows until the table has `rows` of them.
 
-    The doubling chain 16^i*G, 2*16^i*G, 4*16^i*G, 8*16^i*G, 16^(i+1)*G
-    gives columns 1, 2, 4 and 8 of each row; columns 3 = 1 + 2, 5 = 4 + 1,
-    6 = 4 + 2 and 7 = 8 - 1 then take one batched addition across all
-    new rows.
+    A doubling chain gives each row's power-of-two columns.  Every other
+    column d is column d - low plus column low, low being d's lowest set
+    bit: one batched addition per set-bit count 2..5, across all new rows.
     """
     if rows <= len(table):
         return
-    point = _point_double(table[-1][7], params) if table else g
-    chains = []
-    for _ in range(rows - len(table)):
-        d1 = point
-        d2 = _point_double(d1, params)
-        d4 = _point_double(d2, params)
-        d8 = _point_double(d4, params)
-        chains.append((d1, d2, d4, d8))
-        point = _point_double(d8, params)
-    ps, qs = [], []
-    for d1, d2, d4, d8 in chains:
-        ps += [d1, d4, d4, d8]
-        qs += [d2, d1, d2, negate(d1)]
-    sums = _add_many(ps, qs, params)
-    for n, (d1, d2, d4, d8) in enumerate(chains):
-        d3, d5, d6, d7 = sums[4 * n:4 * n + 4]
-        table.append((d1, d2, d3, d4, d5, d6, d7, d8))
+    chain = [_point_double(table[-1][-1], params) if table else g]
+    for _ in range(6 * (rows - len(table)) - 1):
+        chain.append(_point_double(chain[-1], params))
+    new = [{1 << j: chain[6 * n + j] for j in range(6)} for n in range(rows - len(table))]
+    for weight in range(2, 6):
+        ds = [d for d in range(3, 32) if d.bit_count() == weight]
+        sums = iter(_add_many([row[d - (d & -d)] for row in new for d in ds],
+                              [row[d & -d] for row in new for d in ds], params))
+        for row in new:
+            row.update((d, next(sums)) for d in ds)
+    table.extend(tuple(row[d] for d in range(1, 33)) for row in new)
 
 
 def fixed_base_multiples(ks, g: AffinePoint, params: CurveParams) -> list[AffinePoint]:
     """The points k*G for a list of scalars k >= 1, computed together.
 
-    Each k is written in signed base-16 digits and is never reduced
-    modulo the group order.  A lane starts as the terms d_i*16^i*G of
+    Each k is written in signed base-64 digits and is never reduced
+    modulo the group order.  A lane starts as the terms d_i*64^i*G of
     its nonzero digits (row i of g's window table at |d_i|, negated for
-    a negative digit).  Each tree level adds adjacent terms in every
-    lane in one `_add_many`, so one inversion, and an odd last term
-    waits a level: n terms take ceil(log2 n) levels.  g is checked as a
-    ladder input is; its table is built on first use and extended to
-    the longest scalar seen.
+    a negative digit): at most 39 for a 232-bit k.  Each tree level adds
+    adjacent terms in every lane in one `_add_many`, so one inversion,
+    and an odd last term waits a level: n terms take ceil(log2 n)
+    levels, 6 for a 232-bit k.  g is checked as a ladder input is; its
+    table is built on first use and extended to the longest scalar seen.
     """
     digits = []
     for k in ks:

@@ -97,7 +97,7 @@ class FieldSpec:
         return FieldElement(self, value)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FieldElement:
     """A reduced polynomial over GF(2), tied to its FieldSpec."""
 

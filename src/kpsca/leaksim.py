@@ -383,6 +383,9 @@ def synthesize_trace(schedule: Schedule, model: LeakModel, clock_hz: float = 100
     from .traces import Trace  # local import: traces depends on leaksim types
 
     power = cycle_power(schedule, model)
+    if power.shape[0] * model.samples_per_cycle > np.iinfo(np.intp).max:
+        raise ValueError(f"{power.shape[0]} cycles x {model.samples_per_cycle} samples per "
+                         "cycle is more samples than an array can index")
     samples = np.repeat(power, model.samples_per_cycle)
     if model.noise_sigma > 0:
         rng = np.random.default_rng(model.rng_seed)

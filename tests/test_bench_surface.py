@@ -106,7 +106,7 @@ def test_tracer_counts_verification_arithmetic():
     bits = Scalar(91).main_loop_bits
     matrix = SlotMatrix(np.array([[1.0 - b for b in bits]]).T.copy(), 1, 0)
     pub = curve.kp_point(Scalar(91), params.g, params)
-    ks = [0x123, 0x456]  # digits (3, 2, 1) and (6, 5, 4): two tree levels in both lanes
+    ks = [4227, 16710]  # base-64 digits (3, 2, 1) and (6, 5, 4): two tree levels in both lanes
     curve.fixed_base_multiples(ks, params.g, params)  # the table, built untraced
     tracer = TRACING.Tracer(paper_cycles=None)
     tracer.install()
@@ -146,8 +146,11 @@ def test_tracer_counts_auth_demo_ladders(capsys):
     # 2^(L+2) > n, so the attack computes every complement pair (in one
     # table call, with 2^L and C) instead of stopping at the first
     # verifying candidate.  Its targets pub - 2^L*G and C*G - pub
-    # share one inversion (three more products), C*G - pub + 2^L*G takes one
+    # share one inversion (three more products), C*G - pub + 2^L*G takes one.
+    # The fresh window table has 2 rows, enough for C < 64^2: 11 doublings
+    # and one batched addition per set-bit count 2..5, so 15 inversions of
+    # 23, and each of the three table calls sums 2-term lanes in one level
     want = {"curve.kp_multiply": 1, "leaksim.build_schedule": 1, "authproto.respond": 1,
-            "curve.kp_point": 2, "gf2m.mul_classical": 272, "gf2m.square": 255,
-            "gf2m.invert": 24}
+            "curve.kp_point": 2, "gf2m.mul_classical": 455, "gf2m.square": 290,
+            "gf2m.invert": 23}
     assert {name: totals[name]["calls"] for name in want} == want

@@ -7,6 +7,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import kpsca
@@ -98,6 +99,28 @@ class TestSimulate:
                                     "--out", str(tmp_path)], capsys)
         assert (code, stdout, stderr) == (
             cli.EXIT_CONFIG, "", "error: key must be a hex scalar, got 'zz'\n")
+
+    @pytest.mark.parametrize("spc", [10**17, 10**21])
+    def test_sample_count_past_index_range(self, tmp_path, capsys, spc):
+        # both counts are refused before anything is allocated or written
+        out = tmp_path / "sim"
+        code, stdout, stderr = run(["simulate", "--curve", "test8", "--samples-per-cycle",
+                                    str(spc), "--out", str(out)], capsys)
+        assert (code, stdout, stderr) == (
+            cli.EXIT_CONFIG, "",
+            f"error: 508 cycles x {spc} samples per cycle is more samples than an array "
+            "can index\n")
+        assert not out.exists()
+
+    def test_out_of_memory(self, tmp_path, capsys, monkeypatch):
+        def allocation_fails(*args, **kwargs):
+            raise MemoryError("Unable to allocate 3.70 TiB for an array")
+
+        monkeypatch.setattr(np, "repeat", allocation_fails)
+        code, stdout, stderr = run(["simulate", "--curve", "test8", "--samples-per-cycle",
+                                    str(10**9), "--out", str(tmp_path)], capsys)
+        assert (code, stdout, stderr) == (
+            cli.EXIT_CONFIG, "", "error: out of memory: Unable to allocate 3.70 TiB for an array\n")
 
 
 class TestAttack:

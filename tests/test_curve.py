@@ -345,10 +345,11 @@ class TestFixedBaseMultiples:
         assert fixed_base_multiples(ks, params.g, params) == want
 
     def test_equal_x_fallback(self, test8, monkeypatch):
-        # 375 = 0x177 has the digits (7, 7, 1): the tree's first level sums
-        # 7*G + 7*16*G = 119*G, which the second meets with the carried
-        # term 256*G = 119*G (mod 137), so the lane doubles; 137 has the
-        # digits (-7, -7, 1) and meets -(119*G) + 256*G, which is infinity
+        # 4219 has the digits (-5, 2, 1): the tree's first level sums
+        # -5*G + 2*64*G = 123*G, which the second meets with the carried
+        # term 4096*G = 123*G (mod 137), so the lane doubles; 4247 has the
+        # digits (23, 2, 1) and meets 151*G + 4096*G = 14*G - 14*G, which
+        # is infinity
         equal_x = []
 
         def spy(p, q, params):
@@ -356,15 +357,18 @@ class TestFixedBaseMultiples:
                 equal_x.append("double" if p == q else "opposite")
             return point_add(p, q, params)
 
+        ks = [4219, 4247, 91]
+        assert [curve._signed_digits(k) for k in ks] == [[-5, 2, 1], [23, 2, 1], [27, 1]]
+        fixed_base_multiples(ks, test8.g, test8)  # the table, built unspied
         monkeypatch.setattr(curve, "point_add", spy)
-        ks = [375, 137, 91]
         got = fixed_base_multiples(ks, test8.g, test8)
         assert sorted(equal_x) == ["double", "opposite"]
         assert got == [kp_point(Scalar(k), test8.g, test8) for k in ks]
         assert got[1].infinity
 
     def test_one_inversion_per_tree_level(self, b233, monkeypatch):
-        # a lane of n nonzero digits sums in ceil(log2 n) levels
+        # a lane of n nonzero digits sums in ceil(log2 n) levels; a 232-bit
+        # scalar has at most 39 signed base-64 digits
         k = Scalar.random(random.Random(11), 232).value
         n = sum(map(bool, curve._signed_digits(k)))
         want = kp_point(Scalar(k), b233.g, b233)
@@ -373,17 +377,18 @@ class TestFixedBaseMultiples:
         invert = gf2m.invert
         monkeypatch.setattr(gf2m, "invert", lambda f, a: inverted.append(a) or invert(f, a))
         assert fixed_base_multiples([k], b233.g, b233) == [want]
+        assert n <= 39
         assert (n - 1).bit_length() == 6
         assert len(inverted) <= 6
 
     def test_lanes_of_unequal_depth(self, b233):
-        # a 1-digit lane is done before the tree starts, a 59-digit lane
+        # a 1-digit lane is done before the tree starts, a 39-digit lane
         # (every signed digit nonzero) takes all 6 levels; the digits in
-        # -7..8 are unique, so they are the ones the call writes
+        # -31..32 are unique, so they are the ones the call writes
         rng = random.Random(12)
-        digits = [rng.choice([d for d in range(-7, 9) if d]) for _ in range(58)]
-        digits.append(rng.randint(1, 8))
-        deep = sum(d << 4 * i for i, d in enumerate(digits))
+        digits = [rng.choice([d for d in range(-31, 33) if d]) for _ in range(38)]
+        digits.append(rng.randint(1, 32))
+        deep = sum(d << 6 * i for i, d in enumerate(digits))
         assert curve._signed_digits(deep) == digits
         ks = [5, deep, 1]
         assert fixed_base_multiples(ks, b233.g, b233) == [kp_point(Scalar(k), b233.g, b233)
@@ -392,11 +397,38 @@ class TestFixedBaseMultiples:
     def test_table_shared_by_value_and_grown(self, test8):
         table = curve._window_table(test8.g, test8)
         assert curve._window_table(get_curve("test8").g, get_curve("test8")) is table
-        fixed_base_multiples([1 << 62], test8.g, test8)
+        fixed_base_multiples([1 << 90], test8.g, test8)
         assert len(table) >= 16
         for i, row in enumerate(table[:16]):
-            assert row == tuple(kp_point(Scalar(d << 4 * i), test8.g, test8)
-                                for d in range(1, 9))
+            assert row == tuple(kp_point(Scalar(d << 6 * i), test8.g, test8)
+                                for d in range(1, 33))
+
+    @pytest.mark.parametrize("name, rows", [("test16", 4), ("b233", 2)])
+    def test_table_columns_are_multiples(self, name, rows):
+        # every column d of row i is d*64^i*G; test16's 4 rows pass its order
+        params = FIXED_BASE_CURVES[name]
+        table = []
+        curve._extend_table(table, rows, params.g, params)
+        assert len(table) == rows
+        for i, row in enumerate(table):
+            assert row == tuple(kp_point(Scalar(d << 6 * i), params.g, params)
+                                for d in range(1, 33))
+
+    def test_table_extension_inverts_once_per_set_bit_pass(self, b233, monkeypatch):
+        # six doublings per new row (the first row of a fresh table starts
+        # at G), then one batched addition each for the columns with 2, 3,
+        # 4 and 5 set bits
+        inverted = []
+        invert = gf2m.invert
+        monkeypatch.setattr(gf2m, "invert", lambda f, a: inverted.append(a) or invert(f, a))
+        table = []
+        curve._extend_table(table, 3, b233.g, b233)
+        assert len(inverted) == 6 * 3 - 1 + 4
+        del inverted[:]
+        curve._extend_table(table, 5, b233.g, b233)
+        assert len(inverted) == 6 * 2 + 4
+        assert table[3][0] == kp_point(Scalar(1 << 18), b233.g, b233)
+        assert table[4][30] == kp_point(Scalar(31 << 24), b233.g, b233)
 
     def test_scalar_checks(self, test8):
         assert fixed_base_multiples([], test8.g, test8) == []

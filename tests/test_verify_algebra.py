@@ -413,7 +413,8 @@ def test_combined_flip_search_finds_key_in_one_call(monkeypatch):
     candidate's pair, with 2^L, C and the flip deltas of its 8 least-margin
     slots.  Its complement is one bit from the key, so the flip search
     finds the key.  With 8 slots that search covers every bit string, so
-    no second call runs (test_combined_miss_falls_back_to_ranked_walk has one)."""
+    no second call runs; after a miss,
+    test_combined_miss_verifies_other_pairs_in_one_call makes one."""
     report, calls, lanes, pub = scored_evaluate(monkeypatch, TEST16)
     n = len(SCORED_KEY)
     assert (1 << (n + 2)) <= TEST16.order_hint
@@ -509,7 +510,7 @@ def test_combined_flip_finds_one_wrong_bit(monkeypatch):
     assert want.any() and np.array_equal(report.verified, want)
 
 
-def test_combined_miss_falls_back_to_ranked_walk(monkeypatch):
+def test_combined_miss_verifies_other_pairs_in_one_call(monkeypatch):
     """The four best columns read a wrong string w, so the combined
     candidate is w, and neither w nor its complement reaches the key by
     flipping the 8 suspects.  A second call then computes every other
