@@ -23,9 +23,10 @@ pub - A, C*G - pub or C*G + A - pub (A = 2^L*G) exactly when
 here comes from `curve.fixed_base_multiples`, which computes many
 points together from a fixed-base window table.  Flipping bit p adds
 +-2^(L-1-p) to every expansion, so brute force gets a flipped subset's
-point by one affine addition from its parent's; from the first weight
-with more subsets than targets times suspects, a lookup of the parent's
-point among the targets minus each flip delta decides the subset.
+point by one affine addition from its parent's; once the unflipped point
+misses, a lookup of the parent's point among the targets minus each flip
+delta decides every subset of one or more flips.  Verifying a single
+candidate is brute force with no suspects.
 A pub that is not a point of the curve (or of its field) verifies no
 candidate, and is rejected before any target is derived from it: the
 affine addition is meaningful only on the curve and could turn an
@@ -50,7 +51,7 @@ from __future__ import annotations
 import csv
 import enum
 from dataclasses import dataclass
-from math import comb, inf
+from math import inf
 from typing import Optional
 
 import numpy as np
@@ -209,34 +210,6 @@ def expand_candidate(candidate_bits, preloop_bit: int) -> Scalar:
     return Scalar.from_bits((1, preloop_bit) + tuple(candidate_bits))
 
 
-def _preloop_target(pb: int, step: AffinePoint, pub: AffinePoint,
-                    params: CurveParams) -> AffinePoint:
-    """What k(c, 0)*G must equal for (c, pb) to verify: pub, or pub - step (A = 2^L*G)."""
-    return point_add(pub, negate(step), params) if pb & 1 else pub
-
-
-def recover_scalar(
-    candidate: KeyCandidate,
-    g: AffinePoint,
-    pub: AffinePoint,
-    params: CurveParams,
-    preloop_bits=(0, 1),
-) -> Optional[Scalar]:
-    """The verified full scalar for this candidate, or None.
-
-    Expansions are tried in the order of preloop_bits, all against one
-    point: k(c, 0)*G is compared with each pre-loop bit's target.
-    """
-    if not preloop_bits or not is_on_curve(pub, params):
-        return None
-    step, point = fixed_base_multiples(
-        [1 << len(candidate.bits), expand_candidate(candidate.bits, 0).value], g, params)
-    for pb in preloop_bits:
-        if point == _preloop_target(pb, step, pub, params):
-            return expand_candidate(candidate.bits, pb)
-    return None
-
-
 def _pair_targets(step: AffinePoint, c_g: AffinePoint, pub: AffinePoint,
                   params: CurveParams) -> tuple[tuple[AffinePoint, ...], ...]:
     """Targets for P = k(c, 0)*G, from A = step and C*G: (c, pb) verifies
@@ -341,25 +314,23 @@ def _flip_lanes(bits, positions) -> list[int]:
 
 def _flip_search(bits, positions, points, targets, params: CurveParams, budget=inf):
     """The first hit in brute-force order as (flipped bits, j, checks), or
-    None if there is none before a subset all of whose checks exceed
-    budget; points: `_flip_lanes` times G.
+    None if there is none or the walk reached children all of whose checks
+    exceed budget (a hit's checks may exceed it too); points: `_flip_lanes`
+    times G.
 
     Subsets of the positions come by size, then lexicographic, each tried
     against the m targets in order: subset r hits target j, check m*r + j + 1,
-    if k(flipped, 0)*G equals it.  A subset's point is its parent's (without
-    its last index i) plus delta_i, and a parent's children are contiguous.
-    So from the first size w with comb(s, w) > m*s on, a table of the m*s
-    points T_j - delta_i (one `_add_many`) decides each child by a lookup of
-    its parent's point; a size's points are computed only once it missed,
-    for the subsets with children, as the next size reaches them.
+    if k(flipped, 0)*G equals it.  The empty subset's point is compared
+    directly.  A subset's point is its parent's (without its last index i)
+    plus delta_i, and a parent's children are contiguous, so on a miss a
+    table of the m*s points T_j - delta_i (one `_add_many`) decides every
+    child by a lookup of its parent's point, from the empty parent on.  A
+    size's points are computed only once it missed, for the subsets with
+    children, as the next size reaches them.
     """
     base, *steps = points
     s, m = len(positions), len(targets)
     deltas = [negate(d) if bits[p] & 1 else d for p, d in zip(positions, steps)]
-
-    def children(level, stop):
-        return ((sub + (i,), point_add(p, deltas[i], params))
-                for sub, p in level for i in range(sub[-1] + 1 if sub else 0, stop))
 
     def key(p):
         return None if p.infinity else (p.x.value, p.y.value)
@@ -368,32 +339,25 @@ def _flip_search(bits, positions, points, targets, params: CurveParams, budget=i
         flip = {positions[i] for i in subset}
         return [b ^ (p in flip) for p, b in enumerate(bits)], j, m * rank + j + 1
 
-    level, rank, table = [((), base)], 0, None
-    for w in range(s + 1):
-        if w and table is None:
-            if comb(s, w) <= m * s:
-                level = children(level, s)
-            else:  # w >= 2: every parent is nonempty
-                diffs = _add_many(targets * s, [negate(d) for d in deltas for _ in targets], params)
-                table = {}
-                for n, p in enumerate(diffs):  # n = i*m + j, so each list is in (i, j) order
-                    table.setdefault(key(p), []).append(divmod(n, m))
-        seen = []  # the size-w subsets, or with a table their size-(w-1) parents
-        for subset, point in level:
+    if base in targets:
+        return hit((), targets.index(base), 0)
+    diffs = _add_many(targets * s, [negate(d) for d in deltas for _ in targets], params)
+    table = {}
+    for n, p in enumerate(diffs):  # n = i*m + j, so each list is in (i, j) order
+        table.setdefault(key(p), []).append(divmod(n, m))
+    level, rank = [((), 0, base)], 1  # (parent, its first child's index, point)
+    for _ in range(s):  # the parents of sizes 0 .. s-1
+        seen = []
+        for subset, first, point in level:
             if m * rank >= budget:
                 return None
-            seen.append((subset, point))
-            if table is None:
-                for j, target in enumerate(targets):
-                    if point == target:
-                        return hit(subset, j, rank)
-                rank += 1
-            else:
-                for i, j in table.get(key(point), ()):
-                    if i > subset[-1]:
-                        return hit(subset + (i,), j, rank + i - subset[-1] - 1)
-                rank += s - 1 - subset[-1]
-        level = seen if table is None else children(seen, s - 1)
+            seen.append((subset, first, point))
+            for i, j in table.get(key(point), ()):
+                if i >= first:
+                    return hit(subset + (i,), j, rank + i - first)
+            rank += s - first
+        level = ((sub + (i,), i + 1, point_add(p, deltas[i], params))
+                 for sub, first, p in seen for i in range(first, s - 1))
     return None
 
 
@@ -413,9 +377,10 @@ def brute_force_complete(
     defined; within a subset the pre-loop bits are tried in the given
     order.  Each (subset, pre-loop bit) scalar tested is one check
     against the budget, however it is decided: one fixed-base call for
-    A, the unflipped candidate and the flip deltas, then `_flip_search`.
-    Flipping all of s suspects with a pinned pre-loop bit costs at most
-    2^s checks.
+    A = 2^L*G, the unflipped candidate and the flip deltas, then
+    `_flip_search` against pub for pre-loop bit 0 and pub - A, computed
+    only if pre-loop bit 1 is tried, for bit 1.  Flipping all of s
+    suspects with a pinned pre-loop bit costs at most 2^s checks.
     """
     suspects = sorted(set(int(p) for p in suspect_positions))
     nbits = len(candidate.bits)
@@ -430,7 +395,8 @@ def brute_force_complete(
     if preloop_bits and is_on_curve(pub, params):
         step, *points = fixed_base_multiples(
             [1 << nbits] + _flip_lanes(candidate.bits, suspects), g, params)
-        targets = [_preloop_target(pb, step, pub, params) for pb in preloop_bits]
+        targets = [point_add(pub, negate(step), params) if pb & 1 else pub
+                   for pb in preloop_bits]
         found = _flip_search(candidate.bits, suspects, points, targets, params, budget)
     if found is not None and found[2] <= budget:
         bits, j, checks = found
@@ -442,9 +408,22 @@ def brute_force_complete(
     return BruteForceResult(None, max(budget, 0), True)
 
 
+def recover_scalar(
+    candidate: KeyCandidate,
+    g: AffinePoint,
+    pub: AffinePoint,
+    params: CurveParams,
+    preloop_bits=(0, 1),
+) -> Optional[Scalar]:
+    """The verified full scalar for this candidate, or None: brute force
+    with no suspects, so k(c, 0)*G is compared with each pre-loop bit's
+    target in the order of preloop_bits."""
+    return brute_force_complete(candidate, (), g, pub, params, preloop_bits=preloop_bits).key
+
+
 def worst_case_checks(num_suspects: int, num_preloop: int = 1) -> int:
     """Checks (candidate scalars tested) in a full enumeration."""
-    return num_preloop * sum(comb(num_suspects, w) for w in range(num_suspects + 1))
+    return num_preloop << num_suspects
 
 
 @dataclass
@@ -506,13 +485,14 @@ def evaluate(
     candidates = extract_candidates(matrix, mean)
     report = AttackReport(mean_slot=mean, candidates=candidates)
     if truth_bits is not None:
-        truth = tuple(truth_bits)
-        deltas = np.empty(len(candidates))
-        for i, c in enumerate(candidates):
-            deltas[i], _ = correctness(c, truth)
-        report.deltas = deltas
-        report.best_index = int(np.argmax(deltas))
-        _, report.wrong_positions = correctness(candidates[report.best_index], truth)
+        bits = np.array([c.bits for c in candidates], dtype=np.int8)
+        truth = np.array(tuple(truth_bits))
+        if bits.shape[1:] != truth.shape:
+            raise ValueError(f"candidate has {bits.shape[1]} bits, truth has {truth.size}")
+        wrong = bits != truth
+        report.deltas = (truth.size - wrong.sum(axis=1)) / truth.size
+        report.best_index = int(np.argmax(report.deltas))
+        report.wrong_positions = np.flatnonzero(wrong[report.best_index]).tolist()
     if pub is not None:
         if g is None or params is None:
             raise ValueError("verification needs g and params alongside pub")

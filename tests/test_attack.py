@@ -320,6 +320,23 @@ class TestEndToEndExtraction:
         pub = kp_point(k, params.g, params)
         assert recover_scalar(report.best_candidate, params.g, pub, params) == k
 
+    def test_scores_match_correctness(self, b233_run):
+        """evaluate's vectorized scores equal one correctness() call per
+        candidate on a noisy trace, where the deltas spread."""
+        _, k, _, _, schedule = b233_run
+        trace = synthesize_trace(schedule, LeakModel(noise_sigma=1.0, rng_seed=9))
+        m = segment_trace(trace, schedule.num_slots)
+        report = attack.evaluate(m, truth_bits=k.main_loop_bits)
+        scored = [correctness(c, k.main_loop_bits) for c in report.candidates]
+        assert len(set(report.deltas)) > 10
+        assert [float(d) for d in report.deltas] == [d for d, _ in scored]
+        assert report.best_index == max(range(len(scored)), key=lambda i: scored[i][0])
+        assert report.wrong_positions == scored[report.best_index][1]
+        assert all(type(p) is int for p in report.wrong_positions)
+        n = len(k.main_loop_bits)
+        with pytest.raises(ValueError, match=f"candidate has {n - 2} bits, truth has {n}"):
+            attack.evaluate(segment_trace(trace, n - 2), truth_bits=k.main_loop_bits)
+
     def test_both_polarities_win_somewhere(self, b233_run, b233_leaky_trace):
         _, k, _, _, schedule = b233_run
         m = segment_trace(b233_leaky_trace, schedule.num_slots)

@@ -38,7 +38,6 @@ from kpsca.curve import (
 from kpsca.gf2m import FieldSpec
 from kpsca.traces import SlotMatrix
 
-import helpers
 from helpers import (
     make_test16_curve,
     reference_brute_force,
@@ -173,7 +172,7 @@ def brute_force_args(flips):
 @pytest.mark.parametrize("preloop", [(0, 1), (1, 0)])
 @pytest.mark.parametrize("flips", PLANTED_FLIPS, ids=lambda f: f"weight{len(f)}")
 def test_brute_force_budgets_around_the_hit(flips, preloop):
-    """With 12 suspects and 2 targets, weights 2-4 are decided by table
+    """With 12 suspects and 2 targets, weights 1-4 are decided by table
     lookups of their parents' points; the result equals the reference's
     with the budget one short of the hit, exactly at it and at 2^17."""
     args = brute_force_args(flips)
@@ -211,12 +210,12 @@ def count_calls(monkeypatch, module, name, size=lambda *args: 1):
 
 @pytest.mark.parametrize("flips", [(0, 1, 2), (3, 7, 11), (9, 10, 11)])
 def test_weight3_hit_computes_no_weight3_point(monkeypatch, flips):
-    """12 suspects, 2 targets: weight 1 (12 <= 2*12 subsets) is checked
-    point by point; weight 2 (66 > 24) builds one 24-point table, and from
-    then on a subset is decided by its parent's point.  A weight-3 hit
-    computes the 12 weight-1 points and the weight-2 points that have
-    children up to its parent's (55 at most), no weight-3 point; pub - A
-    takes one more addition."""
+    """12 suspects, 2 targets: once the unflipped point misses, one
+    24-point table is built, and from then on a subset is decided by its
+    parent's point.  A weight-3 hit computes the 11 weight-1 points that
+    have children and the weight-2 points that have children up to its
+    parent's (55 at most), no weight-3 point; pub - A takes one more
+    addition."""
     args = brute_force_args(flips)
     adds = count_calls(monkeypatch, attack, "point_add")
     batches = count_calls(monkeypatch, attack, "_add_many", lambda ps, qs, params: len(ps))
@@ -225,7 +224,7 @@ def test_weight3_hit_computes_no_weight3_point(monkeypatch, flips):
     assert res.key == KEY14 and res.checks == 2 * BRUTE_ORDER.index(flips) + 1 + KEY14.bits[1]
     parents = [c for c in itertools.combinations(range(12), 2) if c[-1] < 11]
     assert batches == [24]
-    assert len(adds) == 1 + 12 + parents.index(flips[:2]) + 1 <= 1 + 67
+    assert len(adds) == 1 + 11 + parents.index(flips[:2]) + 1 <= 1 + 66
 
 
 def combined_inputs(params, bits, suspects, pub):
@@ -238,8 +237,8 @@ def combined_inputs(params, bits, suspects, pub):
 @settings(max_examples=80, deadline=None)
 @given(st.data(), st.sampled_from(sorted(CURVES)))
 def test_combined_key_matches_reference_flip_search(data, curve_name):
-    """With 4 targets, 7 or 8 suspects build the table at weight 3; the
-    search finds what one addition and four comparisons per subset find."""
+    """With 4 targets and up to 8 suspects, the table lookups find what
+    one addition and four comparisons per subset find."""
     params = CURVES[curve_name]
     n = data.draw(st.integers(2, 12 if curve_name == "test16" else 9))
     truth = tuple(data.draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)))
@@ -258,22 +257,20 @@ def test_combined_key_matches_reference_flip_search(data, curve_name):
 
 
 @pytest.mark.parametrize("flips", [(), (5,), (1, 9), (9, 11)])
-def test_combined_hit_at_weight2_costs_as_before(monkeypatch, flips):
-    """With 8 suspects and 4 targets, weights 1 and 2 (8 and 28 <= 4*8
-    subsets) are checked point by point, as the per-subset walk does: a hit
-    there makes the same additions and builds no table."""
+def test_combined_hit_builds_at_most_one_batch(monkeypatch, flips):
+    """With 8 suspects and 4 targets, a hit of the unflipped point builds
+    no table; a weight-1 or weight-2 hit builds the one 32-point table of
+    T_j - delta_i and finds the key the per-subset walk finds."""
     suspects = [0, 1, 3, 5, 6, 8, 9, 11]
     bits = flipped(KEY12, flips)
     pub = kp_point(expand_candidate(KEY12, 1), TEST16.g, TEST16)
     points, targets = combined_inputs(TEST16, bits, suspects, pub)
-    adds = count_calls(monkeypatch, attack, "point_add")
-    batches = count_calls(monkeypatch, attack, "_add_many")
-    reference_adds = count_calls(monkeypatch, helpers, "point_add")
+    batches = count_calls(monkeypatch, attack, "_add_many", lambda ps, qs, params: len(ps))
     key = attack._combined_key(bits, suspects, points, targets, TEST16)
-    assert key == reference_flip_search(bits, suspects, points, targets, TEST16)
     monkeypatch.undo()
+    assert key == reference_flip_search(bits, suspects, points, targets, TEST16)
     assert key == expand_candidate(KEY12, 1)
-    assert batches == [] and len(adds) == len(reference_adds)
+    assert batches == ([32] if flips else [])
 
 
 class TestOffCurvePublicKey:
