@@ -8,7 +8,7 @@ completion, and the ECDH challenge-response demo the attack threatens.
 """
 
 from .curve import AffinePoint, CurveParams, Scalar, get_curve, kp_multiply, kp_point
-from .leaksim import LeakModel, build_schedule, schedule_stats, synthesize_trace
+from .leaksim import LeakModel, build_schedule, synthesize_trace
 from .traces import CompressionMethod, Trace, compress, read_trace, segment, write_trace
 
 __version__ = "0.1.0"
@@ -16,6 +16,6 @@ __version__ = "0.1.0"
 __all__ = [
     "AffinePoint", "CompressionMethod", "CurveParams", "LeakModel", "Scalar",
     "Trace", "build_schedule", "compress", "get_curve", "kp_multiply",
-    "kp_point", "read_trace", "schedule_stats", "segment", "synthesize_trace",
+    "kp_point", "read_trace", "segment", "synthesize_trace",
     "write_trace", "__version__",
 ]

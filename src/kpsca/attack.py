@@ -66,7 +66,6 @@ from .curve import (
     negate,
     point_add,
 )
-from .traces import SlotMatrix
 
 
 class Polarity(enum.Enum):
@@ -88,35 +87,44 @@ class KeyCandidate:
         )
 
 
-def mean_slot(matrix: SlotMatrix) -> np.ndarray:
-    """Column-wise mean of all slots, computed without any key knowledge."""
-    if matrix.num_slots < 2:
+def mean_slot(slots: np.ndarray) -> np.ndarray:
+    """Column-wise mean of all slots (rows), computed without any key knowledge."""
+    if slots.shape[0] < 2:
         raise ValueError("mean slot needs at least 2 slots")
-    return matrix.slots.mean(axis=0)
+    return slots.mean(axis=0)
 
 
-def extract_candidates(matrix: SlotMatrix,
-                       mean: Optional[np.ndarray] = None) -> list[KeyCandidate]:
-    """One candidate per (sample index, polarity): 2 * slot_len in total.
+_POLARITIES = (Polarity.SMALLER_IS_ONE, Polarity.SMALLER_IS_ZERO)  # extraction order
 
-    Bit i of the candidate at index j classifies slot i by comparing
-    slots[i, j] with mean[j] (the mean slot, computed here if not given).
-    Under SMALLER_IS_ONE a strictly smaller value reads as '1' and ties
-    fall into the "not smaller" branch, i.e. '0'; SMALLER_IS_ZERO
-    mirrors both rules.
+
+def _candidate_bits(slots: np.ndarray, mean: np.ndarray) -> np.ndarray:
+    """The classification rule: column c is candidate c's bits, as bools.
+
+    Candidates come in extraction order, every sample index j under
+    SMALLER_IS_ONE, then every j under SMALLER_IS_ZERO.  Bit i of the
+    candidate at index j compares slots[i, j] with mean[j]: under
+    SMALLER_IS_ONE a strictly smaller value reads as '1' and ties fall
+    into the "not smaller" branch, i.e. '0'; SMALLER_IS_ZERO mirrors
+    both rules.
     """
+    smaller = slots < mean[np.newaxis, :]
+    return np.concatenate([smaller, ~smaller], axis=1)
+
+
+def extract_candidates(slots: np.ndarray,
+                       mean: Optional[np.ndarray] = None) -> list[KeyCandidate]:
+    """One candidate per (sample index, polarity): 2 * slot_len in total,
+    classified by `_candidate_bits` against the mean slot (computed here
+    if not given)."""
     if mean is None:
-        mean = mean_slot(matrix)
-    smaller = matrix.slots < mean[np.newaxis, :]
-    out = []
-    for polarity, columns in ((Polarity.SMALLER_IS_ONE, smaller.T),
-                              (Polarity.SMALLER_IS_ZERO, (~smaller).T)):
-        for j, bits in enumerate(columns.astype(np.int64).tolist()):
-            out.append(KeyCandidate(tuple(bits), j, polarity))
-    return out
+        mean = mean_slot(slots)
+    width = slots.shape[1]
+    columns = _candidate_bits(slots, mean).T.astype(np.int64).tolist()
+    return [KeyCandidate(tuple(bits), c % width, _POLARITIES[c // width])
+            for c, bits in enumerate(columns)]
 
 
-def separation_scores(matrix: SlotMatrix,
+def separation_scores(slots: np.ndarray,
                       mean: Optional[np.ndarray] = None) -> np.ndarray:
     """Per sample index, how well it splits the slots into two classes; >= 0.
 
@@ -129,8 +137,7 @@ def separation_scores(matrix: SlotMatrix,
     outlier) or a NaN scores 0, below any column that separates.
     """
     if mean is None:
-        mean = mean_slot(matrix)
-    slots = matrix.slots
+        mean = mean_slot(slots)
     below = slots < mean[np.newaxis, :]
     n_below = below.sum(axis=0)
     n_rest = slots.shape[0] - n_below
@@ -148,14 +155,14 @@ COMBINED_CYCLES = 5    # best-scored sample indices a combined candidate sums
 COMBINED_SUSPECTS = 8  # its least-margin slots that verification flips
 
 
-def combined_candidate(matrix: SlotMatrix, mean: np.ndarray,
+def combined_candidate(slots: np.ndarray, mean: np.ndarray,
                        scores: np.ndarray) -> tuple[tuple[int, ...], np.ndarray]:
     """Bits and margins from the COMBINED_CYCLES best-scored sample indices:
     their columns, standardized against the mean slot (a zero spread divides
     by 1, a NaN counts 0) and sign-aligned with the top one's by correlation,
     summed per slot; '1' where the sum is < 0 (as SMALLER_IS_ONE reads), margin |sum|."""
     top = np.argsort(-scores, kind="stable")[:COMBINED_CYCLES]
-    cols = np.nan_to_num(matrix.slots[:, top] - mean[top])
+    cols = np.nan_to_num(slots[:, top] - mean[top])
     spread = cols.std(axis=0)
     cols /= np.where(spread > 0, spread, 1.0)
     total = cols @ np.where(cols.T @ cols[:, 0] < 0, -1.0, 1.0)
@@ -174,7 +181,7 @@ def correctness(candidate: KeyCandidate, truth_bits) -> tuple[float, list[int]]:
     return delta, wrong
 
 
-def welch_t(matrix: SlotMatrix, labels) -> np.ndarray:
+def welch_t(slots: np.ndarray, labels) -> np.ndarray:
     """Welch's two-sample t per cycle index between '0'- and '1'-labelled slots.
 
     Sign convention: t = (mean of the '0' class - mean of the '1'
@@ -183,10 +190,10 @@ def welch_t(matrix: SlotMatrix, labels) -> np.ndarray:
     infinity for unequal ones.
     """
     labels = np.asarray(labels, dtype=int)
-    if labels.shape[0] != matrix.num_slots:
+    if labels.shape[0] != slots.shape[0]:
         raise ValueError("labels must have one entry per slot")
-    g0 = matrix.slots[labels == 0]
-    g1 = matrix.slots[labels == 1]
+    g0 = slots[labels == 0]
+    g1 = slots[labels == 1]
     if g0.shape[0] < 2 or g1.shape[0] < 2:
         raise ValueError("each label class needs at least 2 slots")
     m0, m1 = g0.mean(axis=0), g1.mean(axis=0)
@@ -194,7 +201,7 @@ def welch_t(matrix: SlotMatrix, labels) -> np.ndarray:
     v1 = g1.var(axis=0, ddof=1)
     denom = np.sqrt(v0 / g0.shape[0] + v1 / g1.shape[0])
     diff = m0 - m1
-    t = np.zeros(matrix.slot_len)
+    t = np.zeros(slots.shape[1])
     ok = denom > 0
     t[ok] = diff[ok] / denom[ok]
     degenerate = ~ok & (diff != 0)
@@ -474,30 +481,30 @@ class AttackReport:
 
 
 def evaluate(
-    matrix: SlotMatrix,
+    slots: np.ndarray,
     truth_bits=None,
     g: Optional[AffinePoint] = None,
     pub: Optional[AffinePoint] = None,
     params: Optional[CurveParams] = None,
 ) -> AttackReport:
-    """Run extraction and score candidates by truth and/or verification."""
-    mean = mean_slot(matrix)
-    candidates = extract_candidates(matrix, mean)
+    """Run extraction on a (slots, cycles) array and score the candidates by
+    truth and/or verification."""
+    mean = mean_slot(slots)
+    candidates = extract_candidates(slots, mean)
     report = AttackReport(mean_slot=mean, candidates=candidates)
     if truth_bits is not None:
-        bits = np.array([c.bits for c in candidates], dtype=np.int8)
         truth = np.array(tuple(truth_bits))
-        if bits.shape[1:] != truth.shape:
-            raise ValueError(f"candidate has {bits.shape[1]} bits, truth has {truth.size}")
-        wrong = bits != truth
-        report.deltas = (truth.size - wrong.sum(axis=1)) / truth.size
+        if slots.shape[:1] != truth.shape:
+            raise ValueError(f"candidate has {slots.shape[0]} bits, truth has {truth.size}")
+        wrong = _candidate_bits(slots, mean) != truth[:, np.newaxis]
+        report.deltas = (truth.size - wrong.sum(axis=0)) / truth.size
         report.best_index = int(np.argmax(report.deltas))
-        report.wrong_positions = np.flatnonzero(wrong[report.best_index]).tolist()
+        report.wrong_positions = np.flatnonzero(wrong[:, report.best_index]).tolist()
     if pub is not None:
         if g is None or params is None:
             raise ValueError("verification needs g and params alongside pub")
         verified, report.key = _verify_all(candidates, g, pub, params, combined_candidate(
-            matrix, mean, separation_scores(matrix, mean)))
+            slots, mean, separation_scores(slots, mean)))
         report.verified = verified
         if report.best_index is None and verified.any():
             report.best_index = int(np.argmax(verified))

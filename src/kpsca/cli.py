@@ -38,7 +38,7 @@ from .curve import (
     kp_multiply,
     kp_point,
 )
-from .leaksim import LeakModel, build_schedule, schedule_stats, synthesize_trace
+from .leaksim import LeakModel, build_schedule, synthesize_trace
 from .traces import (
     CompressionMethod,
     SegmentationError,
@@ -292,45 +292,47 @@ def _simulate(args) -> int:
         "key": k.to_hex() if include_truth else None,
         "scalar_bits": k.bit_length,
         "num_slots": schedule.num_slots,
-        "slot_len": schedule.slot_len,
-        "slot_layout_version": schedule.layout_version,
+        "slot_len": leaksim.SLOT_CYCLES,
+        "slot_layout_version": leaksim.SLOT_LAYOUT_VERSION,
         "cycle0_cycle": schedule.cycle0,
         "total_cycles": schedule.total_cycles,
         "point": p.to_hex(),
     }
     (out / "trace.transcript.json").write_text(json.dumps(sidecar, indent=2) + "\n")
     print(f"trace written to {trace_path}")
-    print(f"main-loop slots: {schedule.num_slots} x {schedule.slot_len} cycles, "
+    print(f"main-loop slots: {schedule.num_slots} x {leaksim.SLOT_CYCLES} cycles, "
           f"total {schedule.total_cycles} cycles")
     if excerpt:
-        ct = compress(trace, _COMPRESSION[cfg.compression])
-        n = min(excerpt, ct.values.shape[0])
+        values = compress(trace, _COMPRESSION[cfg.compression])
+        n = min(excerpt, values.shape[0])
         path = out / "excerpt.csv"
         with path.open("w") as fh:
             for line in cfg.echo_lines():
                 fh.write(f"# {line}\n")
             fh.write("cycle,value\n")
             for j in range(n):
-                fh.write(f"{j},{ct.values[j]:.17g}\n")
+                fh.write(f"{j},{values[j]:.17g}\n")
         print(f"compressed excerpt ({n} cycles) written to {path}")
     return EXIT_OK
 
 
-def _segment_from_cfg(cfg: RunConfig, trace) -> tuple:
-    ct = compress(trace, _COMPRESSION[cfg.compression])
-    start = cfg.start_cycle if cfg.start_cycle is not None else ct.cycle0_offset
+def _segment_from_cfg(cfg: RunConfig, trace):
+    """The trace's (slots, cycles) array, from its first main-loop cycle
+    unless the configuration names another start."""
+    values = compress(trace, _COMPRESSION[cfg.compression])
+    start = cfg.start_cycle if cfg.start_cycle is not None else trace.cycle0_cycle
     num = cfg.num_slots
     if num is None:
         if trace.ground_truth is None:
             raise CurveError("--num-slots is required when the trace has no ground truth")
         num = max(trace.ground_truth.bit_length - 2, 0)
-    return ct, segment(ct, start, cfg.slot_len, num)
+    return segment(values, start, cfg.slot_len, num)
 
 
 def _attack(args) -> int:
     cfg = _build_run_config(args, "attack")
     trace = read_trace(args.trace)
-    _, matrix = _segment_from_cfg(cfg, trace)
+    matrix = _segment_from_cfg(cfg, trace)
     truth = trace.ground_truth.main_loop_bits if trace.ground_truth else None
     pub_hex = _resolve(args, "pub", str, None)
     params = get_curve(cfg.curve)
@@ -358,7 +360,7 @@ def _welch(args) -> int:
     trace = read_trace(args.trace)
     if trace.ground_truth is None:
         raise CurveError("welch needs slot labels: the trace carries no ground truth")
-    _, matrix = _segment_from_cfg(cfg, trace)
+    matrix = _segment_from_cfg(cfg, trace)
     labels = trace.ground_truth.main_loop_bits
     t = attack_mod.welch_t(matrix, labels)
     out = _out_dir(cfg)
@@ -391,14 +393,14 @@ def _bruteforce(args) -> int:
             f"suspects must be comma-separated slot indices, got {args.suspects!r}") from None
     trace = read_trace(args.trace)
     params = get_curve(cfg.curve)
-    _, matrix = _segment_from_cfg(cfg, trace)
+    matrix = _segment_from_cfg(cfg, trace)
     truth = trace.ground_truth.main_loop_bits if trace.ground_truth else None
     report = attack_mod.evaluate(matrix, truth_bits=truth)
 
     if sample_index is not None:
-        if not 0 <= sample_index < matrix.slot_len:
+        if not 0 <= sample_index < matrix.shape[1]:
             raise CurveError(
-                f"sample index must be in 0..{matrix.slot_len - 1}, got {sample_index}"
+                f"sample index must be in 0..{matrix.shape[1] - 1}, got {sample_index}"
             )
         pol = attack_mod.Polarity(polarity or "smaller_is_one")
         candidate = next(
@@ -467,15 +469,17 @@ def _stats(args) -> int:
     rng = random.Random(cfg.seed)
     k = Scalar.random(rng, cfg.scalar_bits)
     _, transcript = kp_multiply(k, params.g, params)
-    stats = schedule_stats(build_schedule(transcript), cfg.clock_hz)
+    schedule = build_schedule(transcript)
+    slot = leaksim.SLOT_CYCLES
     print(f"curve: {cfg.curve}, scalar bits: {cfg.scalar_bits}")
-    print(f"init cycles: {stats.init_cycles}")
-    print(f"pre-loop cycles: {stats.preloop_cycles}")
-    print(f"main loop: {stats.num_slots} slots x {stats.slot_len} cycles = {stats.main_cycles}")
-    print(f"epilogue cycles: {stats.epilogue_cycles}")
-    print(f"total cycles: {stats.total_cycles}")
-    print(f"per-slot ops: {stats.per_slot_ops}")
-    print(f"execution time at {stats.clock_hz/1e6:g} MHz: {stats.execution_time_s*1e3:.4f} ms")
+    print(f"init cycles: {leaksim.INIT_CYCLES}")
+    print(f"pre-loop cycles: {slot if schedule.has_preloop else 0}")
+    print(f"main loop: {schedule.num_slots} slots x {slot} cycles = {schedule.main_cycles}")
+    print(f"epilogue cycles: {schedule.epilogue_len}")
+    print(f"total cycles: {schedule.total_cycles}")
+    print(f"per-slot ops: {schedule.per_slot_ops}")
+    seconds = schedule.total_cycles / cfg.clock_hz
+    print(f"execution time at {cfg.clock_hz/1e6:g} MHz: {seconds*1e3:.4f} ms")
     return EXIT_OK
 
 

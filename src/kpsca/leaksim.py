@@ -24,7 +24,10 @@ synthesized samples equals the modelled cycle power.  A schedule holds
 both sums per cycle.  It is laid out from a ladder transcript, whose
 recorded step values `build_schedule` checks without re-running the
 ladder; the data sum reads them only when a model with a nonzero data
-weight renders it.
+weight renders it.  The schedule stores nothing else: its geometry
+(slot count, first main-loop cycle, epilogue and total length) is
+derived from the transcript's scalar and field degree and the cycle
+constants below.
 
 Slot layout (cycle: operations; register roles written for k_i = 1, the
 k_i = 0 slot swaps X1<->X2 and Z1<->Z2):
@@ -87,6 +90,7 @@ import numpy as np
 from . import gf2m
 from .curve import LadderState, LadderTranscript, Scalar, StepValues
 from .curve import _init_state, next_state, step_relations_hold
+from .traces import Trace
 
 
 class OpKind(enum.Enum):
@@ -121,8 +125,8 @@ REGISTER_ADDR_WEIGHT = {
 SLOT_CYCLES = 54
 INIT_CYCLES = 8
 
-# bump when the canonical placement below changes; schedules and trace
-# sidecars carry it so recorded fixtures stay comparable
+# bump when the canonical placement below changes; trace sidecars carry
+# it so recorded fixtures stay comparable
 SLOT_LAYOUT_VERSION = 1
 
 
@@ -231,36 +235,59 @@ def _frame_rows(total: int, epi: int):
 
 @dataclass(eq=False)
 class Schedule:
-    """Per-cycle leakage sums of one execution plus the geometry the attack needs.
+    """Per-cycle leakage sums of one execution, and the geometry the attack
+    needs, derived from its transcript.
 
     `addr` sums, per cycle, the address weights of the registers touched;
     `data_hw` sums the Hamming weights of the data moved or produced.
     """
 
-    m: int
-    scalar: Scalar
-    init_cycles: int
-    has_preloop: bool
-    num_slots: int
-    slot_len: int
-    epilogue_len: int
-    bits: tuple[int, ...]  # processed bit per slot, pre-loop slot first
-    addr: np.ndarray
     transcript: LadderTranscript = field(repr=False)
-    layout_version: int = SLOT_LAYOUT_VERSION
+    addr: np.ndarray
+
+    @property
+    def scalar(self) -> Scalar:
+        return self.transcript.scalar
+
+    @property
+    def m(self) -> int:
+        return self.transcript.params.field.m
+
+    @property
+    def bits(self) -> tuple[int, ...]:
+        """Processed bit per slot, pre-loop slot first."""
+        return self.scalar.bits[1:]
+
+    @property
+    def has_preloop(self) -> bool:
+        return bool(self.bits)
+
+    @property
+    def num_slots(self) -> int:
+        """Main-loop slots: every processed bit but the pre-loop one."""
+        return max(len(self.bits) - 1, 0)
+
+    @property
+    def epilogue_len(self) -> int:
+        return epilogue_cycles(self.m)
+
+    @property
+    def per_slot_ops(self) -> dict:
+        """Operations of each kind in one slot; empty when no slot runs."""
+        return dict(_SLOT_OP_COUNTS) if self.bits else {}
 
     @property
     def cycle0(self) -> int:
         """Cycle index where the first main-loop slot begins."""
-        return self.init_cycles + (self.slot_len if self.has_preloop else 0)
+        return INIT_CYCLES + (SLOT_CYCLES if self.has_preloop else 0)
 
     @property
     def total_cycles(self) -> int:
-        return self.cycle0 + self.num_slots * self.slot_len + self.epilogue_len
+        return self.cycle0 + self.main_cycles + self.epilogue_len
 
     @property
     def main_cycles(self) -> int:
-        return self.num_slots * self.slot_len
+        return self.num_slots * SLOT_CYCLES
 
     @cached_property
     def data_hw(self) -> np.ndarray:
@@ -276,7 +303,7 @@ class Schedule:
         hw = np.zeros(self.total_cycles, dtype=np.int64)
         for cycle, _reg, key in _frame_rows(self.total_cycles, self.epilogue_len):
             hw[cycle] += frame[key].bit_count()
-        base = self.init_cycles
+        base = INIT_CYCLES
         for state, bit, step in zip(tr.states, self.bits, tr.steps):
             values = _table_values(state, bit, step, x, b)
             # one partial product per cycle, window by window
@@ -307,8 +334,7 @@ def build_schedule(transcript: LadderTranscript) -> Schedule:
         if next_state(bit, step) != states[i + 1] or not step_relations_hold(f, states[i], bit, step):
             raise ScheduleError(f"slot {i} values do not reproduce the transcript state")
 
-    m = f.m
-    epi = epilogue_cycles(m)
+    epi = epilogue_cycles(f.m)
     total = INIT_CYCLES + len(bits) * SLOT_CYCLES + epi
     addr = np.zeros(total)
     for cycle, reg, _key in _frame_rows(total, epi):
@@ -316,18 +342,7 @@ def build_schedule(transcript: LadderTranscript) -> Schedule:
     profiles = np.stack([slot_addr_profile(0), slot_addr_profile(1)])
     addr[INIT_CYCLES : total - epi] = profiles[np.asarray(bits, dtype=np.intp)].ravel()
 
-    return Schedule(
-        m=m,
-        scalar=transcript.scalar,
-        init_cycles=INIT_CYCLES,
-        has_preloop=bool(bits),
-        num_slots=max(len(bits) - 1, 0),
-        slot_len=SLOT_CYCLES,
-        epilogue_len=epi,
-        bits=bits,
-        addr=addr,
-        transcript=transcript,
-    )
+    return Schedule(transcript, addr)
 
 
 def slot_addr_profile(bit: int) -> np.ndarray:
@@ -380,8 +395,6 @@ def synthesize_trace(schedule: Schedule, model: LeakModel, clock_hz: float = 100
     Deterministic for a given rng_seed.  Each cycle contributes
     samples_per_cycle samples whose mean is the modelled cycle power.
     """
-    from .traces import Trace  # local import: traces depends on leaksim types
-
     power = cycle_power(schedule, model)
     if power.shape[0] * model.samples_per_cycle > np.iinfo(np.intp).max:
         raise ValueError(f"{power.shape[0]} cycles x {model.samples_per_cycle} samples per "
@@ -396,36 +409,4 @@ def synthesize_trace(schedule: Schedule, model: LeakModel, clock_hz: float = 100
         cycle0_offset=schedule.cycle0 * model.samples_per_cycle,
         clock_hz=clock_hz,
         ground_truth=schedule.scalar,
-    )
-
-
-@dataclass(frozen=True)
-class ScheduleStats:
-    total_cycles: int
-    init_cycles: int
-    preloop_cycles: int
-    main_cycles: int
-    epilogue_cycles: int
-    num_slots: int
-    slot_len: int
-    per_slot_ops: dict
-    execution_time_s: float
-    clock_hz: float
-
-
-def schedule_stats(schedule: Schedule, clock_hz: float = 100e6) -> ScheduleStats:
-    """Summarise the schedule: cycle counts, per-slot op counts, implied time."""
-    per_slot = dict(_SLOT_OP_COUNTS) if schedule.bits else {}
-    total = schedule.total_cycles
-    return ScheduleStats(
-        total_cycles=total,
-        init_cycles=schedule.init_cycles,
-        preloop_cycles=schedule.slot_len if schedule.has_preloop else 0,
-        main_cycles=schedule.main_cycles,
-        epilogue_cycles=schedule.epilogue_len,
-        num_slots=schedule.num_slots,
-        slot_len=schedule.slot_len,
-        per_slot_ops=per_slot,
-        execution_time_s=total / clock_hz,
-        clock_hz=clock_hz,
     )

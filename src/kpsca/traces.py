@@ -1,10 +1,12 @@
 """Trace persistence, per-clock-cycle compression and slot segmentation.
 
-Two compression rules are supported, both collapsing each clock cycle
-to a single value: the per-cycle mean (the natural choice for
-simulated power) and the per-cycle sum of squares (the choice for
-measured EM traces, where the signal rides on oscillation).  The
-method is always an explicit argument, never inferred.
+The attacker's view is plain numpy: `compress` gives one float64 value
+per clock cycle, and `segment` cuts those values into a slots x cycles
+array, row i holding main-loop slot i.  Two compression rules are
+supported: the per-cycle mean (the natural choice for simulated power)
+and the per-cycle sum of squares (the choice for measured EM traces,
+where the signal rides on oscillation).  The method is always an
+explicit argument, never inferred.
 
 Binary trace format ("KPTR", little-endian throughout):
 
@@ -93,31 +95,9 @@ class CompressionMethod(enum.Enum):
     SUM_OF_SQUARES = "sumsq"
 
 
-@dataclass
-class CompressedTrace:
-    values: np.ndarray  # one value per clock cycle
-    method: CompressionMethod
-    cycle0_offset: int  # in cycles (the source trace's offset / samples_per_cycle)
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=np.float64)
-
-
-@dataclass
-class SlotMatrix:
-    """slots[i, j]: compressed value of cycle j within main-loop slot i."""
-
-    slots: np.ndarray
-    slot_len: int
-    start_cycle: int
-
-    @property
-    def num_slots(self) -> int:
-        return self.slots.shape[0]
-
-
-def compress(trace: Trace, method: CompressionMethod) -> CompressedTrace:
-    """Collapse each clock cycle to one value per the chosen rule."""
+def compress(trace: Trace, method: CompressionMethod) -> np.ndarray:
+    """Collapse each clock cycle to one value per the chosen rule: a 1-D
+    float64 array whose index is the cycle (see `Trace.cycle0_cycle`)."""
     spc = trace.samples_per_cycle
     n = trace.samples.shape[0]
     if n == 0:
@@ -133,16 +113,15 @@ def compress(trace: Trace, method: CompressionMethod) -> CompressedTrace:
         samples = samples[: n_cycles * spc]
     grid = samples.reshape(n_cycles, spc)
     if method == CompressionMethod.MEAN:
-        values = grid.mean(axis=1)
-    elif method == CompressionMethod.SUM_OF_SQUARES:
-        values = np.square(grid).sum(axis=1)
-    else:
-        raise ValueError(f"unknown compression method {method!r}")
-    return CompressedTrace(values, method, trace.cycle0_offset // spc)
+        return grid.mean(axis=1)
+    if method == CompressionMethod.SUM_OF_SQUARES:
+        return np.square(grid).sum(axis=1)
+    raise ValueError(f"unknown compression method {method!r}")
 
 
-def segment(ct: CompressedTrace, start_cycle: int, slot_len: int, num_slots: int) -> SlotMatrix:
-    """Cut the compressed trace into the slots x samples matrix.
+def segment(values: np.ndarray, start_cycle: int, slot_len: int, num_slots: int) -> np.ndarray:
+    """Cut the per-cycle values into a (num_slots, slot_len) array, a copy:
+    element [i, j] is cycle j of slot i, the slots starting at start_cycle.
 
     The segmentation parameters are the central attacker unknown, so
     they are explicit inputs; a bounds failure reports how many slots
@@ -150,7 +129,7 @@ def segment(ct: CompressedTrace, start_cycle: int, slot_len: int, num_slots: int
     """
     if slot_len < 1 or num_slots < 1:
         raise ValueError("slot_len and num_slots must be positive")
-    n = ct.values.shape[0]
+    n = values.shape[0]
     if start_cycle < 0 or start_cycle > n:
         raise SegmentationError(
             f"start_cycle {start_cycle} outside the trace (0..{n})", 0
@@ -162,8 +141,8 @@ def segment(ct: CompressedTrace, start_cycle: int, slot_len: int, num_slots: int
             f"exceeds the trace; at most {max_slots} slots fit",
             max_slots,
         )
-    window = ct.values[start_cycle : start_cycle + num_slots * slot_len]
-    return SlotMatrix(window.reshape(num_slots, slot_len).copy(), slot_len, start_cycle)
+    window = values[start_cycle : start_cycle + num_slots * slot_len]
+    return window.reshape(num_slots, slot_len).copy()
 
 
 _HEADER = struct.Struct("<4sHIQdQ")

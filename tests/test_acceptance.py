@@ -34,10 +34,9 @@ from kpsca.leaksim import (
     LeakModel,
     build_schedule,
     differing_cycles,
-    schedule_stats,
     synthesize_trace,
 )
-from kpsca.traces import CompressionMethod, SlotMatrix, compress, segment
+from kpsca.traces import CompressionMethod, compress, segment
 
 from helpers import flip_bits, make_test16_curve, oracle_double_and_add
 
@@ -60,8 +59,8 @@ def leaky_matrix(schedule, model=None, offset=0):
     model = model or LeakModel(addr_weight=1.0, data_weight=0.0, noise_sigma=0.0,
                                samples_per_cycle=10, rng_seed=1)
     trace = synthesize_trace(schedule, model)
-    ct = compress(trace, CompressionMethod.MEAN)
-    return segment(ct, ct.cycle0_offset + offset, 54, schedule.num_slots)
+    values = compress(trace, CompressionMethod.MEAN)
+    return segment(values, trace.cycle0_cycle + offset, 54, schedule.num_slots)
 
 
 @criterion(1, "ladder-oracle equivalence")
@@ -114,19 +113,19 @@ def test_criterion_3_schedule_arithmetic():
 
     k232 = Scalar.random(rng, 232)
     _, transcript = kp_multiply(k232, params.g, params)
-    stats = schedule_stats(build_schedule(transcript))
-    assert stats.num_slots == 230
-    assert stats.main_cycles == 230 * 54 == 12420
-    assert stats.per_slot_ops["MUL"] == 6
-    assert stats.per_slot_ops["SQUARE"] == 5
-    assert stats.per_slot_ops["ADD"] == 3
-    assert stats.per_slot_ops["REG"] == 11
+    schedule = build_schedule(transcript)
+    assert schedule.num_slots == 230
+    assert schedule.main_cycles == 230 * 54 == 12420
+    assert schedule.per_slot_ops["MUL"] == 6
+    assert schedule.per_slot_ops["SQUARE"] == 5
+    assert schedule.per_slot_ops["ADD"] == 3
+    assert schedule.per_slot_ops["REG"] == 11
 
     k233 = Scalar.random(rng, 233)
     _, transcript = kp_multiply(k233, params.g, params)
-    stats = schedule_stats(build_schedule(transcript), clock_hz=100e6)
-    assert stats.total_cycles < 14000
-    time_ms = stats.execution_time_s * 1e3
+    schedule = build_schedule(transcript)
+    assert schedule.total_cycles < 14000
+    time_ms = schedule.total_cycles / 100e6 * 1e3
     assert abs(time_ms - 0.13) <= 0.013, f"{time_ms} ms not within 0.13 +/- 10%"
 
 
@@ -190,11 +189,11 @@ def test_criterion_6_complement_and_rescaling():
 
     # the noiseless leaky fixture is tie-free at leaking cycles and
     # all-ties elsewhere; restrict the exactness claim to tie-free columns
-    mean = matrix.slots.mean(axis=0)
+    mean = matrix.mean(axis=0)
     candidates = extract_candidates(matrix)
     tie_free = {
-        j for j in range(matrix.slot_len)
-        if not np.any(matrix.slots[:, j] == mean[j])
+        j for j in range(matrix.shape[1])
+        if not np.any(matrix[:, j] == mean[j])
     }
     assert tie_free  # the differing cycles are tie-free by construction
     checked = 0
@@ -208,7 +207,7 @@ def test_criterion_6_complement_and_rescaling():
 
     # positive affine rescaling leaves every candidate's bits unchanged
     before = [c.bits for c in candidates]
-    rescaled = SlotMatrix(3.0 * matrix.slots + 11.0, matrix.slot_len, matrix.start_cycle)
+    rescaled = 3.0 * matrix + 11.0
     after = [c.bits for c in extract_candidates(rescaled)]
     assert before == after
 

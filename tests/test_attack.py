@@ -22,19 +22,17 @@ from kpsca.attack import (
 )
 from kpsca.curve import Scalar, fixed_base_multiples, kp_point
 from kpsca.leaksim import LeakModel, differing_cycles, synthesize_trace
-from kpsca.traces import CompressionMethod, SlotMatrix, compress, segment
+from kpsca.traces import CompressionMethod, compress, segment
 
 from helpers import flip_bits
 
 
 def matrix_of(rows):
-    arr = np.asarray(rows, dtype=float)
-    return SlotMatrix(arr, arr.shape[1], 0)
+    return np.asarray(rows, dtype=float)
 
 
 def segment_trace(trace, num_slots, offset=0, method=CompressionMethod.MEAN):
-    ct = compress(trace, method)
-    return segment(ct, ct.cycle0_offset + offset, 54, num_slots)
+    return segment(compress(trace, method), trace.cycle0_cycle + offset, 54, num_slots)
 
 
 class TestMeanSlot:
@@ -56,8 +54,8 @@ class TestMeanSlot:
         mean = mean_slot(m)
         bits = np.array(k.main_loop_bits)
         for j in differing_cycles():
-            v1 = m.slots[bits == 1, j][0]
-            v0 = m.slots[bits == 0, j][0]
+            v1 = m[bits == 1, j][0]
+            v0 = m[bits == 0, j][0]
             assert min(v0, v1) < mean[j] < max(v0, v1)
 
 
@@ -127,7 +125,7 @@ class TestSeparationScores:
 def _separation_per_column(matrix):
     """Reference: the score by its definition, one Python loop per column."""
     out = []
-    for col in matrix.slots.T:
+    for col in matrix.T:
         mean = sum(col) / len(col)
         below = [v for v in col if v < mean]
         rest = [v for v in col if not v < mean]
@@ -350,7 +348,7 @@ class TestEndToEndExtraction:
         _, _, _, _, schedule = b233_run
         m = segment_trace(b233_leaky_trace, schedule.num_slots)
         before = [c.bits for c in extract_candidates(m)]
-        m2 = SlotMatrix(2.0 * m.slots + 1.0, m.slot_len, m.start_cycle)
+        m2 = 2.0 * m + 1.0
         after = [c.bits for c in extract_candidates(m2)]
         assert before == after
 
@@ -383,12 +381,12 @@ class TestEndToEndExtraction:
                 min_size=3, max_size=12))
 def test_property_delta_complement(rows):
     m = matrix_of(rows)
-    truth = (1, 0, 1) + (0,) * (m.num_slots - 3) if m.num_slots >= 3 else None
-    truth = truth[: m.num_slots]
+    truth = (1, 0, 1) + (0,) * (m.shape[0] - 3) if m.shape[0] >= 3 else None
+    truth = truth[: m.shape[0]]
     for cand in extract_candidates(m):
         d1, w1 = correctness(cand, truth)
         d0, w0 = correctness(cand.complement(), truth)
-        assert len(w1) + len(w0) == m.num_slots
+        assert len(w1) + len(w0) == m.shape[0]
         assert d1 + d0 == pytest.approx(1.0)
 
 
@@ -397,18 +395,18 @@ def test_property_delta_complement(rows):
 def test_property_scale_invariance(seed):
     rng = np.random.default_rng(seed)
     m = matrix_of(rng.normal(size=(8, 5)))
-    scaled = SlotMatrix(m.slots * 3.0 + 7.0, m.slot_len, m.start_cycle)
+    scaled = m * 3.0 + 7.0
     assert [c.bits for c in extract_candidates(m)] == \
         [c.bits for c in extract_candidates(scaled)]
 
 
 def _extract_candidates_per_column(matrix):
     """Reference: the comparison to the mean, one Python loop per column."""
-    smaller = matrix.slots < attack.mean_slot(matrix)[np.newaxis, :]
+    smaller = matrix < attack.mean_slot(matrix)[np.newaxis, :]
     out = []
-    for j in range(matrix.slot_len):
+    for j in range(matrix.shape[1]):
         out.append(KeyCandidate(tuple(int(v) for v in smaller[:, j]), j, Polarity.SMALLER_IS_ONE))
-    for j in range(matrix.slot_len):
+    for j in range(matrix.shape[1]):
         out.append(KeyCandidate(tuple(int(not v) for v in smaller[:, j]), j, Polarity.SMALLER_IS_ZERO))
     return out
 

@@ -8,22 +8,23 @@ import ast
 import importlib
 import importlib.util
 import re
+import sys
 from pathlib import Path
 
 import pytest
 
 import numpy as np
 
-from kpsca import attack, cli, curve, leaksim
+from kpsca import attack, cli, curve, leaksim, traces
 from kpsca.curve import Scalar
-from kpsca.traces import SlotMatrix
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
-def _load_tracing():
-    spec = importlib.util.spec_from_file_location("perfbench_tracing", PERFBENCH / "tracing.py")
+def _load_perfbench(name):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up there
     spec.loader.exec_module(module)
     return module
 
@@ -52,7 +53,7 @@ def _from_imports():
 
 
 FROM_IMPORTS = _from_imports()
-TRACING = _load_tracing()
+TRACING = _load_perfbench("tracing")
 
 
 @pytest.mark.parametrize("target", TRACING.TARGETS)
@@ -104,7 +105,7 @@ def test_tracer_counts_verification_arithmetic():
     # their module names, or the per-layer metrics would miss its work
     params = curve.get_curve("test8")
     bits = Scalar(91).main_loop_bits
-    matrix = SlotMatrix(np.array([[1.0 - b for b in bits]]).T.copy(), 1, 0)
+    matrix = np.array([[1.0 - b for b in bits]]).T.copy()
     pub = curve.kp_point(Scalar(91), params.g, params)
     ks = [4227, 16710]  # base-64 digits (3, 2, 1) and (6, 5, 4): two tree levels in both lanes
     curve.fixed_base_multiples(ks, params.g, params)  # the table, built untraced
@@ -154,3 +155,28 @@ def test_tracer_counts_auth_demo_ladders(capsys):
             "curve.kp_point": 2, "gf2m.mul_classical": 455, "gf2m.square": 290,
             "gf2m.invert": 23}
     assert {name: totals[name]["calls"] for name in want} == want
+
+
+def test_tracer_observers_read_schedule_and_candidates():
+    # during a timed op the observers read Schedule.total_cycles, .scalar
+    # and .m and KeyCandidate.bits; a rename there would otherwise fail
+    # only the benchmark run
+    workloads = _load_perfbench("workloads")
+    params = curve.get_curve("test8")
+    _, transcript = curve.kp_multiply(Scalar(91), params.g, params)
+    tracer = TRACING.Tracer(workloads.paper_cycles)
+    tracer.op = 0
+    tracer.install()
+    try:
+        schedule = leaksim.build_schedule(transcript)
+        trace = leaksim.synthesize_trace(schedule, leaksim.LeakModel())
+        matrix = traces.segment(traces.compress(trace, traces.CompressionMethod.MEAN),
+                                trace.cycle0_cycle, leaksim.SLOT_CYCLES, schedule.num_slots)
+        candidates = attack.extract_candidates(matrix)
+    finally:
+        tracer.uninstall()
+    assert tracer.check_errors == {}
+    counted = tracer.counters[0]
+    assert counted["leaksim.sim_cycles"] == schedule.total_cycles == 346
+    assert counted["attack.candidates"] == len(candidates) == 2 * leaksim.SLOT_CYCLES
+    assert counted["attack.distinct_candidates"] == len({c.bits for c in candidates}) > 1

@@ -18,7 +18,6 @@ from kpsca.leaksim import (
     cycle_power,
     differing_cycles,
     epilogue_cycles,
-    schedule_stats,
     slot_addr_profile,
     synthesize_trace,
 )
@@ -28,8 +27,7 @@ from kpsca.leaksim import _MUL_OPERANDS, _MUL_WINDOWS, _ROLE_BY_BIT, _SLOT_TABLE
 class TestScheduleStructure:
     def test_slot_op_counts(self, b233_run):
         _, _, _, _, schedule = b233_run
-        stats = schedule_stats(schedule)
-        assert stats.per_slot_ops == {
+        assert schedule.per_slot_ops == {
             "MUL": 6, "SQUARE": 5, "ADD": 3, "REG": 11, "PARTIAL": 54,
         }
 
@@ -50,15 +48,15 @@ class TestScheduleStructure:
         rng = random.Random(1)
         k = Scalar.random(rng, 233)
         _, transcript = kp_multiply(k, b233.g, b233)
-        stats = schedule_stats(build_schedule(transcript))
-        assert stats.total_cycles < 14000
-        assert stats.total_cycles == 13000
-        assert stats.execution_time_s == pytest.approx(0.13e-3)
+        schedule = build_schedule(transcript)
+        assert schedule.total_cycles < 14000
+        assert schedule.total_cycles == 13000
+        assert schedule.total_cycles / 100e6 == pytest.approx(0.13e-3)
 
     def test_equal_bits_give_identical_slots(self, b233_run):
         _, _, _, _, schedule = b233_run
         assert set(schedule.bits) == {0, 1}
-        lo = schedule.init_cycles
+        lo = INIT_CYCLES
         for i, bit in enumerate(schedule.bits):
             span = schedule.addr[lo + i * SLOT_CYCLES : lo + (i + 1) * SLOT_CYCLES]
             assert np.array_equal(span, slot_addr_profile(bit))
@@ -137,12 +135,10 @@ class TestScheduleStructure:
 
     def test_stats_slot_count(self, b233_run):
         _, _, _, _, schedule = b233_run
-        stats = schedule_stats(schedule)
-        assert stats.num_slots == 230
-        assert stats.preloop_cycles == 54
-        assert stats.total_cycles == (
-            stats.init_cycles + stats.preloop_cycles
-            + stats.main_cycles + stats.epilogue_cycles
+        assert schedule.num_slots == 230
+        assert schedule.has_preloop and schedule.cycle0 - INIT_CYCLES == 54
+        assert schedule.total_cycles == schedule.addr.shape[0] == (
+            INIT_CYCLES + 54 + schedule.main_cycles + schedule.epilogue_len
         )
 
 
@@ -229,16 +225,15 @@ class TestSmallCurveSchedule:
         k = Scalar(0b1011011)
         _, transcript = kp_multiply(k, test8.g, test8)
         schedule = build_schedule(transcript)
-        stats = schedule_stats(schedule)
-        assert stats.num_slots == k.bit_length - 2
-        assert stats.per_slot_ops["MUL"] == 6
-        assert stats.epilogue_cycles == epilogue_cycles(8)
+        assert schedule.num_slots == k.bit_length - 2
+        assert schedule.per_slot_ops["MUL"] == 6
+        assert schedule.epilogue_len == epilogue_cycles(8)
 
     def test_preloop_slot_alone_has_op_counts(self, test8):
         _, transcript = kp_multiply(Scalar(0b11), test8.g, test8)
         schedule = build_schedule(transcript)
         assert schedule.has_preloop and schedule.num_slots == 0
-        assert schedule_stats(schedule).per_slot_ops["PARTIAL"] == 54
+        assert schedule.per_slot_ops["PARTIAL"] == 54
 
     def test_k_one_has_no_slots(self, test8):
         _, transcript = kp_multiply(Scalar(1), test8.g, test8)

@@ -1,8 +1,12 @@
-"""Byte-level pins of the leakage simulator's output.
+"""Byte-level pins of the leakage simulator's and the CLI's output.
 
-The hashes were recorded before the schedule became per-cycle arrays and
-must not move when the simulator is restructured.  Only noiseless models
-are pinned, so the values do not depend on numpy's random streams.
+The simulator hashes were recorded before the schedule became per-cycle
+arrays, the CLI hashes before the attacker's view became plain arrays;
+neither may move when the code is restructured.  The simulator pins use
+noiseless models only, so they do not depend on numpy's random streams;
+the attack pins read one seeded noisy trace.  Output directories are
+replaced by "<out>" before hashing, because the echoed configuration and
+the messages name them.
 """
 
 import hashlib
@@ -10,7 +14,8 @@ import hashlib
 import pytest
 
 from kpsca import cli
-from kpsca.curve import Scalar, kp_multiply
+from kpsca.curve import Scalar, get_curve, kp_multiply, kp_point
+from kpsca.traces import read_trace
 from kpsca.leaksim import LeakModel, build_schedule, cycle_power
 
 MODELS = {
@@ -64,3 +69,90 @@ def test_simulate_kptr_bytes(tmp_path, capsys, extra):
     assert code == 0
     digest = hashlib.sha256((out / "trace.kptr").read_bytes()).hexdigest()
     assert digest == SIMULATE_KPTR_SHA256[extra]
+
+
+STATS_STDOUT_SHA256 = {
+    ("--curve", "b233", "--scalar-bits", "233"): "87f35ee44c5a7d535992480016f0af024e8c4da281699612bb25b12dd39d6290",
+    ("--scalar-bits", "1"): "09df363d93f2e70f1702a054bc65332c2d304bcdbc157189c33ca7ff9b57a229",
+    ("--curve", "test8", "--clock-hz", "12345"): "c99c273dbb81f358835a478ffc671903fdd90ef4b7b7a4749db4712e53bd6704",
+}
+
+SIMULATE_OUTPUT_SHA256 = {
+    "stdout": "8c94b3a1f58e37c3d754d828e8438bb43d38199f7b8d7d3a36aaefa06ecd2d24",
+    "trace.transcript.json": "2bec34a445dc98645589d242b2828b6b77be419f438d3c11635a004437974e35",
+    "excerpt.csv": "3291cab77007776cf8e9453ddb4dc65b8d2885710abc124e862bf90ead00bf93",
+}
+
+# (command, its extra arguments) -> sha256 of stdout and of the file it writes;
+# all read the trace of `simulate --curve b233 --seed 7 --noise-sigma 0.5`
+ATTACK_OUTPUT_SHA256 = {
+    ("attack", "--pub", "<pub>"): (
+        "b9e4b4d2251a4853a9369289a2006563814513abe7db2c6607087b65322d0af4",
+        "38d8b7737eeda73de1d7a4eef3ea895ca9390292c86f9c457bd315a8e45429cc"),
+    ("attack",): (
+        "143cb581885dc5c3b0486d97c3244c5846e9295fd7c07ed054bf42e4d756bfd9",
+        "b80eb389e17a0d37381e94829f959f70216d3ae26077b2d1dea573ce3ac8805d"),
+    ("welch",): (
+        "26d93a8ceb88af8ba82fc76c142e5a8c0eb8c12d9d89f3d5c21d14e1ace83474",
+        "6658c74c31a3dd9c9435da0fbb166e88187adf7b6bb22a259b7b6887ffeab909"),
+    ("bruteforce", "--suspects", "0,3,5"): (
+        "8f7364d7f6d5e7fe5370ca0b8a9b1225c070edc9a68ef254228d229825a84afb", None),
+}
+_WRITES = {"attack": "report.csv", "welch": "welch.csv", "bruteforce": None}
+
+
+def _sha(text: str, out) -> str:
+    return hashlib.sha256(text.replace(str(out), "<out>").encode()).hexdigest()
+
+
+def _cli_stdout(capsys, argv) -> str:
+    code = cli.main(argv)
+    captured = capsys.readouterr()
+    assert (code, captured.err) == (0, "")
+    return captured.out
+
+
+@pytest.fixture
+def fixed_seed_env(monkeypatch):
+    monkeypatch.delenv(cli.SEED_ENV, raising=False)
+
+
+@pytest.mark.parametrize("args", sorted(STATS_STDOUT_SHA256))
+def test_stats_stdout(capsys, fixed_seed_env, args):
+    stdout = _cli_stdout(capsys, ["stats", *args])
+    assert hashlib.sha256(stdout.encode()).hexdigest() == STATS_STDOUT_SHA256[args]
+
+
+def test_simulate_sidecar_and_excerpt(tmp_path, capsys):
+    out = tmp_path / "sim"
+    stdout = _cli_stdout(capsys, ["simulate", "--curve", "b233", "--seed", "5",
+                                  "--excerpt-cycles", "200", "--out", str(out)])
+    got = {"stdout": _sha(stdout, out)}
+    for name in ("trace.transcript.json", "excerpt.csv"):
+        got[name] = _sha((out / name).read_text(), out)
+    assert got == SIMULATE_OUTPUT_SHA256
+
+
+@pytest.fixture(scope="module")
+def noisy_b233_trace(tmp_path_factory):
+    out = tmp_path_factory.mktemp("noisy")
+    code = cli.main(["simulate", "--curve", "b233", "--seed", "7", "--noise-sigma", "0.5",
+                     "--out", str(out)])
+    assert code == 0
+    path = out / "trace.kptr"
+    params = get_curve("b233")
+    pub = kp_point(read_trace(path).ground_truth, params.g, params)
+    return path, pub.to_hex()
+
+
+@pytest.mark.parametrize("command", sorted(ATTACK_OUTPUT_SHA256))
+def test_attack_outputs(tmp_path, capsys, noisy_b233_trace, command):
+    trace, pub = noisy_b233_trace
+    out = tmp_path / "out"
+    name, *extra = command
+    extra = [pub if a == "<pub>" else a for a in extra]
+    stdout = _cli_stdout(capsys, [name, str(trace), "--curve", "b233", "--seed", "7",
+                                  *extra, "--out", str(out)])
+    written = _WRITES[name]
+    got = (_sha(stdout, out), written and _sha((out / written).read_text(), out))
+    assert got == ATTACK_OUTPUT_SHA256[command]

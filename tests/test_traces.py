@@ -24,23 +24,23 @@ def make_trace(samples, spc=2, cycle0=0, truth=None):
 
 class TestCompress:
     def test_mean_example(self):
-        ct = compress(make_trace([1, 3, 2, 2]), CompressionMethod.MEAN)
-        assert list(ct.values) == [2, 2]
+        values = compress(make_trace([1, 3, 2, 2]), CompressionMethod.MEAN)
+        assert list(values) == [2, 2]
 
     def test_sum_of_squares_example(self):
-        ct = compress(make_trace([1, 3, 0, 2]), CompressionMethod.SUM_OF_SQUARES)
-        assert list(ct.values) == [10, 4]
+        values = compress(make_trace([1, 3, 0, 2]), CompressionMethod.SUM_OF_SQUARES)
+        assert list(values) == [10, 4]
 
     def test_identity_when_one_sample_per_cycle(self):
         t = make_trace([5, 7, 9], spc=1)
-        ct = compress(t, CompressionMethod.MEAN)
-        assert np.array_equal(ct.values, t.samples)
+        values = compress(t, CompressionMethod.MEAN)
+        assert np.array_equal(values, t.samples)
 
     def test_trailing_partial_cycle_dropped_with_warning(self):
         t = make_trace([1, 3, 2, 2, 9], spc=2)
         with pytest.warns(UserWarning, match="trailing"):
-            ct = compress(t, CompressionMethod.MEAN)
-        assert list(ct.values) == [2, 2]
+            values = compress(t, CompressionMethod.MEAN)
+        assert list(values) == [2, 2]
 
     def test_empty_trace_rejected(self):
         with pytest.raises(ValueError):
@@ -51,44 +51,46 @@ class TestCompress:
         a = rng.normal(size=40)
         b = rng.normal(size=40)
         alpha, beta = 2.5, -1.25
-        lhs = compress(make_trace(alpha * a + beta * b, spc=4), CompressionMethod.MEAN).values
-        ca = compress(make_trace(a, spc=4), CompressionMethod.MEAN).values
-        cb = compress(make_trace(b, spc=4), CompressionMethod.MEAN).values
+        lhs = compress(make_trace(alpha * a + beta * b, spc=4), CompressionMethod.MEAN)
+        ca = compress(make_trace(a, spc=4), CompressionMethod.MEAN)
+        cb = compress(make_trace(b, spc=4), CompressionMethod.MEAN)
         assert np.allclose(lhs, alpha * ca + beta * cb)
 
     def test_offset_converted_to_cycles(self):
         t = make_trace(list(range(20)), spc=4, cycle0=12)
-        ct = compress(t, CompressionMethod.MEAN)
-        assert ct.cycle0_offset == 3
+        values = compress(t, CompressionMethod.MEAN)
+        assert t.cycle0_cycle == 3
+        assert values[t.cycle0_cycle] == np.mean(t.samples[12:16])
 
     def test_sum_of_squares_of_zero_cycle(self):
-        ct = compress(make_trace([0, 0, 1, 1]), CompressionMethod.SUM_OF_SQUARES)
-        assert ct.values[0] == 0
+        values = compress(make_trace([0, 0, 1, 1]), CompressionMethod.SUM_OF_SQUARES)
+        assert values[0] == 0
 
 
 class TestSegment:
     def test_rows_are_windows(self):
-        ct = compress(make_trace(list(range(12)), spc=1), CompressionMethod.MEAN)
-        m = segment(ct, 2, 3, 3)
-        assert m.slots.tolist() == [[2, 3, 4], [5, 6, 7], [8, 9, 10]]
+        values = compress(make_trace(list(range(12)), spc=1), CompressionMethod.MEAN)
+        m = segment(values, 2, 3, 3)
+        assert m.tolist() == [[2, 3, 4], [5, 6, 7], [8, 9, 10]]
 
     def test_flatten_reproduces_window(self):
-        ct = compress(make_trace(list(range(30)), spc=1), CompressionMethod.MEAN)
-        m = segment(ct, 4, 5, 5)
-        assert np.array_equal(m.slots.reshape(-1), ct.values[4:29])
+        values = compress(make_trace(list(range(30)), spc=1), CompressionMethod.MEAN)
+        m = segment(values, 4, 5, 5)
+        assert np.array_equal(m.reshape(-1), values[4:29])
+        assert not np.shares_memory(m, values)  # a copy: the slots outlive edits
 
     def test_out_of_bounds_reports_max_feasible(self):
-        ct = compress(make_trace(list(range(20)), spc=1), CompressionMethod.MEAN)
+        values = compress(make_trace(list(range(20)), spc=1), CompressionMethod.MEAN)
         with pytest.raises(SegmentationError) as err:
-            segment(ct, 2, 4, 10)
+            segment(values, 2, 4, 10)
         assert err.value.max_feasible_slots == 4
 
     def test_bad_start(self):
-        ct = compress(make_trace(list(range(8)), spc=1), CompressionMethod.MEAN)
+        values = compress(make_trace(list(range(8)), spc=1), CompressionMethod.MEAN)
         with pytest.raises(SegmentationError):
-            segment(ct, -1, 2, 1)
+            segment(values, -1, 2, 1)
         with pytest.raises(SegmentationError):
-            segment(ct, 9, 2, 1)
+            segment(values, 9, 2, 1)
 
 
 class TestBinaryRoundTrip:

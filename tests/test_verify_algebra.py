@@ -36,7 +36,6 @@ from kpsca.curve import (
     point_add,
 )
 from kpsca.gf2m import FieldSpec
-from kpsca.traces import SlotMatrix
 
 from helpers import (
     make_test16_curve,
@@ -63,7 +62,7 @@ def off_curve_twin(point, params):
 def matrix_for(bits, extra_columns=()):
     """Slot matrix whose first SMALLER_IS_ONE candidate reads `bits` (unless constant)."""
     cols = [[1.0 - b for b in bits]] + [list(c) for c in extra_columns]
-    return SlotMatrix(np.array(cols, dtype=float).T.copy(), len(cols), 0)
+    return np.array(cols, dtype=float).T.copy()
 
 
 @st.composite
@@ -386,7 +385,7 @@ def flip_lanes(bits, suspects):
 
 
 def scored_matrix():
-    return SlotMatrix(np.array(SCORED_COLUMNS, dtype=float).T.copy(), len(SCORED_COLUMNS), 0)
+    return np.array(SCORED_COLUMNS, dtype=float).T.copy()
 
 
 def scored_evaluate(monkeypatch, params):
@@ -538,13 +537,13 @@ def test_degenerate_matrices(case):
     columns, a NaN sample or fewer than COMBINED_CYCLES sample indices,
     and the flags stay those of per-candidate verification."""
     if case == "constant_columns":
-        matrix = SlotMatrix(np.full((12, 6), 4.0), 6, 0)
+        matrix = np.full((12, 6), 4.0)
     elif case == "nan_sample":
         matrix = matrix_for(KEY12, [two_level(KEY12, 2)] + NOISE12)
-        matrix.slots[3, 0] = np.nan
+        matrix[3, 0] = np.nan
     else:
         matrix = matrix_for(KEY12, NOISE12[:1])
-    assert (matrix.slot_len < attack.COMBINED_CYCLES) == (case == "narrow_slot")
+    assert (matrix.shape[1] < attack.COMBINED_CYCLES) == (case == "narrow_slot")
     pub = kp_point(expand_candidate(KEY12, 1), TEST16.g, TEST16)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
