@@ -273,9 +273,8 @@ def _simulate(args) -> int:
     if point_hex:
         p = _parse_point(params, point_hex, "point")
     else:
-        # random multiple of the base point, guaranteed on-curve; one ladder,
-        # because nothing else in this command builds the window table
-        p = kp_point(Scalar.random(rng, cfg.scalar_bits), params.g, params)
+        # random multiple of the base point, guaranteed on-curve
+        p, = fixed_base_multiples([Scalar.random(rng, cfg.scalar_bits).value], params.g, params)
     model = _leak_model(cfg)
     _, transcript = kp_multiply(k, p, params)
     schedule = build_schedule(transcript)

@@ -8,11 +8,14 @@ simulator, and `kp_point` runs it untraced for kP of a variable base
 point P.  The affine group law (`point_add`, textbook formulas, code
 disjoint from the ladder) serves two purposes: the attack uses it to
 verify key candidates by point additions instead of one ladder per
-candidate scalar, and `fixed_base_multiples` builds on it the multiples
-of the base point G that verification and the protocol need, from a
-signed base-64 window table (Hankerson, Menezes, Vanstone, Guide to
-Elliptic Curve Cryptography, ch. 3), summed as a tree whose levels
-share one inversion each.
+candidate scalar, and `fixed_base_multiples` builds on it every
+multiple of the base point G that the package needs, from a signed
+base-64 window table (Hankerson, Menezes, Vanstone, Guide to Elliptic
+Curve Cryptography, ch. 3), summed as a tree whose levels share one
+inversion each.  The table depends only on G, so for each registered
+curve the package ships its rows for every scalar below 2^(m+2)
+(window_<curve id>.bin, decoded on first use); the table of any other
+base point, and any row past the shipped ones, is built on demand.
 
 The ladder follows the modelled accelerator's bit convention: the
 register initialisation already encodes the most significant scalar
@@ -26,6 +29,7 @@ simulator checks and expands into a clock-cycle schedule.
 from __future__ import annotations
 
 import functools
+import importlib.resources
 from collections import namedtuple
 from dataclasses import dataclass
 from typing import Optional
@@ -311,8 +315,8 @@ def kp_multiply(k: Scalar, p: AffinePoint, params: CurveParams) -> tuple[AffineP
 def kp_point(k: Scalar, p: AffinePoint, params: CurveParams) -> AffinePoint:
     """kP without transcript recording, for a variable base point P.
 
-    Where a window table is built anyway, multiples of the curve's base
-    point come from `fixed_base_multiples` instead.
+    Multiples of the curve's base point come from `fixed_base_multiples`
+    instead.
     """
     _check_ladder_input(p, params)
     for state, _ in _ladder(k.bits, p, params):  # keeps only the current state
@@ -415,9 +419,52 @@ def _signed_digits(k: int) -> list[int]:
 @functools.lru_cache(maxsize=16)
 def _window_table(g: AffinePoint, params: CurveParams) -> list[tuple[AffinePoint, ...]]:
     """The window table of base point g, cached by value and grown in place
-    by `_extend_table`: row i holds d*64^i*G for d = 1..32."""
+    by `_extend_table`: row i holds d*64^i*G for d = 1..32.
+
+    A registered curve's table starts from the rows the package ships
+    (`_shipped_rows`), with no field arithmetic: its base point was
+    checked when the registry built the curve, so the first multiple of G
+    in a process does the same field work as any later one.  Any other
+    base point is checked as a ladder input is, and its table starts
+    empty.
+    """
+    for name, registered in _REGISTRY.items():
+        if params == registered and g == registered.g:
+            return _shipped_rows(name, params)
     _check_ladder_input(g, params)
     return []
+
+
+# the shipped window tables, one window_<curve id>.bin file per registered curve
+_TABLE_DIR = importlib.resources.files(__package__)
+
+
+def _shipped_rows(name: str, params: CurveParams) -> list[tuple[AffinePoint, ...]]:
+    """The rows of registered curve `name`'s window table that ship with the
+    package: those that cover every scalar below 2^(m+2).
+
+    Every point is x || y, each coordinate big-endian in ceil(m/8) bytes,
+    and a row is its 32 points in column order.  A missing file raises
+    OSError, and a file that is not a whole number of rows, or whose first
+    point is not the base point, raises CurveError: the table is never
+    built instead, which would hide a broken install.
+    """
+    f = params.field
+    n = (f.m + 7) // 8
+    row_len = 64 * n
+    path = _TABLE_DIR / f"window_{name}.bin"
+    data = path.read_bytes()
+    if not data or len(data) % row_len:
+        raise CurveError(f"{path}: {len(data)} bytes is not a whole number of {row_len}-byte rows")
+
+    def point(i: int) -> AffinePoint:
+        return AffinePoint(f.element(int.from_bytes(data[i:i + n], "big")),
+                           f.element(int.from_bytes(data[i + n:i + 2 * n], "big")))
+
+    if point(0) != params.g:
+        raise CurveError(f"{path}: the first point is not the base point")
+    return [tuple(map(point, range(start, start + row_len, 2 * n)))
+            for start in range(0, len(data), row_len)]
 
 
 def _extend_table(table: list, rows: int, g: AffinePoint, params: CurveParams) -> None:
@@ -451,8 +498,8 @@ def fixed_base_multiples(ks, g: AffinePoint, params: CurveParams) -> list[Affine
     a negative digit): at most 39 for a 232-bit k.  Each tree level adds
     adjacent terms in every lane in one `_add_many`, so one inversion,
     and an odd last term waits a level: n terms take ceil(log2 n)
-    levels, 6 for a 232-bit k.  g is checked as a ladder input is; its
-    table is built on first use and extended to the longest scalar seen.
+    levels, 6 for a 232-bit k.  g's table (`_window_table`) is extended
+    to the longest scalar seen.
     """
     digits = []
     for k in ks:
@@ -518,7 +565,8 @@ def _test8() -> CurveParams:
     )
 
 
-_REGISTRY = {"b163": _b163, "b233": _b233, "test8": _test8}
+# built once: a curve's parameters are constants, and getting one does no field work
+_REGISTRY = {"b163": _b163(), "b233": _b233(), "test8": _test8()}
 
 # scalar bit length each curve's identities use by default; chosen so the
 # b233 main loop processes 230 bits
@@ -535,4 +583,4 @@ def curve_id(name: str) -> str:
 
 
 def get_curve(name: str) -> CurveParams:
-    return _REGISTRY[curve_id(name)]()
+    return _REGISTRY[curve_id(name)]

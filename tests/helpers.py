@@ -10,7 +10,7 @@ from collections import deque
 
 import numpy as np
 
-from kpsca import gf2m
+from kpsca import curve, gf2m
 from kpsca.attack import BruteForceResult, expand_candidate
 from kpsca.curve import (
     AffinePoint,
@@ -18,6 +18,7 @@ from kpsca.curve import (
     CurveParams,
     Scalar,
     _point_double,
+    get_curve,
     is_on_curve,
     kp_point,
     negate,
@@ -187,6 +188,34 @@ def oracle_double_and_add(k: Scalar, p: AffinePoint, params: CurveParams) -> Aff
         if bit:
             acc = point_add(acc, p, params)
     return acc
+
+
+# --- the shipped window tables ---
+
+def shipped_row_count(params: CurveParams) -> int:
+    """Rows of signed base-64 digits that every scalar below 2^(m+2) fits in."""
+    return len(curve._signed_digits((1 << (params.field.m + 2)) - 1))
+
+
+def encode_window_rows(rows, params: CurveParams) -> bytes:
+    """The shipped table format that `curve._shipped_rows` decodes: every
+    point x || y, each coordinate big-endian in ceil(m/8) bytes, rows in
+    order and a row's points in column order."""
+    n = (params.field.m + 7) // 8
+    return b"".join(c.value.to_bytes(n, "big") for row in rows for p in row for c in (p.x, p.y))
+
+
+def write_shipped_tables() -> None:
+    """Rewrite every registered curve's window_<id>.bin from a fresh
+    `curve._extend_table` build:
+
+        PYTHONPATH=src:tests python -c "import helpers; helpers.write_shipped_tables()"
+    """
+    for name in curve.CURVE_IDS:
+        params = get_curve(name)
+        rows = []
+        curve._extend_table(rows, shipped_row_count(params), params.g, params)
+        (curve._TABLE_DIR / f"window_{name}.bin").write_bytes(encode_window_rows(rows, params))
 
 
 def flip_bits(bits, positions):

@@ -26,9 +26,11 @@ from kpsca.curve import (
 
 from helpers import (
     count_curve_points,
+    encode_window_rows,
     is_probable_prime,
     make_test16_curve,
     oracle_double_and_add,
+    shipped_row_count,
 )
 
 
@@ -359,7 +361,7 @@ class TestFixedBaseMultiples:
 
         ks = [4219, 4247, 91]
         assert [curve._signed_digits(k) for k in ks] == [[-5, 2, 1], [23, 2, 1], [27, 1]]
-        fixed_base_multiples(ks, test8.g, test8)  # the table, built unspied
+        fixed_base_multiples(ks, test8.g, test8)  # the table rows, ready unspied
         monkeypatch.setattr(curve, "point_add", spy)
         got = fixed_base_multiples(ks, test8.g, test8)
         assert sorted(equal_x) == ["double", "opposite"]
@@ -372,7 +374,7 @@ class TestFixedBaseMultiples:
         k = Scalar.random(random.Random(11), 232).value
         n = sum(map(bool, curve._signed_digits(k)))
         want = kp_point(Scalar(k), b233.g, b233)
-        fixed_base_multiples([k], b233.g, b233)  # builds the table
+        fixed_base_multiples([k], b233.g, b233)  # loads the table
         inverted = []
         invert = gf2m.invert
         monkeypatch.setattr(gf2m, "invert", lambda f, a: inverted.append(a) or invert(f, a))
@@ -434,3 +436,58 @@ class TestFixedBaseMultiples:
         assert fixed_base_multiples([], test8.g, test8) == []
         with pytest.raises(CurveError):
             fixed_base_multiples([5, 0], test8.g, test8)
+
+
+class TestShippedTables:
+    # `_window_table.__wrapped__` reads the shipped rows past the cache,
+    # which other tests grow in place
+
+    @pytest.mark.parametrize("name, rows", [("test8", 2), ("b163", 28), ("b233", 40)])
+    def test_shipped_rows_are_a_fresh_build(self, name, rows):
+        # the rows that cover every scalar below 2^(m+2), byte for byte
+        params = get_curve(name)
+        assert shipped_row_count(params) == rows
+        built = []
+        curve._extend_table(built, rows, params.g, params)
+        assert (curve._TABLE_DIR / f"window_{name}.bin").read_bytes() == encode_window_rows(
+            built, params)
+        assert curve._window_table.__wrapped__(params.g, params) == built
+
+    def test_other_base_points_start_empty(self, b233):
+        test16 = FIXED_BASE_CURVES["test16"]
+        assert curve._window_table.__wrapped__(test16.g, test16) == []
+        g2 = point_add(b233.g, b233.g, b233)
+        assert curve._window_table.__wrapped__(g2, dataclasses.replace(b233, g=g2)) == []
+
+    def test_scalar_past_the_shipped_rows_extends_them(self, b233, monkeypatch):
+        # 2^240 + 12345 has 41 signed digits: one row past the shipped 40,
+        # which six doublings from the last shipped row start
+        k = (1 << 240) + 12345
+        table = curve._window_table.__wrapped__(b233.g, b233)
+        assert len(curve._signed_digits(k)) == len(table) + 1
+        monkeypatch.setattr(curve, "_window_table", lambda g, params: table)
+        doubled = []
+        double = curve._point_double
+        monkeypatch.setattr(curve, "_point_double",
+                            lambda p, params: doubled.append(p) or double(p, params))
+        assert fixed_base_multiples([k], b233.g, b233) == [kp_point(Scalar(k), b233.g, b233)]
+        assert len(table) == 41
+        assert doubled[0] == table[39][-1] and len(doubled) == 6
+
+    @pytest.mark.parametrize("defect, error", [
+        ("missing", OSError), ("truncated", CurveError), ("empty", CurveError),
+        ("not_g", CurveError), ("off_field", ValueError)])
+    def test_malformed_file_raises(self, b233, tmp_path, monkeypatch, defect, error):
+        # a broken install raises; it is never rebuilt
+        data = (curve._TABLE_DIR / "window_b233.bin").read_bytes()
+        n = 30  # bytes per b233 coordinate
+        row_1 = 64 * n
+        bad = {"truncated": data[:-1], "empty": b"",
+               "not_g": data[2 * n:4 * n] + data[2 * n:],  # 2G where G belongs
+               # row 1's first x with degree 239
+               "off_field": data[:row_1] + b"\xff" + data[row_1 + 1:]}
+        if defect in bad:
+            (tmp_path / "window_b233.bin").write_bytes(bad[defect])
+        monkeypatch.setattr(curve, "_TABLE_DIR", tmp_path)
+        with pytest.raises(error):
+            curve._window_table.__wrapped__(b233.g, b233)
