@@ -399,10 +399,13 @@ def synthesize_trace(schedule: Schedule, model: LeakModel, clock_hz: float = 100
     if power.shape[0] * model.samples_per_cycle > np.iinfo(np.intp).max:
         raise ValueError(f"{power.shape[0]} cycles x {model.samples_per_cycle} samples per "
                          "cycle is more samples than an array can index")
-    samples = np.repeat(power, model.samples_per_cycle)
     if model.noise_sigma > 0:
         rng = np.random.default_rng(model.rng_seed)
-        samples = samples + rng.normal(0.0, model.noise_sigma, samples.shape[0])
+        samples = rng.normal(0.0, model.noise_sigma, power.shape[0] * model.samples_per_cycle)
+        grid = samples.reshape(power.shape[0], model.samples_per_cycle)
+        grid += power[:, None]  # same bits as power + noise: IEEE addition commutes
+    else:
+        samples = np.repeat(power, model.samples_per_cycle)
     return Trace(
         samples=samples,
         samples_per_cycle=model.samples_per_cycle,

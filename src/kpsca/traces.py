@@ -20,6 +20,8 @@ Binary trace format ("KPTR", little-endian throughout):
     [optional] ground-truth scalar: u32 hex-string length + ASCII hex
     (nothing may follow)
 
+The binary reader reads the samples straight into one float64 array and
+the writer writes them from their own memory: one sample buffer per trace.
 The CSV alternative stores one sample per line (17 significant
 digits) with the metadata in a sibling ".meta" key=value file.
 """
@@ -27,10 +29,11 @@ digits) with the metadata in a sibling ".meta" key=value file.
 from __future__ import annotations
 
 import enum
+import io
 import math
 import struct
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Optional
 
@@ -78,16 +81,18 @@ class Trace:
 
     def __post_init__(self):
         self.samples = np.asarray(self.samples, dtype=np.float64)
+        if self.samples.ndim != 1:
+            raise ValueError(f"samples must be 1-D, got shape {self.samples.shape}")
 
     @property
     def cycle0_cycle(self) -> int:
         return self.cycle0_offset // self.samples_per_cycle
 
     def without_ground_truth(self) -> "Trace":
-        return Trace(
-            self.samples.copy(), self.samples_per_cycle,
-            self.cycle0_offset, self.clock_hz, None,
-        )
+        """The attacker's view: the same samples, read-only, and no key."""
+        samples = self.samples.view()
+        samples.flags.writeable = False
+        return replace(self, samples=samples, ground_truth=None)
 
 
 class CompressionMethod(enum.Enum):
@@ -154,6 +159,7 @@ def write_trace(trace: Trace, path, include_ground_truth: bool = True) -> None:
     """Persist a trace; dispatches on extension (.csv -> text, else binary).
 
     A trace the readers would reject is refused before anything is written.
+    The binary writer copies no samples: it writes them from their own memory.
     """
     path = Path(path)
     _check_header(path, trace.samples_per_cycle, trace.cycle0_offset,
@@ -161,16 +167,15 @@ def write_trace(trace: Trace, path, include_ground_truth: bool = True) -> None:
     if path.suffix.lower() == ".csv":
         _write_csv(trace, path, include_ground_truth)
         return
-    blob = bytearray()
-    blob += _HEADER.pack(
-        _MAGIC, _VERSION, trace.samples_per_cycle,
-        trace.cycle0_offset, trace.clock_hz, trace.samples.shape[0],
-    )
-    blob += np.ascontiguousarray(trace.samples, dtype="<f8").tobytes()
-    if include_ground_truth and trace.ground_truth is not None:
-        hexkey = trace.ground_truth.to_hex().encode("ascii")
-        blob += struct.pack("<I", len(hexkey)) + hexkey
-    path.write_bytes(bytes(blob))
+    with path.open("wb") as fh:
+        fh.write(_HEADER.pack(
+            _MAGIC, _VERSION, trace.samples_per_cycle,
+            trace.cycle0_offset, trace.clock_hz, trace.samples.shape[0],
+        ))
+        fh.write(memoryview(np.ascontiguousarray(trace.samples, dtype="<f8")).cast("B"))
+        if include_ground_truth and trace.ground_truth is not None:
+            hexkey = trace.ground_truth.to_hex().encode("ascii")
+            fh.write(struct.pack("<I", len(hexkey)) + hexkey)
 
 
 def _check_header(where, spc: int, cycle0: int, clock_hz: float, count: int) -> None:
@@ -195,26 +200,34 @@ def _parse_ground_truth(text: str, where) -> Scalar:
 
 
 def read_trace(path) -> Trace:
+    """Load a trace; dispatches on extension (.csv -> text, else binary).
+
+    A KPTR sample count the file cannot hold is refused before allocating.
+    """
     path = Path(path)
     if path.suffix.lower() == ".csv":
         return _read_csv(path)
-    raw = path.read_bytes()
-    if len(raw) < _HEADER.size:
-        raise TruncatedTraceError(f"{path}: shorter than the fixed header")
-    magic, version, spc, cycle0, clock_hz, count = _HEADER.unpack_from(raw)
-    if magic != _MAGIC:
-        raise BadMagicError(f"{path}: bad magic {magic!r}")
-    if version != _VERSION:
-        raise FormatVersionError(f"{path}: format version {version}, expected {_VERSION}")
-    _check_header(path, spc, cycle0, clock_hz, count)
-    need = _HEADER.size + 8 * count
-    if len(raw) < need:
-        raise TruncatedTraceError(
-            f"{path}: header promises {count} samples but the file is short"
-        )
-    samples = np.frombuffer(raw, dtype="<f8", count=count, offset=_HEADER.size).copy()
+    with path.open("rb") as file:
+        # a pipe's length is known only once it has been read
+        fh = file if file.seekable() else io.BytesIO(file.read())
+        head = fh.read(_HEADER.size)
+        if len(head) < _HEADER.size:
+            raise TruncatedTraceError(f"{path}: shorter than the fixed header")
+        magic, version, spc, cycle0, clock_hz, count = _HEADER.unpack(head)
+        if magic != _MAGIC:
+            raise BadMagicError(f"{path}: bad magic {magic!r}")
+        if version != _VERSION:
+            raise FormatVersionError(f"{path}: format version {version}, expected {_VERSION}")
+        _check_header(path, spc, cycle0, clock_hz, count)
+        fits = fh.seek(0, io.SEEK_END) >= _HEADER.size + 8 * count
+        fh.seek(_HEADER.size)
+        samples = np.empty(count, dtype="<f8") if fits else None
+        if samples is None or fh.readinto(samples) < samples.nbytes:
+            raise TruncatedTraceError(
+                f"{path}: header promises {count} samples but the file is short"
+            )
+        rest = fh.read()
     ground_truth = None
-    rest = raw[need:]
     if rest:
         if len(rest) < 4:
             raise TruncatedTraceError(f"{path}: dangling metadata block")

@@ -297,6 +297,8 @@ _BAD_HEADER = {
     "nan_clock": (4, "clock_hz", math.nan),
     "negative_clock": (4, "clock_hz", -5.0),
     "empty": (5, "sample_count", 0),
+    "count_plus_one": (5, None, 541),  # write_bad_trace writes 540 samples
+    "huge_count": (5, None, 2**62),
     "unparsable_spc": (None, "samples_per_cycle", "ten"),
     "unparsable_count": (None, "sample_count", "many"),
 }

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import kpsca
-from kpsca import authproto, cli
+from kpsca import authproto, cli, leaksim
 from kpsca.curve import Scalar, get_curve, kp_point
 from kpsca.traces import read_trace
 
@@ -119,6 +119,18 @@ class TestSimulate:
         monkeypatch.setattr(np, "repeat", allocation_fails)
         code, stdout, stderr = run(["simulate", "--curve", "test8", "--samples-per-cycle",
                                     str(10**9), "--out", str(tmp_path)], capsys)
+        assert (code, stdout, stderr) == (
+            cli.EXIT_CONFIG, "", "error: out of memory: Unable to allocate 3.70 TiB for an array\n")
+
+    def test_out_of_memory_with_noise(self, tmp_path, capsys, monkeypatch):
+        class Generator:  # the noisy path's one allocation is the noise draw
+            def normal(self, *args, **kwargs):
+                raise MemoryError("Unable to allocate 3.70 TiB for an array")
+
+        monkeypatch.setattr(leaksim.np.random, "default_rng", lambda seed: Generator())
+        code, stdout, stderr = run(["simulate", "--curve", "test8", "--noise-sigma", "0.5",
+                                    "--samples-per-cycle", str(10**9), "--out", str(tmp_path)],
+                                   capsys)
         assert (code, stdout, stderr) == (
             cli.EXIT_CONFIG, "", "error: out of memory: Unable to allocate 3.70 TiB for an array\n")
 

@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 
 from kpsca import cli
-from kpsca.traces import BadMetadataError, Trace, TraceFormatError, read_trace, write_trace
+from kpsca.traces import (
+    BadMetadataError, Trace, TraceFormatError, TruncatedTraceError, read_trace, write_trace,
+)
 
 from helpers import write_bad_trace
 
@@ -19,13 +21,16 @@ CASES = [(suffix, problem) for suffix in (".kptr", ".csv")
     (".csv", "undecodable_meta"),
     (".csv", "negative_offset"),  # KPTR stores the offset unsigned
     (".kptr", "trailing_bytes"),
+    (".kptr", "count_plus_one"),  # a count the file cannot hold is refused before allocating
+    (".kptr", "huge_count"),
 ]
 
 
 @pytest.mark.parametrize("suffix, problem", CASES)
 def test_reader_raises_trace_format_error(tmp_path, suffix, problem):
-    plain_format_error = ("unparsable_sample", "trailing_bytes")
-    expected = TraceFormatError if problem in plain_format_error else BadMetadataError
+    expected = {"unparsable_sample": TraceFormatError, "trailing_bytes": TraceFormatError,
+                "count_plus_one": TruncatedTraceError, "huge_count": TruncatedTraceError,
+                }.get(problem, BadMetadataError)
     with pytest.raises(expected):
         read_trace(write_bad_trace(tmp_path, suffix, problem))
 

@@ -1,8 +1,14 @@
+import os
+import random
+import threading
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from kpsca.curve import Scalar
+from kpsca.curve import Scalar, get_curve, kp_multiply
+from kpsca.leaksim import LeakModel, build_schedule, synthesize_trace
 from kpsca.traces import (
     BadMagicError,
     CompressionMethod,
@@ -17,9 +23,23 @@ from kpsca.traces import (
     write_trace,
 )
 
+from helpers import KPTR_HEADER
+
 
 def make_trace(samples, spc=2, cycle0=0, truth=None):
     return Trace(np.asarray(samples, float), spc, cycle0, 100e6, truth)
+
+
+def with_count(raw: bytes, count) -> bytes:
+    """KPTR bytes whose header promises count(written count) samples."""
+    header = list(KPTR_HEADER.unpack_from(raw))
+    header[5] = count(header[5])
+    return KPTR_HEADER.pack(*header) + raw[KPTR_HEADER.size:]
+
+
+def test_samples_must_be_1d():
+    with pytest.raises(ValueError, match="1-D"):
+        Trace(np.arange(20.0).reshape(4, 5), 5, 0)
 
 
 class TestCompress:
@@ -144,9 +164,94 @@ class TestBinaryRoundTrip:
         with pytest.raises(TruncatedTraceError):
             read_trace(path)
 
+    @staticmethod
+    def read_through_pipe(pipe, raw: bytes) -> Trace:
+        os.mkfifo(pipe)
+        writer = threading.Thread(target=pipe.write_bytes, args=(raw,), daemon=True)
+        writer.start()
+        try:
+            return read_trace(pipe)
+        finally:
+            writer.join(timeout=10)
+            assert not writer.is_alive()
+
+    def test_pipe(self, tmp_path):
+        t = make_trace([1, 2, 3, 4], truth=Scalar(9))
+        write_trace(t, tmp_path / "t.kptr")
+        raw = (tmp_path / "t.kptr").read_bytes()
+        back = self.read_through_pipe(tmp_path / "a.kptr", raw)
+        assert np.array_equal(back.samples, t.samples)
+        assert back.ground_truth == t.ground_truth
+        with pytest.raises(TruncatedTraceError, match=f"promises {2**62} samples"):
+            self.read_through_pipe(tmp_path / "b.kptr", with_count(raw, lambda n: 2**62))
+
     def test_error_types_are_distinct(self):
         assert not issubclass(BadMagicError, FormatVersionError)
         assert not issubclass(FormatVersionError, TruncatedTraceError)
+
+
+def peak_ratio(fn, nbytes) -> float:
+    """Peak allocation traced during fn's second call, over nbytes.
+
+    numpy reports its buffers to tracemalloc; the first call allocates
+    extra once, so it does not count.
+    """
+    for _ in range(2):
+        tracemalloc.start()
+        try:
+            fn()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    return peak / nbytes
+
+
+class TestOneSampleBuffer:
+    """Synthesizing, writing, reading and the attacker's view each hold at
+    most one sample buffer (B-233, noise 0.5: about 1 MB of samples)."""
+
+    @pytest.fixture(scope="class")
+    def rendering(self):
+        params = get_curve("b233")
+        _, transcript = kp_multiply(Scalar.random(random.Random(3), 233), params.g, params)
+        return build_schedule(transcript), LeakModel(noise_sigma=0.5, rng_seed=1)
+
+    def test_peak_allocation_per_stage(self, rendering, tmp_path):
+        trace = synthesize_trace(*rendering)
+        path = tmp_path / "t.kptr"
+        write_trace(trace, path)
+        stages = {
+            "synthesize": (lambda: synthesize_trace(*rendering), 1.25),
+            "write": (lambda: write_trace(trace, path), 0.05),
+            "read": (lambda: read_trace(path), 1.05),
+            "attacker view": (trace.without_ground_truth, 0.01),
+        }
+        ratios = {name: peak_ratio(fn, trace.samples.nbytes) for name, (fn, _) in stages.items()}
+        assert all(ratios[name] <= bound for name, (_, bound) in stages.items()), ratios
+
+    @pytest.mark.parametrize("promised", [lambda n: n + 1, lambda n: 2**62],
+                             ids=["count+1", "2^62"])
+    def test_oversized_count_refused_before_allocating(self, rendering, tmp_path, promised):
+        trace = synthesize_trace(*rendering)
+        path = tmp_path / "t.kptr"
+        write_trace(trace, path, include_ground_truth=False)
+        path.write_bytes(with_count(path.read_bytes(), promised))
+
+        def read_refused():
+            with pytest.raises(TruncatedTraceError, match="samples but the file is short"):
+                read_trace(path)
+
+        assert peak_ratio(read_refused, trace.samples.nbytes) <= 0.05
+
+    def test_attacker_view_is_a_read_only_view(self):
+        trace = make_trace([1.0, 2.0, 3.0, 4.0], truth=Scalar(9))
+        view = trace.without_ground_truth()
+        assert view.ground_truth is None
+        assert np.shares_memory(view.samples, trace.samples)
+        with pytest.raises(ValueError):
+            view.samples[0] = 5.0
+        trace.samples[0] = 5.0  # the original stays writable
+        assert view.samples[0] == 5.0
 
 
 class TestCsvRoundTrip:
