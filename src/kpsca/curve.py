@@ -158,14 +158,17 @@ def negate(p: AffinePoint) -> AffinePoint:
     return AffinePoint(p.x, FieldElement(p.x.spec, p.x.value ^ p.y.value))
 
 
-@dataclass(frozen=True)
-class LadderState:
-    """Projective ladder registers: X1/Z1 hold [m]P, X2/Z2 hold [m+1]P."""
+# projective ladder registers: X1/Z1 hold [m]P, X2/Z2 hold [m+1]P
+LadderState = namedtuple("LadderState", "X1 Z1 X2 Z2")
+# a ladder step's register roles: the addition updates (Xa, Za), (Xb, Zb) is doubled
+ROLES = ("Xa", "Za", "Xb", "Zb")
 
-    X1: int
-    Z1: int
-    X2: int
-    Z2: int
+
+def roles(k_i: int, regs) -> tuple:
+    """Four values from register order (X1, Z1, X2, Z2) to role order, and back:
+    the one rule for which registers key bit k_i drives (1 adds into X1/Z1)."""
+    one, two = regs[:2], regs[2:]
+    return one + two if k_i else two + one
 
 
 @dataclass(frozen=True)
@@ -225,17 +228,15 @@ def _step_roles(
 
 def step_relations_hold(f: FieldSpec, state: LadderState, k_i: int, v: StepValues) -> bool:
     """Whether the step values v for k_i from `state` keep its 3 sums and 5 squares."""
-    Xb, Zb = (state.X2, state.Z2) if k_i else (state.X1, state.Z1)
+    _, _, Xb, Zb = roles(k_i, state)
     squares = [gf2m.square(f, a) for a in (v.A1, Xb, v.S2, Zb, v.S4)]
     return (v.A1 == v.M1 ^ v.M2 and v.A2 == v.M4 ^ v.M3 and v.A3 == v.S3 ^ v.M5
             and squares == [v.S1, v.S2, v.S3, v.S4, v.S5])
 
 
 def next_state(k_i: int, v: StepValues) -> LadderState:
-    """The registers after the step for k_i; the two bits' roles are exact mirrors."""
-    if k_i:
-        return LadderState(v.A2, v.S1, v.A3, v.M6)
-    return LadderState(v.A3, v.M6, v.A2, v.S1)
+    """The registers after the step for k_i: new Xa, Za, Xb, Zb = A2, S1, A3, M6."""
+    return LadderState(*roles(k_i, (v.A2, v.S1, v.A3, v.M6)))
 
 
 def ladder_step(
@@ -245,10 +246,7 @@ def ladder_step(
     x_tbl and b_tbl are the `gf2m.product_table`s of x and b."""
     if state.Z1 == 0 and state.Z2 == 0:
         raise CurveError("both Z registers are zero; ladder state is degenerate")
-    if k_i:
-        v = _step_roles(f, state.X1, state.Z1, state.X2, state.Z2, x_tbl, b_tbl)
-    else:
-        v = _step_roles(f, state.X2, state.Z2, state.X1, state.Z1, x_tbl, b_tbl)
+    v = _step_roles(f, *roles(k_i, state), x_tbl, b_tbl)
     return next_state(k_i, v), v
 
 

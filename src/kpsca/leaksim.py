@@ -11,8 +11,8 @@ The exact cycle-by-cycle placement below is this model's canonical
 layout -- the real netlist's placement is not public -- and is fixed so
 the attack geometry stays reproducible.  Which register an operation
 addresses depends on the processed key bit (the two branches of the
-ladder swap the 1<->2 register roles); that address dependence is the
-leakage channel the horizontal attack exploits.
+ladder swap the 1<->2 register roles, as `curve.roles` rules); that
+address dependence is the leakage channel the horizontal attack exploits.
 
 Leakage model: per-cycle power =
 
@@ -88,8 +88,8 @@ from functools import cached_property
 import numpy as np
 
 from . import gf2m
-from .curve import LadderState, LadderTranscript, Scalar, StepValues
-from .curve import _init_state, next_state, step_relations_hold
+from .curve import ROLES, LadderState, LadderTranscript, Scalar, StepValues
+from .curve import _init_state, next_state, roles, step_relations_hold
 from .traces import Trace
 
 
@@ -190,9 +190,10 @@ _SLOT_OP_COUNTS = {
     "PARTIAL": 9 * len(_MUL_WINDOWS),
 }
 
+# the register each role addresses for either bit: the leakage channel
 _ROLE_BY_BIT = {
-    1: {"Xa": Reg.X1, "Za": Reg.Z1, "Xb": Reg.X2, "Zb": Reg.Z2, "T": Reg.T, "BUS": Reg.BUS},
-    0: {"Xa": Reg.X2, "Za": Reg.Z2, "Xb": Reg.X1, "Zb": Reg.Z1, "T": Reg.T, "BUS": Reg.BUS},
+    bit: dict(zip(ROLES, roles(bit, (Reg.X1, Reg.Z1, Reg.X2, Reg.Z2))), T=Reg.T, BUS=Reg.BUS)
+    for bit in (0, 1)
 }
 
 # operations outside the slots: (in epilogue?, cycle, register, value key).
@@ -219,11 +220,8 @@ _FRAME_TABLE = (
 
 def _table_values(state: LadderState, bit: int, step: StepValues, x, b) -> dict:
     """Every value the table rows of a slot processing `bit` from `state` name."""
-    regs = _ROLE_BY_BIT[bit]
     values = step._asdict()
-    for role in ("Xa", "Za", "Xb", "Zb"):
-        values[role] = getattr(state, regs[role].value)
-    values.update(x=x, b=b)
+    values.update(zip(ROLES, roles(bit, state)), x=x, b=b)
     return values
 
 
@@ -379,6 +377,8 @@ class LeakModel:
             raise ValueError("noise_sigma must be >= 0")
         if self.samples_per_cycle < 1:
             raise ValueError("samples_per_cycle must be >= 1")
+        if self.rng_seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.rng_seed}")
 
 
 def cycle_power(schedule: Schedule, model: LeakModel) -> np.ndarray:

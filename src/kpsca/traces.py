@@ -64,9 +64,7 @@ class BadMetadataError(TraceFormatError):
 
 
 class SegmentationError(ValueError):
-    def __init__(self, msg: str, max_feasible_slots: int):
-        super().__init__(msg)
-        self.max_feasible_slots = max_feasible_slots
+    """A slot window that does not fit the trace."""
 
 
 @dataclass
@@ -136,15 +134,12 @@ def segment(values: np.ndarray, start_cycle: int, slot_len: int, num_slots: int)
         raise ValueError("slot_len and num_slots must be positive")
     n = values.shape[0]
     if start_cycle < 0 or start_cycle > n:
-        raise SegmentationError(
-            f"start_cycle {start_cycle} outside the trace (0..{n})", 0
-        )
+        raise SegmentationError(f"start_cycle {start_cycle} outside the trace (0..{n})")
     max_slots = (n - start_cycle) // slot_len
     if num_slots > max_slots:
         raise SegmentationError(
             f"window of {num_slots} x {slot_len} cycles from cycle {start_cycle} "
-            f"exceeds the trace; at most {max_slots} slots fit",
-            max_slots,
+            f"exceeds the trace; at most {max_slots} slots fit"
         )
     window = values[start_cycle : start_cycle + num_slots * slot_len]
     return window.reshape(num_slots, slot_len).copy()
@@ -292,9 +287,12 @@ def _read_csv(path: Path) -> Trace:
         with warnings.catch_warnings():
             # an empty file is reported below as a format error
             warnings.filterwarnings("ignore", "loadtxt: input contained no data")
-            samples = np.loadtxt(path, dtype=np.float64, ndmin=1)
+            samples = np.loadtxt(path, dtype=np.float64, ndmin=2)
     except ValueError as exc:
         raise TraceFormatError(f"{path}: {exc}") from None
+    if samples.shape[1] != 1:
+        raise TraceFormatError(f"{path}: {samples.shape[1]} values per line, expected 1")
+    samples = samples.ravel()
     _check_header(meta_file, spc, cycle0, clock_hz, samples.shape[0])
     if count is not None and count != samples.shape[0]:
         raise TruncatedTraceError(

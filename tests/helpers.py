@@ -331,6 +331,10 @@ def write_bad_trace(tmp_path, suffix, problem):
         path.write_bytes(path.read_bytes() + struct.pack("<I", 2) + b"1f" + bytes(7))
     if problem == "undecodable_meta":
         meta.write_bytes(meta.read_bytes() + b"# \xff\xfe\n")
+    if problem == "two_columns":  # 270 lines of two values; no count promised
+        values = path.read_text().split()
+        path.write_text("".join(f"{a} {b}\n" for a, b in zip(values[::2], values[1::2])))
+        meta.write_text(re.sub(r"(?m)^sample_count=.*\n", "", meta.read_text()))
     if problem == "unparsable_sample":
         path.write_text(path.read_text().replace("0\n", "zero\n", 1))
     return path

@@ -534,6 +534,7 @@ EXIT_CODE_CASES = [
     ("undecodable_meta", cli.EXIT_IO),
     ("empty=.kptr", cli.EXIT_IO),
     ("empty=.csv", cli.EXIT_IO),
+    ("two_columns", cli.EXIT_IO),
     ("no_ground_truth=maybe", cli.EXIT_CONFIG),
     ("excerpt_cycles=-3", cli.EXIT_CONFIG),
     ("budget=-1", cli.EXIT_CONFIG),
@@ -548,6 +549,8 @@ EXIT_CODE_CASES = [
     ("data_weight=inf", cli.EXIT_CONFIG),
     ("baseline=-inf", cli.EXIT_CONFIG),
     ("curve=foo", cli.EXIT_CONFIG),
+    ("seed=-1,sigma=0", cli.EXIT_CONFIG),
+    ("seed=-1,sigma=0.5", cli.EXIT_CONFIG),
 ]
 
 SIMULATE_FLAGS = ("excerpt_cycles", "noise_sigma", "addr_weight", "data_weight", "baseline")
@@ -561,9 +564,13 @@ def contract_argv(case, tmp_path, capsys):
     if name in SIMULATE_FLAGS:
         flag = "--" + name.replace("_", "-")
         return ["simulate", "--curve", "test8", f"{flag}={value}", "--out", str(tmp_path)]
-    if name in ("unparsable_count", "undecodable_meta", "empty"):
+    if name in ("unparsable_count", "undecodable_meta", "empty", "two_columns"):
         path = write_bad_trace(tmp_path, value or ".csv", name)
         return ["attack", str(path), "--num-slots", "5", "--out", str(tmp_path)]
+    if name == "seed":  # refused whether or not noise is drawn
+        seed, _, sigma = value.partition(",sigma=")
+        return ["simulate", "--curve", "test8", f"--seed={seed}", f"--noise-sigma={sigma}",
+                "--out", str(tmp_path)]
     if name == "missing_trace":
         return ["attack", str(tmp_path / "nope.kptr")]
     if name == "bad_config_line":

@@ -21,6 +21,7 @@ from kpsca.curve import (
     negate,
     next_state,
     point_add,
+    roles,
     step_relations_hold,
 )
 
@@ -157,6 +158,12 @@ def ladder_tables(p, params):
 
 
 class TestLadderStep:
+    def test_roles_is_its_own_inverse(self):
+        state = LadderState(1, 2, 3, 4)
+        assert roles(1, state) == (1, 2, 3, 4) and roles(0, state) == (3, 4, 1, 2)
+        for k_i in (0, 1):
+            assert LadderState(*roles(k_i, roles(k_i, state))) == state
+
     def test_mirror_property(self, b233):
         rng = random.Random(1)
         spec = b233.field

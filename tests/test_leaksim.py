@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from kpsca import curve, gf2m
-from kpsca.curve import LadderTranscript, Scalar, kp_multiply
+from kpsca.curve import ROLES, LadderTranscript, Scalar, kp_multiply
 from kpsca.leaksim import (
     INIT_CYCLES,
     LeakModel,
@@ -67,6 +67,17 @@ class TestScheduleStructure:
         for _c, _kind, role, _key in _SLOT_TABLE:
             assert _ROLE_BY_BIT[0][role] == swap[_ROLE_BY_BIT[1][role]]
 
+    def test_address_map_and_value_map_agree(self, test8, b233_run):
+        # in every slot, each role's value is the register its address names
+        _, small = kp_multiply(Scalar(0b1011011), test8.g, test8)
+        for transcript in (small, b233_run[3]):
+            bits = transcript.scalar.bits[1:]
+            assert set(bits) == {0, 1}
+            for state, bit, step in zip(transcript.states, bits, transcript.steps):
+                values = _table_values(state, bit, step, 0, 0)
+                for role in ROLES:
+                    assert values[role] == getattr(state, _ROLE_BY_BIT[bit][role].name)
+
     def test_bit_context_bookkeeping(self, b233_run):
         _, k, _, _, schedule = b233_run
         assert schedule.bits == (k.bits[1],) + k.main_loop_bits
@@ -114,11 +125,7 @@ class TestScheduleStructure:
         target, i, name = self.TAMPERS[case]
         _, transcript = kp_multiply(Scalar(0b1011011), test8.g, test8)
         records = list(getattr(transcript, target))
-        flip = {name: getattr(records[i], name) ^ 1}
-        if target == "steps":
-            records[i] = records[i]._replace(**flip)
-        else:
-            records[i] = dataclasses.replace(records[i], **flip)
+        records[i] = records[i]._replace(**{name: getattr(records[i], name) ^ 1})
         with pytest.raises(ScheduleError):
             build_schedule(dataclasses.replace(transcript, **{target: tuple(records)}))
 
@@ -218,6 +225,11 @@ class TestSynthesis:
             LeakModel(noise_sigma=-1.0)
         with pytest.raises(ValueError):
             LeakModel(samples_per_cycle=0)
+
+    @pytest.mark.parametrize("sigma", [0.0, 0.5])
+    def test_negative_seed_refused_whether_or_not_noise_is_drawn(self, sigma):
+        with pytest.raises(ValueError, match=r"^seed must be >= 0, got -1$"):
+            LeakModel(noise_sigma=sigma, rng_seed=-1)
 
 
 class TestSmallCurveSchedule:

@@ -17,6 +17,7 @@ CASES = [(suffix, problem) for suffix in (".kptr", ".csv")
          for problem in ("zero_spc", "zero_key", "nan_clock", "negative_clock")] + [
     (".csv", "unparsable_spc"),
     (".csv", "unparsable_sample"),
+    (".csv", "two_columns"),
     (".csv", "unparsable_count"),
     (".csv", "undecodable_meta"),
     (".csv", "negative_offset"),  # KPTR stores the offset unsigned
@@ -28,11 +29,20 @@ CASES = [(suffix, problem) for suffix in (".kptr", ".csv")
 
 @pytest.mark.parametrize("suffix, problem", CASES)
 def test_reader_raises_trace_format_error(tmp_path, suffix, problem):
-    expected = {"unparsable_sample": TraceFormatError, "trailing_bytes": TraceFormatError,
+    expected = {"unparsable_sample": TraceFormatError, "two_columns": TraceFormatError,
+                "trailing_bytes": TraceFormatError,
                 "count_plus_one": TruncatedTraceError, "huge_count": TruncatedTraceError,
                 }.get(problem, BadMetadataError)
     with pytest.raises(expected):
         read_trace(write_bad_trace(tmp_path, suffix, problem))
+
+
+def test_one_csv_line_of_two_values_is_not_two_samples(tmp_path):
+    path = tmp_path / "t.csv"
+    path.write_text("1 2\n")
+    (tmp_path / "t.meta").write_text("samples_per_cycle=1\ncycle0_offset=0\nclock_hz=1e8\n")
+    with pytest.raises(TraceFormatError, match="2 values per line, expected 1"):
+        read_trace(path)
 
 
 @pytest.mark.parametrize("suffix, problem", CASES)

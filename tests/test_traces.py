@@ -101,9 +101,8 @@ class TestSegment:
 
     def test_out_of_bounds_reports_max_feasible(self):
         values = compress(make_trace(list(range(20)), spc=1), CompressionMethod.MEAN)
-        with pytest.raises(SegmentationError) as err:
+        with pytest.raises(SegmentationError, match="at most 4 slots fit"):
             segment(values, 2, 4, 10)
-        assert err.value.max_feasible_slots == 4
 
     def test_bad_start(self):
         values = compress(make_trace(list(range(8)), spc=1), CompressionMethod.MEAN)
