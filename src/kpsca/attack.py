@@ -81,11 +81,6 @@ class KeyCandidate:
     sample_index: int
     polarity: Polarity
 
-    def complement(self) -> "KeyCandidate":
-        return KeyCandidate(
-            tuple(1 - b for b in self.bits), self.sample_index, self.polarity
-        )
-
 
 def mean_slot(slots: np.ndarray) -> np.ndarray:
     """Column-wise mean of all slots (rows), computed without any key knowledge."""
@@ -169,18 +164,6 @@ def combined_candidate(slots: np.ndarray, mean: np.ndarray,
     return tuple((total < 0).astype(int).tolist()), np.abs(total)
 
 
-def correctness(candidate: KeyCandidate, truth_bits) -> tuple[float, list[int]]:
-    """Relative correctness: matching-bit fraction plus the mismatch positions."""
-    truth = tuple(truth_bits)
-    if len(truth) != len(candidate.bits):
-        raise ValueError(
-            f"candidate has {len(candidate.bits)} bits, truth has {len(truth)}"
-        )
-    wrong = [i for i, (c, t) in enumerate(zip(candidate.bits, truth)) if c != t]
-    delta = (len(truth) - len(wrong)) / len(truth)
-    return delta, wrong
-
-
 def welch_t(slots: np.ndarray, labels) -> np.ndarray:
     """Welch's two-sample t per cycle index between '0'- and '1'-labelled slots.
 
@@ -245,8 +228,8 @@ def _combined_key(bits, suspects, points, targets, params: CurveParams) -> Optio
 _FLIP_BIT = bytes.maketrans(b"\0\1", b"\1\0")
 
 
-def _verify_all(candidates, g: AffinePoint, pub: AffinePoint,
-                params: CurveParams, combined) -> tuple[np.ndarray, Optional[Scalar]]:
+def _verify_all(candidates, pub: AffinePoint, params: CurveParams,
+                combined) -> tuple[np.ndarray, Optional[Scalar]]:
     """Per candidate: does either pre-loop expansion reproduce pub?  Also
     the verifying scalar k*, or None.
 
@@ -269,7 +252,8 @@ def _verify_all(candidates, g: AffinePoint, pub: AffinePoint,
     if params.order_hint is not None and (1 << (n + 2)) <= params.order_hint:
         bits, margins = combined
         suspects = sorted(np.argsort(margins, kind="stable")[:COMBINED_SUSPECTS].tolist())
-        step, c_g, *points = fixed_base_multiples(head + _flip_lanes(bits, suspects), g, params)
+        step, c_g, *points = fixed_base_multiples(head + _flip_lanes(bits, suspects),
+                                                  params.g, params)
         targets, head = _pair_targets(step, c_g, pub, params), []
         key = _combined_key(bits, suspects, points, targets, params)
         if key is not None:
@@ -286,7 +270,7 @@ def _verify_all(candidates, g: AffinePoint, pub: AffinePoint,
         if rep not in skip:
             pairs.setdefault(rep, []).append((i, is_complement))
     points = fixed_base_multiples(head + [expand_candidate(rep, 0).value for rep in pairs],
-                                  g, params)
+                                  params.g, params)
     if head:
         targets = _pair_targets(points[0], points[1], pub, params)
         points = points[2:]
@@ -437,10 +421,8 @@ def worst_case_checks(num_suspects: int, num_preloop: int = 1) -> int:
 class AttackReport:
     """Everything the attack produced for one segmented trace."""
 
-    mean_slot: np.ndarray
     candidates: list[KeyCandidate]
     deltas: Optional[np.ndarray] = None           # per candidate, truth known
-    wrong_positions: Optional[list[int]] = None   # of the best candidate
     best_index: Optional[int] = None
     verified: Optional[np.ndarray] = None         # per candidate, pub supplied
     key: Optional[Scalar] = None                  # the verifying scalar, if any
@@ -455,11 +437,6 @@ class AttackReport:
             return None
         return float(self.deltas[self.best_index])
 
-    def num_above(self, threshold: float = 0.80) -> Optional[int]:
-        if self.deltas is None:
-            return None
-        return int(np.sum(self.deltas > threshold))
-
     def summary_lines(self) -> list[str]:
         """Human-readable summary mirroring the result-table columns."""
         lines = []
@@ -469,9 +446,8 @@ class AttackReport:
                 "attack success as highest key correctness (corresponding clock cycle): "
                 f"{self.best_delta * 100:.1f}% (cycle {c.sample_index}, {c.polarity.value})"
             )
-            lines.append(
-                f"key candidates with a correctness of more than 80%: {self.num_above(0.80)}"
-            )
+            above = int(np.sum(self.deltas > 0.80))
+            lines.append(f"key candidates with a correctness of more than 80%: {above}")
         if self.verified is not None:
             n = int(np.sum(self.verified))
             lines.append(f"candidates verified against the public key: {n}")
@@ -483,15 +459,14 @@ class AttackReport:
 def evaluate(
     slots: np.ndarray,
     truth_bits=None,
-    g: Optional[AffinePoint] = None,
     pub: Optional[AffinePoint] = None,
     params: Optional[CurveParams] = None,
 ) -> AttackReport:
     """Run extraction on a (slots, cycles) array and score the candidates by
-    truth and/or verification."""
+    truth and/or by verification of pub against params.g."""
     mean = mean_slot(slots)
     candidates = extract_candidates(slots, mean)
-    report = AttackReport(mean_slot=mean, candidates=candidates)
+    report = AttackReport(candidates=candidates)
     if truth_bits is not None:
         truth = np.array(tuple(truth_bits))
         if slots.shape[:1] != truth.shape:
@@ -499,11 +474,10 @@ def evaluate(
         wrong = _candidate_bits(slots, mean) != truth[:, np.newaxis]
         report.deltas = (truth.size - wrong.sum(axis=0)) / truth.size
         report.best_index = int(np.argmax(report.deltas))
-        report.wrong_positions = np.flatnonzero(wrong[:, report.best_index]).tolist()
     if pub is not None:
-        if g is None or params is None:
-            raise ValueError("verification needs g and params alongside pub")
-        verified, report.key = _verify_all(candidates, g, pub, params, combined_candidate(
+        if params is None:
+            raise ValueError("verification needs params alongside pub")
+        verified, report.key = _verify_all(candidates, pub, params, combined_candidate(
             slots, mean, separation_scores(slots, mean)))
         report.verified = verified
         if report.best_index is None and verified.any():

@@ -41,7 +41,6 @@ from .traces import Trace
 class Identity:
     """A responder: private scalar, matching public key, curve domain."""
 
-    curve_id: str
     params: CurveParams
     k: Scalar
     pub: AffinePoint
@@ -56,7 +55,7 @@ class Identity:
         if pub.infinity:
             raise CurveError(
                 "private key is a multiple of the base point's order (public key at infinity)")
-        return cls(curve_id, params, k, pub)
+        return cls(params, k, pub)
 
 
 @dataclass(frozen=True)

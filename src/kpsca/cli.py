@@ -2,9 +2,11 @@
 
 Subcommands: simulate, attack, welch, bruteforce, auth-demo, stats.
 Options can come from a key=value config file (--config); explicit
-flags win over the file, which wins over built-in defaults.  The
+flags win over the file, which wins over built-in defaults.  A file
+may hold any command's options, but no key that no command reads.  The
 resolved configuration is echoed into every report for
-reproducibility.
+reproducibility.  Warnings that a command raises are printed to stderr
+as "warning: <message>" lines.
 
 Exit codes: 0 command completed (an unsuccessful key recovery is data,
 not an error), 2 usage/config errors, 3 I/O and trace-format errors,
@@ -20,6 +22,7 @@ import math
 import os
 import random
 import sys
+import warnings
 from dataclasses import dataclass, asdict
 from pathlib import Path
 from typing import Optional
@@ -28,7 +31,6 @@ from . import attack as attack_mod
 from . import authproto, leaksim
 from .curve import (
     AffinePoint,
-    CurveError,
     CURVE_IDS,
     NOMINAL_SCALAR_BITS,
     Scalar,
@@ -56,7 +58,12 @@ EXIT_SEGMENTATION = 4
 
 SEED_ENV = "KPSCA_SEED"
 
-_COMPRESSION = {"mean": CompressionMethod.MEAN, "sumsq": CompressionMethod.SUM_OF_SQUARES}
+# every option a config file may set: the flag destinations of all
+# subcommands but --config, and --suspects, which must be given as a flag
+CONFIG_KEYS = frozenset("""
+    curve seed out scalar_bits clock_hz addr_weight data_weight baseline noise_sigma
+    samples_per_cycle slot_len start_cycle num_slots compression key point no_ground_truth
+    excerpt_cycles pub threshold budget sample_index polarity""".split())
 
 
 @dataclass
@@ -90,7 +97,10 @@ def _read_config_file(path: str) -> dict:
         key, sep, val = line.partition("=")
         if not sep:
             raise ValueError(f"config line is not key=value: {raw!r}")
-        values[key.strip().replace("-", "_")] = val.strip()
+        key = key.strip().replace("-", "_")
+        if key not in CONFIG_KEYS:
+            raise ValueError(f"unknown config key {key!r}")
+        values[key] = val.strip()
     return values
 
 
@@ -111,7 +121,12 @@ def _resolve(args, name: str, cast, fallback):
         return v
     cfg = getattr(args, "_config_values", {})
     if name in cfg:
-        return cast(cfg[name])
+        try:
+            return cast(cfg[name])
+        except ValueError:
+            if cast not in (int, float):
+                raise
+            raise ValueError(f"config {name}: invalid {cast.__name__} value {cfg[name]!r}") from None
     return fallback
 
 
@@ -139,10 +154,10 @@ def _build_run_config(args, command: str) -> RunConfig:
     cfg.samples_per_cycle = _resolve(args, "samples_per_cycle", int, cfg.samples_per_cycle)
     cfg.clock_hz = _resolve(args, "clock_hz", float, cfg.clock_hz)
     cfg.out = _resolve(args, "out", str, cfg.out)
-    if cfg.compression not in _COMPRESSION:
-        raise CurveError(f"unknown compression {cfg.compression!r}")
+    if cfg.compression not in [m.value for m in CompressionMethod]:
+        raise ValueError(f"unknown compression {cfg.compression!r}")
     if not (math.isfinite(cfg.clock_hz) and cfg.clock_hz > 0):
-        raise CurveError(f"clock_hz must be a positive finite number, got {cfg.clock_hz}")
+        raise ValueError(f"clock_hz must be a positive finite number, got {cfg.clock_hz}")
     return cfg
 
 
@@ -167,14 +182,14 @@ def _parse_point(params, text: str, what: str) -> AffinePoint:
     try:
         return AffinePoint.from_hex(params.field, text)
     except ValueError:
-        raise CurveError(f"{what} must be xhex:yhex or 'infinity', got {text!r}") from None
+        raise ValueError(f"{what} must be xhex:yhex or 'infinity', got {text!r}") from None
 
 
 def _parse_key(text: str) -> Scalar:
     try:
         value = int(text, 16)
     except ValueError:
-        raise CurveError(f"key must be a hex scalar, got {text!r}") from None
+        raise ValueError(f"key must be a hex scalar, got {text!r}") from None
     return Scalar(value)
 
 
@@ -198,7 +213,7 @@ def _add_segmentation_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--slot-len", type=int, dest="slot_len")
     p.add_argument("--start-cycle", type=int, dest="start_cycle")
     p.add_argument("--num-slots", type=int, dest="num_slots")
-    p.add_argument("--compression", choices=sorted(_COMPRESSION))
+    p.add_argument("--compression", choices=[m.value for m in CompressionMethod])
 
 
 @functools.cache
@@ -260,11 +275,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _write_cycle_csv(path: Path, cfg: RunConfig, column: str, cells) -> None:
+    """The run configuration as comments, then one `cycle,<column>` row per cell."""
+    with path.open("w") as fh:
+        fh.writelines(f"# {line}\n" for line in cfg.echo_lines())
+        fh.write(f"cycle,{column}\n")
+        fh.writelines(f"{j},{cell}\n" for j, cell in enumerate(cells))
+
+
 def _simulate(args) -> int:
     cfg = _build_run_config(args, "simulate")
     excerpt = _resolve(args, "excerpt_cycles", int, None)
     if excerpt is not None and excerpt < 0:
-        raise CurveError(f"excerpt cycle count must be >= 0, got {excerpt}")
+        raise ValueError(f"excerpt cycle count must be >= 0, got {excerpt}")
     params = get_curve(cfg.curve)
     rng = random.Random(cfg.seed)
     key_hex = _resolve(args, "key", str, None)
@@ -302,15 +325,10 @@ def _simulate(args) -> int:
     print(f"main-loop slots: {schedule.num_slots} x {leaksim.SLOT_CYCLES} cycles, "
           f"total {schedule.total_cycles} cycles")
     if excerpt:
-        values = compress(trace, _COMPRESSION[cfg.compression])
+        values = compress(trace, CompressionMethod(cfg.compression))
         n = min(excerpt, values.shape[0])
         path = out / "excerpt.csv"
-        with path.open("w") as fh:
-            for line in cfg.echo_lines():
-                fh.write(f"# {line}\n")
-            fh.write("cycle,value\n")
-            for j in range(n):
-                fh.write(f"{j},{values[j]:.17g}\n")
+        _write_cycle_csv(path, cfg, "value", [f"{v:.17g}" for v in values[:n]])
         print(f"compressed excerpt ({n} cycles) written to {path}")
     return EXIT_OK
 
@@ -318,12 +336,12 @@ def _simulate(args) -> int:
 def _segment_from_cfg(cfg: RunConfig, trace):
     """The trace's (slots, cycles) array, from its first main-loop cycle
     unless the configuration names another start."""
-    values = compress(trace, _COMPRESSION[cfg.compression])
+    values = compress(trace, CompressionMethod(cfg.compression))
     start = cfg.start_cycle if cfg.start_cycle is not None else trace.cycle0_cycle
     num = cfg.num_slots
     if num is None:
         if trace.ground_truth is None:
-            raise CurveError("--num-slots is required when the trace has no ground truth")
+            raise ValueError("--num-slots is required when the trace has no ground truth")
         num = max(trace.ground_truth.bit_length - 2, 0)
     return segment(values, start, cfg.slot_len, num)
 
@@ -336,10 +354,7 @@ def _attack(args) -> int:
     pub_hex = _resolve(args, "pub", str, None)
     params = get_curve(cfg.curve)
     pub = _parse_point(params, pub_hex, "public key") if pub_hex else None
-    report = attack_mod.evaluate(
-        matrix, truth_bits=truth,
-        g=params.g if pub else None, pub=pub, params=params if pub else None,
-    )
+    report = attack_mod.evaluate(matrix, truth_bits=truth, pub=pub, params=params)
     out = _out_dir(cfg)
     report_path = out / "report.csv"
     attack_mod.report_to_csv(report, report_path, cfg.echo_lines())
@@ -355,21 +370,16 @@ def _welch(args) -> int:
     cfg = _build_run_config(args, "welch")
     threshold = _resolve(args, "threshold", float, attack_mod.DEFAULT_WELCH_THRESHOLD)
     if not (math.isfinite(threshold) and threshold >= 0):
-        raise CurveError(f"threshold must be a finite number >= 0, got {threshold}")
+        raise ValueError(f"threshold must be a finite number >= 0, got {threshold}")
     trace = read_trace(args.trace)
     if trace.ground_truth is None:
-        raise CurveError("welch needs slot labels: the trace carries no ground truth")
+        raise ValueError("welch needs slot labels: the trace carries no ground truth")
     matrix = _segment_from_cfg(cfg, trace)
     labels = trace.ground_truth.main_loop_bits
     t = attack_mod.welch_t(matrix, labels)
     out = _out_dir(cfg)
     path = out / "welch.csv"
-    with path.open("w") as fh:
-        for line in cfg.echo_lines():
-            fh.write(f"# {line}\n")
-        fh.write("cycle,t\n")
-        for j, v in enumerate(t):
-            fh.write(f"{j},{v:.6g}\n")
+    _write_cycle_csv(path, cfg, "t", [f"{v:.6g}" for v in t])
     flagged = [j for j in range(len(t)) if abs(t[j]) > threshold]
     print(f"cycles with |t| > {threshold}: {flagged}")
     print(f"welch table written to {path}")
@@ -380,15 +390,15 @@ def _bruteforce(args) -> int:
     cfg = _build_run_config(args, "bruteforce")
     budget = _resolve(args, "budget", int, 1 << 17)
     if budget < 0:
-        raise CurveError(f"budget must be >= 0, got {budget}")
+        raise ValueError(f"budget must be >= 0, got {budget}")
     sample_index = _resolve(args, "sample_index", int, None)
     polarity = _resolve(args, "polarity", attack_mod.Polarity, None)
     if polarity is not None and sample_index is None:
-        raise CurveError("--polarity selects a candidate only together with --sample-index")
+        raise ValueError("--polarity selects a candidate only together with --sample-index")
     try:
         suspects = [int(s) for s in args.suspects.split(",") if s.strip() != ""]
     except ValueError:
-        raise CurveError(
+        raise ValueError(
             f"suspects must be comma-separated slot indices, got {args.suspects!r}") from None
     trace = read_trace(args.trace)
     params = get_curve(cfg.curve)
@@ -398,7 +408,7 @@ def _bruteforce(args) -> int:
 
     if sample_index is not None:
         if not 0 <= sample_index < matrix.shape[1]:
-            raise CurveError(
+            raise ValueError(
                 f"sample index must be in 0..{matrix.shape[1] - 1}, got {sample_index}"
             )
         pol = attack_mod.Polarity(polarity or "smaller_is_one")
@@ -409,7 +419,7 @@ def _bruteforce(args) -> int:
     elif report.best_index is not None:
         candidate = report.best_candidate
     else:
-        raise CurveError("no ground truth: select the candidate with --sample-index/--polarity")
+        raise ValueError("no ground truth: select the candidate with --sample-index/--polarity")
 
     pub_hex = _resolve(args, "pub", str, None)
     if pub_hex:
@@ -417,7 +427,7 @@ def _bruteforce(args) -> int:
     elif trace.ground_truth is not None:
         pub, = fixed_base_multiples([trace.ground_truth.value], params.g, params)
     else:
-        raise CurveError("--pub is required when the trace has no ground truth")
+        raise ValueError("--pub is required when the trace has no ground truth")
 
     result = attack_mod.brute_force_complete(
         candidate, suspects, params.g, pub, params, budget=budget
@@ -434,7 +444,7 @@ def _bruteforce(args) -> int:
 def _auth_demo(args) -> int:
     cfg = _build_run_config(args, "auth-demo")
     if cfg.scalar_bits < 4:  # the attack needs 2 main-loop slots
-        raise CurveError(f"auth-demo needs scalars of at least 4 bits, got {cfg.scalar_bits}")
+        raise ValueError(f"auth-demo needs scalars of at least 4 bits, got {cfg.scalar_bits}")
     rng = random.Random(cfg.seed)
     identity = authproto.Identity.generate(cfg.curve, rng, cfg.scalar_bits)
     ch = authproto.challenge(identity.pub, identity.params, rng, cfg.scalar_bits)
@@ -445,12 +455,10 @@ def _auth_demo(args) -> int:
 
     # the attacker's view: the measured trace, without the key
     matrix = segment(
-        compress(trace.without_ground_truth(), _COMPRESSION[cfg.compression]),
+        compress(trace.without_ground_truth(), CompressionMethod(cfg.compression)),
         trace.cycle0_cycle, cfg.slot_len, identity.k.bit_length - 2,
     )
-    recovered = attack_mod.evaluate(
-        matrix, g=identity.params.g, pub=identity.pub, params=identity.params
-    ).key
+    recovered = attack_mod.evaluate(matrix, pub=identity.pub, params=identity.params).key
     print(f"key recovered: {'yes' if recovered is not None else 'no'}")
     if recovered is None:
         return EXIT_OK
@@ -492,14 +500,8 @@ _HANDLERS = {
 }
 
 
-def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    try:
-        args._config_values = _read_config_file(args.config) if args.config else {}
-    except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+def _run(args) -> int:
+    """The command's exit code; a failure prints one line to stderr."""
     try:
         return _HANDLERS[args.command](args)
     except SegmentationError as exc:
@@ -511,12 +513,26 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"io error: {exc}", file=sys.stderr)
         return EXIT_IO
-    except (CurveError, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except MemoryError as exc:
         print(f"error: out of memory: {str(exc) or 'allocation failed'}", file=sys.stderr)
         return EXIT_CONFIG
+
+
+def main(argv=None) -> int:
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    try:
+        args._config_values = _read_config_file(args.config) if args.config else {}
+    except (OSError, ValueError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    with warnings.catch_warnings():  # a command's warnings, one stderr line each
+        warnings.simplefilter("always")
+        warnings.showwarning = lambda message, *_: print(f"warning: {message}", file=sys.stderr)
+        return _run(args)
 
 
 if __name__ == "__main__":

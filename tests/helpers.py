@@ -11,7 +11,7 @@ from collections import deque
 import numpy as np
 
 from kpsca import curve, gf2m
-from kpsca.attack import BruteForceResult, expand_candidate
+from kpsca.attack import BruteForceResult, KeyCandidate, expand_candidate
 from kpsca.curve import (
     AffinePoint,
     CurveError,
@@ -216,6 +216,26 @@ def write_shipped_tables() -> None:
         rows = []
         curve._extend_table(rows, shipped_row_count(params), params.g, params)
         (curve._TABLE_DIR / f"window_{name}.bin").write_bytes(encode_window_rows(rows, params))
+
+
+# --- per-candidate scoring: what evaluate()'s deltas compute for all at once ---
+
+def correctness(candidate: KeyCandidate, truth_bits) -> tuple[float, list[int]]:
+    """Relative correctness: matching-bit fraction plus the mismatch positions."""
+    truth = tuple(truth_bits)
+    if len(truth) != len(candidate.bits):
+        raise ValueError(
+            f"candidate has {len(candidate.bits)} bits, truth has {len(truth)}"
+        )
+    wrong = [i for i, (c, t) in enumerate(zip(candidate.bits, truth)) if c != t]
+    delta = (len(truth) - len(wrong)) / len(truth)
+    return delta, wrong
+
+
+def complement(candidate: KeyCandidate) -> KeyCandidate:
+    """The candidate with every bit flipped, read at the same sample index."""
+    return KeyCandidate(tuple(1 - b for b in candidate.bits),
+                        candidate.sample_index, candidate.polarity)
 
 
 def flip_bits(bits, positions):

@@ -11,7 +11,6 @@ from kpsca.attack import (
     KeyCandidate,
     Polarity,
     brute_force_complete,
-    correctness,
     expand_candidate,
     extract_candidates,
     mean_slot,
@@ -24,7 +23,7 @@ from kpsca.curve import Scalar, fixed_base_multiples, kp_point
 from kpsca.leaksim import LeakModel, differing_cycles, synthesize_trace
 from kpsca.traces import CompressionMethod, compress, segment
 
-from helpers import flip_bits
+from helpers import complement, correctness, flip_bits
 
 
 def matrix_of(rows):
@@ -88,7 +87,7 @@ class TestExtractCandidates:
         cands = extract_candidates(m)
         half = len(cands) // 2
         for c1, c0 in zip(cands[:half], cands[half:]):
-            assert c0.bits == c1.complement().bits
+            assert c0.bits == complement(c1).bits
 
     def test_polarity_disagreement_exactly_at_ties(self):
         m = matrix_of([[1, 5], [1, 3], [4, 1]])  # column 0: mean 2, tie at rows 0,1? no: 1<2,1<2,4>2
@@ -158,7 +157,7 @@ class TestCorrectness:
 
     def test_complement_is_zero(self):
         c = KeyCandidate((1, 0, 1, 1), 0, Polarity.SMALLER_IS_ONE)
-        delta, wrong = correctness(c.complement(), (1, 0, 1, 1))
+        delta, wrong = correctness(complement(c), (1, 0, 1, 1))
         assert delta == 0.0 and wrong == [0, 1, 2, 3]
 
     def test_17_wrong_of_230(self):
@@ -329,8 +328,6 @@ class TestEndToEndExtraction:
         assert len(set(report.deltas)) > 10
         assert [float(d) for d in report.deltas] == [d for d, _ in scored]
         assert report.best_index == max(range(len(scored)), key=lambda i: scored[i][0])
-        assert report.wrong_positions == scored[report.best_index][1]
-        assert all(type(p) is int for p in report.wrong_positions)
         n = len(k.main_loop_bits)
         with pytest.raises(ValueError, match=f"candidate has {n - 2} bits, truth has {n}"):
             attack.evaluate(segment_trace(trace, n - 2), truth_bits=k.main_loop_bits)
@@ -385,7 +382,7 @@ def test_property_delta_complement(rows):
     truth = truth[: m.shape[0]]
     for cand in extract_candidates(m):
         d1, w1 = correctness(cand, truth)
-        d0, w0 = correctness(cand.complement(), truth)
+        d0, w0 = correctness(complement(cand), truth)
         assert len(w1) + len(w0) == m.shape[0]
         assert d1 + d0 == pytest.approx(1.0)
 
@@ -448,11 +445,11 @@ class TestVerificationB233:
             return fixed_base_multiples(ks, g, params)
 
         monkeypatch.setattr(attack, "fixed_base_multiples", counting_multiples)
-        report = attack.evaluate(matrix, g=params.g, pub=pub, params=params)
+        report = attack.evaluate(matrix, pub=pub, params=params)
         combined_calls = calls[:]
         calls.clear()
         # without the order, every complement pair is computed
-        full = attack.evaluate(matrix, g=params.g, pub=pub,
+        full = attack.evaluate(matrix, pub=pub,
                                params=dataclasses.replace(params, order_hint=None))
         monkeypatch.undo()
         assert np.array_equal(report.verified, full.verified)
@@ -473,7 +470,7 @@ class TestVerificationB233:
         assert all(lane in {1 << p for p in range(n)} for lane in first[3:])
         # one lane per distinct pair, in extraction order
         lanes = {rep: expand_candidate(rep, 0).value
-                 for rep in (min(c.bits, c.complement().bits) for c in report.candidates)}
+                 for rep in (min(c.bits, complement(c).bits) for c in report.candidates)}
         assert calls == [head + list(lanes.values())]
         combined_pair = min(bits, tuple(1 - b for b in bits))
         assert rest == ([] if hit else
@@ -490,6 +487,6 @@ class TestVerificationB233:
 
         monkeypatch.setattr(attack, "mean_slot", counting_mean)
         pub, = fixed_base_multiples([k.value], params.g, params)
-        report = attack.evaluate(matrix, k.main_loop_bits, g=params.g, pub=pub, params=params)
+        report = attack.evaluate(matrix, k.main_loop_bits, pub=pub, params=params)
         assert len(calls) == 1
         assert report.key == k

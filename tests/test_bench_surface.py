@@ -54,6 +54,7 @@ def _from_imports():
 
 FROM_IMPORTS = _from_imports()
 TRACING = _load_perfbench("tracing")
+WORKLOADS = _load_perfbench("workloads")
 
 
 @pytest.mark.parametrize("target", TRACING.TARGETS)
@@ -112,7 +113,7 @@ def test_tracer_counts_verification_arithmetic():
     tracer = TRACING.Tracer(paper_cycles=None)
     tracer.install()
     try:
-        report = attack.evaluate(matrix, g=params.g, pub=pub, params=params)
+        report = attack.evaluate(matrix, pub=pub, params=params)
         during_evaluate = tracer.layer_totals([TRACING.SETUP_OP])
         curve.fixed_base_multiples(ks, params.g, params)
     finally:
@@ -166,10 +167,9 @@ def test_tracer_observers_read_schedule_and_candidates():
     # during a timed op the observers read Schedule.total_cycles, .scalar
     # and .m and KeyCandidate.bits; a rename there would otherwise fail
     # only the benchmark run
-    workloads = _load_perfbench("workloads")
     params = curve.get_curve("test8")
     _, transcript = curve.kp_multiply(Scalar(91), params.g, params)
-    tracer = TRACING.Tracer(workloads.paper_cycles)
+    tracer = TRACING.Tracer(WORKLOADS.paper_cycles)
     tracer.op = 0
     tracer.install()
     try:
@@ -185,3 +185,14 @@ def test_tracer_observers_read_schedule_and_candidates():
     assert counted["leaksim.sim_cycles"] == schedule.total_cycles == 346
     assert counted["attack.candidates"] == len(candidates) == 2 * leaksim.SLOT_CYCLES
     assert counted["attack.distinct_candidates"] == len({c.bits for c in candidates}) > 1
+
+
+@pytest.mark.parametrize("name", sorted(WORKLOADS.WORKLOADS))
+def test_workload_ops_pass_their_checks(tmp_path, name):
+    # every op of a one-second pool, with the harness's own output checks:
+    # a wrong stdout, report.csv or key raises CheckFailed
+    workload = WORKLOADS.WORKLOADS[name]()
+    pool = workload.make_pool(1, 1, tmp_path)
+    assert pool
+    for item in pool:
+        workload.run_op(item, tmp_path)

@@ -12,8 +12,9 @@ import pytest
 
 import kpsca
 from kpsca import authproto, cli, leaksim
-from kpsca.curve import Scalar, get_curve, kp_point
-from kpsca.traces import read_trace
+from kpsca.curve import Scalar, get_curve, kp_multiply, kp_point
+from kpsca.leaksim import LeakModel, build_schedule, synthesize_trace
+from kpsca.traces import Trace, read_trace, write_trace
 
 from helpers import write_bad_trace
 
@@ -93,6 +94,25 @@ class TestSimulate:
             assert f"compressed excerpt ({n} cycles)" in stdout
             assert excerpt.read_text().splitlines()[-1].startswith(f"{n - 1},")
 
+
+    def test_given_point(self, tmp_path, capsys):
+        params = get_curve("test8")
+        k, point = Scalar(0x2E7), kp_point(Scalar(5), params.g, params)
+        out = tmp_path / "sim"
+        code, _, _ = run(["simulate", "--curve", "test8", "--seed", "4", "--key", k.to_hex(),
+                          "--point", point.to_hex(), "--out", str(out)], capsys)
+        assert code == 0
+        meta = json.loads((out / "trace.transcript.json").read_text())
+        assert meta["point"] == point.to_hex()
+        want = synthesize_trace(build_schedule(kp_multiply(k, point, params)[1]),
+                                LeakModel(rng_seed=4))
+        assert np.array_equal(read_trace(out / "trace.kptr").samples, want.samples)
+
+    def test_malformed_point(self, tmp_path, capsys):
+        code, stdout, stderr = run(["simulate", "--curve", "test8", "--point", "zz",
+                                    "--out", str(tmp_path)], capsys)
+        assert (code, stdout, stderr) == (
+            cli.EXIT_CONFIG, "", "error: point must be xhex:yhex or 'infinity', got 'zz'\n")
 
     def test_malformed_key(self, tmp_path, capsys):
         code, stdout, stderr = run(["simulate", "--curve", "test8", "--key", "zz",
@@ -239,6 +259,22 @@ class TestAttack:
         head = (out / "report.csv").read_text().splitlines()[:20]
         assert any("curve=b233" in line for line in head if line.startswith("#"))
 
+    @pytest.mark.parametrize("num_slots, code, last", [
+        ("4", 0, None),
+        ("400", cli.EXIT_SEGMENTATION,
+         "segmentation error: window of 400 x 5 cycles from cycle 8 exceeds the trace; "
+         "at most 18 slots fit\n"),
+    ])
+    def test_library_warning_is_one_stderr_line(self, tmp_path, capsys, num_slots, code, last):
+        # compress drops the 3 samples past the last whole cycle, and warns
+        path = tmp_path / "odd.kptr"
+        write_trace(Trace(np.arange(1003) % 7.0, samples_per_cycle=10, cycle0_offset=80), path)
+        got, _, stderr = run(["attack", str(path), "--curve", "test8", "--num-slots", num_slots,
+                              "--slot-len", "5", "--out", str(tmp_path)], capsys)
+        assert (got, stderr) == (code, "warning: trace length 1003 is not a multiple of "
+                                       "samples_per_cycle=10; dropping 3 trailing samples\n"
+                                       + (last or ""))
+
     def test_missing_trace_is_io_error(self, tmp_path, capsys):
         code, _, err = run(["attack", str(tmp_path / "nope.kptr")], capsys)
         assert code == cli.EXIT_IO
@@ -278,12 +314,14 @@ class TestBruteforce:
 
     def test_requires_pub_without_truth(self, tmp_path, capsys):
         out, _ = simulate(tmp_path, capsys, "--no-ground-truth")
-        code, _, err = run(
+        # a selected candidate gets past the ground-truth selection to the pub check
+        code, stdout, err = run(
             ["bruteforce", str(out / "trace.kptr"), "--num-slots", "230",
-             "--suspects", "1"],
+             "--suspects", "1", "--sample-index", "0"],
             capsys,
         )
-        assert code == cli.EXIT_CONFIG
+        assert (code, stdout, err) == (
+            cli.EXIT_CONFIG, "", "error: --pub is required when the trace has no ground truth\n")
 
     @pytest.mark.parametrize("suspects", ["x", "1.5"])
     def test_malformed_suspects(self, tmp_path, capsys, suspects):
@@ -356,6 +394,8 @@ AUTH_DEMO_PINS = {
     ("b233", 2, "1.0"): (0, AUTH_DEMO_RECOVERED.format(
         "ae15ba2bdd177219d30e7a269fd95bafc8f2a4d27bdcf4bb99f4bea973"), ""),
     ("test8", 3, "0"): (0, AUTH_DEMO_RECOVERED.format("279"), ""),
+    # a failed recovery prints two lines and exits 0 (perfbench's auth_b233 check)
+    ("test8", 2, "3.0"): (0, "honest authentication: ok\nkey recovered: no\n", ""),
     # the 10-bit key 548 = 4 * 137 is a multiple of the order: pub is infinity
     ("test8", 66, "0"): (2, "", "error: private key is a multiple of the base point's order "
                                 "(public key at infinity)\n"),
@@ -551,6 +591,9 @@ EXIT_CODE_CASES = [
     ("curve=foo", cli.EXIT_CONFIG),
     ("seed=-1,sigma=0", cli.EXIT_CONFIG),
     ("seed=-1,sigma=0.5", cli.EXIT_CONFIG),
+    ("config nosie_sigma=2", cli.EXIT_CONFIG),
+    ("config seed=abc", cli.EXIT_CONFIG),
+    ("config compression=foo", cli.EXIT_CONFIG),
 ]
 
 SIMULATE_FLAGS = ("excerpt_cycles", "noise_sigma", "addr_weight", "data_weight", "baseline")
@@ -558,6 +601,10 @@ SIMULATE_FLAGS = ("excerpt_cycles", "noise_sigma", "addr_weight", "data_weight",
 
 def contract_argv(case, tmp_path, capsys):
     """Command line for one malformed input of the exit-code contract."""
+    if case.startswith("config "):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(case.removeprefix("config ") + "\n")
+        return ["simulate", "--curve", "test8", "--config", str(cfg), "--out", str(tmp_path)]
     name, _, value = case.partition("=")
     if name == "clock_hz":
         return ["stats", "--curve", "test8", f"--clock-hz={value}"]
@@ -608,6 +655,10 @@ CONFIG_VALUE_ERRORS = {
     "threshold=-1": "error: threshold must be a finite number >= 0, got -1.0\n",
     "sample_index=999": "error: sample index must be in 0..53, got 999\n",
     "excerpt_cycles=-3": "error: excerpt cycle count must be >= 0, got -3\n",
+    "nosie_sigma=2": "error: unknown config key 'nosie_sigma'\n",
+    "seed=abc": "error: config seed: invalid int value 'abc'\n",
+    "noise_sigma=abc": "error: config noise_sigma: invalid float value 'abc'\n",
+    "compression=foo": "error: unknown compression 'foo'\n",
 }
 
 
@@ -621,7 +672,11 @@ def test_config_value_error_names_no_flag(tmp_path, capsys, line):
     command = {"budget": ["bruteforce", str(out / "trace.kptr"), "--suspects", "1"],
                "threshold": ["welch", str(out / "trace.kptr")],
                "sample_index": ["bruteforce", str(out / "trace.kptr"), "--suspects", "1"],
-               "excerpt_cycles": ["simulate"]}[line.partition("=")[0]]
+               "excerpt_cycles": ["simulate"],
+               "nosie_sigma": ["simulate"],
+               "seed": ["stats"],
+               "noise_sigma": ["auth-demo"],
+               "compression": ["attack", str(out / "trace.kptr")]}[line.partition("=")[0]]
     code, stdout, stderr = run(command + ["--curve", "test8", "--config", str(cfg),
                                           "--out", str(tmp_path / "o")], capsys)
     assert (code, stdout, stderr) == (cli.EXIT_CONFIG, "", CONFIG_VALUE_ERRORS[line])
@@ -638,3 +693,24 @@ def test_exit_code_contract(tmp_path, capsys, case, expected):
     assert proc.returncode == expected, proc.stderr
     assert "Traceback" not in proc.stderr
     assert "Warning" not in proc.stderr
+
+
+def test_config_keys_are_the_flag_destinations():
+    # every option a command reads, except the config path itself and
+    # --suspects, which argparse requires on the command line
+    parser = cli.build_parser()
+    sub, = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    dests = {a.dest for p in sub.choices.values() for a in p._actions
+             if a.option_strings and not isinstance(a, argparse._HelpAction)}
+    assert cli.CONFIG_KEYS == dests - {"config", "suspects"}
+
+
+def test_config_keys_of_other_commands_are_accepted(tmp_path, capsys):
+    # one file can serve several commands: simulate ignores welch's and bruteforce's keys
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("threshold=3\nbudget=2\npub=infinity\nnoise_sigma=0.5\n")
+    code, stdout, stderr = run(["simulate", "--curve", "test8", "--config", str(cfg),
+                                "--out", str(tmp_path)], capsys)
+    assert (code, stderr) == (0, "")
+    meta = json.loads((tmp_path / "trace.transcript.json").read_text())
+    assert meta["run_config"]["noise_sigma"] == 0.5

@@ -7,6 +7,7 @@ one full kP per tested scalar, on the small test curves, including
 scalars whose kP is the point at infinity and off-curve public keys.
 """
 
+import dataclasses
 import itertools
 import warnings
 
@@ -104,7 +105,7 @@ def test_evaluate_matches_reference(data, curve_name):
     pub = data.draw(public_key(params, bits))
     with pytest.MonkeyPatch.context() as mp:
         calls = count_calls(mp, attack, "fixed_base_multiples")
-        report = evaluate(matrix, g=params.g, pub=pub, params=params)
+        report = evaluate(matrix, pub=pub, params=params)
     cands = extract_candidates(matrix)
     want = reference_verified(cands, params.g, pub, params)
     assert np.array_equal(report.verified, want)
@@ -292,7 +293,7 @@ class TestOffCurvePublicKey:
         assert reference_recover_scalar(self.cand, TEST8.g, self.pub, TEST8) is None
 
     def test_evaluate(self):
-        report = evaluate(matrix_for(self.bits), g=TEST8.g, pub=self.pub, params=TEST8)
+        report = evaluate(matrix_for(self.bits), pub=self.pub, params=TEST8)
         assert report.candidates[0].bits == self.bits
         assert not report.verified.any()
 
@@ -325,8 +326,8 @@ def test_foreign_field_point(pub):
     with pytest.raises(CurveError):
         kp_point(Scalar(3), pub, B233)
     matrix = matrix_for(PLANTED.main_loop_bits)
-    assert not evaluate(matrix, g=B233.g, pub=pub, params=B233).verified.any()
-    same_ints = evaluate(matrix, g=B233.g, pub=in_field(pub, B233.field), params=B233)
+    assert not evaluate(matrix, pub=pub, params=B233).verified.any()
+    same_ints = evaluate(matrix, pub=in_field(pub, B233.field), params=B233)
     assert same_ints.verified.any() == (pub.x.spec == OTHER_233)
 
 
@@ -360,7 +361,7 @@ def counted_evaluate(monkeypatch, matrix, pub, params):
 
     monkeypatch.setattr(curve, "kp_point", no_ladder)
     monkeypatch.setattr(attack, "fixed_base_multiples", counting_multiples)
-    report = evaluate(matrix, g=params.g, pub=pub, params=params)
+    report = evaluate(matrix, pub=pub, params=params)
     monkeypatch.undo()
     return report, calls
 
@@ -547,7 +548,7 @@ def test_degenerate_matrices(case):
     pub = kp_point(expand_candidate(KEY12, 1), TEST16.g, TEST16)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        report = evaluate(matrix, g=TEST16.g, pub=pub, params=TEST16)
+        report = evaluate(matrix, pub=pub, params=TEST16)
     want = reference_verified(report.candidates, TEST16.g, pub, TEST16)
     assert np.array_equal(report.verified, want)
     assert report.key in (None, expand_candidate(KEY12, 1))
@@ -568,11 +569,12 @@ def two_torsion_point(params):
                                two_torsion_point(TEST8)],
                          ids=["infinity", "off_curve", "x_zero"])
 def test_bad_base_point_raises(g):
-    """A base point the ladder would reject is rejected by verification too."""
+    """A base point the ladder would reject is rejected by verification too:
+    an off-curve one by CurveParams, infinity and x = 0 by the window table."""
     bits = Scalar(91).main_loop_bits
     pub = kp_point(Scalar(91), TEST8.g, TEST8)
     cand = KeyCandidate(bits, 0, Polarity.SMALLER_IS_ONE)
     with pytest.raises(CurveError):
-        evaluate(matrix_for(bits), g=g, pub=pub, params=TEST8)
+        evaluate(matrix_for(bits), pub=pub, params=dataclasses.replace(TEST8, g=g))
     with pytest.raises(CurveError):
         brute_force_complete(cand, [0, 1], g, pub, TEST8)
