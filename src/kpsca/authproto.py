@@ -7,10 +7,11 @@ attacker who recovered k_B from the side channel of Bob's response
 computation, which is exactly what this package demonstrates: the
 responder here emits a leakage trace of its kP execution.
 
-Only that response runs the modelled accelerator (`kp_multiply` plus
-its schedule).  Multiples of the base point G -- Pub_B and R -- come
-from `curve.fixed_base_multiples`, and [r]Pub_B, whose base varies,
-from `kp_point`; neither of those leaks in the model.
+Only that response runs the modelled accelerator's ladder
+(`kp_multiply` plus its schedule).  Multiples of the base point G --
+Pub_B and R -- come from `curve.fixed_base_multiples`, and [r]Pub_B,
+whose base varies, from `kp_point`, which halves and adds; neither of
+those leaks in the model.
 
 Certificate handling is out of scope; identities are pre-trusted
 in-memory fixtures.

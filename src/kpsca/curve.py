@@ -3,16 +3,17 @@
 Curves have the short Weierstrass form for characteristic 2,
 y^2 + xy = x^3 + a*x^2 + b, with b != 0.  The modelled accelerator runs
 the x-coordinate-only Montgomery ladder in Lopez-Dahab projective
-coordinates: `kp_multiply` records its transcript for the leakage
-simulator, and `kp_point` runs it untraced for kP of a variable base
-point P.  The affine group law (`point_add`, textbook formulas, code
-disjoint from the ladder) serves two purposes: the attack uses it to
-verify key candidates by point additions instead of one ladder per
-candidate scalar, and `fixed_base_multiples` builds on it every
-multiple of the base point G that the package needs, from a signed
-base-64 window table (Hankerson, Menezes, Vanstone, Guide to Elliptic
-Curve Cryptography, ch. 3), summed as a tree whose levels share one
-inversion each.  The table depends only on G, so for each registered
+coordinates, and `kp_multiply` records its transcript for the leakage
+simulator.  `kp_point`, kP of a variable base point that leaks nothing
+in the model, halves and adds instead.  The affine group law
+(`point_add`, textbook formulas, code disjoint from the ladder) lets the
+attack verify key candidates by point additions instead of one kP per
+candidate scalar, and `kp_point` and `fixed_base_multiples` sum their
+points with it, as a tree whose levels share one inversion each
+(`_lane_sums`).  `fixed_base_multiples` gives every multiple of the
+base point G that the package needs, from a signed base-64 window table
+(Hankerson, Menezes, Vanstone, Guide to Elliptic Curve Cryptography,
+ch. 3).  The table depends only on G, so for each registered
 curve the package ships its rows for every scalar below 2^(m+2)
 (window_<curve id>.bin, decoded on first use); the table of any other
 base point, and any row past the shipped ones, is built on demand.
@@ -122,8 +123,8 @@ class CurveParams:
     a: FieldElement
     b: FieldElement
     g: AffinePoint
-    # order n of g; attack verification decides candidates by comparing
-    # scalars once one verifies, where 2^(L+2) <= n makes it unique
+    # order n of g, trusted: kp_point halves within <g> by it, and attack verification
+    # decides candidates by comparing scalars once one verifies (unique if 2^(L+2) <= n)
     order_hint: Optional[int] = None
 
     def __post_init__(self):
@@ -133,6 +134,14 @@ class CurveParams:
             raise CurveError("curve coefficient b must be nonzero")
         if not is_on_curve(self.g, self):
             raise CurveError("base point does not satisfy the curve equation")
+
+    @functools.cached_property
+    def _halving_order(self) -> Optional[int]:
+        """order_hint n if it is odd and #E = 2n, else None: n divides #E, the
+        Hasse bound puts #E within 2*sqrt(q) of q + 1, 2n lies there, and
+        n > 4*sqrt(q) leaves no other multiple of n there."""
+        n, q = self.order_hint, 1 << self.field.m
+        return n if n and n & 1 and (q + 1 - 2 * n) ** 2 <= 4 * q and n * n > 16 * q else None
 
 
 def is_on_curve(p: AffinePoint, params: CurveParams) -> bool:
@@ -311,15 +320,67 @@ def kp_multiply(k: Scalar, p: AffinePoint, params: CurveParams) -> tuple[AffineP
 
 
 def kp_point(k: Scalar, p: AffinePoint, params: CurveParams) -> AffinePoint:
-    """kP without transcript recording, for a variable base point P.
-
-    Multiples of the curve's base point come from `fixed_base_multiples`
-    instead.
-    """
+    """kP for a variable base point P (multiples of G: `fixed_base_multiples`) by
+    halve-and-add where #E = 2n for an odd n = order_hint (`CurveParams._halving_order`),
+    else by the ladder, untraced.  Like the ladder, it rejects x = 0."""
     _check_ladder_input(p, params)
-    for state, _ in _ladder(k.bits, p, params):  # keeps only the current state
-        pass
-    return ladder_finalize(state, p)
+    n = params._halving_order
+    if n is None:
+        for state, _ in _ladder(k.bits, p, params):  # keeps only the current state
+            pass
+        return ladder_finalize(state, p)
+    f = params.field
+    if gf2m.trace(f, p.x.value) == gf2m.trace(f, params.a.value):  # P in 2E = <G>
+        return _halve_and_add(k.value, p, params, n)
+    # P = P' + T2 with P' in <G> and T2 = (0, sqrt(b)) of order 2
+    t2 = AffinePoint(FieldElement(f, 0), FieldElement(f, gf2m.sqrt(f, params.b.value)))
+    kp = _halve_and_add(k.value, point_add(p, t2, params), params, n)
+    return point_add(kp, t2, params) if k.value & 1 else kp
+
+
+def _naf4(k: int) -> list[int]:
+    """Width-4 NAF of k >= 0, least significant digit first: digits 0, +-1,
+    +-3, +-5 or +-7, at most one nonzero in any 4 consecutive ones."""
+    digits = []
+    while k:
+        digits.append((k & 15) - (k & 8) * 2 if k & 1 else 0)
+        k = (k - digits[-1]) >> 1
+    return digits
+
+
+def _halve_and_add(k: int, p: AffinePoint, params: CurveParams, n: int) -> AffinePoint:
+    """kP for P in <G> of odd order n (Hankerson, Menezes, Vanstone, Guide
+    to ECC, Alg. 3.91 and 3.81): with t = n.bit_length() and k' = 2^(t-1)*k
+    mod n in width-4 NAF digits k'_i, kP = sum k'_i * P/2^(t-1-i), digit t
+    taking 2P.  Halving (x, y): a root L of L^2 + L = x + a, T = y + x*L (one
+    product), and the half in <G> is (sqrt(T + x), L) if Tr(T) = 0, else
+    (sqrt(T), L + 1), as (u, lambda = u + v/u); v = u*(lambda + u) is taken
+    only for a point a digit adds.  Q_j sums magnitude j's terms, and
+    Q1 + 3*Q3 + 5*Q5 + 7*Q7 = S1 + 2*(S3 + S5 + S7), S_j = Q_j + ... + Q7.
+    """
+    f, a, t = params.field, params.a.value, n.bit_length()
+    digits = _naf4(pow(2, t - 1, n) * k % n)
+    lanes = [[], [], [], []]  # digit magnitudes 1, 3, 5, 7
+    if len(digits) > t:  # then digit t is 1, as k' < 2^t
+        lanes[0].append(_point_double(p, params))
+    x, y, lam = p.x.value, p.y.value, None
+    for i in range(t - 1, -1, -1):
+        d = digits[i] if i < len(digits) else 0
+        if d:
+            if y is None:
+                y = gf2m.mul_classical(f, x, lam ^ x)
+            lanes[abs(d) >> 1].append(
+                AffinePoint(FieldElement(f, x), FieldElement(f, y if d > 0 else x ^ y)))
+        if i:
+            root = gf2m.solve_quadratic(f, x ^ a)
+            tt = (gf2m.mul_classical(f, x, x ^ lam ^ root) if y is None
+                  else y ^ gf2m.mul_classical(f, x, root))
+            tr = gf2m.trace(f, tt)
+            x, y, lam = gf2m.sqrt(f, tt if tr else tt ^ x), None, root ^ tr
+    q = _lane_sums(lanes, params)
+    s1, s3, s5 = _lane_sums([q, q[1:], q[2:]], params)
+    twice, = _lane_sums([[s3, s5, q[3]]], params)
+    return point_add(s1, _point_double(twice, params), params)
 
 
 # --- affine group law (textbook formulas) ---
@@ -493,11 +554,9 @@ def fixed_base_multiples(ks, g: AffinePoint, params: CurveParams) -> list[Affine
     Each k is written in signed base-64 digits and is never reduced
     modulo the group order.  A lane starts as the terms d_i*64^i*G of
     its nonzero digits (row i of g's window table at |d_i|, negated for
-    a negative digit): at most 39 for a 232-bit k.  Each tree level adds
-    adjacent terms in every lane in one `_add_many`, so one inversion,
-    and an odd last term waits a level: n terms take ceil(log2 n)
-    levels, 6 for a 232-bit k.  g's table (`_window_table`) is extended
-    to the longest scalar seen.
+    a negative digit): at most 39 for a 232-bit k, so `_lane_sums` adds
+    them in 6 levels.  g's table (`_window_table`) is extended to the
+    longest scalar seen.
     """
     digits = []
     for k in ks:
@@ -507,15 +566,20 @@ def fixed_base_multiples(ks, g: AffinePoint, params: CurveParams) -> list[Affine
     table = _window_table(g, params)
     rows = max(map(len, digits), default=0)
     _extend_table(table, rows, g, params)
-    lanes = [[row[d - 1] if d > 0 else negate(row[-d - 1]) for row, d in zip(table, ds) if d]
-             for ds in digits]
+    return _lane_sums([[row[d - 1] if d > 0 else negate(row[-d - 1])
+                        for row, d in zip(table, ds) if d] for ds in digits], params)
+
+
+def _lane_sums(lanes, params: CurveParams) -> list[AffinePoint]:
+    """Each lane's sum (infinity if empty) as a tree: a level adds adjacent terms of
+    every lane in one `_add_many` (one inversion); an odd last term waits a level."""
     while any(len(terms) > 1 for terms in lanes):
         ps = [p for terms in lanes for p in terms[:-1:2]]
         qs = [q for terms in lanes for q in terms[1::2]]
         sums = iter(_add_many(ps, qs, params))
         lanes = [[next(sums) for _ in terms[1::2]] + (terms[-1:] if len(terms) % 2 else [])
                  for terms in lanes]
-    return [terms[0] for terms in lanes]
+    return [terms[0] if terms else AffinePoint.at_infinity() for terms in lanes]
 
 
 # --- curve registry ---

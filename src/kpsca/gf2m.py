@@ -7,7 +7,8 @@ XOR, written `^`; there is no carry propagation anywhere.
 
 The operations take the field's `FieldSpec` and plain ints and return
 ints: `mul_classical(f, a, b)`, `mul_by_table(f, product_table(c), a)`,
-`square(f, a)`, `invert(f, a)` and `karatsuba4_partials(f, a, b)`.
+`square(f, a)`, `invert(f, a)`, `karatsuba4_partials(f, a, b)`, and for
+point halving `trace(f, c)`, `solve_quadratic(f, c)` and `sqrt(f, c)`.
 `FieldElement` is the boundary type: point coordinates and curve
 coefficients, with their hex I/O and repr.
 
@@ -46,7 +47,7 @@ _SQUARE_DIGIT = bytes.maketrans(
 class FieldSpec:
     """Degree and irreducible polynomial of one GF(2^m) instance."""
 
-    __slots__ = ("m", "reduction_poly", "_tails", "_mask", "hex_digits")
+    __slots__ = ("m", "reduction_poly", "_tails", "_mask", "hex_digits", "_halving")
 
     def __init__(self, m: int, reduction_poly: int):
         if m < 2:
@@ -65,6 +66,7 @@ class FieldSpec:
         self._tails = tuple(i for i in range(m) if (tail >> i) & 1)
         self._mask = (1 << m) - 1
         self.hex_digits = (m + 3) // 4
+        self._halving = None  # `_halving_tables`, built on first use
 
     def __eq__(self, other) -> bool:
         return (
@@ -230,6 +232,69 @@ def invert(f: FieldSpec, a: int) -> int:
     if u == 0:
         raise ZeroInversionError("element not invertible; polynomial is reducible")
     return g1
+
+
+# byte -> the ASCII hex digit of its even bits 0, 2, 4, 6 (or of its odd bits), for sqrt
+_EVEN_HEX, _ODD_HEX = (bytes.maketrans(bytes(range(256)), bytes(
+    b"0123456789abcdef"[sum((v >> 2 * i + odd & 1) << i for i in range(4))] for v in range(256)))
+    for odd in (0, 1))
+
+
+def _halving_tables(f: FieldSpec) -> tuple:
+    """f's trace mask, solver rows for z^2 + z = c and the product table of
+    sqrt(x), built on first use from `FieldSpec.reduce` alone.  In the
+    echelon form of the images of x^1..x^(m-1) under the linear z^2 + z,
+    each row kept with its preimage, one bit p has no pivot.  A trace-0 c
+    is the sum of the rows at its pivot bits, z the sum of their preimages,
+    and the trace-1 bits are p and the pivots whose row has bit p."""
+    if f._halving is not None:
+        return f._halving
+    rows = {}  # pivot bit -> (image, preimage); no row has another row's pivot bit
+    for i in range(1, f.m):
+        img, pre = f.reduce(1 << 2 * i) ^ 1 << i, 1 << i
+        for bit, (r, z) in rows.items():
+            if img >> bit & 1:
+                img, pre = img ^ r, pre ^ z
+        top = img.bit_length() - 1
+        for bit, (r, z) in rows.items():
+            if r >> top & 1:
+                rows[bit] = r ^ img, z ^ pre
+        rows[top] = img, pre
+    p, = set(range(f.m)) - rows.keys()
+    tmask = 1 << p | sum(1 << bit for bit, (r, _) in rows.items() if r >> p & 1)
+    solver = []  # row d: the 16 values of c's hex digit d -> their preimage sums
+    for d in range(f.hex_digits):
+        row = [0]
+        for j in range(4 * d, 4 * d + 4):
+            row += [e ^ rows.get(j, (0, 0))[1] for e in row]
+        solver.append(row)
+    root_x = 2
+    for _ in range(f.m - 1):  # x^(2^(m-1)); a traced run would count `square` calls
+        root_x = f.reduce(int.from_bytes(format(root_x, "x").encode().translate(_SQUARE_DIGIT), "big"))
+    f._halving = tmask, solver, product_table(root_x)
+    return f._halving
+
+
+def trace(f: FieldSpec, c: int) -> int:
+    """The absolute trace c + c^2 + ... + c^(2^(m-1)), which is 0 or 1."""
+    return (c & _halving_tables(f)[0]).bit_count() & 1
+
+
+def solve_quadratic(f: FieldSpec, c: int) -> int:
+    """A root z of z^2 + z = c, for c of trace 0 (z + 1 is the other):
+    one solver-row entry per hex digit of c."""
+    z = 0
+    for row, d in zip(_halving_tables(f)[1], format(c, "x").encode().translate(_HEX_NIBBLE)[::-1]):
+        z ^= row[d]
+    return z
+
+
+def sqrt(f: FieldSpec, c: int) -> int:
+    """The square root of c: its even bits plus sqrt(x) times its odd bits,
+    bit 2i or 2i + 1 moved to i."""
+    raw = c.to_bytes((f.m + 7) >> 3, "big")
+    odd = int(raw.translate(_ODD_HEX), 16)
+    return int(raw.translate(_EVEN_HEX), 16) ^ mul_by_table(f, _halving_tables(f)[2], odd)
 
 
 # Built-in specs (FIPS 186-4 binary fields)

@@ -128,8 +128,9 @@ def test_tracer_counts_verification_arithmetic():
 
 def test_tracer_counts_auth_demo_ladders(capsys):
     # auth-demo runs the leaky ladder once (Bob's response); r*Pub and the
-    # replay k*R are variable-base kPs, and every multiple of G is a table
-    # lookup, which the traced field layer must still see
+    # replay k*R are variable-base kPs, which halve and add, and every
+    # multiple of G is a table lookup, which the traced field layer must
+    # still see
     def demo_counts():
         tracer = TRACING.Tracer(paper_cycles=None)
         tracer.install()
@@ -151,14 +152,25 @@ def test_tracer_counts_auth_demo_ladders(capsys):
     # table call, with 2^L and C) instead of stopping at the first
     # verifying candidate.  Its targets pub - 2^L*G and C*G - pub
     # share one inversion (three more products), C*G - pub + 2^L*G takes one.
-    # test8's 2 shipped table rows cover C < 64^2, so no run builds a row:
-    # the 8 inversions are those 2, one tree level in each of the three
-    # table calls (Pub, R and the attack's), and one per ladder's affine
-    # conversion.  The counts do not depend on what ran before, so a
-    # second run repeats them.
+    # test8's 2 shipped table rows cover C < 64^2, so no run builds a row.
+    # With the two kPs as 10-bit ladders (9 steps and an affine conversion
+    # of 10 products, 1 square and 1 inversion each) the demo counted 179
+    # products, 212 squares and 8 inversions: 87, 116 and 6 without them.
+    # Halving solves, square roots and traces are untraced table walks.  On
+    # test8 (n = 137, t = 8) a kP halves 7 times, one product each, and
+    # takes one product for the y of each of its 2 nonzero NAF digits: 18.
+    # r*Pub's digits (1 at 6, -1 at 0) share lane 1, one chord addition of
+    # 2 products, 1 square and 1 inversion; S1 = Q1, and S3, S5 and S7 are
+    # infinity.
+    # k*R's (1 at 6, -7 at 0) sit in lanes 1 and 7, so S1 = Q1 + Q7 and
+    # S3 = S5 = S7 = Q7: S1 + 2*(3*Q7) takes 3 chord additions and 2
+    # doublings (2 products, 2 squares, 1 inversion each): 10, 7 and 5.
+    # Together 87 + 18 + 2 + 10 = 117 products, 116 + 1 + 7 = 124 squares
+    # and 6 + 1 + 5 = 12 inversions.  The counts do not depend on what ran
+    # before, so a second run repeats them.
     want = {"curve.kp_multiply": 1, "leaksim.build_schedule": 1, "authproto.respond": 1,
-            "curve.kp_point": 2, "gf2m.mul_classical": 179, "gf2m.square": 212,
-            "gf2m.invert": 8}
+            "curve.kp_point": 2, "gf2m.mul_classical": 117, "gf2m.square": 124,
+            "gf2m.invert": 12}
     assert demo_counts() == want
     assert demo_counts() == want
 

@@ -473,11 +473,12 @@ class TestShippedTables:
         table = curve._window_table.__wrapped__(b233.g, b233)
         assert len(curve._signed_digits(k)) == len(table) + 1
         monkeypatch.setattr(curve, "_window_table", lambda g, params: table)
+        want = kp_point(Scalar(k), b233.g, b233)  # which doubles too, so before the spy
         doubled = []
         double = curve._point_double
         monkeypatch.setattr(curve, "_point_double",
                             lambda p, params: doubled.append(p) or double(p, params))
-        assert fixed_base_multiples([k], b233.g, b233) == [kp_point(Scalar(k), b233.g, b233)]
+        assert fixed_base_multiples([k], b233.g, b233) == [want]
         assert len(table) == 41
         assert doubled[0] == table[39][-1] and len(doubled) == 6
 
@@ -498,3 +499,127 @@ class TestShippedTables:
         monkeypatch.setattr(curve, "_TABLE_DIR", tmp_path)
         with pytest.raises(error):
             curve._window_table.__wrapped__(b233.g, b233)
+
+
+def ladder_params(params: CurveParams) -> CurveParams:
+    """params without an order hint, for which kp_point runs the ladder."""
+    return dataclasses.replace(params, order_hint=None)
+
+
+def two_torsion(params: CurveParams) -> AffinePoint:
+    """T2 = (0, sqrt(b)), with sqrt(b) = b^(2^(m-1)) by squaring."""
+    f, r = params.field, params.b.value
+    for _ in range(f.m - 1):
+        r = gf2m.square(f, r)
+    return AffinePoint(f.element(0), f.element(r))
+
+
+def points_off_x0(params: CurveParams) -> list[AffinePoint]:
+    """Every point with x != 0, by search: small fields only."""
+    f = params.field
+    candidates = (AffinePoint(f.element(x), f.element(y))
+                  for x in range(1, 1 << f.m) for y in range(1 << f.m))
+    return [p for p in candidates if is_on_curve(p, params)]
+
+
+def in_subgroup(p: AffinePoint, params: CurveParams) -> bool:
+    return kp_multiply(Scalar(params.order_hint), p, params)[0].infinity
+
+
+GF16 = gf2m.FieldSpec(4, 0x13)
+GF256 = get_curve("test8").field
+
+# test8's field and a with b = 0x24: #E = 254 = 2 * 127, so t = 7 and some
+# k' < 127 have a width-4 NAF digit at position t (k' = 125 is 128 - 3)
+TOP_DIGIT = CurveParams(GF256, GF256.element(0x20), GF256.element(0x24),
+                        AffinePoint(GF256.element(0x20), GF256.element(0x59)), order_hint=127)
+
+
+class TestKpPointHalving:
+    """kp_point halves and adds where #E = 2n with n = order_hint odd; its
+    results equal the ladder's, inside <G> and outside it."""
+
+    @pytest.mark.parametrize("params", [get_curve("test8"), make_test16_curve(), TOP_DIGIT],
+                             ids=["test8", "test16", "top_digit"])
+    def test_curve_order_is_twice_n(self, params):
+        assert count_curve_points(params) == 2 * params.order_hint
+        assert params._halving_order == params.order_hint
+
+    def test_registered_curves_halve(self):
+        for name in curve.CURVE_IDS:
+            params = get_curve(name)
+            assert params._halving_order == params.order_hint
+
+    def test_every_test8_point(self, test8):
+        # 2n = 274: k = 1..16 and the classes next to n and 2n reach every
+        # point's NAF lanes and T2 branch; one k runs past 2^20
+        points = points_off_x0(test8)
+        inside = [p for p in points if in_subgroup(p, test8)]
+        assert len(points) == 272 and len(inside) == 136
+        n, ladder = test8.order_hint, ladder_params(test8)
+        ks = [*range(1, 17), n - 1, n, n + 1, 2 * n - 1, 2 * n, 2 * n + 1, 300, 3 * n + 5,
+              (1 << 20) + 3]
+        for p in points:
+            for k in map(Scalar, ks):
+                assert kp_point(k, p, test8) == kp_point(k, p, ladder), (p, k)
+
+    def test_test8_scalars_1_to_300(self, test8):
+        t2 = two_torsion(test8)
+        g_out = point_add(test8.g, t2, test8)
+        ladder = ladder_params(test8)
+        for p in (test8.g, negate(test8.g), g_out, negate(g_out)):
+            for k in map(Scalar, range(1, 301)):
+                assert kp_point(k, p, test8) == kp_point(k, p, ladder), (p, k)
+
+    def test_top_naf_digit(self):
+        # a NAF digit at position t stands for 2P, which kp_point doubles;
+        # as k' < 2^t, that digit is always 1
+        n = TOP_DIGIT.order_hint
+        t = n.bit_length()
+        nafs = [curve._naf4(pow(2, t - 1, n) * k % n) for k in range(1, n)]
+        assert {naf[t] for naf in nafs if len(naf) > t} == {1}
+        ladder = ladder_params(TOP_DIGIT)
+        g_out = point_add(TOP_DIGIT.g, two_torsion(TOP_DIGIT), TOP_DIGIT)
+        for p in (TOP_DIGIT.g, g_out):
+            for k in map(Scalar, range(1, 2 * n + 3)):
+                assert kp_point(k, p, TOP_DIGIT) == kp_point(k, p, ladder), (p, k)
+
+    @pytest.mark.parametrize("params", [make_test16_curve(), get_curve("b163"), get_curve("b233")],
+                             ids=["test16", "b163", "b233"])
+    def test_random_points_and_scalars(self, params):
+        rng = random.Random(params.field.m)
+        n, m = params.order_hint, params.field.m
+        t2 = two_torsion(params)
+        assert is_on_curve(t2, params)
+        p_in, = fixed_base_multiples([rng.getrandbits(m)], params.g, params)
+        p_out = point_add(p_in, t2, params)
+        assert not in_subgroup(p_out, params)
+        ks = [1, 2, n - 1, n, n + 1, 2 * n, 2 * n + 1, rng.getrandbits(m - 1) | 1,
+              rng.getrandbits(m + 20)]
+        ladder = ladder_params(params)
+        for p in (p_in, p_out):
+            for k in map(Scalar, ks):
+                assert kp_point(k, p, params) == kp_point(k, p, ladder), k
+        # k = 0 mod n: infinity inside <G>, and outside it T2 for odd k
+        assert kp_point(Scalar(n), p_in, params).infinity
+        assert kp_point(Scalar(n), p_out, params) == t2
+        assert kp_point(Scalar(2 * n), p_out, params).infinity
+
+    @pytest.mark.parametrize("params", [
+        ladder_params(get_curve("test8")),
+        dataclasses.replace(get_curve("test8"), order_hint=128),  # even, but 2n within Hasse
+        dataclasses.replace(get_curve("test8"), order_hint=3 * 137),  # 2n past the Hasse bound
+        # #E = 22 = 2 * 11, but n < 4*sqrt(q): the Hasse interval [9, 25] holds 11 too
+        CurveParams(GF16, GF16.element(8), GF16.element(9),
+                    AffinePoint(GF16.element(8), GF16.element(1)), order_hint=11),
+    ], ids=["none", "even", "outside_hasse", "below_4_sqrt_q"])
+    def test_ladder_fallback(self, monkeypatch, params):
+        assert params._halving_order is None
+
+        def no_halving(*args):
+            raise AssertionError("halved without #E = 2n")
+
+        monkeypatch.setattr(curve, "_halve_and_add", no_halving)
+        for p in (params.g, point_add(params.g, two_torsion(params), params)):
+            for k in map(Scalar, (1, 2, 11, 136, 137, 275, 0x3FF)):
+                assert kp_point(k, p, params) == kp_multiply(k, p, params)[0]

@@ -15,10 +15,13 @@ from kpsca.gf2m import (
     mul_classical,
     product_table,
     segment_width,
+    solve_quadratic,
+    sqrt,
     square,
+    trace,
 )
 
-from helpers import make_test16_curve, mul_shift_xor, rabin_irreducible
+from helpers import make_test16_curve, mul_shift_xor, rabin_irreducible, trace_mask
 
 GF8 = FieldSpec(3, 0b1011)  # x^3 + x + 1
 AES = FieldSpec(8, 0x11B)  # x^8 + x^4 + x^3 + x + 1
@@ -207,6 +210,58 @@ class TestKernelsAgainstOracle:
             assert tbl == [gf2m._clmul(c, d) for d in range(256)], c
             for a in walked:
                 assert mul_by_table(spec, tbl, a) == mul_shift_xor(c, a, poly, m), (c, a)
+
+
+HALVING_FIELDS = pytest.mark.parametrize("spec", [AES, TEST16, B163, B233],
+                                         ids=["test8", "test16", "b163", "b233"])
+
+
+class TestHalvingPrimitives:
+    """`trace`, `solve_quadratic` and `sqrt`, which point halving runs,
+    against the trace-mask oracle and by squaring back."""
+
+    @HALVING_FIELDS
+    def test_trace_matches_oracle(self, spec):
+        # trace is linear, so agreeing on every x^i is agreeing everywhere
+        mask = trace_mask(spec)
+        assert [trace(spec, 1 << i) for i in range(spec.m)] == [mask >> i & 1 for i in range(spec.m)]
+        rng = random.Random(spec.m)
+        for c in (rng.getrandbits(spec.m) for _ in range(2000)):
+            assert trace(spec, c) == (c & mask).bit_count() % 2
+
+    @pytest.mark.parametrize("spec", [AES, TEST16], ids=["test8", "test16"])
+    def test_every_element_small_fields(self, spec):
+        # every c of trace 0 is some z^2 + z, and solve_quadratic finds a z;
+        # every c is a square
+        solved = 0
+        for c in range(1 << spec.m):
+            assert square(spec, sqrt(spec, c)) == c, c
+            assert trace(spec, square(spec, c) ^ c) == 0, c
+            if trace(spec, c) == 0:
+                z = solve_quadratic(spec, c)
+                assert square(spec, z) ^ z == c, c
+                solved += 1
+        assert solved == 1 << spec.m - 1
+
+    @pytest.mark.parametrize("spec", [B163, B233], ids=["b163", "b233"])
+    def test_random_big_fields(self, spec):
+        rng = random.Random(spec.m)
+        poly, m = spec.reduction_poly, spec.m
+        one = trace_mask(spec) & -trace_mask(spec)  # an x^i of trace 1
+        for _ in range(2000):
+            c = rng.getrandbits(m)
+            s = sqrt(spec, c)
+            assert mul_shift_xor(s, s, poly, m) == c
+            c ^= one * trace(spec, c)
+            z = solve_quadratic(spec, c)
+            assert mul_shift_xor(z, z, poly, m) ^ z == c
+
+    def test_edges(self):
+        for spec in (AES, TEST16, B163, B233):
+            top = (1 << spec.m) - 1
+            for c in (0, 1, top):
+                assert square(spec, sqrt(spec, c)) == c
+            assert solve_quadratic(spec, 0) in (0, 1)
 
 
 class TestInvert:
