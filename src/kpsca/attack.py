@@ -20,8 +20,10 @@ k(c', pb) = C + pb*2^L - k(c, 0) with C = 2^(L+2) + 2^L - 1.  So the
 single point P = k(c, 0)*G settles all four scalars: P equals pub,
 pub - A, C*G - pub or C*G + A - pub (A = 2^L*G) exactly when
 (c, 0), (c, 1), (c', 0) or (c', 1) verifies.  Every multiple of G
-here comes from `curve.fixed_base_multiples`, which computes many
-points together from a fixed-base window table.  Flipping bit p adds
+here comes from the fixed-base window table of
+`curve.fixed_base_multiples`, which computes many points together, as
+the int pair (x, y) that the group law runs on (`curve._fixed_base_pairs`);
+pub becomes one once it has passed the curve check.  Flipping bit p adds
 +-2^(L-1-p) to every expansion, so brute force gets a flipped subset's
 point by one affine addition from its parent's; once the unflipped point
 misses, a lookup of the parent's point among the targets minus each flip
@@ -61,10 +63,10 @@ from .curve import (
     CurveParams,
     Scalar,
     _add_many,
-    fixed_base_multiples,
+    _fixed_base_pairs,
+    _negate,
+    _point_add,
     is_on_curve,
-    negate,
-    point_add,
 )
 
 
@@ -200,16 +202,15 @@ def expand_candidate(candidate_bits, preloop_bit: int) -> Scalar:
     return Scalar.from_bits((1, preloop_bit) + tuple(candidate_bits))
 
 
-def _pair_targets(step: AffinePoint, c_g: AffinePoint, pub: AffinePoint,
-                  params: CurveParams) -> tuple[tuple[AffinePoint, ...], ...]:
+def _pair_targets(step, c_g, pub, params: CurveParams) -> tuple[tuple, tuple]:
     """Targets for P = k(c, 0)*G, from A = step and C*G: (c, pb) verifies
     iff P is the first tuple's entry pb, (c', pb) iff P is the second's
-    (see the module docstring).  pub - A and C*G - pub share one
-    inversion; C*G - pub + A takes a second."""
-    pub_minus_step, c_minus_pub = _add_many([pub, c_g], [negate(step), negate(pub)], params)
+    (see the module docstring); all are int pairs.  pub - A and C*G - pub
+    share one inversion; C*G - pub + A takes a second."""
+    pub_minus_step, c_minus_pub = _add_many([pub, c_g], [_negate(step), _negate(pub)], params)
     return (
         (pub, pub_minus_step),
-        (c_minus_pub, point_add(c_minus_pub, step, params)),
+        (c_minus_pub, _point_add(c_minus_pub, step, params)),
     )
 
 
@@ -246,14 +247,15 @@ def _verify_all(candidates, pub: AffinePoint, params: CurveParams,
     verified = np.zeros(len(candidates), dtype=bool)
     if not candidates or not is_on_curve(pub, params):
         return verified, None
+    pub = pub.pair
     n = len(candidates[0].bits)  # one slot matrix: every candidate has L bits
     head = [1 << n, (1 << (n + 2)) + (1 << n) - 1]  # A and C*G
     skip = set()
     if params.order_hint is not None and (1 << (n + 2)) <= params.order_hint:
         bits, margins = combined
         suspects = sorted(np.argsort(margins, kind="stable")[:COMBINED_SUSPECTS].tolist())
-        step, c_g, *points = fixed_base_multiples(head + _flip_lanes(bits, suspects),
-                                                  params.g, params)
+        step, c_g, *points = _fixed_base_pairs(head + _flip_lanes(bits, suspects),
+                                               params.g, params)
         targets, head = _pair_targets(step, c_g, pub, params), []
         key = _combined_key(bits, suspects, points, targets, params)
         if key is not None:
@@ -269,8 +271,8 @@ def _verify_all(candidates, pub: AffinePoint, params: CurveParams,
             rep = rep.translate(_FLIP_BIT)
         if rep not in skip:
             pairs.setdefault(rep, []).append((i, is_complement))
-    points = fixed_base_multiples(head + [expand_candidate(rep, 0).value for rep in pairs],
-                                  params.g, params)
+    points = _fixed_base_pairs(head + [expand_candidate(rep, 0).value for rep in pairs],
+                               params.g, params)
     if head:
         targets = _pair_targets(points[0], points[1], pub, params)
         points = points[2:]
@@ -307,7 +309,7 @@ def _flip_search(bits, positions, points, targets, params: CurveParams, budget=i
     """The first hit in brute-force order as (flipped bits, j, checks), or
     None if there is none or the walk reached children all of whose checks
     exceed budget (a hit's checks may exceed it too); points: `_flip_lanes`
-    times G.
+    times G, and targets, as int pairs.
 
     Subsets of the positions come by size, then lexicographic, each tried
     against the m targets in order: subset r hits target j, check m*r + j + 1,
@@ -321,10 +323,7 @@ def _flip_search(bits, positions, points, targets, params: CurveParams, budget=i
     """
     base, *steps = points
     s, m = len(positions), len(targets)
-    deltas = [negate(d) if bits[p] & 1 else d for p, d in zip(positions, steps)]
-
-    def key(p):
-        return None if p.infinity else (p.x.value, p.y.value)
+    deltas = [_negate(d) if bits[p] & 1 else d for p, d in zip(positions, steps)]
 
     def hit(subset, j, rank):
         flip = {positions[i] for i in subset}
@@ -332,10 +331,10 @@ def _flip_search(bits, positions, points, targets, params: CurveParams, budget=i
 
     if base in targets:
         return hit((), targets.index(base), 0)
-    diffs = _add_many(targets * s, [negate(d) for d in deltas for _ in targets], params)
+    diffs = _add_many(targets * s, [_negate(d) for d in deltas for _ in targets], params)
     table = {}
     for n, p in enumerate(diffs):  # n = i*m + j, so each list is in (i, j) order
-        table.setdefault(key(p), []).append(divmod(n, m))
+        table.setdefault(p, []).append(divmod(n, m))
     level, rank = [((), 0, base)], 1  # (parent, its first child's index, point)
     for _ in range(s):  # the parents of sizes 0 .. s-1
         seen = []
@@ -343,11 +342,11 @@ def _flip_search(bits, positions, points, targets, params: CurveParams, budget=i
             if m * rank >= budget:
                 return None
             seen.append((subset, first, point))
-            for i, j in table.get(key(point), ()):
+            for i, j in table.get(point, ()):
                 if i >= first:
                     return hit(subset + (i,), j, rank + i - first)
             rank += s - first
-        level = ((sub + (i,), i + 1, point_add(p, deltas[i], params))
+        level = ((sub + (i,), i + 1, _point_add(p, deltas[i], params))
                  for sub, first, p in seen for i in range(first, s - 1))
     return None
 
@@ -384,9 +383,9 @@ def brute_force_complete(
     preloop_bits = tuple(preloop_bits)
     found = None
     if preloop_bits and is_on_curve(pub, params):
-        step, *points = fixed_base_multiples(
+        step, *points = _fixed_base_pairs(
             [1 << nbits] + _flip_lanes(candidate.bits, suspects), g, params)
-        targets = [point_add(pub, negate(step), params) if pb & 1 else pub
+        targets = [_point_add(pub.pair, _negate(step), params) if pb & 1 else pub.pair
                    for pb in preloop_bits]
         found = _flip_search(candidate.bits, suspects, points, targets, params, budget)
     if found is not None and found[2] <= budget:

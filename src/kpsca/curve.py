@@ -5,15 +5,17 @@ y^2 + xy = x^3 + a*x^2 + b, with b != 0.  The modelled accelerator runs
 the x-coordinate-only Montgomery ladder in Lopez-Dahab projective
 coordinates, and `kp_multiply` records its transcript for the leakage
 simulator.  `kp_point`, kP of a variable base point that leaks nothing
-in the model, halves and adds instead.  The affine group law
-(`point_add`, textbook formulas, code disjoint from the ladder) lets the
-attack verify key candidates by point additions instead of one kP per
-candidate scalar, and `kp_point` and `fixed_base_multiples` sum their
-points with it, as a tree whose levels share one inversion each
-(`_lane_sums`).  `fixed_base_multiples` gives every multiple of the
-base point G that the package needs, from a signed base-64 window table
+in the model, halves and adds instead.  The affine group law (textbook
+formulas, code disjoint from the ladder) runs on int pairs (x, y), None
+for the point at infinity (`_point_add`, `_point_double`, `_negate`);
+`point_add` and `negate` adapt it to `AffinePoint`, the boundary type.
+It lets the attack verify key candidates by point additions instead of
+one kP per candidate scalar, and `kp_point` and `fixed_base_multiples`
+sum their points with it, as a tree whose levels share one inversion
+each (`_lane_sums`).  `fixed_base_multiples` gives every multiple of the
+base point G that the package needs, from a signed base-256 window table
 (Hankerson, Menezes, Vanstone, Guide to Elliptic Curve Cryptography,
-ch. 3).  The table depends only on G, so for each registered
+sec. 3.3.1).  The table depends only on G, so for each registered
 curve the package ships its rows for every scalar below 2^(m+2)
 (window_<curve id>.bin, decoded on first use); the table of any other
 base point, and any row past the shipped ones, is built on demand.
@@ -104,6 +106,17 @@ class AffinePoint:
     def at_infinity(cls) -> "AffinePoint":
         return cls(None, None, True)
 
+    @property
+    def pair(self) -> Optional[tuple[int, int]]:
+        """(x, y) as the ints the group law runs on; None for infinity."""
+        return None if self.infinity else (self.x.value, self.y.value)
+
+    @classmethod
+    def from_pair(cls, f: FieldSpec, pair) -> "AffinePoint":
+        if pair is None:
+            return cls.at_infinity()
+        return cls(FieldElement(f, pair[0]), FieldElement(f, pair[1]))
+
     def to_hex(self) -> str:
         if self.infinity:
             return "infinity"
@@ -161,10 +174,8 @@ def is_on_curve(p: AffinePoint, params: CurveParams) -> bool:
 
 
 def negate(p: AffinePoint) -> AffinePoint:
-    """-(x, y) = (x, x + y) on binary curves."""
-    if p.infinity:
-        return p
-    return AffinePoint(p.x, FieldElement(p.x.spec, p.x.value ^ p.y.value))
+    """-p, by `_negate`."""
+    return p if p.infinity else AffinePoint.from_pair(p.x.spec, _negate(p.pair))
 
 
 # projective ladder registers: X1/Z1 hold [m]P, X2/Z2 hold [m+1]P
@@ -331,11 +342,11 @@ def kp_point(k: Scalar, p: AffinePoint, params: CurveParams) -> AffinePoint:
         return ladder_finalize(state, p)
     f = params.field
     if gf2m.trace(f, p.x.value) == gf2m.trace(f, params.a.value):  # P in 2E = <G>
-        return _halve_and_add(k.value, p, params, n)
+        return AffinePoint.from_pair(f, _halve_and_add(k.value, p.pair, params, n))
     # P = P' + T2 with P' in <G> and T2 = (0, sqrt(b)) of order 2
-    t2 = AffinePoint(FieldElement(f, 0), FieldElement(f, gf2m.sqrt(f, params.b.value)))
-    kp = _halve_and_add(k.value, point_add(p, t2, params), params, n)
-    return point_add(kp, t2, params) if k.value & 1 else kp
+    t2 = (0, gf2m.sqrt(f, params.b.value))
+    kp = _halve_and_add(k.value, _point_add(p.pair, t2, params), params, n)
+    return AffinePoint.from_pair(f, _point_add(kp, t2, params) if k.value & 1 else kp)
 
 
 def _naf4(k: int) -> list[int]:
@@ -348,7 +359,7 @@ def _naf4(k: int) -> list[int]:
     return digits
 
 
-def _halve_and_add(k: int, p: AffinePoint, params: CurveParams, n: int) -> AffinePoint:
+def _halve_and_add(k: int, p: tuple[int, int], params: CurveParams, n: int):
     """kP for P in <G> of odd order n (Hankerson, Menezes, Vanstone, Guide
     to ECC, Alg. 3.91 and 3.81): with t = n.bit_length() and k' = 2^(t-1)*k
     mod n in width-4 NAF digits k'_i, kP = sum k'_i * P/2^(t-1-i), digit t
@@ -363,14 +374,13 @@ def _halve_and_add(k: int, p: AffinePoint, params: CurveParams, n: int) -> Affin
     lanes = [[], [], [], []]  # digit magnitudes 1, 3, 5, 7
     if len(digits) > t:  # then digit t is 1, as k' < 2^t
         lanes[0].append(_point_double(p, params))
-    x, y, lam = p.x.value, p.y.value, None
+    (x, y), lam = p, None
     for i in range(t - 1, -1, -1):
         d = digits[i] if i < len(digits) else 0
         if d:
             if y is None:
                 y = gf2m.mul_classical(f, x, lam ^ x)
-            lanes[abs(d) >> 1].append(
-                AffinePoint(FieldElement(f, x), FieldElement(f, y if d > 0 else x ^ y)))
+            lanes[abs(d) >> 1].append((x, y if d > 0 else x ^ y))
         if i:
             root = gf2m.solve_quadratic(f, x ^ a)
             tt = (gf2m.mul_classical(f, x, x ^ lam ^ root) if y is None
@@ -380,59 +390,64 @@ def _halve_and_add(k: int, p: AffinePoint, params: CurveParams, n: int) -> Affin
     q = _lane_sums(lanes, params)
     s1, s3, s5 = _lane_sums([q, q[1:], q[2:]], params)
     twice, = _lane_sums([[s3, s5, q[3]]], params)
-    return point_add(s1, _point_double(twice, params), params)
+    return _point_add(s1, _point_double(twice, params), params)
 
 
-# --- affine group law (textbook formulas) ---
+# --- affine group law (textbook formulas) on int pairs (x, y), None for infinity ---
 
 def point_add(p: AffinePoint, q: AffinePoint, params: CurveParams) -> AffinePoint:
-    """p + q for points on the curve, in affine coordinates.
+    """p + q for points on the curve, in affine coordinates, by `_point_add`.
 
     Off-curve inputs give meaningless results (the equal-x branch may
     even return the point at infinity); callers check the curve first.
     """
-    if p.infinity:
+    return AffinePoint.from_pair(params.field, _point_add(p.pair, q.pair, params))
+
+
+def _negate(p):
+    """-(x, y) = (x, x + y) on binary curves."""
+    return None if p is None else (p[0], p[0] ^ p[1])
+
+
+def _point_add(p, q, params: CurveParams):
+    if p is None:
         return q
-    if q.infinity:
+    if q is None:
         return p
-    x1, y1, x2, y2 = p.x.value, p.y.value, q.x.value, q.y.value
-    if x1 == x2:
-        if y1 ^ y2 == x1 or y1 != y2:
-            # q = -p  (covers the doubling-of-2-torsion case x = 0 too)
-            return AffinePoint.at_infinity()
-        return _point_double(p, params)
-    return _chord_add(p, q, gf2m.invert(params.field, x1 ^ x2), params)
+    if p[0] == q[0]:
+        # q = -p is infinity, and so is the doubled 2-torsion point (x = 0)
+        return _point_double(p, params) if p[1] == q[1] else None
+    return _chord_add(p, q, gf2m.invert(params.field, p[0] ^ q[0]), params)
 
 
-def _chord_add(p: AffinePoint, q: AffinePoint, inv: int, params: CurveParams) -> AffinePoint:
+def _chord_add(p, q, inv: int, params: CurveParams):
     """p + q for finite points with distinct x, given inv = 1/(x_p + x_q)."""
     f = params.field
-    x1, y1, x2 = p.x.value, p.y.value, q.x.value
-    lam = gf2m.mul_classical(f, y1 ^ q.y.value, inv)
+    (x1, y1), (x2, y2) = p, q
+    lam = gf2m.mul_classical(f, y1 ^ y2, inv)
     x3 = gf2m.square(f, lam) ^ lam ^ x1 ^ x2 ^ params.a.value
-    y3 = gf2m.mul_classical(f, lam, x1 ^ x3) ^ x3 ^ y1
-    return AffinePoint(FieldElement(f, x3), FieldElement(f, y3))
+    return x3, gf2m.mul_classical(f, lam, x1 ^ x3) ^ x3 ^ y1
 
 
-def _add_many(ps, qs, params: CurveParams) -> list[AffinePoint]:
+def _add_many(ps, qs, params: CurveParams) -> list:
     """[p + q for p, q in zip(ps, qs)], with one inversion for all pairs.
 
     The pairs of finite points with distinct x share one `gf2m.invert`
     by Montgomery's simultaneous inversion (P. L. Montgomery, Math. Comp.
     48, 1987): invert the product of their denominators x_p + x_q, then
     peel each inverse off with two multiplications.  A pair with a point
-    at infinity or equal x takes `point_add`, so no zero denominator
+    at infinity or equal x takes `_point_add`, so no zero denominator
     enters the product.
     """
     f = params.field
     out = [None] * len(ps)
     batch, dens = [], []
     for j, (p, q) in enumerate(zip(ps, qs)):
-        if p.infinity or q.infinity or p.x.value == q.x.value:
-            out[j] = point_add(p, q, params)
+        if p is None or q is None or p[0] == q[0]:
+            out[j] = _point_add(p, q, params)
         else:
             batch.append(j)
-            dens.append(p.x.value ^ q.x.value)
+            dens.append(p[0] ^ q[0])
     if not batch:
         return out
     prefix = [dens[0]]  # prefix[n] = dens[0] * ... * dens[n]
@@ -447,38 +462,33 @@ def _add_many(ps, qs, params: CurveParams) -> list[AffinePoint]:
     return out
 
 
-def _point_double(p: AffinePoint, params: CurveParams) -> AffinePoint:
-    if p.infinity:
-        return p
-    x, y = p.x.value, p.y.value
-    if x == 0:
-        # 2-torsion point (0, sqrt(b))
-        return AffinePoint.at_infinity()
+def _point_double(p, params: CurveParams):
+    if p is None or p[0] == 0:  # the 2-torsion point (0, sqrt(b)) doubles to infinity
+        return None
     f = params.field
+    x, y = p
     lam = x ^ gf2m.mul_classical(f, y, gf2m.invert(f, x))
     x3 = gf2m.square(f, lam) ^ lam ^ params.a.value
-    y3 = gf2m.square(f, x) ^ gf2m.mul_classical(f, lam ^ 1, x3)
-    return AffinePoint(FieldElement(f, x3), FieldElement(f, y3))
+    return x3, gf2m.square(f, x) ^ gf2m.mul_classical(f, lam ^ 1, x3)
 
 
-# --- fixed-base multiples k*G: signed base-64 window table, tree sums ---
+# --- fixed-base multiples k*G: signed base-256 window table, tree sums ---
 
 def _signed_digits(k: int) -> list[int]:
-    """k = sum(d_i * 64^i), least significant digit first, each d_i in -31..32."""
-    digits = []
-    while k:
-        d = k & 63
-        if d > 32:
-            d -= 64
-        digits.append(d)
-        k = (k - d) >> 6
-    return digits
+    """k = sum(d_i * 256^i), least significant digit first, each d_i in -127..128:
+    k's bytes, a byte above 128 taken 256 lower with a carry into the next."""
+    digits, carry = [], 0
+    for byte in k.to_bytes((k.bit_length() + 7) >> 3, "little"):
+        d = byte + carry
+        carry = d > 128
+        digits.append(d - (carry << 8))
+    return digits + [1] if carry else digits
 
 
 @functools.lru_cache(maxsize=16)
-def _window_table(g: AffinePoint, params: CurveParams) -> list[tuple[AffinePoint, ...]]:
+def _window_table(g: AffinePoint, params: CurveParams) -> list[tuple]:
     """The window table of base point g, cached by value and grown in place
-    by `_extend_table`: row i holds d*64^i*G for d = 1..32.
+    by `_extend_table`: row i holds the int pairs of d*256^i*G for d = 1..128.
 
     A registered curve's table starts from the rows the package ships
     (`_shipped_rows`), with no field arithmetic: its base point was
@@ -498,32 +508,30 @@ def _window_table(g: AffinePoint, params: CurveParams) -> list[tuple[AffinePoint
 _TABLE_DIR = importlib.resources.files(__package__)
 
 
-def _shipped_rows(name: str, params: CurveParams) -> list[tuple[AffinePoint, ...]]:
+def _shipped_rows(name: str, params: CurveParams) -> list[tuple]:
     """The rows of registered curve `name`'s window table that ship with the
     package: those that cover every scalar below 2^(m+2).
 
     Every point is x || y, each coordinate big-endian in ceil(m/8) bytes,
-    and a row is its 32 points in column order.  A missing file raises
-    OSError, and a file that is not a whole number of rows, or whose first
-    point is not the base point, raises CurveError: the table is never
-    built instead, which would hide a broken install.
+    and a row is its 128 points in column order.  A missing file raises
+    OSError, and a file that is not a whole number of rows, holds a
+    coordinate of degree m or more, or whose first point is not the base
+    point, raises CurveError: the table is never built instead, which
+    would hide a broken install.
     """
     f = params.field
     n = (f.m + 7) // 8
-    row_len = 64 * n
     path = _TABLE_DIR / f"window_{name}.bin"
     data = path.read_bytes()
-    if not data or len(data) % row_len:
-        raise CurveError(f"{path}: {len(data)} bytes is not a whole number of {row_len}-byte rows")
-
-    def point(i: int) -> AffinePoint:
-        return AffinePoint(f.element(int.from_bytes(data[i:i + n], "big")),
-                           f.element(int.from_bytes(data[i + n:i + 2 * n], "big")))
-
-    if point(0) != params.g:
+    if not data or len(data) % (256 * n):
+        raise CurveError(f"{path}: {len(data)} bytes is not a whole number of {256 * n}-byte rows")
+    ints = [int.from_bytes(data[i:i + n], "big") for i in range(0, len(data), n)]
+    if max(ints) >> f.m:
+        raise CurveError(f"{path}: a coordinate is not an element of GF(2^{f.m})")
+    if tuple(ints[:2]) != params.g.pair:
         raise CurveError(f"{path}: the first point is not the base point")
-    return [tuple(map(point, range(start, start + row_len, 2 * n)))
-            for start in range(0, len(data), row_len)]
+    pairs = list(zip(ints[::2], ints[1::2]))
+    return [tuple(pairs[i:i + 128]) for i in range(0, len(pairs), 128)]
 
 
 def _extend_table(table: list, rows: int, g: AffinePoint, params: CurveParams) -> None:
@@ -531,31 +539,37 @@ def _extend_table(table: list, rows: int, g: AffinePoint, params: CurveParams) -
 
     A doubling chain gives each row's power-of-two columns.  Every other
     column d is column d - low plus column low, low being d's lowest set
-    bit: one batched addition per set-bit count 2..5, across all new rows.
+    bit: one batched addition per set-bit count 2..7, across all new rows.
     """
     if rows <= len(table):
         return
-    chain = [_point_double(table[-1][-1], params) if table else g]
-    for _ in range(6 * (rows - len(table)) - 1):
+    chain = [_point_double(table[-1][-1], params) if table else g.pair]
+    for _ in range(8 * (rows - len(table)) - 1):
         chain.append(_point_double(chain[-1], params))
-    new = [{1 << j: chain[6 * n + j] for j in range(6)} for n in range(rows - len(table))]
-    for weight in range(2, 6):
-        ds = [d for d in range(3, 32) if d.bit_count() == weight]
+    new = [{1 << j: chain[8 * n + j] for j in range(8)} for n in range(rows - len(table))]
+    for weight in range(2, 8):
+        ds = [d for d in range(3, 128) if d.bit_count() == weight]
         sums = iter(_add_many([row[d - (d & -d)] for row in new for d in ds],
                               [row[d & -d] for row in new for d in ds], params))
         for row in new:
             row.update((d, next(sums)) for d in ds)
-    table.extend(tuple(row[d] for d in range(1, 33)) for row in new)
+    table.extend(tuple(row[d] for d in range(1, 129)) for row in new)
 
 
 def fixed_base_multiples(ks, g: AffinePoint, params: CurveParams) -> list[AffinePoint]:
-    """The points k*G for a list of scalars k >= 1, computed together.
+    """The points k*G for a list of scalars k >= 1, computed together
+    (`_fixed_base_pairs`)."""
+    return [AffinePoint.from_pair(params.field, p) for p in _fixed_base_pairs(ks, g, params)]
 
-    Each k is written in signed base-64 digits and is never reduced
-    modulo the group order.  A lane starts as the terms d_i*64^i*G of
+
+def _fixed_base_pairs(ks, g: AffinePoint, params: CurveParams) -> list:
+    """`fixed_base_multiples` as int pairs.
+
+    Each k is written in signed base-256 digits and is never reduced
+    modulo the group order.  A lane starts as the terms d_i*256^i*G of
     its nonzero digits (row i of g's window table at |d_i|, negated for
-    a negative digit): at most 39 for a 232-bit k, so `_lane_sums` adds
-    them in 6 levels.  g's table (`_window_table`) is extended to the
+    a negative digit): at most 30 for a 232-bit k, so `_lane_sums` adds
+    them in 5 levels.  g's table (`_window_table`) is extended to the
     longest scalar seen.
     """
     digits = []
@@ -566,20 +580,20 @@ def fixed_base_multiples(ks, g: AffinePoint, params: CurveParams) -> list[Affine
     table = _window_table(g, params)
     rows = max(map(len, digits), default=0)
     _extend_table(table, rows, g, params)
-    return _lane_sums([[row[d - 1] if d > 0 else negate(row[-d - 1])
+    return _lane_sums([[row[d - 1] if d > 0 else _negate(row[-d - 1])
                         for row, d in zip(table, ds) if d] for ds in digits], params)
 
 
-def _lane_sums(lanes, params: CurveParams) -> list[AffinePoint]:
-    """Each lane's sum (infinity if empty) as a tree: a level adds adjacent terms of
-    every lane in one `_add_many` (one inversion); an odd last term waits a level."""
+def _lane_sums(lanes, params: CurveParams) -> list:
+    """Each lane's sum (None, infinity, if empty) as a tree: a level adds adjacent terms
+    of every lane in one `_add_many` (one inversion); an odd last term waits a level."""
     while any(len(terms) > 1 for terms in lanes):
         ps = [p for terms in lanes for p in terms[:-1:2]]
         qs = [q for terms in lanes for q in terms[1::2]]
         sums = iter(_add_many(ps, qs, params))
         lanes = [[next(sums) for _ in terms[1::2]] + (terms[-1:] if len(terms) % 2 else [])
                  for terms in lanes]
-    return [terms[0] if terms else AffinePoint.at_infinity() for terms in lanes]
+    return [terms[0] if terms else None for terms in lanes]
 
 
 # --- curve registry ---

@@ -252,9 +252,12 @@ def _halving_tables(f: FieldSpec) -> tuple:
     rows = {}  # pivot bit -> (image, preimage); no row has another row's pivot bit
     for i in range(1, f.m):
         img, pre = f.reduce(1 << 2 * i) ^ 1 << i, 1 << i
-        for bit, (r, z) in rows.items():
-            if img >> bit & 1:
-                img, pre = img ^ r, pre ^ z
+        bits = img
+        while bits:  # a row adds no pivot bit, so only img's own bits can be pivots
+            bit = bits.bit_length() - 1
+            bits ^= 1 << bit
+            if bit in rows:
+                img, pre = img ^ rows[bit][0], pre ^ rows[bit][1]
         top = img.bit_length() - 1
         for bit, (r, z) in rows.items():
             if r >> top & 1:

@@ -17,7 +17,6 @@ from kpsca.curve import (
     CurveError,
     CurveParams,
     Scalar,
-    _point_double,
     get_curve,
     is_on_curve,
     kp_point,
@@ -63,6 +62,34 @@ def trace_mask(spec: FieldSpec) -> int:
         elif acc != 0:
             raise ArithmeticError("trace of a basis element must be 0 or 1")
     return mask
+
+
+def reference_halving_tables(f: FieldSpec) -> tuple:
+    """gf2m._halving_tables with its first echelon walk over every row, not
+    only over the new image's set bits, and no cache."""
+    rows = {}
+    for i in range(1, f.m):
+        img, pre = f.reduce(1 << 2 * i) ^ 1 << i, 1 << i
+        for bit, (r, z) in rows.items():
+            if img >> bit & 1:
+                img, pre = img ^ r, pre ^ z
+        top = img.bit_length() - 1
+        for bit, (r, z) in rows.items():
+            if r >> top & 1:
+                rows[bit] = r ^ img, z ^ pre
+        rows[top] = img, pre
+    p, = set(range(f.m)) - rows.keys()
+    tmask = 1 << p | sum(1 << bit for bit, (r, _) in rows.items() if r >> p & 1)
+    solver = []
+    for d in range(f.hex_digits):
+        row = [0]
+        for j in range(4 * d, 4 * d + 4):
+            row += [e ^ rows.get(j, (0, 0))[1] for e in row]
+        solver.append(row)
+    root_x = 2
+    for _ in range(f.m - 1):
+        root_x = gf2m.square(f, root_x)
+    return tmask, solver, gf2m.product_table(root_x)
 
 
 def rabin_irreducible(spec: FieldSpec) -> bool:
@@ -184,7 +211,7 @@ def oracle_double_and_add(k: Scalar, p: AffinePoint, params: CurveParams) -> Aff
         raise CurveError("input point is not on the curve")
     acc = p
     for bit in k.bits[1:]:
-        acc = _point_double(acc, params)
+        acc = point_add(acc, acc, params)
         if bit:
             acc = point_add(acc, p, params)
     return acc
@@ -193,16 +220,17 @@ def oracle_double_and_add(k: Scalar, p: AffinePoint, params: CurveParams) -> Aff
 # --- the shipped window tables ---
 
 def shipped_row_count(params: CurveParams) -> int:
-    """Rows of signed base-64 digits that every scalar below 2^(m+2) fits in."""
+    """Rows of signed base-256 digits that every scalar below 2^(m+2) fits in:
+    2, 21 and 30 for test8, B-163 and B-233."""
     return len(curve._signed_digits((1 << (params.field.m + 2)) - 1))
 
 
 def encode_window_rows(rows, params: CurveParams) -> bytes:
     """The shipped table format that `curve._shipped_rows` decodes: every
-    point x || y, each coordinate big-endian in ceil(m/8) bytes, rows in
-    order and a row's points in column order."""
+    int pair's x || y, each coordinate big-endian in ceil(m/8) bytes, rows
+    in order and a row's points in column order."""
     n = (params.field.m + 7) // 8
-    return b"".join(c.value.to_bytes(n, "big") for row in rows for p in row for c in (p.x, p.y))
+    return b"".join(c.to_bytes(n, "big") for row in rows for p in row for c in p)
 
 
 def write_shipped_tables() -> None:
@@ -289,7 +317,10 @@ def reference_flip_search(bits, suspects, points, targets, params):
     """attack._combined_key by the per-subset walk: every subset reached,
     in brute-force order, gets its point by one point_add from its parent's
     and is compared with each target; points are k(bits, 0)*G and the
-    suspects' flip deltas, targets the nested pairs of _pair_targets."""
+    suspects' flip deltas, targets the nested pairs of _pair_targets, all
+    as int pairs."""
+    points = [AffinePoint.from_pair(params.field, p) for p in points]
+    targets = [[AffinePoint.from_pair(params.field, p) for p in pair] for pair in targets]
     base, *steps = points
     deltas = [negate(d) if bits[p] & 1 else d for p, d in zip(suspects, steps)]
     pending = deque([((), base)])  # (suspect indices, parent's point)
@@ -358,3 +389,4 @@ def write_bad_trace(tmp_path, suffix, problem):
     if problem == "unparsable_sample":
         path.write_text(path.read_text().replace("0\n", "zero\n", 1))
     return path
+

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from kpsca import attack
+from kpsca import attack, curve
 from kpsca.attack import (
     KeyCandidate,
     Polarity,
@@ -442,9 +442,9 @@ class TestVerificationB233:
 
         def counting_multiples(ks, g, params):
             calls.append(list(ks))
-            return fixed_base_multiples(ks, g, params)
+            return curve._fixed_base_pairs(ks, g, params)
 
-        monkeypatch.setattr(attack, "fixed_base_multiples", counting_multiples)
+        monkeypatch.setattr(attack, "_fixed_base_pairs", counting_multiples)
         report = attack.evaluate(matrix, pub=pub, params=params)
         combined_calls = calls[:]
         calls.clear()

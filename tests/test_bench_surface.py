@@ -108,7 +108,8 @@ def test_tracer_counts_verification_arithmetic():
     bits = Scalar(91).main_loop_bits
     matrix = np.array([[1.0 - b for b in bits]]).T.copy()
     pub = curve.kp_point(Scalar(91), params.g, params)
-    ks = [4227, 16710]  # base-64 digits (3, 2, 1) and (6, 5, 4): two tree levels in both lanes
+    # base-256 digits (3, 2, 1) and (6, 5, 4): two tree levels in both lanes
+    ks = [3 + (2 << 8) + (1 << 16), 6 + (5 << 8) + (4 << 16)]
     curve.fixed_base_multiples(ks, params.g, params)  # the table rows, ready untraced
     tracer = TRACING.Tracer(paper_cycles=None)
     tracer.install()
@@ -152,7 +153,8 @@ def test_tracer_counts_auth_demo_ladders(capsys):
     # table call, with 2^L and C) instead of stopping at the first
     # verifying candidate.  Its targets pub - 2^L*G and C*G - pub
     # share one inversion (three more products), C*G - pub + 2^L*G takes one.
-    # test8's 2 shipped table rows cover C < 64^2, so no run builds a row.
+    # test8's 2 shipped table rows cover every scalar up to 128*257, C = 1279
+    # among them, so no run builds a row.
     # With the two kPs as 10-bit ladders (9 steps and an affine conversion
     # of 10 products, 1 square and 1 inversion each) the demo counted 179
     # products, 212 squares and 8 inversions: 87, 116 and 6 without them.

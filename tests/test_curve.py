@@ -223,7 +223,7 @@ class TestLadderFinalize:
         assert kp_point(Scalar(test8.order_hint), test8.g, test8).infinity
 
     def test_minus_p_when_z2_vanishes(self, test8):
-        got = kp_point(Scalar(test8.order_hint - 1), test8.g, test8)
+        got = kp_multiply(Scalar(test8.order_hint - 1), test8.g, test8)[0]
         assert got == negate(test8.g)
 
 
@@ -235,7 +235,7 @@ class TestKpMultiply:
 
     def test_exhaustive_range_small_curve(self, test8):
         for k in range(1, 300):
-            got = kp_point(Scalar(k), test8.g, test8)
+            got = kp_multiply(Scalar(k), test8.g, test8)[0]
             assert got == oracle_double_and_add(Scalar(k), test8.g, test8), k
 
     def test_random_on_big_curves(self, b163, b233):
@@ -314,6 +314,13 @@ class TestOracle:
         with pytest.raises(CurveError):
             oracle_double_and_add(Scalar(3), AffinePoint.at_infinity(), b233)
 
+    def test_two_torsion_point_doubles_to_infinity(self, test8):
+        # (0, sqrt(b)) is its own negative: the equal-x branch doubles it,
+        # with no inversion of x = 0
+        t2 = two_torsion(test8)
+        assert negate(t2) == t2
+        assert point_add(t2, t2, test8).infinity
+
 
 FIXED_BASE_CURVES = {"test8": get_curve("test8"), "test16": make_test16_curve(),
                      "b233": get_curve("b233")}
@@ -354,50 +361,68 @@ class TestFixedBaseMultiples:
         assert fixed_base_multiples(ks, params.g, params) == want
 
     def test_equal_x_fallback(self, test8, monkeypatch):
-        # 4219 has the digits (-5, 2, 1): the tree's first level sums
-        # -5*G + 2*64*G = 123*G, which the second meets with the carried
-        # term 4096*G = 123*G (mod 137), so the lane doubles; 4247 has the
-        # digits (23, 2, 1) and meets 151*G + 4096*G = 14*G - 14*G, which
-        # is infinity
+        # 65723 has the digits (-69, 1, 1): the tree's first level sums
+        # -69*G + 256*G = 187*G = 50*G (mod 137), which the second meets
+        # with the carried term 65536*G = 50*G, so the lane doubles; 65760
+        # has the digits (-32, 1, 1) and meets 224*G + 65536*G = -50*G +
+        # 50*G, which is infinity
         equal_x = []
 
         def spy(p, q, params):
-            if not p.infinity and not q.infinity and p.x == q.x:
+            if p is not None and q is not None and p[0] == q[0]:
                 equal_x.append("double" if p == q else "opposite")
-            return point_add(p, q, params)
+            return add(p, q, params)
 
-        ks = [4219, 4247, 91]
-        assert [curve._signed_digits(k) for k in ks] == [[-5, 2, 1], [23, 2, 1], [27, 1]]
+        ks = [65723, 65760, 91]
+        assert [curve._signed_digits(k) for k in ks] == [[-69, 1, 1], [-32, 1, 1], [91]]
         fixed_base_multiples(ks, test8.g, test8)  # the table rows, ready unspied
-        monkeypatch.setattr(curve, "point_add", spy)
+        add = curve._point_add
+        monkeypatch.setattr(curve, "_point_add", spy)
         got = fixed_base_multiples(ks, test8.g, test8)
         assert sorted(equal_x) == ["double", "opposite"]
         assert got == [kp_point(Scalar(k), test8.g, test8) for k in ks]
         assert got[1].infinity
 
+    @pytest.mark.parametrize("k, digits", [
+        (128, [128]), (129, [-127, 1]), (0x80FF, [-1, -127, 1]),
+        (0xFFFF, [-1, 0, 1]),  # the carry makes a row past k's two bytes
+        (0x7F80, [128, 127]), (1 << 16, [0, 0, 1])])
+    def test_digit_boundaries(self, b233, k, digits):
+        # the digits 128 and -127 read table columns 128 and 127, the last
+        # two; a carry out of the top byte adds a row of digit 1
+        assert curve._signed_digits(k) == digits
+        assert sum(d << 8 * i for i, d in enumerate(digits)) == k
+        assert fixed_base_multiples([k], b233.g, b233) == [kp_point(Scalar(k), b233.g, b233)]
+
     def test_one_inversion_per_tree_level(self, b233, monkeypatch):
-        # a lane of n nonzero digits sums in ceil(log2 n) levels; a 232-bit
-        # scalar has at most 39 signed base-64 digits
+        # a lane of n nonzero digits sums in ceil(log2 n) levels, one
+        # inversion each; a 232-bit scalar has at most 30 signed base-256
+        # digits, and a 30-digit lane takes all 5 levels
         k = Scalar.random(random.Random(11), 232).value
         n = sum(map(bool, curve._signed_digits(k)))
-        want = kp_point(Scalar(k), b233.g, b233)
+        rng = random.Random(12)
+        deep = sum(rng.choice([d for d in range(-127, 129) if d]) << 8 * i for i in range(29))
+        deep += rng.randint(1, 128) << 8 * 29
+        assert all(curve._signed_digits(deep)) and len(curve._signed_digits(deep)) == 30
+        want = [kp_point(Scalar(v), b233.g, b233) for v in (k, deep)]
         fixed_base_multiples([k], b233.g, b233)  # loads the table
         inverted = []
         invert = gf2m.invert
         monkeypatch.setattr(gf2m, "invert", lambda f, a: inverted.append(a) or invert(f, a))
-        assert fixed_base_multiples([k], b233.g, b233) == [want]
-        assert n <= 39
-        assert (n - 1).bit_length() == 6
-        assert len(inverted) <= 6
+        assert fixed_base_multiples([k], b233.g, b233) == want[:1]
+        assert 17 <= n <= 30 and len(inverted) == (n - 1).bit_length() == 5
+        del inverted[:]
+        assert fixed_base_multiples([deep], b233.g, b233) == want[1:]
+        assert len(inverted) == 5
 
     def test_lanes_of_unequal_depth(self, b233):
-        # a 1-digit lane is done before the tree starts, a 39-digit lane
-        # (every signed digit nonzero) takes all 6 levels; the digits in
-        # -31..32 are unique, so they are the ones the call writes
+        # a 1-digit lane is done before the tree starts, a 30-digit lane
+        # (every signed digit nonzero) takes all 5 levels; the digits in
+        # -127..128 are unique, so they are the ones the call writes
         rng = random.Random(12)
-        digits = [rng.choice([d for d in range(-31, 33) if d]) for _ in range(38)]
-        digits.append(rng.randint(1, 32))
-        deep = sum(d << 6 * i for i, d in enumerate(digits))
+        digits = [rng.choice([d for d in range(-127, 129) if d]) for _ in range(29)]
+        digits.append(rng.randint(1, 128))
+        deep = sum(d << 8 * i for i, d in enumerate(digits))
         assert curve._signed_digits(deep) == digits
         ks = [5, deep, 1]
         assert fixed_base_multiples(ks, b233.g, b233) == [kp_point(Scalar(k), b233.g, b233)
@@ -406,38 +431,39 @@ class TestFixedBaseMultiples:
     def test_table_shared_by_value_and_grown(self, test8):
         table = curve._window_table(test8.g, test8)
         assert curve._window_table(get_curve("test8").g, get_curve("test8")) is table
-        fixed_base_multiples([1 << 90], test8.g, test8)
+        fixed_base_multiples([1 << 120], test8.g, test8)
         assert len(table) >= 16
         for i, row in enumerate(table[:16]):
-            assert row == tuple(kp_point(Scalar(d << 6 * i), test8.g, test8)
-                                for d in range(1, 33))
+            assert row == tuple(kp_point(Scalar(d << 8 * i), test8.g, test8).pair
+                                for d in range(1, 129))
 
     @pytest.mark.parametrize("name, rows", [("test16", 4), ("b233", 2)])
     def test_table_columns_are_multiples(self, name, rows):
-        # every column d of row i is d*64^i*G; test16's 4 rows pass its order
+        # every column d of row i is d*256^i*G, as an int pair; test16's 4
+        # rows pass its order
         params = FIXED_BASE_CURVES[name]
         table = []
         curve._extend_table(table, rows, params.g, params)
         assert len(table) == rows
         for i, row in enumerate(table):
-            assert row == tuple(kp_point(Scalar(d << 6 * i), params.g, params)
-                                for d in range(1, 33))
+            assert row == tuple(kp_point(Scalar(d << 8 * i), params.g, params).pair
+                                for d in range(1, 129))
 
     def test_table_extension_inverts_once_per_set_bit_pass(self, b233, monkeypatch):
-        # six doublings per new row (the first row of a fresh table starts
+        # eight doublings per new row (the first row of a fresh table starts
         # at G), then one batched addition each for the columns with 2, 3,
-        # 4 and 5 set bits
+        # 4, 5, 6 and 7 set bits
         inverted = []
         invert = gf2m.invert
         monkeypatch.setattr(gf2m, "invert", lambda f, a: inverted.append(a) or invert(f, a))
         table = []
         curve._extend_table(table, 3, b233.g, b233)
-        assert len(inverted) == 6 * 3 - 1 + 4
+        assert len(inverted) == 8 * 3 - 1 + 6
         del inverted[:]
         curve._extend_table(table, 5, b233.g, b233)
-        assert len(inverted) == 6 * 2 + 4
-        assert table[3][0] == kp_point(Scalar(1 << 18), b233.g, b233)
-        assert table[4][30] == kp_point(Scalar(31 << 24), b233.g, b233)
+        assert len(inverted) == 8 * 2 + 6
+        assert table[3][0] == kp_point(Scalar(1 << 24), b233.g, b233).pair
+        assert table[4][126] == kp_point(Scalar(127 << 32), b233.g, b233).pair
 
     def test_scalar_checks(self, test8):
         assert fixed_base_multiples([], test8.g, test8) == []
@@ -449,7 +475,7 @@ class TestShippedTables:
     # `_window_table.__wrapped__` reads the shipped rows past the cache,
     # which other tests grow in place
 
-    @pytest.mark.parametrize("name, rows", [("test8", 2), ("b163", 28), ("b233", 40)])
+    @pytest.mark.parametrize("name, rows", [("test8", 2), ("b163", 21), ("b233", 30)])
     def test_shipped_rows_are_a_fresh_build(self, name, rows):
         # the rows that cover every scalar below 2^(m+2), byte for byte
         params = get_curve(name)
@@ -466,12 +492,25 @@ class TestShippedTables:
         g2 = point_add(b233.g, b233.g, b233)
         assert curve._window_table.__wrapped__(g2, dataclasses.replace(b233, g=g2)) == []
 
+    @pytest.mark.parametrize("name", ["test8", "b163", "b233"])
+    def test_largest_covered_scalar_needs_no_new_row(self, name, monkeypatch):
+        # 2^(m+2) - 1, the largest scalar the shipped rows must cover
+        params = get_curve(name)
+        k = (1 << params.field.m + 2) - 1
+        table = curve._window_table.__wrapped__(params.g, params)
+        monkeypatch.setattr(curve, "_window_table", lambda g, params: table)
+        want = kp_point(Scalar(k), params.g, params)
+        assert fixed_base_multiples([k], params.g, params) == [want]
+        assert len(table) == len(curve._signed_digits(k)) == shipped_row_count(params)
+
     def test_scalar_past_the_shipped_rows_extends_them(self, b233, monkeypatch):
-        # 2^240 + 12345 has 41 signed digits: one row past the shipped 40,
-        # which six doublings from the last shipped row start
-        k = (1 << 240) + 12345
+        # the shipped 30 rows reach the digit 128 in every place, the scalar
+        # 128*(256^30 - 1)/255; one more carries into a 31st row, which
+        # eight doublings from the last shipped row start
         table = curve._window_table.__wrapped__(b233.g, b233)
-        assert len(curve._signed_digits(k)) == len(table) + 1
+        k = 128 * (256 ** len(table) - 1) // 255 + 1
+        assert curve._signed_digits(k - 1) == [128] * 30
+        assert curve._signed_digits(k) == [-127] * 30 + [1]
         monkeypatch.setattr(curve, "_window_table", lambda g, params: table)
         want = kp_point(Scalar(k), b233.g, b233)  # which doubles too, so before the spy
         doubled = []
@@ -479,8 +518,8 @@ class TestShippedTables:
         monkeypatch.setattr(curve, "_point_double",
                             lambda p, params: doubled.append(p) or double(p, params))
         assert fixed_base_multiples([k], b233.g, b233) == [want]
-        assert len(table) == 41
-        assert doubled[0] == table[39][-1] and len(doubled) == 6
+        assert len(table) == 31
+        assert doubled[0] == table[29][-1] and len(doubled) == 8
 
     @pytest.mark.parametrize("defect, error", [
         ("missing", OSError), ("truncated", CurveError), ("empty", CurveError),
@@ -489,7 +528,7 @@ class TestShippedTables:
         # a broken install raises; it is never rebuilt
         data = (curve._TABLE_DIR / "window_b233.bin").read_bytes()
         n = 30  # bytes per b233 coordinate
-        row_1 = 64 * n
+        row_1 = 256 * n
         bad = {"truncated": data[:-1], "empty": b"",
                "not_g": data[2 * n:4 * n] + data[2 * n:],  # 2G where G belongs
                # row 1's first x with degree 239

@@ -21,7 +21,13 @@ from kpsca.gf2m import (
     trace,
 )
 
-from helpers import make_test16_curve, mul_shift_xor, rabin_irreducible, trace_mask
+from helpers import (
+    make_test16_curve,
+    mul_shift_xor,
+    rabin_irreducible,
+    reference_halving_tables,
+    trace_mask,
+)
 
 GF8 = FieldSpec(3, 0b1011)  # x^3 + x + 1
 AES = FieldSpec(8, 0x11B)  # x^8 + x^4 + x^3 + x + 1
@@ -255,6 +261,13 @@ class TestHalvingPrimitives:
             c ^= one * trace(spec, c)
             z = solve_quadratic(spec, c)
             assert mul_shift_xor(z, z, poly, m) ^ z == c
+
+    @pytest.mark.parametrize("spec", [AES, TEST16, B163, B233],
+                             ids=["test8", "test16", "b163", "b233"])
+    def test_tables_match_the_every_row_walk(self, spec):
+        # a fresh spec, so the tables are built here, not read from its cache
+        fresh = FieldSpec(spec.m, spec.reduction_poly)
+        assert gf2m._halving_tables(fresh) == reference_halving_tables(spec)
 
     def test_edges(self):
         for spec in (AES, TEST16, B163, B233):

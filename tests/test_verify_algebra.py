@@ -104,7 +104,7 @@ def test_evaluate_matches_reference(data, curve_name):
     matrix = matrix_for(bits, extra)
     pub = data.draw(public_key(params, bits))
     with pytest.MonkeyPatch.context() as mp:
-        calls = count_calls(mp, attack, "fixed_base_multiples")
+        calls = count_calls(mp, attack, "_fixed_base_pairs")
         report = evaluate(matrix, pub=pub, params=params)
     cands = extract_candidates(matrix)
     want = reference_verified(cands, params.g, pub, params)
@@ -217,7 +217,7 @@ def test_weight3_hit_computes_no_weight3_point(monkeypatch, flips):
     parent's (55 at most), no weight-3 point; pub - A takes one more
     addition."""
     args = brute_force_args(flips)
-    adds = count_calls(monkeypatch, attack, "point_add")
+    adds = count_calls(monkeypatch, attack, "_point_add")
     batches = count_calls(monkeypatch, attack, "_add_many", lambda ps, qs, params: len(ps))
     res = brute_force_complete(*args)
     monkeypatch.undo()
@@ -228,10 +228,11 @@ def test_weight3_hit_computes_no_weight3_point(monkeypatch, flips):
 
 
 def combined_inputs(params, bits, suspects, pub):
-    """`_combined_key`'s points and its 4 targets, as `_verify_all` computes them."""
-    step, c_g, *points = fixed_base_multiples(
+    """`_combined_key`'s points and its 4 targets, as `_verify_all` computes
+    them: int pairs."""
+    step, c_g, *points = curve._fixed_base_pairs(
         target_lanes(len(bits)) + flip_lanes(bits, suspects), params.g, params)
-    return points, attack._pair_targets(step, c_g, pub, params)
+    return points, attack._pair_targets(step, c_g, pub.pair, params)
 
 
 @settings(max_examples=80, deadline=None)
@@ -357,10 +358,10 @@ def counted_evaluate(monkeypatch, matrix, pub, params):
 
     def counting_multiples(ks, g, params):
         calls.append(list(ks))
-        return fixed_base_multiples(ks, g, params)
+        return curve._fixed_base_pairs(ks, g, params)
 
     monkeypatch.setattr(curve, "kp_point", no_ladder)
-    monkeypatch.setattr(attack, "fixed_base_multiples", counting_multiples)
+    monkeypatch.setattr(attack, "_fixed_base_pairs", counting_multiples)
     report = evaluate(matrix, pub=pub, params=params)
     monkeypatch.undo()
     return report, calls
@@ -460,12 +461,13 @@ def test_pair_targets_match_three_additions(monkeypatch, nbits):
     special = [step, negate(step), c_g, negate(c_g), point_add(c_g, step, TEST8)]
     assert all(p in pubs for p in special)
     for pub in pubs + [AffinePoint.at_infinity()]:
-        assert attack._pair_targets(step, c_g, pub, TEST8) == three_add_targets(step, c_g, pub,
-                                                                                TEST8)
+        want = three_add_targets(step, c_g, pub, TEST8)
+        assert attack._pair_targets(step.pair, c_g.pair, pub.pair, TEST8) == tuple(
+            tuple(p.pair for p in pair) for pair in want)
     inversions = []
     invert = gf2m.invert
     monkeypatch.setattr(gf2m, "invert", lambda f, a: inversions.append(a) or invert(f, a))
-    attack._pair_targets(step, c_g, pubs[0], TEST8)  # G: no fallback at these lengths
+    attack._pair_targets(step.pair, c_g.pair, pubs[0].pair, TEST8)  # G: no fallback here
     assert len(inversions) == 2
 
 
