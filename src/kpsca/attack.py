@@ -17,18 +17,19 @@ not one per candidate scalar.  For an L-bit candidate c let
 k(c, pb) be its expansion with pre-loop bit pb.  Then
 k(c, 1) = k(c, 0) + 2^L, and the complement c' of c has
 k(c', pb) = C + pb*2^L - k(c, 0) with C = 2^(L+2) + 2^L - 1.  So the
-single point P = k(c, 0)*G settles all four scalars: P equals pub,
-pub - A, C*G - pub or C*G + A - pub (A = 2^L*G) exactly when
-(c, 0), (c, 1), (c', 0) or (c', 1) verifies.  Every multiple of G
-here comes from the fixed-base window table of
+single point P = k(c, 0)*G settles all four scalars: variant
+j = 2*complement + pb, (c, pb) or (c', pb), verifies exactly when P is
+target j, pub - pb*A or C*G - pub + pb*A (A = 2^L*G; `_targets`).
+Every multiple of G here comes from the fixed-base window table of
 `curve.fixed_base_multiples`, which computes many points together, as
 the int pair (x, y) that the group law runs on (`curve._fixed_base_pairs`);
 pub becomes one once it has passed the curve check.  Flipping bit p adds
 +-2^(L-1-p) to every expansion, so brute force gets a flipped subset's
 point by one affine addition from its parent's; once the unflipped point
 misses, a lookup of the parent's point among the targets minus each flip
-delta decides every subset of one or more flips.  Verifying a single
-candidate is brute force with no suspects.
+delta decides every subset of one or more flips (`_flip_search`, for any
+subset of the variants).  Verifying a single candidate is brute force
+with no suspects.
 A pub that is not a point of the curve (or of its field) verifies no
 candidate, and is rejected before any target is derived from it: the
 affine addition is meaningful only on the curve and could turn an
@@ -60,6 +61,7 @@ import numpy as np
 
 from .curve import (
     AffinePoint,
+    CurveError,
     CurveParams,
     Scalar,
     _add_many,
@@ -202,31 +204,23 @@ def expand_candidate(candidate_bits, preloop_bit: int) -> Scalar:
     return Scalar.from_bits((1, preloop_bit) + tuple(candidate_bits))
 
 
-def _pair_targets(step, c_g, pub, params: CurveParams) -> tuple[tuple, tuple]:
-    """Targets for P = k(c, 0)*G, from A = step and C*G: (c, pb) verifies
-    iff P is the first tuple's entry pb, (c', pb) iff P is the second's
-    (see the module docstring); all are int pairs.  pub - A and C*G - pub
-    share one inversion; C*G - pub + A takes a second."""
-    pub_minus_step, c_minus_pub = _add_many([pub, c_g], [_negate(step), _negate(pub)], params)
-    return (
-        (pub, pub_minus_step),
-        (c_minus_pub, _point_add(c_minus_pub, step, params)),
-    )
-
-
-def _combined_key(bits, suspects, points, targets, params: CurveParams) -> Optional[Scalar]:
-    """The scalar that the combined candidate's pair, or the first subset
-    of its suspects flipped, verifies against `_pair_targets`, or None;
-    points are `_flip_lanes(bits, suspects)` times G."""
-    found = _flip_search(bits, suspects, points, [t for pair in targets for t in pair], params)
-    if found is None:
-        return None
-    flipped, j, _ = found
-    complement, pb = divmod(j, 2)
-    return expand_candidate([b ^ complement for b in flipped], pb)
+def _targets(a, c_g, pub, params: CurveParams, variants) -> list:
+    """Target j of each variant j = 2*complement + pb in variants, as int
+    pairs from A = a and C*G: pub - pb*A for (c, pb), C*G - pub + pb*A for
+    (c', pb) (the module docstring).  pub - A and C*G - pub, computed only
+    if a j >= 2 is asked, share one inversion; C*G - pub + A takes a second."""
+    out = {0: pub}
+    firsts = [j for j in (1, 2) if j in variants or j == 2 and 3 in variants]
+    ps, qs = (pub, c_g), (_negate(a), _negate(pub))
+    out.update(zip(firsts, _add_many([ps[j - 1] for j in firsts], [qs[j - 1] for j in firsts],
+                                     params)))
+    if 3 in variants:
+        out[3] = _point_add(out[2], a, params)
+    return [out[j] for j in variants]
 
 
 _FLIP_BIT = bytes.maketrans(b"\0\1", b"\1\0")
+_VARIANTS = range(4)  # (c, 0), (c, 1), (c', 0), (c', 1)
 
 
 def _verify_all(candidates, pub: AffinePoint, params: CurveParams,
@@ -234,15 +228,17 @@ def _verify_all(candidates, pub: AffinePoint, params: CurveParams,
     """Per candidate: does either pre-loop expansion reproduce pub?  Also
     the verifying scalar k*, or None.
 
-    When 2^(L+2) <= n, at most one scalar verifies, and `_combined_key`
-    tries the combined (bits, margins) first, in one call with A = 2^L*G,
-    C*G and the flip deltas of its COMBINED_SUSPECTS least-margin slots.
-    A hit decides every candidate with no pair bookkeeping: candidate i
-    is verified iff its bits are k*'s main-loop bits.  Otherwise every
-    distinct complement pair of bit strings, the combined one left out,
-    gets one point, in extraction order, from one more call (which also
-    computes A and C*G where 2^(L+2) > n).  k* is the expansion of the
-    first verified candidate in list order, pre-loop bit 0 first.
+    When 2^(L+2) <= n, at most one scalar verifies, and `_flip_search`
+    tries the combined (bits, margins) first, against all four variants,
+    in one call with A = 2^L*G, C*G and the flip deltas of its
+    COMBINED_SUSPECTS least-margin slots.  A hit decides every candidate
+    with no pair bookkeeping: candidate i is verified iff its bits are
+    k*'s main-loop bits.  Otherwise every distinct complement pair of bit
+    strings, the combined one left out, gets one point, in extraction
+    order, from one more call (which also computes A and C*G where
+    2^(L+2) > n); its members verify by variants pb and 2 + pb.  k* is
+    the expansion of the first verified candidate in list order,
+    pre-loop bit 0 first.
     """
     verified = np.zeros(len(candidates), dtype=bool)
     if not candidates or not is_on_curve(pub, params):
@@ -254,10 +250,9 @@ def _verify_all(candidates, pub: AffinePoint, params: CurveParams,
     if params.order_hint is not None and (1 << (n + 2)) <= params.order_hint:
         bits, margins = combined
         suspects = sorted(np.argsort(margins, kind="stable")[:COMBINED_SUSPECTS].tolist())
-        step, c_g, *points = _fixed_base_pairs(head + _flip_lanes(bits, suspects),
-                                               params.g, params)
-        targets, head = _pair_targets(step, c_g, pub, params), []
-        key = _combined_key(bits, suspects, points, targets, params)
+        a, c_g, *points = _fixed_base_pairs(head + _flip_lanes(bits, suspects), params)
+        targets, head = _targets(a, c_g, pub, params, _VARIANTS), []
+        key, _ = _flip_search(bits, suspects, points, targets, _VARIANTS, params) or (None, 0)
         if key is not None:
             verified[:] = [c.bits == key.main_loop_bits for c in candidates]
             return verified, key
@@ -271,15 +266,14 @@ def _verify_all(candidates, pub: AffinePoint, params: CurveParams,
             rep = rep.translate(_FLIP_BIT)
         if rep not in skip:
             pairs.setdefault(rep, []).append((i, is_complement))
-    points = _fixed_base_pairs(head + [expand_candidate(rep, 0).value for rep in pairs],
-                               params.g, params)
+    points = _fixed_base_pairs(head + [expand_candidate(rep, 0).value for rep in pairs], params)
     if head:
-        targets = _pair_targets(points[0], points[1], pub, params)
+        targets = _targets(points[0], points[1], pub, params, _VARIANTS)
         points = points[2:]
     matched = {}  # candidate index -> pre-loop bit of its verifying expansion
     for members, point in zip(pairs.values(), points):
         for i, is_complement in members:
-            wanted = targets[is_complement]
+            wanted = targets[2 * is_complement:2 * is_complement + 2]
             if point in wanted:
                 matched[i] = wanted.index(point)
     if not matched:
@@ -305,15 +299,18 @@ def _flip_lanes(bits, positions) -> list[int]:
     return [expand_candidate(bits, 0).value] + [1 << (len(bits) - 1 - p) for p in positions]
 
 
-def _flip_search(bits, positions, points, targets, params: CurveParams, budget=inf):
-    """The first hit in brute-force order as (flipped bits, j, checks), or
-    None if there is none or the walk reached children all of whose checks
-    exceed budget (a hit's checks may exceed it too); points: `_flip_lanes`
-    times G, and targets, as int pairs.
+def _flip_search(bits, positions, points, targets, variants, params: CurveParams, budget=inf):
+    """The first hit in brute-force order as (the scalar it verifies,
+    checks), or None if there is none or the walk reached children all of
+    whose checks exceed budget (a hit's checks may exceed it too); points:
+    `_flip_lanes` times G, and targets: `_targets` of the variants, as int
+    pairs.
 
     Subsets of the positions come by size, then lexicographic, each tried
     against the m targets in order: subset r hits target j, check m*r + j + 1,
-    if k(flipped, 0)*G equals it.  The empty subset's point is compared
+    if k(flipped, 0)*G equals it, and then the hit is the expansion that
+    variants[j] names (the flipped bits, complemented if it is >= 2, with
+    pre-loop bit variants[j] % 2).  The empty subset's point is compared
     directly.  A subset's point is its parent's (without its last index i)
     plus delta_i, and a parent's children are contiguous, so on a miss a
     table of the m*s points T_j - delta_i (one `_add_many`) decides every
@@ -327,7 +324,9 @@ def _flip_search(bits, positions, points, targets, params: CurveParams, budget=i
 
     def hit(subset, j, rank):
         flip = {positions[i] for i in subset}
-        return [b ^ (p in flip) for p, b in enumerate(bits)], j, m * rank + j + 1
+        complement, pb = divmod(variants[j], 2)
+        flipped = [b ^ complement ^ (p in flip) for p, b in enumerate(bits)]
+        return expand_candidate(flipped, pb), m * rank + j + 1
 
     if base in targets:
         return hit((), targets.index(base), 0)
@@ -368,10 +367,14 @@ def brute_force_complete(
     order.  Each (subset, pre-loop bit) scalar tested is one check
     against the budget, however it is decided: one fixed-base call for
     A = 2^L*G, the unflipped candidate and the flip deltas, then
-    `_flip_search` against pub for pre-loop bit 0 and pub - A, computed
-    only if pre-loop bit 1 is tried, for bit 1.  Flipping all of s
-    suspects with a pinned pre-loop bit costs at most 2^s checks.
+    `_flip_search` against the `_targets` of the variants pb (no
+    complement): pub, and pub - A only if pre-loop bit 1 is tried.
+    Flipping all of s suspects with a pinned pre-loop bit costs at most
+    2^s checks.  Verification is against params.g: a different g raises
+    CurveError.
     """
+    if g != params.g:
+        raise CurveError("brute force verifies against params.g; g is another point")
     suspects = sorted(set(int(p) for p in suspect_positions))
     nbits = len(candidate.bits)
     if any(p < 0 or p >= nbits for p in suspects):
@@ -380,17 +383,16 @@ def brute_force_complete(
         raise ValueError(
             f"{len(suspects)} suspects exceed the configured limit {MAX_SUSPECTS}"
         )
-    preloop_bits = tuple(preloop_bits)
+    preloop_bits = tuple(pb & 1 for pb in preloop_bits)
     found = None
     if preloop_bits and is_on_curve(pub, params):
-        step, *points = _fixed_base_pairs(
-            [1 << nbits] + _flip_lanes(candidate.bits, suspects), g, params)
-        targets = [_point_add(pub.pair, _negate(step), params) if pb & 1 else pub.pair
-                   for pb in preloop_bits]
-        found = _flip_search(candidate.bits, suspects, points, targets, params, budget)
-    if found is not None and found[2] <= budget:
-        bits, j, checks = found
-        return BruteForceResult(expand_candidate(bits, preloop_bits[j]), checks, False)
+        a, *points = _fixed_base_pairs([1 << nbits] + _flip_lanes(candidate.bits, suspects),
+                                       params)
+        targets = _targets(a, None, pub.pair, params, preloop_bits)
+        found = _flip_search(candidate.bits, suspects, points, targets, preloop_bits, params,
+                             budget)
+    if found is not None and found[1] <= budget:
+        return BruteForceResult(*found, False)
     # nothing matched before the search ended or the budget ran out
     total = worst_case_checks(len(suspects), len(preloop_bits))
     if total == 0 or budget >= total:

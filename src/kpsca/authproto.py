@@ -52,7 +52,7 @@ class Identity:
         if nbits is None:
             nbits = NOMINAL_SCALAR_BITS[curve_id]
         k = Scalar.random(rng, nbits)
-        pub, = fixed_base_multiples([k.value], params.g, params)
+        pub, = fixed_base_multiples([k.value], params)
         if pub.infinity:
             raise CurveError(
                 "private key is a multiple of the base point's order (public key at infinity)")
@@ -79,7 +79,7 @@ def challenge(
     if not is_on_curve(pub_b, params) or pub_b.infinity:
         raise CurveError("public key is not a valid curve point")
     r = Scalar.random(rng, nbits)
-    R, = fixed_base_multiples([r.value], params.g, params)
+    R, = fixed_base_multiples([r.value], params)
     if R.infinity:
         raise CurveError("challenge scalar r is a multiple of the base point's order (R at infinity)")
     return Challenge(r, R, kp_point(r, pub_b, params))

@@ -297,7 +297,7 @@ def _simulate(args) -> int:
         p = _parse_point(params, point_hex, "point")
     else:
         # random multiple of the base point, guaranteed on-curve
-        p, = fixed_base_multiples([Scalar.random(rng, cfg.scalar_bits).value], params.g, params)
+        p, = fixed_base_multiples([Scalar.random(rng, cfg.scalar_bits).value], params)
     model = _leak_model(cfg)
     _, transcript = kp_multiply(k, p, params)
     schedule = build_schedule(transcript)
@@ -425,7 +425,7 @@ def _bruteforce(args) -> int:
     if pub_hex:
         pub = _parse_point(params, pub_hex, "public key")
     elif trace.ground_truth is not None:
-        pub, = fixed_base_multiples([trace.ground_truth.value], params.g, params)
+        pub, = fixed_base_multiples([trace.ground_truth.value], params)
     else:
         raise ValueError("--pub is required when the trace has no ground truth")
 

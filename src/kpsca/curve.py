@@ -15,10 +15,11 @@ sum their points with it, as a tree whose levels share one inversion
 each (`_lane_sums`).  `fixed_base_multiples` gives every multiple of the
 base point G that the package needs, from a signed base-256 window table
 (Hankerson, Menezes, Vanstone, Guide to Elliptic Curve Cryptography,
-sec. 3.3.1).  The table depends only on G, so for each registered
-curve the package ships its rows for every scalar below 2^(m+2)
-(window_<curve id>.bin, decoded on first use); the table of any other
-base point, and any row past the shipped ones, is built on demand.
+sec. 3.3.1).  G is always the curve's own params.g, and the table
+depends only on it, so for each registered curve the package ships its
+rows for every scalar below 2^(m+2) (window_<curve id>.bin, decoded on
+first use); the table of any other curve, and any row past the shipped
+ones, is built on demand.
 
 The ladder follows the modelled accelerator's bit convention: the
 register initialisation already encodes the most significant scalar
@@ -303,18 +304,6 @@ def _check_ladder_input(p: AffinePoint, params: CurveParams) -> None:
         raise CurveError("x = 0 is degenerate: Z2 would be zero from the start")
 
 
-def _ladder(bits, p: AffinePoint, params: CurveParams):
-    """Ladder on checked input: yield each state with the values of the step
-    that produced it, the initial state first (with None)."""
-    f, x, b = params.field, p.x.value, params.b.value
-    x_tbl, b_tbl = gf2m.product_table(x), gf2m.product_table(b)
-    state = _init_state(p, params)
-    yield state, None
-    for k_i in bits[1:]:
-        state, values = ladder_step(f, state, k_i, x_tbl, b_tbl)
-        yield state, values
-
-
 def kp_multiply(k: Scalar, p: AffinePoint, params: CurveParams) -> tuple[AffinePoint, LadderTranscript]:
     """Full kP with an execution transcript for the leakage simulator.
 
@@ -323,23 +312,26 @@ def kp_multiply(k: Scalar, p: AffinePoint, params: CurveParams) -> tuple[AffineP
     is wanted.  [k]P is still correct for oversized k.
     """
     _check_ladder_input(p, params)
-    states, steps = zip(*_ladder(k.bits, p, params))
+    x_tbl, b_tbl = gf2m.product_table(p.x.value), gf2m.product_table(params.b.value)
+    states, steps = [_init_state(p, params)], []
+    for k_i in k.bits[1:]:
+        state, values = ladder_step(params.field, states[-1], k_i, x_tbl, b_tbl)
+        states.append(state)
+        steps.append(values)
     result = ladder_finalize(states[-1], p)
     if not is_on_curve(result, params):
         raise CurveError("ladder produced an off-curve point")
-    return result, LadderTranscript(params, k, p, states, steps[1:], result)
+    return result, LadderTranscript(params, k, p, tuple(states), tuple(steps), result)
 
 
 def kp_point(k: Scalar, p: AffinePoint, params: CurveParams) -> AffinePoint:
     """kP for a variable base point P (multiples of G: `fixed_base_multiples`) by
     halve-and-add where #E = 2n for an odd n = order_hint (`CurveParams._halving_order`),
-    else by the ladder, untraced.  Like the ladder, it rejects x = 0."""
-    _check_ladder_input(p, params)
+    else by `kp_multiply`, its transcript dropped.  Like the ladder, it rejects x = 0."""
     n = params._halving_order
     if n is None:
-        for state, _ in _ladder(k.bits, p, params):  # keeps only the current state
-            pass
-        return ladder_finalize(state, p)
+        return kp_multiply(k, p, params)[0]
+    _check_ladder_input(p, params)
     f = params.field
     if gf2m.trace(f, p.x.value) == gf2m.trace(f, params.a.value):  # P in 2E = <G>
         return AffinePoint.from_pair(f, _halve_and_add(k.value, p.pair, params, n))
@@ -486,21 +478,22 @@ def _signed_digits(k: int) -> list[int]:
 
 
 @functools.lru_cache(maxsize=16)
-def _window_table(g: AffinePoint, params: CurveParams) -> list[tuple]:
-    """The window table of base point g, cached by value and grown in place
-    by `_extend_table`: row i holds the int pairs of d*256^i*G for d = 1..128.
+def _window_table(params: CurveParams) -> list[tuple]:
+    """The window table of params.g, cached by the curve's value and grown in
+    place by `_extend_table`: row i holds the int pairs of d*256^i*G for
+    d = 1..128.
 
     A registered curve's table starts from the rows the package ships
     (`_shipped_rows`), with no field arithmetic: its base point was
     checked when the registry built the curve, so the first multiple of G
     in a process does the same field work as any later one.  Any other
-    base point is checked as a ladder input is, and its table starts
-    empty.
+    curve, a registered one with another base point included, has its
+    base point checked as a ladder input is, and its table starts empty.
     """
     for name, registered in _REGISTRY.items():
-        if params == registered and g == registered.g:
+        if params == registered:
             return _shipped_rows(name, params)
-    _check_ladder_input(g, params)
+    _check_ladder_input(params.g, params)
     return []
 
 
@@ -534,8 +527,8 @@ def _shipped_rows(name: str, params: CurveParams) -> list[tuple]:
     return [tuple(pairs[i:i + 128]) for i in range(0, len(pairs), 128)]
 
 
-def _extend_table(table: list, rows: int, g: AffinePoint, params: CurveParams) -> None:
-    """Append rows until the table has `rows` of them.
+def _extend_table(table: list, rows: int, params: CurveParams) -> None:
+    """Append rows to params.g's window table until it has `rows` of them.
 
     A doubling chain gives each row's power-of-two columns.  Every other
     column d is column d - low plus column low, low being d's lowest set
@@ -543,7 +536,7 @@ def _extend_table(table: list, rows: int, g: AffinePoint, params: CurveParams) -
     """
     if rows <= len(table):
         return
-    chain = [_point_double(table[-1][-1], params) if table else g.pair]
+    chain = [_point_double(table[-1][-1], params) if table else params.g.pair]
     for _ in range(8 * (rows - len(table)) - 1):
         chain.append(_point_double(chain[-1], params))
     new = [{1 << j: chain[8 * n + j] for j in range(8)} for n in range(rows - len(table))]
@@ -556,20 +549,20 @@ def _extend_table(table: list, rows: int, g: AffinePoint, params: CurveParams) -
     table.extend(tuple(row[d] for d in range(1, 129)) for row in new)
 
 
-def fixed_base_multiples(ks, g: AffinePoint, params: CurveParams) -> list[AffinePoint]:
-    """The points k*G for a list of scalars k >= 1, computed together
-    (`_fixed_base_pairs`)."""
-    return [AffinePoint.from_pair(params.field, p) for p in _fixed_base_pairs(ks, g, params)]
+def fixed_base_multiples(ks, params: CurveParams) -> list[AffinePoint]:
+    """The points k*G, G = params.g, for a list of scalars k >= 1, computed
+    together (`_fixed_base_pairs`)."""
+    return [AffinePoint.from_pair(params.field, p) for p in _fixed_base_pairs(ks, params)]
 
 
-def _fixed_base_pairs(ks, g: AffinePoint, params: CurveParams) -> list:
+def _fixed_base_pairs(ks, params: CurveParams) -> list:
     """`fixed_base_multiples` as int pairs.
 
     Each k is written in signed base-256 digits and is never reduced
     modulo the group order.  A lane starts as the terms d_i*256^i*G of
-    its nonzero digits (row i of g's window table at |d_i|, negated for
+    its nonzero digits (row i of G's window table at |d_i|, negated for
     a negative digit): at most 30 for a 232-bit k, so `_lane_sums` adds
-    them in 5 levels.  g's table (`_window_table`) is extended to the
+    them in 5 levels.  G's table (`_window_table`) is extended to the
     longest scalar seen.
     """
     digits = []
@@ -577,9 +570,8 @@ def _fixed_base_pairs(ks, g: AffinePoint, params: CurveParams) -> list:
         if k < 1:
             raise CurveError("scalar must be >= 1")
         digits.append(_signed_digits(k))
-    table = _window_table(g, params)
-    rows = max(map(len, digits), default=0)
-    _extend_table(table, rows, g, params)
+    table = _window_table(params)
+    _extend_table(table, max(map(len, digits), default=0), params)
     return _lane_sums([[row[d - 1] if d > 0 else _negate(row[-d - 1])
                         for row, d in zip(table, ds) if d] for ds in digits], params)
 

@@ -242,7 +242,7 @@ def write_shipped_tables() -> None:
     for name in curve.CURVE_IDS:
         params = get_curve(name)
         rows = []
-        curve._extend_table(rows, shipped_row_count(params), params.g, params)
+        curve._extend_table(rows, shipped_row_count(params), params)
         (curve._TABLE_DIR / f"window_{name}.bin").write_bytes(encode_window_rows(rows, params))
 
 
@@ -314,13 +314,15 @@ def reference_brute_force(candidate, suspect_positions, g, pub, params,
 
 
 def reference_flip_search(bits, suspects, points, targets, params):
-    """attack._combined_key by the per-subset walk: every subset reached,
-    in brute-force order, gets its point by one point_add from its parent's
-    and is compared with each target; points are k(bits, 0)*G and the
-    suspects' flip deltas, targets the nested pairs of _pair_targets, all
-    as int pairs."""
+    """The scalar of attack._flip_search over all four variants, by the
+    per-subset walk: every subset reached, in brute-force order, gets its
+    point by one point_add from its parent's and is compared with each
+    target; points are k(bits, 0)*G and the suspects' flip deltas, targets
+    the four of attack._targets, target j = 2*complement + pb, all as int
+    pairs."""
     points = [AffinePoint.from_pair(params.field, p) for p in points]
-    targets = [[AffinePoint.from_pair(params.field, p) for p in pair] for pair in targets]
+    targets = [[AffinePoint.from_pair(params.field, p) for p in targets[s:s + 2]]
+               for s in (0, 2)]
     base, *steps = points
     deltas = [negate(d) if bits[p] & 1 else d for p, d in zip(suspects, steps)]
     pending = deque([((), base)])  # (suspect indices, parent's point)

@@ -437,12 +437,12 @@ class TestVerificationB233:
         params, k, _, _, schedule = b233_run
         trace = synthesize_trace(schedule, LeakModel(noise_sigma=sigma, rng_seed=9))
         matrix = segment_trace(trace, k.bit_length - 2)
-        pub, = fixed_base_multiples([k.value], params.g, params)
+        pub, = fixed_base_multiples([k.value], params)
         calls = []
 
-        def counting_multiples(ks, g, params):
+        def counting_multiples(ks, params):
             calls.append(list(ks))
-            return curve._fixed_base_pairs(ks, g, params)
+            return curve._fixed_base_pairs(ks, params)
 
         monkeypatch.setattr(attack, "_fixed_base_pairs", counting_multiples)
         report = attack.evaluate(matrix, pub=pub, params=params)
@@ -486,7 +486,7 @@ class TestVerificationB233:
             return mean_slot(m)
 
         monkeypatch.setattr(attack, "mean_slot", counting_mean)
-        pub, = fixed_base_multiples([k.value], params.g, params)
+        pub, = fixed_base_multiples([k.value], params)
         report = attack.evaluate(matrix, k.main_loop_bits, pub=pub, params=params)
         assert len(calls) == 1
         assert report.key == k

@@ -110,13 +110,13 @@ def test_tracer_counts_verification_arithmetic():
     pub = curve.kp_point(Scalar(91), params.g, params)
     # base-256 digits (3, 2, 1) and (6, 5, 4): two tree levels in both lanes
     ks = [3 + (2 << 8) + (1 << 16), 6 + (5 << 8) + (4 << 16)]
-    curve.fixed_base_multiples(ks, params.g, params)  # the table rows, ready untraced
+    curve.fixed_base_multiples(ks, params)  # the table rows, ready untraced
     tracer = TRACING.Tracer(paper_cycles=None)
     tracer.install()
     try:
         report = attack.evaluate(matrix, pub=pub, params=params)
         during_evaluate = tracer.layer_totals([TRACING.SETUP_OP])
-        curve.fixed_base_multiples(ks, params.g, params)
+        curve.fixed_base_multiples(ks, params)
     finally:
         tracer.uninstall()
     assert report.verified.any()

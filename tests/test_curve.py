@@ -345,7 +345,7 @@ class TestFixedBaseMultiples:
     def test_exhaustive_test8(self):
         params = get_curve("test8")
         ks = range(1, 4096)
-        got = fixed_base_multiples(ks, params.g, params)
+        got = fixed_base_multiples(ks, params)
         assert len(got) == len(ks)
         for k, point in zip(ks, got):
             assert point == kp_point(Scalar(k), params.g, params)
@@ -358,7 +358,7 @@ class TestFixedBaseMultiples:
         params = FIXED_BASE_CURVES[name]
         ks = data.draw(st.lists(fixed_base_scalar(params), min_size=1, max_size=4))
         want = [kp_point(Scalar(k), params.g, params) for k in ks]
-        assert fixed_base_multiples(ks, params.g, params) == want
+        assert fixed_base_multiples(ks, params) == want
 
     def test_equal_x_fallback(self, test8, monkeypatch):
         # 65723 has the digits (-69, 1, 1): the tree's first level sums
@@ -375,10 +375,10 @@ class TestFixedBaseMultiples:
 
         ks = [65723, 65760, 91]
         assert [curve._signed_digits(k) for k in ks] == [[-69, 1, 1], [-32, 1, 1], [91]]
-        fixed_base_multiples(ks, test8.g, test8)  # the table rows, ready unspied
+        fixed_base_multiples(ks, test8)  # the table rows, ready unspied
         add = curve._point_add
         monkeypatch.setattr(curve, "_point_add", spy)
-        got = fixed_base_multiples(ks, test8.g, test8)
+        got = fixed_base_multiples(ks, test8)
         assert sorted(equal_x) == ["double", "opposite"]
         assert got == [kp_point(Scalar(k), test8.g, test8) for k in ks]
         assert got[1].infinity
@@ -392,7 +392,7 @@ class TestFixedBaseMultiples:
         # two; a carry out of the top byte adds a row of digit 1
         assert curve._signed_digits(k) == digits
         assert sum(d << 8 * i for i, d in enumerate(digits)) == k
-        assert fixed_base_multiples([k], b233.g, b233) == [kp_point(Scalar(k), b233.g, b233)]
+        assert fixed_base_multiples([k], b233) == [kp_point(Scalar(k), b233.g, b233)]
 
     def test_one_inversion_per_tree_level(self, b233, monkeypatch):
         # a lane of n nonzero digits sums in ceil(log2 n) levels, one
@@ -405,14 +405,14 @@ class TestFixedBaseMultiples:
         deep += rng.randint(1, 128) << 8 * 29
         assert all(curve._signed_digits(deep)) and len(curve._signed_digits(deep)) == 30
         want = [kp_point(Scalar(v), b233.g, b233) for v in (k, deep)]
-        fixed_base_multiples([k], b233.g, b233)  # loads the table
+        fixed_base_multiples([k], b233)  # loads the table
         inverted = []
         invert = gf2m.invert
         monkeypatch.setattr(gf2m, "invert", lambda f, a: inverted.append(a) or invert(f, a))
-        assert fixed_base_multiples([k], b233.g, b233) == want[:1]
+        assert fixed_base_multiples([k], b233) == want[:1]
         assert 17 <= n <= 30 and len(inverted) == (n - 1).bit_length() == 5
         del inverted[:]
-        assert fixed_base_multiples([deep], b233.g, b233) == want[1:]
+        assert fixed_base_multiples([deep], b233) == want[1:]
         assert len(inverted) == 5
 
     def test_lanes_of_unequal_depth(self, b233):
@@ -425,13 +425,13 @@ class TestFixedBaseMultiples:
         deep = sum(d << 8 * i for i, d in enumerate(digits))
         assert curve._signed_digits(deep) == digits
         ks = [5, deep, 1]
-        assert fixed_base_multiples(ks, b233.g, b233) == [kp_point(Scalar(k), b233.g, b233)
-                                                         for k in ks]
+        assert fixed_base_multiples(ks, b233) == [kp_point(Scalar(k), b233.g, b233)
+                                                  for k in ks]
 
     def test_table_shared_by_value_and_grown(self, test8):
-        table = curve._window_table(test8.g, test8)
-        assert curve._window_table(get_curve("test8").g, get_curve("test8")) is table
-        fixed_base_multiples([1 << 120], test8.g, test8)
+        table = curve._window_table(test8)
+        assert curve._window_table(get_curve("test8")) is table
+        fixed_base_multiples([1 << 120], test8)
         assert len(table) >= 16
         for i, row in enumerate(table[:16]):
             assert row == tuple(kp_point(Scalar(d << 8 * i), test8.g, test8).pair
@@ -443,7 +443,7 @@ class TestFixedBaseMultiples:
         # rows pass its order
         params = FIXED_BASE_CURVES[name]
         table = []
-        curve._extend_table(table, rows, params.g, params)
+        curve._extend_table(table, rows, params)
         assert len(table) == rows
         for i, row in enumerate(table):
             assert row == tuple(kp_point(Scalar(d << 8 * i), params.g, params).pair
@@ -457,18 +457,18 @@ class TestFixedBaseMultiples:
         invert = gf2m.invert
         monkeypatch.setattr(gf2m, "invert", lambda f, a: inverted.append(a) or invert(f, a))
         table = []
-        curve._extend_table(table, 3, b233.g, b233)
+        curve._extend_table(table, 3, b233)
         assert len(inverted) == 8 * 3 - 1 + 6
         del inverted[:]
-        curve._extend_table(table, 5, b233.g, b233)
+        curve._extend_table(table, 5, b233)
         assert len(inverted) == 8 * 2 + 6
         assert table[3][0] == kp_point(Scalar(1 << 24), b233.g, b233).pair
         assert table[4][126] == kp_point(Scalar(127 << 32), b233.g, b233).pair
 
     def test_scalar_checks(self, test8):
-        assert fixed_base_multiples([], test8.g, test8) == []
+        assert fixed_base_multiples([], test8) == []
         with pytest.raises(CurveError):
-            fixed_base_multiples([5, 0], test8.g, test8)
+            fixed_base_multiples([5, 0], test8)
 
 
 class TestShippedTables:
@@ -481,43 +481,43 @@ class TestShippedTables:
         params = get_curve(name)
         assert shipped_row_count(params) == rows
         built = []
-        curve._extend_table(built, rows, params.g, params)
+        curve._extend_table(built, rows, params)
         assert (curve._TABLE_DIR / f"window_{name}.bin").read_bytes() == encode_window_rows(
             built, params)
-        assert curve._window_table.__wrapped__(params.g, params) == built
+        assert curve._window_table.__wrapped__(params) == built
 
     def test_other_base_points_start_empty(self, b233):
         test16 = FIXED_BASE_CURVES["test16"]
-        assert curve._window_table.__wrapped__(test16.g, test16) == []
+        assert curve._window_table.__wrapped__(test16) == []
         g2 = point_add(b233.g, b233.g, b233)
-        assert curve._window_table.__wrapped__(g2, dataclasses.replace(b233, g=g2)) == []
+        assert curve._window_table.__wrapped__(dataclasses.replace(b233, g=g2)) == []
 
     @pytest.mark.parametrize("name", ["test8", "b163", "b233"])
     def test_largest_covered_scalar_needs_no_new_row(self, name, monkeypatch):
         # 2^(m+2) - 1, the largest scalar the shipped rows must cover
         params = get_curve(name)
         k = (1 << params.field.m + 2) - 1
-        table = curve._window_table.__wrapped__(params.g, params)
-        monkeypatch.setattr(curve, "_window_table", lambda g, params: table)
+        table = curve._window_table.__wrapped__(params)
+        monkeypatch.setattr(curve, "_window_table", lambda params: table)
         want = kp_point(Scalar(k), params.g, params)
-        assert fixed_base_multiples([k], params.g, params) == [want]
+        assert fixed_base_multiples([k], params) == [want]
         assert len(table) == len(curve._signed_digits(k)) == shipped_row_count(params)
 
     def test_scalar_past_the_shipped_rows_extends_them(self, b233, monkeypatch):
         # the shipped 30 rows reach the digit 128 in every place, the scalar
         # 128*(256^30 - 1)/255; one more carries into a 31st row, which
         # eight doublings from the last shipped row start
-        table = curve._window_table.__wrapped__(b233.g, b233)
+        table = curve._window_table.__wrapped__(b233)
         k = 128 * (256 ** len(table) - 1) // 255 + 1
         assert curve._signed_digits(k - 1) == [128] * 30
         assert curve._signed_digits(k) == [-127] * 30 + [1]
-        monkeypatch.setattr(curve, "_window_table", lambda g, params: table)
+        monkeypatch.setattr(curve, "_window_table", lambda params: table)
         want = kp_point(Scalar(k), b233.g, b233)  # which doubles too, so before the spy
         doubled = []
         double = curve._point_double
         monkeypatch.setattr(curve, "_point_double",
                             lambda p, params: doubled.append(p) or double(p, params))
-        assert fixed_base_multiples([k], b233.g, b233) == [want]
+        assert fixed_base_multiples([k], b233) == [want]
         assert len(table) == 31
         assert doubled[0] == table[29][-1] and len(doubled) == 8
 
@@ -537,7 +537,7 @@ class TestShippedTables:
             (tmp_path / "window_b233.bin").write_bytes(bad[defect])
         monkeypatch.setattr(curve, "_TABLE_DIR", tmp_path)
         with pytest.raises(error):
-            curve._window_table.__wrapped__(b233.g, b233)
+            curve._window_table.__wrapped__(b233)
 
 
 def ladder_params(params: CurveParams) -> CurveParams:
@@ -630,7 +630,7 @@ class TestKpPointHalving:
         n, m = params.order_hint, params.field.m
         t2 = two_torsion(params)
         assert is_on_curve(t2, params)
-        p_in, = fixed_base_multiples([rng.getrandbits(m)], params.g, params)
+        p_in, = fixed_base_multiples([rng.getrandbits(m)], params)
         p_out = point_add(p_in, t2, params)
         assert not in_subgroup(p_out, params)
         ks = [1, 2, n - 1, n, n + 1, 2 * n, 2 * n + 1, rng.getrandbits(m - 1) | 1,

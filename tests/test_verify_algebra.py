@@ -214,8 +214,8 @@ def test_weight3_hit_computes_no_weight3_point(monkeypatch, flips):
     24-point table is built, and from then on a subset is decided by its
     parent's point.  A weight-3 hit computes the 11 weight-1 points that
     have children and the weight-2 points that have children up to its
-    parent's (55 at most), no weight-3 point; pub - A takes one more
-    addition."""
+    parent's (55 at most), no weight-3 point; pub - A takes a batch of
+    one pair before the table."""
     args = brute_force_args(flips)
     adds = count_calls(monkeypatch, attack, "_point_add")
     batches = count_calls(monkeypatch, attack, "_add_many", lambda ps, qs, params: len(ps))
@@ -223,16 +223,22 @@ def test_weight3_hit_computes_no_weight3_point(monkeypatch, flips):
     monkeypatch.undo()
     assert res.key == KEY14 and res.checks == 2 * BRUTE_ORDER.index(flips) + 1 + KEY14.bits[1]
     parents = [c for c in itertools.combinations(range(12), 2) if c[-1] < 11]
-    assert batches == [24]
-    assert len(adds) == 1 + 11 + parents.index(flips[:2]) + 1 <= 1 + 66
+    assert batches == [1, 24]
+    assert len(adds) == 11 + parents.index(flips[:2]) + 1 <= 66
 
 
 def combined_inputs(params, bits, suspects, pub):
-    """`_combined_key`'s points and its 4 targets, as `_verify_all` computes
-    them: int pairs."""
-    step, c_g, *points = curve._fixed_base_pairs(
-        target_lanes(len(bits)) + flip_lanes(bits, suspects), params.g, params)
-    return points, attack._pair_targets(step, c_g, pub.pair, params)
+    """The combined search's points and the targets of its 4 variants, as
+    `_verify_all` computes them: int pairs."""
+    a, c_g, *points = curve._fixed_base_pairs(
+        target_lanes(len(bits)) + flip_lanes(bits, suspects), params)
+    return points, attack._targets(a, c_g, pub.pair, params, range(4))
+
+
+def combined_key(bits, suspects, points, targets, params):
+    """The scalar that `attack._flip_search` over all 4 variants finds, or None."""
+    found = attack._flip_search(bits, suspects, points, targets, range(4), params)
+    return None if found is None else found[0]
 
 
 @settings(max_examples=80, deadline=None)
@@ -253,7 +259,7 @@ def test_combined_key_matches_reference_flip_search(data, curve_name):
     bits = flipped(truth, flips)
     pub = data.draw(public_key(params, truth).filter(lambda p: is_on_curve(p, params)))
     points, targets = combined_inputs(params, bits, suspects, pub)
-    assert (attack._combined_key(bits, suspects, points, targets, params)
+    assert (combined_key(bits, suspects, points, targets, params)
             == reference_flip_search(bits, suspects, points, targets, params))
 
 
@@ -267,7 +273,7 @@ def test_combined_hit_builds_at_most_one_batch(monkeypatch, flips):
     pub = kp_point(expand_candidate(KEY12, 1), TEST16.g, TEST16)
     points, targets = combined_inputs(TEST16, bits, suspects, pub)
     batches = count_calls(monkeypatch, attack, "_add_many", lambda ps, qs, params: len(ps))
-    key = attack._combined_key(bits, suspects, points, targets, TEST16)
+    key = combined_key(bits, suspects, points, targets, TEST16)
     monkeypatch.undo()
     assert key == reference_flip_search(bits, suspects, points, targets, TEST16)
     assert key == expand_candidate(KEY12, 1)
@@ -356,9 +362,9 @@ def counted_evaluate(monkeypatch, matrix, pub, params):
     def no_ladder(k, p, params):
         raise AssertionError("verification ran a ladder")
 
-    def counting_multiples(ks, g, params):
+    def counting_multiples(ks, params):
         calls.append(list(ks))
-        return curve._fixed_base_pairs(ks, g, params)
+        return curve._fixed_base_pairs(ks, params)
 
     monkeypatch.setattr(curve, "kp_point", no_ladder)
     monkeypatch.setattr(attack, "_fixed_base_pairs", counting_multiples)
@@ -442,33 +448,38 @@ def test_rule_skipped_when_order_is_small(monkeypatch):
 
 
 def three_add_targets(step, c_g, pub, params):
-    """`attack._pair_targets` as three `point_add`s, one inversion each."""
+    """`attack._targets` of the 4 variants as three `point_add`s, one inversion each."""
     c_minus_pub = point_add(c_g, negate(pub), params)
-    return ((pub, point_add(pub, negate(step), params)),
-            (c_minus_pub, point_add(c_minus_pub, step, params)))
+    return [pub, point_add(pub, negate(step), params),
+            c_minus_pub, point_add(c_minus_pub, step, params)]
 
 
 @pytest.mark.parametrize("nbits", [2, 5, 8])
 def test_pair_targets_match_three_additions(monkeypatch, nbits):
-    """The targets, pub - A and C*G - pub sharing one inversion, equal three
+    """The targets of the 4 variants, pub - A and C*G - pub sharing one
+    inversion, and those of brute force's pre-loop bits (no C*G), equal
     separate additions for every pub in <G> on test8, infinity included,
     and so through `_add_many`'s infinity and equal-x fallbacks."""
     step, c_g = fixed_base_multiples([1 << nbits, (1 << (nbits + 2)) + (1 << nbits) - 1],
-                                     TEST8.g, TEST8)
-    pubs = fixed_base_multiples(range(1, TEST8.order_hint), TEST8.g, TEST8)
+                                     TEST8)
+    pubs = fixed_base_multiples(range(1, TEST8.order_hint), TEST8)
     # pub - A at infinity or a doubling, C*G - pub at infinity or a
     # doubling, C*G - pub + A at infinity
     special = [step, negate(step), c_g, negate(c_g), point_add(c_g, step, TEST8)]
     assert all(p in pubs for p in special)
     for pub in pubs + [AffinePoint.at_infinity()]:
-        want = three_add_targets(step, c_g, pub, TEST8)
-        assert attack._pair_targets(step.pair, c_g.pair, pub.pair, TEST8) == tuple(
-            tuple(p.pair for p in pair) for pair in want)
+        want = [p.pair for p in three_add_targets(step, c_g, pub, TEST8)]
+        assert attack._targets(step.pair, c_g.pair, pub.pair, TEST8, range(4)) == want
+        for variants in [(0,), (1,), (0, 1), (1, 0)]:
+            assert (attack._targets(step.pair, None, pub.pair, TEST8, variants)
+                    == [want[j] for j in variants])
     inversions = []
     invert = gf2m.invert
     monkeypatch.setattr(gf2m, "invert", lambda f, a: inversions.append(a) or invert(f, a))
-    attack._pair_targets(step.pair, c_g.pair, pubs[0].pair, TEST8)  # G: no fallback here
-    assert len(inversions) == 2
+    for c_g_pair, variants, count in [(c_g.pair, range(4), 2), (None, (0, 1), 1)]:
+        del inversions[:]
+        attack._targets(step.pair, c_g_pair, pubs[0].pair, TEST8, variants)  # G: no fallback
+        assert len(inversions) == count
 
 
 # 12-bit keys on test16: 2^14 <= n, and the flip search covers 8 of 12 slots
@@ -565,6 +576,19 @@ def two_torsion_point(params):
     point = AffinePoint(params.field.element(0), params.field.element(y))
     assert is_on_curve(point, params)
     return point
+
+
+def test_brute_force_takes_g_positionally():
+    """g passed positionally, as the benchmark passes it: params.g gives the
+    reference's result, and another valid base point, 2G, raises instead of
+    being ignored."""
+    cand, suspects, g, pub, params = brute_force_args((3, 10))
+    assert (brute_force_complete(cand, suspects, g, pub, params)
+            == reference_brute_force(cand, suspects, g, pub, params))
+    g2 = point_add(g, g, params)
+    assert is_on_curve(g2, params) and g2 != g
+    with pytest.raises(CurveError):
+        brute_force_complete(cand, suspects, g2, pub, params)
 
 
 @pytest.mark.parametrize("g", [AffinePoint.at_infinity(), off_curve_twin(TEST8.g, TEST8),
