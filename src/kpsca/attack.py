@@ -4,7 +4,10 @@ From a single segmented trace the attack computes the mean slot shape
 and, for every sample index j, classifies each slot by comparing its
 j-th value against the mean.  Each (sample index, polarity) pair yields
 one full key-bit candidate; both polarities are emitted because the
-physical sign of the leakage is device-dependent.
+physical sign of the leakage is device-dependent.  The candidates stay
+one (L, 2 * slot_len) bit matrix, a column per candidate
+(`KeyCandidates`): scoring, verification and the report read columns,
+and a `KeyCandidate` object is built only where one is indexed.
 
 With known ground truth a candidate is scored by its relative
 correctness (fraction of main-loop bits it gets right); without it,
@@ -42,8 +45,9 @@ sums the sign-aligned, standardized columns of the cycles that the
 label-free `separation_scores` ranks highest (the non-profiled
 clustering of Heyszl et al., CARDIS 2013), then by flipping its
 least-margin bits as brute force does.  A hit decides the candidates
-by comparing their bits with k*'s; a miss, or 2^(L+2) > n (test8,
-233-bit scalars on B-233), computes every other pair in one call.
+by one comparison of the matrix's columns with k*'s bits; a miss, or
+2^(L+2) > n (test8, 233-bit scalars on B-233), computes every other
+pair, found from the packed columns, in one call.
 
 Welch's two-sample t-test over the '0'-labelled and '1'-labelled slots
 is included as the designer-side leakage assessment.
@@ -51,8 +55,8 @@ is included as the designer-side leakage assessment.
 
 from __future__ import annotations
 
-import csv
 import enum
+from collections.abc import Sequence
 from dataclasses import dataclass
 from math import inf
 from typing import Optional
@@ -73,6 +77,8 @@ from .curve import (
 
 
 class Polarity(enum.Enum):
+    """How a slot reads below the mean; the members are in extraction order."""
+
     SMALLER_IS_ONE = "smaller_is_one"
     SMALLER_IS_ZERO = "smaller_is_zero"
 
@@ -93,7 +99,7 @@ def mean_slot(slots: np.ndarray) -> np.ndarray:
     return slots.mean(axis=0)
 
 
-_POLARITIES = (Polarity.SMALLER_IS_ONE, Polarity.SMALLER_IS_ZERO)  # extraction order
+_POLARITIES = tuple(Polarity)  # extraction order
 
 
 def _candidate_bits(slots: np.ndarray, mean: np.ndarray) -> np.ndarray:
@@ -110,17 +116,46 @@ def _candidate_bits(slots: np.ndarray, mean: np.ndarray) -> np.ndarray:
     return np.concatenate([smaller, ~smaller], axis=1)
 
 
+class KeyCandidates(Sequence):
+    """The candidates of one slot matrix, in extraction order: a read-only
+    sequence over their bit matrix `bits`, (L, 2 * slot_len) bools that
+    cannot be written.
+
+    Column c is the candidate at sample index c % slot_len under polarity
+    `_POLARITIES[c // slot_len]`.  Indexing or iterating builds
+    `KeyCandidate`s, with bits as a tuple of ints; nothing else does.
+    """
+
+    def __init__(self, bits: np.ndarray):
+        bits.flags.writeable = False
+        self.bits = bits
+
+    def __len__(self) -> int:
+        return self.bits.shape[1]
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [self[c] for c in range(len(self))[index]]
+        c = range(len(self))[index]  # a negative index counts from the end
+        return self._candidate(c, self.bits[:, c].view(np.uint8).tolist())
+
+    def __iter__(self):
+        for c, bits in enumerate(self.bits.T.view(np.uint8).tolist()):
+            yield self._candidate(c, bits)
+
+    def _candidate(self, c: int, bits: list[int]) -> KeyCandidate:
+        width = len(self) // 2
+        return KeyCandidate(tuple(bits), c % width, _POLARITIES[c // width])
+
+
 def extract_candidates(slots: np.ndarray,
-                       mean: Optional[np.ndarray] = None) -> list[KeyCandidate]:
+                       mean: Optional[np.ndarray] = None) -> KeyCandidates:
     """One candidate per (sample index, polarity): 2 * slot_len in total,
     classified by `_candidate_bits` against the mean slot (computed here
-    if not given)."""
+    if not given), as the columns of one bit matrix."""
     if mean is None:
         mean = mean_slot(slots)
-    width = slots.shape[1]
-    columns = _candidate_bits(slots, mean).T.astype(np.int64).tolist()
-    return [KeyCandidate(tuple(bits), c % width, _POLARITIES[c // width])
-            for c, bits in enumerate(columns)]
+    return KeyCandidates(_candidate_bits(slots, mean))
 
 
 def separation_scores(slots: np.ndarray,
@@ -219,69 +254,71 @@ def _targets(a, c_g, pub, params: CurveParams, variants) -> list:
     return [out[j] for j in variants]
 
 
-_FLIP_BIT = bytes.maketrans(b"\0\1", b"\1\0")
 _VARIANTS = range(4)  # (c, 0), (c, 1), (c', 0), (c', 1)
 
 
-def _verify_all(candidates, pub: AffinePoint, params: CurveParams,
+def _verify_all(bits: np.ndarray, pub: AffinePoint, params: CurveParams,
                 combined) -> tuple[np.ndarray, Optional[Scalar]]:
-    """Per candidate: does either pre-loop expansion reproduce pub?  Also
-    the verifying scalar k*, or None.
+    """Per column of the (L, 2 * slot_len) candidate bit matrix: does either
+    pre-loop expansion of the candidate reproduce pub?  Also the verifying
+    scalar k*, or None.
 
     When 2^(L+2) <= n, at most one scalar verifies, and `_flip_search`
     tries the combined (bits, margins) first, against all four variants,
     in one call with A = 2^L*G, C*G and the flip deltas of its
     COMBINED_SUSPECTS least-margin slots.  A hit decides every candidate
-    with no pair bookkeeping: candidate i is verified iff its bits are
-    k*'s main-loop bits.  Otherwise every distinct complement pair of bit
-    strings, the combined one left out, gets one point, in extraction
-    order, from one more call (which also computes A and C*G where
-    2^(L+2) > n); its members verify by variants pb and 2 + pb.  k* is
-    the expansion of the first verified candidate in list order,
-    pre-loop bit 0 first.
+    with no pair bookkeeping: column c is verified iff it equals k*'s
+    main-loop bits.  Otherwise every distinct complement pair of columns,
+    the combined one left out, gets one point, in extraction order of
+    first occurrence, from one more call (which also computes A and C*G
+    where 2^(L+2) > n); its members verify by variants pb and 2 + pb.  A
+    pair is keyed by the packed bytes of its member that starts with 0,
+    c, whose lane k(c, 0) is 2^(L+1) plus those bits read as a number.
+    k* is the expansion of the first verified column, pre-loop bit 0 first.
     """
-    verified = np.zeros(len(candidates), dtype=bool)
-    if not candidates or not is_on_curve(pub, params):
+    n, count = bits.shape
+    verified = np.zeros(count, dtype=bool)
+    if not count or not is_on_curve(pub, params):
         return verified, None
     pub = pub.pair
-    n = len(candidates[0].bits)  # one slot matrix: every candidate has L bits
     head = [1 << n, (1 << (n + 2)) + (1 << n) - 1]  # A and C*G
-    skip = set()
+    skip = None
     if params.order_hint is not None and (1 << (n + 2)) <= params.order_hint:
-        bits, margins = combined
+        combined_bits, margins = combined
         suspects = sorted(np.argsort(margins, kind="stable")[:COMBINED_SUSPECTS].tolist())
-        a, c_g, *points = _fixed_base_pairs(head + _flip_lanes(bits, suspects), params)
+        a, c_g, *points = _fixed_base_pairs(head + _flip_lanes(combined_bits, suspects), params)
         targets, head = _targets(a, c_g, pub, params, _VARIANTS), []
-        key, _ = _flip_search(bits, suspects, points, targets, _VARIANTS, params) or (None, 0)
+        key, _ = (_flip_search(combined_bits, suspects, points, targets, _VARIANTS, params)
+                  or (None, 0))
         if key is not None:
-            verified[:] = [c.bits == key.main_loop_bits for c in candidates]
+            key_bits = np.array(key.main_loop_bits, dtype=bool)
+            verified[:] = (bits == key_bits[:, np.newaxis]).all(axis=0)
             return verified, key
-        skip = {bytes(bits), bytes(bits).translate(_FLIP_BIT)}
-    # a pair is keyed by the bytes of its member that starts with 0
-    pairs: dict[bytes, list[tuple[int, bool]]] = {}
-    for i, c in enumerate(candidates):
-        rep = bytes(c.bits)
-        is_complement = rep[:1] == b"\1"
-        if is_complement:
-            rep = rep.translate(_FLIP_BIT)
-        if rep not in skip:
-            pairs.setdefault(rep, []).append((i, is_complement))
-    points = _fixed_base_pairs(head + [expand_candidate(rep, 0).value for rep in pairs], params)
+        combined_bits = np.array(combined_bits, dtype=bool)
+        skip = np.packbits(combined_bits ^ combined_bits[0]).tobytes()
+    complement = bits[0].tolist()  # the columns that start with 1: their pair's other member
+    keys = list(map(bytes, np.packbits((bits ^ bits[0]).T, axis=1)))
+    pairs = dict.fromkeys(keys)  # the distinct pairs, in order of first occurrence
+    pairs.pop(skip, None)
+    shift = -n % 8  # packbits fills the last byte up with zero bits
+    lanes = [(1 << (n + 1)) | int.from_bytes(pair, "big") >> shift for pair in pairs]
+    points = _fixed_base_pairs(head + lanes, params)
     if head:
         targets = _targets(points[0], points[1], pub, params, _VARIANTS)
         points = points[2:]
-    matched = {}  # candidate index -> pre-loop bit of its verifying expansion
-    for members, point in zip(pairs.values(), points):
-        for i, is_complement in members:
+    matched = {}  # (pair, member is the complement) -> pre-loop bit of its verifying expansion
+    for pair, point in zip(pairs, points):
+        for is_complement in (False, True):
             wanted = targets[2 * is_complement:2 * is_complement + 2]
             if point in wanted:
-                matched[i] = wanted.index(point)
+                matched[pair, is_complement] = wanted.index(point)
     if not matched:
         return verified, None
-    # where 2^(L+2) <= n, these are all the candidates with k*'s bits: one pair holds them
-    verified[list(matched)] = True
-    first = min(matched)
-    return verified, expand_candidate(candidates[first].bits, matched[first])
+    # where 2^(L+2) <= n, these are all the columns with k*'s bits: one pair holds them
+    verified[:] = [member in matched for member in zip(keys, complement)]
+    first = int(np.argmax(verified))
+    return verified, expand_candidate(bits[:, first].view(np.uint8).tolist(),
+                                      matched[keys[first], complement[first]])
 
 
 @dataclass(frozen=True)
@@ -420,9 +457,13 @@ def worst_case_checks(num_suspects: int, num_preloop: int = 1) -> int:
 
 @dataclass
 class AttackReport:
-    """Everything the attack produced for one segmented trace."""
+    """Everything the attack produced for one segmented trace.
 
-    candidates: list[KeyCandidate]
+    The candidates keep their bit matrix (`KeyCandidates.bits`); the
+    per-candidate arrays are indexed by its columns.
+    """
+
+    candidates: KeyCandidates
     deltas: Optional[np.ndarray] = None           # per candidate, truth known
     best_index: Optional[int] = None
     verified: Optional[np.ndarray] = None         # per candidate, pub supplied
@@ -472,13 +513,13 @@ def evaluate(
         truth = np.array(tuple(truth_bits))
         if slots.shape[:1] != truth.shape:
             raise ValueError(f"candidate has {slots.shape[0]} bits, truth has {truth.size}")
-        wrong = _candidate_bits(slots, mean) != truth[:, np.newaxis]
+        wrong = candidates.bits != truth[:, np.newaxis]
         report.deltas = (truth.size - wrong.sum(axis=0)) / truth.size
         report.best_index = int(np.argmax(report.deltas))
     if pub is not None:
         if params is None:
             raise ValueError("verification needs params alongside pub")
-        verified, report.key = _verify_all(candidates, pub, params, combined_candidate(
+        verified, report.key = _verify_all(candidates.bits, pub, params, combined_candidate(
             slots, mean, separation_scores(slots, mean)))
         report.verified = verified
         if report.best_index is None and verified.any():
@@ -487,15 +528,20 @@ def evaluate(
 
 
 def report_to_csv(report: AttackReport, path, config_lines=()) -> None:
-    """One row per candidate: sample index, polarity, delta, verified flag."""
+    """One row per candidate: sample index, polarity, delta, verified flag.
+
+    Row c is column c of the candidates: sample index c % slot_len,
+    polarity c // slot_len.  Rows end in CRLF, as a csv writer's do.
+    """
+    count = len(report.candidates)
+    width = count // 2
+    polarities = [p.value for p in _POLARITIES]
+    deltas = ([""] * count if report.deltas is None
+              else [f"{d:.6f}" for d in report.deltas.tolist()])
+    flags = ([""] * count if report.verified is None
+             else ["yes" if v else "no" for v in report.verified.tolist()])
+    comments = [f"# {line}\n" for line in (*config_lines, *report.summary_lines())]
+    rows = [f"{c % width},{polarities[c // width]},{delta},{flag}\r\n"
+            for c, (delta, flag) in enumerate(zip(deltas, flags))]
     with open(path, "w", newline="") as fh:
-        for line in config_lines:
-            fh.write(f"# {line}\n")
-        for line in report.summary_lines():
-            fh.write(f"# {line}\n")
-        writer = csv.writer(fh)
-        writer.writerow(["sample_index", "polarity", "delta", "verified"])
-        for i, c in enumerate(report.candidates):
-            delta = "" if report.deltas is None else f"{report.deltas[i]:.6f}"
-            ver = "" if report.verified is None else ("yes" if report.verified[i] else "no")
-            writer.writerow([c.sample_index, c.polarity.value, delta, ver])
+        fh.write("".join(comments + ["sample_index,polarity,delta,verified\r\n"] + rows))

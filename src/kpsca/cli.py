@@ -412,10 +412,9 @@ def _bruteforce(args) -> int:
                 f"sample index must be in 0..{matrix.shape[1] - 1}, got {sample_index}"
             )
         pol = attack_mod.Polarity(polarity or "smaller_is_one")
-        candidate = next(
-            c for c in report.candidates
-            if c.sample_index == sample_index and c.polarity == pol
-        )
+        # column p * slot_len + j is sample index j under the p-th polarity
+        p = list(attack_mod.Polarity).index(pol)
+        candidate = report.candidates[p * matrix.shape[1] + sample_index]
     elif report.best_index is not None:
         candidate = report.best_candidate
     else:

@@ -420,8 +420,18 @@ def test_property_extraction_matches_per_column_loop(num_slots, slot_len, data):
         slots[:, j] = data.draw(st.integers(-100, 100))  # the mean is exact
     m = matrix_of(slots)
     got = extract_candidates(m)
-    assert got == _extract_candidates_per_column(m)
-    assert all(type(b) is int for c in got for b in c.bits)
+    reference = _extract_candidates_per_column(m)
+    assert list(got) == reference
+    # the sequence contract: length, indexing from either end, slices
+    assert len(got) == len(reference)
+    assert [got[c] for c in range(len(got))] == reference
+    assert [got[c] for c in range(-len(got), 0)] == reference
+    window = data.draw(st.slices(len(reference)))
+    assert got[window] == reference[window]
+    for c in (len(got), -len(got) - 1):
+        with pytest.raises(IndexError):
+            got[c]
+    assert all(type(b) is int for c in [*got, got[0], got[-1]] for b in c.bits)
 
 
 class TestVerificationB233:
@@ -475,6 +485,27 @@ class TestVerificationB233:
         combined_pair = min(bits, tuple(1 - b for b in bits))
         assert rest == ([] if hit else
                         [[lane for rep, lane in lanes.items() if rep != combined_pair]])
+
+    @pytest.mark.parametrize("sigma", [0.0, 1.5])
+    def test_no_candidate_objects(self, monkeypatch, tmp_path, b233_run, sigma):
+        # verification and the report read the bit matrix's columns; the
+        # combined search hits at sigma 0 and misses at 1.5
+        params, k, _, _, schedule = b233_run
+        trace = synthesize_trace(schedule, LeakModel(noise_sigma=sigma, rng_seed=9))
+        matrix = segment_trace(trace, k.bit_length - 2)
+        pub, = fixed_base_multiples([k.value], params)
+
+        def no_candidate(*args):
+            raise AssertionError("a KeyCandidate was built")
+
+        monkeypatch.setattr(attack, "KeyCandidate", no_candidate)
+        report = attack.evaluate(matrix, pub=pub, params=params)
+        attack.report_to_csv(report, tmp_path / "report.csv")
+        assert report.key == (k if sigma < 1.5 else None)
+        truth = np.array(k.main_loop_bits, dtype=bool)[:, np.newaxis]
+        assert np.array_equal(report.verified, (report.candidates.bits == truth).all(axis=0))
+        rows = (tmp_path / "report.csv").read_text().splitlines()[2:]
+        assert [r.endswith(",yes") for r in rows] == list(report.verified)
 
     def test_mean_slot_computed_once(self, monkeypatch, b233_run, b233_leaky_trace):
         params, k, _, _, _ = b233_run

@@ -180,9 +180,12 @@ def test_tracer_counts_auth_demo_ladders(capsys):
 def test_tracer_observers_read_schedule_and_candidates():
     # during a timed op the observers read Schedule.total_cycles, .scalar
     # and .m and KeyCandidate.bits; a rename there would otherwise fail
-    # only the benchmark run
+    # only the benchmark run.  Op 1 reaches extract_candidates through
+    # evaluate, as `attack --pub` does: a refactor that routes around the
+    # traced name would read 0 candidates.
     params = curve.get_curve("test8")
     _, transcript = curve.kp_multiply(Scalar(91), params.g, params)
+    pub = curve.kp_point(Scalar(91), params.g, params)
     tracer = TRACING.Tracer(WORKLOADS.paper_cycles)
     tracer.op = 0
     tracer.install()
@@ -192,6 +195,8 @@ def test_tracer_observers_read_schedule_and_candidates():
         matrix = traces.segment(traces.compress(trace, traces.CompressionMethod.MEAN),
                                 trace.cycle0_cycle, leaksim.SLOT_CYCLES, schedule.num_slots)
         candidates = attack.extract_candidates(matrix)
+        tracer.op = 1
+        report = attack.evaluate(matrix, pub=pub, params=params)
     finally:
         tracer.uninstall()
     assert tracer.check_errors == {}
@@ -199,6 +204,11 @@ def test_tracer_observers_read_schedule_and_candidates():
     assert counted["leaksim.sim_cycles"] == schedule.total_cycles == 346
     assert counted["attack.candidates"] == len(candidates) == 2 * leaksim.SLOT_CYCLES
     assert counted["attack.distinct_candidates"] == len({c.bits for c in candidates}) > 1
+    assert report.verified.any()
+    distinct_columns = np.unique(report.candidates.bits, axis=1).shape[1]
+    assert tracer.counters[1] == {"attack.candidates": 2 * leaksim.SLOT_CYCLES,
+                                  "attack.distinct_candidates": distinct_columns}
+    assert distinct_columns == counted["attack.distinct_candidates"]
 
 
 @pytest.mark.parametrize("name", sorted(WORKLOADS.WORKLOADS))

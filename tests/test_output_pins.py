@@ -4,7 +4,7 @@ The simulator hashes were recorded before the schedule became per-cycle
 arrays, the CLI hashes before the attacker's view became plain arrays;
 neither may move when the code is restructured.  The simulator pins use
 noiseless models only, so they do not depend on numpy's random streams;
-the attack pins read one seeded noisy trace.  Output directories are
+the attack pins read seeded noisy traces.  Output directories are
 replaced by "<out>" before hashing, because the echoed configuration and
 the messages name them.
 """
@@ -83,8 +83,21 @@ SIMULATE_OUTPUT_SHA256 = {
     "excerpt.csv": "3291cab77007776cf8e9453ddb4dc65b8d2885710abc124e862bf90ead00bf93",
 }
 
+# the traces the attack pins read, per curve: `simulate --curve <curve> <arguments>`.
+# On test8, 2^(L+2) > n, so `attack --pub` computes every distinct complement
+# pair.  Seed 5's columns hold duplicates and complements, and verifying
+# candidates start with 0 and with 1, with pre-loop bits 0 and 1.
+NOISY_TRACES = {
+    "b233": ("--seed", "7", "--noise-sigma", "0.5"),
+    "test8": ("--seed", "5", "--noise-sigma", "0.5"),
+}
+
 # (command, its extra arguments) -> sha256 of stdout and of the file it writes;
-# all read the trace of `simulate --curve b233 --seed 7 --noise-sigma 0.5`
+# each reads the trace of its --curve (b233, the default, if none is given).
+# Column 61 of the B-233 trace, sample index 7 read as smaller_is_zero,
+# carries the key's main-loop bits, as the default (best by ground truth)
+# candidate does, so bruteforce prints the same line for both; any other
+# column of sample index 7 reads a wrong bit.
 ATTACK_OUTPUT_SHA256 = {
     ("attack", "--pub", "<pub>"): (
         "b9e4b4d2251a4853a9369289a2006563814513abe7db2c6607087b65322d0af4",
@@ -96,6 +109,12 @@ ATTACK_OUTPUT_SHA256 = {
         "26d93a8ceb88af8ba82fc76c142e5a8c0eb8c12d9d89f3d5c21d14e1ace83474",
         "6658c74c31a3dd9c9435da0fbb166e88187adf7b6bb22a259b7b6887ffeab909"),
     ("bruteforce", "--suspects", "0,3,5"): (
+        "8f7364d7f6d5e7fe5370ca0b8a9b1225c070edc9a68ef254228d229825a84afb", None),
+    ("attack", "--curve", "test8", "--pub", "<pub>"): (
+        "1f0ce27f3b9f4123fec2aeb4a4fce46937fe637bf612cacf6c6341e5bad5d9ad",
+        "7bfd9c3f3ec7eb65d274739ed2fc0d1159d430e635ed8e8c6177e759c3626ad8"),
+    ("bruteforce", "--suspects", "0,3,5", "--sample-index", "7", "--polarity",
+     "smaller_is_zero"): (
         "8f7364d7f6d5e7fe5370ca0b8a9b1225c070edc9a68ef254228d229825a84afb", None),
 }
 _WRITES = {"attack": "report.csv", "welch": "welch.csv", "bruteforce": None}
@@ -134,25 +153,27 @@ def test_simulate_sidecar_and_excerpt(tmp_path, capsys):
 
 
 @pytest.fixture(scope="module")
-def noisy_b233_trace(tmp_path_factory):
-    out = tmp_path_factory.mktemp("noisy")
-    code = cli.main(["simulate", "--curve", "b233", "--seed", "7", "--noise-sigma", "0.5",
-                     "--out", str(out)])
-    assert code == 0
-    path = out / "trace.kptr"
-    params = get_curve("b233")
-    pub = kp_point(read_trace(path).ground_truth, params.g, params)
-    return path, pub.to_hex()
+def noisy_traces(tmp_path_factory):
+    """Per curve: the trace NOISY_TRACES names and its public key as hex."""
+    traces = {}
+    for curve, args in NOISY_TRACES.items():
+        out = tmp_path_factory.mktemp(f"noisy_{curve}")
+        assert cli.main(["simulate", "--curve", curve, *args, "--out", str(out)]) == 0
+        path = out / "trace.kptr"
+        params = get_curve(curve)
+        pub = kp_point(read_trace(path).ground_truth, params.g, params)
+        traces[curve] = path, pub.to_hex()
+    return traces
 
 
 @pytest.mark.parametrize("command", sorted(ATTACK_OUTPUT_SHA256))
-def test_attack_outputs(tmp_path, capsys, noisy_b233_trace, command):
-    trace, pub = noisy_b233_trace
+def test_attack_outputs(tmp_path, capsys, noisy_traces, command):
     out = tmp_path / "out"
     name, *extra = command
+    curve = extra[extra.index("--curve") + 1] if "--curve" in extra else "b233"
+    trace, pub = noisy_traces[curve]
     extra = [pub if a == "<pub>" else a for a in extra]
-    stdout = _cli_stdout(capsys, [name, str(trace), "--curve", "b233", "--seed", "7",
-                                  *extra, "--out", str(out)])
+    stdout = _cli_stdout(capsys, [name, str(trace), "--seed", "7", *extra, "--out", str(out)])
     written = _WRITES[name]
     got = (_sha(stdout, out), written and _sha((out / written).read_text(), out))
     assert got == ATTACK_OUTPUT_SHA256[command]

@@ -524,25 +524,27 @@ def test_combined_miss_verifies_other_pairs_in_one_call(monkeypatch):
     """The four best columns read a wrong string w, so the combined
     candidate is w, and neither w nor its complement reaches the key by
     flipping the 8 suspects.  A second call then computes every other
-    pair once, in extraction order, the key's pair among them."""
-    w = flipped(KEY12, {0, 3, 4, 7, 9, 10})
-    w2 = flipped(w, {1, 6, 11})
-    key_column = [1 - b + 0.1 * (i % 3) for i, b in enumerate(KEY12)]
-    matrix = matrix_for(w, [two_level(w, a) for a in (2, 3, 4)] + [two_level(w2, 1), key_column]
-                        + NOISE12)
-    bits, _, suspects = combined_of(matrix)
-    assert bits == w
-    for start in (w, flipped(w, range(12))):
-        assert {i for i in range(12) if start[i] != KEY12[i]} - set(suspects)
-    pub = kp_point(expand_candidate(KEY12, 0), TEST16.g, TEST16)
-    report, calls = counted_evaluate(monkeypatch, matrix, pub, TEST16)
-    lanes = dict.fromkeys(pair_lane(c.bits) for c in report.candidates)
-    others = [lane for lane in lanes if lane != pair_lane(w)]
-    assert calls == [target_lanes(12) + flip_lanes(w, suspects), others]
-    assert pair_lane(KEY12) in others and pair_lane(w2) in others
-    assert report.key == expand_candidate(KEY12, 0)
-    want = reference_verified(report.candidates, TEST16.g, pub, TEST16)
-    assert want.any() and np.array_equal(report.verified, want)
+    pair once, in extraction order, the key's pair among them, and not
+    w's pair, whether w starts with 0 or with 1."""
+    for wrong in ({0, 3, 4, 7, 9, 10}, {2, 3, 4, 7, 9, 10}):
+        w = flipped(KEY12, wrong)
+        w2 = flipped(w, {1, 6, 11})
+        key_column = [1 - b + 0.1 * (i % 3) for i, b in enumerate(KEY12)]
+        matrix = matrix_for(w, [two_level(w, a) for a in (2, 3, 4)]
+                            + [two_level(w2, 1), key_column] + NOISE12)
+        bits, _, suspects = combined_of(matrix)
+        assert bits == w
+        for start in (w, flipped(w, range(12))):
+            assert {i for i in range(12) if start[i] != KEY12[i]} - set(suspects)
+        pub = kp_point(expand_candidate(KEY12, 0), TEST16.g, TEST16)
+        report, calls = counted_evaluate(monkeypatch, matrix, pub, TEST16)
+        lanes = dict.fromkeys(pair_lane(c.bits) for c in report.candidates)
+        others = [lane for lane in lanes if lane != pair_lane(w)]
+        assert calls == [target_lanes(12) + flip_lanes(w, suspects), others]
+        assert pair_lane(KEY12) in others and pair_lane(w2) in others
+        assert report.key == expand_candidate(KEY12, 0)
+        want = reference_verified(report.candidates, TEST16.g, pub, TEST16)
+        assert want.any() and np.array_equal(report.verified, want)
 
 
 @pytest.mark.parametrize("case", ["constant_columns", "nan_sample", "narrow_slot"])
