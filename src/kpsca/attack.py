@@ -40,14 +40,14 @@ off-curve pub into the point at infinity, which kP legitimately equals.
 
 Every expansion of an L-bit candidate lies in [2^(L+1), 2^(L+2)); when
 2^(L+2) <= n, the order of G (`CurveParams.order_hint`), at most one
-scalar k* verifies.  It is sought first with `combined_candidate`, which
-sums the sign-aligned, standardized columns of the cycles that the
-label-free `separation_scores` ranks highest (the non-profiled
-clustering of Heyszl et al., CARDIS 2013), then by flipping its
-least-margin bits as brute force does.  A hit decides the candidates
-by one comparison of the matrix's columns with k*'s bits; a miss, or
-2^(L+2) > n (test8, 233-bit scalars on B-233), computes every other
-pair, found from the packed columns, in one call.
+scalar k* verifies.  `evaluate` seeks it first from `combined_candidate`,
+which sums the sign-aligned, standardized columns of the cycles that the
+label-free `separation_scores` ranks highest (the non-profiled clustering
+of Heyszl et al., CARDIS 2013): `_complete`, the completion that brute
+force also runs, flips its least-margin bits.  A hit decides the
+candidates by one comparison of the matrix's columns with k*'s bits; a
+miss, or 2^(L+2) > n (test8, 233-bit scalars on B-233), computes A, C*G
+and every pair, found from the packed columns, in one call.
 
 Welch's two-sample t-test over the '0'-labelled and '1'-labelled slots
 is included as the designer-side leakage assessment.
@@ -257,65 +257,41 @@ def _targets(a, c_g, pub, params: CurveParams, variants) -> list:
 _VARIANTS = range(4)  # (c, 0), (c, 1), (c', 0), (c', 1)
 
 
-def _verify_all(bits: np.ndarray, pub: AffinePoint, params: CurveParams,
-                combined) -> tuple[np.ndarray, Optional[Scalar]]:
+def _verify_all(bits: np.ndarray, pub, params: CurveParams,
+                key: Optional[Scalar]) -> tuple[np.ndarray, Optional[Scalar]]:
     """Per column of the (L, 2 * slot_len) candidate bit matrix: does either
-    pre-loop expansion of the candidate reproduce pub?  Also the verifying
-    scalar k*, or None.
+    pre-loop expansion of the candidate reproduce pub (an int pair on the
+    curve)?  Also the verifying scalar k*, or None.
 
-    When 2^(L+2) <= n, at most one scalar verifies, and `_flip_search`
-    tries the combined (bits, margins) first, against all four variants,
-    in one call with A = 2^L*G, C*G and the flip deltas of its
-    COMBINED_SUSPECTS least-margin slots.  A hit decides every candidate
-    with no pair bookkeeping: column c is verified iff it equals k*'s
-    main-loop bits.  Otherwise every distinct complement pair of columns,
-    the combined one left out, gets one point, in extraction order of
-    first occurrence, from one more call (which also computes A and C*G
-    where 2^(L+2) > n); its members verify by variants pb and 2 + pb.  A
-    pair is keyed by the packed bytes of its member that starts with 0,
-    c, whose lane k(c, 0) is 2^(L+1) plus those bits read as a number.
-    k* is the expansion of the first verified column, pre-loop bit 0 first.
+    Given k* (the unique one, where 2^(L+2) <= n), column c is verified iff
+    it equals k*'s main-loop bits.  Otherwise one call computes A = 2^L*G,
+    C*G and one point per distinct complement pair of columns, in order of
+    first occurrence; its members verify by variants pb and 2 + pb.  A pair
+    is keyed by the packed bytes of its member c that starts with 0; its
+    lane k(c, 0) is 2^(L+1) plus those bits read as a number.  k* is the
+    expansion of the first verified column, pre-loop bit 0 first.
     """
-    n, count = bits.shape
-    verified = np.zeros(count, dtype=bool)
-    if not count or not is_on_curve(pub, params):
-        return verified, None
-    pub = pub.pair
-    head = [1 << n, (1 << (n + 2)) + (1 << n) - 1]  # A and C*G
-    skip = None
-    if params.order_hint is not None and (1 << (n + 2)) <= params.order_hint:
-        combined_bits, margins = combined
-        suspects = sorted(np.argsort(margins, kind="stable")[:COMBINED_SUSPECTS].tolist())
-        a, c_g, *points = _fixed_base_pairs(head + _flip_lanes(combined_bits, suspects), params)
-        targets, head = _targets(a, c_g, pub, params, _VARIANTS), []
-        key, _ = (_flip_search(combined_bits, suspects, points, targets, _VARIANTS, params)
-                  or (None, 0))
-        if key is not None:
-            key_bits = np.array(key.main_loop_bits, dtype=bool)
-            verified[:] = (bits == key_bits[:, np.newaxis]).all(axis=0)
-            return verified, key
-        combined_bits = np.array(combined_bits, dtype=bool)
-        skip = np.packbits(combined_bits ^ combined_bits[0]).tobytes()
+    if key is not None:
+        key_bits = np.array(key.main_loop_bits, dtype=bool)
+        return (bits == key_bits[:, np.newaxis]).all(axis=0), key
+    n = bits.shape[0]
     complement = bits[0].tolist()  # the columns that start with 1: their pair's other member
     keys = list(map(bytes, np.packbits((bits ^ bits[0]).T, axis=1)))
     pairs = dict.fromkeys(keys)  # the distinct pairs, in order of first occurrence
-    pairs.pop(skip, None)
     shift = -n % 8  # packbits fills the last byte up with zero bits
     lanes = [(1 << (n + 1)) | int.from_bytes(pair, "big") >> shift for pair in pairs]
-    points = _fixed_base_pairs(head + lanes, params)
-    if head:
-        targets = _targets(points[0], points[1], pub, params, _VARIANTS)
-        points = points[2:]
+    a, c_g, *points = _fixed_base_pairs([1 << n, (1 << (n + 2)) + (1 << n) - 1] + lanes, params)
+    targets = _targets(a, c_g, pub, params, _VARIANTS)
     matched = {}  # (pair, member is the complement) -> pre-loop bit of its verifying expansion
     for pair, point in zip(pairs, points):
         for is_complement in (False, True):
             wanted = targets[2 * is_complement:2 * is_complement + 2]
             if point in wanted:
                 matched[pair, is_complement] = wanted.index(point)
-    if not matched:
-        return verified, None
     # where 2^(L+2) <= n, these are all the columns with k*'s bits: one pair holds them
-    verified[:] = [member in matched for member in zip(keys, complement)]
+    verified = np.array([member in matched for member in zip(keys, complement)], dtype=bool)
+    if not verified.any():
+        return verified, None
     first = int(np.argmax(verified))
     return verified, expand_candidate(bits[:, first].view(np.uint8).tolist(),
                                       matched[keys[first], complement[first]])
@@ -331,17 +307,12 @@ class BruteForceResult:
 MAX_SUSPECTS = 24
 
 
-def _flip_lanes(bits, positions) -> list[int]:
-    """k(bits, 0), then the flip delta's scalar of each position."""
-    return [expand_candidate(bits, 0).value] + [1 << (len(bits) - 1 - p) for p in positions]
-
-
 def _flip_search(bits, positions, points, targets, variants, params: CurveParams, budget=inf):
     """The first hit in brute-force order as (the scalar it verifies,
     checks), or None if there is none or the walk reached children all of
     whose checks exceed budget (a hit's checks may exceed it too); points:
-    `_flip_lanes` times G, and targets: `_targets` of the variants, as int
-    pairs.
+    k(bits, 0)*G, then each position's flip delta, and targets: `_targets`
+    of the variants, all int pairs (`_complete` computes both).
 
     Subsets of the positions come by size, then lexicographic, each tried
     against the m targets in order: subset r hits target j, check m*r + j + 1,
@@ -387,6 +358,20 @@ def _flip_search(bits, positions, points, targets, variants, params: CurveParams
     return None
 
 
+def _complete(bits, suspects, pub, params: CurveParams, variants, budget=inf):
+    """`_flip_search` of bits' suspects against the variants' targets of
+    pub (an int pair on the curve): its (scalar, checks), or None.  One
+    fixed-base call computes A = 2^L*G, C*G only if a variant j >= 2 is
+    asked, k(bits, 0)*G and the flip deltas +-2^(L-1-p)*G."""
+    n, complement = len(bits), any(j >= 2 for j in variants)
+    head = [1 << n, (1 << (n + 2)) + (1 << n) - 1][:1 + complement]
+    lanes = [expand_candidate(bits, 0).value] + [1 << (n - 1 - p) for p in suspects]
+    a, *points = _fixed_base_pairs(head + lanes, params)
+    c_g = points.pop(0) if complement else None
+    targets = _targets(a, c_g, pub, params, variants)
+    return _flip_search(bits, suspects, points, targets, variants, params, budget)
+
+
 def brute_force_complete(
     candidate: KeyCandidate,
     suspect_positions,
@@ -402,10 +387,9 @@ def brute_force_complete(
     the most plausible), deterministically, so "first found" is well
     defined; within a subset the pre-loop bits are tried in the given
     order.  Each (subset, pre-loop bit) scalar tested is one check
-    against the budget, however it is decided: one fixed-base call for
-    A = 2^L*G, the unflipped candidate and the flip deltas, then
-    `_flip_search` against the `_targets` of the variants pb (no
-    complement): pub, and pub - A only if pre-loop bit 1 is tried.
+    against the budget, however it is decided: `_complete` over the
+    variants pb (no complement), whose targets are pub, and pub - A only
+    if pre-loop bit 1 is tried.
     Flipping all of s suspects with a pinned pre-loop bit costs at most
     2^s checks.  Verification is against params.g: a different g raises
     CurveError.
@@ -423,11 +407,7 @@ def brute_force_complete(
     preloop_bits = tuple(pb & 1 for pb in preloop_bits)
     found = None
     if preloop_bits and is_on_curve(pub, params):
-        a, *points = _fixed_base_pairs([1 << nbits] + _flip_lanes(candidate.bits, suspects),
-                                       params)
-        targets = _targets(a, None, pub.pair, params, preloop_bits)
-        found = _flip_search(candidate.bits, suspects, points, targets, preloop_bits, params,
-                             budget)
+        found = _complete(candidate.bits, suspects, pub.pair, params, preloop_bits, budget)
     if found is not None and found[1] <= budget:
         return BruteForceResult(*found, False)
     # nothing matched before the search ended or the budget ran out
@@ -445,8 +425,8 @@ def recover_scalar(
     preloop_bits=(0, 1),
 ) -> Optional[Scalar]:
     """The verified full scalar for this candidate, or None: brute force
-    with no suspects, so k(c, 0)*G is compared with each pre-loop bit's
-    target in the order of preloop_bits."""
+    with no suspects, whose `_complete` compares k(c, 0)*G with each
+    pre-loop bit's target in the order of preloop_bits."""
     return brute_force_complete(candidate, (), g, pub, params, preloop_bits=preloop_bits).key
 
 
@@ -505,7 +485,9 @@ def evaluate(
     params: Optional[CurveParams] = None,
 ) -> AttackReport:
     """Run extraction on a (slots, cycles) array and score the candidates by
-    truth and/or by verification of pub against params.g."""
+    truth and/or by verification of pub against params.g: an off-curve pub
+    verifies none; else k* is sought by `_complete` of the combined
+    candidate where 2^(L+2) <= n, and `_verify_all` sets the flags."""
     mean = mean_slot(slots)
     candidates = extract_candidates(slots, mean)
     report = AttackReport(candidates=candidates)
@@ -519,11 +501,17 @@ def evaluate(
     if pub is not None:
         if params is None:
             raise ValueError("verification needs params alongside pub")
-        verified, report.key = _verify_all(candidates.bits, pub, params, combined_candidate(
-            slots, mean, separation_scores(slots, mean)))
-        report.verified = verified
-        if report.best_index is None and verified.any():
-            report.best_index = int(np.argmax(verified))
+        if not is_on_curve(pub, params):
+            report.verified = np.zeros(len(candidates), dtype=bool)
+            return report
+        key, n = None, slots.shape[0]
+        if params.order_hint is not None and (1 << (n + 2)) <= params.order_hint:
+            bits, margins = combined_candidate(slots, mean, separation_scores(slots, mean))
+            suspects = sorted(np.argsort(margins, kind="stable")[:COMBINED_SUSPECTS].tolist())
+            key, _ = _complete(bits, suspects, pub.pair, params, _VARIANTS) or (None, 0)
+        report.verified, report.key = _verify_all(candidates.bits, pub.pair, params, key)
+        if report.best_index is None and report.verified.any():
+            report.best_index = int(np.argmax(report.verified))
     return report
 
 

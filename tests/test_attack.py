@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from kpsca import attack, curve
+from kpsca import attack, curve, gf2m
 from kpsca.attack import (
     KeyCandidate,
     Polarity,
@@ -439,8 +439,8 @@ class TestVerificationB233:
     verification's.  With noise seed 9, one call, of the combined
     candidate's lane and its COMBINED_SUSPECTS flip deltas besides 2^L
     and C, finds the key up to sigma 1.0, where no single candidate
-    verifies.  At sigma 1.5 it misses, and a second call computes every
-    other pair once, which finds nothing."""
+    verifies.  At sigma 1.5 it misses, and a second call computes 2^L, C and
+    every pair once, which finds nothing."""
 
     @pytest.mark.parametrize("sigma", [0.0, 0.5, 1.0, 1.5])
     def test_flags_and_work(self, monkeypatch, b233_run, sigma):
@@ -482,9 +482,31 @@ class TestVerificationB233:
         lanes = {rep: expand_candidate(rep, 0).value
                  for rep in (min(c.bits, complement(c).bits) for c in report.candidates)}
         assert calls == [head + list(lanes.values())]
-        combined_pair = min(bits, tuple(1 - b for b in bits))
-        assert rest == ([] if hit else
-                        [[lane for rep, lane in lanes.items() if rep != combined_pair]])
+        # a miss makes the order-less path's call: 2^L, C and every pair
+        assert rest == ([] if hit else calls)
+
+    @pytest.mark.parametrize("sigma", [0.0, 0.5, 1.0])
+    def test_hit_field_work(self, monkeypatch, b233_run, sigma):
+        # exact field counts of a hit: one table call (A, C*G, the combined
+        # lane and 8 flip deltas), the four targets, one comparison
+        params, k, _, _, schedule = b233_run
+        trace = synthesize_trace(schedule, LeakModel(noise_sigma=sigma, rng_seed=9))
+        matrix = segment_trace(trace, k.bit_length - 2)
+        pub, = fixed_base_multiples([k.value], params)
+        counts = dict.fromkeys(["mul_classical", "square", "invert"], 0)
+
+        def counted(name, real):
+            def call(*args):
+                counts[name] += 1
+                return real(*args)
+            return call
+
+        for name in counts:
+            monkeypatch.setattr(gf2m, name, counted(name, getattr(gf2m, name)))
+        report = attack.evaluate(matrix, pub=pub, params=params)
+        monkeypatch.undo()
+        assert report.key == k
+        assert counts == {"mul_classical": 152, "square": 36, "invert": 7}
 
     @pytest.mark.parametrize("sigma", [0.0, 1.5])
     def test_no_candidate_objects(self, monkeypatch, tmp_path, b233_run, sigma):

@@ -109,8 +109,8 @@ def test_evaluate_matches_reference(data, curve_name):
     cands = extract_candidates(matrix)
     want = reference_verified(cands, params.g, pub, params)
     assert np.array_equal(report.verified, want)
-    # at most two table calls: the combined candidate's, then every other
-    # pair's; one with every pair where 2^(L+2) > n (none for an off-curve pub)
+    # at most two table calls: the combined candidate's, then every pair's;
+    # one with every pair where 2^(L+2) > n (none for an off-curve pub)
     if (1 << (len(bits) + 2)) <= params.order_hint:
         assert len(calls) <= 2
     else:
@@ -229,15 +229,16 @@ def test_weight3_hit_computes_no_weight3_point(monkeypatch, flips):
 
 def combined_inputs(params, bits, suspects, pub):
     """The combined search's points and the targets of its 4 variants, as
-    `_verify_all` computes them: int pairs."""
+    `attack._complete` computes them: int pairs."""
     a, c_g, *points = curve._fixed_base_pairs(
         target_lanes(len(bits)) + flip_lanes(bits, suspects), params)
     return points, attack._targets(a, c_g, pub.pair, params, range(4))
 
 
-def combined_key(bits, suspects, points, targets, params):
-    """The scalar that `attack._flip_search` over all 4 variants finds, or None."""
-    found = attack._flip_search(bits, suspects, points, targets, range(4), params)
+def combined_key(bits, suspects, pub, params):
+    """The scalar that `attack._complete` over all 4 variants finds, as
+    `evaluate` runs it, or None."""
+    found = attack._complete(bits, suspects, pub.pair, params, range(4))
     return None if found is None else found[0]
 
 
@@ -259,7 +260,7 @@ def test_combined_key_matches_reference_flip_search(data, curve_name):
     bits = flipped(truth, flips)
     pub = data.draw(public_key(params, truth).filter(lambda p: is_on_curve(p, params)))
     points, targets = combined_inputs(params, bits, suspects, pub)
-    assert (combined_key(bits, suspects, points, targets, params)
+    assert (combined_key(bits, suspects, pub, params)
             == reference_flip_search(bits, suspects, points, targets, params))
 
 
@@ -273,7 +274,7 @@ def test_combined_hit_builds_at_most_one_batch(monkeypatch, flips):
     pub = kp_point(expand_candidate(KEY12, 1), TEST16.g, TEST16)
     points, targets = combined_inputs(TEST16, bits, suspects, pub)
     batches = count_calls(monkeypatch, attack, "_add_many", lambda ps, qs, params: len(ps))
-    key = combined_key(bits, suspects, points, targets, TEST16)
+    key, _ = attack._flip_search(bits, suspects, points, targets, range(4), TEST16)
     monkeypatch.undo()
     assert key == reference_flip_search(bits, suspects, points, targets, TEST16)
     assert key == expand_candidate(KEY12, 1)
@@ -323,17 +324,23 @@ OTHER_233 = FieldSpec(233, (1 << 233) | 0b11)  # B-233's degree, another polynom
 
 @pytest.mark.parametrize("pub", [TEST8.g, in_field(kp_point(PLANTED, B233.g, B233), OTHER_233)],
                          ids=["test8_g", "b233_pub_in_other_field"])
-def test_foreign_field_point(pub):
+def test_foreign_field_point(monkeypatch, pub):
     """A point of another field is off the curve at every boundary check.
 
     The arithmetic runs on ints in the curve's field, so the second point,
     whose ints are the planted key's B-233 public key, would verify without it.
+    With a 12-bit key the combined search would run on B-233, but the curve
+    check comes first: no combined candidate and no table call.
     """
     assert not is_on_curve(pub, B233)
     with pytest.raises(CurveError):
         kp_point(Scalar(3), pub, B233)
     matrix = matrix_for(PLANTED.main_loop_bits)
+    tables = count_calls(monkeypatch, attack, "_fixed_base_pairs")
+    combined = count_calls(monkeypatch, attack, "combined_candidate")
     assert not evaluate(matrix, pub=pub, params=B233).verified.any()
+    monkeypatch.undo()
+    assert tables == combined == []
     same_ints = evaluate(matrix, pub=in_field(pub, B233.field), params=B233)
     assert same_ints.verified.any() == (pub.x.spec == OTHER_233)
 
@@ -523,9 +530,9 @@ def test_combined_flip_finds_one_wrong_bit(monkeypatch):
 def test_combined_miss_verifies_other_pairs_in_one_call(monkeypatch):
     """The four best columns read a wrong string w, so the combined
     candidate is w, and neither w nor its complement reaches the key by
-    flipping the 8 suspects.  A second call then computes every other
-    pair once, in extraction order, the key's pair among them, and not
-    w's pair, whether w starts with 0 or with 1."""
+    flipping the 8 suspects.  A second call then computes 2^L, C and
+    every pair once, in extraction order, the key's pair among them and
+    w's pair too, whether w starts with 0 or with 1."""
     for wrong in ({0, 3, 4, 7, 9, 10}, {2, 3, 4, 7, 9, 10}):
         w = flipped(KEY12, wrong)
         w2 = flipped(w, {1, 6, 11})
@@ -538,10 +545,9 @@ def test_combined_miss_verifies_other_pairs_in_one_call(monkeypatch):
             assert {i for i in range(12) if start[i] != KEY12[i]} - set(suspects)
         pub = kp_point(expand_candidate(KEY12, 0), TEST16.g, TEST16)
         report, calls = counted_evaluate(monkeypatch, matrix, pub, TEST16)
-        lanes = dict.fromkeys(pair_lane(c.bits) for c in report.candidates)
-        others = [lane for lane in lanes if lane != pair_lane(w)]
-        assert calls == [target_lanes(12) + flip_lanes(w, suspects), others]
-        assert pair_lane(KEY12) in others and pair_lane(w2) in others
+        lanes = list(dict.fromkeys(pair_lane(c.bits) for c in report.candidates))
+        assert calls == [target_lanes(12) + flip_lanes(w, suspects), target_lanes(12) + lanes]
+        assert {pair_lane(KEY12), pair_lane(w2), pair_lane(w)} <= set(lanes)
         assert report.key == expand_candidate(KEY12, 0)
         want = reference_verified(report.candidates, TEST16.g, pub, TEST16)
         assert want.any() and np.array_equal(report.verified, want)
