@@ -22,10 +22,10 @@ k(c, 1) = k(c, 0) + 2^L, and the complement c' of c has
 k(c', pb) = C + pb*2^L - k(c, 0) with C = 2^(L+2) + 2^L - 1.  So the
 single point P = k(c, 0)*G settles all four scalars: variant
 j = 2*complement + pb, (c, pb) or (c', pb), verifies exactly when P is
-target j, pub - pb*A or C*G - pub + pb*A (A = 2^L*G; `_targets`).
-Every multiple of G here comes from the fixed-base window table of
-`curve.fixed_base_multiples`, which computes many points together, as
-the int pair (x, y) that the group law runs on (`curve._fixed_base_pairs`);
+target j, pub - pb*A or C*G - pub + pb*A (A = 2^L*G).  Every search
+starts from `_setup`: one call of the window table of
+`curve.fixed_base_multiples` computes A, C*G and the search's lanes as
+the int pairs (x, y) that the group law runs on, and the targets follow;
 pub becomes one once it has passed the curve check.  Flipping bit p adds
 +-2^(L-1-p) to every expansion, so brute force gets a flipped subset's
 point by one affine addition from its parent's; once the unflipped point
@@ -46,8 +46,8 @@ label-free `separation_scores` ranks highest (the non-profiled clustering
 of Heyszl et al., CARDIS 2013): `_complete`, the completion that brute
 force also runs, flips its least-margin bits.  A hit decides the
 candidates by one comparison of the matrix's columns with k*'s bits; a
-miss, or 2^(L+2) > n (test8, 233-bit scalars on B-233), computes A, C*G
-and every pair, found from the packed columns, in one call.
+miss, or 2^(L+2) > n (test8, 233-bit scalars on B-233), sets up every
+pair, found from the packed columns, as the lanes of one `_setup`.
 
 Welch's two-sample t-test over the '0'-labelled and '1'-labelled slots
 is included as the designer-side leakage assessment.
@@ -122,8 +122,8 @@ class KeyCandidates(Sequence):
     cannot be written.
 
     Column c is the candidate at sample index c % slot_len under polarity
-    `_POLARITIES[c // slot_len]`.  Indexing or iterating builds
-    `KeyCandidate`s, with bits as a tuple of ints; nothing else does.
+    `_POLARITIES[c // slot_len]` (`label`, `column`).  Indexing or iterating
+    builds `KeyCandidate`s, with bits as a tuple of ints; nothing else does.
     """
 
     def __init__(self, bits: np.ndarray):
@@ -137,15 +137,20 @@ class KeyCandidates(Sequence):
         if isinstance(index, slice):
             return [self[c] for c in range(len(self))[index]]
         c = range(len(self))[index]  # a negative index counts from the end
-        return self._candidate(c, self.bits[:, c].view(np.uint8).tolist())
+        return KeyCandidate(tuple(self.bits[:, c].view(np.uint8).tolist()), *self.label(c))
 
     def __iter__(self):
         for c, bits in enumerate(self.bits.T.view(np.uint8).tolist()):
-            yield self._candidate(c, bits)
+            yield KeyCandidate(tuple(bits), *self.label(c))
 
-    def _candidate(self, c: int, bits: list[int]) -> KeyCandidate:
-        width = len(self) // 2
-        return KeyCandidate(tuple(bits), c % width, _POLARITIES[c // width])
+    def label(self, c: int) -> tuple[int, Polarity]:
+        """Column c's (sample index, polarity)."""
+        p, j = divmod(c, len(self) // 2)
+        return j, _POLARITIES[p]
+
+    def column(self, sample_index: int, polarity: Polarity) -> int:
+        """The column of the candidate at (sample index, polarity)."""
+        return _POLARITIES.index(polarity) * (len(self) // 2) + sample_index
 
 
 def extract_candidates(slots: np.ndarray,
@@ -159,20 +164,20 @@ def extract_candidates(slots: np.ndarray,
 
 
 def separation_scores(slots: np.ndarray,
-                      mean: Optional[np.ndarray] = None) -> np.ndarray:
+                      split: Optional[np.ndarray] = None) -> np.ndarray:
     """Per sample index, how well it splits the slots into two classes; >= 0.
 
-    The classes are those extraction reads: the slots below the column
-    mean (the mean slot, computed here if not given) and the rest.  The
+    The classes are those extraction reads: the slots below the mean slot
+    (split, as bools or as the mean slot; computed if not given) and the rest.  The
     score is the gap between the two class means divided by their pooled
     standard deviation; `welch_t` is the labelled analogue.  It needs no
     key knowledge.  A column whose classes differ with no spread scores
     inf.  A constant column, a class of fewer than two slots (a lone
     outlier) or a NaN scores 0, below any column that separates.
     """
-    if mean is None:
-        mean = mean_slot(slots)
-    below = slots < mean[np.newaxis, :]
+    if split is None:
+        split = mean_slot(slots)
+    below = split if split.dtype == bool else slots < split[np.newaxis, :]
     n_below = below.sum(axis=0)
     n_rest = slots.shape[0] - n_below
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -239,19 +244,23 @@ def expand_candidate(candidate_bits, preloop_bit: int) -> Scalar:
     return Scalar.from_bits((1, preloop_bit) + tuple(candidate_bits))
 
 
-def _targets(a, c_g, pub, params: CurveParams, variants) -> list:
-    """Target j of each variant j = 2*complement + pb in variants, as int
-    pairs from A = a and C*G: pub - pb*A for (c, pb), C*G - pub + pb*A for
-    (c', pb) (the module docstring).  pub - A and C*G - pub, computed only
-    if a j >= 2 is asked, share one inversion; C*G - pub + A takes a second."""
+def _setup(n: int, lanes, pub, params: CurveParams, variants) -> tuple[list, list]:
+    """The lanes' points and the variants' targets (the module docstring),
+    int pairs, from the one fixed-base call: A = 2^n*G, C*G only if a j >= 2
+    is asked, then the lanes.  pub - A and C*G - pub, computed only if
+    asked, share one inversion; C*G - pub + A takes a second."""
+    complement = any(j >= 2 for j in variants)
+    head = [1 << n, (1 << (n + 2)) + (1 << n) - 1][:1 + complement]
+    a, *points = _fixed_base_pairs(head + lanes, params)
+    c_g = points.pop(0) if complement else None
     out = {0: pub}
-    firsts = [j for j in (1, 2) if j in variants or j == 2 and 3 in variants]
+    firsts = [j for j in (1, 2) if j in variants or j == 2 and complement]
     ps, qs = (pub, c_g), (_negate(a), _negate(pub))
     out.update(zip(firsts, _add_many([ps[j - 1] for j in firsts], [qs[j - 1] for j in firsts],
                                      params)))
     if 3 in variants:
         out[3] = _point_add(out[2], a, params)
-    return [out[j] for j in variants]
+    return points, [out[j] for j in variants]
 
 
 _VARIANTS = range(4)  # (c, 0), (c, 1), (c', 0), (c', 1)
@@ -264,9 +273,9 @@ def _verify_all(bits: np.ndarray, pub, params: CurveParams,
     curve)?  Also the verifying scalar k*, or None.
 
     Given k* (the unique one, where 2^(L+2) <= n), column c is verified iff
-    it equals k*'s main-loop bits.  Otherwise one call computes A = 2^L*G,
-    C*G and one point per distinct complement pair of columns, in order of
-    first occurrence; its members verify by variants pb and 2 + pb.  A pair
+    it equals k*'s main-loop bits.  Otherwise `_setup` computes all four
+    targets and one point per distinct complement pair of columns, in order
+    of first occurrence; its members verify by variants pb and 2 + pb.  A pair
     is keyed by the packed bytes of its member c that starts with 0; its
     lane k(c, 0) is 2^(L+1) plus those bits read as a number.  k* is the
     expansion of the first verified column, pre-loop bit 0 first.
@@ -280,8 +289,7 @@ def _verify_all(bits: np.ndarray, pub, params: CurveParams,
     pairs = dict.fromkeys(keys)  # the distinct pairs, in order of first occurrence
     shift = -n % 8  # packbits fills the last byte up with zero bits
     lanes = [(1 << (n + 1)) | int.from_bytes(pair, "big") >> shift for pair in pairs]
-    a, c_g, *points = _fixed_base_pairs([1 << n, (1 << (n + 2)) + (1 << n) - 1] + lanes, params)
-    targets = _targets(a, c_g, pub, params, _VARIANTS)
+    points, targets = _setup(n, lanes, pub, params, _VARIANTS)
     matched = {}  # (pair, member is the complement) -> pre-loop bit of its verifying expansion
     for pair, point in zip(pairs, points):
         for is_complement in (False, True):
@@ -305,14 +313,15 @@ class BruteForceResult:
 
 
 MAX_SUSPECTS = 24
+DEFAULT_BUDGET = 1 << 17  # checks of a brute force when the caller names none
 
 
 def _flip_search(bits, positions, points, targets, variants, params: CurveParams, budget=inf):
     """The first hit in brute-force order as (the scalar it verifies,
     checks), or None if there is none or the walk reached children all of
     whose checks exceed budget (a hit's checks may exceed it too); points:
-    k(bits, 0)*G, then each position's flip delta, and targets: `_targets`
-    of the variants, all int pairs (`_complete` computes both).
+    k(bits, 0)*G, then each position's flip delta, and targets: those of
+    the variants, all int pairs (`_setup` computes both for `_complete`).
 
     Subsets of the positions come by size, then lexicographic, each tried
     against the m targets in order: subset r hits target j, check m*r + j + 1,
@@ -360,15 +369,10 @@ def _flip_search(bits, positions, points, targets, variants, params: CurveParams
 
 def _complete(bits, suspects, pub, params: CurveParams, variants, budget=inf):
     """`_flip_search` of bits' suspects against the variants' targets of
-    pub (an int pair on the curve): its (scalar, checks), or None.  One
-    fixed-base call computes A = 2^L*G, C*G only if a variant j >= 2 is
-    asked, k(bits, 0)*G and the flip deltas +-2^(L-1-p)*G."""
-    n, complement = len(bits), any(j >= 2 for j in variants)
-    head = [1 << n, (1 << (n + 2)) + (1 << n) - 1][:1 + complement]
-    lanes = [expand_candidate(bits, 0).value] + [1 << (n - 1 - p) for p in suspects]
-    a, *points = _fixed_base_pairs(head + lanes, params)
-    c_g = points.pop(0) if complement else None
-    targets = _targets(a, c_g, pub, params, variants)
+    pub (an int pair on the curve): its (scalar, checks), or None.  The
+    lanes of `_setup` are k(bits, 0) and the flip deltas +-2^(L-1-p)."""
+    lanes = [expand_candidate(bits, 0).value] + [1 << (len(bits) - 1 - p) for p in suspects]
+    points, targets = _setup(len(bits), lanes, pub, params, variants)
     return _flip_search(bits, suspects, points, targets, variants, params, budget)
 
 
@@ -378,7 +382,7 @@ def brute_force_complete(
     g: AffinePoint,
     pub: AffinePoint,
     params: CurveParams,
-    budget: int = 1 << 17,
+    budget: int = DEFAULT_BUDGET,
     preloop_bits=(0, 1),
 ) -> BruteForceResult:
     """Flip subsets of the suspect positions until some key verifies.
@@ -463,10 +467,10 @@ class AttackReport:
         """Human-readable summary mirroring the result-table columns."""
         lines = []
         if self.deltas is not None and self.best_index is not None:
-            c = self.candidates[self.best_index]
+            j, polarity = self.candidates.label(self.best_index)
             lines.append(
                 "attack success as highest key correctness (corresponding clock cycle): "
-                f"{self.best_delta * 100:.1f}% (cycle {c.sample_index}, {c.polarity.value})"
+                f"{self.best_delta * 100:.1f}% (cycle {j}, {polarity.value})"
             )
             above = int(np.sum(self.deltas > 0.80))
             lines.append(f"key candidates with a correctness of more than 80%: {above}")
@@ -506,7 +510,8 @@ def evaluate(
             return report
         key, n = None, slots.shape[0]
         if params.order_hint is not None and (1 << (n + 2)) <= params.order_hint:
-            bits, margins = combined_candidate(slots, mean, separation_scores(slots, mean))
+            below = candidates.bits[:, :slots.shape[1]]  # SMALLER_IS_ONE reads slots < mean
+            bits, margins = combined_candidate(slots, mean, separation_scores(slots, below))
             suspects = sorted(np.argsort(margins, kind="stable")[:COMBINED_SUSPECTS].tolist())
             key, _ = _complete(bits, suspects, pub.pair, params, _VARIANTS) or (None, 0)
         report.verified, report.key = _verify_all(candidates.bits, pub.pair, params, key)
@@ -518,18 +523,17 @@ def evaluate(
 def report_to_csv(report: AttackReport, path, config_lines=()) -> None:
     """One row per candidate: sample index, polarity, delta, verified flag.
 
-    Row c is column c of the candidates: sample index c % slot_len,
-    polarity c // slot_len.  Rows end in CRLF, as a csv writer's do.
+    Row c is column c of the candidates, labelled by `KeyCandidates.label`.
+    Rows end in CRLF, as a csv writer's do.
     """
     count = len(report.candidates)
-    width = count // 2
-    polarities = [p.value for p in _POLARITIES]
+    labels = map(report.candidates.label, range(count))
     deltas = ([""] * count if report.deltas is None
               else [f"{d:.6f}" for d in report.deltas.tolist()])
     flags = ([""] * count if report.verified is None
              else ["yes" if v else "no" for v in report.verified.tolist()])
     comments = [f"# {line}\n" for line in (*config_lines, *report.summary_lines())]
-    rows = [f"{c % width},{polarities[c // width]},{delta},{flag}\r\n"
-            for c, (delta, flag) in enumerate(zip(deltas, flags))]
+    rows = [f"{j},{polarity.value},{delta},{flag}\r\n"
+            for (j, polarity), delta, flag in zip(labels, deltas, flags)]
     with open(path, "w", newline="") as fh:
         fh.write("".join(comments + ["sample_index,polarity,delta,verified\r\n"] + rows))

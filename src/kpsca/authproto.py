@@ -20,13 +20,11 @@ in-memory fixtures.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 from .curve import (
     AffinePoint,
     CurveParams,
     CurveError,
-    NOMINAL_SCALAR_BITS,
     Scalar,
     fixed_base_multiples,
     get_curve,
@@ -47,10 +45,8 @@ class Identity:
     pub: AffinePoint
 
     @classmethod
-    def generate(cls, curve_id: str, rng, nbits: Optional[int] = None) -> "Identity":
+    def generate(cls, curve_id: str, rng, nbits: int) -> "Identity":
         params = get_curve(curve_id)
-        if nbits is None:
-            nbits = NOMINAL_SCALAR_BITS[curve_id]
         k = Scalar.random(rng, nbits)
         pub, = fixed_base_multiples([k.value], params)
         if pub.infinity:

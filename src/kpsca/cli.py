@@ -342,7 +342,7 @@ def _segment_from_cfg(cfg: RunConfig, trace):
     if num is None:
         if trace.ground_truth is None:
             raise ValueError("--num-slots is required when the trace has no ground truth")
-        num = max(trace.ground_truth.bit_length - 2, 0)
+        num = len(trace.ground_truth.main_loop_bits)
     return segment(values, start, cfg.slot_len, num)
 
 
@@ -388,7 +388,7 @@ def _welch(args) -> int:
 
 def _bruteforce(args) -> int:
     cfg = _build_run_config(args, "bruteforce")
-    budget = _resolve(args, "budget", int, 1 << 17)
+    budget = _resolve(args, "budget", int, attack_mod.DEFAULT_BUDGET)
     if budget < 0:
         raise ValueError(f"budget must be >= 0, got {budget}")
     sample_index = _resolve(args, "sample_index", int, None)
@@ -412,9 +412,7 @@ def _bruteforce(args) -> int:
                 f"sample index must be in 0..{matrix.shape[1] - 1}, got {sample_index}"
             )
         pol = attack_mod.Polarity(polarity or "smaller_is_one")
-        # column p * slot_len + j is sample index j under the p-th polarity
-        p = list(attack_mod.Polarity).index(pol)
-        candidate = report.candidates[p * matrix.shape[1] + sample_index]
+        candidate = report.candidates[report.candidates.column(sample_index, pol)]
     elif report.best_index is not None:
         candidate = report.best_candidate
     else:
@@ -455,7 +453,7 @@ def _auth_demo(args) -> int:
     # the attacker's view: the measured trace, without the key
     matrix = segment(
         compress(trace.without_ground_truth(), CompressionMethod(cfg.compression)),
-        trace.cycle0_cycle, cfg.slot_len, identity.k.bit_length - 2,
+        trace.cycle0_cycle, cfg.slot_len, len(identity.k.main_loop_bits),
     )
     recovered = attack_mod.evaluate(matrix, pub=identity.pub, params=identity.params).key
     print(f"key recovered: {'yes' if recovered is not None else 'no'}")

@@ -318,7 +318,7 @@ def reference_flip_search(bits, suspects, points, targets, params):
     per-subset walk: every subset reached, in brute-force order, gets its
     point by one point_add from its parent's and is compared with each
     target; points are k(bits, 0)*G and the suspects' flip deltas, targets
-    the four of attack._targets, target j = 2*complement + pb, all as int
+    the four of attack._setup, target j = 2*complement + pb, all as int
     pairs."""
     points = [AffinePoint.from_pair(params.field, p) for p in points]
     targets = [[AffinePoint.from_pair(params.field, p) for p in targets[s:s + 2]]

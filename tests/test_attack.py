@@ -147,6 +147,9 @@ def test_property_separation_matches_per_column_loop(num_slots, slot_len, data):
     got = separation_scores(m)
     assert all(v >= 0 for v in got)
     assert list(got) == pytest.approx(_separation_per_column(m), rel=1e-9)
+    # the split as extraction holds it, or the mean slot, gives the same scores
+    assert np.array_equal(separation_scores(m, extract_candidates(m).bits[:, :slot_len]), got)
+    assert np.array_equal(separation_scores(m, mean_slot(m)), got)
 
 
 class TestCorrectness:
@@ -211,6 +214,8 @@ class TestWelch:
         m = matrix_of([[1.0], [2.0], [3.0]])
         with pytest.raises(ValueError):
             welch_t(m, [0, 0, 1])
+        with pytest.raises(ValueError, match="labels must have one entry per slot"):
+            welch_t(m, [0, 0, 1, 1])
 
     def test_leaky_trace_flags_only_differing_cycles(self, b233_run, b233_leaky_trace):
         _, k, _, _, schedule = b233_run
@@ -320,7 +325,7 @@ class TestEndToEndExtraction:
     def test_scores_match_correctness(self, b233_run):
         """evaluate's vectorized scores equal one correctness() call per
         candidate on a noisy trace, where the deltas spread."""
-        _, k, _, _, schedule = b233_run
+        params, k, _, _, schedule = b233_run
         trace = synthesize_trace(schedule, LeakModel(noise_sigma=1.0, rng_seed=9))
         m = segment_trace(trace, schedule.num_slots)
         report = attack.evaluate(m, truth_bits=k.main_loop_bits)
@@ -331,6 +336,8 @@ class TestEndToEndExtraction:
         n = len(k.main_loop_bits)
         with pytest.raises(ValueError, match=f"candidate has {n - 2} bits, truth has {n}"):
             attack.evaluate(segment_trace(trace, n - 2), truth_bits=k.main_loop_bits)
+        with pytest.raises(ValueError, match="verification needs params alongside pub"):
+            attack.evaluate(m, pub=params.g)
 
     def test_both_polarities_win_somewhere(self, b233_run, b233_leaky_trace):
         _, k, _, _, schedule = b233_run
@@ -426,6 +433,9 @@ def test_property_extraction_matches_per_column_loop(num_slots, slot_len, data):
     assert len(got) == len(reference)
     assert [got[c] for c in range(len(got))] == reference
     assert [got[c] for c in range(-len(got), 0)] == reference
+    assert [got.label(c) for c in range(len(got))] == [(c.sample_index, c.polarity)
+                                                       for c in reference]
+    assert [got.column(c.sample_index, c.polarity) for c in reference] == list(range(len(got)))
     window = data.draw(st.slices(len(reference)))
     assert got[window] == reference[window]
     for c in (len(got), -len(got) - 1):
@@ -543,3 +553,19 @@ class TestVerificationB233:
         report = attack.evaluate(matrix, k.main_loop_bits, pub=pub, params=params)
         assert len(calls) == 1
         assert report.key == k
+
+    def test_split_below_mean_computed_once(self, b233_run, b233_leaky_trace):
+        # separation_scores reads the split from the candidates' bit matrix
+        params, k, _, _, _ = b233_run
+        compared = []
+
+        class Slots(np.ndarray):
+            def __lt__(self, other):
+                compared.append(self.shape)
+                return super().__lt__(other)
+
+        matrix = segment_trace(b233_leaky_trace, k.bit_length - 2).view(Slots)
+        pub, = fixed_base_multiples([k.value], params)
+        report = attack.evaluate(matrix, pub=pub, params=params)
+        assert report.key == k
+        assert compared.count(matrix.shape) == 1

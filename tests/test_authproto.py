@@ -3,7 +3,7 @@ import random
 import pytest
 
 from kpsca.authproto import Identity, challenge, respond, verify
-from kpsca.curve import AffinePoint, CurveError, Scalar, get_curve, kp_point
+from kpsca.curve import AffinePoint, CurveError, NOMINAL_SCALAR_BITS, Scalar, get_curve, kp_point
 from kpsca.leaksim import LeakModel
 
 from helpers import oracle_double_and_add
@@ -13,7 +13,7 @@ MODEL = LeakModel(addr_weight=1.0, noise_sigma=0.0, samples_per_cycle=2, rng_see
 
 @pytest.fixture(scope="module")
 def bob():
-    return Identity.generate("b233", random.Random(100))
+    return Identity.generate("b233", random.Random(100), NOMINAL_SCALAR_BITS["b233"])
 
 
 class TestIdentity:
@@ -83,7 +83,7 @@ class TestChallengeResponse:
 
     def test_wrong_identity_fails(self, bob):
         rng = random.Random(104)
-        mallory = Identity.generate("b233", random.Random(999))
+        mallory = Identity.generate("b233", random.Random(999), 232)
         ch = challenge(bob.pub, bob.params, rng, 232)
         q_m, _ = respond(mallory, ch.R, MODEL)
         assert not verify(ch.q_expected, q_m)

@@ -3,6 +3,7 @@ import hashlib
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -418,14 +419,14 @@ class TestAuthDemo:
 
     def test_noisy_pin_is_the_planted_key(self):
         stdout = AUTH_DEMO_PINS[("b233", 2, "1.0")][1]
-        planted = authproto.Identity.generate("b233", random.Random(2)).k
+        planted = authproto.Identity.generate("b233", random.Random(2), 232).k
         assert f"recovered scalar: {planted.to_hex()}\n" in stdout
 
     def test_recovers_most_keys_at_sigma_1(self, capsys):
         recovered = [
             auth_demo(capsys, "b233", seed, "1.0")
             == (0, AUTH_DEMO_RECOVERED.format(
-                authproto.Identity.generate("b233", random.Random(seed)).k.to_hex()), "")
+                authproto.Identity.generate("b233", random.Random(seed), 232).k.to_hex()), "")
             for seed in range(1, 9)
         ]
         assert sum(recovered) >= 7
@@ -467,6 +468,13 @@ class TestAuthDemo:
             f"error: auth-demo needs scalars of at least 4 bits, got {nbits}\n")
         code, stdout, _ = run(["auth-demo", "--curve", "b233", "--scalar-bits", "4"], capsys)
         assert code == 0 and "key recovered: yes" in stdout
+
+    def test_readme_example(self, capsys):
+        # the README's auth-demo block is this command's output
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        flags, block = re.search(r"\(`(--curve \S+ --seed \d+)`\):\n\n```\n(.*?)```",
+                                 readme, re.DOTALL).groups()
+        assert run(["auth-demo", *flags.split()], capsys) == (0, block, "")
 
     def test_deterministic(self, tmp_path, capsys):
         _, out1, _ = run(["auth-demo", "--curve", "b233", "--seed", "9"], capsys)
@@ -564,6 +572,10 @@ EXIT_CODE_CASES = [
     ("bad_config_line", cli.EXIT_CONFIG),
     ("missing_trace", cli.EXIT_IO),
     ("oversized_num_slots", cli.EXIT_SEGMENTATION),
+    ("slot_len=0", cli.EXIT_CONFIG),
+    ("num_slots=0", cli.EXIT_CONFIG),
+    ("scalar_bits=0", cli.EXIT_CONFIG),
+    ("suspects=999", cli.EXIT_CONFIG),
     ("sample_index=999", cli.EXIT_CONFIG),
     ("sample_index=-1", cli.EXIT_CONFIG),
     ("clock_hz=0", cli.EXIT_CONFIG),
@@ -596,7 +608,8 @@ EXIT_CODE_CASES = [
     ("config compression=foo", cli.EXIT_CONFIG),
 ]
 
-SIMULATE_FLAGS = ("excerpt_cycles", "noise_sigma", "addr_weight", "data_weight", "baseline")
+SIMULATE_FLAGS = ("excerpt_cycles", "noise_sigma", "addr_weight", "data_weight", "baseline",
+                  "scalar_bits")
 
 
 def contract_argv(case, tmp_path, capsys):
@@ -638,6 +651,9 @@ def contract_argv(case, tmp_path, capsys):
     trace = str(out / "trace.kptr")
     if name == "oversized_num_slots":
         return ["attack", trace, "--curve", "test8", "--num-slots", "5000", "--out", str(out)]
+    if name in ("slot_len", "num_slots"):
+        flag = "--" + name.replace("_", "-")
+        return ["attack", trace, "--curve", "test8", f"{flag}={value}", "--out", str(out)]
     if name == "threshold":
         return ["welch", trace, "--curve", "test8", f"--threshold={value}", "--out", str(out)]
     if name == "polarity_without_index":

@@ -102,6 +102,8 @@ class TestRegistry:
     def test_coefficients_of_another_field_rejected(self, b233, test8):
         with pytest.raises(CurveError):
             dataclasses.replace(b233, a=test8.a)
+        with pytest.raises(CurveError, match="curve coefficient b must be nonzero"):
+            dataclasses.replace(b233, b=b233.field.element(0))
 
     def test_point_serialization_roundtrip(self, b233):
         assert AffinePoint.from_hex(b233.field, b233.g.to_hex()) == b233.g

@@ -229,10 +229,8 @@ def test_weight3_hit_computes_no_weight3_point(monkeypatch, flips):
 
 def combined_inputs(params, bits, suspects, pub):
     """The combined search's points and the targets of its 4 variants, as
-    `attack._complete` computes them: int pairs."""
-    a, c_g, *points = curve._fixed_base_pairs(
-        target_lanes(len(bits)) + flip_lanes(bits, suspects), params)
-    return points, attack._targets(a, c_g, pub.pair, params, range(4))
+    `attack._complete` computes them, by `attack._setup`: int pairs."""
+    return attack._setup(len(bits), flip_lanes(bits, suspects), pub.pair, params, range(4))
 
 
 def combined_key(bits, suspects, pub, params):
@@ -455,7 +453,7 @@ def test_rule_skipped_when_order_is_small(monkeypatch):
 
 
 def three_add_targets(step, c_g, pub, params):
-    """`attack._targets` of the 4 variants as three `point_add`s, one inversion each."""
+    """`attack._setup`'s targets of the 4 variants as three `point_add`s, one inversion each."""
     c_minus_pub = point_add(c_g, negate(pub), params)
     return [pub, point_add(pub, negate(step), params),
             c_minus_pub, point_add(c_minus_pub, step, params)]
@@ -466,7 +464,8 @@ def test_pair_targets_match_three_additions(monkeypatch, nbits):
     """The targets of the 4 variants, pub - A and C*G - pub sharing one
     inversion, and those of brute force's pre-loop bits (no C*G), equal
     separate additions for every pub in <G> on test8, infinity included,
-    and so through `_add_many`'s infinity and equal-x fallbacks."""
+    and so through `_add_many`'s infinity and equal-x fallbacks.  The
+    inversions are counted net of `_setup`'s fixed-base call."""
     step, c_g = fixed_base_multiples([1 << nbits, (1 << (nbits + 2)) + (1 << nbits) - 1],
                                      TEST8)
     pubs = fixed_base_multiples(range(1, TEST8.order_hint), TEST8)
@@ -476,16 +475,25 @@ def test_pair_targets_match_three_additions(monkeypatch, nbits):
     assert all(p in pubs for p in special)
     for pub in pubs + [AffinePoint.at_infinity()]:
         want = [p.pair for p in three_add_targets(step, c_g, pub, TEST8)]
-        assert attack._targets(step.pair, c_g.pair, pub.pair, TEST8, range(4)) == want
+        assert attack._setup(nbits, [], pub.pair, TEST8, range(4)) == ([], want)
         for variants in [(0,), (1,), (0, 1), (1, 0)]:
-            assert (attack._targets(step.pair, None, pub.pair, TEST8, variants)
-                    == [want[j] for j in variants])
+            assert (attack._setup(nbits, [], pub.pair, TEST8, variants)
+                    == ([], [want[j] for j in variants]))
     inversions = []
     invert = gf2m.invert
     monkeypatch.setattr(gf2m, "invert", lambda f, a: inversions.append(a) or invert(f, a))
-    for c_g_pair, variants, count in [(c_g.pair, range(4), 2), (None, (0, 1), 1)]:
+    fixed_base = attack._fixed_base_pairs
+
+    def uncounted(ks, params):  # the fixed-base call's inversions are not the targets'
+        before = len(inversions)
+        pairs = fixed_base(ks, params)
+        del inversions[before:]
+        return pairs
+
+    monkeypatch.setattr(attack, "_fixed_base_pairs", uncounted)
+    for variants, count in [(range(4), 2), ((0, 1), 1)]:
         del inversions[:]
-        attack._targets(step.pair, c_g_pair, pubs[0].pair, TEST8, variants)  # G: no fallback
+        attack._setup(nbits, [], pubs[0].pair, TEST8, variants)  # G: no fallback
         assert len(inversions) == count
 
 
