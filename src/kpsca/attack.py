@@ -15,8 +15,8 @@ candidates are verified against the public key.  Residual wrong bits
 are brute-forced by flipping suspect positions in increasing
 Hamming-weight order.
 
-Verification computes one point per complement pair of bit strings,
-not one per candidate scalar.  For an L-bit candidate c let
+Verification settles a complement pair of bit strings at once, not one
+candidate scalar at a time.  For an L-bit candidate c let
 k(c, pb) be its expansion with pre-loop bit pb.  Then
 k(c, 1) = k(c, 0) + 2^L, and the complement c' of c has
 k(c', pb) = C + pb*2^L - k(c, 0) with C = 2^(L+2) + 2^L - 1.  So the
@@ -38,15 +38,15 @@ candidate, and is rejected before any target is derived from it: the
 affine addition is meaningful only on the curve and could turn an
 off-curve pub into the point at infinity, which kP legitimately equals.
 
-Every expansion of an L-bit candidate lies in [2^(L+1), 2^(L+2)); when
-2^(L+2) <= n, the order of G (`CurveParams.order_hint`), at most one
-scalar k* verifies.  `evaluate` seeks it first from `combined_candidate`,
-which sums the sign-aligned, standardized columns of the cycles that the
-label-free `separation_scores` ranks highest (the non-profiled clustering
-of Heyszl et al., CARDIS 2013): `_complete`, the completion that brute
-force also runs, flips its least-margin bits.  A hit decides the
-candidates by one comparison of the matrix's columns with k*'s bits; a
-miss, or 2^(L+2) > n (test8, 233-bit scalars on B-233), sets up every
+`evaluate` first completes `combined_candidate`, which sums the
+sign-aligned, standardized columns of the cycles that the label-free
+`separation_scores` ranks highest (the non-profiled clustering of Heyszl
+et al., CARDIS 2013): `_complete`, the completion that brute force also
+runs, flips its least-margin bits.  G has order n
+(`CurveParams.order_hint`), so once any k' verifies, an expansion
+verifies iff it is congruent to k' mod n, on every curve: a hit decides
+each pair by its lane k(c, 0) mod n against the variants' residues k',
+k' - 2^L, C - k' and C - k' + 2^L, with no point.  A miss sets up every
 pair, found from the packed columns, as the lanes of one `_setup`.
 
 Welch's two-sample t-test over the '0'-labelled and '1'-labelled slots
@@ -250,7 +250,7 @@ def _setup(n: int, lanes, pub, params: CurveParams, variants) -> tuple[list, lis
     is asked, then the lanes.  pub - A and C*G - pub, computed only if
     asked, share one inversion; C*G - pub + A takes a second."""
     complement = any(j >= 2 for j in variants)
-    head = [1 << n, (1 << (n + 2)) + (1 << n) - 1][:1 + complement]
+    head = [1 << n, (5 << n) - 1][:1 + complement]  # 2^n and C
     a, *points = _fixed_base_pairs(head + lanes, params)
     c_g = points.pop(0) if complement else None
     out = {0: pub}
@@ -270,36 +270,38 @@ def _verify_all(bits: np.ndarray, pub, params: CurveParams,
                 key: Optional[Scalar]) -> tuple[np.ndarray, Optional[Scalar]]:
     """Per column of the (L, 2 * slot_len) candidate bit matrix: does either
     pre-loop expansion of the candidate reproduce pub (an int pair on the
-    curve)?  Also the verifying scalar k*, or None.
+    curve)?  Also the verifying scalar: the first verified column's
+    expansion, pre-loop bit 0 first, else key.
 
-    Given k* (the unique one, where 2^(L+2) <= n), column c is verified iff
-    it equals k*'s main-loop bits.  Otherwise `_setup` computes all four
-    targets and one point per distinct complement pair of columns, in order
-    of first occurrence; its members verify by variants pb and 2 + pb.  A pair
+    A distinct complement pair of columns, in order of first occurrence,
     is keyed by the packed bytes of its member c that starts with 0; its
-    lane k(c, 0) is 2^(L+1) plus those bits read as a number.  k* is the
-    expansion of the first verified column, pre-loop bit 0 first.
+    lane k(c, 0) is 2^(L+1) plus those bits read as a number, and its
+    members verify by variants pb and 2 + pb.  Given a verifying key, the
+    lanes and the variants' targets are residues mod n (the module
+    docstring); else `_setup` computes them as points.
     """
-    if key is not None:
-        key_bits = np.array(key.main_loop_bits, dtype=bool)
-        return (bits == key_bits[:, np.newaxis]).all(axis=0), key
     n = bits.shape[0]
     complement = bits[0].tolist()  # the columns that start with 1: their pair's other member
-    keys = list(map(bytes, np.packbits((bits ^ bits[0]).T, axis=1)))
+    packed = np.packbits(np.ascontiguousarray((bits ^ bits[0]).T), axis=1)
+    keys = packed.view(f"V{packed.shape[1]}").ravel().tolist()  # a bytes object per column
     pairs = dict.fromkeys(keys)  # the distinct pairs, in order of first occurrence
     shift = -n % 8  # packbits fills the last byte up with zero bits
     lanes = [(1 << (n + 1)) | int.from_bytes(pair, "big") >> shift for pair in pairs]
-    points, targets = _setup(n, lanes, pub, params, _VARIANTS)
+    if key is None:
+        points, targets = _setup(n, lanes, pub, params, _VARIANTS)
+    else:
+        order, k, c = params.order_hint, key.value, (5 << n) - 1  # c = C
+        points = [lane % order for lane in lanes]
+        targets = [t % order for t in (k, k - (1 << n), c - k, c - k + (1 << n))]
     matched = {}  # (pair, member is the complement) -> pre-loop bit of its verifying expansion
     for pair, point in zip(pairs, points):
         for is_complement in (False, True):
             wanted = targets[2 * is_complement:2 * is_complement + 2]
             if point in wanted:
                 matched[pair, is_complement] = wanted.index(point)
-    # where 2^(L+2) <= n, these are all the columns with k*'s bits: one pair holds them
     verified = np.array([member in matched for member in zip(keys, complement)], dtype=bool)
     if not verified.any():
-        return verified, None
+        return verified, key
     first = int(np.argmax(verified))
     return verified, expand_candidate(bits[:, first].view(np.uint8).tolist(),
                                       matched[keys[first], complement[first]])
@@ -490,8 +492,8 @@ def evaluate(
 ) -> AttackReport:
     """Run extraction on a (slots, cycles) array and score the candidates by
     truth and/or by verification of pub against params.g: an off-curve pub
-    verifies none; else k* is sought by `_complete` of the combined
-    candidate where 2^(L+2) <= n, and `_verify_all` sets the flags."""
+    verifies none; else `_complete` of the combined candidate seeks a
+    verifying scalar, and `_verify_all` sets the flags."""
     mean = mean_slot(slots)
     candidates = extract_candidates(slots, mean)
     report = AttackReport(candidates=candidates)
@@ -508,12 +510,10 @@ def evaluate(
         if not is_on_curve(pub, params):
             report.verified = np.zeros(len(candidates), dtype=bool)
             return report
-        key, n = None, slots.shape[0]
-        if params.order_hint is not None and (1 << (n + 2)) <= params.order_hint:
-            below = candidates.bits[:, :slots.shape[1]]  # SMALLER_IS_ONE reads slots < mean
-            bits, margins = combined_candidate(slots, mean, separation_scores(slots, below))
-            suspects = sorted(np.argsort(margins, kind="stable")[:COMBINED_SUSPECTS].tolist())
-            key, _ = _complete(bits, suspects, pub.pair, params, _VARIANTS) or (None, 0)
+        below = candidates.bits[:, :slots.shape[1]]  # SMALLER_IS_ONE reads slots < mean
+        bits, margins = combined_candidate(slots, mean, separation_scores(slots, below))
+        suspects = sorted(np.argsort(margins, kind="stable")[:COMBINED_SUSPECTS].tolist())
+        key, _ = _complete(bits, suspects, pub.pair, params, _VARIANTS) or (None, 0)
         report.verified, report.key = _verify_all(candidates.bits, pub.pair, params, key)
         if report.best_index is None and report.verified.any():
             report.best_index = int(np.argmax(report.verified))

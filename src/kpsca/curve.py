@@ -8,11 +8,11 @@ simulator.  `kp_point`, kP of a variable base point that leaks nothing
 in the model, halves and adds instead.  The affine group law (textbook
 formulas, code disjoint from the ladder) runs on int pairs (x, y), None
 for the point at infinity (`_point_add`, `_point_double`, `_negate`);
-`point_add` and `negate` adapt it to `AffinePoint`, the boundary type.
-It lets the attack verify key candidates by point additions instead of
-one kP per candidate scalar, and `kp_point` and `fixed_base_multiples`
-sum their points with it, as a tree whose levels share one inversion
-each (`_lane_sums`).  `fixed_base_multiples` gives every multiple of the
+`negate` adapts it to `AffinePoint`, the boundary type.  It lets the
+attack verify key candidates by point additions instead of one kP per
+candidate scalar, and `kp_point` and `fixed_base_multiples` sum their
+points with it, as a tree whose levels share one inversion each
+(`_lane_sums`).  `fixed_base_multiples` gives every multiple of the
 base point G that the package needs, from a signed base-256 window table
 (Hankerson, Menezes, Vanstone, Guide to Elliptic Curve Cryptography,
 sec. 3.3.1).  G is always the curve's own params.g, and the table
@@ -138,8 +138,8 @@ class CurveParams:
     b: FieldElement
     g: AffinePoint
     # order n of g, trusted: kp_point halves within <g> by it, and attack verification
-    # decides candidates by comparing scalars once one verifies (unique if 2^(L+2) <= n)
-    order_hint: Optional[int] = None
+    # decides candidates mod n once one scalar verifies
+    order_hint: int
 
     def __post_init__(self):
         if self.a.spec != self.field or self.b.spec != self.field:
@@ -155,7 +155,7 @@ class CurveParams:
         Hasse bound puts #E within 2*sqrt(q) of q + 1, 2n lies there, and
         n > 4*sqrt(q) leaves no other multiple of n there."""
         n, q = self.order_hint, 1 << self.field.m
-        return n if n and n & 1 and (q + 1 - 2 * n) ** 2 <= 4 * q and n * n > 16 * q else None
+        return n if n & 1 and (q + 1 - 2 * n) ** 2 <= 4 * q and n * n > 16 * q else None
 
 
 def is_on_curve(p: AffinePoint, params: CurveParams) -> bool:
@@ -386,15 +386,6 @@ def _halve_and_add(k: int, p: tuple[int, int], params: CurveParams, n: int):
 
 
 # --- affine group law (textbook formulas) on int pairs (x, y), None for infinity ---
-
-def point_add(p: AffinePoint, q: AffinePoint, params: CurveParams) -> AffinePoint:
-    """p + q for points on the curve, in affine coordinates, by `_point_add`.
-
-    Off-curve inputs give meaningless results (the equal-x branch may
-    even return the point at infinity); callers check the curve first.
-    """
-    return AffinePoint.from_pair(params.field, _point_add(p.pair, q.pair, params))
-
 
 def _negate(p):
     """-(x, y) = (x, x + y) on binary curves."""

@@ -21,7 +21,6 @@ from kpsca.curve import (
     is_on_curve,
     kp_point,
     negate,
-    point_add,
 )
 from kpsca.gf2m import FieldSpec
 from kpsca.traces import Trace, write_trace
@@ -201,7 +200,28 @@ def make_test16_curve() -> CurveParams:
     )
 
 
-# --- independent double-and-add oracle ---
+# --- independent affine group law and double-and-add oracle ---
+
+def point_add(p: AffinePoint, q: AffinePoint, params: CurveParams) -> AffinePoint:
+    """p + q by the textbook affine formulas, apart from the package's pair law.
+
+    The slope is the chord's (y1 + y2)/(x1 + x2), or for p = q the
+    tangent's x1 + y1/x1; then x3 = l^2 + l + x1 + x2 + a and
+    y3 = l*(x1 + x3) + x3 + y1.  Equal x with unequal y is q = -p on the
+    curve, and (0, y) is its own negative: both sum to infinity.
+    """
+    if p.infinity or q.infinity:
+        return q if p.infinity else p
+    f, ((x1, y1), (x2, y2)) = params.field, (p.pair, q.pair)
+    if x1 == x2 and (y1 != y2 or x1 == 0):
+        return AffinePoint.at_infinity()
+    if x1 == x2:
+        lam = x1 ^ gf2m.mul_classical(f, y1, gf2m.invert(f, x1))
+    else:
+        lam = gf2m.mul_classical(f, y1 ^ y2, gf2m.invert(f, x1 ^ x2))
+    x3 = gf2m.square(f, lam) ^ lam ^ x1 ^ x2 ^ params.a.value
+    return AffinePoint.from_pair(f, (x3, gf2m.mul_classical(f, lam, x1 ^ x3) ^ x3 ^ y1))
+
 
 def oracle_double_and_add(k: Scalar, p: AffinePoint, params: CurveParams) -> AffinePoint:
     """Verification oracle: plain MSB-first double-and-add in affine coordinates."""

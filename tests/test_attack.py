@@ -1,4 +1,3 @@
-import dataclasses
 import math
 import random
 
@@ -449,8 +448,8 @@ class TestVerificationB233:
     verification's.  With noise seed 9, one call, of the combined
     candidate's lane and its COMBINED_SUSPECTS flip deltas besides 2^L
     and C, finds the key up to sigma 1.0, where no single candidate
-    verifies.  At sigma 1.5 it misses, and a second call computes 2^L, C and
-    every pair once, which finds nothing."""
+    verifies, and the flags follow mod n.  At sigma 1.5 it misses, and a
+    second call computes 2^L, C and every pair once, which finds nothing."""
 
     @pytest.mark.parametrize("sigma", [0.0, 0.5, 1.0, 1.5])
     def test_flags_and_work(self, monkeypatch, b233_run, sigma):
@@ -468,18 +467,17 @@ class TestVerificationB233:
         report = attack.evaluate(matrix, pub=pub, params=params)
         combined_calls = calls[:]
         calls.clear()
-        # without the order, every complement pair is computed
-        full = attack.evaluate(matrix, pub=pub,
-                               params=dataclasses.replace(params, order_hint=None))
+        # with no verifying key, every complement pair is computed
+        flags, pair_key = attack._verify_all(report.candidates.bits, pub.pair, params, None)
         monkeypatch.undo()
-        assert np.array_equal(report.verified, full.verified)
+        assert np.array_equal(report.verified, flags)
         assert list(report.verified) == [c.bits == k.main_loop_bits for c in report.candidates]
         assert report.verified.any() == (sigma < 1)
         # at sigma 1.5 the combined search misses: a second call, and no key
         hit = sigma < 1.5
         assert report.key == (k if hit else None)
-        # the order-less path has only the single candidates
-        assert full.key == (k if sigma < 1 else None)
+        # the pair path has only the single candidates
+        assert pair_key == (k if sigma < 1 else None)
         n = len(k.main_loop_bits)
         head = [1 << n, (1 << (n + 2)) + (1 << n) - 1]
         mean = mean_slot(matrix)
@@ -492,7 +490,7 @@ class TestVerificationB233:
         lanes = {rep: expand_candidate(rep, 0).value
                  for rep in (min(c.bits, complement(c).bits) for c in report.candidates)}
         assert calls == [head + list(lanes.values())]
-        # a miss makes the order-less path's call: 2^L, C and every pair
+        # a miss makes the pair path's call: 2^L, C and every pair
         assert rest == ([] if hit else calls)
 
     @pytest.mark.parametrize("sigma", [0.0, 0.5, 1.0])

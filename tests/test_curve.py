@@ -20,7 +20,6 @@ from kpsca.curve import (
     ladder_step,
     negate,
     next_state,
-    point_add,
     roles,
     step_relations_hold,
 )
@@ -31,6 +30,7 @@ from helpers import (
     is_probable_prime,
     make_test16_curve,
     oracle_double_and_add,
+    point_add,
     shipped_row_count,
 )
 
@@ -80,9 +80,12 @@ class TestRegistry:
     @pytest.mark.parametrize("name", ["b163", "b233", "test8"])
     def test_order_hint_is_prime(self, name):
         # with n*G = infinity and G != infinity this pins ord(G) = n, on
-        # which verification's rule "at most one scalar below n verifies"
-        # rests
+        # which verification's rule "k'*G = pub iff k' = k mod n" rests
         assert is_probable_prime(get_curve(name).order_hint)
+
+    def test_order_is_required(self, test8):
+        with pytest.raises(TypeError):
+            CurveParams(test8.field, test8.a, test8.b, test8.g)
 
     def test_primality_helper(self):
         small = [n for n in range(200) if is_probable_prime(n)]
@@ -125,9 +128,14 @@ class TestLadderInit:
         # curve crafted so (1, 0) is on it: y^2 + y = 1 + a + b = 0
         spec = get_curve("test8").field
         a, b = spec.element(0x20), spec.element(0x21)
-        params = CurveParams(
-            field=spec, a=a, b=b, g=AffinePoint(spec.element(1), spec.element(0))
-        )
+        curve_ = dict(field=spec, a=a, b=b, g=AffinePoint(spec.element(1), spec.element(0)))
+        # the order of (1, 0), by search; the group law reads only the field and a
+        provisional = CurveParams(**curve_, order_hint=1)
+        order, p = 1, provisional.g
+        while not p.infinity:
+            order, p = order + 1, point_add(p, provisional.g, provisional)
+        params = CurveParams(**curve_, order_hint=order)
+        assert kp_multiply(Scalar(order), params.g, params)[0].infinity
         state = kp_multiply(Scalar(1), params.g, params)[1].states[0]
         assert state.X1 == 1 and state.Z1 == 1
         assert state.X2 == 1 ^ b.value  # 1^4 + b
@@ -298,13 +306,9 @@ class TestOracle:
         assert oracle_double_and_add(Scalar(1), b163.g, b163) == b163.g
 
     def test_negation_sums_to_infinity(self, b163):
-        from kpsca.curve import point_add
-
         assert point_add(b163.g, negate(b163.g), b163).infinity
 
     def test_consecutive_scalars_differ_by_p(self, test8):
-        from kpsca.curve import point_add
-
         rng = random.Random(6)
         for _ in range(20):
             k = rng.randint(1, 500)
@@ -542,11 +546,6 @@ class TestShippedTables:
             curve._window_table.__wrapped__(b233)
 
 
-def ladder_params(params: CurveParams) -> CurveParams:
-    """params without an order hint, for which kp_point runs the ladder."""
-    return dataclasses.replace(params, order_hint=None)
-
-
 def two_torsion(params: CurveParams) -> AffinePoint:
     """T2 = (0, sqrt(b)), with sqrt(b) = b^(2^(m-1)) by squaring."""
     f, r = params.field, params.b.value
@@ -597,20 +596,19 @@ class TestKpPointHalving:
         points = points_off_x0(test8)
         inside = [p for p in points if in_subgroup(p, test8)]
         assert len(points) == 272 and len(inside) == 136
-        n, ladder = test8.order_hint, ladder_params(test8)
+        n = test8.order_hint
         ks = [*range(1, 17), n - 1, n, n + 1, 2 * n - 1, 2 * n, 2 * n + 1, 300, 3 * n + 5,
               (1 << 20) + 3]
         for p in points:
             for k in map(Scalar, ks):
-                assert kp_point(k, p, test8) == kp_point(k, p, ladder), (p, k)
+                assert kp_point(k, p, test8) == kp_multiply(k, p, test8)[0], (p, k)
 
     def test_test8_scalars_1_to_300(self, test8):
         t2 = two_torsion(test8)
         g_out = point_add(test8.g, t2, test8)
-        ladder = ladder_params(test8)
         for p in (test8.g, negate(test8.g), g_out, negate(g_out)):
             for k in map(Scalar, range(1, 301)):
-                assert kp_point(k, p, test8) == kp_point(k, p, ladder), (p, k)
+                assert kp_point(k, p, test8) == kp_multiply(k, p, test8)[0], (p, k)
 
     def test_top_naf_digit(self):
         # a NAF digit at position t stands for 2P, which kp_point doubles;
@@ -619,11 +617,10 @@ class TestKpPointHalving:
         t = n.bit_length()
         nafs = [curve._naf4(pow(2, t - 1, n) * k % n) for k in range(1, n)]
         assert {naf[t] for naf in nafs if len(naf) > t} == {1}
-        ladder = ladder_params(TOP_DIGIT)
         g_out = point_add(TOP_DIGIT.g, two_torsion(TOP_DIGIT), TOP_DIGIT)
         for p in (TOP_DIGIT.g, g_out):
             for k in map(Scalar, range(1, 2 * n + 3)):
-                assert kp_point(k, p, TOP_DIGIT) == kp_point(k, p, ladder), (p, k)
+                assert kp_point(k, p, TOP_DIGIT) == kp_multiply(k, p, TOP_DIGIT)[0], (p, k)
 
     @pytest.mark.parametrize("params", [make_test16_curve(), get_curve("b163"), get_curve("b233")],
                              ids=["test16", "b163", "b233"])
@@ -637,23 +634,21 @@ class TestKpPointHalving:
         assert not in_subgroup(p_out, params)
         ks = [1, 2, n - 1, n, n + 1, 2 * n, 2 * n + 1, rng.getrandbits(m - 1) | 1,
               rng.getrandbits(m + 20)]
-        ladder = ladder_params(params)
         for p in (p_in, p_out):
             for k in map(Scalar, ks):
-                assert kp_point(k, p, params) == kp_point(k, p, ladder), k
+                assert kp_point(k, p, params) == kp_multiply(k, p, params)[0], k
         # k = 0 mod n: infinity inside <G>, and outside it T2 for odd k
         assert kp_point(Scalar(n), p_in, params).infinity
         assert kp_point(Scalar(n), p_out, params) == t2
         assert kp_point(Scalar(2 * n), p_out, params).infinity
 
     @pytest.mark.parametrize("params", [
-        ladder_params(get_curve("test8")),
         dataclasses.replace(get_curve("test8"), order_hint=128),  # even, but 2n within Hasse
         dataclasses.replace(get_curve("test8"), order_hint=3 * 137),  # 2n past the Hasse bound
         # #E = 22 = 2 * 11, but n < 4*sqrt(q): the Hasse interval [9, 25] holds 11 too
         CurveParams(GF16, GF16.element(8), GF16.element(9),
                     AffinePoint(GF16.element(8), GF16.element(1)), order_hint=11),
-    ], ids=["none", "even", "outside_hasse", "below_4_sqrt_q"])
+    ], ids=["even", "outside_hasse", "below_4_sqrt_q"])
     def test_ladder_fallback(self, monkeypatch, params):
         assert params._halving_order is None
 

@@ -32,14 +32,17 @@ from kpsca.curve import (
     fixed_base_multiples,
     get_curve,
     is_on_curve,
+    kp_multiply,
     kp_point,
     negate,
-    point_add,
 )
 from kpsca.gf2m import FieldSpec
+from kpsca.leaksim import LeakModel, build_schedule, synthesize_trace
+from kpsca.traces import CompressionMethod, compress, segment
 
 from helpers import (
     make_test16_curve,
+    point_add,
     reference_brute_force,
     reference_flip_search,
     reference_recover_scalar,
@@ -109,20 +112,16 @@ def test_evaluate_matches_reference(data, curve_name):
     cands = extract_candidates(matrix)
     want = reference_verified(cands, params.g, pub, params)
     assert np.array_equal(report.verified, want)
-    # at most two table calls: the combined candidate's, then every pair's;
-    # one with every pair where 2^(L+2) > n (none for an off-curve pub)
-    if (1 << (len(bits) + 2)) <= params.order_hint:
-        assert len(calls) <= 2
-    else:
-        assert len(calls) == is_on_curve(pub, params)
-    # the key is the first verified candidate's, pre-loop bit 0 first; where
-    # 2^(L+2) <= n, the combined candidate's flip search may also find a
-    # verifying scalar that no candidate reads
+    # at most two table calls: the combined candidate's, then every pair's
+    # on a miss (none for an off-curve pub)
+    assert len(calls) <= 2 * is_on_curve(pub, params)
+    # the key is the first verified candidate's, pre-loop bit 0 first; the
+    # combined candidate's flip search may also find a verifying scalar
+    # that no candidate reads
     if want.any():
         first = cands[int(np.argmax(want))]
         assert report.key == reference_recover_scalar(first, params.g, pub, params)
     elif report.key is not None:
-        assert (1 << (len(bits) + 2)) <= params.order_hint
         assert report.key.bit_length == len(bits) + 2
         assert kp_point(report.key, params.g, params) == pub
 
@@ -437,19 +436,51 @@ def test_combined_flip_search_finds_key_in_one_call(monkeypatch):
     assert np.array_equal(report.verified, want)
 
 
-def test_rule_skipped_when_order_is_small(monkeypatch):
-    """On test8, 2^(L+2) > n = 137, so several scalars may verify: every
-    pair is computed, once, in extraction order, in one call with 2^L and
-    C and no combined lane, and the key is the first verified candidate's,
-    as trying candidates in order finds it."""
+def test_test8_hit_decides_flags_mod_n(monkeypatch):
+    """On test8, 2^(L+2) > n = 137, so several scalars may verify: the
+    completion's hit k' still decides every candidate mod n.  One table
+    call, with 2^L, C and the combined lanes, computes no pair, and the
+    key is the first verified candidate's, as trying candidates in order
+    finds it."""
     report, calls, lanes, pub = scored_evaluate(monkeypatch, TEST8)
     n = len(SCORED_KEY)
     assert (1 << (n + 2)) > TEST8.order_hint
-    assert calls == [target_lanes(n) + lanes]
+    bits, _, suspects = combined_of(scored_matrix())
+    assert calls == [target_lanes(n) + flip_lanes(bits, suspects)]
     want = reference_verified(report.candidates, TEST8.g, pub, TEST8)
     assert np.array_equal(report.verified, want)
     first = int(np.argmax(want))
     assert report.key == reference_recover_scalar(report.candidates[first], TEST8.g, pub, TEST8)
+
+
+def noisy_test8_matrix():
+    """The slots of a 10-bit test8 key's trace at sigma 1.0: 8 slots, 54 cycles."""
+    schedule = build_schedule(kp_multiply(Scalar(0b1011001110), TEST8.g, TEST8)[1])
+    trace = synthesize_trace(schedule, LeakModel(noise_sigma=1.0, rng_seed=5))
+    return segment(compress(trace, CompressionMethod.MEAN), trace.cycle0_cycle, 54, 8)
+
+
+def test_test8_flags_mod_n_for_every_pub():
+    """For every pub in <G> and infinity, on one noisy test8 matrix: the
+    completion, whose 8 flips over 4 variants reach every 10-bit scalar,
+    hits in the one table call, and the flags it decides mod n equal the
+    pair path's (`_verify_all` with no key) and the reference's.  The key
+    verifies, and is the pair path's wherever that has one."""
+    matrix = noisy_test8_matrix()
+    cands = extract_candidates(matrix)
+    verified_any = []
+    for pub in fixed_base_multiples(range(1, TEST8.order_hint + 1), TEST8):
+        with pytest.MonkeyPatch.context() as mp:
+            calls = count_calls(mp, attack, "_fixed_base_pairs")
+            report = evaluate(matrix, pub=pub, params=TEST8)
+        assert len(calls) == 1
+        flags, key = attack._verify_all(cands.bits, pub.pair, TEST8, None)
+        assert np.array_equal(report.verified, flags)
+        assert np.array_equal(report.verified, reference_verified(cands, TEST8.g, pub, TEST8))
+        assert kp_point(report.key, TEST8.g, TEST8) == pub
+        assert key in (None, report.key)
+        verified_any.append(flags.any())
+    assert 0 < sum(verified_any) < len(verified_any)
 
 
 def three_add_targets(step, c_g, pub, params):
