@@ -26,17 +26,17 @@ target j, pub - pb*A or C*G - pub + pb*A (A = 2^L*G).  Every search
 starts from `_setup`: one call of the window table of
 `curve.fixed_base_multiples` computes A, C*G and the search's lanes as
 the int pairs (x, y) that the group law runs on, and the targets follow;
-pub becomes one once it has passed the curve check.  Flipping bit p adds
+pub becomes one once it has passed the <G> check.  Flipping bit p adds
 +-2^(L-1-p) to every expansion, so brute force gets a flipped subset's
 point by one affine addition from its parent's; once the unflipped point
 misses, a lookup of the parent's point among the targets minus each flip
 delta decides every subset of one or more flips (`_flip_search`, for any
 subset of the variants).  Verifying a single candidate is brute force
 with no suspects.
-A pub that is not a point of the curve (or of its field) verifies no
-candidate, and is rejected before any target is derived from it: the
-affine addition is meaningful only on the curve and could turn an
-off-curve pub into the point at infinity, which kP legitimately equals.
+A pub outside <G> (`curve.in_base_subgroup`) verifies no candidate and
+is rejected before any target is derived from it: the affine addition
+is meaningful only on the curve and could turn an off-curve pub into
+the point at infinity, which kP legitimately equals.
 
 `evaluate` first completes `combined_candidate`, which sums the
 sign-aligned, standardized columns of the cycles that the label-free
@@ -72,7 +72,7 @@ from .curve import (
     _fixed_base_pairs,
     _negate,
     _point_add,
-    is_on_curve,
+    in_base_subgroup,
 )
 
 
@@ -269,8 +269,8 @@ _VARIANTS = range(4)  # (c, 0), (c, 1), (c', 0), (c', 1)
 def _verify_all(bits: np.ndarray, pub, params: CurveParams,
                 key: Optional[Scalar]) -> tuple[np.ndarray, Optional[Scalar]]:
     """Per column of the (L, 2 * slot_len) candidate bit matrix: does either
-    pre-loop expansion of the candidate reproduce pub (an int pair on the
-    curve)?  Also the verifying scalar: the first verified column's
+    pre-loop expansion of the candidate reproduce pub (an int pair in
+    <G>)?  Also the verifying scalar: the first verified column's
     expansion, pre-loop bit 0 first, else key.
 
     A distinct complement pair of columns, in order of first occurrence,
@@ -371,7 +371,7 @@ def _flip_search(bits, positions, points, targets, variants, params: CurveParams
 
 def _complete(bits, suspects, pub, params: CurveParams, variants, budget=inf):
     """`_flip_search` of bits' suspects against the variants' targets of
-    pub (an int pair on the curve): its (scalar, checks), or None.  The
+    pub (an int pair in <G>): its (scalar, checks), or None.  The
     lanes of `_setup` are k(bits, 0) and the flip deltas +-2^(L-1-p)."""
     lanes = [expand_candidate(bits, 0).value] + [1 << (len(bits) - 1 - p) for p in suspects]
     points, targets = _setup(len(bits), lanes, pub, params, variants)
@@ -412,7 +412,7 @@ def brute_force_complete(
         )
     preloop_bits = tuple(pb & 1 for pb in preloop_bits)
     found = None
-    if preloop_bits and is_on_curve(pub, params):
+    if preloop_bits and in_base_subgroup(pub, params):
         found = _complete(candidate.bits, suspects, pub.pair, params, preloop_bits, budget)
     if found is not None and found[1] <= budget:
         return BruteForceResult(*found, False)
@@ -491,7 +491,7 @@ def evaluate(
     params: Optional[CurveParams] = None,
 ) -> AttackReport:
     """Run extraction on a (slots, cycles) array and score the candidates by
-    truth and/or by verification of pub against params.g: an off-curve pub
+    truth and/or by verification of pub against params.g: a pub outside <G>
     verifies none; else `_complete` of the combined candidate seeks a
     verifying scalar, and `_verify_all` sets the flags."""
     mean = mean_slot(slots)
@@ -507,7 +507,7 @@ def evaluate(
     if pub is not None:
         if params is None:
             raise ValueError("verification needs params alongside pub")
-        if not is_on_curve(pub, params):
+        if not in_base_subgroup(pub, params):
             report.verified = np.zeros(len(candidates), dtype=bool)
             return report
         below = candidates.bits[:, :slots.shape[1]]  # SMALLER_IS_ONE reads slots < mean

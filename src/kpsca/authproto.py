@@ -7,11 +7,11 @@ attacker who recovered k_B from the side channel of Bob's response
 computation, which is exactly what this package demonstrates: the
 responder here emits a leakage trace of its kP execution.
 
-Only that response runs the modelled accelerator's ladder
-(`kp_multiply` plus its schedule).  Multiples of the base point G --
-Pub_B and R -- come from `curve.fixed_base_multiples`, and [r]Pub_B,
-whose base varies, from `kp_point`, which halves and adds; neither of
-those leaks in the model.
+Only that response leaks: its trace renders the `leaksim.Schedule` of
+k_B and R, which runs the accelerator's ladder only for a data term.
+Multiples of the base point G -- Pub_B and R -- come from
+`curve.fixed_base_multiples`, and [r]Pub_B and [k_B]R, whose bases vary,
+from `kp_point`, which halves and adds.
 
 Certificate handling is out of scope; identities are pre-trusted
 in-memory fixtures.
@@ -29,10 +29,9 @@ from .curve import (
     fixed_base_multiples,
     get_curve,
     is_on_curve,
-    kp_multiply,
     kp_point,
 )
-from .leaksim import LeakModel, build_schedule, synthesize_trace
+from .leaksim import LeakModel, Schedule, synthesize_trace
 from .traces import Trace
 
 
@@ -87,15 +86,14 @@ def respond(
     model: LeakModel,
     clock_hz: float = 100e6,
 ) -> tuple[AffinePoint, Trace]:
-    """Compute Q_B = [k_B]R and the leakage trace of that exact execution.
+    """Compute Q_B = [k_B]R and the leakage trace of the accelerator computing it.
 
     Off-curve challenge points are rejected (invalid-curve hygiene).
     """
     if R.infinity or not is_on_curve(R, identity.params):
         raise CurveError("challenge point rejected: not on the curve")
-    q_b, transcript = kp_multiply(identity.k, R, identity.params)
-    trace = synthesize_trace(build_schedule(transcript), model, clock_hz)
-    return q_b, trace
+    trace = synthesize_trace(Schedule(identity.k, R, identity.params), model, clock_hz)
+    return kp_point(identity.k, R, identity.params), trace
 
 
 def verify(q_expected: AffinePoint, q_b: AffinePoint) -> bool:

@@ -37,10 +37,9 @@ from .curve import (
     curve_id,
     fixed_base_multiples,
     get_curve,
-    kp_multiply,
     kp_point,
 )
-from .leaksim import LeakModel, build_schedule, synthesize_trace
+from .leaksim import LeakModel, Schedule, synthesize_trace
 from .traces import (
     CompressionMethod,
     SegmentationError,
@@ -299,8 +298,7 @@ def _simulate(args) -> int:
         # random multiple of the base point, guaranteed on-curve
         p, = fixed_base_multiples([Scalar.random(rng, cfg.scalar_bits).value], params)
     model = _leak_model(cfg)
-    _, transcript = kp_multiply(k, p, params)
-    schedule = build_schedule(transcript)
+    schedule = Schedule(k, p, params)
     trace = synthesize_trace(schedule, model, cfg.clock_hz)
     if model.addr_weight == 0 and model.data_weight == 0 and model.noise_sigma == 0:
         print("warning: all leakage weights and noise are zero; the trace is flat")
@@ -472,8 +470,7 @@ def _stats(args) -> int:
     params = get_curve(cfg.curve)
     rng = random.Random(cfg.seed)
     k = Scalar.random(rng, cfg.scalar_bits)
-    _, transcript = kp_multiply(k, params.g, params)
-    schedule = build_schedule(transcript)
+    schedule = Schedule(k, params.g, params)
     slot = leaksim.SLOT_CYCLES
     print(f"curve: {cfg.curve}, scalar bits: {cfg.scalar_bits}")
     print(f"init cycles: {leaksim.INIT_CYCLES}")

@@ -174,6 +174,14 @@ def is_on_curve(p: AffinePoint, params: CurveParams) -> bool:
     return lhs == rhs
 
 
+def in_base_subgroup(p: AffinePoint, params: CurveParams) -> bool:
+    """Whether p is on the curve and, where #E = 2n (`CurveParams._halving_order`),
+    in <G> = 2E: infinity or Tr(x) = Tr(a).  Elsewhere being on the curve stands in."""
+    f = params.field
+    return is_on_curve(p, params) and (params._halving_order is None or p.infinity
+                                      or gf2m.trace(f, p.x.value) == gf2m.trace(f, params.a.value))
+
+
 def negate(p: AffinePoint) -> AffinePoint:
     """-p, by `_negate`."""
     return p if p.infinity else AffinePoint.from_pair(p.x.spec, _negate(p.pair))
@@ -333,7 +341,7 @@ def kp_point(k: Scalar, p: AffinePoint, params: CurveParams) -> AffinePoint:
         return kp_multiply(k, p, params)[0]
     _check_ladder_input(p, params)
     f = params.field
-    if gf2m.trace(f, p.x.value) == gf2m.trace(f, params.a.value):  # P in 2E = <G>
+    if in_base_subgroup(p, params):
         return AffinePoint.from_pair(f, _halve_and_add(k.value, p.pair, params, n))
     # P = P' + T2 with P' in <G> and T2 = (0, sqrt(b)) of order 2
     t2 = (0, gf2m.sqrt(f, params.b.value))

@@ -20,14 +20,15 @@ Leakage model: per-cycle power =
              + data_weight * sum(Hamming weights of moved/produced data)
 
 optionally with per-sample Gaussian noise.  The per-cycle mean of the
-synthesized samples equals the modelled cycle power.  A schedule holds
-both sums per cycle.  It is laid out from a ladder transcript, whose
-recorded step values `build_schedule` checks without re-running the
-ladder; the data sum reads them only when a model with a nonzero data
-weight renders it.  The schedule stores nothing else: its geometry
-(slot count, first main-loop cycle, epilogue and total length) is
-derived from the transcript's scalar and field degree and the cycle
-constants below.
+synthesized samples equals the modelled cycle power.  A schedule is
+what decides the leak: the key, the input point and the curve.  The
+address sum follows from the key bits alone.  The data sum reads a
+ladder transcript, so the ladder runs only when a model with a nonzero
+data weight renders it; `build_schedule` instead hands a schedule an
+existing transcript, whose recorded step values it checks without
+re-running the ladder.  The geometry (slot count, first main-loop
+cycle, epilogue and total length) is derived from the scalar, the field
+degree and the cycle constants below.
 
 Slot layout (cycle: operations; register roles written for k_i = 1, the
 k_i = 0 slot swaps X1<->X2 and Z1<->Z2):
@@ -88,8 +89,8 @@ from functools import cached_property
 import numpy as np
 
 from . import gf2m
-from .curve import ROLES, LadderState, LadderTranscript, Scalar, StepValues
-from .curve import _init_state, next_state, roles, step_relations_hold
+from .curve import ROLES, AffinePoint, CurveParams, LadderState, LadderTranscript, Scalar, StepValues
+from .curve import _check_ladder_input, _init_state, kp_multiply, next_state, roles, step_relations_hold
 from .traces import Trace
 
 
@@ -233,23 +234,23 @@ def _frame_rows(total: int, epi: int):
 
 @dataclass(eq=False)
 class Schedule:
-    """Per-cycle leakage sums of one execution, and the geometry the attack
-    needs, derived from its transcript.
+    """One execution's per-cycle leakage sums and the geometry the attack
+    needs, from the key, input point and curve that decide them: `addr`
+    sums the address weights of the registers touched, `data_hw` the
+    Hamming weights of the data moved or produced, read from `transcript`
+    or else from a checked ladder run."""
 
-    `addr` sums, per cycle, the address weights of the registers touched;
-    `data_hw` sums the Hamming weights of the data moved or produced.
-    """
+    scalar: Scalar
+    point: AffinePoint = field(repr=False)
+    params: CurveParams = field(repr=False)
+    transcript: LadderTranscript | None = field(default=None, repr=False)
 
-    transcript: LadderTranscript = field(repr=False)
-    addr: np.ndarray
-
-    @property
-    def scalar(self) -> Scalar:
-        return self.transcript.scalar
+    def __post_init__(self):
+        _check_ladder_input(self.point, self.params)
 
     @property
     def m(self) -> int:
-        return self.transcript.params.field.m
+        return self.params.field.m
 
     @property
     def bits(self) -> tuple[int, ...]:
@@ -288,9 +289,19 @@ class Schedule:
         return self.num_slots * SLOT_CYCLES
 
     @cached_property
+    def addr(self) -> np.ndarray:
+        total, epi = self.total_cycles, self.epilogue_len
+        addr = np.zeros(total)
+        for cycle, reg, _key in _frame_rows(total, epi):
+            addr[cycle] += REGISTER_ADDR_WEIGHT[reg]
+        profiles = np.stack([slot_addr_profile(0), slot_addr_profile(1)])
+        addr[INIT_CYCLES : total - epi] = profiles[np.asarray(self.bits, dtype=np.intp)].ravel()
+        return addr
+
+    @cached_property
     def data_hw(self) -> np.ndarray:
-        tr = self.transcript
-        f, x, b = tr.params.field, tr.point.x.value, tr.params.b.value
+        tr = self.transcript or _checked(kp_multiply(self.scalar, self.point, self.params)[1])
+        f, x, b = self.params.field, self.point.x.value, self.params.b.value
         init, final, result = tr.states[0], tr.states[-1], tr.result
         frame = {
             "x": x, "one": 1, "x2": init.Z2, "x4": init.X2 ^ b, "x4b": init.X2,
@@ -317,30 +328,24 @@ class Schedule:
         return hw
 
 
-def build_schedule(transcript: LadderTranscript) -> Schedule:
-    """Check a ladder transcript step by step, multiplying nothing, and lay
-    it out in clock cycles."""
+def _checked(transcript: LadderTranscript) -> LadderTranscript:
+    """The transcript, once each recorded step is checked, multiplying nothing."""
     bits = transcript.scalar.bits[1:]  # one slot per bit, pre-loop slot first
-    states, steps = transcript.states, transcript.steps
+    states, steps, f = transcript.states, transcript.steps, transcript.params.field
     if transcript.result is None or len(states) != len(bits) + 1 or len(steps) != len(bits):
         raise ScheduleError("transcript is incomplete")
-
-    params, f = transcript.params, transcript.params.field
-    if states[0] != _init_state(transcript.point, params):
+    if states[0] != _init_state(transcript.point, transcript.params):
         raise ScheduleError("transcript does not start from the point's initial state")
     for i, (bit, step) in enumerate(zip(bits, steps)):
         if next_state(bit, step) != states[i + 1] or not step_relations_hold(f, states[i], bit, step):
             raise ScheduleError(f"slot {i} values do not reproduce the transcript state")
+    return transcript
 
-    epi = epilogue_cycles(f.m)
-    total = INIT_CYCLES + len(bits) * SLOT_CYCLES + epi
-    addr = np.zeros(total)
-    for cycle, reg, _key in _frame_rows(total, epi):
-        addr[cycle] += REGISTER_ADDR_WEIGHT[reg]
-    profiles = np.stack([slot_addr_profile(0), slot_addr_profile(1)])
-    addr[INIT_CYCLES : total - epi] = profiles[np.asarray(bits, dtype=np.intp)].ravel()
 
-    return Schedule(transcript, addr)
+def build_schedule(transcript: LadderTranscript) -> Schedule:
+    """The schedule of a ladder transcript, which is checked step by step
+    (multiplying nothing) and read for the data sum."""
+    return Schedule(transcript.scalar, transcript.point, transcript.params, _checked(transcript))
 
 
 def slot_addr_profile(bit: int) -> np.ndarray:

@@ -128,10 +128,11 @@ def test_tracer_counts_verification_arithmetic():
 
 
 def test_tracer_counts_auth_demo_ladders(capsys):
-    # auth-demo runs the leaky ladder once (Bob's response); r*Pub and the
-    # replay k*R are variable-base kPs, which halve and add, and every
-    # multiple of G is a table lookup, which the traced field layer must
-    # still see
+    # at data weight 0 auth-demo runs no ladder: Bob's response renders the
+    # schedule of k and R, whose address leak the key bits alone decide.
+    # r*Pub, k*R and the replay are variable-base kPs, which halve and add,
+    # and every multiple of G is a table lookup, which the traced field
+    # layer must still see
     def demo_counts():
         tracer = TRACING.Tracer(paper_cycles=None)
         tracer.install()
@@ -145,34 +146,38 @@ def test_tracer_counts_auth_demo_ladders(capsys):
         return {name: totals[name]["calls"] for name in want}
 
     # exact field call counts: a change inside the field kernels moves none.
-    # Two products per ladder step, by x and by b, take gf2m.mul_by_table,
-    # which the tracer does not wrap, so mul_classical counts four per step.
-    # build_schedule multiplies nothing: it squares x twice to check the
-    # initial state and each recorded step's five squares.  On test8,
-    # 2^(L+2) > n, so the attack computes every complement pair (in one
-    # table call, with 2^L and C) instead of stopping at the first
-    # verifying candidate.  Its targets pub - 2^L*G and C*G - pub
-    # share one inversion (three more products), C*G - pub + 2^L*G takes one.
+    # A curve-equation check costs 3 products and 2 squares.  Four run
+    # outside kP: on Pub in challenge, on R in respond, on R as the
+    # schedule's ladder input, and in evaluate's <G> test of Pub: 12 and 8.
+    # Each kp_point runs two, the ladder-input check and its <G> branch
+    # test: 18 and 12 for the three.
     # test8's 2 shipped table rows cover every scalar up to 128*257, C = 1279
-    # among them, so no run builds a row.
-    # With the two kPs as 10-bit ladders (9 steps and an affine conversion
-    # of 10 products, 1 square and 1 inversion each) the demo counted 179
-    # products, 212 squares and 8 inversions: 87, 116 and 6 without them.
+    # among them, so no run builds a row.  Pub = k*G and R = r*G each add
+    # their 2 table terms in one chord addition (2 products, 1 square and 1
+    # inversion): 4, 2 and 2.
+    # The attack makes one `_setup` call of 11 lanes (2^L, C, k(bits, 0) and
+    # 8 flip deltas; L = 8), then decides the flags mod n.  Two of its lanes
+    # have 2 terms, which share one inversion (2 chord additions and 3
+    # products to share it: 7, 2 and 1).  Its targets pub - 2^L*G and
+    # C*G - pub share another (7, 2 and 1), and C*G - pub + 2^L*G takes a
+    # third (2, 1 and 1): 16, 5 and 3.
     # Halving solves, square roots and traces are untraced table walks.  On
     # test8 (n = 137, t = 8) a kP halves 7 times, one product each, and
-    # takes one product for the y of each of its 2 nonzero NAF digits: 18.
+    # takes one product for the y of each of its 2 nonzero NAF digits: 9.
     # r*Pub's digits (1 at 6, -1 at 0) share lane 1, one chord addition of
     # 2 products, 1 square and 1 inversion; S1 = Q1, and S3, S5 and S7 are
-    # infinity.
+    # infinity: 11, 1 and 1.
     # k*R's (1 at 6, -7 at 0) sit in lanes 1 and 7, so S1 = Q1 + Q7 and
     # S3 = S5 = S7 = Q7: S1 + 2*(3*Q7) takes 3 chord additions and 2
-    # doublings (2 products, 2 squares, 1 inversion each): 10, 7 and 5.
-    # Together 87 + 18 + 2 + 10 = 117 products, 116 + 1 + 7 = 124 squares
-    # and 6 + 1 + 5 = 12 inversions.  The counts do not depend on what ran
-    # before, so a second run repeats them.
-    want = {"curve.kp_multiply": 1, "leaksim.build_schedule": 1, "authproto.respond": 1,
-            "curve.kp_point": 2, "gf2m.mul_classical": 117, "gf2m.square": 124,
-            "gf2m.invert": 12}
+    # doublings (2 products, 2 squares, 1 inversion each): 19, 7 and 5,
+    # once in respond and once in the replay of the recovered key.
+    # Together 12 + 18 + 4 + 16 + 11 + 2*19 = 99 products,
+    # 8 + 12 + 2 + 5 + 1 + 2*7 = 42 squares and 2 + 3 + 1 + 2*5 = 16
+    # inversions.  The counts do not depend on what ran before, so a second
+    # run repeats them.
+    want = {"curve.kp_multiply": 0, "leaksim.build_schedule": 0, "authproto.respond": 1,
+            "curve.kp_point": 3, "gf2m.mul_classical": 99, "gf2m.square": 42,
+            "gf2m.invert": 16}
     assert demo_counts() == want
     assert demo_counts() == want
 

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import kpsca
-from kpsca import authproto, cli, leaksim
+from kpsca import authproto, cli, curve, leaksim
 from kpsca.curve import Scalar, get_curve, kp_multiply, kp_point
 from kpsca.leaksim import LeakModel, build_schedule, synthesize_trace
 from kpsca.traces import Trace, read_trace, write_trace
@@ -115,6 +115,19 @@ class TestSimulate:
         assert (code, stdout, stderr) == (
             cli.EXIT_CONFIG, "", "error: point must be xhex:yhex or 'infinity', got 'zz'\n")
 
+    # the schedule rejects a point the ladder would reject, with its message
+    @pytest.mark.parametrize("point, message", [
+        ("1:1", "input point is not on the curve"),
+        ("00:fb", "x = 0 is degenerate: Z2 would be zero from the start"),
+        ("infinity", "cannot run the ladder on the point at infinity"),
+    ])
+    def test_point_the_ladder_rejects(self, tmp_path, capsys, point, message):
+        out = tmp_path / "sim"
+        code, stdout, stderr = run(["simulate", "--curve", "test8", "--point", point,
+                                    "--out", str(out)], capsys)
+        assert (code, stdout, stderr) == (cli.EXIT_CONFIG, "", f"error: {message}\n")
+        assert not out.exists()
+
     def test_malformed_key(self, tmp_path, capsys):
         code, stdout, stderr = run(["simulate", "--curve", "test8", "--key", "zz",
                                     "--out", str(tmp_path)], capsys)
@@ -154,6 +167,31 @@ class TestSimulate:
                                    capsys)
         assert (code, stdout, stderr) == (
             cli.EXIT_CONFIG, "", "error: out of memory: Unable to allocate 3.70 TiB for an array\n")
+
+
+class TestLadderRunsOnlyWhereRead:
+    @pytest.fixture
+    def ladder_calls(self, monkeypatch):
+        """Every kp_multiply call, through whichever module binds it."""
+        calls, real = [], curve.kp_multiply
+        for module in (kpsca, curve, leaksim, authproto, cli):
+            if getattr(module, "kp_multiply", None) is real:
+                monkeypatch.setattr(module, "kp_multiply",
+                                    lambda *args: calls.append(args) or real(*args))
+        return calls
+
+    # at data weight 0 the address leak is the key bits' alone: no ladder runs
+    @pytest.mark.parametrize("argv, ladders", [
+        (["simulate", "--out", "{out}"], 0),
+        (["simulate", "--data-weight", "0.1", "--out", "{out}"], 1),
+        (["stats"], 0),
+        (["auth-demo"], 0),
+    ])
+    def test_ladder_calls(self, tmp_path, capsys, ladder_calls, argv, ladders):
+        argv = [a.format(out=tmp_path / "o") for a in argv]
+        code, _, _ = run([*argv, "--curve", "test8", "--seed", "3"], capsys)
+        assert code == 0
+        assert len(ladder_calls) == ladders
 
 
 class TestAttack:

@@ -13,6 +13,7 @@ from kpsca.curve import (
     Scalar,
     fixed_base_multiples,
     get_curve,
+    in_base_subgroup,
     is_on_curve,
     kp_multiply,
     kp_point,
@@ -610,6 +611,16 @@ class TestKpPointHalving:
             for k in map(Scalar, range(1, 301)):
                 assert kp_point(k, p, test8) == kp_multiply(k, p, test8)[0], (p, k)
 
+    @pytest.mark.parametrize("params", [get_curve("test8"), TOP_DIGIT], ids=["test8", "top_digit"])
+    def test_base_subgroup_is_the_order_n_points(self, params):
+        # by search: every point, T2 and infinity included, against n*P
+        points = [*points_off_x0(params), two_torsion(params), AffinePoint.at_infinity()]
+        inside = [p for p in points if in_base_subgroup(p, params)]
+        assert inside == [p for p in points if p.infinity or p.x.value and in_subgroup(p, params)]
+        assert len(inside) == params.order_hint
+        f = params.field
+        assert not in_base_subgroup(AffinePoint(f.element(1), f.element(1)), params)
+
     def test_top_naf_digit(self):
         # a NAF digit at position t stands for 2P, which kp_point doubles;
         # as k' < 2^t, that digit is always 1
@@ -657,5 +668,6 @@ class TestKpPointHalving:
 
         monkeypatch.setattr(curve, "_halve_and_add", no_halving)
         for p in (params.g, point_add(params.g, two_torsion(params), params)):
+            assert in_base_subgroup(p, params)  # no order test: on the curve stands in
             for k in map(Scalar, (1, 2, 11, 136, 137, 275, 0x3FF)):
                 assert kp_point(k, p, params) == kp_multiply(k, p, params)[0]

@@ -5,14 +5,16 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from kpsca import curve, gf2m
-from kpsca.curve import ROLES, LadderTranscript, Scalar, kp_multiply
+from kpsca import curve, gf2m, leaksim
+from kpsca.curve import NOMINAL_SCALAR_BITS, ROLES, AffinePoint, CurveError, LadderTranscript
+from kpsca.curve import Scalar, fixed_base_multiples, get_curve, kp_multiply
 from kpsca.leaksim import (
     INIT_CYCLES,
     LeakModel,
     Reg,
     REGISTER_ADDR_WEIGHT,
     SLOT_CYCLES,
+    Schedule,
     ScheduleError,
     build_schedule,
     cycle_power,
@@ -147,6 +149,55 @@ class TestScheduleStructure:
         assert schedule.total_cycles == schedule.addr.shape[0] == (
             INIT_CYCLES + 54 + schedule.main_cycles + schedule.epilogue_len
         )
+
+
+class TestScheduleFromKeyAndPoint:
+    # (curve, scalar): None draws a key of the curve's nominal length
+    PARITY = [("test8", None), ("b163", None), ("b233", None), ("test8", 1), ("test8", 0b11)]
+
+    @pytest.mark.parametrize("curve_id, value", PARITY)
+    def test_matches_the_transcript_schedule(self, curve_id, value):
+        params = get_curve(curve_id)
+        rng = random.Random(f"parity/{curve_id}")
+        k = Scalar(value) if value else Scalar.random(rng, NOMINAL_SCALAR_BITS[curve_id])
+        point, = fixed_base_multiples([Scalar.random(rng, NOMINAL_SCALAR_BITS[curve_id]).value],
+                                      params)
+        lazy = Schedule(k, point, params)
+        built = build_schedule(kp_multiply(k, point, params)[1])
+        assert np.array_equal(lazy.addr, built.addr)
+        assert np.array_equal(lazy.data_hw, built.data_hw)
+        for name in ("cycle0", "num_slots", "total_cycles"):
+            assert getattr(lazy, name) == getattr(built, name), name
+
+    # the ladder's own rejections, raised before any cycle is laid out
+    BAD_POINTS = {
+        "off_curve": ("1:1", "input point is not on the curve"),
+        "x_zero": ("00:fb", "x = 0 is degenerate"),
+        "infinity": ("infinity", "cannot run the ladder on the point at infinity"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(BAD_POINTS))
+    def test_rejects_what_the_ladder_rejects(self, test8, case):
+        text, message = self.BAD_POINTS[case]
+        point = AffinePoint.from_hex(test8.field, text)
+        with pytest.raises(CurveError, match=message):
+            kp_multiply(Scalar(0b1011), point, test8)
+        with pytest.raises(CurveError, match=message):
+            Schedule(Scalar(0b1011), point, test8)
+
+    def test_data_sum_reads_a_checked_ladder_run(self, test8, monkeypatch):
+        k = Scalar(0b1011011)
+        result, transcript = kp_multiply(k, test8.g, test8)
+        step = transcript.steps[1]
+        tampered = dataclasses.replace(transcript, steps=(
+            transcript.steps[:1] + (step._replace(A1=step.A1 ^ 1),) + transcript.steps[2:]))
+        calls = []
+        monkeypatch.setattr(leaksim, "kp_multiply",
+                            lambda *args: calls.append(args) or (result, tampered))
+        schedule = Schedule(k, test8.g, test8)
+        with pytest.raises(ScheduleError, match="slot 1"):
+            schedule.data_hw
+        assert calls == [(k, test8.g, test8)]
 
 
 class TestAddressLeakage:

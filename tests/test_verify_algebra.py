@@ -31,6 +31,7 @@ from kpsca.curve import (
     Scalar,
     fixed_base_multiples,
     get_curve,
+    in_base_subgroup,
     is_on_curve,
     kp_multiply,
     kp_point,
@@ -340,6 +341,31 @@ def test_foreign_field_point(monkeypatch, pub):
     assert tables == combined == []
     same_ints = evaluate(matrix, pub=in_field(pub, B233.field), params=B233)
     assert same_ints.verified.any() == (pub.x.spec == OTHER_233)
+
+
+@pytest.mark.parametrize("params, key", [(TEST8, Scalar(0b1011001110)), (B233, PLANTED)],
+                         ids=["test8", "b233"])
+def test_pub_outside_base_subgroup(monkeypatch, params, key):
+    """pub + T2, T2 = (0, sqrt(b)), is on the curve but outside <G>, so no
+    multiple of G equals it: no candidate verifies, brute force reports its
+    whole enumeration, and neither searches, so no table call is made."""
+    pub = kp_point(key, params.g, params)
+    outside = point_add(pub, two_torsion_point(params), params)
+    assert is_on_curve(outside, params) and not in_base_subgroup(outside, params)
+    bits = key.main_loop_bits
+    cand = KeyCandidate(bits, 0, Polarity.SMALLER_IS_ONE)
+    assert evaluate(matrix_for(bits), pub=pub, params=params).key == key
+    tables = count_calls(monkeypatch, attack, "_fixed_base_pairs")
+    report = evaluate(matrix_for(bits), pub=outside, params=params)
+    forced = brute_force_complete(cand, range(len(bits)), params.g, outside, params)
+    monkeypatch.undo()
+    assert tables == []
+    assert not report.verified.any() and report.key is None
+    assert forced == attack.BruteForceResult(None, 2 << len(bits), False)
+    if params is TEST8:
+        assert forced == reference_brute_force(cand, range(len(bits)), params.g, outside, params)
+        want = reference_verified(report.candidates, params.g, outside, params)
+        assert np.array_equal(report.verified, want)
 
 
 # The key (1, 0, 1, 1, 0, 0, 1, 0) is read at column 1, with some spread;
