@@ -88,10 +88,10 @@ def respond(
 ) -> tuple[AffinePoint, Trace]:
     """Compute Q_B = [k_B]R and the leakage trace of the accelerator computing it.
 
-    Off-curve challenge points are rejected (invalid-curve hygiene).
+    Off-curve challenge points are rejected (invalid-curve hygiene): the
+    schedule of k_B and R checks R as the ladder's input, so R at infinity,
+    off the curve or with x = 0 raises `CurveError` before anything is computed.
     """
-    if R.infinity or not is_on_curve(R, identity.params):
-        raise CurveError("challenge point rejected: not on the curve")
     trace = synthesize_trace(Schedule(identity.k, R, identity.params), model, clock_hz)
     return kp_point(identity.k, R, identity.params), trace
 

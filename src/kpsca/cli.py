@@ -2,11 +2,14 @@
 
 Subcommands: simulate, attack, welch, bruteforce, auth-demo, stats.
 Options can come from a key=value config file (--config); explicit
-flags win over the file, which wins over built-in defaults.  A file
-may hold any command's options, but no key that no command reads.  The
-resolved configuration is echoed into every report for
-reproducibility.  Warnings that a command raises are printed to stderr
-as "warning: <message>" lines.
+flags win over the file, which wins over built-in defaults.  The parser
+is the one option table: a file's keys are the flag destinations of all
+commands (`config_actions`), and `main` checks the whole file before a
+command runs, each value cast and its choices checked by its flag's
+argparse action, so a file may hold any command's options and every
+error names its key.  The resolved configuration is echoed into every
+report for reproducibility.  Warnings that a command raises are printed
+to stderr as "warning: <message>" lines.
 
 Exit codes: 0 command completed (an unsuccessful key recovery is data,
 not an error), 2 usage/config errors, 3 I/O and trace-format errors,
@@ -23,7 +26,7 @@ import os
 import random
 import sys
 import warnings
-from dataclasses import dataclass, asdict
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 from typing import Optional
 
@@ -34,7 +37,6 @@ from .curve import (
     CURVE_IDS,
     NOMINAL_SCALAR_BITS,
     Scalar,
-    curve_id,
     fixed_base_multiples,
     get_curve,
     kp_point,
@@ -57,13 +59,6 @@ EXIT_SEGMENTATION = 4
 
 SEED_ENV = "KPSCA_SEED"
 
-# every option a config file may set: the flag destinations of all
-# subcommands but --config, and --suspects, which must be given as a flag
-CONFIG_KEYS = frozenset("""
-    curve seed out scalar_bits clock_hz addr_weight data_weight baseline noise_sigma
-    samples_per_cycle slot_len start_cycle num_slots compression key point no_ground_truth
-    excerpt_cycles pub threshold budget sample_index polarity""".split())
-
 
 @dataclass
 class RunConfig:
@@ -75,11 +70,11 @@ class RunConfig:
     start_cycle: Optional[int] = None
     num_slots: Optional[int] = None
     compression: str = "mean"
-    addr_weight: float = 1.0
-    data_weight: float = 0.0
-    baseline: float = 10.0
-    noise_sigma: float = 0.0
-    samples_per_cycle: int = 10
+    addr_weight: float = LeakModel.addr_weight
+    data_weight: float = LeakModel.data_weight
+    baseline: float = LeakModel.baseline
+    noise_sigma: float = LeakModel.noise_sigma
+    samples_per_cycle: int = LeakModel.samples_per_cycle
     clock_hz: float = 100e6
     out: str = "."
 
@@ -87,20 +82,12 @@ class RunConfig:
         return [f"{k}={v}" for k, v in asdict(self).items() if v is not None]
 
 
-def _read_config_file(path: str) -> dict:
-    values = {}
-    for raw in Path(path).read_text().splitlines():
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        key, sep, val = line.partition("=")
-        if not sep:
-            raise ValueError(f"config line is not key=value: {raw!r}")
-        key = key.strip().replace("-", "_")
-        if key not in CONFIG_KEYS:
-            raise ValueError(f"unknown config key {key!r}")
-        values[key] = val.strip()
-    return values
+def config_actions() -> dict[str, argparse.Action]:
+    """Every option a config file may set, by key: the flag destinations of all
+    subcommands but --config, and --suspects, which must be given as a flag."""
+    sub, = (a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    return {a.dest: a for p in sub.choices.values() for a in p._actions
+            if a.option_strings and a.dest not in ("help", "config", "suspects")}
 
 
 _BOOLS = {"true": True, "yes": True, "1": True, "false": False, "no": False, "0": False}
@@ -113,48 +100,43 @@ def _parse_bool(text: str) -> bool:
         raise ValueError(f"expected true/false/yes/no/1/0, got {text!r}") from None
 
 
-def _resolve(args, name: str, cast, fallback):
-    """flag > config file > fallback."""
-    v = getattr(args, name, None)
-    if v is not None:
-        return v
-    cfg = getattr(args, "_config_values", {})
-    if name in cfg:
-        try:
-            return cast(cfg[name])
-        except ValueError:
-            if cast not in (int, float):
-                raise
-            raise ValueError(f"config {name}: invalid {cast.__name__} value {cfg[name]!r}") from None
-    return fallback
+def _config_value(action: argparse.Action, key: str, text: str):
+    """A config file's `key=text`, cast and checked as its flag `action` would be."""
+    cast = _parse_bool if action.const is True else action.type  # a switch takes a word
+    try:
+        value = text if cast is None else cast(text)
+    except ValueError as exc:
+        detail = exc if cast is _parse_bool else f"invalid {cast.__name__} value {text!r}"
+        raise ValueError(f"config {key}: {detail}") from None
+    if action.choices is not None and value not in action.choices:
+        raise ValueError(f"unknown {key} {value!r}; choose from {tuple(action.choices)}")
+    return value
 
 
-def _resolve_seed(args) -> int:
-    v = _resolve(args, "seed", int, None)
-    if v is not None:
-        return v
-    env = os.environ.get(SEED_ENV, "").strip()
-    return int(env) if env else 0
+def _read_config_file(path: str) -> dict:
+    actions, values = config_actions(), {}
+    for raw in Path(path).read_text().splitlines():
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        key, sep, val = line.partition("=")
+        if not sep:
+            raise ValueError(f"config line is not key=value: {raw!r}")
+        key = key.strip().replace("-", "_")
+        if key not in actions:
+            raise ValueError(f"unknown config key {key!r}")
+        values[key] = _config_value(actions[key], key, val.strip())
+    return values
 
 
-def _build_run_config(args, command: str) -> RunConfig:
-    cfg = RunConfig(command=command)
-    cfg.curve = _resolve(args, "curve", curve_id, cfg.curve)  # argparse checks the flag
-    cfg.seed = _resolve_seed(args)
-    cfg.scalar_bits = _resolve(args, "scalar_bits", int, NOMINAL_SCALAR_BITS.get(cfg.curve))
-    cfg.slot_len = _resolve(args, "slot_len", int, cfg.slot_len)
-    cfg.start_cycle = _resolve(args, "start_cycle", int, None)
-    cfg.num_slots = _resolve(args, "num_slots", int, None)
-    cfg.compression = _resolve(args, "compression", str, cfg.compression)
-    cfg.addr_weight = _resolve(args, "addr_weight", float, cfg.addr_weight)
-    cfg.data_weight = _resolve(args, "data_weight", float, cfg.data_weight)
-    cfg.baseline = _resolve(args, "baseline", float, cfg.baseline)
-    cfg.noise_sigma = _resolve(args, "noise_sigma", float, cfg.noise_sigma)
-    cfg.samples_per_cycle = _resolve(args, "samples_per_cycle", int, cfg.samples_per_cycle)
-    cfg.clock_hz = _resolve(args, "clock_hz", float, cfg.clock_hz)
-    cfg.out = _resolve(args, "out", str, cfg.out)
-    if cfg.compression not in [m.value for m in CompressionMethod]:
-        raise ValueError(f"unknown compression {cfg.compression!r}")
+def _build_run_config(args) -> RunConfig:
+    """The command and every option set by flag or file; RunConfig's defaults for the rest."""
+    cfg = RunConfig(**{f.name: getattr(args, f.name) for f in fields(RunConfig)
+                       if getattr(args, f.name, None) is not None})
+    if args.seed is None:
+        cfg.seed = int(os.environ.get(SEED_ENV, "").strip() or 0)
+    if cfg.scalar_bits is None:
+        cfg.scalar_bits = NOMINAL_SCALAR_BITS.get(cfg.curve)
     if not (math.isfinite(cfg.clock_hz) and cfg.clock_hz > 0):
         raise ValueError(f"clock_hz must be a positive finite number, got {cfg.clock_hz}")
     return cfg
@@ -200,18 +182,22 @@ def _add_common(p: argparse.ArgumentParser) -> None:
 
 
 def _add_leak_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--addr-weight", type=float, dest="addr_weight")
-    p.add_argument("--data-weight", type=float, dest="data_weight")
+    p.add_argument("--addr-weight", type=float)
+    p.add_argument("--data-weight", type=float)
     p.add_argument("--baseline", type=float)
-    p.add_argument("--noise-sigma", type=float, dest="noise_sigma")
-    p.add_argument("--samples-per-cycle", type=int, dest="samples_per_cycle")
-    p.add_argument("--clock-hz", type=float, dest="clock_hz")
+    p.add_argument("--noise-sigma", type=float)
+    p.add_argument("--samples-per-cycle", type=int)
+
+
+def _add_schedule_flags(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--scalar-bits", type=int)
+    p.add_argument("--clock-hz", type=float)
 
 
 def _add_segmentation_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--slot-len", type=int, dest="slot_len")
-    p.add_argument("--start-cycle", type=int, dest="start_cycle")
-    p.add_argument("--num-slots", type=int, dest="num_slots")
+    p.add_argument("--slot-len", type=int)
+    p.add_argument("--start-cycle", type=int)
+    p.add_argument("--num-slots", type=int)
     p.add_argument("--compression", choices=[m.value for m in CompressionMethod])
 
 
@@ -227,12 +213,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="synthesize a kP leakage trace")
     _add_common(p)
     _add_leak_flags(p)
-    p.add_argument("--scalar-bits", type=int, dest="scalar_bits")
+    _add_schedule_flags(p)
     p.add_argument("--key", help="scalar as hex (default: random from seed)")
     p.add_argument("--point", help="input point as xhex:yhex (default: random from seed)")
     p.add_argument("--no-ground-truth", action="store_true", default=None,
-                   dest="no_ground_truth", help="do not embed the key in the trace file")
-    p.add_argument("--excerpt-cycles", type=int, dest="excerpt_cycles",
+                   help="do not embed the key in the trace file")
+    p.add_argument("--excerpt-cycles", type=int,
                    help="also write the first N compressed cycles as plot data")
 
     p = sub.add_parser("attack", help="comparison-to-the-mean key extraction")
@@ -245,7 +231,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     _add_segmentation_flags(p)
     p.add_argument("trace")
-    p.add_argument("--threshold", type=float, default=None,
+    p.add_argument("--threshold", type=float,
                    help=f"|t| flag threshold (default {attack_mod.DEFAULT_WELCH_THRESHOLD})")
 
     p = sub.add_parser("bruteforce", help="complete a key by flipping suspect bits")
@@ -255,21 +241,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pub", help="public key xhex:yhex (default: recomputed from ground truth)")
     p.add_argument("--suspects", required=True,
                    help="comma-separated slot indices suspected wrong")
-    p.add_argument("--budget", type=int, default=None,
-                   help="max candidate scalars tested (checks)")
-    p.add_argument("--sample-index", type=int, dest="sample_index",
+    p.add_argument("--budget", type=int, help="max candidate scalars tested (checks)")
+    p.add_argument("--sample-index", type=int,
                    help="candidate to complete (default: best by ground truth)")
     p.add_argument("--polarity", choices=[pol.value for pol in attack_mod.Polarity])
 
     p = sub.add_parser("auth-demo", help="challenge-response, attack, and replay")
     _add_common(p)
     _add_leak_flags(p)
-    p.add_argument("--scalar-bits", type=int, dest="scalar_bits")
+    _add_schedule_flags(p)
 
     p = sub.add_parser("stats", help="schedule arithmetic for a curve")
     _add_common(p)
-    p.add_argument("--scalar-bits", type=int, dest="scalar_bits")
-    p.add_argument("--clock-hz", type=float, dest="clock_hz")
+    _add_schedule_flags(p)
 
     return parser
 
@@ -283,17 +267,15 @@ def _write_cycle_csv(path: Path, cfg: RunConfig, column: str, cells) -> None:
 
 
 def _simulate(args) -> int:
-    cfg = _build_run_config(args, "simulate")
-    excerpt = _resolve(args, "excerpt_cycles", int, None)
+    cfg = _build_run_config(args)
+    excerpt = args.excerpt_cycles
     if excerpt is not None and excerpt < 0:
         raise ValueError(f"excerpt cycle count must be >= 0, got {excerpt}")
     params = get_curve(cfg.curve)
     rng = random.Random(cfg.seed)
-    key_hex = _resolve(args, "key", str, None)
-    k = _parse_key(key_hex) if key_hex else Scalar.random(rng, cfg.scalar_bits)
-    point_hex = _resolve(args, "point", str, None)
-    if point_hex:
-        p = _parse_point(params, point_hex, "point")
+    k = _parse_key(args.key) if args.key else Scalar.random(rng, cfg.scalar_bits)
+    if args.point:
+        p = _parse_point(params, args.point, "point")
     else:
         # random multiple of the base point, guaranteed on-curve
         p, = fixed_base_multiples([Scalar.random(rng, cfg.scalar_bits).value], params)
@@ -305,7 +287,7 @@ def _simulate(args) -> int:
 
     out = _out_dir(cfg)
     trace_path = out / "trace.kptr"
-    include_truth = not _resolve(args, "no_ground_truth", _parse_bool, False)
+    include_truth = not args.no_ground_truth
     write_trace(trace, trace_path, include_ground_truth=include_truth)
     sidecar = {
         "run_config": asdict(cfg),
@@ -345,13 +327,12 @@ def _segment_from_cfg(cfg: RunConfig, trace):
 
 
 def _attack(args) -> int:
-    cfg = _build_run_config(args, "attack")
+    cfg = _build_run_config(args)
     trace = read_trace(args.trace)
     matrix = _segment_from_cfg(cfg, trace)
     truth = trace.ground_truth.main_loop_bits if trace.ground_truth else None
-    pub_hex = _resolve(args, "pub", str, None)
     params = get_curve(cfg.curve)
-    pub = _parse_point(params, pub_hex, "public key") if pub_hex else None
+    pub = _parse_point(params, args.pub, "public key") if args.pub else None
     report = attack_mod.evaluate(matrix, truth_bits=truth, pub=pub, params=params)
     out = _out_dir(cfg)
     report_path = out / "report.csv"
@@ -365,8 +346,8 @@ def _attack(args) -> int:
 
 
 def _welch(args) -> int:
-    cfg = _build_run_config(args, "welch")
-    threshold = _resolve(args, "threshold", float, attack_mod.DEFAULT_WELCH_THRESHOLD)
+    cfg = _build_run_config(args)
+    threshold = attack_mod.DEFAULT_WELCH_THRESHOLD if args.threshold is None else args.threshold
     if not (math.isfinite(threshold) and threshold >= 0):
         raise ValueError(f"threshold must be a finite number >= 0, got {threshold}")
     trace = read_trace(args.trace)
@@ -385,13 +366,11 @@ def _welch(args) -> int:
 
 
 def _bruteforce(args) -> int:
-    cfg = _build_run_config(args, "bruteforce")
-    budget = _resolve(args, "budget", int, attack_mod.DEFAULT_BUDGET)
+    cfg = _build_run_config(args)
+    budget = attack_mod.DEFAULT_BUDGET if args.budget is None else args.budget
     if budget < 0:
         raise ValueError(f"budget must be >= 0, got {budget}")
-    sample_index = _resolve(args, "sample_index", int, None)
-    polarity = _resolve(args, "polarity", attack_mod.Polarity, None)
-    if polarity is not None and sample_index is None:
+    if args.polarity is not None and args.sample_index is None:
         raise ValueError("--polarity selects a candidate only together with --sample-index")
     try:
         suspects = [int(s) for s in args.suspects.split(",") if s.strip() != ""]
@@ -404,21 +383,20 @@ def _bruteforce(args) -> int:
     truth = trace.ground_truth.main_loop_bits if trace.ground_truth else None
     report = attack_mod.evaluate(matrix, truth_bits=truth)
 
-    if sample_index is not None:
-        if not 0 <= sample_index < matrix.shape[1]:
+    if args.sample_index is not None:
+        if not 0 <= args.sample_index < matrix.shape[1]:
             raise ValueError(
-                f"sample index must be in 0..{matrix.shape[1] - 1}, got {sample_index}"
+                f"sample index must be in 0..{matrix.shape[1] - 1}, got {args.sample_index}"
             )
-        pol = attack_mod.Polarity(polarity or "smaller_is_one")
-        candidate = report.candidates[report.candidates.column(sample_index, pol)]
+        pol = attack_mod.Polarity(args.polarity or "smaller_is_one")
+        candidate = report.candidates[report.candidates.column(args.sample_index, pol)]
     elif report.best_index is not None:
         candidate = report.best_candidate
     else:
         raise ValueError("no ground truth: select the candidate with --sample-index/--polarity")
 
-    pub_hex = _resolve(args, "pub", str, None)
-    if pub_hex:
-        pub = _parse_point(params, pub_hex, "public key")
+    if args.pub:
+        pub = _parse_point(params, args.pub, "public key")
     elif trace.ground_truth is not None:
         pub, = fixed_base_multiples([trace.ground_truth.value], params)
     else:
@@ -437,7 +415,7 @@ def _bruteforce(args) -> int:
 
 
 def _auth_demo(args) -> int:
-    cfg = _build_run_config(args, "auth-demo")
+    cfg = _build_run_config(args)
     if cfg.scalar_bits < 4:  # the attack needs 2 main-loop slots
         raise ValueError(f"auth-demo needs scalars of at least 4 bits, got {cfg.scalar_bits}")
     rng = random.Random(cfg.seed)
@@ -466,7 +444,7 @@ def _auth_demo(args) -> int:
 
 
 def _stats(args) -> int:
-    cfg = _build_run_config(args, "stats")
+    cfg = _build_run_config(args)
     params = get_curve(cfg.curve)
     rng = random.Random(cfg.seed)
     k = Scalar.random(rng, cfg.scalar_bits)
@@ -519,10 +497,13 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        args._config_values = _read_config_file(args.config) if args.config else {}
+        config = _read_config_file(args.config) if args.config else {}
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    for key, value in config.items():  # a flag wins over the file
+        if getattr(args, key, None) is None:
+            setattr(args, key, value)
     with warnings.catch_warnings():  # a command's warnings, one stderr line each
         warnings.simplefilter("always")
         warnings.showwarning = lambda message, *_: print(f"warning: {message}", file=sys.stderr)

@@ -341,7 +341,8 @@ def kp_point(k: Scalar, p: AffinePoint, params: CurveParams) -> AffinePoint:
         return kp_multiply(k, p, params)[0]
     _check_ladder_input(p, params)
     f = params.field
-    if in_base_subgroup(p, params):
+    # on the curve and not infinity, as checked: in <G> iff Tr(x) = Tr(a)
+    if gf2m.trace(f, p.x.value) == gf2m.trace(f, params.a.value):
         return AffinePoint.from_pair(f, _halve_and_add(k.value, p.pair, params, n))
     # P = P' + T2 with P' in <G> and T2 = (0, sqrt(b)) of order 2
     t2 = (0, gf2m.sqrt(f, params.b.value))

@@ -272,7 +272,9 @@ def _read_csv(path: Path) -> Trace:
         line = line.strip()
         if not line or line.startswith("#"):
             continue
-        k, _, v = line.partition("=")
+        k, sep, v = line.partition("=")
+        if not sep:
+            raise BadMetadataError(f"{meta_file}: line is not key=value: {line!r}")
         meta[k.strip()] = v.strip()
     try:
         spc = int(meta["samples_per_cycle"])

@@ -146,11 +146,11 @@ def test_tracer_counts_auth_demo_ladders(capsys):
         return {name: totals[name]["calls"] for name in want}
 
     # exact field call counts: a change inside the field kernels moves none.
-    # A curve-equation check costs 3 products and 2 squares.  Four run
-    # outside kP: on Pub in challenge, on R in respond, on R as the
-    # schedule's ladder input, and in evaluate's <G> test of Pub: 12 and 8.
-    # Each kp_point runs two, the ladder-input check and its <G> branch
-    # test: 18 and 12 for the three.
+    # A curve-equation check costs 3 products and 2 squares.  Three run
+    # outside kP: on Pub in challenge, on R as the schedule's ladder input
+    # (respond's only check of R), and in evaluate's <G> test of Pub: 9
+    # and 6.  Each kp_point runs one, its ladder-input check, and then
+    # tests <G> by the trace alone: 9 and 6 for the three.
     # test8's 2 shipped table rows cover every scalar up to 128*257, C = 1279
     # among them, so no run builds a row.  Pub = k*G and R = r*G each add
     # their 2 table terms in one chord addition (2 products, 1 square and 1
@@ -171,12 +171,12 @@ def test_tracer_counts_auth_demo_ladders(capsys):
     # S3 = S5 = S7 = Q7: S1 + 2*(3*Q7) takes 3 chord additions and 2
     # doublings (2 products, 2 squares, 1 inversion each): 19, 7 and 5,
     # once in respond and once in the replay of the recovered key.
-    # Together 12 + 18 + 4 + 16 + 11 + 2*19 = 99 products,
-    # 8 + 12 + 2 + 5 + 1 + 2*7 = 42 squares and 2 + 3 + 1 + 2*5 = 16
+    # Together 9 + 9 + 4 + 16 + 11 + 2*19 = 87 products,
+    # 6 + 6 + 2 + 5 + 1 + 2*7 = 34 squares and 2 + 3 + 1 + 2*5 = 16
     # inversions.  The counts do not depend on what ran before, so a second
     # run repeats them.
     want = {"curve.kp_multiply": 0, "leaksim.build_schedule": 0, "authproto.respond": 1,
-            "curve.kp_point": 3, "gf2m.mul_classical": 99, "gf2m.square": 42,
+            "curve.kp_point": 3, "gf2m.mul_classical": 87, "gf2m.square": 34,
             "gf2m.invert": 16}
     assert demo_counts() == want
     assert demo_counts() == want

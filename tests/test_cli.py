@@ -1,4 +1,5 @@
 import argparse
+import dataclasses
 import hashlib
 import json
 import os
@@ -716,7 +717,13 @@ CONFIG_VALUE_ERRORS = {
     "nosie_sigma=2": "error: unknown config key 'nosie_sigma'\n",
     "seed=abc": "error: config seed: invalid int value 'abc'\n",
     "noise_sigma=abc": "error: config noise_sigma: invalid float value 'abc'\n",
-    "compression=foo": "error: unknown compression 'foo'\n",
+    "compression=foo": "error: unknown compression 'foo'; choose from ('mean', 'sumsq')\n",
+    "polarity=foo": "error: unknown polarity 'foo'; choose from ('smaller_is_one', "
+                    "'smaller_is_zero')\n",
+    "no_ground_truth=maybe": "error: config no_ground_truth: expected true/false/yes/no/1/0, "
+                             "got 'maybe'\n",
+    # the whole file is checked, also the keys that the command does not read
+    "budget=abc": "error: config budget: invalid int value 'abc'\n",
 }
 
 
@@ -727,14 +734,18 @@ def test_config_value_error_names_no_flag(tmp_path, capsys, line):
     assert code == 0
     cfg = tmp_path / "run.cfg"
     cfg.write_text(line + "\n")
-    command = {"budget": ["bruteforce", str(out / "trace.kptr"), "--suspects", "1"],
-               "threshold": ["welch", str(out / "trace.kptr")],
-               "sample_index": ["bruteforce", str(out / "trace.kptr"), "--suspects", "1"],
-               "excerpt_cycles": ["simulate"],
-               "nosie_sigma": ["simulate"],
-               "seed": ["stats"],
-               "noise_sigma": ["auth-demo"],
-               "compression": ["attack", str(out / "trace.kptr")]}[line.partition("=")[0]]
+    commands = {"budget": ["bruteforce", str(out / "trace.kptr"), "--suspects", "1"],
+                "threshold": ["welch", str(out / "trace.kptr")],
+                "sample_index": ["bruteforce", str(out / "trace.kptr"), "--suspects", "1"],
+                "excerpt_cycles": ["simulate"],
+                "nosie_sigma": ["simulate"],
+                "seed": ["stats"],
+                "noise_sigma": ["auth-demo"],
+                "compression": ["attack", str(out / "trace.kptr")],
+                "polarity": ["bruteforce", str(out / "trace.kptr"), "--suspects", "1"],
+                "no_ground_truth": ["simulate"],
+                "budget=abc": ["simulate"]}
+    command = commands.get(line) or commands[line.partition("=")[0]]
     code, stdout, stderr = run(command + ["--curve", "test8", "--config", str(cfg),
                                           "--out", str(tmp_path / "o")], capsys)
     assert (code, stdout, stderr) == (cli.EXIT_CONFIG, "", CONFIG_VALUE_ERRORS[line])
@@ -760,7 +771,7 @@ def test_config_keys_are_the_flag_destinations():
     sub, = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
     dests = {a.dest for p in sub.choices.values() for a in p._actions
              if a.option_strings and not isinstance(a, argparse._HelpAction)}
-    assert cli.CONFIG_KEYS == dests - {"config", "suspects"}
+    assert cli.config_actions().keys() == dests - {"config", "suspects"}
 
 
 def test_config_keys_of_other_commands_are_accepted(tmp_path, capsys):
@@ -772,3 +783,74 @@ def test_config_keys_of_other_commands_are_accepted(tmp_path, capsys):
     assert (code, stderr) == (0, "")
     meta = json.loads((tmp_path / "trace.transcript.json").read_text())
     assert meta["run_config"]["noise_sigma"] == 0.5
+
+
+# one text per config key that its flag accepts; the keys are the 23 options
+# a config file may set
+CONFIG_TEXTS = {
+    "curve": "test8", "seed": "7", "out": "o", "scalar_bits": "12", "clock_hz": "5e7",
+    "addr_weight": "0.5", "data_weight": "0.25", "baseline": "3", "noise_sigma": "0.125",
+    "samples_per_cycle": "4", "slot_len": "9", "start_cycle": "11", "num_slots": "6",
+    "compression": "sumsq", "key": "2e7", "point": "infinity", "no_ground_truth": "yes",
+    "excerpt_cycles": "3", "pub": "1:2", "threshold": "2.5", "budget": "17",
+    "sample_index": "4", "polarity": "smaller_is_zero",
+}
+
+
+def test_config_texts_cover_every_key():
+    assert CONFIG_TEXTS.keys() == cli.config_actions().keys()
+    assert len(CONFIG_TEXTS) == 23
+
+
+@pytest.mark.parametrize("key", sorted(cli.config_actions()))
+def test_config_value_equals_flag_value(tmp_path, monkeypatch, key):
+    # the handler sees the same value whether the file or the flag gave it
+    sub, = (a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    command, action = next((name, a) for name, p in sub.choices.items()
+                           for a in p._actions if a.dest == key)
+    seen = []
+    monkeypatch.setitem(cli._HANDLERS, command, lambda args: seen.append(args) or 0)
+    argv = [command] + {"attack": ["t.kptr"], "welch": ["t.kptr"],
+                        "bruteforce": ["t.kptr", "--suspects", "1"]}.get(command, [])
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"{key}={CONFIG_TEXTS[key]}\n")
+    flag = [action.option_strings[0]] + ([] if action.const is True else [CONFIG_TEXTS[key]])
+    assert cli.main(argv + ["--config", str(cfg)]) == 0
+    assert cli.main(argv + flag) == 0
+    from_file, from_flag = (getattr(args, key) for args in seen)
+    assert (type(from_file), from_file) == (type(from_flag), from_flag)
+    assert from_flag is not None
+
+
+def test_config_run_equals_flag_run(tmp_path, capsys):
+    # simulate then attack, every RunConfig option set once from files and
+    # once by flags: the same sidecar run_config and report.csv comment lines
+    out = tmp_path / "run"
+    simulate_opts = {"curve": "test8", "seed": "6", "out": str(out), "scalar_bits": "10",
+                     "addr_weight": "0.5", "data_weight": "0.25", "baseline": "3",
+                     "noise_sigma": "0.25", "samples_per_cycle": "4", "clock_hz": "5e7"}
+    attack_opts = {"curve": "test8", "seed": "6", "out": str(out), "slot_len": "54",
+                   "start_cycle": "62", "num_slots": "8", "compression": "sumsq"}
+    assert {*simulate_opts, *attack_opts, "command"} == {
+        f.name for f in dataclasses.fields(cli.RunConfig)}
+
+    def run_both(as_flags: bool):
+        outputs = []
+        for argv, opts in ((["simulate"], simulate_opts),
+                           (["attack", str(out / "trace.kptr")], attack_opts)):
+            if as_flags:
+                argv = argv + [f"--{k.replace('_', '-')}={v}" for k, v in opts.items()]
+            else:
+                cfg = tmp_path / f"{argv[0]}.cfg"
+                cfg.write_text("".join(f"{k}={v}\n" for k, v in opts.items()))
+                argv = argv + ["--config", str(cfg)]
+            outputs.append(run(argv, capsys))
+        sidecar = json.loads((out / "trace.transcript.json").read_text())["run_config"]
+        comments = [line for line in (out / "report.csv").read_text().splitlines()
+                    if line.startswith("#")]
+        return outputs, sidecar, comments
+
+    from_files, from_flags = run_both(False), run_both(True)
+    assert [code for code, _, _ in from_files[0]] == [0, 0]
+    assert from_files == from_flags
+    assert "# compression=sumsq" in from_files[2] and from_files[1]["clock_hz"] == 5e7

@@ -11,6 +11,7 @@ from kpsca.curve import Scalar, get_curve, kp_multiply
 from kpsca.leaksim import LeakModel, build_schedule, synthesize_trace
 from kpsca.traces import (
     BadMagicError,
+    BadMetadataError,
     CompressionMethod,
     FormatVersionError,
     SegmentationError,
@@ -269,6 +270,15 @@ class TestCsvRoundTrip:
         path = tmp_path / "t.csv"
         path.write_text("1.0\n2.0\n")
         with pytest.raises(Exception, match="metadata"):
+            read_trace(path)
+
+    def test_meta_line_not_key_value(self, tmp_path):
+        # a line without "=" is refused, also beside a valid clock_hz line
+        path = tmp_path / "t.csv"
+        write_trace(make_trace([1.5, 2.5]), path)
+        meta = tmp_path / "t.meta"
+        meta.write_text(meta.read_text() + "clock_hz 5\n")
+        with pytest.raises(BadMetadataError, match="line is not key=value: 'clock_hz 5'"):
             read_trace(path)
 
     def test_sidecar_file_name(self, tmp_path):
