@@ -367,8 +367,10 @@ def _halve_and_add(k: int, p: tuple[int, int], params: CurveParams, n: int):
     taking 2P.  Halving (x, y): a root L of L^2 + L = x + a, T = y + x*L (one
     product), and the half in <G> is (sqrt(T + x), L) if Tr(T) = 0, else
     (sqrt(T), L + 1), as (u, lambda = u + v/u); v = u*(lambda + u) is taken
-    only for a point a digit adds.  Q_j sums magnitude j's terms, and
-    Q1 + 3*Q3 + 5*Q5 + 7*Q7 = S1 + 2*(S3 + S5 + S7), S_j = Q_j + ... + Q7.
+    only for a point a digit adds.  The solver is linear, so the next root,
+    that of u + a, is u's from one `gf2m.sqrt_and_root` plus a's.  Q_j sums
+    magnitude j's terms, and Q1 + 3*Q3 + 5*Q5 + 7*Q7 = S1 + 2*(S3 + S5 + S7),
+    S_j = Q_j + ... + Q7.
     """
     f, a, t = params.field, params.a.value, n.bit_length()
     digits = _naf4(pow(2, t - 1, n) * k % n)
@@ -376,6 +378,7 @@ def _halve_and_add(k: int, p: tuple[int, int], params: CurveParams, n: int):
     if len(digits) > t:  # then digit t is 1, as k' < 2^t
         lanes[0].append(_point_double(p, params))
     (x, y), lam = p, None
+    root, root_a = gf2m.solve_quadratic(f, x ^ a), gf2m.solve_quadratic(f, a)
     for i in range(t - 1, -1, -1):
         d = digits[i] if i < len(digits) else 0
         if d:
@@ -383,11 +386,11 @@ def _halve_and_add(k: int, p: tuple[int, int], params: CurveParams, n: int):
                 y = gf2m.mul_classical(f, x, lam ^ x)
             lanes[abs(d) >> 1].append((x, y if d > 0 else x ^ y))
         if i:
-            root = gf2m.solve_quadratic(f, x ^ a)
             tt = (gf2m.mul_classical(f, x, x ^ lam ^ root) if y is None
                   else y ^ gf2m.mul_classical(f, x, root))
             tr = gf2m.trace(f, tt)
-            x, y, lam = gf2m.sqrt(f, tt if tr else tt ^ x), None, root ^ tr
+            (x, root), y, lam = gf2m.sqrt_and_root(f, tt if tr else tt ^ x), None, root ^ tr
+            root ^= root_a
     q = _lane_sums(lanes, params)
     s1, s3, s5 = _lane_sums([q, q[1:], q[2:]], params)
     twice, = _lane_sums([[s3, s5, q[3]]], params)

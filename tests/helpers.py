@@ -65,7 +65,8 @@ def trace_mask(spec: FieldSpec) -> int:
 
 def reference_halving_tables(f: FieldSpec) -> tuple:
     """gf2m._halving_tables with its first echelon walk over every row, not
-    only over the new image's set bits, and no cache."""
+    only over the new image's set bits, its square roots by repeated
+    squaring, its halving rows entry by entry, and no cache."""
     rows = {}
     for i in range(1, f.m):
         img, pre = f.reduce(1 << 2 * i) ^ 1 << i, 1 << i
@@ -85,10 +86,25 @@ def reference_halving_tables(f: FieldSpec) -> tuple:
         for j in range(4 * d, 4 * d + 4):
             row += [e ^ rows.get(j, (0, 0))[1] for e in row]
         solver.append(row)
-    root_x = 2
-    for _ in range(f.m - 1):
-        root_x = gf2m.square(f, root_x)
-    return tmask, solver, gf2m.product_table(root_x)
+    # halving rows: sqrt(x^j) by m - 1 squarings, its root by the solver rows
+    # above, and each byte value's entry summed bit by bit
+    packed = []
+    for j in range(8 * ((f.m + 7) >> 3)):
+        s = f.reduce(1 << j)
+        for _ in range(f.m - 1):
+            s = gf2m.square(f, s)
+        z = 0
+        for d in range(f.hex_digits):
+            z ^= solver[d][s >> 4 * d & 15]
+        packed.append(s | z << f.m)
+    halves = []
+    for r in range(0, len(packed), 8):
+        halves.append([0] * 256)
+        for v in range(256):
+            for i in range(8):
+                if v >> i & 1:
+                    halves[-1][v] ^= packed[r + i]
+    return tmask, solver, halves
 
 
 def rabin_irreducible(spec: FieldSpec) -> bool:

@@ -17,6 +17,7 @@ from kpsca.gf2m import (
     segment_width,
     solve_quadratic,
     sqrt,
+    sqrt_and_root,
     square,
     trace,
 )
@@ -261,6 +262,22 @@ class TestHalvingPrimitives:
             c ^= one * trace(spec, c)
             z = solve_quadratic(spec, c)
             assert mul_shift_xor(z, z, poly, m) ^ z == c
+
+    @HALVING_FIELDS
+    def test_sqrt_and_root(self, spec):
+        # every element of the small fields, 2000 random ones of the big
+        poly, m = spec.reduction_poly, spec.m
+        rng = random.Random(m)
+        cs = range(1 << m) if m <= 16 else [rng.getrandbits(m) for _ in range(2000)]
+        solved = 0
+        for c in cs:
+            s, z = sqrt_and_root(spec, c)
+            assert mul_shift_xor(s, s, poly, m) == c, c
+            assert z == solve_quadratic(spec, s), c
+            if trace(spec, s) == 0:
+                assert mul_shift_xor(z, z, poly, m) ^ z == s, c
+                solved += 1
+        assert solved > len(cs) // 3  # about half the roots have trace 0
 
     @pytest.mark.parametrize("spec", [AES, TEST16, B163, B233],
                              ids=["test8", "test16", "b163", "b233"])
