@@ -80,19 +80,14 @@ def challenge(
     return Challenge(r, R, kp_point(r, pub_b, params))
 
 
-def respond(
-    identity: Identity,
-    R: AffinePoint,
-    model: LeakModel,
-    clock_hz: float = 100e6,
-) -> tuple[AffinePoint, Trace]:
+def respond(identity: Identity, R: AffinePoint, model: LeakModel) -> tuple[AffinePoint, Trace]:
     """Compute Q_B = [k_B]R and the leakage trace of the accelerator computing it.
 
     Off-curve challenge points are rejected (invalid-curve hygiene): the
     schedule of k_B and R checks R as the ladder's input, so R at infinity,
     off the curve or with x = 0 raises `CurveError` before anything is computed.
     """
-    trace = synthesize_trace(Schedule(identity.k, R, identity.params), model, clock_hz)
+    trace = synthesize_trace(Schedule(identity.k, R, identity.params), model)
     return kp_point(identity.k, R, identity.params), trace
 
 

@@ -75,7 +75,7 @@ class RunConfig:
     baseline: float = LeakModel.baseline
     noise_sigma: float = LeakModel.noise_sigma
     samples_per_cycle: int = LeakModel.samples_per_cycle
-    clock_hz: float = 100e6
+    clock_hz: float = LeakModel.clock_hz
     out: str = "."
 
     def echo_lines(self) -> list[str]:
@@ -150,6 +150,7 @@ def _leak_model(cfg: RunConfig) -> LeakModel:
         noise_sigma=cfg.noise_sigma,
         samples_per_cycle=cfg.samples_per_cycle,
         rng_seed=cfg.seed,
+        clock_hz=cfg.clock_hz,
     )
 
 
@@ -164,6 +165,14 @@ def _parse_point(params, text: str, what: str) -> AffinePoint:
         return AffinePoint.from_hex(params.field, text)
     except ValueError:
         raise ValueError(f"{what} must be xhex:yhex or 'infinity', got {text!r}") from None
+
+
+def _parse_pub(params, text: str) -> AffinePoint:
+    """--pub as a point other than infinity, which no private key gives."""
+    pub = _parse_point(params, text, "public key")
+    if pub.infinity:
+        raise ValueError("public key is the point at infinity, which no private key gives")
+    return pub
 
 
 def _parse_key(text: str) -> Scalar:
@@ -281,7 +290,7 @@ def _simulate(args) -> int:
         p, = fixed_base_multiples([Scalar.random(rng, cfg.scalar_bits).value], params)
     model = _leak_model(cfg)
     schedule = Schedule(k, p, params)
-    trace = synthesize_trace(schedule, model, cfg.clock_hz)
+    trace = synthesize_trace(schedule, model)
     if model.addr_weight == 0 and model.data_weight == 0 and model.noise_sigma == 0:
         print("warning: all leakage weights and noise are zero; the trace is flat")
 
@@ -332,7 +341,7 @@ def _attack(args) -> int:
     matrix = _segment_from_cfg(cfg, trace)
     truth = trace.ground_truth.main_loop_bits if trace.ground_truth else None
     params = get_curve(cfg.curve)
-    pub = _parse_point(params, args.pub, "public key") if args.pub else None
+    pub = _parse_pub(params, args.pub) if args.pub else None
     report = attack_mod.evaluate(matrix, truth_bits=truth, pub=pub, params=params)
     out = _out_dir(cfg)
     report_path = out / "report.csv"
@@ -396,7 +405,7 @@ def _bruteforce(args) -> int:
         raise ValueError("no ground truth: select the candidate with --sample-index/--polarity")
 
     if args.pub:
-        pub = _parse_point(params, args.pub, "public key")
+        pub = _parse_pub(params, args.pub)
     elif trace.ground_truth is not None:
         pub, = fixed_base_multiples([trace.ground_truth.value], params)
     else:
@@ -422,7 +431,7 @@ def _auth_demo(args) -> int:
     identity = authproto.Identity.generate(cfg.curve, rng, cfg.scalar_bits)
     ch = authproto.challenge(identity.pub, identity.params, rng, cfg.scalar_bits)
     model = _leak_model(cfg)
-    q_b, trace = authproto.respond(identity, ch.R, model, cfg.clock_hz)
+    q_b, trace = authproto.respond(identity, ch.R, model)
     honest = authproto.verify(ch.q_expected, q_b)
     print(f"honest authentication: {'ok' if honest else 'FAILED'}")
 

@@ -345,7 +345,7 @@ def kp_point(k: Scalar, p: AffinePoint, params: CurveParams) -> AffinePoint:
     if gf2m.trace(f, p.x.value) == gf2m.trace(f, params.a.value):
         return AffinePoint.from_pair(f, _halve_and_add(k.value, p.pair, params, n))
     # P = P' + T2 with P' in <G> and T2 = (0, sqrt(b)) of order 2
-    t2 = (0, gf2m.sqrt(f, params.b.value))
+    t2 = (0, gf2m.sqrt_and_root(f, params.b.value)[0])
     kp = _halve_and_add(k.value, _point_add(p.pair, t2, params), params, n)
     return AffinePoint.from_pair(f, _point_add(kp, t2, params) if k.value & 1 else kp)
 

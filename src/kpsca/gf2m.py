@@ -8,7 +8,7 @@ XOR, written `^`; there is no carry propagation anywhere.
 The operations take the field's `FieldSpec` and plain ints and return
 ints: `mul_classical(f, a, b)`, `mul_by_table(f, product_table(c), a)`,
 `square(f, a)`, `invert(f, a)`, `karatsuba4_partials(f, a, b)`, and for
-point halving `trace(f, c)`, `solve_quadratic(f, c)`, `sqrt(f, c)` and
+point halving `trace(f, c)`, `solve_quadratic(f, c)` and
 `sqrt_and_root(f, c)`.
 `FieldElement` is the boundary type: point coordinates and curve
 coefficients, with their hex I/O and repr.
@@ -23,8 +23,9 @@ operand c that recurs, as x and b do at every ladder step, walks the
 other operand's bytes against ``product_table(c)``, built once
 (``mul_by_table``; the fixed-operand comb, ibid. Sec. 2.3.3).
 Both linear maps of point halving, the square root and the solver of
-z^2 + z = c, share one table walk over the bytes of c (``sqrt_and_root``;
-Fong, Hankerson, Lopez, Menezes, IEEE Trans. Computers, 2004).
+z^2 + z = c, share one table and one walk over the bytes of c
+(``sqrt_and_root``; Fong, Hankerson, Lopez, Menezes, IEEE Trans.
+Computers, 2004); ``solve_quadratic`` walks it with c^2, whose root is c.
 ``karatsuba4_partials`` is the modelled multiplier hardware: a 4-segment
 Karatsuba product that computes 9 segment-level partial products instead
 of the 16 of a classical 4-segment multiplier, and returns them so the
@@ -141,12 +142,12 @@ def mul_classical(f: FieldSpec, a: int, b: int) -> int:
     return f.reduce(_clmul(a, b))
 
 
-def _digit_rows(images: list[int], width: int) -> list[list[int]]:
-    """Row r: each value of c's width-bit digit r -> the sum of images[j] over its bits j."""
+def _byte_rows(images: list[int]) -> list[list[int]]:
+    """Row r: each value of c's byte r -> the sum of images[j] over its bits j."""
     out = []
-    for r in range(0, len(images), width):
+    for r in range(0, len(images), 8):
         row = [0]
-        for img in images[r:r + width]:  # the entries d + 2^i after those d < 2^i
+        for img in images[r:r + 8]:  # the entries d + 2^i after those d < 2^i
             row += [e ^ img for e in row]
         out.append(row)
     return out
@@ -155,7 +156,7 @@ def _digit_rows(images: list[int], width: int) -> list[list[int]]:
 def product_table(c: int) -> list[int]:
     """c times every 8-bit polynomial d, indexed by d (unreduced), for
     `mul_by_table`: a fixed operand pays for its table once."""
-    return _digit_rows([c << i for i in range(8)], 8)[0]
+    return _byte_rows([c << i for i in range(8)])[0]
 
 
 def mul_by_table(f: FieldSpec, tbl: list[int], a: int) -> int:
@@ -247,14 +248,14 @@ def invert(f: FieldSpec, a: int) -> int:
 
 
 def _halving_tables(f: FieldSpec) -> tuple:
-    """f's trace mask, solver rows for z^2 + z = c and halving rows, built on
-    first use from `FieldSpec.reduce` alone.  In the echelon form of the
-    images of x^1..x^(m-1) under the linear z^2 + z, each row kept with its
-    preimage, one bit p has no pivot.  A trace-0 c is the sum of the rows at
-    its pivot bits, z the sum of their preimages, and the trace-1 bits are p
-    and the pivots whose row has bit p.  Halving row r takes each value of
-    c's byte r to its square root, the sum of sqrt(x^j) = x^(j/2) or
-    sqrt(x)*x^((j-1)/2) over its bits j, and that root's solver image above bit m."""
+    """f's trace mask and halving rows, built on first use from
+    `FieldSpec.reduce` alone.  In the echelon form of the images of
+    x^1..x^(m-1) under the linear z^2 + z, each row kept with its preimage,
+    one bit p has no pivot.  A trace-0 c is the sum of the rows at its pivot
+    bits, its solver image S(c) the sum of their preimages, and the trace-1
+    bits are p and the pivots whose row has bit p.  Halving row r takes each
+    value of c's byte r to its square root s, the sum of sqrt(x^j) = x^(j/2)
+    or sqrt(x)*x^((j-1)/2) over its bits j, with S(s) above bit m."""
     if f._halving is not None:
         return f._halving
     rows = {}  # pivot bit -> (image, preimage); no row has another row's pivot bit
@@ -273,21 +274,19 @@ def _halving_tables(f: FieldSpec) -> tuple:
         rows[top] = img, pre
     p, = set(range(f.m)) - rows.keys()
     tmask = 1 << p | sum(1 << bit for bit, (r, _) in rows.items() if r >> p & 1)
-    solver = _digit_rows([rows.get(j, (0, 0))[1] for j in range(4 * f.hex_digits)], 4)
     root_x = 2
     for _ in range(f.m - 1):  # x^(2^(m-1)); a traced run would count `square` calls
         root_x = f.reduce(int.from_bytes(format(root_x, "x").encode().translate(_SQUARE_DIGIT), "big"))
-    sqrts = (f.reduce((root_x if j & 1 else 1) << (j >> 1)) for j in range(8 * ((f.m + 7) >> 3)))
-    f._halving = tmask, solver, _digit_rows([s | _solve(solver, s) << f.m for s in sqrts], 8)
+    entries = []
+    for j in range(8 * ((f.m + 7) >> 3)):
+        s = bits = f.reduce((root_x if j & 1 else 1) << (j >> 1))
+        while bits:  # S(s) above bit m: the preimages at s's pivot bits
+            bit = bits.bit_length() - 1
+            bits ^= 1 << bit
+            s ^= rows.get(bit, (0, 0))[1] << f.m
+        entries.append(s)
+    f._halving = tmask, _byte_rows(entries)
     return f._halving
-
-
-def _solve(solver: list[list[int]], c: int) -> int:
-    """The solver map: one solver-row entry per hex digit of c."""
-    z = 0
-    for row, d in zip(solver, format(c, "x").encode().translate(_HEX_NIBBLE)[::-1]):
-        z ^= row[d]
-    return z
 
 
 def trace(f: FieldSpec, c: int) -> int:
@@ -296,21 +295,17 @@ def trace(f: FieldSpec, c: int) -> int:
 
 
 def solve_quadratic(f: FieldSpec, c: int) -> int:
-    """A root z of z^2 + z = c for c of trace 0 (z + 1 is the other); linear in c."""
-    return _solve(_halving_tables(f)[1], c)
+    """A root z of z^2 + z = c for c of trace 0 (z + 1 is the other); linear
+    in c.  It is the root half of `sqrt_and_root` of c^2, as sqrt(c^2) = c."""
+    return sqrt_and_root(f, square(f, c))[1]
 
 
 def sqrt_and_root(f: FieldSpec, c: int) -> tuple[int, int]:
     """(sqrt(c), solve_quadratic(f, sqrt(c))): one halving-row entry per byte of c."""
     v = 0
-    for row, d in zip(_halving_tables(f)[2], c.to_bytes((f.m + 7) >> 3, "little")):
+    for row, d in zip(_halving_tables(f)[1], c.to_bytes((f.m + 7) >> 3, "little")):
         v ^= row[d]
     return v & f._mask, v >> f.m
-
-
-def sqrt(f: FieldSpec, c: int) -> int:
-    """The square root of c, the low half of `sqrt_and_root`."""
-    return sqrt_and_root(f, c)[0]
 
 
 # Built-in specs (FIPS 186-4 binary fields)

@@ -357,15 +357,10 @@ def slot_addr_profile(bit: int) -> np.ndarray:
     return prof
 
 
-def differing_cycles() -> tuple[int, ...]:
-    """Slot-relative cycle indices whose address leakage depends on the key bit."""
-    d = slot_addr_profile(1) - slot_addr_profile(0)
-    return tuple(int(i) for i in np.nonzero(d)[0])
-
-
 @dataclass(frozen=True)
 class LeakModel:
-    """Linear power model: baseline + address term + data term + noise."""
+    """Linear power model: baseline + address term + data term + noise,
+    sampled samples_per_cycle times a cycle of a clock_hz clock."""
 
     addr_weight: float = 1.0
     data_weight: float = 0.0
@@ -373,6 +368,7 @@ class LeakModel:
     noise_sigma: float = 0.0
     samples_per_cycle: int = 10
     rng_seed: int = 0
+    clock_hz: float = 100e6
 
     def __post_init__(self):
         for name in ("addr_weight", "data_weight", "baseline", "noise_sigma"):
@@ -394,7 +390,7 @@ def cycle_power(schedule: Schedule, model: LeakModel) -> np.ndarray:
     return power
 
 
-def synthesize_trace(schedule: Schedule, model: LeakModel, clock_hz: float = 100e6):
+def synthesize_trace(schedule: Schedule, model: LeakModel):
     """Render the schedule into a sampled trace.
 
     Deterministic for a given rng_seed.  Each cycle contributes
@@ -415,6 +411,6 @@ def synthesize_trace(schedule: Schedule, model: LeakModel, clock_hz: float = 100
         samples=samples,
         samples_per_cycle=model.samples_per_cycle,
         cycle0_offset=schedule.cycle0 * model.samples_per_cycle,
-        clock_hz=clock_hz,
+        clock_hz=model.clock_hz,
         ground_truth=schedule.scalar,
     )

@@ -74,7 +74,7 @@ class Trace:
     samples: np.ndarray
     samples_per_cycle: int
     cycle0_offset: int  # sample index where the first main-loop slot begins
-    clock_hz: float = 100e6
+    clock_hz: float
     ground_truth: Optional[Scalar] = None
 
     def __post_init__(self):

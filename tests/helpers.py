@@ -23,6 +23,7 @@ from kpsca.curve import (
     negate,
 )
 from kpsca.gf2m import FieldSpec
+from kpsca.leaksim import slot_addr_profile
 from kpsca.traces import Trace, write_trace
 
 
@@ -45,6 +46,12 @@ def mul_shift_xor(a: int, b: int, poly: int, m: int) -> int:
     return p
 
 
+def differing_cycles() -> tuple[int, ...]:
+    """Slot-relative cycle indices whose address leakage depends on the key bit."""
+    d = slot_addr_profile(1) - slot_addr_profile(0)
+    return tuple(int(i) for i in np.nonzero(d)[0])
+
+
 def trace_mask(spec: FieldSpec) -> int:
     """Bitmask of basis monomials x^i with absolute trace 1.
 
@@ -64,9 +71,9 @@ def trace_mask(spec: FieldSpec) -> int:
 
 
 def reference_halving_tables(f: FieldSpec) -> tuple:
-    """gf2m._halving_tables with its first echelon walk over every row, not
-    only over the new image's set bits, its square roots by repeated
-    squaring, its halving rows entry by entry, and no cache."""
+    """gf2m._halving_tables with its echelon walk and its solver images over
+    every row or bit, not only over the set bits, its square roots by
+    repeated squaring, its halving rows entry by entry, and no cache."""
     rows = {}
     for i in range(1, f.m):
         img, pre = f.reduce(1 << 2 * i) ^ 1 << i, 1 << i
@@ -80,22 +87,17 @@ def reference_halving_tables(f: FieldSpec) -> tuple:
         rows[top] = img, pre
     p, = set(range(f.m)) - rows.keys()
     tmask = 1 << p | sum(1 << bit for bit, (r, _) in rows.items() if r >> p & 1)
-    solver = []
-    for d in range(f.hex_digits):
-        row = [0]
-        for j in range(4 * d, 4 * d + 4):
-            row += [e ^ rows.get(j, (0, 0))[1] for e in row]
-        solver.append(row)
-    # halving rows: sqrt(x^j) by m - 1 squarings, its root by the solver rows
-    # above, and each byte value's entry summed bit by bit
+    # halving rows: sqrt(x^j) by m - 1 squarings, its root the sum of the
+    # preimages over every bit of it, and each byte value's entry summed bit by bit
     packed = []
     for j in range(8 * ((f.m + 7) >> 3)):
         s = f.reduce(1 << j)
         for _ in range(f.m - 1):
             s = gf2m.square(f, s)
         z = 0
-        for d in range(f.hex_digits):
-            z ^= solver[d][s >> 4 * d & 15]
+        for bit in range(f.m):
+            if s >> bit & 1:
+                z ^= rows.get(bit, (0, 0))[1]
         packed.append(s | z << f.m)
     halves = []
     for r in range(0, len(packed), 8):
@@ -104,7 +106,7 @@ def reference_halving_tables(f: FieldSpec) -> tuple:
             for i in range(8):
                 if v >> i & 1:
                     halves[-1][v] ^= packed[r + i]
-    return tmask, solver, halves
+    return tmask, halves
 
 
 def rabin_irreducible(spec: FieldSpec) -> bool:
@@ -399,7 +401,7 @@ def write_bad_trace(tmp_path, suffix, problem):
     A good trace is written and then patched: write_trace refuses bad headers.
     """
     path, meta = tmp_path / f"trace{suffix}", tmp_path / "trace.meta"
-    write_trace(Trace(np.zeros(540), samples_per_cycle=10, cycle0_offset=0), path)
+    write_trace(Trace(np.zeros(540), samples_per_cycle=10, cycle0_offset=0, clock_hz=100e6), path)
     field, key, value = _BAD_HEADER.get(problem, (None, None, None))
     if suffix == ".csv" and key:
         meta.write_text(re.sub(rf"(?m)^{key}=.*$", f"{key}={value}", meta.read_text()))
@@ -416,6 +418,8 @@ def write_bad_trace(tmp_path, suffix, problem):
             meta.write_text(meta.read_text() + "ground_truth=0000\n")
         else:
             path.write_bytes(path.read_bytes() + struct.pack("<I", 4) + b"0000")
+    if problem == "dangling_block":  # too short for a block's length word
+        path.write_bytes(path.read_bytes() + bytes(2))
     if problem == "trailing_bytes":
         path.write_bytes(path.read_bytes() + struct.pack("<I", 2) + b"1f" + bytes(7))
     if problem == "undecodable_meta":

@@ -32,12 +32,13 @@ from kpsca.gf2m import FieldSpec, karatsuba4_partials, mul_classical, square
 from kpsca.leaksim import (
     LeakModel,
     build_schedule,
-    differing_cycles,
     synthesize_trace,
 )
 from kpsca.traces import CompressionMethod, compress, segment
 
-from helpers import complement, correctness, flip_bits, make_test16_curve, oracle_double_and_add
+from helpers import (
+    complement, correctness, differing_cycles, flip_bits, make_test16_curve, oracle_double_and_add,
+)
 
 
 def criterion(n, label):

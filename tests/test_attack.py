@@ -19,10 +19,10 @@ from kpsca.attack import (
     worst_case_checks,
 )
 from kpsca.curve import Scalar, fixed_base_multiples, kp_point
-from kpsca.leaksim import LeakModel, differing_cycles, synthesize_trace
+from kpsca.leaksim import LeakModel, synthesize_trace
 from kpsca.traces import CompressionMethod, compress, segment
 
-from helpers import complement, correctness, flip_bits
+from helpers import complement, correctness, differing_cycles, flip_bits
 
 
 def matrix_of(rows):

@@ -161,9 +161,11 @@ def test_tracer_counts_auth_demo_ladders(capsys):
     # products to share it: 7, 2 and 1).  Its targets pub - 2^L*G and
     # C*G - pub share another (7, 2 and 1), and C*G - pub + 2^L*G takes a
     # third (2, 1 and 1): 16, 5 and 3.
-    # Halving solves, square roots and traces are untraced table walks.  On
-    # test8 (n = 137, t = 8) a kP halves 7 times, one product each, and
-    # takes one product for the y of each of its 2 nonzero NAF digits: 9.
+    # Halving's square roots and traces are untraced table walks, and so
+    # are its solves but for the square of c that each takes; a kP solves
+    # twice, for its first root and for a's.  On test8 (n = 137, t = 8) a
+    # kP halves 7 times, one product each, and takes one product for the y
+    # of each of its 2 nonzero NAF digits: 9 and 2.
     # r*Pub's digits (1 at 6, -1 at 0) share lane 1, one chord addition of
     # 2 products, 1 square and 1 inversion; S1 = Q1, and S3, S5 and S7 are
     # infinity: 11, 1 and 1.
@@ -172,11 +174,11 @@ def test_tracer_counts_auth_demo_ladders(capsys):
     # doublings (2 products, 2 squares, 1 inversion each): 19, 7 and 5,
     # once in respond and once in the replay of the recovered key.
     # Together 9 + 9 + 4 + 16 + 11 + 2*19 = 87 products,
-    # 6 + 6 + 2 + 5 + 1 + 2*7 = 34 squares and 2 + 3 + 1 + 2*5 = 16
+    # 6 + 6 + 2 + 5 + 1 + 2*7 + 3*2 = 40 squares and 2 + 3 + 1 + 2*5 = 16
     # inversions.  The counts do not depend on what ran before, so a second
     # run repeats them.
     want = {"curve.kp_multiply": 0, "leaksim.build_schedule": 0, "authproto.respond": 1,
-            "curve.kp_point": 3, "gf2m.mul_classical": 87, "gf2m.square": 34,
+            "curve.kp_point": 3, "gf2m.mul_classical": 87, "gf2m.square": 40,
             "gf2m.invert": 16}
     assert demo_counts() == want
     assert demo_counts() == want

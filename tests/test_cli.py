@@ -220,16 +220,20 @@ class TestAttack:
         assert "verified: yes" in stdout
 
     @pytest.mark.parametrize("command", ["attack", "bruteforce"])
-    @pytest.mark.parametrize("pub", ["zz", "1:2:3", "g:1"])
+    @pytest.mark.parametrize("pub", ["zz", "1:2:3", "g:1", "infinity"])
     def test_malformed_pub(self, tmp_path, capsys, command, pub):
+        # infinity parses as a point, but no private key gives it: its
+        # multiples of n would otherwise print as a found key
         out = tmp_path / "sim"
         code, _, _ = run(["simulate", "--curve", "test8", "--seed", "5", "--out", str(out)], capsys)
         assert code == 0
         extra = ["--suspects", "1"] if command == "bruteforce" else []
         code, stdout, stderr = run([command, str(out / "trace.kptr"), "--curve", "test8",
                                     "--out", str(out), "--pub", pub, *extra], capsys)
-        assert (code, stdout, stderr) == (
-            cli.EXIT_CONFIG, "", f"error: public key must be xhex:yhex or 'infinity', got '{pub}'\n")
+        message = ("public key is the point at infinity, which no private key gives"
+                   if pub == "infinity" else
+                   f"public key must be xhex:yhex or 'infinity', got '{pub}'")
+        assert (code, stdout, stderr) == (cli.EXIT_CONFIG, "", f"error: {message}\n")
 
     def test_misconfigured_offset_drops_delta(self, tmp_path, capsys):
         def deltas(out_dir):
@@ -308,7 +312,8 @@ class TestAttack:
     def test_library_warning_is_one_stderr_line(self, tmp_path, capsys, num_slots, code, last):
         # compress drops the 3 samples past the last whole cycle, and warns
         path = tmp_path / "odd.kptr"
-        write_trace(Trace(np.arange(1003) % 7.0, samples_per_cycle=10, cycle0_offset=80), path)
+        write_trace(Trace(np.arange(1003) % 7.0, samples_per_cycle=10, cycle0_offset=80,
+                          clock_hz=100e6), path)
         got, _, stderr = run(["attack", str(path), "--curve", "test8", "--num-slots", num_slots,
                               "--slot-len", "5", "--out", str(tmp_path)], capsys)
         assert (got, stderr) == (code, "warning: trace length 1003 is not a multiple of "
@@ -649,6 +654,9 @@ EXIT_CODE_CASES = [
     ("config nosie_sigma=2", cli.EXIT_CONFIG),
     ("config seed=abc", cli.EXIT_CONFIG),
     ("config compression=foo", cli.EXIT_CONFIG),
+    ("config # seed=abc\n\n   \nseed=3", cli.EXIT_OK),  # comment and blank lines are skipped
+    ("no_truth_attack", cli.EXIT_CONFIG),
+    ("no_truth_bruteforce", cli.EXIT_CONFIG),
 ]
 
 SIMULATE_FLAGS = ("excerpt_cycles", "noise_sigma", "addr_weight", "data_weight", "baseline",
@@ -689,9 +697,16 @@ def contract_argv(case, tmp_path, capsys):
         cfg.write_text(f"no_ground_truth={value}\n")
         return ["simulate", "--curve", "test8", "--config", str(cfg), "--out", str(tmp_path)]
     out = tmp_path / "sim"
-    code, _, _ = run(["simulate", "--curve", "test8", "--seed", "5", "--out", str(out)], capsys)
+    hidden = ["--no-ground-truth"] if name.startswith("no_truth_") else []
+    code, _, _ = run(["simulate", "--curve", "test8", "--seed", "5", "--out", str(out), *hidden],
+                     capsys)
     assert code == 0
     trace = str(out / "trace.kptr")
+    if name == "no_truth_attack":  # the slot count must be given
+        return ["attack", trace, "--curve", "test8", "--out", str(out)]
+    if name == "no_truth_bruteforce":  # and the candidate, by its sample index
+        return ["bruteforce", trace, "--curve", "test8", "--num-slots", "5", "--suspects", "1",
+                "--pub", get_curve("test8").g.to_hex()]
     if name == "oversized_num_slots":
         return ["attack", trace, "--curve", "test8", "--num-slots", "5000", "--out", str(out)]
     if name in ("slot_len", "num_slots"):

@@ -654,20 +654,21 @@ class TestKpPointHalving:
         assert kp_point(Scalar(2 * n), p_out, params).infinity
 
     def test_b233_field_work(self, b233, monkeypatch):
-        # exact field calls of one seeded B-233 kP: halving's trace, solve and
-        # square root are untraced table walks, so a change to them moves none.
-        # The ladder-input check is 3 products and 2 squares.  t = 233, so 232
-        # halvings at one product each, and one product for the y of each of
-        # the 49 nonzero NAF digits (12, 14, 15 and 8 of magnitude 1, 3, 5
-        # and 7): 284 and 2.  A lane level of b chord additions shares one
+        # exact field calls of one seeded B-233 kP: halving's trace and square
+        # root are untraced table walks, and a solve is one too after one
+        # square (it walks the rows with c^2, whose root is c).  The kP solves
+        # twice, for its first root and for a's.  The ladder-input check is 3
+        # products and 2 squares.  t = 233, so 232 halvings at one product
+        # each, and one product for the y of each of the 49 nonzero NAF digits
+        # (12, 14, 15 and 8 of magnitude 1, 3, 5 and 7): 284 and 4.  A lane level of b chord additions shares one
         # inversion for 3(b - 1) products, and each addition takes 2 products
         # and 1 square.  The lanes sum in levels of 24, 12, 6 and 3 additions
         # (213 products, 45 squares, 4 inversions); S1, S3 and S5 from lanes
         # of 4, 3 and 2 Q's in levels of 4 and 2 (24, 6, 2); S3 + S5 + Q7 in
         # two levels of 1 (4, 2, 2); the doubling (2, 2, 1) and the last
-        # addition (2, 1, 1): 529 products, 58 squares and 10 inversions.
+        # addition (2, 1, 1): 529 products, 60 squares and 10 inversions.
         # P + T2 adds T2 before halving and, k being odd, after: 2, 1 and 1
-        # each, so 533, 60 and 12.
+        # each, so 533, 62 and 12.
         rng = random.Random(233)
         p_in, = fixed_base_multiples([rng.getrandbits(233)], b233)
         p_out = point_add(p_in, two_torsion(b233), b233)
@@ -682,7 +683,7 @@ class TestKpPointHalving:
                 calls[name] += 1
                 return fn(*args)
             monkeypatch.setattr(gf2m, name, counted)
-        for p, counts in ((p_in, (529, 58, 10)), (p_out, (533, 60, 12))):
+        for p, counts in ((p_in, (529, 60, 10)), (p_out, (533, 62, 12))):
             calls.update(mul_classical=0, square=0, invert=0)
             assert kp_point(k, p, b233) == want[p]
             assert (calls["mul_classical"], calls["square"], calls["invert"]) == counts

@@ -18,12 +18,13 @@ from kpsca.leaksim import (
     ScheduleError,
     build_schedule,
     cycle_power,
-    differing_cycles,
     epilogue_cycles,
     slot_addr_profile,
     synthesize_trace,
 )
 from kpsca.leaksim import _MUL_OPERANDS, _MUL_WINDOWS, _ROLE_BY_BIT, _SLOT_TABLE, _table_values
+
+from helpers import differing_cycles
 
 
 class TestScheduleStructure:

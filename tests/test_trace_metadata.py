@@ -22,6 +22,7 @@ CASES = [(suffix, problem) for suffix in (".kptr", ".csv")
     (".csv", "undecodable_meta"),
     (".csv", "negative_offset"),  # KPTR stores the offset unsigned
     (".kptr", "trailing_bytes"),
+    (".kptr", "dangling_block"),
     (".kptr", "count_plus_one"),  # a count the file cannot hold is refused before allocating
     (".kptr", "huge_count"),
 ]
@@ -32,6 +33,7 @@ def test_reader_raises_trace_format_error(tmp_path, suffix, problem):
     expected = {"unparsable_sample": TraceFormatError, "two_columns": TraceFormatError,
                 "trailing_bytes": TraceFormatError,
                 "count_plus_one": TruncatedTraceError, "huge_count": TruncatedTraceError,
+                "dangling_block": TruncatedTraceError,
                 }.get(problem, BadMetadataError)
     with pytest.raises(expected):
         read_trace(write_bad_trace(tmp_path, suffix, problem))

@@ -40,7 +40,7 @@ def with_count(raw: bytes, count) -> bytes:
 
 def test_samples_must_be_1d():
     with pytest.raises(ValueError, match="1-D"):
-        Trace(np.arange(20.0).reshape(4, 5), 5, 0)
+        Trace(np.arange(20.0).reshape(4, 5), 5, 0, 100e6)
 
 
 class TestCompress:
