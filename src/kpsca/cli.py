@@ -39,6 +39,7 @@ from .curve import (
     Scalar,
     fixed_base_multiples,
     get_curve,
+    in_base_subgroup,
     kp_point,
 )
 from .leaksim import LeakModel, Schedule, synthesize_trace
@@ -168,10 +169,12 @@ def _parse_point(params, text: str, what: str) -> AffinePoint:
 
 
 def _parse_pub(params, text: str) -> AffinePoint:
-    """--pub as a point other than infinity, which no private key gives."""
+    """--pub as a point of <G> other than infinity: the points a private key gives."""
     pub = _parse_point(params, text, "public key")
     if pub.infinity:
         raise ValueError("public key is the point at infinity, which no private key gives")
+    if not in_base_subgroup(pub, params):
+        raise ValueError(f"public key {text} is not a multiple of G: no private key gives it")
     return pub
 
 
@@ -386,6 +389,9 @@ def _bruteforce(args) -> int:
     except ValueError:
         raise ValueError(
             f"suspects must be comma-separated slot indices, got {args.suspects!r}") from None
+    repeated = [s for i, s in enumerate(suspects) if s in suspects[:i]]
+    if repeated:
+        raise ValueError(f"suspect slot {repeated[0]} is given more than once")
     trace = read_trace(args.trace)
     params = get_curve(cfg.curve)
     matrix = _segment_from_cfg(cfg, trace)

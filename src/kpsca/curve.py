@@ -27,7 +27,7 @@ bit, the second-most-significant bit is processed in a dedicated
 pre-loop step, and the remaining l-2 bits run in the main loop.  The
 register state before each step, plus the final state, and every
 intermediate value of each step form the transcript that the leakage
-simulator checks and expands into a clock-cycle schedule.
+simulator expands into a clock-cycle schedule.
 """
 
 from __future__ import annotations
@@ -253,14 +253,6 @@ def _step_roles(
     a3 = s3 ^ m5                             # new Xb = Xb^4 + b*Zb^4
     m6 = gf2m.mul_classical(f, s2, s4)       # new Zb = Xb^2 * Zb^2
     return StepValues(m1, m2, m3, m4, m5, m6, s1, s2, s3, s4, s5, a1, a2, a3)
-
-
-def step_relations_hold(f: FieldSpec, state: LadderState, k_i: int, v: StepValues) -> bool:
-    """Whether the step values v for k_i from `state` keep its 3 sums and 5 squares."""
-    _, _, Xb, Zb = roles(k_i, state)
-    squares = [gf2m.square(f, a) for a in (v.A1, Xb, v.S2, Zb, v.S4)]
-    return (v.A1 == v.M1 ^ v.M2 and v.A2 == v.M4 ^ v.M3 and v.A3 == v.S3 ^ v.M5
-            and squares == [v.S1, v.S2, v.S3, v.S4, v.S5])
 
 
 def next_state(k_i: int, v: StepValues) -> LadderState:

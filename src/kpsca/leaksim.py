@@ -22,13 +22,11 @@ Leakage model: per-cycle power =
 optionally with per-sample Gaussian noise.  The per-cycle mean of the
 synthesized samples equals the modelled cycle power.  A schedule is
 what decides the leak: the key, the input point and the curve.  The
-address sum follows from the key bits alone.  The data sum reads a
-ladder transcript, so the ladder runs only when a model with a nonzero
-data weight renders it; `build_schedule` instead hands a schedule an
-existing transcript, whose recorded step values it checks without
-re-running the ladder.  The geometry (slot count, first main-loop
-cycle, epilogue and total length) is derived from the scalar, the field
-degree and the cycle constants below.
+address sum follows from the key bits alone.  The data sum reads the
+schedule's own ladder run, so the ladder runs only when a model with a
+nonzero data weight renders it.  The geometry (slot count, first
+main-loop cycle, epilogue and total length) is derived from the scalar,
+the field degree and the cycle constants below.
 
 Slot layout (cycle: operations; register roles written for k_i = 1, the
 k_i = 0 slot swaps X1<->X2 and Z1<->Z2):
@@ -90,7 +88,7 @@ import numpy as np
 
 from . import gf2m
 from .curve import ROLES, AffinePoint, CurveParams, LadderState, LadderTranscript, Scalar, StepValues
-from .curve import _check_ladder_input, _init_state, kp_multiply, next_state, roles, step_relations_hold
+from .curve import _check_ladder_input, kp_multiply, roles
 from .traces import Trace
 
 
@@ -134,10 +132,6 @@ SLOT_LAYOUT_VERSION = 1
 def epilogue_cycles(m: int) -> int:
     """Cycles for the affine back-conversion: one EEA inversion, ~2 per degree."""
     return max(2 * m - 2, 8)
-
-
-class ScheduleError(ValueError):
-    """Malformed transcript or internally inconsistent slot algebra."""
 
 
 # (cycle, kind, role, value key); roles Xa/Za = pair updated by the
@@ -237,13 +231,11 @@ class Schedule:
     """One execution's per-cycle leakage sums and the geometry the attack
     needs, from the key, input point and curve that decide them: `addr`
     sums the address weights of the registers touched, `data_hw` the
-    Hamming weights of the data moved or produced, read from `transcript`
-    or else from a checked ladder run."""
+    Hamming weights of the data that its own ladder run moves or produces."""
 
     scalar: Scalar
     point: AffinePoint = field(repr=False)
     params: CurveParams = field(repr=False)
-    transcript: LadderTranscript | None = field(default=None, repr=False)
 
     def __post_init__(self):
         _check_ladder_input(self.point, self.params)
@@ -300,7 +292,7 @@ class Schedule:
 
     @cached_property
     def data_hw(self) -> np.ndarray:
-        tr = self.transcript or _checked(kp_multiply(self.scalar, self.point, self.params)[1])
+        tr = kp_multiply(self.scalar, self.point, self.params)[1]
         f, x, b = self.params.field, self.point.x.value, self.params.b.value
         init, final, result = tr.states[0], tr.states[-1], tr.result
         frame = {
@@ -328,24 +320,10 @@ class Schedule:
         return hw
 
 
-def _checked(transcript: LadderTranscript) -> LadderTranscript:
-    """The transcript, once each recorded step is checked, multiplying nothing."""
-    bits = transcript.scalar.bits[1:]  # one slot per bit, pre-loop slot first
-    states, steps, f = transcript.states, transcript.steps, transcript.params.field
-    if transcript.result is None or len(states) != len(bits) + 1 or len(steps) != len(bits):
-        raise ScheduleError("transcript is incomplete")
-    if states[0] != _init_state(transcript.point, transcript.params):
-        raise ScheduleError("transcript does not start from the point's initial state")
-    for i, (bit, step) in enumerate(zip(bits, steps)):
-        if next_state(bit, step) != states[i + 1] or not step_relations_hold(f, states[i], bit, step):
-            raise ScheduleError(f"slot {i} values do not reproduce the transcript state")
-    return transcript
-
-
 def build_schedule(transcript: LadderTranscript) -> Schedule:
-    """The schedule of a ladder transcript, which is checked step by step
-    (multiplying nothing) and read for the data sum."""
-    return Schedule(transcript.scalar, transcript.point, transcript.params, _checked(transcript))
+    """The schedule of a transcript's key, point and curve; its recorded
+    states and step values are not read."""
+    return Schedule(transcript.scalar, transcript.point, transcript.params)
 
 
 def slot_addr_profile(bit: int) -> np.ndarray:
@@ -380,6 +358,8 @@ class LeakModel:
             raise ValueError("samples_per_cycle must be >= 1")
         if self.rng_seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.rng_seed}")
+        if not (math.isfinite(self.clock_hz) and self.clock_hz > 0):
+            raise ValueError(f"clock_hz must be a positive finite number, got {self.clock_hz}")
 
 
 def cycle_power(schedule: Schedule, model: LeakModel) -> np.ndarray:

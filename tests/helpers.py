@@ -16,7 +16,9 @@ from kpsca.curve import (
     AffinePoint,
     CurveError,
     CurveParams,
+    LadderState,
     Scalar,
+    StepValues,
     get_curve,
     is_on_curve,
     kp_point,
@@ -253,6 +255,16 @@ def oracle_double_and_add(k: Scalar, p: AffinePoint, params: CurveParams) -> Aff
         if bit:
             acc = point_add(acc, p, params)
     return acc
+
+
+# --- the ladder-step oracle ---
+
+def step_relations_hold(f: FieldSpec, state: LadderState, k_i: int, v: StepValues) -> bool:
+    """Whether the step values v for k_i from `state` keep its 3 sums and 5 squares."""
+    _, _, Xb, Zb = curve.roles(k_i, state)
+    squares = [gf2m.square(f, a) for a in (v.A1, Xb, v.S2, Zb, v.S4)]
+    return (v.A1 == v.M1 ^ v.M2 and v.A2 == v.M4 ^ v.M3 and v.A3 == v.S3 ^ v.M5
+            and squares == [v.S1, v.S2, v.S3, v.S4, v.S5])
 
 
 # --- the shipped window tables ---

@@ -220,19 +220,22 @@ class TestAttack:
         assert "verified: yes" in stdout
 
     @pytest.mark.parametrize("command", ["attack", "bruteforce"])
-    @pytest.mark.parametrize("pub", ["zz", "1:2:3", "g:1", "infinity"])
+    @pytest.mark.parametrize("pub", ["zz", "1:2:3", "g:1", "infinity", "1:1", "5b:1e"])
     def test_malformed_pub(self, tmp_path, capsys, command, pub):
         # infinity parses as a point, but no private key gives it: its
-        # multiples of n would otherwise print as a found key
+        # multiples of n would otherwise print as a found key.  Nor does
+        # one outside <G>: 1:1 is off the curve, and 5b:1e = G + (0, sqrt(b))
+        # is on it, but neither would verify or find any key
         out = tmp_path / "sim"
         code, _, _ = run(["simulate", "--curve", "test8", "--seed", "5", "--out", str(out)], capsys)
         assert code == 0
         extra = ["--suspects", "1"] if command == "bruteforce" else []
         code, stdout, stderr = run([command, str(out / "trace.kptr"), "--curve", "test8",
                                     "--out", str(out), "--pub", pub, *extra], capsys)
-        message = ("public key is the point at infinity, which no private key gives"
-                   if pub == "infinity" else
-                   f"public key must be xhex:yhex or 'infinity', got '{pub}'")
+        message = {"infinity": "public key is the point at infinity, which no private key gives",
+                   "1:1": "public key 1:1 is not a multiple of G: no private key gives it",
+                   "5b:1e": "public key 5b:1e is not a multiple of G: no private key gives it",
+                   }.get(pub, f"public key must be xhex:yhex or 'infinity', got '{pub}'")
         assert (code, stdout, stderr) == (cli.EXIT_CONFIG, "", f"error: {message}\n")
 
     def test_misconfigured_offset_drops_delta(self, tmp_path, capsys):
@@ -643,6 +646,7 @@ EXIT_CODE_CASES = [
     ("polarity_without_index", cli.EXIT_CONFIG),
     ("suspects=x", cli.EXIT_CONFIG),
     ("suspects=1.5", cli.EXIT_CONFIG),
+    ("suspects=0,0", cli.EXIT_CONFIG),
     ("noise_sigma=nan", cli.EXIT_CONFIG),
     ("noise_sigma=inf", cli.EXIT_CONFIG),
     ("addr_weight=nan", cli.EXIT_CONFIG),

@@ -22,7 +22,6 @@ from kpsca.curve import (
     negate,
     next_state,
     roles,
-    step_relations_hold,
 )
 
 from helpers import (
@@ -33,6 +32,7 @@ from helpers import (
     oracle_double_and_add,
     point_add,
     shipped_row_count,
+    step_relations_hold,
 )
 
 

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from kpsca import curve, gf2m, leaksim
-from kpsca.curve import NOMINAL_SCALAR_BITS, ROLES, AffinePoint, CurveError, LadderTranscript
+from kpsca.curve import NOMINAL_SCALAR_BITS, ROLES, AffinePoint, CurveError
 from kpsca.curve import Scalar, fixed_base_multiples, get_curve, kp_multiply
 from kpsca.leaksim import (
     INIT_CYCLES,
@@ -15,7 +15,6 @@ from kpsca.leaksim import (
     REGISTER_ADDR_WEIGHT,
     SLOT_CYCLES,
     Schedule,
-    ScheduleError,
     build_schedule,
     cycle_power,
     epilogue_cycles,
@@ -98,22 +97,10 @@ class TestScheduleStructure:
         assert epilogue_cycles(233) == 464
         assert epilogue_cycles(163) == 324
 
-    def test_rejects_incomplete_transcript(self, b233, test8):
-        empty = LadderTranscript(params=b233, scalar=Scalar(3), point=b233.g, states=(),
-                                 steps=(), result=None)
-        _, full = kp_multiply(Scalar(0b1011011), test8.g, test8)
-        for bad in (empty, dataclasses.replace(full, states=full.states[:-1]),
-                    dataclasses.replace(full, states=full.states + full.states[-1:]),
-                    dataclasses.replace(full, steps=full.steps[:-1]),
-                    dataclasses.replace(full, steps=full.steps + full.steps[-1:])):
-            with pytest.raises(ScheduleError, match="incomplete"):
-                build_schedule(bad)
-
-    # one flipped bit in a recorded value: (transcript field, index, value
-    # name); index 1 is the first main-loop step and the state before it.
-    # The pre-loop step (bit 0) squares X1 and Z1 but not X2, so only the
-    # initial-state check sees the state0 flip; only the sum A1 = M1 + M2
-    # sees the M1 flip
+    # recorded values that disagree with the ladder: one flipped bit in a
+    # recorded value (transcript field, index, value name; index 1 is the
+    # first main-loop step and the state before it), or a record cut short,
+    # padded or emptied.  Every flip lands on a value some cycle leaks.
     TAMPERS = {
         "state0": ("states", 0, "X2"),
         "state1": ("states", 1, "X1"),
@@ -122,26 +109,45 @@ class TestScheduleStructure:
         "step1_S2": ("steps", 1, "S2"),
         "step1_M6": ("steps", 1, "M6"),
     }
+    RESIZES = {
+        "states_short": {"states": lambda r: r[:-1]},
+        "states_long": {"states": lambda r: r + r[-1:]},
+        "steps_short": {"steps": lambda r: r[:-1]},
+        "steps_long": {"steps": lambda r: r + r[-1:]},
+        "empty": {"states": lambda r: (), "steps": lambda r: (), "result": lambda r: None},
+    }
 
-    @pytest.mark.parametrize("case", sorted(TAMPERS))
-    def test_rejects_inconsistent_transcript(self, test8, case):
-        target, i, name = self.TAMPERS[case]
-        _, transcript = kp_multiply(Scalar(0b1011011), test8.g, test8)
-        records = list(getattr(transcript, target))
-        records[i] = records[i]._replace(**{name: getattr(records[i], name) ^ 1})
-        with pytest.raises(ScheduleError):
-            build_schedule(dataclasses.replace(transcript, **{target: tuple(records)}))
+    @pytest.mark.parametrize("case", sorted(TAMPERS) + sorted(RESIZES))
+    def test_reads_no_recorded_value(self, test8, case):
+        k = Scalar(0b1011011)
+        _, transcript = kp_multiply(k, test8.g, test8)
+        if case in self.TAMPERS:
+            target, i, name = self.TAMPERS[case]
+            flip = lambda r: r[:i] + (r[i]._replace(**{name: getattr(r[i], name) ^ 1}),) + r[i + 1:]
+            edits = {target: flip}
+        else:
+            edits = self.RESIZES[case]
+        bad = dataclasses.replace(transcript, **{f: e(getattr(transcript, f)) for f, e in edits.items()})
+        assert bad != transcript
+        built, own = build_schedule(bad), Schedule(k, test8.g, test8)
+        assert np.array_equal(built.addr, own.addr)
+        assert np.array_equal(built.data_hw, own.data_hw)
+        for name in ("cycle0", "num_slots", "epilogue_len", "total_cycles"):
+            assert getattr(built, name) == getattr(own, name), name
 
     def test_checks_steps_without_rerunning_them(self, test8, monkeypatch):
+        # building from a transcript runs no ladder step; the data sum runs one ladder
         _, transcript = kp_multiply(Scalar(0b1011011), test8.g, test8)
-        calls = []
-        step_roles = curve._step_roles
-        monkeypatch.setattr(curve, "_step_roles", lambda *a: calls.append(a) or step_roles(*a))
-        build_schedule(transcript)
-        assert calls == []
-        # the spy sees every step of a ladder
-        kp_multiply(Scalar(0b1011011), test8.g, test8)
-        assert len(calls) == len(transcript.steps)
+        steps, ladders = [], []
+        step_roles, ladder = curve._step_roles, leaksim.kp_multiply
+        monkeypatch.setattr(curve, "_step_roles", lambda *a: steps.append(a) or step_roles(*a))
+        monkeypatch.setattr(leaksim, "kp_multiply", lambda *a: ladders.append(a) or ladder(*a))
+        schedule = build_schedule(transcript)
+        schedule.addr
+        assert steps == [] and ladders == []
+        schedule.data_hw
+        assert len(steps) == len(transcript.steps)
+        assert ladders == [(transcript.scalar, transcript.point, transcript.params)]
 
     def test_stats_slot_count(self, b233_run):
         _, _, _, _, schedule = b233_run
@@ -185,20 +191,6 @@ class TestScheduleFromKeyAndPoint:
             kp_multiply(Scalar(0b1011), point, test8)
         with pytest.raises(CurveError, match=message):
             Schedule(Scalar(0b1011), point, test8)
-
-    def test_data_sum_reads_a_checked_ladder_run(self, test8, monkeypatch):
-        k = Scalar(0b1011011)
-        result, transcript = kp_multiply(k, test8.g, test8)
-        step = transcript.steps[1]
-        tampered = dataclasses.replace(transcript, steps=(
-            transcript.steps[:1] + (step._replace(A1=step.A1 ^ 1),) + transcript.steps[2:]))
-        calls = []
-        monkeypatch.setattr(leaksim, "kp_multiply",
-                            lambda *args: calls.append(args) or (result, tampered))
-        schedule = Schedule(k, test8.g, test8)
-        with pytest.raises(ScheduleError, match="slot 1"):
-            schedule.data_hw
-        assert calls == [(k, test8.g, test8)]
 
 
 class TestAddressLeakage:
@@ -277,6 +269,9 @@ class TestSynthesis:
             LeakModel(noise_sigma=-1.0)
         with pytest.raises(ValueError):
             LeakModel(samples_per_cycle=0)
+        for clock_hz in (float("nan"), float("inf"), 0.0, -1.0):
+            with pytest.raises(ValueError, match=r"^clock_hz must be a positive finite number"):
+                LeakModel(clock_hz=clock_hz)
 
     @pytest.mark.parametrize("sigma", [0.0, 0.5])
     def test_negative_seed_refused_whether_or_not_noise_is_drawn(self, sigma):
