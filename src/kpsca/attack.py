@@ -30,9 +30,10 @@ pub becomes one once it has passed the <G> check.  Flipping bit p adds
 +-2^(L-1-p) to every expansion, so brute force gets a flipped subset's
 point by one affine addition from its parent's; once the unflipped point
 misses, a lookup of the parent's point among the targets minus each flip
-delta decides every subset of one or more flips (`_flip_search`, for any
-subset of the variants).  Verifying a single candidate is brute force
-with no suspects.
+delta decides every subset of one or more flips (`_flip_search`, over the
+targets of the variants a search names, picked from `_setup`'s list:
+pub and pub - A, and with the complement all four).  Verifying a single
+candidate is brute force with no suspects.
 A pub outside <G> (`curve.in_base_subgroup`) verifies no candidate and
 is rejected before any target is derived from it: the affine addition
 is meaningful only on the curve and could turn an off-curve pub into
@@ -163,21 +164,17 @@ def extract_candidates(slots: np.ndarray,
     return KeyCandidates(_candidate_bits(slots, mean))
 
 
-def separation_scores(slots: np.ndarray,
-                      split: Optional[np.ndarray] = None) -> np.ndarray:
+def separation_scores(slots: np.ndarray, below: np.ndarray) -> np.ndarray:
     """Per sample index, how well it splits the slots into two classes; >= 0.
 
     The classes are those extraction reads: the slots below the mean slot
-    (split, as bools or as the mean slot; computed if not given) and the rest.  The
+    (below, bools as `slots < mean_slot(slots)`) and the rest.  The
     score is the gap between the two class means divided by their pooled
     standard deviation; `welch_t` is the labelled analogue.  It needs no
     key knowledge.  A column whose classes differ with no spread scores
     inf.  A constant column, a class of fewer than two slots (a lone
     outlier) or a NaN scores 0, below any column that separates.
     """
-    if split is None:
-        split = mean_slot(slots)
-    below = split if split.dtype == bool else slots < split[np.newaxis, :]
     n_below = below.sum(axis=0)
     n_rest = slots.shape[0] - n_below
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -244,26 +241,18 @@ def expand_candidate(candidate_bits, preloop_bit: int) -> Scalar:
     return Scalar.from_bits((1, preloop_bit) + tuple(candidate_bits))
 
 
-def _setup(n: int, lanes, pub, params: CurveParams, variants) -> tuple[list, list]:
-    """The lanes' points and the variants' targets (the module docstring),
-    int pairs, from the one fixed-base call: A = 2^n*G, C*G only if a j >= 2
-    is asked, then the lanes.  pub - A and C*G - pub, computed only if
-    asked, share one inversion; C*G - pub + A takes a second."""
-    complement = any(j >= 2 for j in variants)
-    head = [1 << n, (5 << n) - 1][:1 + complement]  # 2^n and C
-    a, *points = _fixed_base_pairs(head + lanes, params)
-    c_g = points.pop(0) if complement else None
-    out = {0: pub}
-    firsts = [j for j in (1, 2) if j in variants or j == 2 and complement]
-    ps, qs = (pub, c_g), (_negate(a), _negate(pub))
-    out.update(zip(firsts, _add_many([ps[j - 1] for j in firsts], [qs[j - 1] for j in firsts],
-                                     params)))
-    if 3 in variants:
-        out[3] = _point_add(out[2], a, params)
-    return points, [out[j] for j in variants]
-
-
-_VARIANTS = range(4)  # (c, 0), (c, 1), (c', 0), (c', 1)
+def _setup(n: int, lanes, pub, params: CurveParams, complement: bool) -> tuple[list, list]:
+    """The lanes' points and the targets of variants 0 and 1, or with the
+    complement of all four (the module docstring), int pairs, from the one
+    fixed-base call: A = 2^n*G, C*G with the complement, then the lanes.
+    pub - A takes one inversion, which C*G - pub shares; C*G - pub + A
+    takes a second."""
+    if not complement:
+        a, *points = _fixed_base_pairs([1 << n] + lanes, params)
+        return points, [pub, *_add_many([pub], [_negate(a)], params)]
+    a, c_g, *points = _fixed_base_pairs([1 << n, (5 << n) - 1] + lanes, params)  # 2^n and C
+    firsts = _add_many([pub, c_g], [_negate(a), _negate(pub)], params)
+    return points, [pub, *firsts, _point_add(firsts[1], a, params)]
 
 
 def _verify_all(bits: np.ndarray, pub, params: CurveParams,
@@ -288,7 +277,7 @@ def _verify_all(bits: np.ndarray, pub, params: CurveParams,
     shift = -n % 8  # packbits fills the last byte up with zero bits
     lanes = [(1 << (n + 1)) | int.from_bytes(pair, "big") >> shift for pair in pairs]
     if key is None:
-        points, targets = _setup(n, lanes, pub, params, _VARIANTS)
+        points, targets = _setup(n, lanes, pub, params, True)
     else:
         order, k, c = params.order_hint, key.value, (5 << n) - 1  # c = C
         points = [lane % order for lane in lanes]
@@ -322,8 +311,8 @@ def _flip_search(bits, positions, points, targets, variants, params: CurveParams
     """The first hit in brute-force order as (the scalar it verifies,
     checks), or None if there is none or the walk reached children all of
     whose checks exceed budget (a hit's checks may exceed it too); points:
-    k(bits, 0)*G, then each position's flip delta, and targets: those of
-    the variants, all int pairs (`_setup` computes both for `_complete`).
+    k(bits, 0)*G, then each position's flip delta, and targets: target j
+    of variants[j], all int pairs (`_complete` picks them from `_setup`'s).
 
     Subsets of the positions come by size, then lexicographic, each tried
     against the m targets in order: subset r hits target j, check m*r + j + 1,
@@ -371,11 +360,12 @@ def _flip_search(bits, positions, points, targets, variants, params: CurveParams
 
 def _complete(bits, suspects, pub, params: CurveParams, variants, budget=inf):
     """`_flip_search` of bits' suspects against the variants' targets of
-    pub (an int pair in <G>): its (scalar, checks), or None.  The
-    lanes of `_setup` are k(bits, 0) and the flip deltas +-2^(L-1-p)."""
+    pub (an int pair in <G>; a j >= 2 needs `_setup`'s complement): its
+    (scalar, checks), or None.  The lanes are k(bits, 0) and the flip deltas."""
     lanes = [expand_candidate(bits, 0).value] + [1 << (len(bits) - 1 - p) for p in suspects]
-    points, targets = _setup(len(bits), lanes, pub, params, variants)
-    return _flip_search(bits, suspects, points, targets, variants, params, budget)
+    points, targets = _setup(len(bits), lanes, pub, params, any(j >= 2 for j in variants))
+    return _flip_search(bits, suspects, points, [targets[j] for j in variants], variants,
+                        params, budget)
 
 
 def brute_force_complete(
@@ -391,11 +381,11 @@ def brute_force_complete(
 
     Subsets are enumerated in increasing Hamming weight (few errors are
     the most plausible), deterministically, so "first found" is well
-    defined; within a subset the pre-loop bits are tried in the given
-    order.  Each (subset, pre-loop bit) scalar tested is one check
-    against the budget, however it is decided: `_complete` over the
-    variants pb (no complement), whose targets are pub, and pub - A only
-    if pre-loop bit 1 is tried.
+    defined; within a subset the pre-loop bits, distinct values of 0 and
+    1 (else ValueError), are tried in the given order.  Each (subset,
+    pre-loop bit) scalar tested is one check against the budget, however
+    it is decided: `_complete` over the variants pb (no complement), whose
+    targets are pub and pub - A.
     Flipping all of s suspects with a pinned pre-loop bit costs at most
     2^s checks.  Verification is against params.g: a different g raises
     CurveError.
@@ -410,7 +400,9 @@ def brute_force_complete(
         raise ValueError(
             f"{len(suspects)} suspects exceed the configured limit {MAX_SUSPECTS}"
         )
-    preloop_bits = tuple(pb & 1 for pb in preloop_bits)
+    preloop_bits = tuple(preloop_bits)
+    if not set(preloop_bits) <= {0, 1} or len(set(preloop_bits)) < len(preloop_bits):
+        raise ValueError(f"pre-loop bits must be distinct values of 0 and 1, got {preloop_bits}")
     found = None
     if preloop_bits and in_base_subgroup(pub, params):
         found = _complete(candidate.bits, suspects, pub.pair, params, preloop_bits, budget)
@@ -428,12 +420,11 @@ def recover_scalar(
     g: AffinePoint,
     pub: AffinePoint,
     params: CurveParams,
-    preloop_bits=(0, 1),
 ) -> Optional[Scalar]:
     """The verified full scalar for this candidate, or None: brute force
-    with no suspects, whose `_complete` compares k(c, 0)*G with each
-    pre-loop bit's target in the order of preloop_bits."""
-    return brute_force_complete(candidate, (), g, pub, params, preloop_bits=preloop_bits).key
+    with no suspects, whose `_complete` compares k(c, 0)*G with pub and
+    pub - A, pre-loop bit 0 first."""
+    return brute_force_complete(candidate, (), g, pub, params).key
 
 
 def worst_case_checks(num_suspects: int, num_preloop: int = 1) -> int:
@@ -513,7 +504,7 @@ def evaluate(
         below = candidates.bits[:, :slots.shape[1]]  # SMALLER_IS_ONE reads slots < mean
         bits, margins = combined_candidate(slots, mean, separation_scores(slots, below))
         suspects = sorted(np.argsort(margins, kind="stable")[:COMBINED_SUSPECTS].tolist())
-        key, _ = _complete(bits, suspects, pub.pair, params, _VARIANTS) or (None, 0)
+        key, _ = _complete(bits, suspects, pub.pair, params, range(4)) or (None, 0)
         report.verified, report.key = _verify_all(candidates.bits, pub.pair, params, key)
         if report.best_index is None and report.verified.any():
             report.best_index = int(np.argmax(report.verified))

@@ -29,6 +29,11 @@ def matrix_of(rows):
     return np.asarray(rows, dtype=float)
 
 
+def scores_of(m):
+    """separation_scores with the split that extraction reads: below the mean slot."""
+    return separation_scores(m, m < mean_slot(m))
+
+
 def segment_trace(trace, num_slots, offset=0, method=CompressionMethod.MEAN):
     return segment(compress(trace, method), trace.cycle0_cycle + offset, 54, num_slots)
 
@@ -104,19 +109,19 @@ class TestSeparationScores:
     def test_degenerate_columns_score_zero(self):
         # constant; a NaN; a lone outlier; two slots on each side
         m = matrix_of([[1, math.nan, 0, 0], [1, 0, 0, 0], [1, 0, 0, 3], [1, 0, 5, 3]])
-        assert list(separation_scores(m)[:3]) == [0, 0, 0]
-        assert separation_scores(m)[3] == math.inf  # classes {0, 0} and {3, 3}
+        assert list(scores_of(m)[:3]) == [0, 0, 0]
+        assert scores_of(m)[3] == math.inf  # classes {0, 0} and {3, 3}
 
     def test_gap_over_pooled_spread(self):
         # below the mean 2.75: {0, 1}; the rest: {4, 6}; pooled variance (0.5 + 2) / 2
         m = matrix_of([[0], [1], [4], [6]])
-        assert separation_scores(m)[0] == pytest.approx(4.5 / math.sqrt(1.25))
+        assert scores_of(m)[0] == pytest.approx(4.5 / math.sqrt(1.25))
 
     def test_leaking_cycles_rank_first(self, b233_run):
         """At sigma 0.5 the five cycles that leak the key bit score highest."""
         _, k, _, _, schedule = b233_run
         trace = synthesize_trace(schedule, LeakModel(noise_sigma=0.5, rng_seed=1))
-        scores = separation_scores(segment_trace(trace, k.bit_length - 2))
+        scores = scores_of(segment_trace(trace, k.bit_length - 2))
         assert set(np.argsort(-scores)[:5]) == set(differing_cycles())
 
 
@@ -143,12 +148,9 @@ def test_property_separation_matches_per_column_loop(num_slots, slot_len, data):
     values = data.draw(st.lists(st.integers(-3, 3), min_size=num_slots * slot_len,
                                 max_size=num_slots * slot_len))
     m = matrix_of(np.array(values, dtype=float).reshape(num_slots, slot_len))
-    got = separation_scores(m)
+    got = scores_of(m)
     assert all(v >= 0 for v in got)
     assert list(got) == pytest.approx(_separation_per_column(m), rel=1e-9)
-    # the split as extraction holds it, or the mean slot, gives the same scores
-    assert np.array_equal(separation_scores(m, extract_candidates(m).bits[:, :slot_len]), got)
-    assert np.array_equal(separation_scores(m, mean_slot(m)), got)
 
 
 class TestCorrectness:
@@ -302,6 +304,22 @@ class TestBruteForce:
                                    preloop_bits=(k.bits[1],))
         assert res.key == k
         assert res.checks <= 1 + 12
+
+    def test_malformed_preloop_bits_raise(self, test8):
+        """A repeated pre-loop bit or one outside {0, 1} is refused, not
+        reduced mod 2: (2, 3) would run as (0, 1) and (1, 1, 1) would count
+        3 checks per subset.  () and a single bit stay valid."""
+        k = Scalar(0b1011010011)
+        pub = kp_point(k, test8.g, test8)
+        cand = KeyCandidate(flip_bits(k.main_loop_bits, [3]), 0, Polarity.SMALLER_IS_ONE)
+        for preloop in [(2, 3), (1, 1, 1), (0, 0), (-1,), (0, 2)]:
+            with pytest.raises(ValueError, match="pre-loop bits"):
+                brute_force_complete(cand, [1, 3, 5], test8.g, pub, test8,
+                                     preloop_bits=preloop)
+        res = brute_force_complete(cand, [1, 3, 5], test8.g, pub, test8, preloop_bits=())
+        assert res == attack.BruteForceResult(None, 0, False)
+        res = brute_force_complete(cand, [1, 3, 5], test8.g, pub, test8, preloop_bits=(0,))
+        assert res.key == k and res.checks == 3  # subsets (), (1,), (3,)
 
     def test_suspect_limit(self, test16):
         cand = KeyCandidate((0,) * 30, 0, Polarity.SMALLER_IS_ONE)
@@ -481,7 +499,7 @@ class TestVerificationB233:
         n = len(k.main_loop_bits)
         head = [1 << n, (1 << (n + 2)) + (1 << n) - 1]
         mean = mean_slot(matrix)
-        bits, _ = attack.combined_candidate(matrix, mean, separation_scores(matrix, mean))
+        bits, _ = attack.combined_candidate(matrix, mean, separation_scores(matrix, matrix < mean))
         first, *rest = combined_calls
         assert first[:3] == head + [expand_candidate(bits, 0).value]
         assert len(first) == 3 + attack.COMBINED_SUSPECTS

@@ -135,7 +135,9 @@ def test_recover_scalar_matches_reference(data, curve_name, preloop):
     pub = data.draw(public_key(params, bits))
     cand = KeyCandidate(bits, 0, Polarity.SMALLER_IS_ONE)
     want = reference_recover_scalar(cand, params.g, pub, params, preloop)
-    assert recover_scalar(cand, params.g, pub, params, preloop) == want
+    assert brute_force_complete(cand, (), params.g, pub, params, preloop_bits=preloop).key == want
+    if preloop == (0, 1):
+        assert recover_scalar(cand, params.g, pub, params) == want
 
 
 @settings(max_examples=60, deadline=None)
@@ -230,7 +232,7 @@ def test_weight3_hit_computes_no_weight3_point(monkeypatch, flips):
 def combined_inputs(params, bits, suspects, pub):
     """The combined search's points and the targets of its 4 variants, as
     `attack._complete` computes them, by `attack._setup`: int pairs."""
-    return attack._setup(len(bits), flip_lanes(bits, suspects), pub.pair, params, range(4))
+    return attack._setup(len(bits), flip_lanes(bits, suspects), pub.pair, params, True)
 
 
 def combined_key(bits, suspects, pub, params):
@@ -412,7 +414,7 @@ def combined_of(matrix):
     """The combined candidate's bits, margins and sorted flip-search suspects."""
     mean = attack.mean_slot(matrix)
     bits, margins = attack.combined_candidate(matrix, mean,
-                                              attack.separation_scores(matrix, mean))
+                                              attack.separation_scores(matrix, matrix < mean))
     suspects = sorted(np.argsort(margins, kind="stable")[:attack.COMBINED_SUSPECTS].tolist())
     return bits, margins, suspects
 
@@ -430,7 +432,7 @@ def scored_evaluate(monkeypatch, params):
     """evaluate() on the scored matrix: the report, the scalars of each
     fixed_base_multiples call, and the pair scalars in extraction order."""
     matrix = scored_matrix()
-    scores = attack.separation_scores(matrix)
+    scores = attack.separation_scores(matrix, matrix < attack.mean_slot(matrix))
     assert list(np.argsort(-scores, kind="stable")) == SCORE_ORDER
     cands = extract_candidates(matrix)
     assert cands[1].bits == SCORED_KEY
@@ -518,11 +520,12 @@ def three_add_targets(step, c_g, pub, params):
 
 @pytest.mark.parametrize("nbits", [2, 5, 8])
 def test_pair_targets_match_three_additions(monkeypatch, nbits):
-    """The targets of the 4 variants, pub - A and C*G - pub sharing one
-    inversion, and those of brute force's pre-loop bits (no C*G), equal
-    separate additions for every pub in <G> on test8, infinity included,
-    and so through `_add_many`'s infinity and equal-x fallbacks.  The
-    inversions are counted net of `_setup`'s fixed-base call."""
+    """With the complement, the targets of the 4 variants, pub - A and
+    C*G - pub sharing one inversion, and without it (no C*G) those of
+    variants 0 and 1, equal separate additions for every pub in <G> on
+    test8, infinity included, and so through `_add_many`'s infinity and
+    equal-x fallbacks.  The inversions are counted net of `_setup`'s
+    fixed-base call: 2 with the complement, 1 (pub - A) without."""
     step, c_g = fixed_base_multiples([1 << nbits, (1 << (nbits + 2)) + (1 << nbits) - 1],
                                      TEST8)
     pubs = fixed_base_multiples(range(1, TEST8.order_hint), TEST8)
@@ -532,10 +535,8 @@ def test_pair_targets_match_three_additions(monkeypatch, nbits):
     assert all(p in pubs for p in special)
     for pub in pubs + [AffinePoint.at_infinity()]:
         want = [p.pair for p in three_add_targets(step, c_g, pub, TEST8)]
-        assert attack._setup(nbits, [], pub.pair, TEST8, range(4)) == ([], want)
-        for variants in [(0,), (1,), (0, 1), (1, 0)]:
-            assert (attack._setup(nbits, [], pub.pair, TEST8, variants)
-                    == ([], [want[j] for j in variants]))
+        assert attack._setup(nbits, [], pub.pair, TEST8, True) == ([], want)
+        assert attack._setup(nbits, [], pub.pair, TEST8, False) == ([], want[:2])
     inversions = []
     invert = gf2m.invert
     monkeypatch.setattr(gf2m, "invert", lambda f, a: inversions.append(a) or invert(f, a))
@@ -548,10 +549,42 @@ def test_pair_targets_match_three_additions(monkeypatch, nbits):
         return pairs
 
     monkeypatch.setattr(attack, "_fixed_base_pairs", uncounted)
-    for variants, count in [(range(4), 2), ((0, 1), 1)]:
+    for complement, count in [(True, 2), (False, 1)]:
         del inversions[:]
-        attack._setup(nbits, [], pubs[0].pair, TEST8, variants)  # G: no fallback
+        attack._setup(nbits, [], pubs[0].pair, TEST8, complement)  # G: no fallback
         assert len(inversions) == count
+
+
+@pytest.mark.parametrize("variants", [(0,), (1,), (1, 0)])
+def test_complete_searches_the_named_targets(monkeypatch, variants):
+    """`_complete` hands `_flip_search` the targets of the variants it
+    names, in their order, picked from `_setup`'s list without the
+    complement, for every pub in <G> on test8, infinity included.  That
+    list always holds pub - A, so brute force with a single pre-loop bit,
+    0 included, makes one 1-pair `_add_many`.  The count: the fixed-base
+    call computes A and the candidate's point with no `_add_many` of
+    `attack`; `_setup` without the complement batches one pair,
+    (pub, -A); and with the key's pre-loop bit first the unflipped point
+    hits, so `_flip_search` builds no table of T_j - delta_i."""
+    bits = (1, 0, 1, 1, 0)
+    step, = fixed_base_multiples([1 << len(bits)], TEST8)
+    searched = []
+    monkeypatch.setattr(attack, "_flip_search",
+                        lambda bits, positions, points, targets, *rest: searched.append(targets))
+    pubs = fixed_base_multiples(range(1, TEST8.order_hint), TEST8) + [AffinePoint.at_infinity()]
+    for pub in pubs:
+        attack._complete(bits, [], pub.pair, TEST8, variants)
+    monkeypatch.undo()
+    want = [[pub.pair, point_add(pub, negate(step), TEST8).pair] for pub in pubs]
+    assert searched == [[targets[j] for j in variants] for targets in want]
+    key = expand_candidate(bits, variants[0])
+    cand = KeyCandidate(bits, 0, Polarity.SMALLER_IS_ONE)
+    batches = count_calls(monkeypatch, attack, "_add_many", lambda ps, qs, params: len(ps))
+    res = brute_force_complete(cand, (), TEST8.g, kp_point(key, TEST8.g, TEST8), TEST8,
+                               preloop_bits=variants)
+    monkeypatch.undo()
+    assert res == attack.BruteForceResult(key, 1, False)
+    assert batches == [1]
 
 
 # 12-bit keys on test16: 2^14 <= n, and the flip search covers 8 of 12 slots
