@@ -9,9 +9,9 @@ responder here emits a leakage trace of its kP execution.
 
 Only that response leaks: its trace renders the `leaksim.Schedule` of
 k_B and R, which runs the accelerator's ladder only for a data term.
-Multiples of the base point G -- Pub_B and R -- come from
-`curve.fixed_base_multiples`, and [r]Pub_B and [k_B]R, whose bases vary,
-from `kp_point`, which halves and adds.
+Pub_B and R, multiples of G, come from `curve.fixed_base_multiples`, and
+[r]Pub_B and [k_B]R from `kp_point`, which halves and adds and refuses a
+point outside <G>, whose answer would carry k mod 2 in its 2-torsion part.
 
 Certificate handling is out of scope; identities are pre-trusted
 in-memory fixtures.
@@ -28,7 +28,7 @@ from .curve import (
     Scalar,
     fixed_base_multiples,
     get_curve,
-    is_on_curve,
+    in_base_subgroup,
     kp_point,
 )
 from .leaksim import LeakModel, Schedule, synthesize_trace
@@ -63,16 +63,14 @@ class Challenge:
     q_expected: AffinePoint
 
 
-def challenge(
-    pub_b: AffinePoint, params: CurveParams, rng, nbits: int
-) -> Challenge:
+def challenge(pub_b: AffinePoint, params: CurveParams, rng, nbits: int) -> Challenge:
     """Draw r, compute R = [r]G and the expected response [r]Pub_B.
 
     An r that is a multiple of G's order, so that R is the point at
     infinity, is rejected here rather than by the responder.
     """
-    if not is_on_curve(pub_b, params) or pub_b.infinity:
-        raise CurveError("public key is not a valid curve point")
+    if pub_b.infinity or not in_base_subgroup(pub_b, params):
+        raise CurveError("public key is not a point of <G> other than infinity")
     r = Scalar.random(rng, nbits)
     R, = fixed_base_multiples([r.value], params)
     if R.infinity:
@@ -83,12 +81,11 @@ def challenge(
 def respond(identity: Identity, R: AffinePoint, model: LeakModel) -> tuple[AffinePoint, Trace]:
     """Compute Q_B = [k_B]R and the leakage trace of the accelerator computing it.
 
-    Off-curve challenge points are rejected (invalid-curve hygiene): the
-    schedule of k_B and R checks R as the ladder's input, so R at infinity,
-    off the curve or with x = 0 raises `CurveError` before anything is computed.
+    Q_B comes first: an R that `kp_point` refuses (infinity, off the curve or
+    outside <G>) raises `CurveError` before any trace is rendered.
     """
-    trace = synthesize_trace(Schedule(identity.k, R, identity.params), model)
-    return kp_point(identity.k, R, identity.params), trace
+    q_b = kp_point(identity.k, R, identity.params)
+    return q_b, synthesize_trace(Schedule(identity.k, R, identity.params), model)
 
 
 def verify(q_expected: AffinePoint, q_b: AffinePoint) -> bool:

@@ -59,6 +59,7 @@ EXIT_IO = 3
 EXIT_SEGMENTATION = 4
 
 SEED_ENV = "KPSCA_SEED"
+MAX_SCALAR_BITS = 4096  # a simulate trace of a 4096-bit scalar is about 18 MB
 
 
 @dataclass
@@ -135,9 +136,15 @@ def _build_run_config(args) -> RunConfig:
     cfg = RunConfig(**{f.name: getattr(args, f.name) for f in fields(RunConfig)
                        if getattr(args, f.name, None) is not None})
     if args.seed is None:
-        cfg.seed = int(os.environ.get(SEED_ENV, "").strip() or 0)
+        text = os.environ.get(SEED_ENV, "").strip() or "0"
+        try:
+            cfg.seed = int(text)
+        except ValueError:
+            raise ValueError(f"environment {SEED_ENV}: invalid int value {text!r}") from None
     if cfg.scalar_bits is None:
-        cfg.scalar_bits = NOMINAL_SCALAR_BITS.get(cfg.curve)
+        cfg.scalar_bits = NOMINAL_SCALAR_BITS[cfg.curve]
+    if not 1 <= cfg.scalar_bits <= MAX_SCALAR_BITS:
+        raise ValueError(f"scalar_bits must be in 1..{MAX_SCALAR_BITS}, got {cfg.scalar_bits}")
     if not (math.isfinite(cfg.clock_hz) and cfg.clock_hz > 0):
         raise ValueError(f"clock_hz must be a positive finite number, got {cfg.clock_hz}")
     return cfg

@@ -1,25 +1,24 @@
 """Binary elliptic curves and Montgomery kP multiplication.
 
 Curves have the short Weierstrass form for characteristic 2,
-y^2 + xy = x^3 + a*x^2 + b, with b != 0.  The modelled accelerator runs
-the x-coordinate-only Montgomery ladder in Lopez-Dahab projective
-coordinates, and `kp_multiply` records its transcript for the leakage
-simulator.  `kp_point`, kP of a variable base point that leaks nothing
-in the model, halves and adds instead.  The affine group law (textbook
-formulas, code disjoint from the ladder) runs on int pairs (x, y), None
-for the point at infinity (`_point_add`, `_point_double`, `_negate`);
-`negate` adapts it to `AffinePoint`, the boundary type.  It lets the
-attack verify key candidates by point additions instead of one kP per
-candidate scalar, and `kp_point` and `fixed_base_multiples` sum their
-points with it, as a tree whose levels share one inversion each
-(`_lane_sums`).  `fixed_base_multiples` gives every multiple of the
-base point G that the package needs, from a signed base-256 window table
-(Hankerson, Menezes, Vanstone, Guide to Elliptic Curve Cryptography,
-sec. 3.3.1).  G is always the curve's own params.g, and the table
-depends only on it, so for each registered curve the package ships its
-rows for every scalar below 2^(m+2) (window_<curve id>.bin, decoded on
-first use); the table of any other curve, and any row past the shipped
-ones, is built on demand.
+y^2 + xy = x^3 + a*x^2 + b, with b != 0, and #E = 2n for the odd order n
+of their base point G (checked by `CurveParams`).  The modelled
+accelerator runs the x-coordinate-only Montgomery ladder in Lopez-Dahab
+projective coordinates, and `kp_multiply` records its transcript for the
+leakage simulator.  `kp_point`, kP of a variable point of <G> = 2E that
+leaks nothing in the model, halves and adds instead.  The affine group
+law (textbook formulas, code disjoint from the ladder) runs on int pairs
+(x, y), None for infinity; `negate` adapts it to `AffinePoint`, the
+boundary type.  It lets the attack verify key candidates by point
+additions instead of one kP per candidate scalar, and `kp_point` and
+`fixed_base_multiples` sum their points with it, as a tree whose levels
+share one inversion each (`_lane_sums`).  `fixed_base_multiples` gives
+every multiple of G that the package needs, from a signed base-256
+window table (Hankerson, Menezes, Vanstone, Guide to Elliptic Curve
+Cryptography, sec. 3.3.1) that depends only on G = params.g: for each
+registered curve the package ships its rows for every scalar below
+2^(m+2) (window_<curve id>.bin, decoded on first use); the table of any
+other curve, and any row past the shipped ones, is built on demand.
 
 The ladder follows the modelled accelerator's bit convention: the
 register initialisation already encodes the most significant scalar
@@ -43,7 +42,8 @@ from .gf2m import FieldElement, FieldSpec
 
 
 class CurveError(ValueError):
-    """Invalid curve input: off-curve point, degenerate coordinate, bad scalar."""
+    """Invalid curve input: group shape, point off the curve or outside <G>, degenerate
+    coordinate, bad scalar."""
 
 
 @dataclass(frozen=True)
@@ -137,8 +137,8 @@ class CurveParams:
     a: FieldElement
     b: FieldElement
     g: AffinePoint
-    # order n of g, trusted: kp_point halves within <g> by it, and attack verification
-    # decides candidates mod n once one scalar verifies
+    # order n of g, its shape (odd, #E = 2n) checked and its value trusted: kp_point
+    # halves within <g> by it, and verification decides candidates mod n once one verifies
     order_hint: int
 
     def __post_init__(self):
@@ -148,14 +148,11 @@ class CurveParams:
             raise CurveError("curve coefficient b must be nonzero")
         if not is_on_curve(self.g, self):
             raise CurveError("base point does not satisfy the curve equation")
-
-    @functools.cached_property
-    def _halving_order(self) -> Optional[int]:
-        """order_hint n if it is odd and #E = 2n, else None: n divides #E, the
-        Hasse bound puts #E within 2*sqrt(q) of q + 1, 2n lies there, and
-        n > 4*sqrt(q) leaves no other multiple of n there."""
+        # n divides #E, which the Hasse bound puts within 2*sqrt(q) of q + 1: 2n
+        # lies there, and n > 4*sqrt(q) leaves no other multiple of n there
         n, q = self.order_hint, 1 << self.field.m
-        return n if n & 1 and (q + 1 - 2 * n) ** 2 <= 4 * q and n * n > 16 * q else None
+        if not (n & 1 and (q + 1 - 2 * n) ** 2 <= 4 * q and n * n > 16 * q):
+            raise CurveError(f"order_hint {n} is not an odd n with #E = 2n > 8*sqrt(q)")
 
 
 def is_on_curve(p: AffinePoint, params: CurveParams) -> bool:
@@ -175,11 +172,10 @@ def is_on_curve(p: AffinePoint, params: CurveParams) -> bool:
 
 
 def in_base_subgroup(p: AffinePoint, params: CurveParams) -> bool:
-    """Whether p is on the curve and, where #E = 2n (`CurveParams._halving_order`),
-    in <G> = 2E: infinity or Tr(x) = Tr(a).  Elsewhere being on the curve stands in."""
+    """Whether p is in <G> = 2E: on the curve, and infinity or Tr(x) = Tr(a)."""
     f = params.field
-    return is_on_curve(p, params) and (params._halving_order is None or p.infinity
-                                      or gf2m.trace(f, p.x.value) == gf2m.trace(f, params.a.value))
+    return is_on_curve(p, params) and (
+        p.infinity or gf2m.trace(f, p.x.value) == gf2m.trace(f, params.a.value))
 
 
 def negate(p: AffinePoint) -> AffinePoint:
@@ -325,21 +321,11 @@ def kp_multiply(k: Scalar, p: AffinePoint, params: CurveParams) -> tuple[AffineP
 
 
 def kp_point(k: Scalar, p: AffinePoint, params: CurveParams) -> AffinePoint:
-    """kP for a variable base point P (multiples of G: `fixed_base_multiples`) by
-    halve-and-add where #E = 2n for an odd n = order_hint (`CurveParams._halving_order`),
-    else by `kp_multiply`, its transcript dropped.  Like the ladder, it rejects x = 0."""
-    n = params._halving_order
-    if n is None:
-        return kp_multiply(k, p, params)[0]
-    _check_ladder_input(p, params)
-    f = params.field
-    # on the curve and not infinity, as checked: in <G> iff Tr(x) = Tr(a)
-    if gf2m.trace(f, p.x.value) == gf2m.trace(f, params.a.value):
-        return AffinePoint.from_pair(f, _halve_and_add(k.value, p.pair, params, n))
-    # P = P' + T2 with P' in <G> and T2 = (0, sqrt(b)) of order 2
-    t2 = (0, gf2m.sqrt_and_root(f, params.b.value)[0])
-    kp = _halve_and_add(k.value, _point_add(p.pair, t2, params), params, n)
-    return AffinePoint.from_pair(f, _point_add(kp, t2, params) if k.value & 1 else kp)
+    """kP for P in <G> but not infinity, by halve-and-add (multiples of G: `fixed_base_multiples`).
+    Any other P raises CurveError, as its kP would leak k mod 2 (Lim, Lee, CRYPTO 1997)."""
+    if p.infinity or not in_base_subgroup(p, params):
+        raise CurveError("kP takes a point of <G> other than infinity")
+    return AffinePoint.from_pair(params.field, _halve_and_add(k.value, p.pair, params))
 
 
 def _naf4(k: int) -> list[int]:
@@ -352,8 +338,8 @@ def _naf4(k: int) -> list[int]:
     return digits
 
 
-def _halve_and_add(k: int, p: tuple[int, int], params: CurveParams, n: int):
-    """kP for P in <G> of odd order n (Hankerson, Menezes, Vanstone, Guide
+def _halve_and_add(k: int, p: tuple[int, int], params: CurveParams):
+    """kP for P in <G> of odd order n = order_hint (Hankerson, Menezes, Vanstone, Guide
     to ECC, Alg. 3.91 and 3.81): with t = n.bit_length() and k' = 2^(t-1)*k
     mod n in width-4 NAF digits k'_i, kP = sum k'_i * P/2^(t-1-i), digit t
     taking 2P.  Halving (x, y): a root L of L^2 + L = x + a, T = y + x*L (one
@@ -364,7 +350,7 @@ def _halve_and_add(k: int, p: tuple[int, int], params: CurveParams, n: int):
     magnitude j's terms, and Q1 + 3*Q3 + 5*Q5 + 7*Q7 = S1 + 2*(S3 + S5 + S7),
     S_j = Q_j + ... + Q7.
     """
-    f, a, t = params.field, params.a.value, n.bit_length()
+    f, a, n, t = params.field, params.a.value, params.order_hint, params.order_hint.bit_length()
     digits = _naf4(pow(2, t - 1, n) * k % n)
     lanes = [[], [], [], []]  # digit magnitudes 1, 3, 5, 7
     if len(digits) > t:  # then digit t is 1, as k' < 2^t

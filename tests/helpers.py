@@ -220,6 +220,15 @@ def make_test16_curve() -> CurveParams:
     )
 
 
+def two_torsion(params: CurveParams) -> AffinePoint:
+    """T2 = (0, sqrt(b)), the curve's point of order 2, with sqrt(b) = b^(2^(m-1))
+    by squaring: on the curve, but outside <G>, and x = 0 is rejected as a base point."""
+    f, r = params.field, params.b.value
+    for _ in range(f.m - 1):
+        r = gf2m.square(f, r)
+    return AffinePoint(f.element(0), f.element(r))
+
+
 # --- independent affine group law and double-and-add oracle ---
 
 def point_add(p: AffinePoint, q: AffinePoint, params: CurveParams) -> AffinePoint:

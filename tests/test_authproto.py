@@ -2,11 +2,14 @@ import random
 
 import pytest
 
+from kpsca import authproto
 from kpsca.authproto import Identity, challenge, respond, verify
-from kpsca.curve import AffinePoint, CurveError, NOMINAL_SCALAR_BITS, Scalar, get_curve, kp_point
+from kpsca.curve import (
+    AffinePoint, CurveError, NOMINAL_SCALAR_BITS, Scalar, get_curve, is_on_curve, kp_point,
+)
 from kpsca.leaksim import LeakModel
 
-from helpers import oracle_double_and_add
+from helpers import oracle_double_and_add, point_add, two_torsion
 
 MODEL = LeakModel(addr_weight=1.0, noise_sigma=0.0, samples_per_cycle=2, rng_seed=0)
 
@@ -101,3 +104,23 @@ class TestChallengeResponse:
         bad = AffinePoint(bob.params.g.x, bob.params.field.element(bob.params.g.y.value ^ 1))
         with pytest.raises(CurveError):
             challenge(bad, bob.params, random.Random(0), 232)
+
+    def test_challenge_outside_base_subgroup_rejected(self, bob, monkeypatch):
+        # R = r'G + T2 would be answered with k_B*r'G + (k_B mod 2)*T2, which
+        # shows k_B mod 2 to whoever knows r'; it is refused before any trace
+        params = bob.params
+        R = point_add(kp_point(Scalar(12345), params.g, params), two_torsion(params), params)
+        assert is_on_curve(R, params)
+
+        def no_trace(*args):
+            raise AssertionError("rendered a trace for a refused challenge point")
+
+        monkeypatch.setattr(authproto, "synthesize_trace", no_trace)
+        with pytest.raises(CurveError):
+            respond(bob, R, MODEL)
+
+    def test_public_key_outside_base_subgroup_rejected(self, bob):
+        pub = point_add(bob.pub, two_torsion(bob.params), bob.params)
+        assert is_on_curve(pub, bob.params)
+        with pytest.raises(CurveError):
+            challenge(pub, bob.params, random.Random(0), 232)

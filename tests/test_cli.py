@@ -563,6 +563,22 @@ class TestStats:
         run(["simulate", "--curve", "b233", "--seed", "123", "--out", str(out2)], capsys)
         assert trace_env == (out2 / "trace.kptr").read_bytes()
 
+    def test_seed_env_not_an_int(self, capsys, monkeypatch):
+        # named like a config file's bad value, by its source
+        monkeypatch.setenv(cli.SEED_ENV, "abc")
+        assert run(["stats", "--curve", "test8"], capsys) == (
+            cli.EXIT_CONFIG, "", "error: environment KPSCA_SEED: invalid int value 'abc'\n")
+
+    @pytest.mark.parametrize("command", ["simulate", "auth-demo", "stats"])
+    def test_scalar_bits_bounded(self, tmp_path, capsys, command):
+        # refused before any scalar is drawn: a 10^20-bit one cannot be
+        for nbits in ("0", "4097", "99999999999999999999"):
+            assert run([command, "--curve", "test8", "--scalar-bits", nbits,
+                        "--out", str(tmp_path)], capsys) == (
+                cli.EXIT_CONFIG, "", f"error: scalar_bits must be in 1..4096, got {nbits}\n")
+        code, stdout, _ = run(["stats", "--curve", "test8", "--scalar-bits", "4096"], capsys)
+        assert code == 0 and "main loop: 4094 slots" in stdout
+
 
 # the exit-code contract: (case, documented exit code)
 class TestParserReuse:
@@ -626,6 +642,7 @@ EXIT_CODE_CASES = [
     ("slot_len=0", cli.EXIT_CONFIG),
     ("num_slots=0", cli.EXIT_CONFIG),
     ("scalar_bits=0", cli.EXIT_CONFIG),
+    ("scalar_bits=99999999999999999999", cli.EXIT_CONFIG),
     ("suspects=999", cli.EXIT_CONFIG),
     ("sample_index=999", cli.EXIT_CONFIG),
     ("sample_index=-1", cli.EXIT_CONFIG),
@@ -781,6 +798,55 @@ def test_exit_code_contract(tmp_path, capsys, case, expected):
     assert proc.returncode == expected, proc.stderr
     assert "Traceback" not in proc.stderr
     assert "Warning" not in proc.stderr
+
+
+# the other half of the exit-code contract: every flag of every command but
+# --out, --config and --help, given each value below (zero, negative, not a
+# number, huge or empty), ends in a documented exit code, never in an exception
+SWEEP_VALUES = ("0", "-1", "nan", "inf", "1e308", "99999999999999999999", "")
+SWEEP_ARGS = {"simulate": [], "auth-demo": [], "stats": [], "attack": ["TRACE"],
+              "welch": ["TRACE"], "bruteforce": ["TRACE", "--suspects", "0"]}
+_SUB, = (a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+SWEEP_FLAGS = [(command, a.option_strings[0]) for command, p in _SUB.choices.items()
+               for a in p._actions if a.option_strings and a.dest not in ("help", "config", "out")]
+
+
+@pytest.fixture(scope="module")
+def sweep_trace(tmp_path_factory):
+    """One test8 trace with ground truth for the commands that read one."""
+    out = tmp_path_factory.mktemp("sweep")
+    assert cli.main(["simulate", "--curve", "test8", "--seed", "5", "--out", str(out)]) == 0
+    return str(out / "trace.kptr")
+
+
+def test_sweep_covers_every_command():
+    assert {command for command, _ in SWEEP_FLAGS} == SWEEP_ARGS.keys() == _SUB.choices.keys()
+    assert len(SWEEP_FLAGS) == 51
+
+
+def sweep_argv(command, trace, out):
+    """The command's line without a swept flag, which runs to completion."""
+    return [command, *(trace if a == "TRACE" else a for a in SWEEP_ARGS[command]),
+            "--curve", "test8", "--out", str(out)]
+
+
+@pytest.mark.parametrize("command", sorted(SWEEP_ARGS))
+def test_sweep_baseline_succeeds(tmp_path, capsys, sweep_trace, command):
+    assert run(sweep_argv(command, sweep_trace, tmp_path), capsys)[0] == cli.EXIT_OK
+
+
+@pytest.mark.parametrize("command, flag", SWEEP_FLAGS)
+def test_flag_value_sweep(tmp_path, capsys, sweep_trace, command, flag):
+    argv = sweep_argv(command, sweep_trace, tmp_path)
+    for value in SWEEP_VALUES:
+        try:
+            code, usage_error = cli.main([*argv, flag, value]), False
+        except SystemExit as exc:
+            code, usage_error = exc.code, True
+        err = capsys.readouterr().err
+        assert code in (cli.EXIT_OK, cli.EXIT_CONFIG, cli.EXIT_IO, cli.EXIT_SEGMENTATION), value
+        # a command's failure is one stderr line; argparse also prints its usage
+        assert code == cli.EXIT_OK or usage_error or err.count("\n") == 1, (value, err)
 
 
 def test_config_keys_are_the_flag_destinations():

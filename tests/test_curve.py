@@ -1,5 +1,6 @@
 import dataclasses
 import random
+import types
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -33,6 +34,7 @@ from helpers import (
     point_add,
     shipped_row_count,
     step_relations_hold,
+    two_torsion,
 )
 
 
@@ -126,21 +128,20 @@ class TestLadderInit:
         assert state.X2 == gf2m.square(f, gf2m.square(f, x)) ^ b163.b.value
 
     def test_x_equals_one(self):
-        # curve crafted so (1, 0) is on it: y^2 + y = 1 + a + b = 0
-        spec = get_curve("test8").field
-        a, b = spec.element(0x20), spec.element(0x21)
-        curve_ = dict(field=spec, a=a, b=b, g=AffinePoint(spec.element(1), spec.element(0)))
-        # the order of (1, 0), by search; the group law reads only the field and a
-        provisional = CurveParams(**curve_, order_hint=1)
-        order, p = 1, provisional.g
-        while not p.infinity:
-            order, p = order + 1, point_add(p, provisional.g, provisional)
-        params = CurveParams(**curve_, order_hint=order)
-        assert kp_multiply(Scalar(order), params.g, params)[0].infinity
+        # a base point with x = 1 lies in <G> only where Tr(1) = Tr(a), so on an
+        # odd-degree field: GF(2^9) with x^9 + x^4 + 1, a = 1 and b = 2 has
+        # #E = 2 * 257, and (1, 0x20) is on it
+        spec = gf2m.FieldSpec(9, 0x211)
+        params = CurveParams(spec, spec.element(1), spec.element(2),
+                             AffinePoint(spec.element(1), spec.element(0x20)), order_hint=257)
+        assert count_curve_points(params) == 2 * 257
+        assert kp_multiply(Scalar(257), params.g, params)[0].infinity
         state = kp_multiply(Scalar(1), params.g, params)[1].states[0]
         assert state.X1 == 1 and state.Z1 == 1
-        assert state.X2 == 1 ^ b.value  # 1^4 + b
+        assert state.X2 == 1 ^ params.b.value  # 1^4 + b
         assert state.Z2 == 1  # 1^2
+        for k in map(Scalar, range(1, 600)):
+            assert kp_point(k, params.g, params) == kp_multiply(k, params.g, params)[0], k
 
     def test_degenerate_x_zero_rejected(self, test8):
         # (0, sqrt(b)) is on the curve but breaks the Z2 != 0 invariant
@@ -547,14 +548,6 @@ class TestShippedTables:
             curve._window_table.__wrapped__(b233)
 
 
-def two_torsion(params: CurveParams) -> AffinePoint:
-    """T2 = (0, sqrt(b)), with sqrt(b) = b^(2^(m-1)) by squaring."""
-    f, r = params.field, params.b.value
-    for _ in range(f.m - 1):
-        r = gf2m.square(f, r)
-    return AffinePoint(f.element(0), f.element(r))
-
-
 def points_off_x0(params: CurveParams) -> list[AffinePoint]:
     """Every point with x != 0, by search: small fields only."""
     f = params.field
@@ -567,7 +560,6 @@ def in_subgroup(p: AffinePoint, params: CurveParams) -> bool:
     return kp_multiply(Scalar(params.order_hint), p, params)[0].infinity
 
 
-GF16 = gf2m.FieldSpec(4, 0x13)
 GF256 = get_curve("test8").field
 
 # test8's field and a with b = 0x24: #E = 254 = 2 * 127, so t = 7 and some
@@ -577,39 +569,60 @@ TOP_DIGIT = CurveParams(GF256, GF256.element(0x20), GF256.element(0x24),
 
 
 class TestKpPointHalving:
-    """kp_point halves and adds where #E = 2n with n = order_hint odd; its
-    results equal the ladder's, inside <G> and outside it."""
+    """Every curve has #E = 2n with n = order_hint odd, and kp_point halves and
+    adds in <G>: its results equal the ladder's there, and it refuses every
+    point outside <G>."""
 
     @pytest.mark.parametrize("params", [get_curve("test8"), make_test16_curve(), TOP_DIGIT],
                              ids=["test8", "test16", "top_digit"])
     def test_curve_order_is_twice_n(self, params):
         assert count_curve_points(params) == 2 * params.order_hint
-        assert params._halving_order == params.order_hint
+        assert dataclasses.replace(params) == params  # and the shape check passes
 
     def test_registered_curves_halve(self):
         for name in curve.CURVE_IDS:
             params = get_curve(name)
-            assert params._halving_order == params.order_hint
+            assert dataclasses.replace(params) == params
+
+    @pytest.mark.parametrize("m, poly, a, b, g, n, count", [
+        (8, 0x11B, 0x20, 0x03, (0x8C, 0xD4), 128, 274),  # test8 with n even, 2n within Hasse
+        (8, 0x11B, 0x20, 0x03, (0x8C, 0xD4), 3 * 137, 274),  # 2n past the Hasse bound
+        # #E = 22 = 2 * 11, but n < 4*sqrt(q): the Hasse interval [9, 25] holds 11 too
+        (4, 0x13, 8, 9, (8, 1), 11, 22),
+    ], ids=["even", "outside_hasse", "below_4_sqrt_q"])
+    def test_other_group_shapes_rejected(self, m, poly, a, b, g, n, count):
+        f = gf2m.FieldSpec(m, poly)
+        shape = dict(field=f, a=f.element(a), b=f.element(b),
+                     g=AffinePoint(f.element(g[0]), f.element(g[1])))
+        assert count_curve_points(types.SimpleNamespace(**shape)) == count
+        with pytest.raises(CurveError, match=f"order_hint {n} "):
+            CurveParams(**shape, order_hint=n)
 
     def test_every_test8_point(self, test8):
         # 2n = 274: k = 1..16 and the classes next to n and 2n reach every
-        # point's NAF lanes and T2 branch; one k runs past 2^20
+        # point's NAF lanes; one k runs past 2^20
         points = points_off_x0(test8)
         inside = [p for p in points if in_subgroup(p, test8)]
         assert len(points) == 272 and len(inside) == 136
         n = test8.order_hint
         ks = [*range(1, 17), n - 1, n, n + 1, 2 * n - 1, 2 * n, 2 * n + 1, 300, 3 * n + 5,
               (1 << 20) + 3]
-        for p in points:
+        for p in inside:
             for k in map(Scalar, ks):
                 assert kp_point(k, p, test8) == kp_multiply(k, p, test8)[0], (p, k)
+        for p in points:
+            if p not in inside:
+                with pytest.raises(CurveError):
+                    kp_point(Scalar(3), p, test8)
 
     def test_test8_scalars_1_to_300(self, test8):
-        t2 = two_torsion(test8)
-        g_out = point_add(test8.g, t2, test8)
-        for p in (test8.g, negate(test8.g), g_out, negate(g_out)):
+        g_out = point_add(test8.g, two_torsion(test8), test8)
+        for p in (test8.g, negate(test8.g)):
             for k in map(Scalar, range(1, 301)):
                 assert kp_point(k, p, test8) == kp_multiply(k, p, test8)[0], (p, k)
+        for p in (g_out, negate(g_out)):
+            with pytest.raises(CurveError):
+                kp_point(Scalar(1), p, test8)
 
     @pytest.mark.parametrize("params", [get_curve("test8"), TOP_DIGIT], ids=["test8", "top_digit"])
     def test_base_subgroup_is_the_order_n_points(self, params):
@@ -628,10 +641,11 @@ class TestKpPointHalving:
         t = n.bit_length()
         nafs = [curve._naf4(pow(2, t - 1, n) * k % n) for k in range(1, n)]
         assert {naf[t] for naf in nafs if len(naf) > t} == {1}
-        g_out = point_add(TOP_DIGIT.g, two_torsion(TOP_DIGIT), TOP_DIGIT)
-        for p in (TOP_DIGIT.g, g_out):
-            for k in map(Scalar, range(1, 2 * n + 3)):
-                assert kp_point(k, p, TOP_DIGIT) == kp_multiply(k, p, TOP_DIGIT)[0], (p, k)
+        g = TOP_DIGIT.g
+        for k in map(Scalar, range(1, 2 * n + 3)):
+            assert kp_point(k, g, TOP_DIGIT) == kp_multiply(k, g, TOP_DIGIT)[0], k
+        with pytest.raises(CurveError):
+            kp_point(Scalar(1), point_add(g, two_torsion(TOP_DIGIT), TOP_DIGIT), TOP_DIGIT)
 
     @pytest.mark.parametrize("params", [make_test16_curve(), get_curve("b163"), get_curve("b233")],
                              ids=["test16", "b163", "b233"])
@@ -645,19 +659,17 @@ class TestKpPointHalving:
         assert not in_subgroup(p_out, params)
         ks = [1, 2, n - 1, n, n + 1, 2 * n, 2 * n + 1, rng.getrandbits(m - 1) | 1,
               rng.getrandbits(m + 20)]
-        for p in (p_in, p_out):
-            for k in map(Scalar, ks):
-                assert kp_point(k, p, params) == kp_multiply(k, p, params)[0], k
-        # k = 0 mod n: infinity inside <G>, and outside it T2 for odd k
-        assert kp_point(Scalar(n), p_in, params).infinity
-        assert kp_point(Scalar(n), p_out, params) == t2
-        assert kp_point(Scalar(2 * n), p_out, params).infinity
+        for k in map(Scalar, ks):
+            assert kp_point(k, p_in, params) == kp_multiply(k, p_in, params)[0], k
+            with pytest.raises(CurveError):
+                kp_point(k, p_out, params)
+        assert kp_point(Scalar(n), p_in, params).infinity  # k = 0 mod n
 
     def test_b233_field_work(self, b233, monkeypatch):
         # exact field calls of one seeded B-233 kP: halving's trace and square
         # root are untraced table walks, and a solve is one too after one
         # square (it walks the rows with c^2, whose root is c).  The kP solves
-        # twice, for its first root and for a's.  The ladder-input check is 3
+        # twice, for its first root and for a's.  The subgroup check is 3
         # products and 2 squares.  t = 233, so 232 halvings at one product
         # each, and one product for the y of each of the 49 nonzero NAF digits
         # (12, 14, 15 and 8 of magnitude 1, 3, 5 and 7): 284 and 4.  A lane level of b chord additions shares one
@@ -667,8 +679,7 @@ class TestKpPointHalving:
         # of 4, 3 and 2 Q's in levels of 4 and 2 (24, 6, 2); S3 + S5 + Q7 in
         # two levels of 1 (4, 2, 2); the doubling (2, 2, 1) and the last
         # addition (2, 1, 1): 529 products, 60 squares and 10 inversions.
-        # P + T2 adds T2 before halving and, k being odd, after: 2, 1 and 1
-        # each, so 533, 62 and 12.
+        # P + T2, outside <G>, is refused after the curve check alone.
         rng = random.Random(233)
         p_in, = fixed_base_multiples([rng.getrandbits(233)], b233)
         p_out = point_add(p_in, two_torsion(b233), b233)
@@ -676,33 +687,17 @@ class TestKpPointHalving:
         n = b233.order_hint
         naf = curve._naf4(pow(2, n.bit_length() - 1, n) * k.value % n)
         assert [sum(abs(d) == j for d in naf) for j in (1, 3, 5, 7)] == [12, 14, 15, 8]
-        want = {p_in: kp_multiply(k, p_in, b233)[0], p_out: kp_multiply(k, p_out, b233)[0]}
+        want = kp_multiply(k, p_in, b233)[0]
         calls = {}
         for name in ("mul_classical", "square", "invert"):
             def counted(*args, name=name, fn=getattr(gf2m, name)):
                 calls[name] += 1
                 return fn(*args)
             monkeypatch.setattr(gf2m, name, counted)
-        for p, counts in ((p_in, (529, 60, 10)), (p_out, (533, 62, 12))):
-            calls.update(mul_classical=0, square=0, invert=0)
-            assert kp_point(k, p, b233) == want[p]
-            assert (calls["mul_classical"], calls["square"], calls["invert"]) == counts
-
-    @pytest.mark.parametrize("params", [
-        dataclasses.replace(get_curve("test8"), order_hint=128),  # even, but 2n within Hasse
-        dataclasses.replace(get_curve("test8"), order_hint=3 * 137),  # 2n past the Hasse bound
-        # #E = 22 = 2 * 11, but n < 4*sqrt(q): the Hasse interval [9, 25] holds 11 too
-        CurveParams(GF16, GF16.element(8), GF16.element(9),
-                    AffinePoint(GF16.element(8), GF16.element(1)), order_hint=11),
-    ], ids=["even", "outside_hasse", "below_4_sqrt_q"])
-    def test_ladder_fallback(self, monkeypatch, params):
-        assert params._halving_order is None
-
-        def no_halving(*args):
-            raise AssertionError("halved without #E = 2n")
-
-        monkeypatch.setattr(curve, "_halve_and_add", no_halving)
-        for p in (params.g, point_add(params.g, two_torsion(params), params)):
-            assert in_base_subgroup(p, params)  # no order test: on the curve stands in
-            for k in map(Scalar, (1, 2, 11, 136, 137, 275, 0x3FF)):
-                assert kp_point(k, p, params) == kp_multiply(k, p, params)[0]
+        calls.update(mul_classical=0, square=0, invert=0)
+        assert kp_point(k, p_in, b233) == want
+        assert (calls["mul_classical"], calls["square"], calls["invert"]) == (529, 60, 10)
+        calls.update(mul_classical=0, square=0, invert=0)
+        with pytest.raises(CurveError):
+            kp_point(k, p_out, b233)
+        assert (calls["mul_classical"], calls["square"], calls["invert"]) == (3, 2, 0)

@@ -48,6 +48,7 @@ from helpers import (
     reference_flip_search,
     reference_recover_scalar,
     reference_verified,
+    two_torsion,
 )
 
 TEST8 = get_curve("test8")
@@ -352,7 +353,7 @@ def test_pub_outside_base_subgroup(monkeypatch, params, key):
     multiple of G equals it: no candidate verifies, brute force reports its
     whole enumeration, and neither searches, so no table call is made."""
     pub = kp_point(key, params.g, params)
-    outside = point_add(pub, two_torsion_point(params), params)
+    outside = point_add(pub, two_torsion(params), params)
     assert is_on_curve(outside, params) and not in_base_subgroup(outside, params)
     bits = key.main_loop_bits
     cand = KeyCandidate(bits, 0, Polarity.SMALLER_IS_ONE)
@@ -674,16 +675,6 @@ def test_degenerate_matrices(case):
     assert want.any() == (case != "constant_columns")
 
 
-def two_torsion_point(params):
-    """(0, sqrt(b)): on the curve, but x = 0 is rejected as a base point."""
-    y = params.b.value
-    for _ in range(params.field.m - 1):
-        y = gf2m.square(params.field, y)
-    point = AffinePoint(params.field.element(0), params.field.element(y))
-    assert is_on_curve(point, params)
-    return point
-
-
 def test_brute_force_takes_g_positionally():
     """g passed positionally, as the benchmark passes it: params.g gives the
     reference's result, and another valid base point, 2G, raises instead of
@@ -698,7 +689,7 @@ def test_brute_force_takes_g_positionally():
 
 
 @pytest.mark.parametrize("g", [AffinePoint.at_infinity(), off_curve_twin(TEST8.g, TEST8),
-                               two_torsion_point(TEST8)],
+                               two_torsion(TEST8)],
                          ids=["infinity", "off_curve", "x_zero"])
 def test_bad_base_point_raises(g):
     """A base point the ladder would reject is rejected by verification too:
