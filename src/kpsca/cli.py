@@ -7,9 +7,9 @@ is the one option table: a file's keys are the flag destinations of all
 commands (`config_actions`), and `main` checks the whole file before a
 command runs, each value cast and its choices checked by its flag's
 argparse action, so a file may hold any command's options and every
-error names its key.  The resolved configuration is echoed into every
-report for reproducibility.  Warnings that a command raises are printed
-to stderr as "warning: <message>" lines.
+error names its key; a command applies the keys of its own flags.  The
+resolved configuration is echoed into every report for reproducibility.
+A command's warnings are printed to stderr as "warning: <message>" lines.
 
 Exit codes: 0 command completed (an unsuccessful key recovery is data,
 not an error), 2 usage/config errors, 3 I/O and trace-format errors,
@@ -523,8 +523,8 @@ def main(argv=None) -> int:
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    for key, value in config.items():  # a flag wins over the file
-        if getattr(args, key, None) is None:
+    for key, value in config.items():  # a flag wins; the command's flags only
+        if key in vars(args) and getattr(args, key) is None:
             setattr(args, key, value)
     with warnings.catch_warnings():  # a command's warnings, one stderr line each
         warnings.simplefilter("always")

@@ -13,12 +13,13 @@ boundary type.  It lets the attack verify key candidates by point
 additions instead of one kP per candidate scalar, and `kp_point` and
 `fixed_base_multiples` sum their points with it, as a tree whose levels
 share one inversion each (`_lane_sums`).  `fixed_base_multiples` gives
-every multiple of G that the package needs, from a signed base-256
+every multiple of G that the package needs from a signed base-256
 window table (Hankerson, Menezes, Vanstone, Guide to Elliptic Curve
-Cryptography, sec. 3.3.1) that depends only on G = params.g: for each
-registered curve the package ships its rows for every scalar below
-2^(m+2) (window_<curve id>.bin, decoded on first use); the table of any
-other curve, and any row past the shipped ones, is built on demand.
+Cryptography, sec. 3.3.1) that depends only on G = params.g: its rows
+hold the digits of every scalar below n, and a longer scalar is taken
+mod n.  The package ships the table of each registered curve
+(window_<curve id>.bin, decoded on first use); that of any other curve
+is built once, on first use.
 
 The ladder follows the modelled accelerator's bit convention: the
 register initialisation already encodes the most significant scalar
@@ -459,75 +460,73 @@ def _signed_digits(k: int) -> list[int]:
 
 
 @functools.lru_cache(maxsize=16)
-def _window_table(params: CurveParams) -> list[tuple]:
-    """The window table of params.g, cached by the curve's value and grown in
-    place by `_extend_table`: row i holds the int pairs of d*256^i*G for
-    d = 1..128.
+def _window_table(params: CurveParams) -> tuple[tuple, ...]:
+    """The window table of params.g, one fixed value per curve (cached by its
+    value): row i holds the int pairs of d*256^i*G for d = 1..128, and the
+    rows hold the signed digits of every scalar below n = order_hint.
 
-    A registered curve's table starts from the rows the package ships
-    (`_shipped_rows`), with no field arithmetic: its base point was
-    checked when the registry built the curve, so the first multiple of G
-    in a process does the same field work as any later one.  Any other
-    curve, a registered one with another base point included, has its
-    base point checked as a ladder input is, and its table starts empty.
+    A registered curve's table is the one the package ships, read with no
+    field arithmetic: the registry checked its base point.  Any other
+    curve, a registered one with another base point included, must have
+    its base point in <G> = 2E, as the reduction mod n assumes, and its
+    table is built.
     """
+    rows = params.order_hint.bit_length() // 8 + 1  # a carry out of the top byte included
     for name, registered in _REGISTRY.items():
         if params == registered:
-            return _shipped_rows(name, params)
-    _check_ladder_input(params.g, params)
-    return []
+            return _shipped_rows(name, params, rows)
+    if params.g.infinity or not in_base_subgroup(params.g, params):
+        raise CurveError("base point is not a point of <G> = 2E other than infinity")
+    return _build_rows(params, rows)
 
 
 # the shipped window tables, one window_<curve id>.bin file per registered curve
 _TABLE_DIR = importlib.resources.files(__package__)
 
 
-def _shipped_rows(name: str, params: CurveParams) -> list[tuple]:
-    """The rows of registered curve `name`'s window table that ship with the
-    package: those that cover every scalar below 2^(m+2).
+def _shipped_rows(name: str, params: CurveParams, rows: int) -> tuple[tuple, ...]:
+    """Registered curve `name`'s window table of `rows` rows, as shipped.
 
     Every point is x || y, each coordinate big-endian in ceil(m/8) bytes,
     and a row is its 128 points in column order.  A missing file raises
-    OSError, and a file that is not a whole number of rows, holds a
-    coordinate of degree m or more, or whose first point is not the base
-    point, raises CurveError: the table is never built instead, which
-    would hide a broken install.
+    OSError, and a file that does not hold exactly `rows` rows, holds a
+    coordinate of degree m or more, or whose first point is not
+    the base point, raises CurveError: the table is never built instead,
+    which would hide a broken install.
     """
     f = params.field
     n = (f.m + 7) // 8
     path = _TABLE_DIR / f"window_{name}.bin"
     data = path.read_bytes()
-    if not data or len(data) % (256 * n):
-        raise CurveError(f"{path}: {len(data)} bytes is not a whole number of {256 * n}-byte rows")
+    if len(data) != rows * 256 * n:
+        raise CurveError(f"{path}: {len(data)} bytes is not {rows} rows of {256 * n} bytes")
     ints = [int.from_bytes(data[i:i + n], "big") for i in range(0, len(data), n)]
     if max(ints) >> f.m:
         raise CurveError(f"{path}: a coordinate is not an element of GF(2^{f.m})")
     if tuple(ints[:2]) != params.g.pair:
         raise CurveError(f"{path}: the first point is not the base point")
     pairs = list(zip(ints[::2], ints[1::2]))
-    return [tuple(pairs[i:i + 128]) for i in range(0, len(pairs), 128)]
+    return tuple(tuple(pairs[i:i + 128]) for i in range(0, len(pairs), 128))
 
 
-def _extend_table(table: list, rows: int, params: CurveParams) -> None:
-    """Append rows to params.g's window table until it has `rows` of them.
+def _build_rows(params: CurveParams, rows: int) -> tuple[tuple, ...]:
+    """The first `rows` rows of params.g's window table, built.
 
-    A doubling chain gives each row's power-of-two columns.  Every other
-    column d is column d - low plus column low, low being d's lowest set
-    bit: one batched addition per set-bit count 2..7, across all new rows.
+    A doubling chain from G gives each row's power-of-two columns.  Every
+    other column d is column d - low plus column low, low being d's lowest
+    set bit: one batched addition per set-bit count 2..7, across all rows.
     """
-    if rows <= len(table):
-        return
-    chain = [_point_double(table[-1][-1], params) if table else params.g.pair]
-    for _ in range(8 * (rows - len(table)) - 1):
+    chain = [params.g.pair]
+    for _ in range(8 * rows - 1):
         chain.append(_point_double(chain[-1], params))
-    new = [{1 << j: chain[8 * n + j] for j in range(8)} for n in range(rows - len(table))]
+    table = [{1 << j: chain[8 * i + j] for j in range(8)} for i in range(rows)]
     for weight in range(2, 8):
         ds = [d for d in range(3, 128) if d.bit_count() == weight]
-        sums = iter(_add_many([row[d - (d & -d)] for row in new for d in ds],
-                              [row[d & -d] for row in new for d in ds], params))
-        for row in new:
+        sums = iter(_add_many([row[d - (d & -d)] for row in table for d in ds],
+                              [row[d & -d] for row in table for d in ds], params))
+        for row in table:
             row.update((d, next(sums)) for d in ds)
-    table.extend(tuple(row[d] for d in range(1, 129)) for row in new)
+    return tuple(tuple(row[d] for d in range(1, 129)) for row in table)
 
 
 def fixed_base_multiples(ks, params: CurveParams) -> list[AffinePoint]:
@@ -539,20 +538,21 @@ def fixed_base_multiples(ks, params: CurveParams) -> list[AffinePoint]:
 def _fixed_base_pairs(ks, params: CurveParams) -> list:
     """`fixed_base_multiples` as int pairs.
 
-    Each k is written in signed base-256 digits and is never reduced
-    modulo the group order.  A lane starts as the terms d_i*256^i*G of
-    its nonzero digits (row i of G's window table at |d_i|, negated for
-    a negative digit): at most 30 for a 232-bit k, so `_lane_sums` adds
-    them in 5 levels.  G's table (`_window_table`) is extended to the
-    longest scalar seen.
+    Each k is written in signed base-256 digits, or k mod n is if k has
+    more digits than G's window table has rows (reducing every k costs
+    more: the attack's C = 5*2^230 - 1 on B-233 has 3 nonzero digits, C
+    mod n 16).  A lane starts as the terms d_i*256^i*G of its nonzero
+    digits (row i of the table at |d_i|, negated for a negative digit),
+    at most 30 on B-233, and `_lane_sums` adds them in 5 levels.  A
+    reduced k that n divides has no digits, and its point is infinity.
     """
+    table = _window_table(params)
     digits = []
     for k in ks:
         if k < 1:
             raise CurveError("scalar must be >= 1")
-        digits.append(_signed_digits(k))
-    table = _window_table(params)
-    _extend_table(table, max(map(len, digits), default=0), params)
+        ds = _signed_digits(k)
+        digits.append(ds if len(ds) <= len(table) else _signed_digits(k % params.order_hint))
     return _lane_sums([[row[d - 1] if d > 0 else _negate(row[-d - 1])
                         for row, d in zip(table, ds) if d] for ds in digits], params)
 

@@ -279,9 +279,10 @@ def step_relations_hold(f: FieldSpec, state: LadderState, k_i: int, v: StepValue
 # --- the shipped window tables ---
 
 def shipped_row_count(params: CurveParams) -> int:
-    """Rows of signed base-256 digits that every scalar below 2^(m+2) fits in:
-    2, 21 and 30 for test8, B-163 and B-233."""
-    return len(curve._signed_digits((1 << (params.field.m + 2)) - 1))
+    """Rows of signed base-256 digits that every scalar below 2^t fits in, t the
+    bit length of n = order_hint, so every scalar below n: 2, 21 and 30 for
+    test8, B-163 and B-233."""
+    return len(curve._signed_digits((1 << params.order_hint.bit_length()) - 1))
 
 
 def encode_window_rows(rows, params: CurveParams) -> bytes:
@@ -294,14 +295,13 @@ def encode_window_rows(rows, params: CurveParams) -> bytes:
 
 def write_shipped_tables() -> None:
     """Rewrite every registered curve's window_<id>.bin from a fresh
-    `curve._extend_table` build:
+    `curve._build_rows` build:
 
         PYTHONPATH=src:tests python -c "import helpers; helpers.write_shipped_tables()"
     """
     for name in curve.CURVE_IDS:
         params = get_curve(name)
-        rows = []
-        curve._extend_table(rows, shipped_row_count(params), params)
+        rows = curve._build_rows(params, shipped_row_count(params))
         (curve._TABLE_DIR / f"window_{name}.bin").write_bytes(encode_window_rows(rows, params))
 
 

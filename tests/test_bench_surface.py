@@ -108,15 +108,17 @@ def test_tracer_counts_verification_arithmetic():
     bits = Scalar(91).main_loop_bits
     matrix = np.array([[1.0 - b for b in bits]]).T.copy()
     pub = curve.kp_point(Scalar(91), params.g, params)
-    # base-256 digits (3, 2, 1) and (6, 5, 4): two tree levels in both lanes
+    # base-256 digits (3, 2, 1) and (6, 5, 4): two tree levels in both lanes,
+    # on B-233, whose table has rows for them (test8's 2 rows do not)
+    b233 = curve.get_curve("b233")
     ks = [3 + (2 << 8) + (1 << 16), 6 + (5 << 8) + (4 << 16)]
-    curve.fixed_base_multiples(ks, params)  # the table rows, ready untraced
+    curve.fixed_base_multiples(ks, b233)  # the table rows, ready untraced
     tracer = TRACING.Tracer(paper_cycles=None)
     tracer.install()
     try:
         report = attack.evaluate(matrix, pub=pub, params=params)
         during_evaluate = tracer.layer_totals([TRACING.SETUP_OP])
-        curve.fixed_base_multiples(ks, params)
+        curve.fixed_base_multiples(ks, b233)
     finally:
         tracer.uninstall()
     assert report.verified.any()
@@ -149,10 +151,11 @@ def test_tracer_counts_auth_demo_ladders(capsys):
     # A curve-equation check costs 3 products and 2 squares.  Three run
     # outside kP: on Pub in challenge, on R as the schedule's ladder input
     # (respond's only check of R), and in evaluate's <G> test of Pub: 9
-    # and 6.  Each kp_point runs one, its ladder-input check, and then
-    # tests <G> by the trace alone: 9 and 6 for the three.
-    # test8's 2 shipped table rows cover every scalar up to 128*257, C = 1279
-    # among them, so no run builds a row.  Pub = k*G and R = r*G each add
+    # and 6.  Each kp_point runs one in its <G> test, whose trace is an
+    # untraced table walk: 9 and 6 for the three.
+    # test8's 2 shipped table rows hold the digits of every scalar up to
+    # 128*257, C = 1279 among them, so no scalar is taken mod n = 137 (1279
+    # would be 46, one term instead of 2).  Pub = k*G and R = r*G each add
     # their 2 table terms in one chord addition (2 products, 1 square and 1
     # inversion): 4, 2 and 2.
     # The attack makes one `_setup` call of 11 lanes (2^L, C, k(bits, 0) and

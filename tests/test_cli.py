@@ -96,6 +96,26 @@ class TestSimulate:
             assert f"compressed excerpt ({n} cycles)" in stdout
             assert excerpt.read_text().splitlines()[-1].startswith(f"{n - 1},")
 
+    def test_excerpt_ignores_a_config_compression(self, tmp_path, capsys):
+        # simulate has no --compression: a file's compression is checked, not applied
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("compression=sumsq\n")
+        excerpts, out = [], tmp_path / "sim"
+        for extra in ([], ["--config", str(cfg)]):
+            code, _, _ = run(["simulate", "--curve", "test8", "--excerpt-cycles", "5",
+                              "--out", str(out), *extra], capsys)
+            assert code == 0
+            excerpts.append((out / "excerpt.csv").read_text())
+        assert excerpts[0] == excerpts[1] and "# compression=mean" in excerpts[0]
+
+    def test_long_scalar_keeps_the_table(self, tmp_path, capsys):
+        # a 4096-bit input point scalar is read mod n from B-233's 30 rows
+        params = get_curve("b233")
+        code, _, _ = run(["simulate", "--curve", "b233", "--scalar-bits", "4096",
+                          "--out", str(tmp_path)], capsys)
+        assert code == 0
+        assert len(curve._window_table(params)) == 30
+
 
     def test_given_point(self, tmp_path, capsys):
         params = get_curve("test8")
@@ -499,6 +519,18 @@ class TestAuthDemo:
         assert auth_demo(capsys, "test8", seed) == (
             2, "", "error: challenge scalar r is a multiple of the base point's order "
                    "(R at infinity)\n")
+
+    def test_config_key_of_another_command_is_not_applied(self, tmp_path, capsys):
+        # auth-demo has no --slot-len: the file's slot_len is checked, not applied
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("slot_len=53\n")
+        argv = ["auth-demo", "--curve", "b233", "--seed", "1"]
+        plain = run(argv, capsys)
+        assert plain[0] == 0 and "key recovered: yes" in plain[1]
+        assert run(argv + ["--config", str(cfg)], capsys) == plain
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv + ["--slot-len", "53"])
+        assert exc.value.code == cli.EXIT_CONFIG
 
     def test_unknown_curve_in_config(self, tmp_path, capsys):
         # argparse checks --curve; a config file's value is checked with the same message

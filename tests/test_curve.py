@@ -369,11 +369,10 @@ class TestFixedBaseMultiples:
         assert fixed_base_multiples(ks, params) == want
 
     def test_equal_x_fallback(self, test8, monkeypatch):
-        # 65723 has the digits (-69, 1, 1): the tree's first level sums
-        # -69*G + 256*G = 187*G = 50*G (mod 137), which the second meets
-        # with the carried term 65536*G = 50*G, so the lane doubles; 65760
-        # has the digits (-32, 1, 1) and meets 224*G + 65536*G = -50*G +
-        # 50*G, which is infinity
+        # 375 has the digits (119, 1): the tree sums 119*G + 256*G, and
+        # 256 = 119 (mod 137), so the lane doubles; 274 = 2*137 has the
+        # digits (18, 1) and meets 18*G + 256*G = -119*G + 119*G, which is
+        # infinity
         equal_x = []
 
         def spy(p, q, params):
@@ -381,8 +380,8 @@ class TestFixedBaseMultiples:
                 equal_x.append("double" if p == q else "opposite")
             return add(p, q, params)
 
-        ks = [65723, 65760, 91]
-        assert [curve._signed_digits(k) for k in ks] == [[-69, 1, 1], [-32, 1, 1], [91]]
+        ks = [375, 274, 91]
+        assert [curve._signed_digits(k) for k in ks] == [[119, 1], [18, 1], [91]]
         fixed_base_multiples(ks, test8)  # the table rows, ready unspied
         add = curve._point_add
         monkeypatch.setattr(curve, "_point_add", spy)
@@ -436,12 +435,16 @@ class TestFixedBaseMultiples:
         assert fixed_base_multiples(ks, b233) == [kp_point(Scalar(k), b233.g, b233)
                                                   for k in ks]
 
-    def test_table_shared_by_value_and_grown(self, test8):
+    def test_table_is_one_value_per_curve(self, test8):
+        # the table is cached by the curve's value and no call changes it:
+        # a scalar past its 2 rows is taken mod n
         table = curve._window_table(test8)
         assert curve._window_table(get_curve("test8")) is table
-        fixed_base_multiples([1 << 120], test8)
-        assert len(table) >= 16
-        for i, row in enumerate(table[:16]):
+        assert isinstance(table, tuple) and len(table) == shipped_row_count(test8) == 2
+        assert fixed_base_multiples([1 << 120], test8) == [
+            kp_point(Scalar(1 << 120), test8.g, test8)]
+        assert curve._window_table(test8) is table and len(table) == 2
+        for i, row in enumerate(table):
             assert row == tuple(kp_point(Scalar(d << 8 * i), test8.g, test8).pair
                                 for d in range(1, 129))
 
@@ -450,28 +453,38 @@ class TestFixedBaseMultiples:
         # every column d of row i is d*256^i*G, as an int pair; test16's 4
         # rows pass its order
         params = FIXED_BASE_CURVES[name]
-        table = []
-        curve._extend_table(table, rows, params)
+        table = curve._build_rows(params, rows)
         assert len(table) == rows
         for i, row in enumerate(table):
             assert row == tuple(kp_point(Scalar(d << 8 * i), params.g, params).pair
                                 for d in range(1, 129))
 
-    def test_table_extension_inverts_once_per_set_bit_pass(self, b233, monkeypatch):
-        # eight doublings per new row (the first row of a fresh table starts
-        # at G), then one batched addition each for the columns with 2, 3,
-        # 4, 5, 6 and 7 set bits
+    def test_table_build_inverts_once_per_set_bit_pass(self, b233, monkeypatch):
+        # eight doublings per row, the first row starting at G, then one
+        # batched addition each for the columns with 2, 3, 4, 5, 6 and 7
+        # set bits
         inverted = []
         invert = gf2m.invert
         monkeypatch.setattr(gf2m, "invert", lambda f, a: inverted.append(a) or invert(f, a))
-        table = []
-        curve._extend_table(table, 3, b233)
-        assert len(inverted) == 8 * 3 - 1 + 6
-        del inverted[:]
-        curve._extend_table(table, 5, b233)
-        assert len(inverted) == 8 * 2 + 6
+        table = curve._build_rows(b233, 5)
+        assert len(inverted) == 8 * 5 - 1 + 6
         assert table[3][0] == kp_point(Scalar(1 << 24), b233.g, b233).pair
         assert table[4][126] == kp_point(Scalar(127 << 32), b233.g, b233).pair
+
+    @settings(max_examples=20, deadline=None)
+    @given(st.sampled_from(sorted(FIXED_BASE_CURVES)), st.randoms(use_true_random=False))
+    def test_scalars_around_the_order(self, name, rng):
+        # k mod n is what a scalar past the table's rows reads; the table
+        # keeps its rows whatever ran before
+        params = FIXED_BASE_CURVES[name]
+        n, m = params.order_hint, params.field.m
+        ks = [n - 1, n, n + 1, 2 * n - 1, (1 << m + 40) + rng.getrandbits(m + 40),
+              (1 << 4095) | rng.getrandbits(4095)]
+        want = [AffinePoint.at_infinity() if k % n == 0 else kp_point(Scalar(k), params.g, params)
+                for k in ks]
+        assert fixed_base_multiples(ks, params) == want
+        assert [fixed_base_multiples([k], params) for k in ks] == [[p] for p in want]
+        assert len(curve._window_table(params)) == shipped_row_count(params)
 
     def test_scalar_checks(self, test8):
         assert fixed_base_multiples([], test8) == []
@@ -480,57 +493,65 @@ class TestFixedBaseMultiples:
 
 
 class TestShippedTables:
-    # `_window_table.__wrapped__` reads the shipped rows past the cache,
-    # which other tests grow in place
-
     @pytest.mark.parametrize("name, rows", [("test8", 2), ("b163", 21), ("b233", 30)])
     def test_shipped_rows_are_a_fresh_build(self, name, rows):
-        # the rows that cover every scalar below 2^(m+2), byte for byte
+        # the rows that cover every scalar below n, byte for byte
         params = get_curve(name)
         assert shipped_row_count(params) == rows
-        built = []
-        curve._extend_table(built, rows, params)
+        built = curve._build_rows(params, rows)
         assert (curve._TABLE_DIR / f"window_{name}.bin").read_bytes() == encode_window_rows(
             built, params)
-        assert curve._window_table.__wrapped__(params) == built
+        assert curve._shipped_rows(name, params, rows) == built
 
-    def test_other_base_points_start_empty(self, b233):
+    def test_other_base_points_are_built(self, b233):
         test16 = FIXED_BASE_CURVES["test16"]
-        assert curve._window_table.__wrapped__(test16) == []
+        assert curve._window_table(test16) == curve._build_rows(test16, 3)
         g2 = point_add(b233.g, b233.g, b233)
-        assert curve._window_table.__wrapped__(dataclasses.replace(b233, g=g2)) == []
+        table = curve._window_table(dataclasses.replace(b233, g=g2))
+        assert len(table) == 30 and table[0][0] == g2.pair
+        assert table[0][1] == point_add(g2, g2, b233).pair
+
+    @pytest.mark.parametrize("g", ["g_plus_t2", "infinity"])
+    def test_base_point_outside_the_subgroup_raises(self, test8, g):
+        # a G of order 2n would make k mod n wrong: 137*(G + T2) is T2
+        bad_g = {"g_plus_t2": point_add(test8.g, two_torsion(test8), test8),
+                 "infinity": AffinePoint.at_infinity()}[g]
+        bad = dataclasses.replace(test8, g=bad_g)
+        with pytest.raises(CurveError, match="not a point of <G>"):
+            fixed_base_multiples([137], bad)
 
     @pytest.mark.parametrize("name", ["test8", "b163", "b233"])
-    def test_largest_covered_scalar_needs_no_new_row(self, name, monkeypatch):
-        # 2^(m+2) - 1, the largest scalar the shipped rows must cover
+    def test_largest_scalars_fit_the_rows(self, name):
+        # n - 1 and 2^(m+2) - 1 take every row of the table, so neither is
+        # reduced
         params = get_curve(name)
-        k = (1 << params.field.m + 2) - 1
-        table = curve._window_table.__wrapped__(params)
-        monkeypatch.setattr(curve, "_window_table", lambda params: table)
-        want = kp_point(Scalar(k), params.g, params)
-        assert fixed_base_multiples([k], params) == [want]
-        assert len(table) == len(curve._signed_digits(k)) == shipped_row_count(params)
+        for k in (params.order_hint - 1, (1 << params.field.m + 2) - 1):
+            assert len(curve._signed_digits(k)) == shipped_row_count(params)
+            assert fixed_base_multiples([k], params) == [kp_point(Scalar(k), params.g, params)]
+        assert len(curve._window_table(params)) == shipped_row_count(params)
 
-    def test_scalar_past_the_shipped_rows_extends_them(self, b233, monkeypatch):
+    def test_scalar_past_the_shipped_rows_is_reduced(self, b233, monkeypatch):
         # the shipped 30 rows reach the digit 128 in every place, the scalar
-        # 128*(256^30 - 1)/255; one more carries into a 31st row, which
-        # eight doublings from the last shipped row start
-        table = curve._window_table.__wrapped__(b233)
+        # 128*(256^30 - 1)/255; one more carries into a 31st digit, so it is
+        # taken mod n, as a 4096-bit scalar of 513 digits is, and nothing
+        # doubles
+        table = curve._window_table(b233)
         k = 128 * (256 ** len(table) - 1) // 255 + 1
         assert curve._signed_digits(k - 1) == [128] * 30
         assert curve._signed_digits(k) == [-127] * 30 + [1]
-        monkeypatch.setattr(curve, "_window_table", lambda params: table)
-        want = kp_point(Scalar(k), b233.g, b233)  # which doubles too, so before the spy
+        ks = [k, (1 << 4095) | random.Random(41).getrandbits(4095)]
+        want = [kp_point(Scalar(k), b233.g, b233) for k in ks]  # which double too
         doubled = []
         double = curve._point_double
         monkeypatch.setattr(curve, "_point_double",
                             lambda p, params: doubled.append(p) or double(p, params))
-        assert fixed_base_multiples([k], b233) == [want]
-        assert len(table) == 31
-        assert doubled[0] == table[29][-1] and len(doubled) == 8
+        assert fixed_base_multiples(ks, b233) == want
+        assert curve._window_table(b233) is table and len(table) == 30
+        assert doubled == []
 
     @pytest.mark.parametrize("defect, error", [
-        ("missing", OSError), ("truncated", CurveError), ("empty", CurveError),
+        ("missing", OSError), ("truncated", CurveError), ("short", CurveError),
+        ("empty", CurveError),
         ("not_g", CurveError), ("off_field", ValueError)])
     def test_malformed_file_raises(self, b233, tmp_path, monkeypatch, defect, error):
         # a broken install raises; it is never rebuilt
@@ -538,6 +559,7 @@ class TestShippedTables:
         n = 30  # bytes per b233 coordinate
         row_1 = 256 * n
         bad = {"truncated": data[:-1], "empty": b"",
+               "short": data[:29 * row_1],  # 29 whole rows of 30
                "not_g": data[2 * n:4 * n] + data[2 * n:],  # 2G where G belongs
                # row 1's first x with degree 239
                "off_field": data[:row_1] + b"\xff" + data[row_1 + 1:]}
@@ -545,7 +567,7 @@ class TestShippedTables:
             (tmp_path / "window_b233.bin").write_bytes(bad[defect])
         monkeypatch.setattr(curve, "_TABLE_DIR", tmp_path)
         with pytest.raises(error):
-            curve._window_table.__wrapped__(b233)
+            curve._shipped_rows("b233", b233, 30)
 
 
 def points_off_x0(params: CurveParams) -> list[AffinePoint]:
