@@ -459,10 +459,10 @@ class TestFixedBaseMultiples:
             assert row == tuple(kp_point(Scalar(d << 8 * i), params.g, params).pair
                                 for d in range(1, 129))
 
-    def test_table_build_inverts_once_per_set_bit_pass(self, b233, monkeypatch):
-        # eight doublings per row, the first row starting at G, then one
-        # batched addition each for the columns with 2, 3, 4, 5, 6 and 7
-        # set bits
+    def test_table_extension_inverts_once_per_set_bit_pass(self, b233, monkeypatch):
+        # the build extends the table one row at a time from G: eight
+        # doublings per row, the first row starting at G, then one batched
+        # addition each for the columns with 2, 3, 4, 5, 6 and 7 set bits
         inverted = []
         invert = gf2m.invert
         monkeypatch.setattr(gf2m, "invert", lambda f, a: inverted.append(a) or invert(f, a))
@@ -521,9 +521,9 @@ class TestShippedTables:
             fixed_base_multiples([137], bad)
 
     @pytest.mark.parametrize("name", ["test8", "b163", "b233"])
-    def test_largest_scalars_fit_the_rows(self, name):
+    def test_largest_covered_scalar_needs_no_new_row(self, name):
         # n - 1 and 2^(m+2) - 1 take every row of the table, so neither is
-        # reduced
+        # reduced and the table keeps its rows
         params = get_curve(name)
         for k in (params.order_hint - 1, (1 << params.field.m + 2) - 1):
             assert len(curve._signed_digits(k)) == shipped_row_count(params)
