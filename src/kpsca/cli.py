@@ -13,7 +13,9 @@ A command's warnings are printed to stderr as "warning: <message>" lines.
 
 Exit codes: 0 command completed (an unsuccessful key recovery is data,
 not an error), 2 usage/config errors, 3 I/O and trace-format errors,
-4 segmentation errors.
+4 segmentation errors.  Every trace, auth-demo's keyless view too, is
+cut in `_segment_from_cfg`: into --num-slots slots, or else the whole
+count >= 1 that its length holds on --curve.
 """
 
 from __future__ import annotations
@@ -190,6 +192,8 @@ def _parse_key(text: str) -> Scalar:
         value = int(text, 16)
     except ValueError:
         raise ValueError(f"key must be a hex scalar, got {text!r}") from None
+    if value.bit_length() > MAX_SCALAR_BITS:
+        raise ValueError(f"key must have at most {MAX_SCALAR_BITS} bits, got {value.bit_length()}")
     return Scalar(value)
 
 
@@ -333,23 +337,20 @@ def _simulate(args) -> int:
 
 
 def _segment_from_cfg(cfg: RunConfig, trace):
-    """The trace's (slots, cycles) array, from its first main-loop cycle
-    unless the configuration names another start."""
+    """The trace's (slots, cycles) array, from --start-cycle or else its first
+    main-loop cycle, and its ground truth's main-loop bits (or None)."""
     values = compress(trace, CompressionMethod(cfg.compression))
     start = cfg.start_cycle if cfg.start_cycle is not None else trace.cycle0_cycle
-    num = cfg.num_slots
-    if num is None:
-        if trace.ground_truth is None:
-            raise ValueError("--num-slots is required when the trace has no ground truth")
-        num = len(trace.ground_truth.main_loop_bits)
-    return segment(values, start, cfg.slot_len, num)
+    num = cfg.num_slots if cfg.num_slots is not None else leaksim.slot_count(
+        values.shape[0], trace.cycle0_cycle, get_curve(cfg.curve).field.m)
+    truth = trace.ground_truth.main_loop_bits if trace.ground_truth else None
+    return segment(values, start, cfg.slot_len, num), truth
 
 
 def _attack(args) -> int:
     cfg = _build_run_config(args)
     trace = read_trace(args.trace)
-    matrix = _segment_from_cfg(cfg, trace)
-    truth = trace.ground_truth.main_loop_bits if trace.ground_truth else None
+    matrix, truth = _segment_from_cfg(cfg, trace)
     params = get_curve(cfg.curve)
     pub = _parse_pub(params, args.pub) if args.pub else None
     report = attack_mod.evaluate(matrix, truth_bits=truth, pub=pub, params=params)
@@ -372,9 +373,7 @@ def _welch(args) -> int:
     trace = read_trace(args.trace)
     if trace.ground_truth is None:
         raise ValueError("welch needs slot labels: the trace carries no ground truth")
-    matrix = _segment_from_cfg(cfg, trace)
-    labels = trace.ground_truth.main_loop_bits
-    t = attack_mod.welch_t(matrix, labels)
+    t = attack_mod.welch_t(*_segment_from_cfg(cfg, trace))
     out = _out_dir(cfg)
     path = out / "welch.csv"
     _write_cycle_csv(path, cfg, "t", [f"{v:.6g}" for v in t])
@@ -401,8 +400,7 @@ def _bruteforce(args) -> int:
         raise ValueError(f"suspect slot {repeated[0]} is given more than once")
     trace = read_trace(args.trace)
     params = get_curve(cfg.curve)
-    matrix = _segment_from_cfg(cfg, trace)
-    truth = trace.ground_truth.main_loop_bits if trace.ground_truth else None
+    matrix, truth = _segment_from_cfg(cfg, trace)
     report = attack_mod.evaluate(matrix, truth_bits=truth)
 
     if args.sample_index is not None:
@@ -449,10 +447,7 @@ def _auth_demo(args) -> int:
     print(f"honest authentication: {'ok' if honest else 'FAILED'}")
 
     # the attacker's view: the measured trace, without the key
-    matrix = segment(
-        compress(trace.without_ground_truth(), CompressionMethod(cfg.compression)),
-        trace.cycle0_cycle, cfg.slot_len, len(identity.k.main_loop_bits),
-    )
+    matrix, _ = _segment_from_cfg(cfg, trace.without_ground_truth())
     recovered = attack_mod.evaluate(matrix, pub=identity.pub, params=identity.params).key
     print(f"key recovered: {'yes' if recovered is not None else 'no'}")
     if recovered is None:

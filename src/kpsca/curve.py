@@ -52,6 +52,7 @@ class Scalar:
     """Positive scalar; its bit vector is MSB-first with the top bit 1."""
 
     value: int
+    _BIT_VALUES = bytes.maketrans(b"01", b"\0\1")  # '0'/'1' -> 0/1; unannotated: not a field
 
     def __post_init__(self):
         if self.value < 1:
@@ -65,8 +66,7 @@ class Scalar:
     @functools.cached_property
     def bits(self) -> tuple[int, ...]:
         """MSB-first bit vector (leading bit is always 1)."""
-        l = self.value.bit_length()
-        return tuple((self.value >> (l - 1 - i)) & 1 for i in range(l))
+        return tuple(format(self.value, "b").encode().translate(self._BIT_VALUES))
 
     @functools.cached_property
     def main_loop_bits(self) -> tuple[int, ...]:

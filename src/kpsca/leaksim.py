@@ -89,7 +89,7 @@ import numpy as np
 from . import gf2m
 from .curve import ROLES, AffinePoint, CurveParams, LadderState, LadderTranscript, Scalar, StepValues
 from .curve import _check_ladder_input, kp_multiply, roles
-from .traces import Trace
+from .traces import SegmentationError, Trace
 
 
 class OpKind(enum.Enum):
@@ -132,6 +132,15 @@ SLOT_LAYOUT_VERSION = 1
 def epilogue_cycles(m: int) -> int:
     """Cycles for the affine back-conversion: one EEA inversion, ~2 per degree."""
     return max(2 * m - 2, 8)
+
+
+def slot_count(cycles: int, cycle0: int, m: int) -> int:
+    """The main-loop slots of a run `cycles` long from `cycle0` on GF(2^m)."""
+    loop = cycles - cycle0 - epilogue_cycles(m)
+    if loop % SLOT_CYCLES or loop < SLOT_CYCLES:
+        raise SegmentationError(f"{cycles} cycles from cycle {cycle0} hold {loop}/{SLOT_CYCLES} "
+                                f"slots on GF(2^{m}), not a whole number >= 1")
+    return loop // SLOT_CYCLES
 
 
 # (cycle, kind, role, value key); roles Xa/Za = pair updated by the

@@ -155,6 +155,16 @@ class TestSimulate:
         assert (code, stdout, stderr) == (
             cli.EXIT_CONFIG, "", "error: key must be a hex scalar, got 'zz'\n")
 
+    def test_key_past_the_scalar_bound(self, tmp_path, capsys):
+        # --key has --scalar-bits' bound: 4096 bits pass, 4097 exit 2 before any write
+        assert cli._parse_key("f" * 1024).bit_length == cli.MAX_SCALAR_BITS
+        out = tmp_path / "sim"
+        code, stdout, stderr = run(["simulate", "--curve", "test8", "--key", "1" + "0" * 1024,
+                                    "--out", str(out)], capsys)
+        assert (code, stdout, stderr) == (
+            cli.EXIT_CONFIG, "", "error: key must have at most 4096 bits, got 4097\n")
+        assert not out.exists()
+
     @pytest.mark.parametrize("spc", [10**17, 10**21])
     def test_sample_count_past_index_range(self, tmp_path, capsys, spc):
         # both counts are refused before anything is allocated or written
@@ -238,6 +248,23 @@ class TestAttack:
         )
         assert code == 0
         assert "verified: yes" in stdout
+
+    def test_slot_count_from_the_trace_length(self, tmp_path, capsys):
+        # without ground truth and without --num-slots, the count that the
+        # trace's length holds on the curve gives the output of the true count
+        for curve_id in curve.CURVE_IDS:
+            known, anon = tmp_path / curve_id / "known", tmp_path / curve_id / "anon"
+            for out, extra in ((known, []), (anon, ["--no-ground-truth"])):
+                assert run(["simulate", "--curve", curve_id, "--seed", "3", *extra,
+                            "--out", str(out)], capsys)[0] == 0
+            params = get_curve(curve_id)
+            pub = kp_point(read_trace(known / "trace.kptr").ground_truth, params.g, params)
+            slots = json.loads((known / "trace.transcript.json").read_text())["num_slots"]
+            argv = ["attack", str(anon / "trace.kptr"), "--curve", curve_id,
+                    "--pub", pub.to_hex(), "--out", str(anon)]
+            given = run([*argv, "--num-slots", str(slots)], capsys)
+            assert given[0] == 0 and "verified: yes" in given[1]
+            assert run(argv, capsys) == given, curve_id
 
     @pytest.mark.parametrize("command", ["attack", "bruteforce"])
     @pytest.mark.parametrize("pub", ["zz", "1:2:3", "g:1", "infinity", "1:1", "5b:1e"])
@@ -401,6 +428,29 @@ class TestBruteforce:
         assert (code, stdout, stderr) == (
             cli.EXIT_CONFIG, "",
             f"error: suspects must be comma-separated slot indices, got '{suspects}'\n")
+
+
+@pytest.fixture(scope="module")
+def curve_traces(tmp_path_factory):
+    """One trace with ground truth per registered curve, by curve id."""
+    out = tmp_path_factory.mktemp("curves")
+    for curve_id in curve.CURVE_IDS:
+        assert cli.main(["simulate", "--curve", curve_id, "--out", str(out / curve_id)]) == 0
+    return {curve_id: str(out / curve_id / "trace.kptr") for curve_id in curve.CURVE_IDS}
+
+
+@pytest.mark.parametrize("command", ["attack", "welch", "bruteforce"])
+@pytest.mark.parametrize("made, read", [(a, b) for a in curve.CURVE_IDS for b in curve.CURVE_IDS
+                                        if a != b])
+def test_trace_read_on_another_curve(tmp_path, capsys, curve_traces, command, made, read):
+    # no --num-slots: the trace's length holds no whole number of slots on
+    # another curve, so each wrong pairing ends in one segmentation error line
+    suspects = ["--suspects", "0,1"] if command == "bruteforce" else []
+    code, stdout, stderr = run([command, curve_traces[made], "--curve", read, *suspects,
+                                "--out", str(tmp_path)], capsys)
+    assert (code, stdout) == (cli.EXIT_SEGMENTATION, "")
+    assert stderr.startswith("segmentation error: ") and stderr.count("\n") == 1
+    assert stderr.endswith(f"slots on GF(2^{get_curve(read).field.m}), not a whole number >= 1\n")
 
 
 # options that only welch or bruteforce read: (command, config line, stdout
@@ -708,8 +758,15 @@ EXIT_CODE_CASES = [
     ("config seed=abc", cli.EXIT_CONFIG),
     ("config compression=foo", cli.EXIT_CONFIG),
     ("config # seed=abc\n\n   \nseed=3", cli.EXIT_OK),  # comment and blank lines are skipped
-    ("no_truth_attack", cli.EXIT_CONFIG),
     ("no_truth_bruteforce", cli.EXIT_CONFIG),
+    ("key=4097_bits", cli.EXIT_CONFIG),  # 1 and 1024 hex zeros, refused before writing
+    # a trace read on another curve: its length holds no whole number of slots there
+    ("wrong_curve=attack,test8,b233", cli.EXIT_SEGMENTATION),
+    ("wrong_curve=bruteforce,test8,b233", cli.EXIT_SEGMENTATION),
+    ("wrong_curve=attack,b233,test8", cli.EXIT_SEGMENTATION),
+    ("wrong_curve=bruteforce,b233,test8", cli.EXIT_SEGMENTATION),
+    ("wrong_curve=attack,b163,b233", cli.EXIT_SEGMENTATION),
+    ("wrong_curve=bruteforce,b163,b233", cli.EXIT_SEGMENTATION),
 ]
 
 SIMULATE_FLAGS = ("excerpt_cycles", "noise_sigma", "addr_weight", "data_weight", "baseline",
@@ -749,15 +806,22 @@ def contract_argv(case, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
         cfg.write_text(f"no_ground_truth={value}\n")
         return ["simulate", "--curve", "test8", "--config", str(cfg), "--out", str(tmp_path)]
+    if name == "key":
+        out = tmp_path / "sim"
+        return ["simulate", "--curve", "test8", "--key", "1" + "0" * 1024, "--out", str(out)]
+    if name == "wrong_curve":  # no --num-slots: the count comes from the trace's length
+        command, made, read = value.split(",")
+        assert run(["simulate", "--curve", made, "--out", str(tmp_path)], capsys)[0] == 0
+        suspects = ["--suspects", "0,1"] if command == "bruteforce" else []
+        return [command, str(tmp_path / "trace.kptr"), "--curve", read, *suspects,
+                "--out", str(tmp_path)]
     out = tmp_path / "sim"
     hidden = ["--no-ground-truth"] if name.startswith("no_truth_") else []
     code, _, _ = run(["simulate", "--curve", "test8", "--seed", "5", "--out", str(out), *hidden],
                      capsys)
     assert code == 0
     trace = str(out / "trace.kptr")
-    if name == "no_truth_attack":  # the slot count must be given
-        return ["attack", trace, "--curve", "test8", "--out", str(out)]
-    if name == "no_truth_bruteforce":  # and the candidate, by its sample index
+    if name == "no_truth_bruteforce":  # the candidate must be named, by its sample index
         return ["bruteforce", trace, "--curve", "test8", "--num-slots", "5", "--suspects", "1",
                 "--pub", get_curve("test8").g.to_hex()]
     if name == "oversized_num_slots":

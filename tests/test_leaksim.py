@@ -19,9 +19,11 @@ from kpsca.leaksim import (
     cycle_power,
     epilogue_cycles,
     slot_addr_profile,
+    slot_count,
     synthesize_trace,
 )
 from kpsca.leaksim import _MUL_OPERANDS, _MUL_WINDOWS, _ROLE_BY_BIT, _SLOT_TABLE, _table_values
+from kpsca.traces import SegmentationError
 
 from helpers import differing_cycles
 
@@ -156,6 +158,37 @@ class TestScheduleStructure:
         assert schedule.total_cycles == schedule.addr.shape[0] == (
             INIT_CYCLES + 54 + schedule.main_cycles + schedule.epilogue_len
         )
+
+
+class TestSlotCount:
+    """The slot count that a run's length implies on a curve: the schedule's own
+    count on the curve that ran it, and no whole count on any other, because
+    the epilogues differ by 310, 450 and 140 cycles, no multiple of 54."""
+
+    def test_solves_the_schedule_geometry(self):
+        curves = [get_curve(name) for name in curve.CURVE_IDS]
+        for nbits in range(3, 4097):
+            k = Scalar(1 << nbits - 1)
+            for params in curves:
+                s = Schedule(k, params.g, params)
+                cycles, cycle0 = s.total_cycles, s.cycle0
+                assert slot_count(cycles, cycle0, s.m) == s.num_slots == nbits - 2
+                for other in curves:
+                    if other is not params:
+                        with pytest.raises(SegmentationError):
+                            slot_count(cycles, cycle0, other.field.m)
+
+    @pytest.mark.parametrize("nbits", [1, 2])
+    def test_a_run_without_main_loop_slots_is_refused(self, test8, nbits):
+        s = Schedule(Scalar(1 << nbits - 1), test8.g, test8)
+        with pytest.raises(SegmentationError, match="hold 0/54 slots on GF"):
+            slot_count(s.total_cycles, s.cycle0, 8)
+
+    def test_message_names_the_count_and_the_field(self):
+        # a test8 run of a 10-bit key (508 cycles from cycle 62) read on B-233
+        with pytest.raises(SegmentationError, match=r"^508 cycles from cycle 62 hold -18/54 "
+                           r"slots on GF\(2\^233\), not a whole number >= 1$"):
+            slot_count(508, 62, 233)
 
 
 class TestScheduleFromKeyAndPoint:
