@@ -306,7 +306,7 @@ def _simulate(args) -> int:
     schedule = Schedule(k, p, params)
     trace = synthesize_trace(schedule, model)
     if model.addr_weight == 0 and model.data_weight == 0 and model.noise_sigma == 0:
-        print("warning: all leakage weights and noise are zero; the trace is flat")
+        warnings.warn("all leakage weights and noise are zero; the trace is flat")
 
     out = _out_dir(cfg)
     trace_path = out / "trace.kptr"
@@ -338,12 +338,15 @@ def _simulate(args) -> int:
 
 def _segment_from_cfg(cfg: RunConfig, trace):
     """The trace's (slots, cycles) array, from --start-cycle or else its first
-    main-loop cycle, and its ground truth's main-loop bits (or None)."""
+    main-loop cycle, and its ground truth's main-loop bits (or None): the
+    first num of them for a window that starts at that cycle."""
     values = compress(trace, CompressionMethod(cfg.compression))
     start = cfg.start_cycle if cfg.start_cycle is not None else trace.cycle0_cycle
     num = cfg.num_slots if cfg.num_slots is not None else leaksim.slot_count(
         values.shape[0], trace.cycle0_cycle, get_curve(cfg.curve).field.m)
     truth = trace.ground_truth.main_loop_bits if trace.ground_truth else None
+    if truth is not None and start == trace.cycle0_cycle:
+        truth = truth[:num]
     return segment(values, start, cfg.slot_len, num), truth
 
 

@@ -226,27 +226,23 @@ def _init_state(p: AffinePoint, params: CurveParams) -> LadderState:
 StepValues = namedtuple("StepValues", "M1 M2 M3 M4 M5 M6 S1 S2 S3 S4 S5 A1 A2 A3")
 
 
-def _step_roles(
-    f: FieldSpec, Xa: int, Za: int, Xb: int, Zb: int, x_tbl: list[int], b_tbl: list[int]
-) -> StepValues:
-    """One ladder step with (Xa, Za) as the add-updated pair and (Xb, Zb) doubled.
-
-    6 multiplications, 5 squarings, 3 additions -- the schedule the
-    hardware model realises in 54 clock cycles.  M4 = x*S1 and M5 = b*S5,
-    whose x and b every step shares, read the ladder's product tables.
+def _step_roles(f: FieldSpec, Xa: int, Za: int, Xb: int, Zb: int, x: int, b: int) -> StepValues:
+    """One ladder step with (Xa, Za) as the add-updated pair and (Xb, Zb) doubled,
+    for the input point's x and the curve's b: 6 multiplications, 5 squarings,
+    3 additions -- the schedule the hardware model realises in 54 clock cycles.
     """
     m1 = gf2m.mul_classical(f, Xa, Zb)
     m2 = gf2m.mul_classical(f, Xb, Za)       # Za, routed through T in hardware
     a1 = m1 ^ m2
     s1 = gf2m.square(f, a1)                  # new Za
     m3 = gf2m.mul_classical(f, m1, m2)
-    m4 = gf2m.mul_by_table(f, x_tbl, s1)
+    m4 = gf2m.mul_classical(f, x, s1)
     a2 = m4 ^ m3                             # new Xa
     s2 = gf2m.square(f, Xb)
     s3 = gf2m.square(f, s2)
     s4 = gf2m.square(f, Zb)
     s5 = gf2m.square(f, s4)
-    m5 = gf2m.mul_by_table(f, b_tbl, s5)
+    m5 = gf2m.mul_classical(f, b, s5)
     a3 = s3 ^ m5                             # new Xb = Xb^4 + b*Zb^4
     m6 = gf2m.mul_classical(f, s2, s4)       # new Zb = Xb^2 * Zb^2
     return StepValues(m1, m2, m3, m4, m5, m6, s1, s2, s3, s4, s5, a1, a2, a3)
@@ -258,13 +254,13 @@ def next_state(k_i: int, v: StepValues) -> LadderState:
 
 
 def ladder_step(
-    f: FieldSpec, state: LadderState, k_i: int, x_tbl: list[int], b_tbl: list[int]
+    f: FieldSpec, state: LadderState, k_i: int, x: int, b: int
 ) -> tuple[LadderState, StepValues]:
-    """One key-bit iteration: the next state and every intermediate; rejects both Z zero.
-    x_tbl and b_tbl are the `gf2m.product_table`s of x and b."""
+    """One key-bit iteration for the input point's x and the curve's b: the
+    next state and every intermediate; rejects both Z zero."""
     if state.Z1 == 0 and state.Z2 == 0:
         raise CurveError("both Z registers are zero; ladder state is degenerate")
-    v = _step_roles(f, *roles(k_i, state), x_tbl, b_tbl)
+    v = _step_roles(f, *roles(k_i, state), x, b)
     return next_state(k_i, v), v
 
 
@@ -309,10 +305,9 @@ def kp_multiply(k: Scalar, p: AffinePoint, params: CurveParams) -> tuple[AffineP
     is wanted.  [k]P is still correct for oversized k.
     """
     _check_ladder_input(p, params)
-    x_tbl, b_tbl = gf2m.product_table(p.x.value), gf2m.product_table(params.b.value)
     states, steps = [_init_state(p, params)], []
     for k_i in k.bits[1:]:
-        state, values = ladder_step(params.field, states[-1], k_i, x_tbl, b_tbl)
+        state, values = ladder_step(params.field, states[-1], k_i, p.x.value, params.b.value)
         states.append(state)
         steps.append(values)
     result = ladder_finalize(states[-1], p)

@@ -6,10 +6,9 @@ modulo the field's irreducible polynomial.  Addition is coefficient-wise
 XOR, written `^`; there is no carry propagation anywhere.
 
 The operations take the field's `FieldSpec` and plain ints and return
-ints: `mul_classical(f, a, b)`, `mul_by_table(f, product_table(c), a)`,
-`square(f, a)`, `invert(f, a)`, `karatsuba4_partials(f, a, b)`, and for
-point halving `trace(f, c)`, `solve_quadratic(f, c)` and
-`sqrt_and_root(f, c)`.
+ints: `mul_classical(f, a, b)`, `square(f, a)`, `invert(f, a)`,
+`karatsuba4_partials(f, a, b)`, and for point halving `trace(f, c)`,
+`solve_quadratic(f, c)` and `sqrt_and_root(f, c)`.
 `FieldElement` is the boundary type: point coordinates and curve
 coefficients, with their hex I/O and repr.
 
@@ -18,10 +17,7 @@ coefficients, with their hex I/O and repr.
 the ladder runs (Hankerson, Menezes, Vanstone, *Guide to Elliptic Curve
 Cryptography*, Alg. 2.36 and Sec. 2.3.4).  Both read the operand's 4-bit
 windows as one hex-digit stream, `format(a, "x").encode().translate(...)`,
-so no Python loop shifts and masks the operand.  A product by an
-operand c that recurs, as x and b do at every ladder step, walks the
-other operand's bytes against ``product_table(c)``, built once
-(``mul_by_table``; the fixed-operand comb, ibid. Sec. 2.3.3).
+so no Python loop shifts and masks the operand.
 Both linear maps of point halving, the square root and the solver of
 z^2 + z = c, share one table and one walk over the bytes of c
 (``sqrt_and_root``; Fong, Hankerson, Lopez, Menezes, IEEE Trans.
@@ -151,21 +147,6 @@ def _byte_rows(images: list[int]) -> list[list[int]]:
             row += [e ^ img for e in row]
         out.append(row)
     return out
-
-
-def product_table(c: int) -> list[int]:
-    """c times every 8-bit polynomial d, indexed by d (unreduced), for
-    `mul_by_table`: a fixed operand pays for its table once."""
-    return _byte_rows([c << i for i in range(8)])[0]
-
-
-def mul_by_table(f: FieldSpec, tbl: list[int], a: int) -> int:
-    """c*a for the c that `product_table` made tbl from: one table entry
-    per byte of a, then modular reduction."""
-    r = 0
-    for d in a.to_bytes((a.bit_length() + 7) >> 3, "big"):
-        r = (r << 8) ^ tbl[d]
-    return f.reduce(r)
 
 
 def segment_width(spec: FieldSpec) -> int:

@@ -150,7 +150,7 @@ def test_tracer_counts_auth_demo_ladders(capsys):
     # exact field call counts: a change inside the field kernels moves none.
     # A curve-equation check costs 3 products and 2 squares.  Three run
     # outside kP: on Pub in challenge, on R as the schedule's ladder input
-    # (respond's only check of R), and in evaluate's <G> test of Pub: 9
+    # (after respond's kp_point has checked R), and in evaluate's <G> test of Pub: 9
     # and 6.  Each kp_point runs one in its <G> test, whose trace is an
     # untraced table walk: 9 and 6 for the three.
     # test8's 2 shipped table rows hold the digits of every scalar up to

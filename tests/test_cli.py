@@ -13,10 +13,11 @@ import numpy as np
 import pytest
 
 import kpsca
+from kpsca import attack as attack_mod
 from kpsca import authproto, cli, curve, leaksim
 from kpsca.curve import Scalar, get_curve, kp_multiply, kp_point
 from kpsca.leaksim import LeakModel, build_schedule, synthesize_trace
-from kpsca.traces import Trace, read_trace, write_trace
+from kpsca.traces import CompressionMethod, Trace, compress, read_trace, segment, write_trace
 
 from helpers import write_bad_trace
 
@@ -50,11 +51,11 @@ class TestSimulate:
         assert "230 x 54" in stdout
 
     def test_flat_trace_warning(self, tmp_path, capsys):
-        _, stdout = simulate(
-            tmp_path, capsys,
-            "--addr-weight", "0", "--data-weight", "0", "--noise-sigma", "0",
-        )
-        assert "flat" in stdout
+        code, stdout, stderr = run(
+            ["simulate", "--curve", "b233", "--seed", "5", "--out", str(tmp_path),
+             "--addr-weight", "0", "--data-weight", "0", "--noise-sigma", "0"], capsys)
+        assert code == 0 and not any(line.startswith("warning:") for line in stdout.splitlines())
+        assert stderr == "warning: all leakage weights and noise are zero; the trace is flat\n"
 
     def test_sidecar_metadata(self, tmp_path, capsys):
         out, _ = simulate(tmp_path, capsys)
@@ -428,6 +429,50 @@ class TestBruteforce:
         assert (code, stdout, stderr) == (
             cli.EXIT_CONFIG, "",
             f"error: suspects must be comma-separated slot indices, got '{suspects}'\n")
+
+
+@pytest.fixture(scope="module")
+def prefix_trace(tmp_path_factory):
+    """A test8 trace with ground truth: 8 main-loop slots from cycle 62."""
+    out = tmp_path_factory.mktemp("prefix")
+    assert cli.main(["simulate", "--curve", "test8", "--seed", "1", "--out", str(out)]) == 0
+    return out / "trace.kptr"
+
+
+class TestPrefixWindow:
+    """A window of the first slots is compared with the first truth bits;
+    a window that starts elsewhere is not."""
+
+    def test_attack_scores_the_prefix(self, tmp_path, capsys, prefix_trace):
+        trace = read_trace(prefix_trace)
+        code, _, _ = run(["attack", str(prefix_trace), "--curve", "test8", "--num-slots", "5",
+                          "--out", str(tmp_path)], capsys)
+        assert code == 0
+        matrix = segment(compress(trace, CompressionMethod.MEAN), trace.cycle0_cycle,
+                         leaksim.SLOT_CYCLES, 5)
+        want = attack_mod.evaluate(matrix, truth_bits=trace.ground_truth.main_loop_bits[:5])
+        rows = (tmp_path / "report.csv").read_text().splitlines()
+        header = rows.index("sample_index,polarity,delta,verified")
+        got = [row.split(",")[2] for row in rows[header + 1:]]
+        assert got == [f"{d:.6f}" for d in want.deltas.tolist()]
+
+    def test_bruteforce_on_the_prefix(self, tmp_path, capsys, prefix_trace):
+        code, stdout, _ = run(["bruteforce", str(prefix_trace), "--curve", "test8",
+                               "--num-slots", "5", "--suspects", "0", "--out", str(tmp_path)], capsys)
+        assert code == 0 and stdout.startswith(("key found", "not found", "enumeration"))
+
+    def test_welch_on_the_prefix(self, tmp_path, capsys, prefix_trace):
+        bits = read_trace(prefix_trace).ground_truth.main_loop_bits
+        num = next(n for n in range(4, len(bits)) if min(bits[:n].count(0), bits[:n].count(1)) >= 2)
+        code, _, _ = run(["welch", str(prefix_trace), "--curve", "test8", "--num-slots", str(num),
+                          "--out", str(tmp_path)], capsys)
+        assert code == 0
+
+    def test_window_one_slot_late_is_refused(self, tmp_path, capsys, prefix_trace):
+        late = read_trace(prefix_trace).cycle0_cycle + leaksim.SLOT_CYCLES
+        code, _, stderr = run(["attack", str(prefix_trace), "--curve", "test8", "--num-slots", "5",
+                               "--start-cycle", str(late), "--out", str(tmp_path)], capsys)
+        assert code == cli.EXIT_CONFIG and "truth has 8" in stderr
 
 
 @pytest.fixture(scope="module")
@@ -939,7 +984,9 @@ def test_flag_value_sweep(tmp_path, capsys, sweep_trace, command, flag):
             code, usage_error = cli.main([*argv, flag, value]), False
         except SystemExit as exc:
             code, usage_error = exc.code, True
-        err = capsys.readouterr().err
+        out, err = capsys.readouterr()
+        # warnings go to stderr only
+        assert not any(line.startswith("warning:") for line in out.splitlines()), (value, out)
         assert code in (cli.EXIT_OK, cli.EXIT_CONFIG, cli.EXIT_IO, cli.EXIT_SEGMENTATION), value
         # a command's failure is one stderr line; argparse also prints its usage
         assert code == cli.EXIT_OK or usage_error or err.count("\n") == 1, (value, err)

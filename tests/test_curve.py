@@ -164,11 +164,6 @@ class TestLadderInit:
             kp_point(Scalar(3), bad, b233)
 
 
-def ladder_tables(p, params):
-    """The product tables of x_P and b that `ladder_step` takes."""
-    return gf2m.product_table(p.x.value), gf2m.product_table(params.b.value)
-
-
 class TestLadderStep:
     def test_roles_is_its_own_inverse(self):
         state = LadderState(1, 2, 3, 4)
@@ -181,7 +176,7 @@ class TestLadderStep:
         spec = b233.field
         for _ in range(20):
             regs = [rng.getrandbits(spec.m) for _ in range(4)]
-            x, b = gf2m.product_table(rng.getrandbits(spec.m)), gf2m.product_table(b233.b.value)
+            x, b = rng.getrandbits(spec.m), b233.b.value
             direct, v0 = ladder_step(spec, LadderState(*regs), 0, x, b)
             m, v1 = ladder_step(spec, LadderState(*regs[2:], *regs[:2]), 1, x, b)
             assert direct == LadderState(m.X2, m.Z2, m.X1, m.Z1)
@@ -189,10 +184,10 @@ class TestLadderStep:
 
     def test_step_values_satisfy_relations(self, b233):
         rng = random.Random(7)
-        spec, b = b233.field, gf2m.product_table(b233.b.value)
+        spec, b = b233.field, b233.b.value
         for bit in (0, 1):
             state = LadderState(*(rng.getrandbits(spec.m) for _ in range(4)))
-            after, v = ladder_step(spec, state, bit, gf2m.product_table(rng.getrandbits(spec.m)), b)
+            after, v = ladder_step(spec, state, bit, rng.getrandbits(spec.m), b)
             assert after == next_state(bit, v)
             assert step_relations_hold(spec, state, bit, v)
             # the other bit doubles the other register pair
@@ -201,19 +196,19 @@ class TestLadderStep:
     def test_double_degenerate_flagged(self, b233):
         state = LadderState(1, 0, 1, 0)
         with pytest.raises(CurveError):
-            ladder_step(b233.field, state, 1, gf2m.product_table(1), gf2m.product_table(b233.b.value))
+            ladder_step(b233.field, state, 1, 1, b233.b.value)
 
     def test_one_step_doubles(self, b163):
         # k = (1,0): one step with bit 0 lands on 2G
         state = kp_multiply(Scalar(1), b163.g, b163)[1].states[0]
-        state, _ = ladder_step(b163.field, state, 0, *ladder_tables(b163.g, b163))
+        state, _ = ladder_step(b163.field, state, 0, b163.g.x.value, b163.b.value)
         r = ladder_finalize(state, b163.g)
         expect = oracle_double_and_add(Scalar(2), b163.g, b163)
         assert r.x == expect.x
 
     def test_one_step_triples(self, b163):
         state = kp_multiply(Scalar(1), b163.g, b163)[1].states[0]
-        state, _ = ladder_step(b163.field, state, 1, *ladder_tables(b163.g, b163))
+        state, _ = ladder_step(b163.field, state, 1, b163.g.x.value, b163.b.value)
         r = ladder_finalize(state, b163.g)
         expect = oracle_double_and_add(Scalar(3), b163.g, b163)
         assert r.x == expect.x
@@ -273,7 +268,7 @@ class TestKpMultiply:
         # bit; steps[i] holds that step's values
         _, k, _, transcript, _ = b233_run
         f, states = transcript.params.field, transcript.states
-        x, b = ladder_tables(transcript.point, transcript.params)
+        x, b = transcript.point.x.value, transcript.params.b.value
         assert len(transcript.steps) == len(states) - 1
         for i, bit in enumerate(k.bits[1:]):
             assert ladder_step(f, states[i], bit, x, b) == (states[i + 1], transcript.steps[i])

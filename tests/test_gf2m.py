@@ -11,9 +11,7 @@ from kpsca.gf2m import (
     ZeroInversionError,
     invert,
     karatsuba4_partials,
-    mul_by_table,
     mul_classical,
-    product_table,
     segment_width,
     solve_quadratic,
     sqrt_and_root,
@@ -193,29 +191,6 @@ class TestKernelsAgainstOracle:
                 assert mul_classical(spec, b, a) == want, (n, a, b)
                 assert karatsuba4_partials(spec, a, b)[0] == want, (n, a, b)
                 assert square(spec, a) == mul_shift_xor(a, a, poly, m), (n, a)
-
-    def test_every_table_product_gf256(self):
-        for c in range(1 << AES.m):
-            tbl = product_table(c)
-            assert tbl == [gf2m._clmul(c, d) for d in range(256)], c
-            for a in range(1 << AES.m):
-                assert mul_by_table(AES, tbl, a) == mul_shift_xor(c, a, AES.reduction_poly, AES.m)
-
-    @pytest.mark.parametrize("spec", [TEST16, B163, B233, B571],
-                             ids=["test16", "b163", "b233", "b571"])
-    def test_table_product_every_operand_bit_length(self, spec):
-        # the fixed operand c and the walked operand a each take 0, 1 and
-        # all-ones; a also takes every bit length, which covers a lone top
-        # byte 0x01 (n = 8k + 1) and partial top bytes
-        rng = random.Random(spec.m)
-        poly, m = spec.reduction_poly, spec.m
-        edges = [0, 1, (1 << m) - 1]
-        walked = edges + [((1 << n) >> 1) | rng.getrandbits(max(n - 1, 0)) for n in range(m + 1)]
-        for c in edges + [rng.getrandbits(m)]:
-            tbl = product_table(c)
-            assert tbl == [gf2m._clmul(c, d) for d in range(256)], c
-            for a in walked:
-                assert mul_by_table(spec, tbl, a) == mul_shift_xor(c, a, poly, m), (c, a)
 
 
 HALVING_FIELDS = pytest.mark.parametrize("spec", [AES, TEST16, B163, B233],
