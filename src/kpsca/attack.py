@@ -57,7 +57,7 @@ is included as the designer-side leakage assessment.
 from __future__ import annotations
 
 import enum
-from collections.abc import Sequence
+import operator
 from dataclasses import dataclass
 from math import inf
 from typing import Optional
@@ -117,10 +117,10 @@ def _candidate_bits(slots: np.ndarray, mean: np.ndarray) -> np.ndarray:
     return np.concatenate([smaller, ~smaller], axis=1)
 
 
-class KeyCandidates(Sequence):
+class KeyCandidates:
     """The candidates of one slot matrix, in extraction order: a read-only
-    sequence over their bit matrix `bits`, (L, 2 * slot_len) bools that
-    cannot be written.
+    view of their bit matrix `bits`, (L, 2 * slot_len) bools that cannot be
+    written, with a length, int indices and iteration.
 
     Column c is the candidate at sample index c % slot_len under polarity
     `_POLARITIES[c // slot_len]` (`label`, `column`).  Indexing or iterating
@@ -135,9 +135,7 @@ class KeyCandidates(Sequence):
         return self.bits.shape[1]
 
     def __getitem__(self, index):
-        if isinstance(index, slice):
-            return [self[c] for c in range(len(self))[index]]
-        c = range(len(self))[index]  # a negative index counts from the end
+        c = range(len(self))[operator.index(index)]  # a negative index counts from the end
         return KeyCandidate(tuple(self.bits[:, c].view(np.uint8).tolist()), *self.label(c))
 
     def __iter__(self):
@@ -328,7 +326,7 @@ def _flip_search(bits, positions, points, targets, variants, params: CurveParams
     """
     base, *steps = points
     s, m = len(positions), len(targets)
-    deltas = [_negate(d) if bits[p] & 1 else d for p, d in zip(positions, steps)]
+    deltas = [_negate(d) if bits[p] else d for p, d in zip(positions, steps)]
 
     def hit(subset, j, rank):
         flip = {positions[i] for i in subset}
@@ -381,8 +379,8 @@ def brute_force_complete(
 
     Subsets are enumerated in increasing Hamming weight (few errors are
     the most plausible), deterministically, so "first found" is well
-    defined; within a subset the pre-loop bits, distinct values of 0 and
-    1 (else ValueError), are tried in the given order.  Each (subset,
+    defined; within a subset the pre-loop bits, one or two distinct values
+    of 0 and 1 (else ValueError), are tried in the given order.  Each (subset,
     pre-loop bit) scalar tested is one check against the budget, however
     it is decided: `_complete` over the variants pb (no complement), whose
     targets are pub and pub - A.
@@ -401,16 +399,17 @@ def brute_force_complete(
             f"{len(suspects)} suspects exceed the configured limit {MAX_SUSPECTS}"
         )
     preloop_bits = tuple(preloop_bits)
-    if not set(preloop_bits) <= {0, 1} or len(set(preloop_bits)) < len(preloop_bits):
-        raise ValueError(f"pre-loop bits must be distinct values of 0 and 1, got {preloop_bits}")
+    if preloop_bits not in {(0,), (1,), (0, 1), (1, 0)}:
+        raise ValueError(f"pre-loop bits must be one or two distinct values of 0 and 1, "
+                         f"got {preloop_bits}")
     found = None
-    if preloop_bits and in_base_subgroup(pub, params):
+    if in_base_subgroup(pub, params):
         found = _complete(candidate.bits, suspects, pub.pair, params, preloop_bits, budget)
     if found is not None and found[1] <= budget:
         return BruteForceResult(*found, False)
     # nothing matched before the search ended or the budget ran out
     total = worst_case_checks(len(suspects), len(preloop_bits))
-    if total == 0 or budget >= total:
+    if budget >= total:
         return BruteForceResult(None, total, False)
     return BruteForceResult(None, max(budget, 0), True)
 

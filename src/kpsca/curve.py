@@ -76,11 +76,11 @@ class Scalar:
     @classmethod
     def from_bits(cls, bits) -> "Scalar":
         bits = tuple(bits)
-        if not bits or bits[0] != 1:
-            raise CurveError("scalar bit vector must be MSB-first with leading 1")
+        if not bits or bits[0] != 1 or not set(bits) <= {0, 1}:
+            raise CurveError("scalar bit vector must be MSB-first with leading 1, of bits 0 and 1")
         v = 0
         for b in bits:
-            v = (v << 1) | (b & 1)
+            v = (v << 1) | b
         return cls(v)
 
     @classmethod
@@ -383,8 +383,7 @@ def _point_add(p, q, params: CurveParams):
         return q
     if q is None:
         return p
-    if p[0] == q[0]:
-        # q = -p is infinity, and so is the doubled 2-torsion point (x = 0)
+    if p[0] == q[0]:  # q = p or q = -p, which sums to infinity
         return _point_double(p, params) if p[1] == q[1] else None
     return _chord_add(p, q, gf2m.invert(params.field, p[0] ^ q[0]), params)
 
@@ -432,7 +431,7 @@ def _add_many(ps, qs, params: CurveParams) -> list:
 
 
 def _point_double(p, params: CurveParams):
-    if p is None or p[0] == 0:  # the 2-torsion point (0, sqrt(b)) doubles to infinity
+    if p is None:  # a finite p is in <G>, of odd order, so 2p is finite and x != 0
         return None
     f = params.field
     x, y = p

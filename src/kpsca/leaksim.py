@@ -131,7 +131,7 @@ SLOT_LAYOUT_VERSION = 1
 
 def epilogue_cycles(m: int) -> int:
     """Cycles for the affine back-conversion: one EEA inversion, ~2 per degree."""
-    return max(2 * m - 2, 8)
+    return 2 * m - 2
 
 
 def slot_count(cycles: int, cycle0: int, m: int) -> int:
@@ -385,10 +385,10 @@ def synthesize_trace(schedule: Schedule, model: LeakModel):
     Deterministic for a given rng_seed.  Each cycle contributes
     samples_per_cycle samples whose mean is the modelled cycle power.
     """
-    power = cycle_power(schedule, model)
-    if power.shape[0] * model.samples_per_cycle > np.iinfo(np.intp).max:
-        raise ValueError(f"{power.shape[0]} cycles x {model.samples_per_cycle} samples per "
-                         "cycle is more samples than an array can index")
+    if schedule.total_cycles * model.samples_per_cycle > np.iinfo(np.intp).max:
+        raise ValueError(f"{schedule.total_cycles} cycles x {model.samples_per_cycle} samples "
+                         "per cycle is more samples than an array can index")
+    power = cycle_power(schedule, model)  # after the check, as an overflow here would warn first
     if model.noise_sigma > 0:
         rng = np.random.default_rng(model.rng_seed)
         samples = rng.normal(0.0, model.noise_sigma, power.shape[0] * model.samples_per_cycle)

@@ -67,7 +67,7 @@ class TestExtractCandidates:
         m = matrix_of([[1, 2], [3, 4], [5, 6]])
         cands = extract_candidates(m)
         assert len(cands) == 4  # 2 * slot_len
-        assert [c.polarity for c in cands[:2]] == [Polarity.SMALLER_IS_ONE] * 2
+        assert [c.polarity for c in cands][:2] == [Polarity.SMALLER_IS_ONE] * 2
         assert [c.sample_index for c in cands] == [0, 1, 0, 1]
 
     def test_hand_example(self):
@@ -88,7 +88,7 @@ class TestExtractCandidates:
     def test_polarity_duality_tie_free(self):
         rng = np.random.default_rng(3)
         m = matrix_of(rng.normal(size=(16, 6)))  # continuous: ties have measure zero
-        cands = extract_candidates(m)
+        cands = list(extract_candidates(m))
         half = len(cands) // 2
         for c1, c0 in zip(cands[:half], cands[half:]):
             assert c0.bits == complement(c1).bits
@@ -308,18 +308,31 @@ class TestBruteForce:
     def test_malformed_preloop_bits_raise(self, test8):
         """A repeated pre-loop bit or one outside {0, 1} is refused, not
         reduced mod 2: (2, 3) would run as (0, 1) and (1, 1, 1) would count
-        3 checks per subset.  () and a single bit stay valid."""
+        3 checks per subset.  () is refused too, as it would search nothing.
+        A single bit stays valid."""
         k = Scalar(0b1011010011)
         pub = kp_point(k, test8.g, test8)
         cand = KeyCandidate(flip_bits(k.main_loop_bits, [3]), 0, Polarity.SMALLER_IS_ONE)
-        for preloop in [(2, 3), (1, 1, 1), (0, 0), (-1,), (0, 2)]:
+        for preloop in [(2, 3), (1, 1, 1), (0, 0), (-1,), (0, 2), ()]:
             with pytest.raises(ValueError, match="pre-loop bits"):
                 brute_force_complete(cand, [1, 3, 5], test8.g, pub, test8,
                                      preloop_bits=preloop)
-        res = brute_force_complete(cand, [1, 3, 5], test8.g, pub, test8, preloop_bits=())
-        assert res == attack.BruteForceResult(None, 0, False)
         res = brute_force_complete(cand, [1, 3, 5], test8.g, pub, test8, preloop_bits=(0,))
         assert res.key == k and res.checks == 3  # subsets (), (1,), (3,)
+
+    def test_candidate_bit_other_than_0_and_1_raises(self, test8, monkeypatch):
+        """A candidate bit of 2 is refused before any point is computed: read
+        as 0, (1, 1, 2, 1, 0, 0, 1, 1) would verify k after 1 check."""
+        k = Scalar(0b1011010011)
+        pub = kp_point(k, test8.g, test8)
+        assert k.main_loop_bits == (1, 1, 0, 1, 0, 0, 1, 1)
+        tables = []
+        monkeypatch.setattr(attack, "_fixed_base_pairs", lambda *args: tables.append(args))
+        cand = KeyCandidate((1, 1, 2, 1, 0, 0, 1, 1), 0, Polarity.SMALLER_IS_ONE)
+        for suspects in ([], [2], [0, 5]):
+            with pytest.raises(curve.CurveError, match="bits 0 and 1"):
+                brute_force_complete(cand, suspects, test8.g, pub, test8)
+        assert tables == []
 
     def test_suspect_limit(self, test16):
         cand = KeyCandidate((0,) * 30, 0, Polarity.SMALLER_IS_ONE)
@@ -446,15 +459,15 @@ def test_property_extraction_matches_per_column_loop(num_slots, slot_len, data):
     got = extract_candidates(m)
     reference = _extract_candidates_per_column(m)
     assert list(got) == reference
-    # the sequence contract: length, indexing from either end, slices
+    # the view's contract: length, int indexing from either end, no slices
     assert len(got) == len(reference)
     assert [got[c] for c in range(len(got))] == reference
     assert [got[c] for c in range(-len(got), 0)] == reference
     assert [got.label(c) for c in range(len(got))] == [(c.sample_index, c.polarity)
                                                        for c in reference]
     assert [got.column(c.sample_index, c.polarity) for c in reference] == list(range(len(got)))
-    window = data.draw(st.slices(len(reference)))
-    assert got[window] == reference[window]
+    with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+        got[data.draw(st.slices(len(reference)))]
     for c in (len(got), -len(got) - 1):
         with pytest.raises(IndexError):
             got[c]

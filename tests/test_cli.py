@@ -803,6 +803,8 @@ EXIT_CODE_CASES = [
     ("config seed=abc", cli.EXIT_CONFIG),
     ("config compression=foo", cli.EXIT_CONFIG),
     ("config # seed=abc\n\n   \nseed=3", cli.EXIT_OK),  # comment and blank lines are skipped
+    # the sample count is refused before the power overflows, which would warn first
+    ("config addr_weight=1e308\nsamples_per_cycle=99999999999999999999", cli.EXIT_CONFIG),
     ("no_truth_bruteforce", cli.EXIT_CONFIG),
     ("key=4097_bits", cli.EXIT_CONFIG),  # 1 and 1024 hex zeros, refused before writing
     # a trace read on another curve: its length holds no whole number of slots there
@@ -939,6 +941,7 @@ def test_exit_code_contract(tmp_path, capsys, case, expected):
     assert proc.returncode == expected, proc.stderr
     assert "Traceback" not in proc.stderr
     assert "Warning" not in proc.stderr
+    assert expected == cli.EXIT_OK or proc.stderr.count("\n") == 1, proc.stderr  # one line
 
 
 # the other half of the exit-code contract: every flag of every command but

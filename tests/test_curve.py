@@ -48,6 +48,13 @@ class TestScalar:
             Scalar.from_bits((0, 1, 1))
         assert Scalar.from_bits((1, 0, 1)).value == 5
 
+    def test_from_bits_refuses_bits_other_than_0_and_1(self):
+        # a 2 is refused, not read as its low bit: (1, 2, 0) is not 4
+        for bits in [(1, 2, 0), (1, 0, -1), (1, 1, 3, 0), (2,)]:
+            with pytest.raises(CurveError, match="bits 0 and 1"):
+                Scalar.from_bits(bits)
+        assert Scalar.from_bits((1, 0, 0)).value == 4
+
     def test_random_has_exact_length(self):
         rng = random.Random(0)
         for _ in range(50):

@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import random
 from collections import Counter
 
@@ -98,6 +99,21 @@ class TestScheduleStructure:
     def test_epilogue_length_formula(self):
         assert epilogue_cycles(233) == 464
         assert epilogue_cycles(163) == 324
+
+    @pytest.mark.parametrize("m, poly", [(2, 0b111), (3, 0b1011), (4, 0b10011), (5, 0b100101)])
+    def test_no_curve_below_degree_6(self, m, poly):
+        # CurveParams refuses every order on these fields, so every curve's
+        # epilogue is 2m - 2 >= 10 cycles, room for its six frame rows
+        f = gf2m.FieldSpec(m, poly)
+        one = f.element(1)
+        sq, mul = functools.partial(gf2m.square, f), functools.partial(gf2m.mul_classical, f)
+        # a point of y^2 + xy = x^3 + x^2 + 1
+        x, y = next((x, y) for x in range(1, 1 << m) for y in range(1 << m)
+                    if sq(y) ^ mul(x, y) == mul(sq(x), x) ^ sq(x) ^ 1)
+        g = AffinePoint(f.element(x), f.element(y))
+        for n in range(1, 4 << m):
+            with pytest.raises(CurveError, match="order_hint"):
+                curve.CurveParams(f, one, one, g, n)
 
     # recorded values that disagree with the ladder: one flipped bit in a
     # recorded value (transcript field, index, value name; index 1 is the
