@@ -441,7 +441,7 @@ class AttackReport:
 
     candidates: KeyCandidates
     deltas: Optional[np.ndarray] = None           # per candidate, truth known
-    best_index: Optional[int] = None
+    best_index: Optional[int] = None              # best by delta, truth known
     verified: Optional[np.ndarray] = None         # per candidate, pub supplied
     key: Optional[Scalar] = None                  # the verifying scalar, if any
 
@@ -505,8 +505,6 @@ def evaluate(
         suspects = sorted(np.argsort(margins, kind="stable")[:COMBINED_SUSPECTS].tolist())
         key, _ = _complete(bits, suspects, pub.pair, params, range(4)) or (None, 0)
         report.verified, report.key = _verify_all(candidates.bits, pub.pair, params, key)
-        if report.best_index is None and report.verified.any():
-            report.best_index = int(np.argmax(report.verified))
     return report
 
 

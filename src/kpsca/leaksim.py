@@ -384,18 +384,23 @@ def synthesize_trace(schedule: Schedule, model: LeakModel):
 
     Deterministic for a given rng_seed.  Each cycle contributes
     samples_per_cycle samples whose mean is the modelled cycle power.
+    A render with an inf or nan sample is refused.
     """
     if schedule.total_cycles * model.samples_per_cycle > np.iinfo(np.intp).max:
         raise ValueError(f"{schedule.total_cycles} cycles x {model.samples_per_cycle} samples "
                          "per cycle is more samples than an array can index")
-    power = cycle_power(schedule, model)  # after the check, as an overflow here would warn first
-    if model.noise_sigma > 0:
-        rng = np.random.default_rng(model.rng_seed)
-        samples = rng.normal(0.0, model.noise_sigma, power.shape[0] * model.samples_per_cycle)
-        grid = samples.reshape(power.shape[0], model.samples_per_cycle)
-        grid += power[:, None]  # same bits as power + noise: IEEE addition commutes
-    else:
-        samples = np.repeat(power, model.samples_per_cycle)
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below instead
+        power = cycle_power(schedule, model)
+        if model.noise_sigma > 0:
+            rng = np.random.default_rng(model.rng_seed)
+            samples = rng.normal(0.0, model.noise_sigma, power.shape[0] * model.samples_per_cycle)
+            grid = samples.reshape(power.shape[0], model.samples_per_cycle)
+            grid += power[:, None]  # same bits as power + noise: IEEE addition commutes
+        else:
+            samples = np.repeat(power, model.samples_per_cycle)
+    if not (np.isfinite(samples.min()) and np.isfinite(samples.max())):  # nan reaches both
+        raise ValueError(f"{np.count_nonzero(~np.isfinite(samples))} rendered samples are "
+                         "not finite: the leak weights, baseline or noise_sigma are too large")
     return Trace(
         samples=samples,
         samples_per_cycle=model.samples_per_cycle,

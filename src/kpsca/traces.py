@@ -39,28 +39,12 @@ from typing import Optional
 
 import numpy as np
 
-from .curve import CurveError, Scalar
+from .curve import Scalar
 
 
 class TraceFormatError(ValueError):
-    """Base class for trace file problems."""
-
-
-class BadMagicError(TraceFormatError):
-    pass
-
-
-class FormatVersionError(TraceFormatError):
-    pass
-
-
-class TruncatedTraceError(TraceFormatError):
-    pass
-
-
-class BadMetadataError(TraceFormatError):
-    """A header or metadata value is unusable: zero samples per cycle, a
-    negative first-slot offset, a non-finite clock, a bad key."""
+    """A trace file or value the readers cannot use: bad magic or version,
+    a file cut short, unusable metadata, a bad ground-truth key."""
 
 
 class SegmentationError(ValueError):
@@ -176,11 +160,11 @@ def write_trace(trace: Trace, path, include_ground_truth: bool = True) -> None:
 def _check_header(where, spc: int, cycle0: int, clock_hz: float, count: int) -> None:
     """The header values both readers check, and write_trace before writing."""
     if spc < 1:
-        raise BadMetadataError(f"{where}: samples_per_cycle is {spc}, must be >= 1")
+        raise TraceFormatError(f"{where}: samples_per_cycle is {spc}, must be >= 1")
     if cycle0 < 0:
-        raise BadMetadataError(f"{where}: cycle0_offset is {cycle0}, must be >= 0")
+        raise TraceFormatError(f"{where}: cycle0_offset is {cycle0}, must be >= 0")
     if not (math.isfinite(clock_hz) and clock_hz > 0):
-        raise BadMetadataError(f"{where}: clock_hz is {clock_hz}, must be finite and positive")
+        raise TraceFormatError(f"{where}: clock_hz is {clock_hz}, must be finite and positive")
     if count == 0:
         raise TraceFormatError(f"{where}: the trace holds no samples")
 
@@ -188,8 +172,8 @@ def _check_header(where, spc: int, cycle0: int, clock_hz: float, count: int) -> 
 def _parse_ground_truth(text: str, where) -> Scalar:
     try:
         return Scalar.from_hex(text)
-    except (CurveError, ValueError):
-        raise BadMetadataError(
+    except ValueError:
+        raise TraceFormatError(
             f"{where}: ground truth {text!r} is not a positive hex scalar"
         ) from None
 
@@ -207,28 +191,28 @@ def read_trace(path) -> Trace:
         fh = file if file.seekable() else io.BytesIO(file.read())
         head = fh.read(_HEADER.size)
         if len(head) < _HEADER.size:
-            raise TruncatedTraceError(f"{path}: shorter than the fixed header")
+            raise TraceFormatError(f"{path}: shorter than the fixed header")
         magic, version, spc, cycle0, clock_hz, count = _HEADER.unpack(head)
         if magic != _MAGIC:
-            raise BadMagicError(f"{path}: bad magic {magic!r}")
+            raise TraceFormatError(f"{path}: bad magic {magic!r}")
         if version != _VERSION:
-            raise FormatVersionError(f"{path}: format version {version}, expected {_VERSION}")
+            raise TraceFormatError(f"{path}: format version {version}, expected {_VERSION}")
         _check_header(path, spc, cycle0, clock_hz, count)
         fits = fh.seek(0, io.SEEK_END) >= _HEADER.size + 8 * count
         fh.seek(_HEADER.size)
         samples = np.empty(count, dtype="<f8") if fits else None
         if samples is None or fh.readinto(samples) < samples.nbytes:
-            raise TruncatedTraceError(
+            raise TraceFormatError(
                 f"{path}: header promises {count} samples but the file is short"
             )
         rest = fh.read()
     ground_truth = None
     if rest:
         if len(rest) < 4:
-            raise TruncatedTraceError(f"{path}: dangling metadata block")
+            raise TraceFormatError(f"{path}: dangling metadata block")
         (hexlen,) = struct.unpack_from("<I", rest)
         if len(rest) < 4 + hexlen:
-            raise TruncatedTraceError(f"{path}: ground-truth block cut short")
+            raise TraceFormatError(f"{path}: ground-truth block cut short")
         if len(rest) > 4 + hexlen:
             raise TraceFormatError(
                 f"{path}: {len(rest) - 4 - hexlen} bytes after the ground-truth block"
@@ -266,7 +250,7 @@ def _read_csv(path: Path) -> Trace:
     try:
         meta_text = meta_file.read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
-        raise BadMetadataError(f"{meta_file}: {exc}") from None
+        raise TraceFormatError(f"{meta_file}: {exc}") from None
     meta = {}
     for line in meta_text.splitlines():
         line = line.strip()
@@ -274,7 +258,7 @@ def _read_csv(path: Path) -> Trace:
             continue
         k, sep, v = line.partition("=")
         if not sep:
-            raise BadMetadataError(f"{meta_file}: line is not key=value: {line!r}")
+            raise TraceFormatError(f"{meta_file}: line is not key=value: {line!r}")
         meta[k.strip()] = v.strip()
     try:
         spc = int(meta["samples_per_cycle"])
@@ -284,7 +268,7 @@ def _read_csv(path: Path) -> Trace:
     except KeyError as exc:
         raise TraceFormatError(f"{meta_file}: missing key {exc}") from None
     except ValueError as exc:
-        raise BadMetadataError(f"{meta_file}: {exc}") from None
+        raise TraceFormatError(f"{meta_file}: {exc}") from None
     try:
         with warnings.catch_warnings():
             # an empty file is reported below as a format error
@@ -297,7 +281,7 @@ def _read_csv(path: Path) -> Trace:
     samples = samples.ravel()
     _check_header(meta_file, spc, cycle0, clock_hz, samples.shape[0])
     if count is not None and count != samples.shape[0]:
-        raise TruncatedTraceError(
+        raise TraceFormatError(
             f"{path}: {samples.shape[0]} samples, metadata promises {count}"
         )
     truth = None

@@ -504,6 +504,7 @@ class TestVerificationB233:
         assert np.array_equal(report.verified, flags)
         assert list(report.verified) == [c.bits == k.main_loop_bits for c in report.candidates]
         assert report.verified.any() == (sigma < 1)
+        assert report.best_index is None  # best by ground truth, and none was given
         # at sigma 1.5 the combined search misses: a second call, and no key
         hit = sigma < 1.5
         assert report.key == (k if hit else None)

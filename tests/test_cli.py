@@ -796,6 +796,10 @@ EXIT_CODE_CASES = [
     ("addr_weight=nan", cli.EXIT_CONFIG),
     ("data_weight=inf", cli.EXIT_CONFIG),
     ("baseline=-inf", cli.EXIT_CONFIG),
+    # finite values that render an inf sample: the power overflows, or the noise does
+    ("addr_weight=1e308", cli.EXIT_CONFIG),
+    ("noise_sigma=1e308", cli.EXIT_CONFIG),
+    ("auth_demo_addr_weight=1e308", cli.EXIT_CONFIG),
     ("curve=foo", cli.EXIT_CONFIG),
     ("seed=-1,sigma=0", cli.EXIT_CONFIG),
     ("seed=-1,sigma=0.5", cli.EXIT_CONFIG),
@@ -803,7 +807,7 @@ EXIT_CODE_CASES = [
     ("config seed=abc", cli.EXIT_CONFIG),
     ("config compression=foo", cli.EXIT_CONFIG),
     ("config # seed=abc\n\n   \nseed=3", cli.EXIT_OK),  # comment and blank lines are skipped
-    # the sample count is refused before the power overflows, which would warn first
+    # the sample count is refused before any power is computed
     ("config addr_weight=1e308\nsamples_per_cycle=99999999999999999999", cli.EXIT_CONFIG),
     ("no_truth_bruteforce", cli.EXIT_CONFIG),
     ("key=4097_bits", cli.EXIT_CONFIG),  # 1 and 1024 hex zeros, refused before writing
@@ -845,6 +849,8 @@ def contract_argv(case, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("curve=test8\nnot a key value line\n")
         return ["attack", str(tmp_path / "nope.kptr"), "--config", str(cfg)]
+    if name == "auth_demo_addr_weight":
+        return ["auth-demo", "--curve", "test8", f"--addr-weight={value}"]
     if name == "curve":
         cfg = tmp_path / "run.cfg"
         cfg.write_text(f"curve={value}\n")

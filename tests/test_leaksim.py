@@ -313,6 +313,15 @@ class TestSynthesis:
         with_data = cycle_power(schedule, LeakModel(addr_weight=0.0, data_weight=0.1))
         assert np.any(base != with_data)
 
+    @pytest.mark.parametrize("weights", [{"addr_weight": 1e308}, {"noise_sigma": 1e308},
+                                         {"baseline": 1e308, "data_weight": 1e308}],
+                             ids=["power", "noise", "sum"])
+    def test_non_finite_render_refused_without_warning(self, test8, weights):
+        schedule = Schedule(Scalar(0xB5), test8.g, test8)
+        # pytest turns warnings into errors, so numpy's overflow warning would fail here
+        with pytest.raises(ValueError, match="rendered samples are not finite"):
+            synthesize_trace(schedule, LeakModel(**weights))
+
     def test_model_validation(self):
         with pytest.raises(ValueError):
             LeakModel(noise_sigma=-1.0)

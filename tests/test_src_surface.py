@@ -10,9 +10,13 @@ Readers are the package's own modules (a load, an attribute or an import
 of the name) and the benchmark harness, whose tracer names its targets
 in strings such as `kpsca.attack:recover_scalar`, so any word of its
 source counts.
+
+An exception class is one failure category, which the CLI maps to one
+exit code: no kpsca exception class derives from another.
 """
 
 import ast
+import importlib
 import re
 from pathlib import Path
 
@@ -89,3 +93,15 @@ def test_every_method_and_property_has_a_reader_outside_the_tests():
     words = reader_words(trees)
     assert sorted(f"{module}:{name}" for module, name in methods
                   if name.split(".")[1] not in words) == []
+
+
+def test_no_exception_class_derives_from_another():
+    """A subclass of a kpsca error would be a category that only a test tells apart."""
+    modules = [importlib.import_module(f"kpsca.{path.stem}")
+               for path in sorted(SRC.glob("*.py")) if path.stem != "__init__"]
+    errors = {value for module in modules for value in vars(module).values()
+              if isinstance(value, type) and issubclass(value, BaseException)
+              and value.__module__ == module.__name__}
+    assert len(errors) >= 4  # the walk found the package's errors
+    assert sorted(f"{e.__module__}:{e.__name__}" for e in errors
+                  if errors.intersection(e.__mro__[1:])) == []
